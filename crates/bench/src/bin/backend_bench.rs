@@ -1,10 +1,12 @@
 //! The perf-trajectory benchmark with a machine-readable trail: times the
-//! coverage-matrix workloads on both simulation backends, the generator's
+//! full-memory lane sweep of both simulation backends on the coverage-matrix
+//! workloads, the generator's
 //! candidate-scoring hot path with batched vs per-candidate pools, the
 //! redundancy-removal pass with suffix-only snapshots vs full re-simulation,
 //! repeated coverage through one resident [`Session`] vs the
 //! spawn-per-call legacy path, the wide-word packed engine (128/256
-//! lanes per word vs 64) on exhaustive address-decoder sweeps, **and** the
+//! lanes per word vs 64) on exhaustive address-decoder sweeps, projected
+//! coverage against the full-memory sweep it replaces, **and** the
 //! `march-codex serve` loop replaying a fixed NDJSON script against a cold
 //! engine per replay vs one resident engine with a warm artifact store, then
 //! writes the speedups to
@@ -30,11 +32,12 @@ use sram_fault_model::{FaultList, FaultListBuilder};
 use sram_sim::{
     effective_threads, enumerate_lanes, enumerate_targets, measure_coverage, ArtifactStore,
     BackendKind, CampaignConfig, CoverageConfig, ExecPolicy, InitialState, LaneWidth, MemIo,
-    PlacementStrategy, Report, Session, SharedEngine, SnapshotStore, TargetBatch,
+    PlacementStrategy, Report, Session, SharedEngine, SnapshotStore, TargetBatch, TargetLanes,
 };
 
-/// One coverage workload: a named test × list × configuration timed on the
-/// scalar and the packed backend.
+/// One coverage workload: a named test × list × configuration whose
+/// full-memory lane sweep ([`full_memory_sweep`]) is timed on the scalar and
+/// the packed backend.
 struct CoverageWorkload {
     name: &'static str,
     test: MarchTest,
@@ -171,13 +174,14 @@ fn session_workloads() -> Vec<SessionWorkload> {
     ]
 }
 
-/// One large-memory address-decoder workload: coverage of the canonical AF
-/// list at 64 / 256 / 1024 cells — serial scalar simulation (baseline) vs the
-/// packed + threaded session path (contender). At 1024 cells the scalar side
-/// replays the whole march test per lane with per-operation dispatch
-/// overhead, while the packed side streams each target's lanes through one
-/// bit-plane word and fans targets out over the pool: this is the first
-/// workload family where the packed + threaded path is the only viable one.
+/// One large-memory address-decoder workload: the full-memory lane sweep of
+/// the canonical AF list at 64 / 256 / 1024 cells — serial scalar simulation
+/// (baseline) vs the packed backend on a threaded session (contender). At
+/// 1024 cells the scalar side replays the whole march test per lane with
+/// per-operation dispatch overhead, while the packed side streams each
+/// target's lanes through one bit-plane word and fans targets out over the
+/// pool: this is the first workload family where the packed + threaded path
+/// is the only viable one.
 struct AfWorkload {
     name: &'static str,
     cells: usize,
@@ -204,12 +208,13 @@ fn af_workloads() -> Vec<AfWorkload> {
     ]
 }
 
-/// One lane-width workload: exhaustive address-decoder coverage (the regime
-/// where every target carries thousands of lanes — `cells` placements per
-/// decoder class × 2 backgrounds × up to 10 sensitizing pairs) timed with
-/// 64-lane packed words (baseline) against one wide `[u64; N]` width
-/// (contender). Same backend, same thread count, same plan: the only
-/// difference is how many coverage lanes one sensitization pass carries.
+/// One lane-width workload: the full-memory sweep of the exhaustive
+/// address-decoder lanes (the regime where every target carries thousands of
+/// lanes — `cells` placements per decoder class × 2 backgrounds × up to 10
+/// sensitizing pairs) timed with 64-lane packed words (baseline) against one
+/// wide `[u64; N]` width (contender). Same backend, same thread count, same
+/// plan: the only difference is how many coverage lanes one sensitization
+/// pass carries.
 struct LaneWidthWorkload {
     name: &'static str,
     cells: usize,
@@ -489,9 +494,10 @@ fn time_service(workload: &ServiceWorkload) -> (Duration, Duration) {
     (cold, warm)
 }
 
-/// Times one lane-width workload; the narrow and wide reports are pinned
-/// byte-identical every repetition, so a wide-word carry bug cannot
-/// masquerade as a speedup. Both sides run packed single-worker — the AF
+/// Times one lane-width workload; the narrow and wide sweeps are pinned
+/// verdict-identical every repetition (and to the coverage report once), so
+/// a wide-word carry bug cannot masquerade as a speedup. Both sides run
+/// packed single-worker — the AF
 /// decoder space splits into only five targets, so at 4 threads the wall
 /// time measures pool scheduling over lumpy work items, not the per-pass
 /// width effect under test — and the sweep is timed one decoder class at a
@@ -519,13 +525,20 @@ fn time_lane_width(workload: &LaneWidthWorkload) -> (Duration, Duration) {
             .decoder(*decoder)
             .build()
             .expect("single-decoder list is well-formed");
-        let reference = narrow.coverage(&test, &list);
-        assert_eq!(wide.coverage(&test, &list), reference);
+        let lanes = narrow
+            .target_lanes(&list)
+            .expect("benchmark scope hosts the placements");
+        let reference = full_memory_sweep(&narrow, &test, &lanes);
+        assert_eq!(
+            covered_targets(&reference),
+            narrow.coverage(&test, &list).covered()
+        );
+        assert_eq!(full_memory_sweep(&wide, &test, &lanes), reference);
 
         let mut narrow_best = Duration::MAX;
         for _ in 0..workload.reps {
             let start = Instant::now();
-            assert_eq!(narrow.coverage(&test, &list), reference);
+            assert_eq!(full_memory_sweep(&narrow, &test, &lanes), reference);
             narrow_best = narrow_best.min(start.elapsed());
         }
         narrow_time += narrow_best;
@@ -533,7 +546,7 @@ fn time_lane_width(workload: &LaneWidthWorkload) -> (Duration, Duration) {
         let mut wide_best = Duration::MAX;
         for _ in 0..workload.reps {
             let start = Instant::now();
-            assert_eq!(wide.coverage(&test, &list), reference);
+            assert_eq!(full_memory_sweep(&wide, &test, &lanes), reference);
             wide_best = wide_best.min(start.elapsed());
         }
         wide_time += wide_best;
@@ -541,10 +554,11 @@ fn time_lane_width(workload: &LaneWidthWorkload) -> (Duration, Duration) {
     (narrow_time, wide_time)
 }
 
-/// Times one AF workload; the two sides' reports are pinned byte-identical
-/// every repetition, so a decode-semantics bug cannot masquerade as a
-/// speedup. The contender runs at 4 threads like the session workloads, so
-/// records stay comparable across `--threads` flags.
+/// Times one AF workload; the two sides' sweeps are pinned verdict-identical
+/// every repetition (and to the coverage report once), so a
+/// decode-semantics bug cannot masquerade as a speedup. The contender runs
+/// at 4 threads like the session workloads, so records stay comparable
+/// across `--threads` flags.
 fn time_af(workload: &AfWorkload) -> (Duration, Duration) {
     let reps = workload.reps;
     let list = FaultList::address_decoder();
@@ -557,22 +571,95 @@ fn time_af(workload: &AfWorkload) -> (Duration, Duration) {
     .with_memory_cells(workload.cells);
     let packed =
         Session::new(ExecPolicy::default().with_threads(4)).with_memory_cells(workload.cells);
+    let lanes = packed
+        .target_lanes(&list)
+        .expect("benchmark scope hosts the placements");
 
-    let reference = scalar.coverage(&test, &list);
-    assert_eq!(packed.coverage(&test, &list), reference);
+    let reference = full_memory_sweep(&scalar, &test, &lanes);
+    assert_eq!(
+        covered_targets(&reference),
+        packed.coverage(&test, &list).covered()
+    );
+    assert_eq!(full_memory_sweep(&packed, &test, &lanes), reference);
 
     let start = Instant::now();
     for _ in 0..reps {
-        assert_eq!(scalar.coverage(&test, &list), reference);
+        assert_eq!(full_memory_sweep(&scalar, &test, &lanes), reference);
     }
     let scalar_time = start.elapsed() / reps;
 
     let start = Instant::now();
     for _ in 0..reps {
-        assert_eq!(packed.coverage(&test, &list), reference);
+        assert_eq!(full_memory_sweep(&packed, &test, &lanes), reference);
     }
     let packed_time = start.elapsed() / reps;
     (scalar_time, packed_time)
+}
+
+/// The memory size of the projection row: the `coverage_scale` AF request
+/// of the repository benchmark.
+const PROJECTION_CELLS: usize = 4096;
+
+/// The projection workload: March SS exhaustive AF coverage at 4096 cells
+/// on one 4-thread session — the packed backend's full-memory sweep over
+/// every enumerated lane (baseline) vs projected [`Session::coverage`],
+/// which simulates one representative per lane class on at most three cells
+/// (contender). Both sides read the same cached lane enumeration, so the row
+/// isolates simulation. Every repetition pins the sweep and the report to
+/// the warm-up's, and the warm-up pins the sweep's covered count to the
+/// report.
+fn time_projection(reps: u32) -> (Duration, Duration) {
+    let list = FaultList::address_decoder();
+    let test = catalog::march_ss();
+    let session = Session::new(ExecPolicy::default().with_threads(4))
+        .with_memory_cells(PROJECTION_CELLS)
+        .with_strategy(PlacementStrategy::Exhaustive);
+    let lanes = session
+        .target_lanes(&list)
+        .expect("benchmark scope hosts the placements");
+    let report = session.coverage(&test, &list);
+    let sweep = full_memory_sweep(&session, &test, &lanes);
+    assert_eq!(covered_targets(&sweep), report.covered());
+
+    let start = Instant::now();
+    for _ in 0..reps {
+        assert_eq!(full_memory_sweep(&session, &test, &lanes), sweep);
+    }
+    let full = start.elapsed() / reps;
+
+    let start = Instant::now();
+    for _ in 0..reps {
+        assert_eq!(session.coverage(&test, &list), report);
+    }
+    let projected = start.elapsed() / reps;
+    (full, projected)
+}
+
+/// One full-memory sweep: the session backend's own `lane_verdicts` over
+/// every enumerated lane of `lanes`, targets fanned out over the session's
+/// pool. This is the plane walk generation and minimisation still run;
+/// coverage itself simulates projected lane classes, so the `coverage`,
+/// `af_coverage` and `lane_width` rows time this sweep rather than
+/// [`Session::coverage`].
+fn full_memory_sweep(
+    session: &Session,
+    test: &MarchTest,
+    lanes: &Arc<TargetLanes>,
+) -> Vec<Vec<bool>> {
+    let backend = session.backend_instance();
+    let test = test.clone();
+    let cells = session.memory_cells();
+    session.execute(Arc::clone(lanes), move |(target, lanes)| {
+        backend.lane_verdicts(&test, target, lanes, cells)
+    })
+}
+
+/// The number of targets a sweep covers: those detected on every lane.
+fn covered_targets(verdicts: &[Vec<bool>]) -> usize {
+    verdicts
+        .iter()
+        .filter(|target| target.iter().all(|&detected| detected))
+        .count()
 }
 
 /// One redundancy-removal workload: a catalogue test minimised against a
@@ -672,25 +759,43 @@ fn time_session(workload: &SessionWorkload, reps: u32) -> (Duration, Duration) {
     (per_call, pooled)
 }
 
-fn time_coverage(
-    workload: &CoverageWorkload,
-    backend: BackendKind,
-    threads: usize,
-    reps: u32,
-) -> Duration {
-    let config = workload
-        .config
-        .clone()
-        .with_backend(backend)
-        .with_threads(threads);
+/// Times one coverage workload's full-memory sweep on the scalar and the
+/// packed backend. The two sweeps are pinned verdict-identical every
+/// repetition, and once to the coverage report's covered count.
+fn time_coverage(workload: &CoverageWorkload, threads: usize, reps: u32) -> (Duration, Duration) {
+    let session = |backend: BackendKind| {
+        Session::from_coverage_config(
+            &workload
+                .config
+                .clone()
+                .with_backend(backend)
+                .with_threads(threads),
+        )
+    };
+    let scalar = session(BackendKind::Scalar);
+    let packed = session(BackendKind::Packed);
+    let lanes = packed
+        .target_lanes(&workload.list)
+        .expect("benchmark scope hosts the placements");
     // Warm-up (also validates the run).
-    let baseline = measure_coverage(&workload.test, &workload.list, &config);
-    let start = Instant::now();
-    for _ in 0..reps {
-        let report = measure_coverage(&workload.test, &workload.list, &config);
-        assert_eq!(report.covered(), baseline.covered());
-    }
-    start.elapsed() / reps
+    let reference = full_memory_sweep(&scalar, &workload.test, &lanes);
+    assert_eq!(
+        covered_targets(&reference),
+        packed.coverage(&workload.test, &workload.list).covered()
+    );
+    assert_eq!(
+        full_memory_sweep(&packed, &workload.test, &lanes),
+        reference
+    );
+
+    let timed = |side: &Session| {
+        let start = Instant::now();
+        for _ in 0..reps {
+            assert_eq!(full_memory_sweep(side, &workload.test, &lanes), reference);
+        }
+        start.elapsed() / reps
+    };
+    (timed(&scalar), timed(&packed))
 }
 
 fn time_scoring(workload: &ScoringWorkload, batch: usize, threads: usize, reps: u32) -> Duration {
@@ -726,8 +831,7 @@ fn main() {
     );
     println!("{}", "-".repeat(76));
     for workload in coverage_workloads() {
-        let scalar = time_coverage(&workload, BackendKind::Scalar, threads, 10);
-        let packed = time_coverage(&workload, BackendKind::Packed, threads, 10);
+        let (scalar, packed) = time_coverage(&workload, threads, 10);
         let speedup = scalar.as_secs_f64() / packed.as_secs_f64().max(1e-9);
         println!(
             "{:<38} {:>10.2}ms {:>10.2}ms {:>8.2}x",
@@ -830,6 +934,28 @@ fn main() {
             contender_ns: wide.as_nanos() as u64,
             speedup,
             lane_width: Some(workload.width.name().to_string()),
+        });
+    }
+    {
+        let (full, projected) = time_projection(3);
+        let speedup = full.as_secs_f64() / projected.as_secs_f64().max(1e-9);
+        let name = format!("projection_march_ss_af_{PROJECTION_CELLS}_exhaustive");
+        println!(
+            "{:<38} {:>10.2}ms {:>10.2}ms {:>8.2}x",
+            name,
+            full.as_secs_f64() * 1e3,
+            projected.as_secs_f64() * 1e3,
+            speedup
+        );
+        records.push(BenchRecord {
+            name,
+            kind: "projection".to_string(),
+            baseline: "full-memory-packed".to_string(),
+            contender: "projected-classes".to_string(),
+            baseline_ns: full.as_nanos() as u64,
+            contender_ns: projected.as_nanos() as u64,
+            speedup,
+            lane_width: None,
         });
     }
     for workload in service_workloads() {

@@ -9,8 +9,10 @@
 //! background pair with closed-form arithmetic mirroring
 //! [`enumerate_placements`](crate::enumerate_placements) and
 //! [`enumerate_decoder_placements`](crate::enumerate_decoder_placements)),
-//! streams the drawn lanes through the session's packed engine, and reports
-//! a point coverage estimate with a Wilson-score confidence interval.
+//! simulates the drawn lanes as projected classes on the session's backend
+//! (one representative per class on at most three cells, exactly like
+//! coverage), and reports a point coverage estimate with a Wilson-score
+//! confidence interval.
 //!
 //! The draw sequence is a pure function of the seed, so campaigns are
 //! replayable: the same `(seed, scope, list)` triple visits the same lanes in
@@ -24,6 +26,7 @@ use std::fmt;
 use sram_fault_model::{FaultList, LinkTopology};
 
 use crate::coverage::{enumerate_targets, Escape, TargetKind};
+use crate::memory::check_backgrounds;
 use crate::placement::MIN_PLACEMENT_CELLS;
 use crate::report::{JsonObject, Report};
 use crate::{CoverageLane, InitialState, InstanceCells, SimulationError};
@@ -222,7 +225,9 @@ impl CampaignSpace {
     /// # Errors
     ///
     /// Returns [`SimulationError::MemoryTooSmall`] when the memory cannot
-    /// host a target's placements, and
+    /// host a target's placements,
+    /// [`SimulationError::InitialStateSizeMismatch`] when a custom
+    /// background does not match the memory size, and
     /// [`SimulationError::InvalidCampaign`] when the list or the background
     /// set is empty (an empty space cannot be sampled) or the space exceeds
     /// `u64` addressing.
@@ -236,6 +241,7 @@ impl CampaignSpace {
                 "campaigns need at least one data background".to_string(),
             ));
         }
+        check_backgrounds(backgrounds, memory_cells)?;
         let mut targets = Vec::new();
         let mut total: u128 = 0;
         for target in enumerate_targets(list) {

@@ -1,13 +1,19 @@
 //! Coverage measurement of march tests over fault lists.
 //!
-//! Every fault target (simple primitive or linked fault) is simulated under
-//! every coverage lane — the cross product of its enumerated cell placements
-//! and the configured data backgrounds — by the selected
-//! [`SimulationBackend`]; the targets themselves are fanned out over the
-//! worker pool of a [`Session`](crate::Session) ([`measure_coverage`] is a
-//! thin shim building a throwaway one). The report (counts, per-topology
-//! break-down and the stable-sorted escape list) is byte-identical across
-//! backends and thread counts.
+//! Every fault target (simple primitive, linked fault or address-decoder
+//! class) must be detected under every coverage lane — the cross product of
+//! its enumerated cell placements and the configured data backgrounds. The
+//! lanes are not simulated one by one on the whole memory: each is projected
+//! onto the at most three cells its instance involves, lanes sharing the
+//! rank order of those cells and their background bits form one class, and
+//! the selected [`SimulationBackend`] simulates one representative per class
+//! on a memory of at most three cells (see `projection.rs` for why this is
+//! exact). The targets themselves are fanned out over the worker pool of a
+//! [`Session`](crate::Session) ([`measure_coverage`] is a thin shim building
+//! a throwaway one). The report (counts, per-topology break-down and the
+//! stable-sorted escape list, each escape being the first escaping lane in
+//! enumeration order) is byte-identical to a lane-by-lane full-memory walk
+//! on every backend and thread count.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -17,6 +23,8 @@ use sram_fault_model::{Bit, DecoderFault, FaultList, FaultPrimitive, LinkTopolog
 
 use crate::backend::{enumerate_lanes, BackendKind, SimulationBackend};
 use crate::lane::LaneWidth;
+use crate::memory::check_backgrounds;
+use crate::projection;
 use crate::{InitialState, InstanceCells, PlacementStrategy};
 
 /// Which kind of target escaped a march test.
@@ -335,7 +343,7 @@ pub fn enumerate_targets(list: &FaultList) -> Vec<TargetKind> {
 }
 
 /// The first lane of `target` the test fails on, as an [`Escape`].
-pub(crate) fn target_escape(
+fn target_escape(
     backend: &dyn SimulationBackend,
     test: &MarchTest,
     target: &TargetKind,
@@ -343,28 +351,27 @@ pub(crate) fn target_escape(
     strategy: PlacementStrategy,
     backgrounds: &[InitialState],
 ) -> Option<Escape> {
-    let lanes = enumerate_lanes(target, memory_cells, strategy, backgrounds)
+    let lanes = check_backgrounds(backgrounds, memory_cells)
+        .and_then(|()| enumerate_lanes(target, memory_cells, strategy, backgrounds))
         .expect("coverage scope hosts the target's placements");
-    lane_escape(backend, test, target, &lanes, memory_cells)
+    lane_escape(backend, test, target, &lanes)
 }
 
 /// The first of the pre-enumerated `lanes` the test fails on, as an
 /// [`Escape`] — the shared kernel of [`target_escape`] and the session's
-/// cached-lane coverage path.
+/// cached-lane coverage path. The lanes are projected onto their lane
+/// classes ([`projection`]), so the memory size does not enter.
 pub(crate) fn lane_escape(
     backend: &dyn SimulationBackend,
     test: &MarchTest,
     target: &TargetKind,
     lanes: &[crate::CoverageLane],
-    memory_cells: usize,
 ) -> Option<Escape> {
-    backend
-        .first_undetected(test, target, lanes, memory_cells)
-        .map(|index| Escape {
-            target: target.clone(),
-            cells: lanes[index].cells,
-            background: lanes[index].background.clone(),
-        })
+    projection::first_undetected(backend, test, target, lanes).map(|index| Escape {
+        target: target.clone(),
+        cells: lanes[index].cells,
+        background: lanes[index].background.clone(),
+    })
 }
 
 /// Returns `true` if `test` detects the given linked fault under every placement and

@@ -21,10 +21,18 @@
 //!   `u64` word, 128/256 per [`W128`]/[`W256`] block, selected by
 //!   [`LaneWidth`]) — fanning the fault targets out over worker threads
 //!   ([`parallel_map`]);
+//! * simulates coverage and campaign lanes **projected** onto the at most
+//!   three cells each fault instance involves: lanes sharing the rank order
+//!   of those cells and their background bits form one class (at most 48 per
+//!   target), and the backend simulates one representative per class on a
+//!   memory of at most three cells, so the per-lane cost does not grow with
+//!   the memory size. Reports are byte-identical to the full-memory walk,
+//!   which the backends, [`PackedSimulator`], [`TargetBatch`], the minimiser
+//!   and diagnosis keep;
 //! * runs seeded Monte-Carlo **campaigns** over the exhaustive instance
-//!   space — unranked draws streamed through the packed engine, reported
-//!   with a Wilson-score confidence interval ([`CampaignReport`]) —
-//!   for memories where exhaustive enumeration is intractable;
+//!   space — unranked draws simulated as projected classes, reported with a
+//!   Wilson-score confidence interval ([`CampaignReport`]) — for memories
+//!   where exhaustive enumeration is intractable;
 //! * exposes the whole pipeline through one long-lived engine handle
 //!   ([`Session`]), built from a unified [`ExecPolicy`] and owning a
 //!   persistent [`WorkerPool`], whose methods return [`Report`]s with
@@ -78,6 +86,7 @@ mod memory;
 mod parallel;
 mod placement;
 mod policy;
+mod projection;
 mod report;
 mod run;
 mod session;

@@ -33,30 +33,64 @@ impl InitialState {
     /// Returns [`SimulationError::InitialStateSizeMismatch`] if a
     /// [`InitialState::Custom`] content has the wrong length.
     pub fn materialise(&self, cells: usize) -> Result<Vec<Bit>, SimulationError> {
+        self.check(cells)?;
+        Ok(match self {
+            InitialState::Custom(content) => content.clone(),
+            _ => (0..cells).map(|address| self.bit_at(address)).collect(),
+        })
+    }
+
+    /// Checks that the content fits a memory of `cells` cells.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimulationError::InitialStateSizeMismatch`] if a
+    /// [`InitialState::Custom`] content has the wrong length.
+    pub(crate) fn check(&self, cells: usize) -> Result<(), SimulationError> {
         match self {
-            InitialState::AllZero => Ok(vec![Bit::Zero; cells]),
-            InitialState::AllOne => Ok(vec![Bit::One; cells]),
-            InitialState::Checkerboard => Ok((0..cells)
-                .map(|address| {
-                    if address % 2 == 0 {
-                        Bit::Zero
-                    } else {
-                        Bit::One
-                    }
+            InitialState::Custom(content) if content.len() != cells => {
+                Err(SimulationError::InitialStateSizeMismatch {
+                    provided: content.len(),
+                    cells,
                 })
-                .collect()),
-            InitialState::Custom(content) => {
-                if content.len() == cells {
-                    Ok(content.clone())
-                } else {
-                    Err(SimulationError::InitialStateSizeMismatch {
-                        provided: content.len(),
-                        cells,
-                    })
-                }
             }
+            _ => Ok(()),
         }
     }
+
+    /// The initial value of cell `address`, without materialising the whole
+    /// content.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a [`InitialState::Custom`] content does not reach `address`
+    /// (callers check the content with [`InitialState::check`] first).
+    #[inline]
+    pub(crate) fn bit_at(&self, address: usize) -> Bit {
+        match self {
+            InitialState::AllZero => Bit::Zero,
+            InitialState::AllOne => Bit::One,
+            InitialState::Checkerboard if address.is_multiple_of(2) => Bit::Zero,
+            InitialState::Checkerboard => Bit::One,
+            InitialState::Custom(content) => content[address],
+        }
+    }
+}
+
+/// Checks every background of a coverage or campaign scope against its
+/// `cells`-cell memory, once, before anything is enumerated or simulated.
+///
+/// # Errors
+///
+/// Returns [`SimulationError::InitialStateSizeMismatch`] for the first
+/// [`InitialState::Custom`] content of the wrong length.
+pub(crate) fn check_backgrounds(
+    backgrounds: &[InitialState],
+    cells: usize,
+) -> Result<(), SimulationError> {
+    backgrounds
+        .iter()
+        .try_for_each(|background| background.check(cells))
 }
 
 /// A fault-free `n`-cell one-bit memory.
@@ -218,6 +252,30 @@ mod tests {
             vec![Bit::One, Bit::Zero]
         );
         assert!(InitialState::Custom(vec![Bit::One]).materialise(2).is_err());
+        for state in [
+            InitialState::AllZero,
+            InitialState::AllOne,
+            InitialState::Checkerboard,
+            InitialState::Custom(vec![Bit::One, Bit::Zero, Bit::Zero]),
+        ] {
+            let content = state.materialise(3).unwrap();
+            let bits: Vec<Bit> = (0..3).map(|address| state.bit_at(address)).collect();
+            assert_eq!(bits, content, "{state:?}");
+        }
+        assert!(check_backgrounds(&[InitialState::Checkerboard], 3).is_ok());
+        assert_eq!(
+            check_backgrounds(
+                &[
+                    InitialState::AllOne,
+                    InitialState::Custom(vec![Bit::One; 3])
+                ],
+                8
+            ),
+            Err(SimulationError::InitialStateSizeMismatch {
+                provided: 3,
+                cells: 8
+            })
+        );
         let memory = Memory::with_initial_state(2, &InitialState::AllOne).unwrap();
         assert_eq!(memory.to_string(), "11");
     }

@@ -28,7 +28,9 @@ use crate::coverage::{
     assemble_coverage_report, enumerate_targets, lane_escape, Escape, TargetKind,
 };
 use crate::diagnose::{enumerate_diagnosis_instances, inject_diagnosis_instance};
+use crate::memory::check_backgrounds;
 use crate::parallel::WorkerPool;
+use crate::projection;
 use crate::report::DiagnosisReport;
 use crate::run::run_march;
 use crate::store::{ArtifactKey, ArtifactStore, DictionaryKey};
@@ -278,7 +280,9 @@ impl Session {
     /// # Errors
     ///
     /// Returns [`SimulationError::MemoryTooSmall`](crate::SimulationError)
-    /// when the session's memory cannot host the list's placements.
+    /// when the session's memory cannot host the list's placements, and
+    /// [`SimulationError::InitialStateSizeMismatch`](crate::SimulationError)
+    /// when a custom background does not match the memory size.
     ///
     /// # Examples
     ///
@@ -304,7 +308,9 @@ impl Session {
     /// # Errors
     ///
     /// Returns [`SimulationError::MemoryTooSmall`](crate::SimulationError)
-    /// when `memory_cells` cannot host the list's placements.
+    /// when `memory_cells` cannot host the list's placements, and
+    /// [`SimulationError::InitialStateSizeMismatch`](crate::SimulationError)
+    /// when a custom background does not match `memory_cells`.
     pub fn target_lanes_scoped(
         &self,
         list: &FaultList,
@@ -312,6 +318,7 @@ impl Session {
         strategy: PlacementStrategy,
         backgrounds: &[InitialState],
     ) -> Result<Arc<TargetLanes>> {
+        check_backgrounds(backgrounds, memory_cells)?;
         let key = ArtifactKey::new(list, memory_cells, strategy, backgrounds);
         let snapshots = self.store.snapshots();
         self.store.target_lanes(&key, || {
@@ -379,34 +386,32 @@ impl Session {
 
     /// Fallible form of [`Session::coverage`]: the byte-identical report, or
     /// a typed error when the session's memory scope cannot host the list's
-    /// placements (e.g. fewer than 4 cells for linked faults).
+    /// placements (e.g. fewer than 4 cells for linked faults) or a custom
+    /// background does not match the memory size.
+    ///
+    /// Each target's lanes are projected onto the at most three cells they
+    /// involve and simulated once per lane class (see the crate docs), so
+    /// the cost per lane does not grow with the memory size.
     ///
     /// # Errors
     ///
     /// Returns [`SimulationError::MemoryTooSmall`](crate::SimulationError)
-    /// for undersized memories.
+    /// for undersized memories and
+    /// [`SimulationError::InitialStateSizeMismatch`](crate::SimulationError)
+    /// for mis-sized custom backgrounds.
     pub fn try_coverage(&self, test: &MarchTest, list: &FaultList) -> Result<CoverageReport> {
         let target_lanes = self.target_lanes(list)?;
         let first_escapes: Vec<Option<Escape>> = match &self.pool {
             Some(pool) => {
                 let test = test.clone();
                 let backend = Arc::clone(&self.backend);
-                let memory_cells = self.memory_cells;
                 pool.map(Arc::clone(&target_lanes), move |(target, lanes)| {
-                    lane_escape(backend.as_ref(), &test, target, lanes, memory_cells)
+                    lane_escape(backend.as_ref(), &test, target, lanes)
                 })
             }
             None => target_lanes
                 .iter()
-                .map(|(target, lanes)| {
-                    lane_escape(
-                        self.backend.as_ref(),
-                        test,
-                        target,
-                        lanes,
-                        self.memory_cells,
-                    )
-                })
+                .map(|(target, lanes)| lane_escape(self.backend.as_ref(), test, target, lanes))
                 .collect(),
         };
         let targets: Vec<TargetKind> = target_lanes
@@ -425,9 +430,9 @@ impl Session {
     /// `config.draws` lanes are sampled from the **exhaustive**
     /// `(target, placement, background)` instance space (regardless of the
     /// session's placement strategy — sampling only makes sense over the full
-    /// space), simulated by the session's backend in packed lane batches, and
-    /// summarised as a point estimate with a Wilson-score confidence
-    /// interval.
+    /// space), projected onto their involved cells and simulated once per
+    /// lane class by the session's backend, like coverage, and summarised as
+    /// a point estimate with a Wilson-score confidence interval.
     ///
     /// The draw sequence is a pure function of `config.seed` and the space,
     /// and shards merge deterministically in draw order, so the report is
@@ -439,9 +444,11 @@ impl Session {
     /// # Errors
     ///
     /// Returns [`SimulationError::InvalidCampaign`](crate::SimulationError)
-    /// for a degenerate configuration or an empty space, and
+    /// for a degenerate configuration or an empty space,
     /// [`SimulationError::MemoryTooSmall`](crate::SimulationError) when the
-    /// session's memory cannot host the list's placements.
+    /// session's memory cannot host the list's placements, and
+    /// [`SimulationError::InitialStateSizeMismatch`](crate::SimulationError)
+    /// for mis-sized custom backgrounds.
     pub fn try_campaign(
         &self,
         test: &MarchTest,
@@ -462,9 +469,8 @@ impl Session {
             let test = test.clone();
             let backend = Arc::clone(&self.backend);
             let space = Arc::clone(&space);
-            let memory_cells = self.memory_cells;
             self.execute(Arc::new(shards), move |shard| {
-                campaign_shard_verdicts(backend.as_ref(), &test, &space, shard, memory_cells)
+                campaign_shard_verdicts(backend.as_ref(), &test, &space, shard)
             })
         };
         let verdicts: Vec<bool> = verdict_shards.into_iter().flatten().collect();
@@ -730,15 +736,14 @@ impl Session {
 
 /// The detection verdicts of one campaign shard, in draw order: the shard's
 /// draws are decoded, grouped per target (remembering each draw's slot), and
-/// every group streams through the backend's lane batching — `LaneWidth`-sized
-/// packed waves with dead-lane masking on the ragged final word — before the
-/// verdicts scatter back to their draw positions.
+/// every group is projected onto its lane classes, whose representatives the
+/// backend simulates in one call, before the verdicts scatter back to their
+/// draw positions.
 fn campaign_shard_verdicts(
     backend: &dyn SimulationBackend,
     test: &MarchTest,
     space: &CampaignSpace,
     shard: &[u64],
-    memory_cells: usize,
 ) -> Vec<bool> {
     let mut groups: BTreeMap<usize, (Vec<usize>, Vec<CoverageLane>)> = BTreeMap::new();
     for (position, &index) in shard.iter().enumerate() {
@@ -749,7 +754,7 @@ fn campaign_shard_verdicts(
     }
     let mut verdicts = vec![false; shard.len()];
     for (slot, (positions, lanes)) in groups {
-        let group = backend.lane_verdicts(test, space.target(slot), &lanes, memory_cells);
+        let group = projection::lane_verdicts(backend, test, space.target(slot), &lanes);
         for (position, verdict) in positions.into_iter().zip(group) {
             verdicts[position] = verdict;
         }
@@ -1073,6 +1078,32 @@ mod tests {
             small.try_campaign(&catalog::march_ss(), &list, &CampaignConfig::default()),
             Err(crate::SimulationError::MemoryTooSmall { .. })
         ));
+    }
+
+    #[test]
+    fn mis_sized_custom_backgrounds_are_typed_errors() {
+        // A 3-cell image on the default 8-cell scope used to panic inside
+        // the simulator; it is now rejected before anything is enumerated.
+        let session =
+            Session::new(ExecPolicy::default()).with_backgrounds(vec![InitialState::Custom(
+                vec![sram_fault_model::Bit::One; 3],
+            )]);
+        let mismatch = crate::SimulationError::InitialStateSizeMismatch {
+            provided: 3,
+            cells: 8,
+        };
+        let list = FaultList::list_2();
+        assert_eq!(
+            session.try_coverage(&catalog::march_ss(), &list),
+            Err(mismatch.clone())
+        );
+        assert_eq!(
+            session
+                .try_campaign(&catalog::march_ss(), &list, &CampaignConfig::default())
+                .map(|report| report.to_json()),
+            Err(mismatch)
+        );
+        assert_eq!(session.cached_artifacts(), 0);
     }
 
     #[test]

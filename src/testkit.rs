@@ -11,6 +11,10 @@
 //! (and new fault domains, like the address-decoder classes) get differential
 //! coverage by being added here once.
 //!
+//! Coverage simulates projected lane classes rather than every lane on the
+//! full memory; [`assert_projection_exact`] holds it to a full-memory rebuild
+//! with the backend's own `first_undetected`.
+//!
 //! The harness is compiled into the façade crate (not behind `cfg(test)`) so
 //! the workspace-level integration tests and any downstream consumer can use
 //! it; it is `#[doc(hidden)]`-free because "how do I check a new backend is
@@ -18,7 +22,7 @@
 
 use march_gen::{minimise_full_resim, minimise_with, GeneratorConfig, SessionExt};
 use march_test::{catalog, MarchTest};
-use sram_fault_model::FaultList;
+use sram_fault_model::{Bit, FaultList};
 use sram_sim::{BackendKind, ExecPolicy, InitialState, PlacementStrategy, Session};
 
 /// The catalogue probe tests every equivalence run measures coverage under:
@@ -284,6 +288,133 @@ pub fn assert_campaign_matches_exhaustive(
             assert_eq!(*traced, escape, "{}", label("first escape per target"));
         }
     }
+}
+
+/// The data backgrounds the projection differential sweeps on a `cells`-cell
+/// memory. Under a uniform background every involved cell starts from the
+/// same bit, so only the checkerboard and the irregular image catch a
+/// lane-class key that drops the background bits.
+fn projection_backgrounds(cells: usize) -> Vec<InitialState> {
+    let irregular = (0..cells)
+        .map(|address| {
+            if (address * 7 + 3) % 5 < 2 {
+                Bit::One
+            } else {
+                Bit::Zero
+            }
+        })
+        .collect();
+    vec![
+        InitialState::AllZero,
+        InitialState::AllOne,
+        InitialState::Checkerboard,
+        InitialState::Custom(irregular),
+    ]
+}
+
+/// Asserts **projected coverage equals the full-memory walk** under
+/// `policy`: for every probe test, the report of `Session::try_coverage` —
+/// which simulates one representative per lane class on at most three cells
+/// — must equal a rebuild in which the session's own backend runs its
+/// full-memory `first_undetected` over every lane of `Session::target_lanes`.
+/// Covered count, total, per-topology counts and the sorted escape list
+/// (target, cells and background of each target's first escaping lane) must
+/// all match.
+///
+/// The session scopes `cells` cells, `strategy` placements and four
+/// backgrounds: both uniform ones, the checkerboard and an irregular custom
+/// image. The probes include incomplete tests (MATS, MATS+, March C-), and
+/// the sweep fails unless at least one escape was compared, so the equality
+/// is never vacuous.
+///
+/// # Panics
+///
+/// Panics on the first divergence, if `cells` cannot host the list's
+/// placements, or if no probe test escaped.
+pub fn assert_projection_exact(
+    policy: ExecPolicy,
+    fault_list: &FaultList,
+    cells: usize,
+    strategy: PlacementStrategy,
+) {
+    use sram_fault_model::LinkTopology;
+    use sram_sim::{Escape, TargetKind};
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+
+    let session = Session::new(policy)
+        .with_memory_cells(cells)
+        .with_strategy(strategy)
+        .with_backgrounds(projection_backgrounds(cells));
+    let backend = session.backend_instance();
+    let target_lanes = session
+        .target_lanes(fault_list)
+        .expect("harness scope hosts the fault-list placements");
+    let mut probes = probe_tests();
+    probes.push(catalog::mats());
+    let mut compared_escapes = 0;
+    for test in probes {
+        let label = |what: &str| {
+            format!(
+                "{what} diverged: projected vs full-memory walk ({policy:?}, {cells} cells, \
+                 {strategy:?}, {}, {})",
+                fault_list.name(),
+                test.name()
+            )
+        };
+        let projected = session
+            .try_coverage(&test, fault_list)
+            .expect("harness scope hosts the fault-list placements");
+
+        // The rebuild fans the targets out over the session's pool, like
+        // coverage itself, but walks every lane on the full memory.
+        let full_walk = {
+            let backend = Arc::clone(&backend);
+            let test = test.clone();
+            session.execute(Arc::clone(&target_lanes), move |(target, lanes)| {
+                backend
+                    .first_undetected(&test, target, lanes, cells)
+                    .map(|index| Escape {
+                        target: target.clone(),
+                        cells: lanes[index].cells,
+                        background: lanes[index].background.clone(),
+                    })
+            })
+        };
+        let mut covered = 0;
+        let mut by_topology: BTreeMap<LinkTopology, (usize, usize)> = BTreeMap::new();
+        let mut escapes = Vec::new();
+        for ((target, _), escape) in target_lanes.iter().zip(full_walk) {
+            if let TargetKind::Linked(fault) = target {
+                let counts = by_topology.entry(fault.topology()).or_insert((0, 0));
+                counts.1 += 1;
+                if escape.is_none() {
+                    counts.0 += 1;
+                }
+            }
+            match escape {
+                None => covered += 1,
+                Some(escape) => escapes.push(escape),
+            }
+        }
+        escapes.sort_by_cached_key(Escape::sort_key);
+
+        assert_eq!(projected.total(), target_lanes.len(), "{}", label("total"));
+        assert_eq!(projected.covered(), covered, "{}", label("covered count"));
+        assert_eq!(
+            projected.by_topology(),
+            &by_topology,
+            "{}",
+            label("per-topology counts")
+        );
+        assert_eq!(projected.escapes(), &escapes[..], "{}", label("escapes"));
+        compared_escapes += escapes.len();
+    }
+    assert!(
+        compared_escapes > 0,
+        "no probe test escaped on {} ({cells} cells): the comparison proved nothing",
+        fault_list.name()
+    );
 }
 
 /// The serial scalar reference policy every equivalence sweep anchors to: the

@@ -1,6 +1,8 @@
 //! Large-memory smoke tests: 1024-cell coverage and diagnosis through the
 //! packed + threaded path — the first workload family where per-candidate
-//! scalar simulation is genuinely infeasible.
+//! scalar simulation is genuinely infeasible — a 2^20-cell campaign, and the
+//! projected-vs-full-memory differential at 4096 (AF) and 16 (List #1)
+//! cells.
 //!
 //! `#[ignore]`d by default (they are release-grade workloads); the release CI
 //! job runs them with `cargo test --release -- --ignored` under a wall-clock
@@ -9,6 +11,7 @@
 
 use std::time::{Duration, Instant};
 
+use march_codex_repro::testkit::assert_projection_exact;
 use march_test::catalog;
 use sram_fault_model::{DecoderFault, FaultList};
 use sram_sim::{
@@ -16,10 +19,50 @@ use sram_sim::{
     LaneWidth, PlacementStrategy, Session, Syndrome, TargetKind,
 };
 
-/// Per-test wall-clock budget. Generous (the measured release times are well
-/// under 10 s) so CI jitter cannot flake the job, but tight enough that an
-/// accidental fall-back onto an `O(cells²)` path fails the suite.
-const BUDGET: Duration = Duration::from_secs(120);
+/// Per-test wall-clock budget. Coverage and campaigns simulate projected lane
+/// classes, so every test here finishes in a few seconds or less in release;
+/// a fall-back onto the full-memory plane walk (a 2^20-cell, 100k-draw
+/// campaign took about 26 s that way) or onto an `O(cells²)` path fails the
+/// suite instead of merely slowing it.
+const BUDGET: Duration = Duration::from_secs(15);
+
+// The debug-sized differential of `projection_equivalence.rs` at the memory
+// sizes the benchmark measures: every probe test's projected report must
+// equal the backend's full-memory walk over every lane.
+
+#[test]
+#[ignore = "release-grade differential at 4096 cells; run with --ignored"]
+fn projection_matches_the_full_memory_walk_on_4096_cell_af() {
+    let start = Instant::now();
+    assert_projection_exact(
+        ExecPolicy::fast(),
+        &FaultList::address_decoder(),
+        4096,
+        PlacementStrategy::Exhaustive,
+    );
+    assert!(
+        start.elapsed() < BUDGET,
+        "4096-cell AF projection differential blew the budget: {:?}",
+        start.elapsed()
+    );
+}
+
+#[test]
+#[ignore = "release-grade differential at 16 cells; run with --ignored"]
+fn projection_matches_the_full_memory_walk_on_16_cell_list_1() {
+    let start = Instant::now();
+    assert_projection_exact(
+        ExecPolicy::fast(),
+        &FaultList::list_1(),
+        16,
+        PlacementStrategy::Exhaustive,
+    );
+    assert!(
+        start.elapsed() < BUDGET,
+        "16-cell List #1 projection differential blew the budget: {:?}",
+        start.elapsed()
+    );
+}
 
 #[test]
 #[ignore = "release-grade 1k-cell workload; run with --ignored"]
