@@ -403,7 +403,7 @@ impl MarchGenerator {
             .map(|(target, lanes)| {
                 TargetBatch::new_with_width(
                     target.clone(),
-                    lanes.clone(),
+                    lanes.to_vec(),
                     self.config.memory_cells,
                     policy.backend,
                     policy.lane_width,
@@ -798,15 +798,19 @@ mod tests {
     #[test]
     fn score_candidates_is_invariant_in_batch_and_threads() {
         let list = FaultList::list_2();
-        let batches: Vec<TargetBatch> = crate::targets::enumerate_target_lanes(
-            &list,
-            8,
-            PlacementStrategy::Representative,
-            &[InitialState::AllZero, InitialState::AllOne],
-        )
-        .into_iter()
-        .map(|(target, lanes)| TargetBatch::new(target, lanes, 8, BackendKind::Packed))
-        .collect();
+        let batches: Vec<TargetBatch> = Session::default()
+            .target_lanes_scoped(
+                &list,
+                8,
+                PlacementStrategy::Representative,
+                &[InitialState::AllZero, InitialState::AllOne],
+            )
+            .expect("8 cells host list #2")
+            .iter()
+            .map(|(target, lanes)| {
+                TargetBatch::new(target.clone(), lanes.to_vec(), 8, BackendKind::Packed)
+            })
+            .collect();
         let pool = crate::exhaustive_candidates(2);
         let baseline = score_candidates(&pool, &batches, 1, 1);
         for (batch, threads) in [(0, 1), (0, 4), (3, 2), (64, 0)] {

@@ -16,10 +16,9 @@ use march_test::{MarchElement, MarchTest, MarchTestBuilder};
 use sram_fault_model::FaultList;
 use sram_sim::{
     BackendKind, BatchSnapshot, CoverageLane, LaneWidth, PlacementStrategy, Session,
-    SimulationBackend, TargetBatch, TargetKind,
+    SimulationBackend, TargetBatch, TargetKind, TargetLanes,
 };
 
-use crate::targets::enumerate_target_lanes;
 use crate::GeneratorConfig;
 
 /// Removes redundant operations from `test` while preserving complete coverage of
@@ -84,11 +83,7 @@ pub fn minimise_with(
     // "preserving coverage" is ill-defined. This is the legacy fail-fast
     // check (first undetected lane ends the scan), so incomplete tests bail
     // out exactly as cheaply as before the suffix rewrite.
-    let oracle = CoverageOracle {
-        targets: Arc::clone(&targets),
-        backend: session.backend_instance(),
-        memory_cells: config.memory_cells,
-    };
+    let oracle = CoverageOracle::new(session, Arc::clone(&targets), config.memory_cells);
     if !oracle.covers_all(session, test) {
         return (test.clone(), 0);
     }
@@ -100,7 +95,7 @@ pub fn minimise_with(
             .map(|(target, lanes)| {
                 Mutex::new(TargetState::new(
                     target.clone(),
-                    lanes.clone(),
+                    lanes.to_vec(),
                     config.memory_cells,
                     policy.backend,
                     policy.lane_width,
@@ -458,12 +453,14 @@ pub fn minimise_full_resim(
     list: &FaultList,
     config: &GeneratorConfig,
 ) -> (MarchTest, usize) {
-    let targets = enumerate_target_lanes(
-        list,
-        config.memory_cells,
-        config.strategy,
-        &config.backgrounds,
-    );
+    let targets = session
+        .target_lanes_scoped(
+            list,
+            config.memory_cells,
+            config.strategy,
+            &config.backgrounds,
+        )
+        .expect("minimisation scope hosts the fault-list placements");
 
     if targets.is_empty() {
         return (test.clone(), 0);
@@ -510,23 +507,18 @@ pub fn minimise_full_resim(
     (rebuild(test.name(), &elements), removed)
 }
 
-/// The re-verification oracle of the legacy full re-simulation scan: the
-/// enumerated target lanes, snapshotted once per minimisation run so repeated
-/// trials share one allocation across the session's workers.
+/// The re-verification oracle of both minimisation passes: the session's
+/// cached target lanes, shared by every trial across the session's workers.
 struct CoverageOracle {
-    targets: Arc<Vec<(TargetKind, Vec<CoverageLane>)>>,
+    targets: Arc<TargetLanes>,
     backend: Arc<dyn SimulationBackend>,
     memory_cells: usize,
 }
 
 impl CoverageOracle {
-    fn new(
-        session: &Session,
-        targets: Vec<(TargetKind, Vec<CoverageLane>)>,
-        memory_cells: usize,
-    ) -> CoverageOracle {
+    fn new(session: &Session, targets: Arc<TargetLanes>, memory_cells: usize) -> CoverageOracle {
         CoverageOracle {
-            targets: Arc::new(targets),
+            targets,
             backend: session.backend_instance(),
             memory_cells,
         }
@@ -629,15 +621,17 @@ mod tests {
         assert!(minimised.complexity() <= catalog::march_abl1().complexity());
         // The minimised test still covers the list, serially and sharded over
         // a parallel session's pool.
-        let targets = enumerate_target_lanes(
-            &list,
-            config.memory_cells,
-            config.strategy,
-            &config.backgrounds,
-        );
         for threads in [1usize, 4] {
             let session = config.clone().with_threads(threads).session();
-            let oracle = CoverageOracle::new(&session, targets.clone(), config.memory_cells);
+            let targets = session
+                .target_lanes_scoped(
+                    &list,
+                    config.memory_cells,
+                    config.strategy,
+                    &config.backgrounds,
+                )
+                .expect("the default scope hosts list #2");
+            let oracle = CoverageOracle::new(&session, targets, config.memory_cells);
             assert!(oracle.covers_all(&session, &minimised), "threads {threads}");
         }
     }

@@ -6,30 +6,9 @@ use std::fmt;
 use march_test::MarchTest;
 use sram_fault_model::FaultList;
 use sram_sim::{
-    enumerate_decoder_placements, enumerate_lanes, enumerate_placements, CoverageLane,
-    DecoderFaultInstance, FaultSimulator, InitialState, InjectedFault, InstanceCells,
-    LinkedFaultInstance, PlacementStrategy, TargetKind,
+    enumerate_decoder_placements, enumerate_placements, DecoderFaultInstance, FaultSimulator,
+    InitialState, InjectedFault, InstanceCells, LinkedFaultInstance, PlacementStrategy, TargetKind,
 };
-
-/// Enumerates every fault target of `list` together with its coverage lanes —
-/// the unit of work handed to [`sram_sim::TargetBatch`] by the generator and
-/// the redundancy-removal pass.
-#[must_use]
-pub(crate) fn enumerate_target_lanes(
-    list: &FaultList,
-    memory_cells: usize,
-    strategy: PlacementStrategy,
-    backgrounds: &[InitialState],
-) -> Vec<(TargetKind, Vec<CoverageLane>)> {
-    sram_sim::enumerate_targets(list)
-        .into_iter()
-        .map(|target| {
-            let lanes = enumerate_lanes(&target, memory_cells, strategy, backgrounds)
-                .expect("generator scope hosts the fault-list placements");
-            (target, lanes)
-        })
-        .collect()
-}
 
 /// One concrete detection obligation of the generator: a fault of the target list,
 /// instantiated on a specific cell assignment, simulated from a specific initial
@@ -255,15 +234,19 @@ mod tests {
     fn batch_incremental_execution_matches_full_runs() {
         let list = FaultList::list_2();
         let abl1 = catalog::march_abl1();
-        for backend in [sram_sim::BackendKind::Scalar, sram_sim::BackendKind::Packed] {
-            for (target, lanes) in enumerate_target_lanes(
+        let target_lanes = sram_sim::Session::default()
+            .target_lanes_scoped(
                 &list,
                 8,
                 PlacementStrategy::Representative,
                 &[InitialState::AllOne],
-            ) {
+            )
+            .expect("8 cells host list #2");
+        for backend in [sram_sim::BackendKind::Scalar, sram_sim::BackendKind::Packed] {
+            for (target, lanes) in target_lanes.iter() {
                 let lane_count = lanes.len();
-                let mut batch = sram_sim::TargetBatch::new(target, lanes, 8, backend);
+                let mut batch =
+                    sram_sim::TargetBatch::new(target.clone(), lanes.to_vec(), 8, backend);
                 let mut newly = 0usize;
                 for (_, element) in abl1.iter() {
                     newly += batch.advance(element);

@@ -16,17 +16,15 @@ use std::fmt;
 use std::str::FromStr;
 
 use march_test::{MarchElement, MarchTest};
-use sram_fault_model::{
-    Bit, DecoderFault, FaultPrimitive, LinkTopology, Operation, SensitizingSite,
-};
+use sram_fault_model::{Bit, DecoderFault, FaultPrimitive, Operation, SensitizingSite};
 
 use crate::batch::CandidateBatch;
 use crate::coverage::TargetKind;
 use crate::lane::{broadcast, condition_mask, LaneWidth, LaneWord, W128, W256};
+use crate::placement::{placement_shape, PlacementShape};
 use crate::{
-    enumerate_decoder_placements, enumerate_placements, run_march, DecoderFaultInstance,
-    FaultSimulator, InitialState, InjectedFault, InstanceCells, LinkedFaultInstance,
-    PlacementStrategy, SimulationError,
+    run_march, DecoderFaultInstance, FaultSimulator, InitialState, InjectedFault, InstanceCells,
+    LinkedFaultInstance, PlacementStrategy, SimulationError,
 };
 
 /// One `(placement, background)` combination a target is simulated under.
@@ -39,10 +37,13 @@ pub struct CoverageLane {
 }
 
 /// Enumerates the coverage lanes of `target`: every placement returned by
-/// [`enumerate_placements`] (cell-array targets) or
-/// [`enumerate_decoder_placements`] (address-decoder targets), crossed with
-/// every background — placements outermost, matching the scalar engine's
-/// historical escape-reporting order.
+/// [`enumerate_placements`](crate::enumerate_placements) (cell-array targets)
+/// or [`enumerate_decoder_placements`](crate::enumerate_decoder_placements)
+/// (address-decoder targets), crossed with every background — placements
+/// outermost, matching the scalar engine's historical escape-reporting
+/// order. The lanes depend only on the target's placement shape, which is
+/// how [`Session::target_lanes`](crate::Session::target_lanes) shares one
+/// enumeration between every target of a shape.
 ///
 /// # Errors
 ///
@@ -54,21 +55,18 @@ pub fn enumerate_lanes(
     strategy: PlacementStrategy,
     backgrounds: &[InitialState],
 ) -> Result<Vec<CoverageLane>, SimulationError> {
-    let placements = match target {
-        TargetKind::Simple(primitive) => {
-            let topology = if primitive.is_coupling() {
-                LinkTopology::Lf2CouplingThenSingle
-            } else {
-                LinkTopology::Lf1
-            };
-            enumerate_placements(topology, memory_cells, strategy)?
-        }
-        TargetKind::Linked(fault) => {
-            enumerate_placements(fault.topology(), memory_cells, strategy)?
-        }
-        TargetKind::Decoder(fault) => enumerate_decoder_placements(*fault, memory_cells, strategy)?,
-    };
-    let mut lanes = Vec::new();
+    shape_lanes(placement_shape(target), memory_cells, strategy, backgrounds)
+}
+
+/// The coverage lanes of every target of `shape`: see [`enumerate_lanes`].
+pub(crate) fn shape_lanes(
+    shape: PlacementShape,
+    memory_cells: usize,
+    strategy: PlacementStrategy,
+    backgrounds: &[InitialState],
+) -> Result<Vec<CoverageLane>, SimulationError> {
+    let placements = shape.placements(memory_cells, strategy)?;
+    let mut lanes = Vec::with_capacity(placements.len() * backgrounds.len());
     for cells in placements {
         for background in backgrounds {
             lanes.push(CoverageLane {

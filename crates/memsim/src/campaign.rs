@@ -23,83 +23,25 @@
 
 use std::fmt;
 
-use sram_fault_model::{FaultList, LinkTopology};
+use sram_fault_model::FaultList;
 
 use crate::coverage::{enumerate_targets, Escape, TargetKind};
 use crate::memory::check_backgrounds;
-use crate::placement::MIN_PLACEMENT_CELLS;
+use crate::placement::{placement_shape, PlacementShape};
 use crate::report::{JsonObject, Report};
 use crate::{CoverageLane, InitialState, InstanceCells, SimulationError};
 
-/// How a target's exhaustive placement space is shaped — the key that picks
-/// the closed-form count/unrank arithmetic below. Derived from the target the
-/// same way [`enumerate_lanes`](crate::enumerate_lanes) picks its enumeration
-/// loop, so unranked placements land in the exact lane order of the
-/// exhaustive path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PlacementKind {
-    /// Every single victim cell (LF1 and non-coupling simples).
-    Single,
-    /// Every ordered `(aggressor, victim)` pair of distinct cells (LF2
-    /// topologies and coupling simples).
-    Pair,
-    /// Every ordered `(a1, a2, v)` triple of distinct cells (LF3).
-    Triple,
-    /// Every address (single-address decoder classes).
-    DecoderSingle,
-    /// Every `(primary, partner = primary ^ stride)` pair per power-of-two
-    /// address stride (partner-address decoder classes).
-    DecoderPair,
-}
-
-impl PlacementKind {
-    /// The placement shape of `target`, mirroring the topology selection of
-    /// the exhaustive enumeration.
-    fn of(target: &TargetKind) -> PlacementKind {
-        match target {
-            TargetKind::Simple(primitive) => {
-                if primitive.is_coupling() {
-                    PlacementKind::Pair
-                } else {
-                    PlacementKind::Single
-                }
-            }
-            TargetKind::Linked(fault) => match fault.topology() {
-                LinkTopology::Lf1 => PlacementKind::Single,
-                LinkTopology::Lf2CouplingThenSingle
-                | LinkTopology::Lf2SingleThenCoupling
-                | LinkTopology::Lf2SharedAggressor => PlacementKind::Pair,
-                LinkTopology::Lf3 => PlacementKind::Triple,
-            },
-            TargetKind::Decoder(fault) => {
-                if fault.involves_partner() {
-                    PlacementKind::DecoderPair
-                } else {
-                    PlacementKind::DecoderSingle
-                }
-            }
-        }
-    }
-
-    /// The smallest memory hosting this shape's placements — the same bound
-    /// the materialising enumerators enforce.
-    fn min_cells(self, target: &TargetKind) -> usize {
-        match (self, target) {
-            (PlacementKind::DecoderSingle | PlacementKind::DecoderPair, TargetKind::Decoder(f)) => {
-                f.address_count()
-            }
-            _ => MIN_PLACEMENT_CELLS,
-        }
-    }
-
+/// The closed-form count/unrank arithmetic of each placement shape's
+/// exhaustive space, in the exact lane order of the exhaustive enumeration.
+impl PlacementShape {
     /// The size of the exhaustive placement space on a `cells`-cell memory.
     fn count(self, cells: usize) -> u64 {
         let n = cells as u64;
         match self {
-            PlacementKind::Single | PlacementKind::DecoderSingle => n,
-            PlacementKind::Pair => n * (n - 1),
-            PlacementKind::Triple => n * (n - 1) * (n - 2),
-            PlacementKind::DecoderPair => address_strides(cells)
+            PlacementShape::Single | PlacementShape::DecoderSingle => n,
+            PlacementShape::Pair => n * (n - 1),
+            PlacementShape::Triple => n * (n - 1) * (n - 2),
+            PlacementShape::DecoderPair => address_strides(cells)
                 .map(|stride| decoder_stride_count(cells, stride))
                 .sum(),
         }
@@ -110,17 +52,17 @@ impl PlacementKind {
     /// decoder counterpart) without materialising the space.
     fn unrank(self, cells: usize, index: u64) -> InstanceCells {
         match self {
-            PlacementKind::Single | PlacementKind::DecoderSingle => {
+            PlacementShape::Single | PlacementShape::DecoderSingle => {
                 InstanceCells::single(index as usize)
             }
-            PlacementKind::Pair => {
+            PlacementShape::Pair => {
                 let others = (cells - 1) as u64;
                 let aggressor = (index / others) as usize;
                 let slot = (index % others) as usize;
                 let victim = if slot < aggressor { slot } else { slot + 1 };
                 InstanceCells::pair(aggressor, victim)
             }
-            PlacementKind::Triple => {
+            PlacementShape::Triple => {
                 let block = ((cells - 1) * (cells - 2)) as u64;
                 let a1 = (index / block) as usize;
                 let rest = index % block;
@@ -136,7 +78,7 @@ impl PlacementKind {
                 }
                 InstanceCells::triple(a1, a2, v)
             }
-            PlacementKind::DecoderPair => {
+            PlacementShape::DecoderPair => {
                 let mut remaining = index;
                 for stride in address_strides(cells) {
                     let count = decoder_stride_count(cells, stride);
@@ -196,7 +138,7 @@ fn decoder_stride_unrank(cells: usize, stride: usize, index: u64) -> usize {
 #[derive(Debug, Clone)]
 struct SpaceTarget {
     target: TargetKind,
-    kind: PlacementKind,
+    shape: PlacementShape,
     /// Exclusive prefix sum of lane counts — the first global lane index of
     /// this target.
     first_lane: u64,
@@ -245,15 +187,15 @@ impl CampaignSpace {
         let mut targets = Vec::new();
         let mut total: u128 = 0;
         for target in enumerate_targets(list) {
-            let kind = PlacementKind::of(&target);
-            let min_cells = kind.min_cells(&target);
+            let shape = placement_shape(&target);
+            let min_cells = shape.min_cells();
             if memory_cells < min_cells {
                 return Err(SimulationError::MemoryTooSmall {
                     cells: memory_cells,
                     min_cells,
                 });
             }
-            let lanes = u128::from(kind.count(memory_cells)) * backgrounds.len() as u128;
+            let lanes = u128::from(shape.count(memory_cells)) * backgrounds.len() as u128;
             if total + lanes > u128::from(u64::MAX) {
                 return Err(SimulationError::InvalidCampaign(format!(
                     "the campaign space of `{}` on {memory_cells} cells exceeds 2^64 lanes",
@@ -262,7 +204,7 @@ impl CampaignSpace {
             }
             targets.push(SpaceTarget {
                 target,
-                kind,
+                shape,
                 first_lane: total as u64,
             });
             total += lanes;
@@ -316,7 +258,7 @@ impl CampaignSpace {
         let entry = &self.targets[slot];
         let local = index - entry.first_lane;
         let n_backgrounds = self.backgrounds.len() as u64;
-        let placement = entry.kind.unrank(self.memory_cells, local / n_backgrounds);
+        let placement = entry.shape.unrank(self.memory_cells, local / n_backgrounds);
         let background = self.backgrounds[(local % n_backgrounds) as usize].clone();
         (
             slot,
@@ -767,7 +709,7 @@ mod tests {
     use crate::backend::enumerate_lanes;
     use crate::placement::{enumerate_decoder_placements, enumerate_placements};
     use crate::PlacementStrategy;
-    use sram_fault_model::DecoderFault;
+    use sram_fault_model::{DecoderFault, LinkTopology};
 
     fn both_backgrounds() -> Vec<InitialState> {
         vec![InitialState::AllZero, InitialState::AllOne]
@@ -776,19 +718,19 @@ mod tests {
     #[test]
     fn unranking_matches_exhaustive_cell_array_enumeration() {
         for cells in [4usize, 5, 6, 7, 8, 12] {
-            for (topology, kind) in [
-                (LinkTopology::Lf1, PlacementKind::Single),
-                (LinkTopology::Lf2SharedAggressor, PlacementKind::Pair),
-                (LinkTopology::Lf3, PlacementKind::Triple),
+            for (topology, shape) in [
+                (LinkTopology::Lf1, PlacementShape::Single),
+                (LinkTopology::Lf2SharedAggressor, PlacementShape::Pair),
+                (LinkTopology::Lf3, PlacementShape::Triple),
             ] {
                 let reference =
                     enumerate_placements(topology, cells, PlacementStrategy::Exhaustive).unwrap();
-                assert_eq!(kind.count(cells), reference.len() as u64, "{cells} cells");
+                assert_eq!(shape.count(cells), reference.len() as u64, "{cells} cells");
                 for (index, expected) in reference.iter().enumerate() {
                     assert_eq!(
-                        kind.unrank(cells, index as u64),
+                        shape.unrank(cells, index as u64),
                         *expected,
-                        "{kind:?} index {index} on {cells} cells"
+                        "{shape:?} index {index} on {cells} cells"
                     );
                 }
             }
@@ -807,7 +749,7 @@ mod tests {
             )
             .unwrap();
             assert_eq!(
-                PlacementKind::DecoderSingle.count(cells),
+                PlacementShape::DecoderSingle.count(cells),
                 singles.len() as u64
             );
             let pairs = enumerate_decoder_placements(
@@ -817,13 +759,13 @@ mod tests {
             )
             .unwrap();
             assert_eq!(
-                PlacementKind::DecoderPair.count(cells),
+                PlacementShape::DecoderPair.count(cells),
                 pairs.len() as u64,
                 "{cells} cells"
             );
             for (index, expected) in pairs.iter().enumerate() {
                 assert_eq!(
-                    PlacementKind::DecoderPair.unrank(cells, index as u64),
+                    PlacementShape::DecoderPair.unrank(cells, index as u64),
                     *expected,
                     "index {index} on {cells} cells"
                 );

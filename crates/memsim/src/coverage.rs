@@ -3,12 +3,16 @@
 //! Every fault target (simple primitive, linked fault or address-decoder
 //! class) must be detected under every coverage lane — the cross product of
 //! its enumerated cell placements and the configured data backgrounds. The
-//! lanes are not simulated one by one on the whole memory: each is projected
-//! onto the at most three cells its instance involves, lanes sharing the
-//! rank order of those cells and their background bits form one class, and
-//! the selected [`SimulationBackend`] simulates one representative per class
-//! on a memory of at most three cells (see `projection.rs` for why this is
-//! exact). The targets themselves are fanned out over the worker pool of a
+//! lanes depend only on the target's placement shape, so the targets of one
+//! shape share one [`LaneSet`](crate::LaneSet). The lanes are not simulated
+//! one by one on the whole memory: each is projected onto the at most three
+//! cells its instance involves, and lanes sharing the rank order of those
+//! cells and their background bits form one class. The partition into
+//! classes is built once per lane set and memoised there; verdicts are
+//! computed per target, the selected [`SimulationBackend`] simulating the
+//! target's fault on one representative per class on a memory of at most
+//! three cells (see `projection.rs` for why this is exact). The targets
+//! themselves are fanned out over the worker pool of a
 //! [`Session`](crate::Session) ([`measure_coverage`] is a thin shim building
 //! a throwaway one). The report (counts, per-topology break-down and the
 //! stable-sorted escape list, each escape being the first escaping lane in
@@ -24,8 +28,7 @@ use sram_fault_model::{Bit, DecoderFault, FaultList, FaultPrimitive, LinkTopolog
 use crate::backend::{enumerate_lanes, BackendKind, SimulationBackend};
 use crate::lane::LaneWidth;
 use crate::memory::check_backgrounds;
-use crate::projection;
-use crate::{InitialState, InstanceCells, PlacementStrategy};
+use crate::{InitialState, InstanceCells, LaneSet, PlacementStrategy};
 
 /// Which kind of target escaped a march test.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -354,24 +357,28 @@ fn target_escape(
     let lanes = check_backgrounds(backgrounds, memory_cells)
         .and_then(|()| enumerate_lanes(target, memory_cells, strategy, backgrounds))
         .expect("coverage scope hosts the target's placements");
-    lane_escape(backend, test, target, &lanes)
+    lane_escape(backend, test, target, &LaneSet::new(lanes))
 }
 
 /// The first of the pre-enumerated `lanes` the test fails on, as an
 /// [`Escape`] — the shared kernel of [`target_escape`] and the session's
-/// cached-lane coverage path. The lanes are projected onto their lane
-/// classes ([`projection`]), so the memory size does not enter.
+/// cached-lane coverage path. The lanes are projected onto the set's
+/// memoised lane classes (see `projection.rs`), so the memory size does not
+/// enter and only the target's fault is simulated per call.
 pub(crate) fn lane_escape(
     backend: &dyn SimulationBackend,
     test: &MarchTest,
     target: &TargetKind,
-    lanes: &[crate::CoverageLane],
+    lanes: &LaneSet,
 ) -> Option<Escape> {
-    projection::first_undetected(backend, test, target, lanes).map(|index| Escape {
-        target: target.clone(),
-        cells: lanes[index].cells,
-        background: lanes[index].background.clone(),
-    })
+    lanes
+        .classes()
+        .first_undetected(backend, test, target)
+        .map(|index| Escape {
+            target: target.clone(),
+            cells: lanes[index].cells,
+            background: lanes[index].background.clone(),
+        })
 }
 
 /// Returns `true` if `test` detects the given linked fault under every placement and

@@ -21,14 +21,17 @@
 //!   `u64` word, 128/256 per [`W128`]/[`W256`] block, selected by
 //!   [`LaneWidth`]) — fanning the fault targets out over worker threads
 //!   ([`parallel_map`]);
+//! * enumerates coverage lanes once per **placement shape** (single cell,
+//!   cell pair, cell triple, decoder address, decoder pair), not once per
+//!   target: every target of one shape shares one [`LaneSet`];
 //! * simulates coverage and campaign lanes **projected** onto the at most
 //!   three cells each fault instance involves: lanes sharing the rank order
 //!   of those cells and their background bits form one class (at most 48 per
-//!   target), and the backend simulates one representative per class on a
-//!   memory of at most three cells, so the per-lane cost does not grow with
-//!   the memory size. Reports are byte-identical to the full-memory walk,
-//!   which the backends, [`PackedSimulator`], [`TargetBatch`], the minimiser
-//!   and diagnosis keep;
+//!   lane set, partitioned once per set), and the backend simulates each
+//!   target's fault on one representative per class on a memory of at most
+//!   three cells, so the per-lane cost does not grow with the memory size.
+//!   Reports are byte-identical to the full-memory walk, which the backends,
+//!   [`PackedSimulator`], [`TargetBatch`], the minimiser and diagnosis keep;
 //! * runs seeded Monte-Carlo **campaigns** over the exhaustive instance
 //!   space — unranked draws simulated as projected classes, reported with a
 //!   Wilson-score confidence interval ([`CampaignReport`]) — for memories
@@ -124,7 +127,7 @@ pub use placement::{
 pub use policy::{ExecPolicy, DEFAULT_WAVE_COST_FACTOR};
 pub use report::{json_escape, DiagnosisReport, JsonObject, Report};
 pub use run::{run_march, Failure, MarchRun};
-pub use session::{Session, TargetLanes};
+pub use session::{LaneSet, Session, TargetLanes};
 pub use snapshot::{
     FsIo, IoOp, MemIo, SnapshotError, SnapshotFileInfo, SnapshotIo, SnapshotStats, SnapshotStore,
     SNAPSHOT_VERSION,

@@ -2,6 +2,7 @@
 
 use sram_fault_model::{DecoderFault, LinkTopology};
 
+use crate::coverage::TargetKind;
 use crate::{InstanceCells, SimulationError};
 
 /// The smallest memory linked-fault placement enumeration supports: three
@@ -24,6 +25,97 @@ pub enum PlacementStrategy {
     Exhaustive,
 }
 
+/// The placement shape of a fault target: how many cells its instances
+/// involve and how they are addressed. A target's placements — and so its
+/// coverage lanes under one simulation scope — depend only on its shape, so
+/// every target of one shape shares one lane enumeration (see
+/// [`LaneSet`](crate::LaneSet)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PlacementShape {
+    /// One victim cell (LF1 and non-coupling simples).
+    Single,
+    /// An ordered `(aggressor, victim)` pair of distinct cells (LF2
+    /// topologies and coupling simples).
+    Pair,
+    /// An ordered `(a1, a2, v)` triple of distinct cells (LF3).
+    Triple,
+    /// One address (single-address decoder classes).
+    DecoderSingle,
+    /// A `(primary, partner = primary ^ stride)` address pair per
+    /// power-of-two stride (partner-address decoder classes).
+    DecoderPair,
+}
+
+/// The placement shape of `target`.
+pub(crate) fn placement_shape(target: &TargetKind) -> PlacementShape {
+    match target {
+        TargetKind::Simple(primitive) if primitive.is_coupling() => PlacementShape::Pair,
+        TargetKind::Simple(_) => PlacementShape::Single,
+        TargetKind::Linked(fault) => topology_shape(fault.topology()),
+        TargetKind::Decoder(fault) => decoder_shape(*fault),
+    }
+}
+
+fn topology_shape(topology: LinkTopology) -> PlacementShape {
+    match topology {
+        LinkTopology::Lf1 => PlacementShape::Single,
+        LinkTopology::Lf2CouplingThenSingle
+        | LinkTopology::Lf2SingleThenCoupling
+        | LinkTopology::Lf2SharedAggressor => PlacementShape::Pair,
+        LinkTopology::Lf3 => PlacementShape::Triple,
+    }
+}
+
+fn decoder_shape(fault: DecoderFault) -> PlacementShape {
+    if fault.involves_partner() {
+        PlacementShape::DecoderPair
+    } else {
+        PlacementShape::DecoderSingle
+    }
+}
+
+impl PlacementShape {
+    /// The smallest memory hosting this shape's placements.
+    pub(crate) fn min_cells(self) -> usize {
+        match self {
+            PlacementShape::Single | PlacementShape::Pair | PlacementShape::Triple => {
+                MIN_PLACEMENT_CELLS
+            }
+            PlacementShape::DecoderSingle => 1,
+            PlacementShape::DecoderPair => 2,
+        }
+    }
+
+    /// The placements of this shape on a `cells`-cell memory, in enumeration
+    /// order — what [`enumerate_placements`] and
+    /// [`enumerate_decoder_placements`] return for targets of this shape.
+    pub(crate) fn placements(
+        self,
+        cells: usize,
+        strategy: PlacementStrategy,
+    ) -> Result<Vec<InstanceCells>, SimulationError> {
+        let min_cells = self.min_cells();
+        if cells < min_cells {
+            return Err(SimulationError::MemoryTooSmall { cells, min_cells });
+        }
+        Ok(match (self, strategy) {
+            (PlacementShape::Single, PlacementStrategy::Representative) => {
+                vec![InstanceCells::single(cells / 2)]
+            }
+            (
+                PlacementShape::Single | PlacementShape::DecoderSingle,
+                PlacementStrategy::Exhaustive,
+            ) => (0..cells).map(InstanceCells::single).collect(),
+            (PlacementShape::Pair, _) => pair_placements(cells, strategy),
+            (PlacementShape::Triple, _) => triple_placements(cells, strategy),
+            (PlacementShape::DecoderSingle, PlacementStrategy::Representative) => {
+                representative_addresses(cells)
+            }
+            (PlacementShape::DecoderPair, _) => decoder_pair_placements(cells, strategy),
+        })
+    }
+}
+
 /// Enumerates the cell assignments used to instantiate a linked fault of the given
 /// topology on a memory with `cells` cells.
 ///
@@ -42,71 +134,52 @@ pub fn enumerate_placements(
     cells: usize,
     strategy: PlacementStrategy,
 ) -> Result<Vec<InstanceCells>, SimulationError> {
-    if cells < MIN_PLACEMENT_CELLS {
-        return Err(SimulationError::MemoryTooSmall {
-            cells,
-            min_cells: MIN_PLACEMENT_CELLS,
-        });
-    }
-    let low = 1;
-    let mid = cells / 2;
-    let high = cells - 2;
+    topology_shape(topology).placements(cells, strategy)
+}
 
-    Ok(match strategy {
-        PlacementStrategy::Representative => match topology {
-            LinkTopology::Lf1 => vec![InstanceCells::single(mid)],
-            LinkTopology::Lf2CouplingThenSingle
-            | LinkTopology::Lf2SingleThenCoupling
-            | LinkTopology::Lf2SharedAggressor => vec![
-                InstanceCells::pair(low, high),
-                InstanceCells::pair(high, low),
-            ],
-            LinkTopology::Lf3 => {
-                // Every relative ordering of (a1, a2, v) over three fixed cells.
-                let cells3 = [low, mid, high];
-                let mut placements = Vec::with_capacity(6);
-                for &a1 in &cells3 {
-                    for &a2 in &cells3 {
-                        for &v in &cells3 {
-                            if a1 != a2 && a1 != v && a2 != v {
-                                placements.push(InstanceCells::triple(a1, a2, v));
-                            }
-                        }
+/// Every ordered `(aggressor, victim)` pair on a memory of at least
+/// [`MIN_PLACEMENT_CELLS`] cells, or both relative orders of one pair.
+fn pair_placements(cells: usize, strategy: PlacementStrategy) -> Vec<InstanceCells> {
+    let (low, high) = (1, cells - 2);
+    match strategy {
+        PlacementStrategy::Representative => vec![
+            InstanceCells::pair(low, high),
+            InstanceCells::pair(high, low),
+        ],
+        PlacementStrategy::Exhaustive => {
+            let mut placements = Vec::with_capacity(cells * (cells - 1));
+            for aggressor in 0..cells {
+                for victim in 0..cells {
+                    if aggressor != victim {
+                        placements.push(InstanceCells::pair(aggressor, victim));
                     }
                 }
-                placements
             }
-        },
-        PlacementStrategy::Exhaustive => match topology {
-            LinkTopology::Lf1 => (0..cells).map(InstanceCells::single).collect(),
-            LinkTopology::Lf2CouplingThenSingle
-            | LinkTopology::Lf2SingleThenCoupling
-            | LinkTopology::Lf2SharedAggressor => {
-                let mut placements = Vec::new();
-                for aggressor in 0..cells {
-                    for victim in 0..cells {
-                        if aggressor != victim {
-                            placements.push(InstanceCells::pair(aggressor, victim));
-                        }
-                    }
+            placements
+        }
+    }
+}
+
+/// Every ordered `(a1, a2, v)` triple on a memory of at least
+/// [`MIN_PLACEMENT_CELLS`] cells, or every relative ordering of one triple.
+fn triple_placements(cells: usize, strategy: PlacementStrategy) -> Vec<InstanceCells> {
+    let addresses: Vec<usize> = match strategy {
+        // Every relative ordering of (a1, a2, v) over three fixed cells.
+        PlacementStrategy::Representative => vec![1, cells / 2, cells - 2],
+        PlacementStrategy::Exhaustive => (0..cells).collect(),
+    };
+    let n = addresses.len();
+    let mut placements = Vec::with_capacity(n * (n - 1) * (n - 2));
+    for &a1 in &addresses {
+        for &a2 in &addresses {
+            for &v in &addresses {
+                if a1 != a2 && a1 != v && a2 != v {
+                    placements.push(InstanceCells::triple(a1, a2, v));
                 }
-                placements
             }
-            LinkTopology::Lf3 => {
-                let mut placements = Vec::new();
-                for a1 in 0..cells {
-                    for a2 in 0..cells {
-                        for v in 0..cells {
-                            if a1 != a2 && a1 != v && a2 != v {
-                                placements.push(InstanceCells::triple(a1, a2, v));
-                            }
-                        }
-                    }
-                }
-                placements
-            }
-        },
-    })
+        }
+    }
+    placements
 }
 
 /// Enumerates the address assignments used to instantiate an address-decoder
@@ -134,28 +207,24 @@ pub fn enumerate_decoder_placements(
     cells: usize,
     strategy: PlacementStrategy,
 ) -> Result<Vec<InstanceCells>, SimulationError> {
-    let min_cells = fault.address_count();
-    if cells < min_cells {
-        return Err(SimulationError::MemoryTooSmall { cells, min_cells });
-    }
+    decoder_shape(fault).placements(cells, strategy)
+}
 
-    if !fault.involves_partner() {
-        // Single-address classes (no cell accessed).
-        return Ok(match strategy {
-            PlacementStrategy::Representative => {
-                let mut addresses: Vec<usize> = vec![0, 1, cells / 2, cells - 1];
-                addresses.extend(address_strides(cells));
-                addresses.retain(|&address| address < cells);
-                addresses.sort_unstable();
-                addresses.dedup();
-                addresses.into_iter().map(InstanceCells::single).collect()
-            }
-            PlacementStrategy::Exhaustive => (0..cells).map(InstanceCells::single).collect(),
-        });
-    }
+/// The representative addresses of the single-address decoder classes (no
+/// cell accessed): both ends, the middle and every power-of-two stride.
+fn representative_addresses(cells: usize) -> Vec<InstanceCells> {
+    let mut addresses: Vec<usize> = vec![0, 1, cells / 2, cells - 1];
+    addresses.extend(address_strides(cells));
+    addresses.retain(|&address| address < cells);
+    addresses.sort_unstable();
+    addresses.dedup();
+    addresses.into_iter().map(InstanceCells::single).collect()
+}
 
-    // Pair classes: (primary, partner = primary ^ stride) for each address-bit
-    // stride, in both relative orders.
+/// The placements of the partner-address decoder classes on a memory of at
+/// least 2 cells: `(primary, partner = primary ^ stride)` for each
+/// address-bit stride, in both relative orders.
+fn decoder_pair_placements(cells: usize, strategy: PlacementStrategy) -> Vec<InstanceCells> {
     let mut placements = Vec::new();
     match strategy {
         PlacementStrategy::Representative => {
@@ -188,12 +257,7 @@ pub fn enumerate_decoder_placements(
         }
     }
     placements.dedup();
-    if placements.is_empty() {
-        // A 2-cell memory with stride 1 always yields placements; this is
-        // unreachable but keeps the contract obvious.
-        return Err(SimulationError::MemoryTooSmall { cells, min_cells });
-    }
-    Ok(placements)
+    placements
 }
 
 /// The single-bit address strides `1, 2, 4, …` below `cells` — the address

@@ -10,16 +10,22 @@
 //! verdict: at most 3! orders × 2³ background patterns = 48 classes per
 //! target, whatever the memory size.
 //!
-//! [`first_undetected`] and [`lane_verdicts`] key every lane of a target by
-//! its class, remap the first lane of each class onto a memory of k ≤ 3 cells
-//! (the cells' ranks as addresses, the background cut down to those cells),
-//! simulate all the representatives in **one**
-//! [`SimulationBackend::lane_verdicts`] call on the caller's backend, and
-//! hand every lane the verdict of its class. Because a class representative
-//! is its class's first lane in enumeration order, the first escaping lane is
-//! the representative of the first escaping class — escape reports, escape
-//! order and campaign traces are exactly those of the full-memory walk, while
-//! the per-lane cost no longer grows with the memory size.
+//! [`Classes`] keys every lane of a lane set by its class and remaps the
+//! first lane of each class onto a memory of k ≤ 3 cells (the cells' ranks as
+//! addresses, the background cut down to those cells). The partition depends
+//! only on the lanes, never on the fault, so it is built **once per
+//! [`LaneSet`]** — the lanes every target of one placement shape shares — and
+//! memoised there. Verdicts are computed per target: one
+//! [`SimulationBackend::lane_verdicts`] call on the caller's backend
+//! simulates the target's fault on all the representatives, and every lane
+//! takes the verdict of its class. Because a class representative is its
+//! class's first lane in enumeration order, the first escaping lane is the
+//! representative of the first escaping class — escape reports, escape order
+//! and campaign traces are exactly those of the full-memory walk, while the
+//! per-lane cost no longer grows with the memory size. A coverage request
+//! therefore costs one partition per distinct lane set plus one backend call
+//! per target; campaigns partition each shard's drawn lanes per target
+//! ([`lane_verdicts`]).
 //!
 //! Coverage ([`Session::try_coverage`](crate::Session::try_coverage) and
 //! everything built on it) and campaigns go through this module. The
@@ -27,6 +33,8 @@
 //! generator's [`TargetBatch`](crate::TargetBatch), the minimiser and the
 //! dictionary and diagnosis paths keep the full-memory walk, which serves as
 //! the differential reference.
+//!
+//! [`LaneSet`]: crate::LaneSet
 //!
 //! # Why the projection is exact
 //!
@@ -167,8 +175,8 @@ impl Involved {
     }
 }
 
-/// The lane classes of one target's lanes, in first-seen order.
-struct Classes {
+/// The lane classes of one lane set, in first-seen order.
+pub(crate) struct Classes {
     /// Class index of each class code ([`UNSEEN`] for codes no lane has).
     index_of_code: [u16; CLASS_CODES],
     /// The index of each class's first lane in the caller's lane slice.
@@ -180,7 +188,8 @@ struct Classes {
 }
 
 impl Classes {
-    fn of(lanes: &[CoverageLane]) -> Classes {
+    /// Partitions `lanes` into their classes.
+    pub(crate) fn of(lanes: &[CoverageLane]) -> Classes {
         let mut classes = Classes {
             index_of_code: [UNSEEN; CLASS_CODES],
             first_lanes: Vec::new(),
@@ -195,8 +204,8 @@ impl Classes {
             classes.index_of_code[code] = classes.first_lanes.len() as u16;
             classes.first_lanes.push(index);
             let involved = Involved::of(&lane.cells);
-            // Every lane of a target has the target's placement shape, so
-            // every class involves the same number of cells.
+            // Every lane of a set has the set's placement shape, so every
+            // class involves the same number of cells.
             debug_assert!(classes.cells == 0 || classes.cells == involved.count);
             classes.cells = involved.count;
             classes.representatives.push(involved.project(lane));
@@ -213,23 +222,22 @@ impl Classes {
     ) -> Vec<bool> {
         backend.lane_verdicts(test, target, &self.representatives, self.cells)
     }
-}
 
-/// The index of the first of `lanes` that `test` fails to detect — the
-/// projected equivalent of [`SimulationBackend::first_undetected`].
-pub(crate) fn first_undetected(
-    backend: &dyn SimulationBackend,
-    test: &MarchTest,
-    target: &TargetKind,
-    lanes: &[CoverageLane],
-) -> Option<usize> {
-    let classes = Classes::of(lanes);
-    classes
-        .first_lanes
-        .iter()
-        .zip(classes.verdicts(backend, test, target))
-        .find(|(_, detected)| !detected)
-        .map(|(&lane, _)| lane)
+    /// The index of the first partitioned lane on which `test` fails to
+    /// detect `target` — the projected equivalent of
+    /// [`SimulationBackend::first_undetected`].
+    pub(crate) fn first_undetected(
+        &self,
+        backend: &dyn SimulationBackend,
+        test: &MarchTest,
+        target: &TargetKind,
+    ) -> Option<usize> {
+        self.first_lanes
+            .iter()
+            .zip(self.verdicts(backend, test, target))
+            .find(|(_, detected)| !detected)
+            .map(|(&lane, _)| lane)
+    }
 }
 
 /// The detection verdict of `test` for every one of `lanes`, in lane order —
@@ -314,7 +322,7 @@ mod tests {
                         backend.name()
                     );
                     assert_eq!(
-                        first_undetected(backend.as_ref(), &test, &target, &lanes),
+                        Classes::of(&lanes).first_undetected(backend.as_ref(), &test, &target),
                         full.iter().position(|detected| !detected),
                         "{target} under {} on {}",
                         test.name(),

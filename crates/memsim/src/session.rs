@@ -17,12 +17,14 @@
 //! warm cache.
 
 use std::collections::BTreeMap;
+use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use march_test::MarchTest;
 use sram_fault_model::FaultList;
 
-use crate::backend::{enumerate_lanes, SimulationBackend};
+use crate::backend::{shape_lanes, SimulationBackend};
 use crate::campaign::{sample_draw_indices, CampaignConfig, CampaignEscape, CampaignReport};
 use crate::coverage::{
     assemble_coverage_report, enumerate_targets, lane_escape, Escape, TargetKind,
@@ -30,10 +32,12 @@ use crate::coverage::{
 use crate::diagnose::{enumerate_diagnosis_instances, inject_diagnosis_instance};
 use crate::memory::check_backgrounds;
 use crate::parallel::WorkerPool;
-use crate::projection;
+use crate::placement::{placement_shape, PlacementShape};
+use crate::projection::{self, Classes};
 use crate::report::DiagnosisReport;
 use crate::run::run_march;
 use crate::store::{ArtifactKey, ArtifactStore, DictionaryKey};
+use crate::sync::OnceLock;
 use crate::{
     CampaignSpace, CoverageConfig, CoverageLane, CoverageReport, DiagnosisCandidate, ExecPolicy,
     FaultDictionary, FaultSimulator, InitialState, InjectedFault, InstanceCells,
@@ -51,10 +55,90 @@ const DIAGNOSIS_SHARD: usize = 256;
 /// every worker.
 const CAMPAIGN_SHARD: usize = 2048;
 
-/// Every fault target of a list together with its enumerated coverage lanes —
-/// the session-cached setup artifact shared by coverage measurement, the
-/// greedy generator and the redundancy-removal pass.
-pub type TargetLanes = Vec<(TargetKind, Vec<CoverageLane>)>;
+/// Every fault target of a list, in [`enumerate_targets`] order, with the
+/// coverage lanes it is simulated under — the session-cached setup artifact
+/// shared by coverage measurement, the greedy generator and the
+/// redundancy-removal pass.
+///
+/// A target's lanes depend only on its placement shape (single cell, cell
+/// pair, cell triple, decoder single address or decoder pair), so the
+/// targets of one shape hold the **same** [`LaneSet`]: a list has at most
+/// five distinct sets however many targets it has. Compare entries with
+/// [`Arc::ptr_eq`] to see the sharing.
+pub type TargetLanes = Vec<(TargetKind, Arc<LaneSet>)>;
+
+/// The coverage lanes shared by every target of one placement shape under
+/// one simulation scope: every placement crossed with every background,
+/// placements outermost.
+///
+/// A set derefs to `[CoverageLane]`, so it reads like the lane vector it
+/// wraps. It also memoises its partition into projected lane classes (see
+/// `projection.rs`), built on first use: the class codes, first lanes and
+/// projected representatives depend only on the lanes, so every target
+/// sharing the set reuses them and coverage only simulates each target's
+/// fault on the representatives.
+pub struct LaneSet {
+    lanes: Vec<CoverageLane>,
+    classes: OnceLock<Classes>,
+}
+
+impl LaneSet {
+    pub(crate) fn new(lanes: Vec<CoverageLane>) -> LaneSet {
+        LaneSet {
+            lanes,
+            classes: OnceLock::new(),
+        }
+    }
+
+    /// The set's lane classes, partitioned on first use.
+    pub(crate) fn classes(&self) -> &Classes {
+        self.classes.get_or_init(|| Classes::of(&self.lanes))
+    }
+}
+
+impl Deref for LaneSet {
+    type Target = [CoverageLane];
+
+    fn deref(&self) -> &[CoverageLane] {
+        &self.lanes
+    }
+}
+
+impl PartialEq for LaneSet {
+    fn eq(&self, other: &LaneSet) -> bool {
+        self.lanes == other.lanes
+    }
+}
+
+impl fmt::Debug for LaneSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.lanes.fmt(f)
+    }
+}
+
+/// Pairs every one of `targets` with the lane set of its placement shape.
+/// `set_of` runs once per distinct shape, in the order the shapes first
+/// appear among the targets, and every target of that shape shares its set.
+pub(crate) fn share_by_shape<E>(
+    targets: Vec<TargetKind>,
+    mut set_of: impl FnMut(PlacementShape) -> std::result::Result<LaneSet, E>,
+) -> std::result::Result<TargetLanes, E> {
+    let mut sets: Vec<(PlacementShape, Arc<LaneSet>)> = Vec::new();
+    let mut entries = Vec::with_capacity(targets.len());
+    for target in targets {
+        let shape = placement_shape(&target);
+        let set = match sets.iter().find(|(seen, _)| *seen == shape) {
+            Some((_, set)) => Arc::clone(set),
+            None => {
+                let set = Arc::new(set_of(shape)?);
+                sets.push((shape, Arc::clone(&set)));
+                set
+            }
+        };
+        entries.push((target, set));
+    }
+    Ok(entries)
+}
 
 /// A reusable engine handle owning the execution policy and the resident
 /// worker pool of the simulation pipeline.
@@ -277,6 +361,12 @@ impl Session {
     /// per `(list, scope)` enumerates, every later one returns the shared
     /// [`Arc`] (observable through [`Session::cache_hits`]).
     ///
+    /// The enumeration runs once per placement shape, not once per target:
+    /// every target of one shape holds the same [`LaneSet`], so exhaustive
+    /// Fault List #1 at 16 cells (844 targets, 2.84M lanes when counted per
+    /// target) enumerates 7,232 distinct lanes in three sets. A snapshot
+    /// replay restores the same sharing.
+    ///
     /// # Errors
     ///
     /// Returns [`SimulationError::MemoryTooSmall`](crate::SimulationError)
@@ -295,6 +385,8 @@ impl Session {
     /// let second = session.target_lanes(&FaultList::list_2()).unwrap();
     /// assert!(std::sync::Arc::ptr_eq(&first, &second));
     /// assert_eq!(session.cache_hits(), 1);
+    /// // List #2 holds only single-cell linked faults: one shared lane set.
+    /// assert!(first.iter().all(|(_, lanes)| std::sync::Arc::ptr_eq(lanes, &first[0].1)));
     /// ```
     pub fn target_lanes(&self, list: &FaultList) -> Result<Arc<TargetLanes>> {
         self.target_lanes_scoped(list, self.memory_cells, self.strategy, &self.backgrounds)
@@ -330,11 +422,9 @@ impl Session {
                     return Ok(Arc::new(lanes));
                 }
             }
-            let mut entries = Vec::new();
-            for target in enumerate_targets(list) {
-                let lanes = enumerate_lanes(&target, memory_cells, strategy, backgrounds)?;
-                entries.push((target, lanes));
-            }
+            let entries = share_by_shape(enumerate_targets(list), |shape| {
+                shape_lanes(shape, memory_cells, strategy, backgrounds).map(LaneSet::new)
+            })?;
             let built = Arc::new(entries);
             if let Some(snapshots) = &snapshots {
                 snapshots.store_lanes(&key, &built);
@@ -391,7 +481,9 @@ impl Session {
     ///
     /// Each target's lanes are projected onto the at most three cells they
     /// involve and simulated once per lane class (see the crate docs), so
-    /// the cost per lane does not grow with the memory size.
+    /// the cost per lane does not grow with the memory size. The partition
+    /// into classes is memoised per [`LaneSet`], so a request costs one
+    /// partition per distinct set plus one backend call per target.
     ///
     /// # Errors
     ///
@@ -934,6 +1026,63 @@ mod tests {
         let empty = session.target_lanes(&renamed).unwrap();
         assert!(empty.is_empty());
         assert_eq!(session.cached_artifacts(), 4);
+    }
+
+    /// The distinct lane sets among `lanes`, by pointer.
+    fn distinct_sets(lanes: &TargetLanes) -> Vec<&Arc<LaneSet>> {
+        let mut sets: Vec<&Arc<LaneSet>> = Vec::new();
+        for (_, set) in lanes {
+            if !sets.iter().any(|seen| Arc::ptr_eq(seen, set)) {
+                sets.push(set);
+            }
+        }
+        sets
+    }
+
+    #[test]
+    fn targets_of_one_placement_shape_share_one_lane_set() {
+        // (list, cells, targets, distinct sets, logical lanes, distinct lanes)
+        // under exhaustive placements and both uniform backgrounds.
+        for (list, cells, targets, set_count, logical, distinct) in [
+            (FaultList::list_1(), 16, 844, 3, 2_836_864, 7_232),
+            (FaultList::address_decoder(), 4096, 5, 2, 311_296, 106_496),
+        ] {
+            let session = Session::default()
+                .with_memory_cells(cells)
+                .with_strategy(PlacementStrategy::Exhaustive);
+            let lanes = session.target_lanes(&list).unwrap();
+            let sets = distinct_sets(&lanes);
+            assert_eq!(lanes.len(), targets, "{}", list.name());
+            assert_eq!(sets.len(), set_count, "{}", list.name());
+            let logical_lanes: usize = lanes.iter().map(|(_, set)| set.len()).sum();
+            assert_eq!(logical_lanes, logical, "{}", list.name());
+            let distinct_lanes: usize = sets.iter().map(|set| set.len()).sum();
+            assert_eq!(distinct_lanes, distinct, "{}", list.name());
+            // Every target holds the set of the first target of its shape.
+            for (target, set) in lanes.iter() {
+                let (_, first) = lanes
+                    .iter()
+                    .find(|(other, _)| placement_shape(other) == placement_shape(target))
+                    .unwrap();
+                assert!(Arc::ptr_eq(set, first), "{target}");
+            }
+        }
+    }
+
+    #[test]
+    fn lane_classes_are_partitioned_once_per_set() {
+        let session = Session::default();
+        let list = FaultList::list_1();
+        let lanes = session.target_lanes(&list).unwrap();
+        let set = &lanes[0].1;
+        assert!(set.classes.get().is_none(), "partitioned before first use");
+        let first: *const Classes = set.classes();
+        assert!(std::ptr::eq(first, set.classes()));
+        // Coverage partitions every set on first use and reuses the same
+        // partition on every later query.
+        let _ = session.coverage(&catalog::march_sl(), &list);
+        assert!(std::ptr::eq(first, set.classes()));
+        assert!(lanes.iter().all(|(_, set)| set.classes.get().is_some()));
     }
 
     #[test]

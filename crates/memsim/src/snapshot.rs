@@ -9,13 +9,13 @@
 //! it is either byte-equivalent to what a fresh enumeration would produce, or
 //! it is corrupt and must be discarded. There is no invalidation protocol.
 //!
-//! # On-disk format (version 1, little-endian)
+//! # On-disk format (version 2, little-endian)
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic "MCSX"
 //! 4       4     CRC32-IEEE over every byte from offset 8 to the end
-//! 8       4     format version (1)
+//! 8       4     format version (2)
 //! 12      4     artifact kind (1 = target lanes, 2 = fault dictionary)
 //! 16      8     total file length in bytes (detects truncation exactly)
 //! 24      ..    key echo: the canonical key encoding the file was saved under
@@ -28,6 +28,26 @@
 //! faults), so the payload stores only the per-target data and the loader
 //! zips it against a fresh `enumerate_targets(list)` — a snapshot can never
 //! smuggle in a fault the list does not contain.
+//!
+//! A target-lane payload stores each distinct [`LaneSet`] once. The targets
+//! of one placement shape share one set, so the loader re-derives the
+//! target → set mapping from the live list's shapes, the same way it
+//! re-derives the targets, and a restored artifact keeps the sharing:
+//!
+//! ```text
+//! u64   target count (must equal the live list's)
+//! u64   set count (must equal the live list's distinct placement shapes)
+//! per set, in the order its shape first appears among the targets:
+//!   u64   lane count
+//!   per lane: cells (u64 victim, u8 flags: bit 0 = first aggressor,
+//!             bit 1 = second aggressor, then a u64 per aggressor present),
+//!             background (u8 tag: 0 all-zero, 1 all-one, 2 checkerboard,
+//!             3 custom followed by a u64 bit count and one byte per bit)
+//! ```
+//!
+//! Version 1 stored every target's lanes separately; a version-1 file is a
+//! [`SnapshotError::VersionSkew`], quarantined and rebuilt like any other
+//! unusable file.
 //!
 //! # Failure model
 //!
@@ -53,6 +73,7 @@
 //!
 //! [`ArtifactStore`]: crate::ArtifactStore
 //! [`enumerate_targets`]: crate::enumerate_targets
+//! [`LaneSet`]: crate::LaneSet
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -61,7 +82,8 @@ use std::io;
 use sram_fault_model::{Bit, FaultList};
 
 use crate::diagnose::{Syndrome, SyndromeEntry};
-use crate::session::TargetLanes;
+use crate::placement::placement_shape;
+use crate::session::{share_by_shape, LaneSet, TargetLanes};
 use crate::store::{ArtifactKey, DictionaryKey, ListFingerprint};
 use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use crate::sync::{Arc, Mutex, PoisonError};
@@ -71,7 +93,7 @@ use crate::{
 };
 
 /// Snapshot format version written and accepted by this build.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// The four magic bytes opening every snapshot file.
 const MAGIC: [u8; 4] = *b"MCSX";
@@ -873,12 +895,24 @@ fn probe_container(bytes: &[u8]) -> DecodeResult<u32> {
     Ok(kind)
 }
 
+/// Encodes a lane artifact: the target count, then every distinct lane set
+/// once, in the order its placement shape first appears among the targets.
 fn encode_lanes(lanes: &TargetLanes) -> Vec<u8> {
+    let mut shapes = Vec::new();
+    let mut sets: Vec<&LaneSet> = Vec::new();
+    for (target, set) in lanes {
+        let shape = placement_shape(target);
+        if !shapes.contains(&shape) {
+            shapes.push(shape);
+            sets.push(set);
+        }
+    }
     let mut buf = Vec::new();
     push_u64(&mut buf, lanes.len() as u64);
-    for (_, target_lanes) in lanes {
-        push_u64(&mut buf, target_lanes.len() as u64);
-        for lane in target_lanes {
+    push_u64(&mut buf, sets.len() as u64);
+    for set in sets {
+        push_u64(&mut buf, set.len() as u64);
+        for lane in set.iter() {
             push_cells(&mut buf, &lane.cells);
             push_state(&mut buf, &lane.background);
         }
@@ -887,18 +921,27 @@ fn encode_lanes(lanes: &TargetLanes) -> Vec<u8> {
 }
 
 /// Decodes a lane payload against a fresh `enumerate_targets(list)`: the
-/// target identities come from the live fault list, never from the file.
+/// target identities, and which lane set each of them shares, come from the
+/// live fault list, never from the file.
 fn decode_lanes(payload: &[u8], list: &FaultList) -> DecodeResult<TargetLanes> {
     let targets = enumerate_targets(list);
     let mut cursor = Cursor::new(payload);
-    let target_count = cursor.count(8)?;
-    if target_count != targets.len() {
+    // The targets hold no payload bytes of their own, so their count is
+    // only compared, never used to size anything.
+    if cursor.usize()? != targets.len() {
         return Err(SnapshotError::Malformed {
             detail: "target count does not match the fault list",
         });
     }
-    let mut entries = Vec::with_capacity(target_count);
-    for target in targets {
+    let set_count = cursor.count(8)?;
+    let mut decoded = 0usize;
+    let lanes = share_by_shape(targets, |_| {
+        decoded += 1;
+        if decoded > set_count {
+            return Err(SnapshotError::Malformed {
+                detail: "lane-set count does not match the fault list",
+            });
+        }
         let lane_count = cursor.count(10)?;
         let mut lanes = Vec::with_capacity(lane_count);
         for _ in 0..lane_count {
@@ -906,10 +949,15 @@ fn decode_lanes(payload: &[u8], list: &FaultList) -> DecodeResult<TargetLanes> {
             let background = cursor.state()?;
             lanes.push(CoverageLane { cells, background });
         }
-        entries.push((target, lanes));
+        Ok(LaneSet::new(lanes))
+    })?;
+    if decoded != set_count {
+        return Err(SnapshotError::Malformed {
+            detail: "lane-set count does not match the fault list",
+        });
     }
     cursor.done()?;
-    Ok(entries)
+    Ok(lanes)
 }
 
 fn encode_dictionary(dictionary: &FaultDictionary, list: &FaultList) -> Vec<u8> {
@@ -1348,13 +1396,48 @@ mod tests {
             .expect("static families are valid")
     }
 
+    /// Targets of all five placement shapes, so the lane sets are shared in
+    /// a non-trivial pattern.
+    fn mixed_list() -> FaultList {
+        let lf3 = FaultList::list_1()
+            .linked()
+            .iter()
+            .filter(|fault| fault.cell_count() == 3)
+            .take(2)
+            .cloned()
+            .collect::<Vec<_>>();
+        FaultListBuilder::new("snapshot sharing")
+            .family(Ffm::TransitionFault)
+            .family(Ffm::StateCoupling)
+            .linked_all(lf3)
+            .decoder_all(sram_fault_model::DecoderFault::all())
+            .build()
+            .expect("static families, linked faults and decoders are valid")
+    }
+
+    /// The key `build_lanes` enumerates under: 6 cells, the session's
+    /// default representative placements and uniform backgrounds.
     fn artifact_key(list: &FaultList) -> ArtifactKey {
         ArtifactKey::new(
             list,
             6,
             PlacementStrategy::Representative,
-            &[InitialState::AllOne, InitialState::AllZero],
+            &[InitialState::AllZero, InitialState::AllOne],
         )
+    }
+
+    /// The sharing pattern of `lanes`: the index of the first target holding
+    /// each target's lane set.
+    fn sharing(lanes: &TargetLanes) -> Vec<usize> {
+        lanes
+            .iter()
+            .map(|(_, set)| {
+                lanes
+                    .iter()
+                    .position(|(_, first)| Arc::ptr_eq(first, set))
+                    .expect("a set is held by its own target")
+            })
+            .collect()
     }
 
     fn build_lanes(list: &FaultList) -> TargetLanes {
@@ -1368,7 +1451,7 @@ mod tests {
 
     #[test]
     fn lanes_round_trip_byte_identically() {
-        let list = small_list();
+        let list = mixed_list();
         let key = artifact_key(&list);
         let lanes = build_lanes(&list);
         let io = Arc::new(MemIo::new());
@@ -1377,7 +1460,15 @@ mod tests {
         assert_eq!(store.stats().writes, 1);
         let loaded = store.load_lanes(&key, &list).expect("snapshot loads");
         assert_eq!(loaded, lanes);
+        assert_eq!(encode_lanes(&loaded), encode_lanes(&lanes));
         assert_eq!(store.stats().hits, 1);
+        // The loaded artifact shares its lane sets exactly like the built
+        // one: one set per placement shape, all five shapes present.
+        assert_eq!(sharing(&loaded), sharing(&lanes));
+        assert_eq!(
+            sharing(&lanes).into_iter().collect::<BTreeSet<_>>().len(),
+            5
+        );
         // The lock file must not linger after a successful publish.
         assert!(io.paths().iter().all(|path| !path.ends_with(".lock")));
         assert!(io.paths().iter().all(|path| !path.ends_with(".tmp")));
@@ -1459,9 +1550,9 @@ mod tests {
             .find(|path| path.ends_with(".snap"))
             .expect("snapshot written");
         let mut bytes = io.file(&path).expect("file exists");
-        // Bump the version field and re-seal the checksum so only the skew
-        // trips.
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
+        // Mark the file as version 1 (the per-target lane layout) and re-seal
+        // the checksum so only the skew trips.
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
         let crc = crc32(&bytes[8..]);
         bytes[4..8].copy_from_slice(&crc.to_le_bytes());
         io.insert_file(&path, bytes);
@@ -1471,8 +1562,23 @@ mod tests {
         assert_eq!(stats.quarantined, 1);
         assert_eq!(
             stats.last_error.as_deref(),
-            Some("snapshot version 99 != supported 1")
+            Some("snapshot version 1 != supported 2")
         );
+        assert!(io.file(&path).is_none());
+
+        // A session over the store rebuilds the artifact and re-persists it
+        // at the current version.
+        let artifacts = Arc::new(crate::ArtifactStore::new());
+        assert!(artifacts.attach_snapshots(Arc::clone(&store)));
+        let rebuilt = SharedEngine::with_store(ExecPolicy::default(), artifacts)
+            .session()
+            .with_memory_cells(6)
+            .target_lanes(&list)
+            .expect("6 cells host the list");
+        assert_eq!(*rebuilt, build_lanes(&list));
+        assert_eq!(store.stats().writes, 2);
+        let republished = io.file(&path).expect("rebuild re-persisted");
+        assert_eq!(republished[8..12], SNAPSHOT_VERSION.to_le_bytes());
     }
 
     #[test]

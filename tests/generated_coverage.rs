@@ -97,10 +97,9 @@ fn two_cell_subset_generation_is_complete() {
 }
 
 /// The headline experiment (Table 1 row 1–2): full Fault List #1 generation.
-/// Marked `#[ignore]` because it takes tens of seconds; run with
-/// `cargo test --release -- --ignored` or via the `table1` benchmark binary.
+/// It takes about a second in a debug build; `tests/table1_golden.rs` pins
+/// the generated notations themselves.
 #[test]
-#[ignore = "long-running headline experiment; exercised by the table1 bench binary"]
 fn fault_list_1_generation_is_complete_and_beats_the_baselines() {
     let list = FaultList::list_1();
     let (generated, coverage) = MarchGenerator::new(list)
