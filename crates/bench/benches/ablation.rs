@@ -3,9 +3,10 @@
 //! which covers Fault List #1.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use march_gen::{library_candidates, minimise, GeneratorConfig, MarchGenerator};
+use march_gen::{library_candidates, GeneratorConfig, SessionExt};
 use march_test::catalog;
 use sram_fault_model::FaultList;
+use sram_sim::Session;
 
 fn ablation_benchmarks(c: &mut Criterion) {
     let list2 = FaultList::list_2();
@@ -13,36 +14,26 @@ fn ablation_benchmarks(c: &mut Criterion) {
     let mut group = c.benchmark_group("generator_knobs_list_2");
     group.sample_size(10);
     group.bench_function("with_redundancy_removal", |b| {
+        b.iter(|| Session::default().generate(&list2).test().complexity())
+    });
+    group.bench_function("without_redundancy_removal", |b| {
         b.iter(|| {
-            MarchGenerator::new(list2.clone())
-                .generate()
+            Session::default()
+                .generate_with_config(&list2, GeneratorConfig::without_redundancy_removal())
                 .test()
                 .complexity()
         })
     });
-    group.bench_function("without_redundancy_removal", |b| {
-        b.iter(|| {
-            MarchGenerator::with_config(
-                list2.clone(),
-                GeneratorConfig::without_redundancy_removal(),
-            )
-            .generate()
-            .test()
-            .complexity()
-        })
-    });
     group.bench_function("without_repair_pool", |b| {
+        let config = GeneratorConfig {
+            repair: false,
+            ..GeneratorConfig::default()
+        };
         b.iter(|| {
-            MarchGenerator::with_config(
-                list2.clone(),
-                GeneratorConfig {
-                    repair: false,
-                    ..GeneratorConfig::default()
-                },
-            )
-            .generate()
-            .test()
-            .complexity()
+            Session::default()
+                .generate_with_config(&list2, config.clone())
+                .test()
+                .complexity()
         })
     });
     group.finish();
@@ -53,10 +44,10 @@ fn ablation_benchmarks(c: &mut Criterion) {
     });
     pieces.sample_size(10);
     pieces.bench_function("minimise_march_sl_against_list_2", |b| {
-        let config = GeneratorConfig::default();
         b.iter(|| {
-            minimise(&catalog::march_sl(), &list2, &config)
-                .0
+            Session::default()
+                .minimise(&catalog::march_sl(), &list2)
+                .test()
                 .complexity()
         })
     });

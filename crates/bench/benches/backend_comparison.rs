@@ -7,9 +7,10 @@
 //! exhaustive configuration is its best case, the representative one its worst.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use march_gen::SessionExt;
 use march_test::catalog;
 use sram_fault_model::FaultList;
-use sram_sim::{measure_coverage, BackendKind, CoverageConfig};
+use sram_sim::{BackendKind, ExecPolicy, PlacementStrategy, Session};
 
 fn backend_benchmarks(c: &mut Criterion) {
     let list2 = FaultList::list_2();
@@ -19,18 +20,15 @@ fn backend_benchmarks(c: &mut Criterion) {
     let mut exhaustive = c.benchmark_group("coverage_exhaustive_march_sl_vs_list_2");
     exhaustive.sample_size(10);
     for backend in [BackendKind::Scalar, BackendKind::Packed] {
-        let config = CoverageConfig {
-            memory_cells: 8,
-            strategy: sram_sim::PlacementStrategy::Exhaustive,
-            ..CoverageConfig::thorough()
-        }
-        .with_backend(backend);
+        let policy = ExecPolicy::default().with_backend(backend);
         exhaustive.bench_with_input(
             BenchmarkId::new("backend", backend),
-            &config,
-            |b, config| {
+            &policy,
+            |b, &policy| {
                 b.iter(|| {
-                    let report = measure_coverage(&march_sl, &list2, config);
+                    let report = Session::new(policy)
+                        .with_strategy(PlacementStrategy::Exhaustive)
+                        .coverage(&march_sl, &list2);
                     assert!(report.is_complete());
                     report.covered()
                 })
@@ -44,11 +42,11 @@ fn backend_benchmarks(c: &mut Criterion) {
     thorough.sample_size(10);
     let list1 = FaultList::list_1();
     for backend in [BackendKind::Scalar, BackendKind::Packed] {
-        let config = CoverageConfig::thorough().with_backend(backend);
+        let policy = ExecPolicy::default().with_backend(backend);
         thorough.bench_with_input(
             BenchmarkId::new("backend", backend),
-            &config,
-            |b, config| b.iter(|| measure_coverage(&march_sl, &list1, config).covered()),
+            &policy,
+            |b, &policy| b.iter(|| Session::new(policy).coverage(&march_sl, &list1).covered()),
         );
     }
     thorough.finish();
@@ -57,18 +55,11 @@ fn backend_benchmarks(c: &mut Criterion) {
     let mut generation = c.benchmark_group("generation_list_2");
     generation.sample_size(10);
     for backend in [BackendKind::Scalar, BackendKind::Packed] {
-        let config = march_gen::GeneratorConfig::default().with_backend(backend);
+        let policy = ExecPolicy::default().with_backend(backend);
         generation.bench_with_input(
             BenchmarkId::new("backend", backend),
-            &config,
-            |b, config| {
-                b.iter(|| {
-                    march_gen::MarchGenerator::with_config(FaultList::list_2(), config.clone())
-                        .generate()
-                        .test()
-                        .complexity()
-                })
-            },
+            &policy,
+            |b, &policy| b.iter(|| Session::new(policy).generate(&list2).test().complexity()),
         );
     }
     generation.finish();

@@ -13,7 +13,8 @@ use march_gen::{exhaustive_candidates, library_candidates, score_candidates};
 use march_test::{catalog, MarchElement};
 use sram_fault_model::FaultList;
 use sram_sim::{
-    enumerate_lanes, enumerate_targets, BackendKind, InitialState, PlacementStrategy, TargetBatch,
+    enumerate_lanes, enumerate_targets, BackendKind, ExecPolicy, InitialState, PlacementStrategy,
+    Session, TargetBatch,
 };
 
 fn advanced_batches(list: &FaultList, prefix: &[MarchElement]) -> Vec<TargetBatch> {
@@ -44,9 +45,10 @@ fn candidate_batch_benchmarks(c: &mut Criterion) {
     let mut repair = c.benchmark_group("score_repair_pool4_vs_list_2_tail");
     repair.sample_size(10);
     for (label, batch) in [("per-candidate", 1usize), ("batched", 0usize)] {
-        repair.bench_with_input(BenchmarkId::new("batch", label), &batch, |b, &batch| {
+        let session = Session::new(ExecPolicy::default().with_batch(batch));
+        repair.bench_with_input(BenchmarkId::new("batch", label), &session, |b, session| {
             b.iter(|| {
-                score_candidates(&repair_pool, &repair_batches, batch, 1)
+                score_candidates(session, &repair_pool, &repair_batches)
                     .into_iter()
                     .sum::<usize>()
             })
@@ -60,9 +62,10 @@ fn candidate_batch_benchmarks(c: &mut Criterion) {
     let mut library = c.benchmark_group("score_library_vs_list_2_fresh");
     library.sample_size(10);
     for (label, batch) in [("per-candidate", 1usize), ("batched", 0usize)] {
-        library.bench_with_input(BenchmarkId::new("batch", label), &batch, |b, &batch| {
+        let session = Session::new(ExecPolicy::default().with_batch(batch));
+        library.bench_with_input(BenchmarkId::new("batch", label), &session, |b, session| {
             b.iter(|| {
-                score_candidates(&library_pool, &library_batches, batch, 1)
+                score_candidates(session, &library_pool, &library_batches)
                     .into_iter()
                     .sum::<usize>()
             })

@@ -2,8 +2,9 @@
 //! (the "CPU Time (s)" column of Table 1).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use march_gen::{GeneratorConfig, MarchGenerator};
+use march_gen::{GeneratorConfig, SessionExt};
 use sram_fault_model::FaultList;
+use sram_sim::Session;
 
 fn generation_benchmarks(c: &mut Criterion) {
     let mut group = c.benchmark_group("generation");
@@ -12,7 +13,7 @@ fn generation_benchmarks(c: &mut Criterion) {
     let list2 = FaultList::list_2();
     group.bench_function("fault_list_2_default", |b| {
         b.iter(|| {
-            let generated = MarchGenerator::new(list2.clone()).generate();
+            let generated = Session::default().generate(&list2);
             assert!(generated.report().is_complete());
             generated.test().complexity()
         })
@@ -21,11 +22,8 @@ fn generation_benchmarks(c: &mut Criterion) {
     let list1 = FaultList::list_1();
     group.bench_function("fault_list_1_no_removal", |b| {
         b.iter(|| {
-            let generated = MarchGenerator::with_config(
-                list1.clone(),
-                GeneratorConfig::without_redundancy_removal(),
-            )
-            .generate();
+            let generated = Session::default()
+                .generate_with_config(&list1, GeneratorConfig::without_redundancy_removal());
             assert!(generated.report().is_complete());
             generated.test().complexity()
         })
@@ -33,7 +31,7 @@ fn generation_benchmarks(c: &mut Criterion) {
 
     group.bench_function("fault_list_1_with_removal", |b| {
         b.iter(|| {
-            let generated = MarchGenerator::new(list1.clone()).generate();
+            let generated = Session::default().generate(&list1);
             assert!(generated.report().is_complete());
             generated.test().complexity()
         })

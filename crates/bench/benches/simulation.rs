@@ -5,8 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use march_test::catalog;
 use sram_fault_model::FaultList;
 use sram_sim::{
-    measure_coverage, run_march, CoverageConfig, FaultSimulator, InitialState, InstanceCells,
-    LinkedFaultInstance,
+    run_march, FaultSimulator, InitialState, InstanceCells, LinkedFaultInstance, Session,
 };
 
 fn simulation_benchmarks(c: &mut Criterion) {
@@ -56,8 +55,7 @@ fn simulation_benchmarks(c: &mut Criterion) {
     let list2 = FaultList::list_2();
     coverage.bench_function("march_abl1_vs_list_2", |b| {
         b.iter(|| {
-            let report =
-                measure_coverage(&catalog::march_abl1(), &list2, &CoverageConfig::thorough());
+            let report = Session::default().coverage(&catalog::march_abl1(), &list2);
             assert!(report.is_complete());
             report.covered()
         })

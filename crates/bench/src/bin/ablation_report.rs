@@ -9,11 +9,13 @@ use std::time::Instant;
 use march_gen::{GeneratorConfig, MarchGenerator};
 use march_test::AddressOrder;
 use sram_fault_model::FaultList;
-use sram_sim::{measure_coverage, CoverageConfig, InitialState};
+use sram_sim::{InitialState, Session};
 
+/// One ablation variant: the generator knobs plus the session it generates on.
 struct Variant {
     name: &'static str,
     config: GeneratorConfig,
+    session: fn() -> Session,
 }
 
 fn main() {
@@ -21,10 +23,12 @@ fn main() {
         Variant {
             name: "default (removal + repair)",
             config: GeneratorConfig::default(),
+            session: Session::default,
         },
         Variant {
             name: "no redundancy removal",
             config: GeneratorConfig::without_redundancy_removal(),
+            session: Session::default,
         },
         Variant {
             name: "no repair pool",
@@ -32,27 +36,27 @@ fn main() {
                 repair: false,
                 ..GeneratorConfig::default()
             },
+            session: Session::default,
         },
         Variant {
             name: "single background (all-1)",
-            config: GeneratorConfig {
-                backgrounds: vec![InitialState::AllOne],
-                ..GeneratorConfig::default()
-            },
+            config: GeneratorConfig::default(),
+            session: || Session::default().with_backgrounds(vec![InitialState::AllOne]),
         },
         Variant {
             name: "small memory (6 cells)",
-            config: GeneratorConfig {
-                memory_cells: 6,
-                ..GeneratorConfig::default()
-            },
+            config: GeneratorConfig::default(),
+            session: || Session::default().with_memory_cells(6),
         },
         Variant {
             name: "ascending-only elements",
             config: GeneratorConfig::single_order(AddressOrder::Ascending),
+            session: Session::default,
         },
     ];
 
+    // Every variant's test is verified under the paper's thorough scope.
+    let verification_session = Session::default();
     for (label, list) in [
         ("Fault List #2", FaultList::list_2()),
         ("Fault List #1", FaultList::list_1()),
@@ -66,10 +70,9 @@ fn main() {
             let generator =
                 MarchGenerator::with_config(list.clone(), variant.config.clone()).named("ablation");
             let start = Instant::now();
-            let generated = generator.generate();
+            let generated = generator.generate_with(&(variant.session)());
             let elapsed = start.elapsed();
-            let verification =
-                measure_coverage(generated.test(), &list, &CoverageConfig::thorough());
+            let verification = verification_session.coverage(generated.test(), &list);
             println!(
                 "{:<28} {:>7}n {:>6.2}s {:>10} {:>9.1}%",
                 variant.name,

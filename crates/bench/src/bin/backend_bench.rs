@@ -3,8 +3,8 @@
 //! workloads, the generator's
 //! candidate-scoring hot path with batched vs per-candidate pools, the
 //! redundancy-removal pass with suffix-only snapshots vs full re-simulation,
-//! repeated coverage through one resident [`Session`] vs the
-//! spawn-per-call legacy path, the wide-word packed engine (128/256
+//! repeated coverage through one resident [`Session`] vs a fresh session
+//! per call, the wide-word packed engine (128/256
 //! lanes per word vs 64) on exhaustive address-decoder sweeps, projected
 //! coverage against the full-memory sweep it replaces, **and** the
 //! `march-codex serve` loop replaying a fixed NDJSON script against a cold
@@ -24,57 +24,63 @@ use std::time::{Duration, Instant};
 
 use march_bench::{BenchFile, BenchRecord};
 use march_codex_cli::{serve_lines, ServeMetrics, ServeOptions};
-use march_gen::{
-    exhaustive_candidates, minimise_full_resim, minimise_with, score_candidates, GeneratorConfig,
-};
+use march_gen::{exhaustive_candidates, minimise_full_resim, score_candidates, SessionExt};
 use march_test::{catalog, MarchElement, MarchTest};
 use sram_fault_model::{FaultList, FaultListBuilder};
 use sram_sim::{
-    effective_threads, enumerate_lanes, enumerate_targets, measure_coverage, ArtifactStore,
-    BackendKind, CampaignConfig, CoverageConfig, ExecPolicy, InitialState, LaneWidth, MemIo,
-    PlacementStrategy, Report, Session, SharedEngine, SnapshotStore, TargetBatch, TargetLanes,
+    effective_threads, enumerate_lanes, enumerate_targets, ArtifactStore, BackendKind,
+    CampaignConfig, ExecPolicy, InitialState, LaneWidth, MemIo, PlacementStrategy, Report, Session,
+    SharedEngine, SnapshotStore, TargetBatch, TargetLanes,
 };
 
-/// One coverage workload: a named test × list × configuration whose
-/// full-memory lane sweep ([`full_memory_sweep`]) is timed on the scalar and
-/// the packed backend.
+/// A session over `policy` on `cells` cells with `strategy` placements and
+/// both uniform backgrounds (the session default).
+fn scoped_session(policy: ExecPolicy, cells: usize, strategy: PlacementStrategy) -> Session {
+    Session::new(policy)
+        .with_memory_cells(cells)
+        .with_strategy(strategy)
+}
+
+/// One coverage workload: a named test × list on `cells` cells with
+/// `strategy` placements, whose full-memory lane sweep
+/// ([`full_memory_sweep`]) is timed on the scalar and the packed backend.
 struct CoverageWorkload {
     name: &'static str,
     test: MarchTest,
     list: FaultList,
-    config: CoverageConfig,
+    cells: usize,
+    strategy: PlacementStrategy,
 }
 
 fn coverage_workloads() -> Vec<CoverageWorkload> {
-    let exhaustive8 = CoverageConfig {
-        memory_cells: 8,
-        strategy: PlacementStrategy::Exhaustive,
-        ..CoverageConfig::thorough()
-    };
     vec![
         CoverageWorkload {
             name: "march_sl_vs_list_2_exhaustive",
             test: catalog::march_sl(),
             list: FaultList::list_2(),
-            config: exhaustive8.clone(),
+            cells: 8,
+            strategy: PlacementStrategy::Exhaustive,
         },
         CoverageWorkload {
             name: "march_ss_vs_unlinked_exhaustive",
             test: catalog::march_ss(),
             list: FaultList::unlinked_static(),
-            config: exhaustive8,
+            cells: 8,
+            strategy: PlacementStrategy::Exhaustive,
         },
         CoverageWorkload {
             name: "march_sl_vs_list_1_thorough",
             test: catalog::march_sl(),
             list: FaultList::list_1(),
-            config: CoverageConfig::thorough(),
+            cells: 8,
+            strategy: PlacementStrategy::Representative,
         },
         CoverageWorkload {
             name: "march_c_minus_vs_list_1_exhaustive6",
             test: catalog::march_c_minus(),
             list: FaultList::list_1(),
-            config: CoverageConfig::exhaustive(),
+            cells: 6,
+            strategy: PlacementStrategy::Exhaustive,
         },
     ]
 }
@@ -135,24 +141,20 @@ fn scoring_workloads() -> Vec<ScoringWorkload> {
 }
 
 /// One pool-reuse workload: the same coverage query repeated through one
-/// resident [`Session`] (contender) versus the legacy free-function path that
-/// stands a fresh worker pool up per call (baseline). Runs at a fixed thread
+/// resident [`Session`] (contender) versus a fresh session per call, which
+/// stands a fresh worker pool up each time (baseline). Runs at a fixed thread
 /// count so the record is comparable across `--threads` flags; the two sides
 /// produce byte-identical reports.
 struct SessionWorkload {
     name: &'static str,
     test: MarchTest,
     list: FaultList,
-    config: CoverageConfig,
+    cells: usize,
+    strategy: PlacementStrategy,
     threads: usize,
 }
 
 fn session_workloads() -> Vec<SessionWorkload> {
-    let exhaustive8 = CoverageConfig {
-        memory_cells: 8,
-        strategy: PlacementStrategy::Exhaustive,
-        ..CoverageConfig::thorough()
-    };
     vec![
         // Small per-call work: the per-call thread spawn is the dominant cost
         // the session pool removes.
@@ -160,7 +162,8 @@ fn session_workloads() -> Vec<SessionWorkload> {
             name: "repeated_coverage_session_list2_t4",
             test: catalog::march_sl(),
             list: FaultList::list_2(),
-            config: exhaustive8,
+            cells: 8,
+            strategy: PlacementStrategy::Exhaustive,
             threads: 4,
         },
         // Larger per-call work: the pool win shrinks but must not vanish.
@@ -168,7 +171,8 @@ fn session_workloads() -> Vec<SessionWorkload> {
             name: "repeated_coverage_session_list1_t4",
             test: catalog::march_sl(),
             list: FaultList::list_1(),
-            config: CoverageConfig::thorough(),
+            cells: 8,
+            strategy: PlacementStrategy::Representative,
             threads: 4,
         },
     ]
@@ -670,10 +674,11 @@ struct MinimiseWorkload {
     name: &'static str,
     test: MarchTest,
     list: FaultList,
-    config: GeneratorConfig,
+    cells: usize,
+    strategy: PlacementStrategy,
 }
 
-fn minimise_workloads(threads: usize) -> Vec<MinimiseWorkload> {
+fn minimise_workloads() -> Vec<MinimiseWorkload> {
     vec![
         // The generation pipeline's own regime: a long catalogue test with
         // plenty of redundancy against the three-cell list under the paper's
@@ -682,7 +687,8 @@ fn minimise_workloads(threads: usize) -> Vec<MinimiseWorkload> {
             name: "minimise_march_sl_vs_list_1_thorough",
             test: catalog::march_sl(),
             list: FaultList::list_1(),
-            config: GeneratorConfig::default().with_threads(threads),
+            cells: 8,
+            strategy: PlacementStrategy::Representative,
         },
         // Exhaustive placements: more lanes per target, so each legacy trial
         // re-simulates far more state than the suffix needs.
@@ -690,62 +696,61 @@ fn minimise_workloads(threads: usize) -> Vec<MinimiseWorkload> {
             name: "minimise_march_sl_vs_list_2_exhaustive",
             test: catalog::march_sl(),
             list: FaultList::list_2(),
-            config: GeneratorConfig {
-                strategy: PlacementStrategy::Exhaustive,
-                ..GeneratorConfig::default()
-            }
-            .with_threads(threads),
+            cells: 8,
+            strategy: PlacementStrategy::Exhaustive,
         },
     ]
 }
 
-fn time_minimise(workload: &MinimiseWorkload, reps: u32) -> (Duration, Duration) {
-    let session = workload.config.session();
+fn time_minimise(workload: &MinimiseWorkload, threads: usize, reps: u32) -> (Duration, Duration) {
+    let session = scoped_session(
+        ExecPolicy::default().with_threads(threads),
+        workload.cells,
+        workload.strategy,
+    );
+    let suffix_pass = || {
+        let report = session.minimise(&workload.test, &workload.list);
+        (report.test().notation(), report.removed_operations())
+    };
     // Warm-up both paths and pin the minimised tests against each other: a
     // checkpointing bug cannot masquerade as a speedup.
-    let reference = minimise_full_resim(&session, &workload.test, &workload.list, &workload.config);
-    let snapshot = minimise_with(&session, &workload.test, &workload.list, &workload.config);
-    assert_eq!(reference.0.notation(), snapshot.0.notation());
-    assert_eq!(reference.1, snapshot.1);
+    let (reference_test, reference_removed) =
+        minimise_full_resim(&session, &workload.test, &workload.list);
+    let reference = (reference_test.notation(), reference_removed);
+    assert_eq!(suffix_pass(), reference);
 
     let start = Instant::now();
     for _ in 0..reps {
-        let (test, removed) =
-            minimise_full_resim(&session, &workload.test, &workload.list, &workload.config);
-        assert_eq!(
-            (test.notation(), removed),
-            (reference.0.notation(), reference.1)
-        );
+        let (test, removed) = minimise_full_resim(&session, &workload.test, &workload.list);
+        assert_eq!((test.notation(), removed), reference);
     }
     let full = start.elapsed() / reps;
 
     let start = Instant::now();
     for _ in 0..reps {
-        let (test, removed) =
-            minimise_with(&session, &workload.test, &workload.list, &workload.config);
-        assert_eq!(
-            (test.notation(), removed),
-            (reference.0.notation(), reference.1)
-        );
+        assert_eq!(suffix_pass(), reference);
     }
     let suffix = start.elapsed() / reps;
     (full, suffix)
 }
 
 fn time_session(workload: &SessionWorkload, reps: u32) -> (Duration, Duration) {
-    let config = workload.config.clone().with_threads(workload.threads);
-    let session = Session::from_coverage_config(&config);
+    let fresh = || {
+        scoped_session(
+            ExecPolicy::default().with_threads(workload.threads),
+            workload.cells,
+            workload.strategy,
+        )
+    };
+    let session = fresh();
     // Warm-up both paths and pin the verdicts against each other.
     let reference = session.coverage(&workload.test, &workload.list);
-    assert_eq!(
-        measure_coverage(&workload.test, &workload.list, &config),
-        reference
-    );
+    assert_eq!(fresh().coverage(&workload.test, &workload.list), reference);
 
     let start = Instant::now();
     for _ in 0..reps {
-        // The legacy path stands a fresh pool up inside every call.
-        let report = measure_coverage(&workload.test, &workload.list, &config);
+        // A fresh session stands a fresh pool up inside every call.
+        let report = fresh().coverage(&workload.test, &workload.list);
         assert_eq!(report.covered(), reference.covered());
     }
     let per_call = start.elapsed() / reps;
@@ -764,12 +769,12 @@ fn time_session(workload: &SessionWorkload, reps: u32) -> (Duration, Duration) {
 /// repetition, and once to the coverage report's covered count.
 fn time_coverage(workload: &CoverageWorkload, threads: usize, reps: u32) -> (Duration, Duration) {
     let session = |backend: BackendKind| {
-        Session::from_coverage_config(
-            &workload
-                .config
-                .clone()
+        scoped_session(
+            ExecPolicy::default()
                 .with_backend(backend)
                 .with_threads(threads),
+            workload.cells,
+            workload.strategy,
         )
     };
     let scalar = session(BackendKind::Scalar);
@@ -799,12 +804,20 @@ fn time_coverage(workload: &CoverageWorkload, threads: usize, reps: u32) -> (Dur
 }
 
 fn time_scoring(workload: &ScoringWorkload, batch: usize, threads: usize, reps: u32) -> Duration {
+    let session = |batch: usize| {
+        Session::new(
+            ExecPolicy::default()
+                .with_batch(batch)
+                .with_threads(threads),
+        )
+    };
     // Warm-up; also pins the verdicts so a scoring bug cannot masquerade as a
     // speedup.
-    let baseline = score_candidates(&workload.pool, &workload.batches, 1, threads);
+    let baseline = score_candidates(&session(1), &workload.pool, &workload.batches);
+    let timed = session(batch);
     let start = Instant::now();
     for _ in 0..reps {
-        let scores = score_candidates(&workload.pool, &workload.batches, batch, threads);
+        let scores = score_candidates(&timed, &workload.pool, &workload.batches);
         assert_eq!(scores, baseline);
     }
     start.elapsed() / reps
@@ -873,8 +886,8 @@ fn main() {
             lane_width: None,
         });
     }
-    for workload in minimise_workloads(threads) {
-        let (full, suffix) = time_minimise(&workload, 5);
+    for workload in minimise_workloads() {
+        let (full, suffix) = time_minimise(&workload, threads, 5);
         let speedup = full.as_secs_f64() / suffix.as_secs_f64().max(1e-9);
         println!(
             "{:<38} {:>10.2}ms {:>10.2}ms {:>8.2}x",

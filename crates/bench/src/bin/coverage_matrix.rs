@@ -19,31 +19,31 @@ use std::time::{Duration, Instant};
 use march_gen::SessionExt;
 use march_test::{catalog, MarchTest};
 use sram_fault_model::FaultList;
-use sram_sim::{BackendKind, CoverageConfig, ExecPolicy, Session};
+use sram_sim::{BackendKind, ExecPolicy, PlacementStrategy, Session};
 
 fn main() {
     let exhaustive = env::args().any(|arg| arg == "--exhaustive");
     let threads = march_bench::threads_from_args();
-    let base = if exhaustive {
-        CoverageConfig::exhaustive()
-    } else {
-        CoverageConfig::thorough()
+    // The thorough scope, or every placement on a 6-cell memory; both uniform
+    // backgrounds either way.
+    let session = |backend: BackendKind| {
+        let session = Session::new(
+            ExecPolicy::default()
+                .with_backend(backend)
+                .with_threads(threads),
+        );
+        if exhaustive {
+            session
+                .with_memory_cells(6)
+                .with_strategy(PlacementStrategy::Exhaustive)
+        } else {
+            session
+        }
     };
 
-    // One session per backend serves every cell of the matrix (and the
-    // generation of the two fresh tests below).
-    let scalar_session = Session::from_coverage_config(
-        &base
-            .clone()
-            .with_backend(BackendKind::Scalar)
-            .with_threads(threads),
-    );
-    let packed_session = Session::from_coverage_config(
-        &base
-            .clone()
-            .with_backend(BackendKind::Packed)
-            .with_threads(threads),
-    );
+    // One session per backend serves every cell of the matrix.
+    let scalar_session = session(BackendKind::Scalar);
+    let packed_session = session(BackendKind::Packed);
 
     let lists = [
         ("unlinked", FaultList::unlinked_static()),
@@ -120,7 +120,7 @@ fn main() {
         } else {
             "representative"
         },
-        base.memory_cells,
+        packed_session.memory_cells(),
         if threads == 0 {
             "auto".to_string()
         } else {

@@ -13,7 +13,7 @@ use march_bench::{improvement_percent, table_header, TableRow};
 use march_gen::{GeneratedTest, GeneratorConfig, MarchGenerator};
 use march_test::{catalog, MarchTest};
 use sram_fault_model::FaultList;
-use sram_sim::{measure_coverage, CoverageConfig};
+use sram_sim::{PlacementStrategy, Session};
 
 fn main() {
     let exhaustive = env::args().any(|arg| arg == "--exhaustive");
@@ -95,15 +95,18 @@ fn generate_row(
 ) -> TableRow {
     let generator = MarchGenerator::with_config(list.clone(), config).named(name);
     let start = Instant::now();
-    let generated: GeneratedTest = generator.generate();
+    let generated: GeneratedTest = generator.generate_with(&Session::default());
     let cpu_time = start.elapsed();
 
-    let coverage_config = if exhaustive {
-        CoverageConfig::exhaustive()
+    // The thorough scope, or every placement on a 6-cell memory.
+    let verification = if exhaustive {
+        Session::default()
+            .with_memory_cells(6)
+            .with_strategy(PlacementStrategy::Exhaustive)
     } else {
-        CoverageConfig::thorough()
+        Session::default()
     };
-    let coverage = measure_coverage(generated.test(), list, &coverage_config);
+    let coverage = verification.coverage(generated.test(), list);
 
     let improvements = baselines
         .iter()

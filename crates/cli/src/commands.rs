@@ -7,9 +7,8 @@ use march_gen::{GeneratorConfig, MarchGenerator, SessionExt};
 use march_test::{catalog, AddressOrder, MarchTest};
 use sram_fault_model::{FaultList, FaultPrimitive, Ffm};
 use sram_sim::{
-    ArtifactStore, BackendKind, CampaignConfig, CoverageConfig, ExecPolicy, FaultSimulator,
-    InitialState, InjectedFault, JsonObject, LaneWidth, Report, Session, SharedEngine,
-    SnapshotStore, Syndrome,
+    ArtifactStore, CampaignConfig, ExecPolicy, FaultSimulator, InitialState, InjectedFault,
+    JsonObject, PlacementStrategy, Report, Session, SharedEngine, SnapshotStore, Syndrome,
 };
 
 use crate::args::{usage, Command, CoverageTarget, FaultDomain, ParseArgsError};
@@ -105,30 +104,26 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             threads,
             lane_width,
             json,
-        } => match sample {
-            Some(draws) => campaign(
-                test,
-                resolve_list(*list, *faults)?,
-                *cells,
-                *draws,
-                *seed,
-                *confidence,
-                *backend,
-                *threads,
-                *lane_width,
-                *json,
-            ),
-            None => coverage(
-                test,
-                resolve_list(*list, *faults)?,
-                *cells,
-                *exhaustive,
-                *backend,
-                *threads,
-                *lane_width,
-                *json,
-            ),
-        },
+        } => {
+            let policy = ExecPolicy::default()
+                .with_backend(*backend)
+                .with_threads(*threads)
+                .with_lane_width(*lane_width);
+            let list = resolve_list(*list, *faults)?;
+            match sample {
+                Some(draws) => campaign(
+                    test,
+                    list,
+                    *cells,
+                    *draws,
+                    *seed,
+                    *confidence,
+                    policy,
+                    *json,
+                ),
+                None => coverage(test, list, *cells, *exhaustive, policy, *json),
+            }
+        }
         Command::Minimise {
             test,
             list,
@@ -339,21 +334,27 @@ pub(crate) fn validate_scope(session: &Session, list: &FaultList) -> Result<(), 
         .map_err(|error| CliError::Simulation(error.to_string()))
 }
 
-fn coverage_config(
-    exhaustive: bool,
-    backend: BackendKind,
-    threads: usize,
-    lane_width: LaneWidth,
-) -> CoverageConfig {
-    let config = if exhaustive {
-        CoverageConfig::exhaustive()
+/// The memory size of the exhaustive scope: `coverage --exhaustive`,
+/// `coverage --sample` and the verification step of `generate --exhaustive`
+/// enumerate every placement on this many cells unless `--cells` is given.
+const EXHAUSTIVE_CELLS: usize = 6;
+
+/// The session of a `coverage` or `generate` run: the thorough scope (8
+/// cells, representative placements), or every placement on
+/// [`EXHAUSTIVE_CELLS`] cells under `exhaustive`, with both uniform
+/// backgrounds either way and an explicit `--cells` taking precedence.
+fn scoped_session(policy: ExecPolicy, cells: Option<usize>, exhaustive: bool) -> Session {
+    let session = Session::new(policy);
+    if exhaustive {
+        session
+            .with_memory_cells(cells.unwrap_or(EXHAUSTIVE_CELLS))
+            .with_strategy(PlacementStrategy::Exhaustive)
     } else {
-        CoverageConfig::thorough()
-    };
-    config
-        .with_backend(backend)
-        .with_threads(threads)
-        .with_lane_width(lane_width)
+        match cells {
+            Some(cells) => session.with_memory_cells(cells),
+            None => session,
+        }
+    }
 }
 
 #[allow(clippy::fn_params_excessive_bools, clippy::too_many_arguments)]
@@ -375,14 +376,10 @@ fn generate(
     if let Some(order) = order {
         config.allowed_orders = vec![order, AddressOrder::Any];
     }
-    if let Some(cells) = cells {
-        config.memory_cells = cells;
-    }
-    config = config.with_exec(policy);
 
     // One session serves the whole invocation: generation, redundancy removal
     // and the final verification all share its policy and worker pool.
-    let session = config.session();
+    let session = scoped_session(policy, cells, false);
     validate_scope(&session, &list)?;
     let generator = MarchGenerator::with_config(list.clone(), config)
         .named(name.unwrap_or("March GEN").to_string());
@@ -390,12 +387,7 @@ fn generate(
     let report = if exhaustive {
         // Exhaustive verification changes the simulation scope, not the
         // policy — but it must still honour an explicit --cells.
-        let mut verification =
-            coverage_config(true, policy.backend, policy.threads, policy.lane_width);
-        if let Some(cells) = cells {
-            verification.memory_cells = cells;
-        }
-        Session::from_coverage_config(&verification)
+        scoped_session(policy, cells, true)
             .try_coverage(generated.test(), &list)
             .map_err(|error| CliError::Simulation(error.to_string()))?
     } else {
@@ -496,23 +488,16 @@ fn minimise(
     Ok(output)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn coverage(
     test: &str,
     list: FaultList,
     cells: Option<usize>,
     exhaustive: bool,
-    backend: BackendKind,
-    threads: usize,
-    lane_width: LaneWidth,
+    policy: ExecPolicy,
     json: bool,
 ) -> Result<String, CliError> {
     let test = lookup(test)?;
-    let mut config = coverage_config(exhaustive, backend, threads, lane_width);
-    if let Some(cells) = cells {
-        config.memory_cells = cells;
-    }
-    let session = Session::from_coverage_config(&config);
+    let session = scoped_session(policy, cells, exhaustive);
     // The fallible form surfaces undersized memories (e.g. `--cells 2`) as a
     // typed report error instead of a panic.
     let report = session
@@ -521,7 +506,7 @@ fn coverage(
     if json {
         return Ok(format!("{}\n", report.to_json()));
     }
-    let mut output = format!("{report} [{backend} backend]\n");
+    let mut output = format!("{report} [{} backend]\n", policy.backend);
     for (topology, (covered, total)) in report.by_topology() {
         output.push_str(&format!("  {topology}: {covered}/{total}\n"));
     }
@@ -549,20 +534,14 @@ fn campaign(
     draws: u64,
     seed: u64,
     confidence: f64,
-    backend: BackendKind,
-    threads: usize,
-    lane_width: LaneWidth,
+    policy: ExecPolicy,
     json: bool,
 ) -> Result<String, CliError> {
     let test = lookup(test)?;
     // Campaigns always draw from the exhaustive placement space, so the
     // session scope mirrors `--exhaustive` (both uniform backgrounds): a
     // full-space `--sample` then reproduces the exhaustive verdict exactly.
-    let mut config = coverage_config(true, backend, threads, lane_width);
-    if let Some(cells) = cells {
-        config.memory_cells = cells;
-    }
-    let session = Session::from_coverage_config(&config);
+    let session = scoped_session(policy, cells, true);
     let campaign = CampaignConfig::default()
         .with_draws(draws)
         .with_seed(seed)
@@ -573,7 +552,7 @@ fn campaign(
     if json {
         return Ok(format!("{}\n", report.to_json()));
     }
-    let mut output = format!("{report} [{backend} backend]\n");
+    let mut output = format!("{report} [{} backend]\n", policy.backend);
     output.push_str(&format!(
         "  replay: --sample {} --seed {}{}\n",
         report.draws(),
@@ -711,6 +690,100 @@ fn simulate(
 mod tests {
     use super::*;
     use crate::run_from_args;
+    use sram_sim::{BackendKind, LaneWidth};
+
+    /// An explicitly scoped session: `cells` cells, exhaustive placements,
+    /// both uniform backgrounds.
+    fn exhaustive_session(cells: usize) -> Session {
+        Session::default()
+            .with_memory_cells(cells)
+            .with_strategy(PlacementStrategy::Exhaustive)
+            .with_backgrounds(vec![InitialState::AllZero, InitialState::AllOne])
+    }
+
+    /// A `coverage --json` request for March SS over the unlinked list.
+    fn coverage_request(cells: Option<usize>, exhaustive: bool, sample: Option<u64>) -> Command {
+        Command::Coverage {
+            test: "March SS".into(),
+            list: Some(CoverageTarget::Unlinked),
+            faults: FaultDomain::Ffm,
+            cells,
+            exhaustive,
+            sample,
+            seed: 7,
+            confidence: 0.95,
+            backend: BackendKind::Packed,
+            threads: 1,
+            lane_width: LaneWidth::Auto,
+            json: true,
+        }
+    }
+
+    #[test]
+    fn coverage_exhaustive_runs_on_six_cells_unless_cells_is_given() {
+        let test = catalog::march_ss();
+        let list = FaultList::unlinked_static();
+        for (cells, scope) in [(None, 6), (Some(7), 7)] {
+            let output = run(&coverage_request(cells, true, None)).unwrap();
+            let expected = exhaustive_session(scope).coverage(&test, &list).to_json();
+            assert_eq!(output, format!("{expected}\n"), "--cells {cells:?}");
+        }
+    }
+
+    #[test]
+    fn coverage_sample_runs_on_six_cells_unless_cells_is_given() {
+        let test = catalog::march_ss();
+        let list = FaultList::unlinked_static();
+        let campaign = CampaignConfig::default().with_draws(200).with_seed(7);
+        // 6 cells sample a 2,304-lane space; the serve op's 8 cells sample
+        // 4,224 lanes, which `--cells 8` reproduces.
+        for (cells, scope, space) in [(None, 6, 2304), (Some(8), 8, 4224)] {
+            let output = run(&coverage_request(cells, false, Some(200))).unwrap();
+            let expected = exhaustive_session(scope)
+                .campaign(&test, &list, &campaign)
+                .to_json();
+            assert_eq!(output, format!("{expected}\n"), "--cells {cells:?}");
+            assert!(
+                output.contains(&format!("\"space\": {space}, ")),
+                "{output}"
+            );
+        }
+    }
+
+    #[test]
+    fn generate_exhaustive_verifies_on_six_cells_unless_cells_is_given() {
+        let list = FaultList::list_2();
+        for (cells, scope) in [(None, 6), (Some(7), 7)] {
+            let output = run(&Command::Generate {
+                list: Some(CoverageTarget::List2),
+                faults: FaultDomain::Ffm,
+                cells,
+                no_removal: false,
+                order: None,
+                name: None,
+                exhaustive: true,
+                backend: BackendKind::Packed,
+                threads: 1,
+                batch: 0,
+                lane_width: LaneWidth::Auto,
+                json: true,
+            })
+            .unwrap();
+            // Generation runs on the thorough scope at `--cells` (8 by
+            // default); only the verification switches to the exhaustive one.
+            let generation = Session::default().with_memory_cells(cells.unwrap_or(8));
+            let generated = MarchGenerator::new(list.clone())
+                .named("March GEN")
+                .generate_with(&generation);
+            let expected = exhaustive_session(scope)
+                .coverage(generated.test(), &list)
+                .to_json();
+            assert!(
+                output.contains(&format!("\"verification\": {expected}, \"session\": ")),
+                "--cells {cells:?}: {output}"
+            );
+        }
+    }
 
     #[test]
     fn catalog_and_show() {

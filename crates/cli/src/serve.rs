@@ -448,17 +448,10 @@ fn execute(
                 session = session.with_memory_cells(*cells);
             }
             validate_scope(&session, list)?;
-            let base = if *no_removal {
+            let config = if *no_removal {
                 GeneratorConfig::without_redundancy_removal()
             } else {
                 GeneratorConfig::default()
-            };
-            let config = GeneratorConfig {
-                memory_cells: session.memory_cells(),
-                strategy: session.strategy(),
-                backgrounds: session.backgrounds().to_vec(),
-                exec: session.policy(),
-                ..base
             };
             let generator = MarchGenerator::with_config(list.clone(), config)
                 .named(name.clone().unwrap_or_else(|| "March GEN".to_string()));
@@ -1108,6 +1101,31 @@ mod tests {
         assert_eq!(lines[6].replacen("\"seq\": 6", "\"seq\": 7", 1), lines[7]);
         assert_eq!(metrics.errors.load(Ordering::Relaxed), 6);
         assert_eq!(metrics.campaign.count(), 2);
+    }
+
+    #[test]
+    fn campaign_requests_sample_the_eight_cell_space() {
+        // Serve keeps the session's 8 cells, where the CLI's `--sample`
+        // defaults to the 6-cell exhaustive scope: the same fields sample
+        // 4,224 lanes here and 2,304 there. `--cells 8` is the CLI twin.
+        let engine = engine();
+        let metrics = Arc::new(ServeMetrics::default());
+        let script = concat!(
+            r#"{"op": "campaign", "test": "March SS", "list": "unlinked", "sample": 200, "seed": 7}"#,
+            "\n",
+        );
+        let lines = serve_script(&engine, &metrics, &ServeOptions::default(), script);
+        assert!(lines[0].contains("\"space\": 4224, "), "{}", lines[0]);
+        let cli = crate::run_from_args([
+            "coverage", "--test", "March SS", "--list", "unlinked", "--sample", "200", "--seed",
+            "7", "--cells", "8", "--json",
+        ])
+        .unwrap();
+        assert!(
+            lines[0].contains(&format!("\"report\": {}", cli.trim_end())),
+            "{}",
+            lines[0]
+        );
     }
 
     #[test]

@@ -6,28 +6,19 @@ use std::time::{Duration, Instant};
 
 use march_test::{AddressOrder, MarchElement, MarchTest, MarchTestBuilder};
 use sram_fault_model::{Bit, FaultList};
-use sram_sim::{
-    parallel_map, BackendKind, CandidateBatch, CoverageConfig, CoverageReport, ExecPolicy,
-    InitialState, PlacementStrategy, Session, TargetBatch,
-};
+use sram_sim::{CandidateBatch, Session, TargetBatch};
 
 use crate::optimize::minimise_with;
-use crate::{exhaustive_candidates, library_candidates, verify};
+use crate::{exhaustive_candidates, library_candidates};
 
-/// Configuration of the march-test generator.
+/// Configuration of the march-test generator: the generator-only knobs.
 ///
-/// The defaults reproduce the paper's setup: an 8-cell verification memory,
-/// representative cell placements, detection required under both uniform data
-/// backgrounds, the redundancy-removal pass enabled and the exhaustive repair pool
-/// available as a fallback.
+/// The simulation scope (memory size, placements, backgrounds) and the
+/// execution policy come from the [`Session`] the generator runs on. The
+/// defaults reproduce the paper's setup: the redundancy-removal pass enabled
+/// and the exhaustive repair pool available as a fallback.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GeneratorConfig {
-    /// Number of cells of the memory used to evaluate candidate elements (≥ 4).
-    pub memory_cells: usize,
-    /// How exhaustively cell placements are enumerated during generation.
-    pub strategy: PlacementStrategy,
-    /// Initial memory contents the generated test must detect each fault under.
-    pub backgrounds: Vec<InitialState>,
     /// The data value written by the initialisation element `⇕(w·)`.
     pub initial_write: Bit,
     /// Whether to run the operation-level redundancy-removal pass after generation
@@ -46,20 +37,11 @@ pub struct GeneratorConfig {
     /// implemented more efficiently in BIST hardware). The initialisation element
     /// `⇕(w·)` is always allowed.
     pub allowed_orders: Vec<AddressOrder>,
-    /// The shared execution policy: backend, worker threads, candidate-batch
-    /// width and the wave-vs-per-candidate cost-model factor. Generation and
-    /// verification both derive from this single copy
-    /// (see [`GeneratorConfig::verification_config`]), so the two can no
-    /// longer drift apart. The generated test is identical for every policy.
-    pub exec: ExecPolicy,
 }
 
 impl Default for GeneratorConfig {
     fn default() -> Self {
         GeneratorConfig {
-            memory_cells: 8,
-            strategy: PlacementStrategy::Representative,
-            backgrounds: vec![InitialState::AllZero, InitialState::AllOne],
             initial_write: Bit::Zero,
             redundancy_removal: true,
             repair: true,
@@ -70,7 +52,6 @@ impl Default for GeneratorConfig {
                 AddressOrder::Descending,
                 AddressOrder::Any,
             ],
-            exec: ExecPolicy::default(),
         }
     }
 }
@@ -98,82 +79,6 @@ impl GeneratorConfig {
             allowed_orders: vec![order, AddressOrder::Any],
             ..GeneratorConfig::default()
         }
-    }
-
-    /// A configuration running the whole pipeline on the bit-parallel packed
-    /// backend (now also the default) with automatic thread fan-out — the fast
-    /// path for large fault lists. The generated test is identical to the
-    /// scalar one.
-    #[must_use]
-    pub fn fast() -> GeneratorConfig {
-        GeneratorConfig {
-            exec: ExecPolicy::fast(),
-            ..GeneratorConfig::default()
-        }
-    }
-
-    /// Replaces the whole execution policy.
-    #[must_use]
-    pub fn with_exec(mut self, exec: ExecPolicy) -> GeneratorConfig {
-        self.exec = exec;
-        self
-    }
-
-    /// Replaces the simulation backend.
-    ///
-    /// Deprecated shim: prefer building an [`ExecPolicy`] once and passing it
-    /// via [`GeneratorConfig::with_exec`] or a [`Session`].
-    #[must_use]
-    pub fn with_backend(mut self, backend: BackendKind) -> GeneratorConfig {
-        self.exec.backend = backend;
-        self
-    }
-
-    /// Replaces the worker-thread count (`0` = available parallelism).
-    ///
-    /// Deprecated shim: prefer building an [`ExecPolicy`] once and passing it
-    /// via [`GeneratorConfig::with_exec`] or a [`Session`].
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> GeneratorConfig {
-        self.exec.threads = threads;
-        self
-    }
-
-    /// Replaces the candidate-batch size (`0` = full words of 64 candidates,
-    /// `1` = per-candidate scoring).
-    ///
-    /// Deprecated shim: prefer building an [`ExecPolicy`] once and passing it
-    /// via [`GeneratorConfig::with_exec`] or a [`Session`].
-    #[must_use]
-    pub fn with_batch(mut self, batch: usize) -> GeneratorConfig {
-        self.exec.batch = batch;
-        self
-    }
-
-    /// The coverage configuration used for the final verification of a generated
-    /// test (thorough: both uniform backgrounds), derived from the **same**
-    /// [`ExecPolicy`] that drives generation — the single source of the
-    /// backend/threads knobs, so generation and verification cannot drift.
-    #[must_use]
-    pub fn verification_config(&self) -> CoverageConfig {
-        CoverageConfig {
-            memory_cells: self.memory_cells,
-            strategy: self.strategy,
-            backgrounds: vec![InitialState::AllZero, InitialState::AllOne],
-            backend: self.exec.backend,
-            threads: self.exec.threads,
-            lane_width: self.exec.lane_width,
-        }
-    }
-
-    /// The session equivalent of this configuration: the execution policy plus
-    /// the generator's simulation scope.
-    #[must_use]
-    pub fn session(&self) -> Session {
-        Session::new(self.exec)
-            .with_memory_cells(self.memory_cells)
-            .with_strategy(self.strategy)
-            .with_backgrounds(self.backgrounds.clone())
     }
 }
 
@@ -306,11 +211,12 @@ impl fmt::Display for GeneratedTest {
 /// ```
 /// use march_gen::{GeneratorConfig, MarchGenerator};
 /// use sram_fault_model::FaultList;
+/// use sram_sim::Session;
 ///
-/// let generated = MarchGenerator::new(FaultList::list_2()).generate();
+/// let generator = MarchGenerator::with_config(FaultList::list_2(), GeneratorConfig::default());
+/// let generated = generator.generate_with(&Session::default());
 /// assert!(generated.report().is_complete());
 /// assert!(generated.test().complexity() <= 11);
-/// # let _ = GeneratorConfig::default();
 /// ```
 #[derive(Debug, Clone)]
 pub struct MarchGenerator {
@@ -352,32 +258,17 @@ impl MarchGenerator {
         &self.config
     }
 
-    /// Runs the generation algorithm and returns the generated march test together
-    /// with its report.
-    ///
-    /// Thin shim over [`MarchGenerator::generate_with`] constructing a
-    /// throwaway [`Session`] from the configuration's [`ExecPolicy`]; callers
-    /// holding a long-lived session should prefer
-    /// [`SessionExt::generate`](crate::SessionExt::generate) or
-    /// `generate_with` directly so the worker pool is re-used across runs.
+    /// Runs the generation algorithm on `session` and returns the generated
+    /// march test together with its report. The session supplies the
+    /// simulation scope (memory size, placements, backgrounds) and **every**
+    /// execution knob — backend, worker pool, candidate-batch width; the
+    /// configuration contributes the generator-specific knobs only. The
+    /// generated test is byte-identical for every execution policy.
     ///
     /// # Panics
     ///
-    /// Panics if the configured memory has fewer than 4 cells (too small to host the
-    /// placements of three-cell linked faults).
-    #[must_use]
-    pub fn generate(&self) -> GeneratedTest {
-        self.generate_with(&self.config.session())
-    }
-
-    /// Runs the generation algorithm on an existing [`Session`]: **every**
-    /// execution knob — backend, worker pool, candidate-batch width and the
-    /// wave-vs-per-candidate cost-model factor — comes from the session's
-    /// [`ExecPolicy`], never from `config.exec` (the configuration contributes
-    /// the simulation scope and the generator-specific knobs only, so a
-    /// session/config mismatch cannot silently mix policies). The generated
-    /// test is byte-identical to [`MarchGenerator::generate`] for every
-    /// policy.
+    /// Panics if the session's memory cannot host the list's placements (e.g.
+    /// fewer than 4 cells for three-cell linked faults).
     #[must_use]
     pub fn generate_with(&self, session: &Session) -> GeneratedTest {
         // lint: allow(timing) — generation CPU time is itself a reported
@@ -392,23 +283,17 @@ impl MarchGenerator {
         // enumeration comes from the session's artifact cache, so repeated
         // generate/minimise/verify queries against the same list skip it.
         let mut batches: Vec<TargetBatch> = session
-            .target_lanes_scoped(
-                &self.list,
-                self.config.memory_cells,
-                self.config.strategy,
-                &self.config.backgrounds,
-            )
+            .target_lanes(&self.list)
             .expect("generator scope hosts the fault-list placements")
             .iter()
             .map(|(target, lanes)| {
                 TargetBatch::new_with_width(
                     target.clone(),
                     lanes.to_vec(),
-                    self.config.memory_cells,
+                    session.memory_cells(),
                     policy.backend,
                     policy.lane_width,
                 )
-                .with_wave_cost_factor(policy.wave_cost_factor)
             })
             .collect();
         let initial_targets: usize = batches.iter().map(TargetBatch::pending).sum();
@@ -483,7 +368,7 @@ impl MarchGenerator {
 
         let mut removed_operations = 0usize;
         if self.config.redundancy_removal && uncovered.is_empty() {
-            let (minimised, removed) = minimise_with(session, &test, &self.list, &self.config);
+            let (minimised, removed) = minimise_with(session, &test, &self.list);
             test = minimised.with_name(&self.name);
             removed_operations = removed;
         }
@@ -501,20 +386,6 @@ impl MarchGenerator {
         }
     }
 
-    /// Runs [`MarchGenerator::generate`] and then verifies the generated test with
-    /// the fault simulator under the thorough verification configuration, returning
-    /// both the generated test and the coverage report.
-    #[must_use]
-    pub fn generate_verified(&self) -> (GeneratedTest, CoverageReport) {
-        let generated = self.generate();
-        let report = verify(
-            generated.test(),
-            &self.list,
-            &self.config.verification_config(),
-        );
-        (generated, report)
-    }
-
     /// Restricts a candidate pool to the configured address orders.
     fn filter_orders(&self, pool: Vec<MarchElement>) -> Vec<MarchElement> {
         pool.into_iter()
@@ -525,7 +396,7 @@ impl MarchGenerator {
     /// Scores every candidate against the pending target batches and returns the
     /// best `(element, newly covered lanes)` pair: most newly covered lanes
     /// first, fewest operations as the tie-breaker. Scoring is batched and
-    /// fans out over the session's worker pool ([`score_candidates_with`]);
+    /// fans out over the session's worker pool ([`score_candidates`]);
     /// the selection scan is sequential and in candidate order, so the result
     /// is independent of the thread count and batch size.
     fn best_candidate(
@@ -534,7 +405,7 @@ impl MarchGenerator {
         candidates: &[MarchElement],
         batches: &[TargetBatch],
     ) -> Option<(MarchElement, usize)> {
-        let scores = score_candidates_with(session, candidates, batches);
+        let scores = score_candidates(session, candidates, batches);
         let mut best: Option<(MarchElement, usize)> = None;
         for (candidate, covered) in candidates.iter().zip(scores) {
             let better = match &best {
@@ -557,60 +428,35 @@ impl MarchGenerator {
 /// would newly detect, in candidate order.
 ///
 /// This is the batched hot path of the greedy generator and its repair search.
-/// The pool is packed into [`CandidateBatch`]es of at most `batch` elements
-/// (`0` = full 64-candidate words, `1` = the per-candidate behaviour), after a
-/// stable sort by operation count so words hold similar-length programs and
-/// padding stays low, and the `(pool, target batch)` grid is sharded over
-/// `threads` workers with [`parallel_map`] (`0` = available parallelism).
-/// Scores are merged back in pool order — per-candidate `usize` additions —
-/// so the result is byte-identical for every batch size and thread count.
+/// The pool is packed into [`CandidateBatch`]es of at most the session
+/// policy's `batch` elements (`0` = full 64-candidate words, `1` = the
+/// per-candidate behaviour), after a stable sort by operation count so words
+/// hold similar-length programs and padding stays low, and the `(pool, target
+/// batch)` grid is sharded over the session's resident worker pool. Scores are
+/// merged back in pool order — per-candidate `usize` additions — so the result
+/// is byte-identical for every batch size and thread count.
 ///
 /// # Examples
 ///
 /// ```
 /// use march_gen::{library_candidates, score_candidates};
 /// use sram_fault_model::FaultList;
-/// use sram_sim::{enumerate_targets, enumerate_lanes, BackendKind, InitialState,
-///     PlacementStrategy, TargetBatch};
+/// use sram_sim::{BackendKind, ExecPolicy, Session, TargetBatch};
 ///
-/// let list = FaultList::list_2();
-/// let batches: Vec<TargetBatch> = enumerate_targets(&list)
-///     .into_iter()
-///     .map(|target| {
-///         let lanes = enumerate_lanes(
-///             &target, 8, PlacementStrategy::Representative, &[InitialState::AllOne])
-///             .unwrap();
-///         TargetBatch::new(target, lanes, 8, BackendKind::Packed)
-///     })
+/// let session = Session::default();
+/// let batches: Vec<TargetBatch> = session
+///     .target_lanes(&FaultList::list_2())
+///     .unwrap()
+///     .iter()
+///     .map(|(target, lanes)| TargetBatch::new(target.clone(), lanes.to_vec(), 8, BackendKind::Packed))
 ///     .collect();
 /// let pool = library_candidates();
-/// let batched = score_candidates(&pool, &batches, 0, 1);
-/// let sequential = score_candidates(&pool, &batches, 1, 1);
+/// let batched = score_candidates(&session, &pool, &batches);
+/// let sequential = score_candidates(&Session::new(ExecPolicy::default().with_batch(1)), &pool, &batches);
 /// assert_eq!(batched, sequential);
 /// ```
 #[must_use]
 pub fn score_candidates(
-    candidates: &[MarchElement],
-    batches: &[TargetBatch],
-    batch: usize,
-    threads: usize,
-) -> Vec<usize> {
-    if candidates.is_empty() || batches.is_empty() {
-        return vec![0; candidates.len()];
-    }
-    let packed = pack_pools(candidates, batches.len(), batch);
-    let results: Vec<Vec<usize>> = parallel_map(&packed.jobs, threads, |&(pool, batch)| {
-        batches[batch].score_pool(&packed.pools[pool])
-    });
-    merge_scores(&packed, results, candidates.len())
-}
-
-/// The session form of [`score_candidates`]: the candidate-batch width comes
-/// from the session's [`ExecPolicy`] and the `(pool × target batch)` grid is
-/// sharded over the session's resident worker pool instead of per-call scoped
-/// threads. Scores are byte-identical to the legacy path for every policy.
-#[must_use]
-pub fn score_candidates_with(
     session: &Session,
     candidates: &[MarchElement],
     batches: &[TargetBatch],
@@ -640,8 +486,8 @@ pub fn score_candidates_with(
 }
 
 /// The packed scoring grid: candidate pools from length-sorted candidates plus
-/// the `(pool, target batch)` job list. Pools and jobs are `Arc`'d so the
-/// session path can ship them to the worker pool without copying.
+/// the `(pool, target batch)` job list. Pools and jobs are `Arc`'d so they
+/// ship to the session's worker pool without copying.
 struct PackedPools {
     /// `order[sorted position] = original candidate index`.
     order: Vec<usize>,
@@ -695,23 +541,27 @@ fn merge_scores(packed: &PackedPools, results: Vec<Vec<usize>>, candidates: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sram_sim::{BackendKind, ExecPolicy};
+
+    /// Generates a test for `list` with `config` on a default session.
+    fn generate(list: FaultList, config: GeneratorConfig) -> GeneratedTest {
+        MarchGenerator::with_config(list, config).generate_with(&Session::default())
+    }
 
     #[test]
     fn default_config_is_sensible() {
         let config = GeneratorConfig::default();
-        assert_eq!(config.memory_cells, 8);
         assert!(config.redundancy_removal);
         assert!(config.repair);
+        assert_eq!(config.initial_write, Bit::Zero);
         let fast = GeneratorConfig::without_redundancy_removal();
         assert!(!fast.redundancy_removal);
-        let verification = config.verification_config();
-        assert_eq!(verification.backgrounds.len(), 2);
     }
 
     #[test]
     fn generates_a_complete_test_for_fault_list_2() {
         let generator = MarchGenerator::new(FaultList::list_2()).named("March GEN-LF1");
-        let generated = generator.generate();
+        let generated = generator.generate_with(&Session::default());
         assert!(
             generated.report().is_complete(),
             "uncovered: {:?}",
@@ -725,7 +575,11 @@ mod tests {
 
     #[test]
     fn generated_test_for_list_2_verifies_under_the_thorough_config() {
-        let (generated, coverage) = MarchGenerator::new(FaultList::list_2()).generate_verified();
+        // The default session scope is the paper's thorough one: both uniform
+        // backgrounds.
+        let session = Session::default();
+        let generated = MarchGenerator::new(FaultList::list_2()).generate_with(&session);
+        let coverage = session.coverage(generated.test(), &FaultList::list_2());
         assert!(coverage.is_complete(), "escapes: {:?}", coverage.escapes());
         assert!(generated.report().is_complete());
     }
@@ -733,12 +587,8 @@ mod tests {
     #[test]
     fn redundancy_removal_never_increases_complexity() {
         let list = FaultList::list_2();
-        let raw = MarchGenerator::with_config(
-            list.clone(),
-            GeneratorConfig::without_redundancy_removal(),
-        )
-        .generate();
-        let reduced = MarchGenerator::new(list).generate();
+        let raw = generate(list.clone(), GeneratorConfig::without_redundancy_removal());
+        let reduced = generate(list, GeneratorConfig::default());
         assert!(reduced.test().complexity() <= raw.test().complexity());
     }
 
@@ -747,8 +597,7 @@ mod tests {
         // The address-order constraint of the paper's future work: restrict every
         // element to the ascending order and still cover the single-cell LFs.
         let config = GeneratorConfig::single_order(AddressOrder::Ascending);
-        let generator = MarchGenerator::with_config(FaultList::list_2(), config);
-        let generated = generator.generate();
+        let generated = generate(FaultList::list_2(), config);
         assert!(
             generated.report().is_complete(),
             "uncovered: {:?}",
@@ -763,13 +612,11 @@ mod tests {
 
     #[test]
     fn packed_backend_generates_the_identical_test() {
-        let scalar = MarchGenerator::with_config(
-            FaultList::list_2(),
-            GeneratorConfig::default().with_backend(BackendKind::Scalar),
-        )
-        .generate();
-        let packed =
-            MarchGenerator::with_config(FaultList::list_2(), GeneratorConfig::fast()).generate();
+        let generator = MarchGenerator::new(FaultList::list_2());
+        let scalar = generator.generate_with(&Session::new(
+            ExecPolicy::default().with_backend(BackendKind::Scalar),
+        ));
+        let packed = generator.generate_with(&Session::new(ExecPolicy::fast()));
         assert_eq!(scalar.test().notation(), packed.test().notation());
         assert_eq!(
             scalar.report().iterations(),
@@ -781,12 +628,13 @@ mod tests {
 
     #[test]
     fn batch_size_and_threads_do_not_change_the_generated_test() {
-        let baseline = MarchGenerator::new(FaultList::list_2()).generate();
+        let generator = MarchGenerator::new(FaultList::list_2());
+        let baseline = generator.generate_with(&Session::default());
         for (batch, threads) in [(1, 1), (7, 2), (0, 0)] {
-            let config = GeneratorConfig::default()
+            let policy = ExecPolicy::default()
                 .with_batch(batch)
                 .with_threads(threads);
-            let generated = MarchGenerator::with_config(FaultList::list_2(), config).generate();
+            let generated = generator.generate_with(&Session::new(policy));
             assert_eq!(
                 baseline.test().notation(),
                 generated.test().notation(),
@@ -799,12 +647,7 @@ mod tests {
     fn score_candidates_is_invariant_in_batch_and_threads() {
         let list = FaultList::list_2();
         let batches: Vec<TargetBatch> = Session::default()
-            .target_lanes_scoped(
-                &list,
-                8,
-                PlacementStrategy::Representative,
-                &[InitialState::AllZero, InitialState::AllOne],
-            )
+            .target_lanes(&list)
             .expect("8 cells host list #2")
             .iter()
             .map(|(target, lanes)| {
@@ -812,54 +655,47 @@ mod tests {
             })
             .collect();
         let pool = crate::exhaustive_candidates(2);
-        let baseline = score_candidates(&pool, &batches, 1, 1);
+        let session = |batch: usize, threads: usize| {
+            Session::new(
+                ExecPolicy::default()
+                    .with_batch(batch)
+                    .with_threads(threads),
+            )
+        };
+        let baseline = score_candidates(&session(1, 1), &pool, &batches);
         for (batch, threads) in [(0, 1), (0, 4), (3, 2), (64, 0)] {
             assert_eq!(
-                score_candidates(&pool, &batches, batch, threads),
+                score_candidates(&session(batch, threads), &pool, &batches),
                 baseline,
                 "batch {batch}, threads {threads}"
             );
         }
-        assert!(score_candidates(&[], &batches, 0, 1).is_empty());
-        assert_eq!(score_candidates(&pool, &[], 0, 1), vec![0; pool.len()]);
+        assert!(score_candidates(&session(0, 1), &[], &batches).is_empty());
+        assert_eq!(
+            score_candidates(&session(0, 1), &pool, &[]),
+            vec![0; pool.len()]
+        );
     }
 
     #[test]
     fn config_builders_set_the_knobs() {
-        let config = GeneratorConfig::default()
-            .with_backend(BackendKind::Packed)
-            .with_threads(4)
-            .with_batch(16);
-        assert_eq!(config.exec.backend, BackendKind::Packed);
-        assert_eq!(config.exec.threads, 4);
-        assert_eq!(config.exec.batch, 16);
-        assert_eq!(GeneratorConfig::default().exec, ExecPolicy::default());
-        let fast = GeneratorConfig::fast();
-        assert_eq!(fast.exec.backend, BackendKind::Packed);
-        assert_eq!(fast.exec.threads, 0);
-        assert_eq!(fast.verification_config().backend, BackendKind::Packed);
-    }
-
-    #[test]
-    fn verification_config_derives_from_the_shared_policy() {
-        // The dedup guarantee: mutating the policy is seen by both generation
-        // and verification, so the two can no longer drift apart.
-        let config = GeneratorConfig::default().with_exec(
-            ExecPolicy::default()
-                .with_backend(BackendKind::Scalar)
-                .with_threads(3),
+        let config = GeneratorConfig::single_order(AddressOrder::Descending);
+        assert_eq!(
+            config.allowed_orders,
+            vec![AddressOrder::Descending, AddressOrder::Any]
         );
-        let verification = config.verification_config();
-        assert_eq!(verification.backend, config.exec.backend);
-        assert_eq!(verification.threads, config.exec.threads);
-        let session = config.session();
-        assert_eq!(session.policy(), config.exec);
-        assert_eq!(session.memory_cells(), config.memory_cells);
+        assert!(config.redundancy_removal);
+        let raw = GeneratorConfig::without_redundancy_removal();
+        assert!(!raw.redundancy_removal);
+        assert_eq!(
+            raw.allowed_orders,
+            GeneratorConfig::default().allowed_orders
+        );
     }
 
     #[test]
     fn report_accessors() {
-        let generated = MarchGenerator::new(FaultList::list_2()).generate();
+        let generated = MarchGenerator::new(FaultList::list_2()).generate_with(&Session::default());
         let report = generated.report();
         assert!(report.initial_targets() >= 32);
         assert!(report.elapsed() > Duration::ZERO);

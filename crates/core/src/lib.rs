@@ -17,25 +17,30 @@
 //! * [`MarchGenerator`] implements the generation algorithm: a greedy,
 //!   simulation-backed set-cover over candidate march elements (the SO library plus
 //!   targeted sequences derived on demand), followed by an optional
-//!   redundancy-removal pass ([`minimise`]) — the step that turns the "ABL"-style
-//!   result into the shorter "RABL"-style one in the paper's Table 1;
-//! * [`verify`] re-checks any march test against a fault list with the fault
-//!   simulator, exactly as the paper validates its generated tests.
+//!   redundancy-removal pass ([`SessionExt::minimise`]) — the step that turns the
+//!   "ABL"-style result into the shorter "RABL"-style one in the paper's Table 1;
+//! * [`SessionExt::verify`] re-checks any march test against a fault list with the
+//!   fault simulator, exactly as the paper validates its generated tests.
+//!
+//! Every stage runs on an [`sram_sim::Session`], which holds the simulation scope
+//! and the execution policy; [`SessionExt`] adds the generation stages to it.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use march_gen::{GeneratorConfig, MarchGenerator};
+//! use march_gen::SessionExt;
 //! use sram_fault_model::FaultList;
+//! use sram_sim::Session;
 //!
 //! // Generate a march test for the single-cell static linked faults
 //! // (the paper's Fault List #2).
-//! let generator = MarchGenerator::new(FaultList::list_2());
-//! let generated = generator.generate();
+//! let session = Session::default();
+//! let generated = session.generate(&FaultList::list_2());
 //! assert!(generated.report().is_complete());
 //! // The generated test is competitive with the 11n March LF1 baseline.
 //! assert!(generated.test().complexity() <= 11);
-//! # let _ = GeneratorConfig::default();
+//! // Re-verify it with the fault simulator.
+//! assert!(session.verify(generated.test(), &FaultList::list_2()).is_complete());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -50,22 +55,17 @@ mod optimize;
 mod pattern_graph;
 mod session;
 mod so;
-mod targets;
-mod verify;
 
 pub use candidates::{exhaustive_candidates, library_candidates};
 pub use error::GenerationError;
 pub use generator::{
-    score_candidates, score_candidates_with, GeneratedTest, GenerationReport, GeneratorConfig,
-    MarchGenerator,
+    score_candidates, GeneratedTest, GenerationReport, GeneratorConfig, MarchGenerator,
 };
 pub use graph::{GraphEdge, MemoryGraph, MAX_GRAPH_CELLS};
-pub use optimize::{minimise, minimise_full_resim, minimise_with, minimise_with_strategy};
+pub use optimize::minimise_full_resim;
 pub use pattern_graph::{FaultyEdge, PatternGraph};
 pub use session::{MinimisationReport, SessionExt};
 pub use so::SequenceOfOperations;
-pub use targets::TargetInstance;
-pub use verify::verify;
 
 /// Convenience result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, GenerationError>;

@@ -15,14 +15,13 @@ use std::sync::{Arc, Mutex};
 use march_test::{MarchElement, MarchTest, MarchTestBuilder};
 use sram_fault_model::FaultList;
 use sram_sim::{
-    BackendKind, BatchSnapshot, CoverageLane, LaneWidth, PlacementStrategy, Session,
-    SimulationBackend, TargetBatch, TargetKind, TargetLanes,
+    BackendKind, BatchSnapshot, CoverageLane, LaneWidth, Session, SimulationBackend, TargetBatch,
+    TargetKind, TargetLanes,
 };
 
-use crate::GeneratorConfig;
-
 /// Removes redundant operations from `test` while preserving complete coverage of
-/// `list` under the generation configuration `config`.
+/// `list` under the session's simulation scope — the engine behind
+/// [`SessionExt::minimise`](crate::SessionExt::minimise).
 ///
 /// The pass works at operation granularity, scanning from the last operation of the
 /// last element towards the front: each operation is tentatively removed (dropping
@@ -35,44 +34,27 @@ use crate::GeneratorConfig;
 /// Re-verification is *suffix-only*: each target carries per-element
 /// checkpoints of its lane state, so a trial restores the checkpoint before
 /// the edited element and re-simulates just the suffix (with early-exit per
-/// target as before). The minimised test is identical for every backend,
-/// batch size and thread count — and byte-identical to the full
-/// re-simulation of earlier releases, see [`minimise_full_resim`].
+/// target as before). Target lanes come from the session's memoised artifact
+/// cache and every removal trial shards its `(target × suffix)`
+/// re-verifications over the session's resident worker pool. The minimised
+/// test is identical for every backend, batch size and thread count — and
+/// byte-identical to the full re-simulation oracle, see
+/// [`minimise_full_resim`].
 ///
 /// Returns the minimised test and the number of operations removed.
 ///
 /// # Panics
 ///
-/// Panics if `config.memory_cells < 4`.
-#[must_use]
-pub fn minimise(
-    test: &MarchTest,
-    list: &FaultList,
-    config: &GeneratorConfig,
-) -> (MarchTest, usize) {
-    minimise_with(&config.session(), test, list, config)
-}
-
-/// The session form of [`minimise`]: target lanes come from the session's
-/// memoised artifact cache and every removal trial shards its `(target ×
-/// suffix)` re-verifications over the session's resident worker pool. The
-/// minimised test is byte-identical to [`minimise`] for every backend, batch
-/// size and thread count.
-#[must_use]
-pub fn minimise_with(
+/// Panics if the session's memory cannot host the list's placements.
+pub(crate) fn minimise_with(
     session: &Session,
     test: &MarchTest,
     list: &FaultList,
-    config: &GeneratorConfig,
 ) -> (MarchTest, usize) {
     let targets = session
-        .target_lanes_scoped(
-            list,
-            config.memory_cells,
-            config.strategy,
-            &config.backgrounds,
-        )
+        .target_lanes(list)
         .expect("minimisation scope hosts the fault-list placements");
+    let memory_cells = session.memory_cells();
 
     // Nothing to preserve: return the test untouched.
     if targets.is_empty() {
@@ -83,7 +65,7 @@ pub fn minimise_with(
     // "preserving coverage" is ill-defined. This is the legacy fail-fast
     // check (first undetected lane ends the scan), so incomplete tests bail
     // out exactly as cheaply as before the suffix rewrite.
-    let oracle = CoverageOracle::new(session, Arc::clone(&targets), config.memory_cells);
+    let oracle = CoverageOracle::new(session, Arc::clone(&targets));
     if !oracle.covers_all(session, test) {
         return (test.clone(), 0);
     }
@@ -96,7 +78,7 @@ pub fn minimise_with(
                 Mutex::new(TargetState::new(
                     target.clone(),
                     lanes.to_vec(),
-                    config.memory_cells,
+                    memory_cells,
                     policy.backend,
                     policy.lane_width,
                 ))
@@ -442,31 +424,26 @@ impl TargetState {
 /// The legacy full re-simulation pass, kept verbatim as the equivalence
 /// oracle: every removal trial re-verifies the *whole* shortened test over
 /// every `(fault, placement, background)` lane from scratch. Quadratic in
-/// test length — superseded by the suffix-only [`minimise_with`], which the
-/// `minimise_equivalence` property tests and the `backend_bench` minimise
-/// workloads hold byte-identical to this reference.
+/// test length — superseded by the suffix-only pass behind
+/// [`SessionExt::minimise`](crate::SessionExt::minimise), which the pipeline
+/// equivalence tests and the `backend_bench` minimise workloads hold
+/// byte-identical to this reference. Reads the session's simulation scope.
 #[doc(hidden)]
 #[must_use]
 pub fn minimise_full_resim(
     session: &Session,
     test: &MarchTest,
     list: &FaultList,
-    config: &GeneratorConfig,
 ) -> (MarchTest, usize) {
     let targets = session
-        .target_lanes_scoped(
-            list,
-            config.memory_cells,
-            config.strategy,
-            &config.backgrounds,
-        )
+        .target_lanes(list)
         .expect("minimisation scope hosts the fault-list placements");
 
     if targets.is_empty() {
         return (test.clone(), 0);
     }
 
-    let oracle = CoverageOracle::new(session, targets, config.memory_cells);
+    let oracle = CoverageOracle::new(session, targets);
 
     if !oracle.covers_all(session, test) {
         return (test.clone(), 0);
@@ -516,11 +493,11 @@ struct CoverageOracle {
 }
 
 impl CoverageOracle {
-    fn new(session: &Session, targets: Arc<TargetLanes>, memory_cells: usize) -> CoverageOracle {
+    fn new(session: &Session, targets: Arc<TargetLanes>) -> CoverageOracle {
         CoverageOracle {
             targets,
             backend: session.backend_instance(),
-            memory_cells,
+            memory_cells: session.memory_cells(),
         }
     }
 
@@ -586,100 +563,72 @@ fn rebuild(name: &str, elements: &[MarchElement]) -> MarchTest {
         .expect("minimised tests keep at least one element")
 }
 
-/// Convenience wrapper: minimises `test` against `list` with the default generator
-/// configuration but a caller-supplied placement strategy.
-#[must_use]
-pub fn minimise_with_strategy(
-    test: &MarchTest,
-    list: &FaultList,
-    strategy: PlacementStrategy,
-) -> (MarchTest, usize) {
-    let config = GeneratorConfig {
-        strategy,
-        ..GeneratorConfig::default()
-    };
-    minimise(test, list, &config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use march_test::catalog;
+    use sram_sim::ExecPolicy;
 
-    #[test]
-    fn removes_padding_operations() {
-        // March ABL1 with two useless extra reads appended: the pass removes them.
-        let padded = MarchTest::parse(
+    /// March ABL1 with two useless extra reads appended.
+    fn padded() -> MarchTest {
+        MarchTest::parse(
             "padded ABL1",
             "⇕(w0); ⇕(w0,r0,r0,w1); ⇕(w1,r1,r1,w0); ⇕(r0,r0)",
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    #[test]
+    fn removes_padding_operations() {
+        // The pass removes the padding.
         let list = FaultList::list_2();
-        let config = GeneratorConfig::default();
-        let (minimised, removed) = minimise(&padded, &list, &config);
+        let (minimised, removed) = minimise_with(&Session::default(), &padded(), &list);
         assert!(removed >= 2, "removed {removed}");
         assert!(minimised.complexity() <= catalog::march_abl1().complexity());
         // The minimised test still covers the list, serially and sharded over
         // a parallel session's pool.
         for threads in [1usize, 4] {
-            let session = config.clone().with_threads(threads).session();
+            let session = Session::new(ExecPolicy::default().with_threads(threads));
             let targets = session
-                .target_lanes_scoped(
-                    &list,
-                    config.memory_cells,
-                    config.strategy,
-                    &config.backgrounds,
-                )
+                .target_lanes(&list)
                 .expect("the default scope hosts list #2");
-            let oracle = CoverageOracle::new(&session, targets, config.memory_cells);
+            let oracle = CoverageOracle::new(&session, targets);
             assert!(oracle.covers_all(&session, &minimised), "threads {threads}");
         }
     }
 
     #[test]
     fn suffix_pass_matches_the_full_resim_oracle() {
-        let padded = MarchTest::parse(
-            "padded ABL1",
-            "⇕(w0); ⇕(w0,r0,r0,w1); ⇕(w1,r1,r1,w0); ⇕(r0,r0)",
-        )
-        .unwrap();
         let list = FaultList::list_2();
-        let config = GeneratorConfig::default();
-        let session = config.session();
-        let suffix = minimise_with(&session, &padded, &list, &config);
-        let full = minimise_full_resim(&session, &padded, &list, &config);
+        let session = Session::default();
+        let suffix = minimise_with(&session, &padded(), &list);
+        let full = minimise_full_resim(&session, &padded(), &list);
         assert_eq!(suffix.0.notation(), full.0.notation());
         assert_eq!(suffix.1, full.1);
     }
 
     #[test]
     fn thread_counts_minimise_identically() {
-        let padded = MarchTest::parse(
-            "padded ABL1",
-            "⇕(w0); ⇕(w0,r0,r0,w1); ⇕(w1,r1,r1,w0); ⇕(r0,r0)",
-        )
-        .unwrap();
         let list = FaultList::list_2();
-        let serial = minimise(&padded, &list, &GeneratorConfig::default());
-        let sharded = minimise(&padded, &list, &GeneratorConfig::default().with_threads(0));
+        let serial = minimise_with(&Session::default(), &padded(), &list);
+        let sharded = minimise_with(
+            &Session::new(ExecPolicy::default().with_threads(0)),
+            &padded(),
+            &list,
+        );
         assert_eq!(serial.0.notation(), sharded.0.notation());
         assert_eq!(serial.1, sharded.1);
     }
 
     #[test]
     fn backends_minimise_identically() {
-        let padded = MarchTest::parse(
-            "padded ABL1",
-            "⇕(w0); ⇕(w0,r0,r0,w1); ⇕(w1,r1,r1,w0); ⇕(r0,r0)",
-        )
-        .unwrap();
         let list = FaultList::list_2();
-        let scalar = minimise(
-            &padded,
+        let scalar = minimise_with(
+            &Session::new(ExecPolicy::default().with_backend(BackendKind::Scalar)),
+            &padded(),
             &list,
-            &GeneratorConfig::default().with_backend(sram_sim::BackendKind::Scalar),
         );
-        let packed = minimise(&padded, &list, &GeneratorConfig::default());
+        let packed = minimise_with(&Session::default(), &padded(), &list);
         assert_eq!(scalar.0.notation(), packed.0.notation());
         assert_eq!(scalar.1, packed.1);
     }
@@ -688,7 +637,7 @@ mod tests {
     fn incomplete_tests_are_left_untouched() {
         let mats = catalog::mats_plus();
         let list = FaultList::list_2();
-        let (unchanged, removed) = minimise(&mats, &list, &GeneratorConfig::default());
+        let (unchanged, removed) = minimise_with(&Session::default(), &mats, &list);
         assert_eq!(removed, 0);
         assert_eq!(unchanged, mats);
     }
@@ -697,17 +646,8 @@ mod tests {
     fn empty_lists_are_a_no_op() {
         let test = catalog::march_abl1();
         let empty = FaultList::new("empty");
-        let (unchanged, removed) = minimise(&test, &empty, &GeneratorConfig::default());
+        let (unchanged, removed) = minimise_with(&Session::default(), &test, &empty);
         assert_eq!(removed, 0);
         assert_eq!(unchanged.notation(), test.notation());
-    }
-
-    #[test]
-    fn strategy_wrapper_runs() {
-        let test = catalog::march_abl1();
-        let list = FaultList::list_2();
-        let (minimised, _) =
-            minimise_with_strategy(&test, &list, PlacementStrategy::Representative);
-        assert!(minimised.complexity() <= test.complexity());
     }
 }

@@ -1,8 +1,8 @@
 //! Session-based entry points of the generation pipeline: [`SessionExt`]
 //! extends [`sram_sim::Session`] with `generate`, `minimise` and `verify`, so
 //! the whole paper pipeline — fault list → coverage → greedy generation →
-//! redundancy removal → diagnosis — runs through **one** engine handle and one
-//! [`ExecPolicy`](sram_sim::ExecPolicy).
+//! redundancy removal → diagnosis — runs through **one** engine handle, its
+//! simulation scope and its [`ExecPolicy`](sram_sim::ExecPolicy).
 
 use std::fmt;
 
@@ -136,8 +136,8 @@ impl Report for GeneratedTest {
 pub trait SessionExt {
     /// Generates a march test for `list` with the paper's default generator
     /// setup, scoring candidates and re-verifying removals on this session's
-    /// worker pool. Byte-identical to
-    /// [`MarchGenerator::generate`] under the same policy.
+    /// worker pool — [`MarchGenerator::generate_with`] on this session. The
+    /// generated test is byte-identical under every policy.
     ///
     /// # Examples
     ///
@@ -153,13 +153,14 @@ pub trait SessionExt {
     fn generate(&self, list: &FaultList) -> GeneratedTest;
 
     /// Like [`SessionExt::generate`] with an explicit generator configuration
-    /// (orders, repair pool, redundancy removal, …). The configuration's
-    /// `exec` policy and scope are overridden by the session's.
+    /// (orders, repair pool, redundancy removal, …); the session supplies the
+    /// simulation scope and the execution policy.
     fn generate_with_config(&self, list: &FaultList, config: GeneratorConfig) -> GeneratedTest;
 
     /// Removes redundant operations from `test` while preserving complete
-    /// coverage of `list` — the session form of
-    /// [`minimise`](crate::minimise), returning a typed [`MinimisationReport`].
+    /// coverage of `list` under the session's scope, returning a typed
+    /// [`MinimisationReport`]. The suffix-only pass is byte-identical to the
+    /// full re-simulation oracle [`minimise_full_resim`](crate::minimise_full_resim).
     ///
     /// # Examples
     ///
@@ -178,8 +179,8 @@ pub trait SessionExt {
     fn minimise(&self, test: &MarchTest, list: &FaultList) -> MinimisationReport;
 
     /// Verifies `test` against `list` by fault simulation under the session's
-    /// scope — the session form of [`verify`](crate::verify), identical to
-    /// [`Session::coverage`].
+    /// scope, exactly as the paper validates its generated tests — identical
+    /// to [`Session::coverage`].
     ///
     /// # Examples
     ///
@@ -196,36 +197,17 @@ pub trait SessionExt {
     fn verify(&self, test: &MarchTest, list: &FaultList) -> CoverageReport;
 }
 
-/// The generator configuration equivalent to a session's policy and scope.
-fn generator_config(session: &Session) -> GeneratorConfig {
-    GeneratorConfig {
-        memory_cells: session.memory_cells(),
-        strategy: session.strategy(),
-        backgrounds: session.backgrounds().to_vec(),
-        exec: session.policy(),
-        ..GeneratorConfig::default()
-    }
-}
-
 impl SessionExt for Session {
     fn generate(&self, list: &FaultList) -> GeneratedTest {
         self.generate_with_config(list, GeneratorConfig::default())
     }
 
     fn generate_with_config(&self, list: &FaultList, config: GeneratorConfig) -> GeneratedTest {
-        let config = GeneratorConfig {
-            memory_cells: self.memory_cells(),
-            strategy: self.strategy(),
-            backgrounds: self.backgrounds().to_vec(),
-            exec: self.policy(),
-            ..config
-        };
         MarchGenerator::with_config(list.clone(), config).generate_with(self)
     }
 
     fn minimise(&self, test: &MarchTest, list: &FaultList) -> MinimisationReport {
-        let config = generator_config(self);
-        let (test, removed) = minimise_with(self, test, list, &config);
+        let (test, removed) = minimise_with(self, test, list);
         MinimisationReport { test, removed }
     }
 
@@ -237,13 +219,12 @@ impl SessionExt for Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use march_test::catalog;
-    use sram_sim::{measure_coverage, BackendKind, ExecPolicy};
+    use sram_sim::{BackendKind, ExecPolicy};
 
     #[test]
     fn session_generate_matches_the_legacy_generator() {
         let list = FaultList::list_2();
-        let legacy = MarchGenerator::new(list.clone()).generate();
+        let legacy = MarchGenerator::new(list.clone()).generate_with(&Session::default());
         for policy in [
             ExecPolicy::default(),
             ExecPolicy::default().with_threads(2).with_batch(7),
@@ -271,9 +252,8 @@ mod tests {
         )
         .unwrap();
         let list = FaultList::list_2();
-        let (legacy_test, legacy_removed) =
-            crate::minimise(&padded, &list, &GeneratorConfig::default());
         let session = Session::default();
+        let (legacy_test, legacy_removed) = crate::minimise_full_resim(&session, &padded, &list);
         let report = session.minimise(&padded, &list);
         assert_eq!(report.test().notation(), legacy_test.notation());
         assert_eq!(report.removed_operations(), legacy_removed);
@@ -286,15 +266,6 @@ mod tests {
             report.clone().into_test().notation(),
             legacy_test.notation()
         );
-    }
-
-    #[test]
-    fn session_verify_matches_measure_coverage() {
-        let session = Session::default();
-        let list = FaultList::list_2();
-        let report = session.verify(&catalog::march_sl(), &list);
-        let legacy = measure_coverage(&catalog::march_sl(), &list, &session.coverage_config());
-        assert_eq!(report, legacy);
     }
 
     #[test]

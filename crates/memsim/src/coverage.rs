@@ -13,11 +13,11 @@
 //! target's fault on one representative per class on a memory of at most
 //! three cells (see `projection.rs` for why this is exact). The targets
 //! themselves are fanned out over the worker pool of a
-//! [`Session`](crate::Session) ([`measure_coverage`] is a thin shim building
-//! a throwaway one). The report (counts, per-topology break-down and the
-//! stable-sorted escape list, each escape being the first escaping lane in
-//! enumeration order) is byte-identical to a lane-by-lane full-memory walk
-//! on every backend and thread count.
+//! [`Session`](crate::Session), the only entry point to coverage. The report
+//! (counts, per-topology break-down and the stable-sorted escape list, each
+//! escape being the first escaping lane in enumeration order) is
+//! byte-identical to a lane-by-lane full-memory walk on every backend and
+//! thread count.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -25,10 +25,8 @@ use std::fmt;
 use march_test::MarchTest;
 use sram_fault_model::{Bit, DecoderFault, FaultList, FaultPrimitive, LinkTopology, LinkedFault};
 
-use crate::backend::{enumerate_lanes, BackendKind, SimulationBackend};
-use crate::lane::LaneWidth;
-use crate::memory::check_backgrounds;
-use crate::{InitialState, InstanceCells, LaneSet, PlacementStrategy};
+use crate::backend::SimulationBackend;
+use crate::{InitialState, InstanceCells, LaneSet};
 
 /// Which kind of target escaped a march test.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,87 +93,6 @@ impl fmt::Display for Escape {
             "{} @ {} ({:?})",
             self.target, self.cells, self.background
         )
-    }
-}
-
-/// Configuration of a coverage measurement.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CoverageConfig {
-    /// Number of cells of the simulated memory (≥ 4).
-    pub memory_cells: usize,
-    /// How exhaustively cell placements are enumerated.
-    pub strategy: PlacementStrategy,
-    /// The initial memory contents under which the test must detect each fault.
-    pub backgrounds: Vec<InitialState>,
-    /// Which simulation backend evaluates the lanes of each target. Defaults
-    /// to the bit-parallel packed engine, whose verdicts are byte-identical to
-    /// the scalar reference (pass `BackendKind::Scalar` to opt out).
-    pub backend: BackendKind,
-    /// Number of worker threads the targets are fanned out over (`1` = serial,
-    /// `0` = use the available parallelism). The report is identical for every
-    /// value.
-    pub threads: usize,
-    /// The packed backend's lane width (`Auto` = narrowest word holding each
-    /// target's lane count). The report is identical for every width.
-    pub lane_width: LaneWidth,
-}
-
-impl Default for CoverageConfig {
-    fn default() -> Self {
-        CoverageConfig {
-            memory_cells: 8,
-            strategy: PlacementStrategy::Representative,
-            backgrounds: vec![InitialState::AllOne],
-            backend: BackendKind::Packed,
-            threads: 1,
-            lane_width: LaneWidth::Auto,
-        }
-    }
-}
-
-impl CoverageConfig {
-    /// A thorough configuration: representative placements on an 8-cell memory, but
-    /// every fault must be detected under both the all-zero and the all-one
-    /// background.
-    #[must_use]
-    pub fn thorough() -> CoverageConfig {
-        CoverageConfig {
-            backgrounds: vec![InitialState::AllZero, InitialState::AllOne],
-            ..CoverageConfig::default()
-        }
-    }
-
-    /// An exhaustive configuration: every placement on a small memory, both uniform
-    /// backgrounds. Slow; intended for final verification runs.
-    #[must_use]
-    pub fn exhaustive() -> CoverageConfig {
-        CoverageConfig {
-            memory_cells: 6,
-            strategy: PlacementStrategy::Exhaustive,
-            backgrounds: vec![InitialState::AllZero, InitialState::AllOne],
-            ..CoverageConfig::default()
-        }
-    }
-
-    /// Replaces the simulation backend.
-    #[must_use]
-    pub fn with_backend(mut self, backend: BackendKind) -> CoverageConfig {
-        self.backend = backend;
-        self
-    }
-
-    /// Replaces the worker-thread count (`0` = available parallelism).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> CoverageConfig {
-        self.threads = threads;
-        self
-    }
-
-    /// Replaces the packed lane width.
-    #[must_use]
-    pub fn with_lane_width(mut self, lane_width: LaneWidth) -> CoverageConfig {
-        self.lane_width = lane_width;
-        self
     }
 }
 
@@ -263,29 +180,8 @@ impl fmt::Display for CoverageReport {
     }
 }
 
-/// Measures the coverage of `test` over `list` under the given configuration.
-///
-/// Every simple primitive and every linked fault of the list is instantiated on the
-/// placements returned by [`enumerate_placements`](crate::enumerate_placements)
-/// and simulated under every configured background by the configured backend;
-/// the target is covered only if every combination is detected. Targets are
-/// evaluated in parallel over `config.threads` workers.
-///
-/// This is now a thin shim constructing a throwaway [`Session`](crate::Session)
-/// per call; long-lived callers should build one session and use
-/// [`Session::coverage`](crate::Session::coverage), which re-uses its worker
-/// pool across queries. The report is byte-identical either way.
-#[must_use]
-pub fn measure_coverage(
-    test: &MarchTest,
-    list: &FaultList,
-    config: &CoverageConfig,
-) -> CoverageReport {
-    crate::Session::from_coverage_config(config).coverage(test, list)
-}
-
 /// Assembles a [`CoverageReport`] from the per-target first escapes, in target
-/// order — shared by the session and (through it) the legacy free function.
+/// order.
 /// Escapes are stable-sorted by [`Escape::sort_key`] so reports are
 /// byte-identical across backends and thread counts.
 pub(crate) fn assemble_coverage_report(
@@ -345,24 +241,9 @@ pub fn enumerate_targets(list: &FaultList) -> Vec<TargetKind> {
         .collect()
 }
 
-/// The first lane of `target` the test fails on, as an [`Escape`].
-fn target_escape(
-    backend: &dyn SimulationBackend,
-    test: &MarchTest,
-    target: &TargetKind,
-    memory_cells: usize,
-    strategy: PlacementStrategy,
-    backgrounds: &[InitialState],
-) -> Option<Escape> {
-    let lanes = check_backgrounds(backgrounds, memory_cells)
-        .and_then(|()| enumerate_lanes(target, memory_cells, strategy, backgrounds))
-        .expect("coverage scope hosts the target's placements");
-    lane_escape(backend, test, target, &LaneSet::new(lanes))
-}
-
 /// The first of the pre-enumerated `lanes` the test fails on, as an
-/// [`Escape`] — the shared kernel of [`target_escape`] and the session's
-/// cached-lane coverage path. The lanes are projected onto the set's
+/// [`Escape`] — the per-target kernel of the session's coverage path. The
+/// lanes are projected onto the set's
 /// memoised lane classes (see `projection.rs`), so the memory size does not
 /// enter and only the target's fault is simulated per call.
 pub(crate) fn lane_escape(
@@ -381,54 +262,22 @@ pub(crate) fn lane_escape(
         })
 }
 
-/// Returns `true` if `test` detects the given linked fault under every placement and
-/// background of `config`.
-#[must_use]
-pub fn detects_linked(test: &MarchTest, fault: &LinkedFault, config: &CoverageConfig) -> bool {
-    let backend = config.backend.instance_with(config.lane_width);
-    target_escape(
-        backend.as_ref(),
-        test,
-        &TargetKind::Linked(fault.clone()),
-        config.memory_cells,
-        config.strategy,
-        &config.backgrounds,
-    )
-    .is_none()
-}
-
-/// Returns `true` if `test` detects the given simple fault primitive under every
-/// placement and background of `config`.
-#[must_use]
-pub fn detects_simple(
-    test: &MarchTest,
-    primitive: &FaultPrimitive,
-    config: &CoverageConfig,
-) -> bool {
-    let backend = config.backend.instance_with(config.lane_width);
-    target_escape(
-        backend.as_ref(),
-        test,
-        &TargetKind::Simple(primitive.clone()),
-        config.memory_cells,
-        config.strategy,
-        &config.backgrounds,
-    )
-    .is_none()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BackendKind, ExecPolicy, LaneWidth, Session};
     use march_test::catalog;
+
+    /// The single-background scope: 8 cells, representative placements,
+    /// detection required under the all-one background only.
+    fn all_one() -> Session {
+        Session::default().with_backgrounds(vec![InitialState::AllOne])
+    }
 
     #[test]
     fn march_ss_covers_the_unlinked_static_faults() {
-        let report = measure_coverage(
-            &catalog::march_ss(),
-            &FaultList::unlinked_static(),
-            &CoverageConfig::thorough(),
-        );
+        let report =
+            Session::default().coverage(&catalog::march_ss(), &FaultList::unlinked_static());
         assert!(report.is_complete(), "escapes: {:?}", report.escapes());
         assert_eq!(report.total(), 48);
         assert!((report.percent() - 100.0).abs() < f64::EPSILON);
@@ -436,11 +285,7 @@ mod tests {
 
     #[test]
     fn mats_plus_does_not_cover_the_unlinked_static_faults() {
-        let report = measure_coverage(
-            &catalog::mats_plus(),
-            &FaultList::unlinked_static(),
-            &CoverageConfig::default(),
-        );
+        let report = all_one().coverage(&catalog::mats_plus(), &FaultList::unlinked_static());
         assert!(!report.is_complete());
         assert!(!report.escapes().is_empty());
         assert!(report.covered() > 0);
@@ -448,31 +293,19 @@ mod tests {
 
     #[test]
     fn march_abl1_covers_fault_list_2() {
-        let report = measure_coverage(
-            &catalog::march_abl1(),
-            &FaultList::list_2(),
-            &CoverageConfig::thorough(),
-        );
+        let report = Session::default().coverage(&catalog::march_abl1(), &FaultList::list_2());
         assert!(report.is_complete(), "escapes: {:?}", report.escapes());
     }
 
     #[test]
     fn mats_plus_misses_single_cell_linked_faults() {
-        let report = measure_coverage(
-            &catalog::mats_plus(),
-            &FaultList::list_2(),
-            &CoverageConfig::default(),
-        );
+        let report = all_one().coverage(&catalog::mats_plus(), &FaultList::list_2());
         assert!(!report.is_complete());
     }
 
     #[test]
     fn report_accessors() {
-        let report = measure_coverage(
-            &catalog::march_c_minus(),
-            &FaultList::list_2(),
-            &CoverageConfig::default(),
-        );
+        let report = all_one().coverage(&catalog::march_c_minus(), &FaultList::list_2());
         assert_eq!(report.test_name(), "March C-");
         assert!(report.list_name().contains("Fault List #2"));
         assert_eq!(report.total(), 32);
@@ -484,13 +317,13 @@ mod tests {
     fn reports_are_identical_across_backends_and_thread_counts() {
         let list = FaultList::list_1();
         let test = catalog::march_c_minus();
-        let baseline = measure_coverage(&test, &list, &CoverageConfig::thorough());
+        let baseline = Session::default().coverage(&test, &list);
         for backend in [BackendKind::Scalar, BackendKind::Packed] {
             for threads in [1usize, 2, 4, 0] {
-                let config = CoverageConfig::thorough()
+                let policy = ExecPolicy::default()
                     .with_backend(backend)
                     .with_threads(threads);
-                let report = measure_coverage(&test, &list, &config);
+                let report = Session::new(policy).coverage(&test, &list);
                 assert_eq!(
                     report, baseline,
                     "report diverged for backend {backend} with {threads} threads"
@@ -498,38 +331,19 @@ mod tests {
             }
         }
         for lane_width in LaneWidth::ALL {
-            let config = CoverageConfig::thorough().with_lane_width(lane_width);
-            let report = measure_coverage(&test, &list, &config);
+            let policy = ExecPolicy::default().with_lane_width(lane_width);
+            let report = Session::new(policy).coverage(&test, &list);
             assert_eq!(report, baseline, "report diverged at width {lane_width}");
         }
     }
 
     #[test]
     fn escape_ordering_is_sorted() {
-        let report = measure_coverage(
-            &catalog::mats_plus(),
-            &FaultList::list_1(),
-            &CoverageConfig::default(),
-        );
+        let report = all_one().coverage(&catalog::mats_plus(), &FaultList::list_1());
         assert!(!report.escapes().is_empty());
         let keys: Vec<_> = report.escapes().iter().map(Escape::sort_key).collect();
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted);
-    }
-
-    #[test]
-    fn detects_helpers_respect_the_backend_knob() {
-        let list = FaultList::list_2();
-        let fault = &list.linked()[0];
-        for backend in [BackendKind::Scalar, BackendKind::Packed] {
-            let config = CoverageConfig::thorough().with_backend(backend);
-            assert!(detects_linked(&catalog::march_sl(), fault, &config));
-        }
-        let primitive = &FaultList::unlinked_static().simple()[0].clone();
-        for backend in [BackendKind::Scalar, BackendKind::Packed] {
-            let config = CoverageConfig::thorough().with_backend(backend);
-            assert!(detects_simple(&catalog::march_ss(), primitive, &config));
-        }
     }
 }

@@ -13,9 +13,9 @@ use march_test::MarchTest;
 use sram_fault_model::{Bit, FaultList};
 
 use crate::{
-    enumerate_decoder_placements, enumerate_placements, run_march, CoverageConfig,
-    DecoderFaultInstance, FaultSimulator, InitialState, InjectedFault, InstanceCells,
-    LinkedFaultInstance, MarchRun, TargetKind,
+    enumerate_decoder_placements, enumerate_placements, run_march, DecoderFaultInstance,
+    FaultSimulator, InjectedFault, InstanceCells, LinkedFaultInstance, MarchRun, PlacementStrategy,
+    TargetKind,
 };
 
 /// One failing read of a syndrome: which element/cell/operation failed and what was
@@ -152,94 +152,37 @@ impl fmt::Display for DiagnosisCandidate {
     }
 }
 
-/// Searches `list` for the fault instances whose simulated syndrome under `test`
-/// (with the memory size and background of `config`) equals the observed
-/// `syndrome`, enumerating placements with the strategy of `config`.
-///
-/// An empty result means the syndrome cannot be explained by any single fault of
-/// the list (e.g. multiple independent defects); an empty syndrome returns an empty
-/// candidate list as well, since a passing device needs no diagnosis.
-///
-/// # Examples
-///
-/// ```
-/// use march_test::catalog;
-/// use sram_fault_model::FaultList;
-/// use sram_sim::{diagnose, CoverageConfig, FaultSimulator, InitialState, InjectedFault, Syndrome};
-///
-/// // A device with an (unknown to us) transition fault on cell 5.
-/// let tf = sram_fault_model::Ffm::TransitionFault.fault_primitives()[0].clone();
-/// let mut device = FaultSimulator::new(8, &InitialState::AllOne)?;
-/// device.inject(InjectedFault::single_cell(tf.clone(), 5, 8)?);
-/// let syndrome = Syndrome::observe(&catalog::march_ss(), &mut device);
-///
-/// // Diagnosis over the unlinked static fault space finds it back.
-/// let candidates = diagnose(
-///     &catalog::march_ss(),
-///     &syndrome,
-///     &FaultList::unlinked_static(),
-///     &CoverageConfig::default(),
-/// );
-/// assert!(candidates.iter().any(|c| c.cells.victim == 5));
-/// # Ok::<(), sram_sim::SimulationError>(())
-/// ```
-#[must_use]
-pub fn diagnose(
-    test: &MarchTest,
-    syndrome: &Syndrome,
-    list: &FaultList,
-    config: &CoverageConfig,
-) -> Vec<DiagnosisCandidate> {
-    if syndrome.is_empty() {
-        return Vec::new();
-    }
-    let background = config
-        .backgrounds
-        .first()
-        .cloned()
-        .unwrap_or(InitialState::AllOne);
-    let pristine = FaultSimulator::new(config.memory_cells, &background)
-        .expect("diagnosis memory configuration is valid");
-    let mut scratch = pristine.clone();
-    let mut candidates = Vec::new();
-    for (target, cells) in enumerate_diagnosis_instances(list, config) {
-        scratch.clone_from(&pristine);
-        inject_diagnosis_instance(&mut scratch, &target, cells, config.memory_cells);
-        if &Syndrome::observe(test, &mut scratch) == syndrome {
-            candidates.push(DiagnosisCandidate { target, cells });
-        }
-    }
-    candidates
-}
-
-/// Enumerates every fault instance a diagnosis sweep simulates — simple
-/// primitives first, then linked faults, then decoder faults, placements in
-/// enumeration order. Both the free [`diagnose`] function and the session's
-/// sharded [`diagnose_sweep`](crate::Session::diagnose_sweep) walk exactly
-/// this sequence, which is what keeps their candidate order identical at any
+/// Enumerates every fault instance diagnosis simulates on a `memory_cells`
+/// memory — simple primitives first, then linked faults, then decoder faults,
+/// placements enumerated exhaustively (diagnosis must localise faults) in
+/// enumeration order. Both the session's sharded
+/// [`diagnose_sweep`](crate::Session::diagnose_sweep) and
+/// [`FaultDictionary`](crate::FaultDictionary) construction walk exactly this
+/// sequence, which is what keeps their candidate order identical at any
 /// worker-thread count.
 pub(crate) fn enumerate_diagnosis_instances(
     list: &FaultList,
-    config: &CoverageConfig,
+    memory_cells: usize,
 ) -> Vec<(TargetKind, InstanceCells)> {
+    let placements = |topology| {
+        enumerate_placements(topology, memory_cells, PlacementStrategy::Exhaustive)
+            .expect("diagnosis memory hosts the placements")
+    };
     let mut instances = Vec::new();
     for primitive in list.simple() {
-        for cells in enumerate_exhaustive_like(primitive.diagnosis_topology(), config) {
+        for cells in placements(primitive.diagnosis_topology()) {
             instances.push((TargetKind::Simple(primitive.clone()), cells));
         }
     }
     for fault in list.linked() {
-        for cells in enumerate_exhaustive_like(fault.topology(), config) {
+        for cells in placements(fault.topology()) {
             instances.push((TargetKind::Linked(fault.clone()), cells));
         }
     }
     for fault in list.decoders() {
-        for cells in enumerate_decoder_placements(
-            *fault,
-            config.memory_cells,
-            crate::PlacementStrategy::Exhaustive,
-        )
-        .expect("diagnosis memory hosts the placements")
+        for cells in
+            enumerate_decoder_placements(*fault, memory_cells, PlacementStrategy::Exhaustive)
+                .expect("diagnosis memory hosts the placements")
         {
             instances.push((TargetKind::Decoder(*fault), cells));
         }
@@ -282,20 +225,6 @@ pub(crate) fn inject_diagnosis_instance(
     }
 }
 
-/// Diagnosis must localise faults, so placements are always enumerated
-/// exhaustively regardless of the coverage strategy of `config`.
-fn enumerate_exhaustive_like(
-    topology: sram_fault_model::LinkTopology,
-    config: &CoverageConfig,
-) -> Vec<InstanceCells> {
-    enumerate_placements(
-        topology,
-        config.memory_cells,
-        crate::PlacementStrategy::Exhaustive,
-    )
-    .expect("diagnosis memory hosts the placements")
-}
-
 /// Extension mapping a simple fault primitive onto the placement topology used to
 /// enumerate its cell assignments during diagnosis.
 pub trait LinkTopologyExt {
@@ -317,14 +246,16 @@ impl LinkTopologyExt for sram_fault_model::FaultPrimitive {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{InitialState, Session};
     use march_test::catalog;
     use sram_fault_model::{FaultListBuilder, Ffm};
 
-    fn config() -> CoverageConfig {
-        CoverageConfig {
-            memory_cells: 6,
-            ..CoverageConfig::default()
-        }
+    /// A 6-cell session simulating diagnosis instances from the all-one
+    /// background, like the devices below.
+    fn session() -> Session {
+        Session::default()
+            .with_memory_cells(6)
+            .with_backgrounds(vec![InitialState::AllOne])
     }
 
     #[test]
@@ -333,13 +264,12 @@ mod tests {
         let syndrome = Syndrome::observe(&catalog::march_ss(), &mut simulator);
         assert!(syndrome.is_empty());
         assert_eq!(syndrome.to_string(), "pass");
-        let candidates = diagnose(
+        let report = session().diagnose_sweep(
             &catalog::march_ss(),
             &syndrome,
             &FaultList::unlinked_static(),
-            &config(),
         );
-        assert!(candidates.is_empty());
+        assert!(report.candidates().is_empty());
     }
 
     #[test]
@@ -357,7 +287,8 @@ mod tests {
             .family(Ffm::StateFault)
             .build()
             .unwrap();
-        let candidates = diagnose(&catalog::march_ss(), &syndrome, &list, &config());
+        let report = session().diagnose_sweep(&catalog::march_ss(), &syndrome, &list);
+        let candidates = report.candidates();
         assert!(!candidates.is_empty());
         // Every candidate that explains the syndrome must involve the failing cell.
         assert!(candidates
@@ -386,11 +317,12 @@ mod tests {
             .family(Ffm::DisturbCoupling)
             .build()
             .unwrap();
-        let candidates = diagnose(&catalog::march_ss(), &syndrome, &list, &config());
+        let report = session().diagnose_sweep(&catalog::march_ss(), &syndrome, &list);
+        let candidates = report.candidates();
         assert!(candidates.iter().any(|candidate| {
             candidate.cells.victim == 4 && candidate.cells.aggressor_first == Some(1)
         }));
-        for candidate in &candidates {
+        for candidate in candidates {
             assert!(!candidate.to_string().is_empty());
         }
     }

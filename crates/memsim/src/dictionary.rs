@@ -14,11 +14,8 @@ use std::fmt;
 use march_test::MarchTest;
 use sram_fault_model::FaultList;
 
-use crate::{
-    enumerate_decoder_placements, enumerate_placements, CoverageConfig, DecoderFaultInstance,
-    FaultSimulator, InitialState, InjectedFault, InstanceCells, LinkTopologyExt,
-    LinkedFaultInstance, PlacementStrategy, Syndrome, TargetKind,
-};
+use crate::diagnose::{enumerate_diagnosis_instances, inject_diagnosis_instance};
+use crate::{FaultSimulator, InitialState, InstanceCells, Syndrome, TargetKind};
 
 /// One entry of a fault dictionary: a fault instance and the syndrome it produces.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,23 +40,20 @@ impl fmt::Display for DictionaryEntry {
 type SyndromeKey = Vec<(usize, usize, usize, u8)>;
 
 /// A pre-computed fault dictionary for one march test, one fault list and one data
-/// background.
+/// background, built and memoised by [`Session::dictionary`](crate::Session::dictionary).
 ///
 /// # Examples
 ///
 /// ```
 /// use march_test::catalog;
 /// use sram_fault_model::{FaultListBuilder, Ffm};
-/// use sram_sim::{CoverageConfig, FaultDictionary};
+/// use sram_sim::Session;
 ///
 /// let list = FaultListBuilder::new("transition faults")
 ///     .family(Ffm::TransitionFault)
 ///     .build()?;
-/// let dictionary = FaultDictionary::build(
-///     &catalog::march_ss(),
-///     &list,
-///     &CoverageConfig { memory_cells: 6, ..CoverageConfig::default() },
-/// );
+/// let session = Session::default().with_memory_cells(6);
+/// let dictionary = session.dictionary(&catalog::march_ss(), &list);
 /// assert_eq!(dictionary.len(), 2 * 6);          // 2 primitives × 6 cells
 /// assert_eq!(dictionary.undetected().count(), 0);
 /// # Ok::<(), sram_fault_model::FaultModelError>(())
@@ -72,109 +66,40 @@ pub struct FaultDictionary {
 }
 
 impl FaultDictionary {
-    /// Builds the dictionary by simulating every fault instance of `list` under
-    /// `test`.
+    /// Builds the dictionary by simulating every fault instance of `list`
+    /// under `test` on a `memory_cells` memory initialised to `background`.
     ///
-    /// Placements are enumerated exhaustively (diagnosis needs localisation); the
-    /// background is the first one of `config` (default: all ones).
-    #[must_use]
-    pub fn build(test: &MarchTest, list: &FaultList, config: &CoverageConfig) -> FaultDictionary {
-        let background = config
-            .backgrounds
-            .first()
-            .cloned()
-            .unwrap_or(InitialState::AllOne);
-        let mut entries = Vec::new();
-
-        for primitive in list.simple() {
-            let topology = primitive.diagnosis_topology();
-            for cells in
-                enumerate_placements(topology, config.memory_cells, PlacementStrategy::Exhaustive)
-                    .expect("dictionary memory hosts the placements")
-            {
-                let mut simulator = FaultSimulator::new(config.memory_cells, &background)
-                    .expect("dictionary memory configuration is valid");
-                let injected = if primitive.is_coupling() {
-                    InjectedFault::coupling(
-                        primitive.clone(),
-                        cells.aggressor_first.expect("pair placement"),
-                        cells.victim,
-                        config.memory_cells,
-                    )
-                } else {
-                    InjectedFault::single_cell(primitive.clone(), cells.victim, config.memory_cells)
+    /// The instances are the diagnosis sweep's own walk (placements
+    /// enumerated exhaustively, since diagnosis needs localisation), each
+    /// simulated on one scratch simulator reset with `clone_from`.
+    pub(crate) fn build(
+        test: &MarchTest,
+        list: &FaultList,
+        memory_cells: usize,
+        background: &InitialState,
+    ) -> FaultDictionary {
+        let pristine = FaultSimulator::new(memory_cells, background)
+            .expect("dictionary memory configuration is valid");
+        let mut scratch = pristine.clone();
+        let entries = enumerate_diagnosis_instances(list, memory_cells)
+            .into_iter()
+            .map(|(target, cells)| {
+                scratch.clone_from(&pristine);
+                inject_diagnosis_instance(&mut scratch, &target, cells, memory_cells);
+                DictionaryEntry {
+                    target,
+                    cells,
+                    syndrome: Syndrome::observe(test, &mut scratch),
                 }
-                .expect("enumerated placements are valid");
-                simulator.inject(injected);
-                entries.push(DictionaryEntry {
-                    target: TargetKind::Simple(primitive.clone()),
-                    cells,
-                    syndrome: Syndrome::observe(test, &mut simulator),
-                });
-            }
-        }
-
-        for fault in list.linked() {
-            for cells in enumerate_placements(
-                fault.topology(),
-                config.memory_cells,
-                PlacementStrategy::Exhaustive,
-            )
-            .expect("dictionary memory hosts the placements")
-            {
-                let mut simulator = FaultSimulator::new(config.memory_cells, &background)
-                    .expect("dictionary memory configuration is valid");
-                let instance = LinkedFaultInstance::new(fault.clone(), cells, config.memory_cells)
-                    .expect("enumerated placements are valid");
-                simulator.inject_linked(&instance);
-                entries.push(DictionaryEntry {
-                    target: TargetKind::Linked(fault.clone()),
-                    cells,
-                    syndrome: Syndrome::observe(test, &mut simulator),
-                });
-            }
-        }
-
-        for fault in list.decoders() {
-            for cells in enumerate_decoder_placements(
-                *fault,
-                config.memory_cells,
-                PlacementStrategy::Exhaustive,
-            )
-            .expect("dictionary memory hosts the placements")
-            {
-                let mut simulator = FaultSimulator::new(config.memory_cells, &background)
-                    .expect("dictionary memory configuration is valid");
-                let instance = DecoderFaultInstance::new(*fault, cells, config.memory_cells)
-                    .expect("enumerated placements are valid");
-                simulator.inject_decoder(instance);
-                entries.push(DictionaryEntry {
-                    target: TargetKind::Decoder(*fault),
-                    cells,
-                    syndrome: Syndrome::observe(test, &mut simulator),
-                });
-            }
-        }
-
-        let mut index: BTreeMap<SyndromeKey, Vec<usize>> = BTreeMap::new();
-        for (position, entry) in entries.iter().enumerate() {
-            index
-                .entry(Self::key(&entry.syndrome))
-                .or_default()
-                .push(position);
-        }
-
-        FaultDictionary {
-            test_name: test.name().to_string(),
-            entries,
-            index,
-        }
+            })
+            .collect();
+        FaultDictionary::from_parts(test.name().to_string(), entries)
     }
 
-    /// Rebuilds a dictionary from decoded entries — the snapshot loader's
-    /// constructor. The index is re-derived with the same keying as
-    /// [`FaultDictionary::build`], so a round-tripped dictionary answers
-    /// every lookup identically to a freshly built one.
+    /// Assembles a dictionary from its entries, deriving the syndrome index —
+    /// shared by [`FaultDictionary::build`] and the snapshot loader, so a
+    /// round-tripped dictionary answers every lookup identically to a freshly
+    /// built one.
     pub(crate) fn from_parts(test_name: String, entries: Vec<DictionaryEntry>) -> FaultDictionary {
         let mut index: BTreeMap<SyndromeKey, Vec<usize>> = BTreeMap::new();
         for (position, entry) in entries.iter().enumerate() {
@@ -294,14 +219,13 @@ impl fmt::Display for FaultDictionary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::InjectedFault;
     use march_test::catalog;
     use sram_fault_model::{FaultListBuilder, Ffm};
 
-    fn small_config() -> CoverageConfig {
-        CoverageConfig {
-            memory_cells: 6,
-            ..CoverageConfig::default()
-        }
+    /// A dictionary over a 6-cell memory initialised to all ones.
+    fn build(test: &MarchTest, list: &FaultList) -> FaultDictionary {
+        FaultDictionary::build(test, list, 6, &InitialState::AllOne)
     }
 
     #[test]
@@ -311,7 +235,7 @@ mod tests {
             .family(Ffm::WriteDestructiveFault)
             .build()
             .unwrap();
-        let dictionary = FaultDictionary::build(&catalog::march_ss(), &list, &small_config());
+        let dictionary = build(&catalog::march_ss(), &list);
         assert_eq!(dictionary.len(), 4 * 6);
         assert_eq!(dictionary.undetected().count(), 0);
         assert!(dictionary.distinct_syndromes() > 0);
@@ -326,7 +250,7 @@ mod tests {
             .family(Ffm::TransitionFault)
             .build()
             .unwrap();
-        let dictionary = FaultDictionary::build(&catalog::march_ss(), &list, &small_config());
+        let dictionary = build(&catalog::march_ss(), &list);
 
         // Simulate an "unknown" device with TF↑ on cell 4 and look its syndrome up.
         let tf = Ffm::TransitionFault.fault_primitives()[0].clone();
@@ -353,8 +277,8 @@ mod tests {
             .family(Ffm::WriteDestructiveFault)
             .build()
             .unwrap();
-        let weak = FaultDictionary::build(&catalog::mats_plus(), &list, &small_config());
-        let strong = FaultDictionary::build(&catalog::march_ss(), &list, &small_config());
+        let weak = build(&catalog::mats_plus(), &list);
+        let strong = build(&catalog::march_ss(), &list);
         assert!(weak.undetected().count() > 0);
         assert_eq!(strong.undetected().count(), 0);
         assert!(weak.distinct_syndromes() <= strong.distinct_syndromes());
@@ -363,7 +287,7 @@ mod tests {
     #[test]
     fn linked_fault_dictionary_counts_placements() {
         let list = FaultList::list_2();
-        let dictionary = FaultDictionary::build(&catalog::march_abl1(), &list, &small_config());
+        let dictionary = build(&catalog::march_abl1(), &list);
         // 32 LF1 faults × 6 victim cells.
         assert_eq!(dictionary.len(), 32 * 6);
         assert_eq!(dictionary.undetected().count(), 0);

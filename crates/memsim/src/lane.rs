@@ -12,9 +12,8 @@
 //! later by adding one more [`LaneWord`] impl.
 //!
 //! [`LaneWidth`] is the user-facing policy knob (`auto | 64 | 128 | 256`)
-//! threaded through `ExecPolicy`, `CoverageConfig` and the CLI `--lane-width`
-//! flag; `auto` picks the narrowest width that holds the enumerated lane
-//! count.
+//! threaded through `ExecPolicy` and the CLI `--lane-width` flag; `auto`
+//! picks the narrowest width that holds the enumerated lane count.
 
 use std::fmt;
 use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, Not};

@@ -19,8 +19,8 @@
 //!   dual-memory engine ([`ScalarBackend`]) or the bit-parallel packed engine
 //!   ([`PackedBackend`], one fault instance per bit of a [`LaneWord`]: 64 per
 //!   `u64` word, 128/256 per [`W128`]/[`W256`] block, selected by
-//!   [`LaneWidth`]) — fanning the fault targets out over worker threads
-//!   ([`parallel_map`]);
+//!   [`LaneWidth`]) — fanning the fault targets out over the resident
+//!   [`WorkerPool`] of a [`Session`];
 //! * enumerates coverage lanes once per **placement shape** (single cell,
 //!   cell pair, cell triple, decoder address, decoder pair), not once per
 //!   target: every target of one shape shares one [`LaneSet`];
@@ -37,9 +37,10 @@
 //!   Wilson-score confidence interval ([`CampaignReport`]) — for memories
 //!   where exhaustive enumeration is intractable;
 //! * exposes the whole pipeline through one long-lived engine handle
-//!   ([`Session`]), built from a unified [`ExecPolicy`] and owning a
-//!   persistent [`WorkerPool`], whose methods return [`Report`]s with
-//!   dependency-free JSON serialisation;
+//!   ([`Session`]), the one holder of the simulation scope (memory size,
+//!   placement strategy, backgrounds), built from an [`ExecPolicy`] and
+//!   owning a persistent [`WorkerPool`], whose methods return [`Report`]s
+//!   with dependency-free JSON serialisation;
 //! * shares one warm cache between any number of concurrent sessions: a
 //!   process-wide [`ArtifactStore`] of immutable-keyed artifacts behind a
 //!   resident [`SharedEngine`] that stamps out cheap [`Session`] handles —
@@ -59,15 +60,16 @@
 //! ```
 //! use march_test::catalog;
 //! use sram_fault_model::FaultList;
-//! use sram_sim::{CoverageConfig, measure_coverage};
+//! use sram_sim::Session;
 //!
 //! // March SS covers the unlinked realistic static faults...
+//! let session = Session::default();
 //! let unlinked = FaultList::unlinked_static();
-//! let report = measure_coverage(&catalog::march_ss(), &unlinked, &CoverageConfig::default());
+//! let report = session.coverage(&catalog::march_ss(), &unlinked);
 //! assert_eq!(report.covered(), report.total());
 //!
 //! // ...but MATS+ does not.
-//! let weak = measure_coverage(&catalog::mats_plus(), &unlinked, &CoverageConfig::default());
+//! let weak = session.coverage(&catalog::mats_plus(), &unlinked);
 //! assert!(weak.covered() < weak.total());
 //! ```
 
@@ -109,22 +111,19 @@ pub use campaign::{
     sample_draw_indices, wilson_interval, CampaignConfig, CampaignEscape, CampaignReport,
     CampaignSpace, MAX_CAMPAIGN_DRAWS,
 };
-pub use coverage::{
-    detects_linked, detects_simple, enumerate_targets, measure_coverage, CoverageConfig,
-    CoverageReport, Escape, EscapeSortKey, TargetKind,
-};
-pub use diagnose::{diagnose, DiagnosisCandidate, LinkTopologyExt, Syndrome, SyndromeEntry};
+pub use coverage::{enumerate_targets, CoverageReport, Escape, EscapeSortKey, TargetKind};
+pub use diagnose::{DiagnosisCandidate, LinkTopologyExt, Syndrome, SyndromeEntry};
 pub use dictionary::{DictionaryEntry, FaultDictionary};
 pub use engine::{FaultSimulator, OperationOutcome};
 pub use error::SimulationError;
 pub use inject::{DecoderFaultInstance, InjectedFault, InstanceCells, LinkedFaultInstance};
 pub use lane::{LaneWidth, LaneWord, WideWord, W128, W256};
 pub use memory::{InitialState, Memory};
-pub use parallel::{effective_threads, parallel_map, WorkerPool};
+pub use parallel::{effective_threads, WorkerPool};
 pub use placement::{
     enumerate_decoder_placements, enumerate_placements, PlacementStrategy, MIN_PLACEMENT_CELLS,
 };
-pub use policy::{ExecPolicy, DEFAULT_WAVE_COST_FACTOR};
+pub use policy::ExecPolicy;
 pub use report::{json_escape, DiagnosisReport, JsonObject, Report};
 pub use run::{run_march, Failure, MarchRun};
 pub use session::{LaneSet, Session, TargetLanes};

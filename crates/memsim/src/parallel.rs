@@ -1,16 +1,12 @@
 //! Deterministic thread fan-out for embarrassingly parallel simulation work.
 //!
 //! Coverage measurement evaluates every fault target independently — a perfect
-//! fan-out. Two implementations share the same contract (self-scheduling
-//! workers pulling item indices from an atomic counter, results merged back
-//! **in item order**, so parallel runs are byte-identical to serial ones):
-//!
-//! * [`parallel_map`] spawns scoped threads per call via [`std::thread::scope`]
-//!   — the legacy free-function path, still used by the deprecated
-//!   free-function pipeline entry points;
-//! * [`WorkerPool`] keeps one **resident** set of workers alive across calls —
-//!   the engine behind [`Session`](crate::Session), so repeated pipeline
-//!   queries stop paying per-call thread spawn and join.
+//! fan-out. [`WorkerPool`] is the one fan-out mechanism: a **resident** set of
+//! self-scheduling workers pulling item indices from an atomic counter, with
+//! results merged back **in item order**, so parallel runs are byte-identical
+//! to serial ones. It is the engine behind
+//! [`Session::execute`](crate::Session::execute), so repeated pipeline queries
+//! never pay per-call thread spawn and join.
 
 use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::thread::{self, JoinHandle};
@@ -26,64 +22,6 @@ pub fn effective_threads(requested: usize, items: usize) -> usize {
         requested
     };
     threads.clamp(1, items.max(1))
-}
-
-/// Applies `map` to every item, fanning the work out over `threads` OS threads
-/// (serial when `threads <= 1`). Results are returned in item order regardless
-/// of the scheduling, so the output is independent of the thread count.
-///
-/// # Panics
-///
-/// Propagates panics from `map` (the worker threads are joined).
-pub fn parallel_map<T, R, F>(items: &[T], threads: usize, map: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = effective_threads(threads, items.len());
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter().map(map).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let mut results: Vec<Option<R>> = Vec::with_capacity(items.len());
-    results.resize_with(items.len(), || None);
-
-    thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let map = &map;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        if index >= items.len() {
-                            break;
-                        }
-                        local.push((index, map(&items[index])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for worker in workers {
-            // lint: allow(unwrap) — re-raising a worker's panic on the caller
-            // is `parallel_map`'s documented contract; the scoped workers
-            // share no locks with the resident pool.
-            for (index, result) in worker.join().expect("simulation worker panicked") {
-                results[index] = Some(result);
-            }
-        }
-    });
-
-    results
-        .into_iter()
-        // lint: allow(unwrap) — the chunked index walk above visits every
-        // index exactly once; an empty slot is a logic bug worth a panic.
-        .map(|slot| slot.expect("every work item is scheduled exactly once"))
-        .collect()
 }
 
 /// One fan-out job: a type-erased "run item `index`" closure plus the shared
@@ -177,8 +115,8 @@ struct PoolShared {
     workers_spawned: AtomicUsize,
 }
 
-/// A persistent pool of simulation workers with the same deterministic
-/// in-order merge as [`parallel_map`].
+/// A persistent pool of simulation workers with a deterministic in-order
+/// merge.
 ///
 /// Workers are spawned **once**, at construction, and then parked on a
 /// condition variable between jobs; every [`WorkerPool::map`] call wakes them,
@@ -286,7 +224,7 @@ impl WorkerPool {
     }
 
     /// Applies `map` to every item on the resident workers, returning results
-    /// in item order — byte-identical to a serial loop, like [`parallel_map`].
+    /// in item order — byte-identical to a serial loop.
     ///
     /// Runs serially on the calling thread when the pool has no spawned
     /// workers or there is at most one item.
@@ -422,10 +360,10 @@ mod tests {
 
     #[test]
     fn results_keep_item_order() {
-        let items: Vec<usize> = (0..257).collect();
-        let serial = parallel_map(&items, 1, |value| value * 3);
+        let items: Arc<Vec<usize>> = Arc::new((0..257).collect());
+        let serial: Vec<usize> = items.iter().map(|value| value * 3).collect();
         for threads in [2, 4, 7] {
-            let parallel = parallel_map(&items, threads, |value| value * 3);
+            let parallel = WorkerPool::new(threads).map(Arc::clone(&items), |value| value * 3);
             assert_eq!(parallel, serial, "threads = {threads}");
         }
     }
@@ -436,14 +374,18 @@ mod tests {
         assert_eq!(effective_threads(8, 3), 3);
         assert_eq!(effective_threads(2, 100), 2);
         assert_eq!(effective_threads(0, 0), 1);
-        let empty: Vec<u32> = Vec::new();
-        assert!(parallel_map(&empty, 0, |value| *value).is_empty());
+        let pool = WorkerPool::new(0);
+        assert!(pool.threads() >= 1);
+        assert!(pool
+            .map(Arc::new(Vec::<u32>::new()), |value| *value)
+            .is_empty());
     }
 
     #[test]
     fn handles_more_threads_than_items() {
-        let items = [1u64, 2, 3];
-        assert_eq!(parallel_map(&items, 64, |value| value + 1), vec![2, 3, 4]);
+        let pool = WorkerPool::new(8);
+        let items = Arc::new(vec![1u64, 2, 3]);
+        assert_eq!(pool.map(items, |value| value + 1), vec![2, 3, 4]);
     }
 
     #[test]

@@ -1,34 +1,19 @@
-//! The unified execution policy of the simulation stack.
+//! The execution policy of the simulation stack.
 //!
-//! Before [`ExecPolicy`], every pipeline stage carried its own copy of the
-//! execution knobs — `CoverageConfig { backend, threads }` for coverage,
-//! `GeneratorConfig { backend, threads, batch }` for generation — and the CLI
-//! and benches re-plumbed the triple independently. `ExecPolicy` owns those
-//! knobs once; a [`Session`](crate::Session) is built from it and every
-//! pipeline entry point inherits the same policy. The session built from a
-//! policy also owns the run-time state the policy's knobs govern: the
-//! resident worker pool (`threads`) and the memoised target-lane artifact
-//! cache that repeated coverage/generation/minimisation queries share.
+//! [`ExecPolicy`] is the one declaration of the execution knobs; a
+//! [`Session`](crate::Session) is built from it and every pipeline entry point
+//! inherits the same policy. The session built from a policy also owns the
+//! run-time state the policy's knobs govern: the resident worker pool
+//! (`threads`) and the memoised target-lane artifact cache that repeated
+//! coverage/generation/minimisation queries share. The simulation scope
+//! (memory size, placements, backgrounds) lives on the session, not here.
 
 use crate::backend::BackendKind;
 use crate::lane::LaneWidth;
 
-/// The default wave-vs-per-candidate cost-model factor.
-///
-/// The packed candidate-wave evaluator pays roughly this many masked group
-/// passes per padded operation slot per pending lane, versus one plain pass
-/// per operation of every candidate on the per-candidate path (see
-/// [`TargetBatch::score_pool`](crate::TargetBatch::score_pool)). The value is
-/// calibrated from the committed `BENCH_simulation.json` trajectory: with a
-/// factor of 3 the batched repair-pool workloads run 10–12× over per-candidate
-/// scoring, and nudging the factor to 2 or 4 flips the switch on pool shapes
-/// where the measured times show the other path is cheaper.
-pub const DEFAULT_WAVE_COST_FACTOR: usize = 3;
-
 /// Execution policy shared by every pipeline stage: which backend simulates,
 /// how many worker threads fan the work out, how many candidates are packed
-/// per scoring batch, and the cost-model threshold that picks between the
-/// candidate-wave and per-candidate scoring strategies.
+/// per scoring batch, and how many coverage lanes one packed word carries.
 ///
 /// Every knob is *result-invariant*: verdicts, reports and generated tests
 /// are byte-identical for every policy; only the wall-clock changes.
@@ -53,11 +38,6 @@ pub struct ExecPolicy {
     /// Maximum candidates packed per [`CandidateBatch`](crate::CandidateBatch)
     /// when scoring (`0` = full 64-lane words, `1` = per-candidate scoring).
     pub batch: usize,
-    /// The wave-vs-per-candidate switch: the candidate wave is used when
-    /// `pending lanes × padded slots × wave_cost_factor ≤ Σ candidate ops`.
-    /// Defaults to [`DEFAULT_WAVE_COST_FACTOR`]; both strategies are exact,
-    /// so any value is result-identical.
-    pub wave_cost_factor: usize,
     /// How many coverage lanes the packed backend carries per word
     /// (`Auto` = narrowest width holding each target's lane count; explicit
     /// 64/128/256 pin the word). Ignored by the scalar backend. Like every
@@ -71,7 +51,6 @@ impl Default for ExecPolicy {
             backend: BackendKind::Packed,
             threads: 1,
             batch: 0,
-            wave_cost_factor: DEFAULT_WAVE_COST_FACTOR,
             lane_width: LaneWidth::Auto,
         }
     }
@@ -110,13 +89,6 @@ impl ExecPolicy {
         self
     }
 
-    /// Replaces the wave-vs-per-candidate cost-model factor.
-    #[must_use]
-    pub fn with_wave_cost_factor(mut self, factor: usize) -> ExecPolicy {
-        self.wave_cost_factor = factor;
-        self
-    }
-
     /// Replaces the packed lane width.
     #[must_use]
     pub fn with_lane_width(mut self, lane_width: LaneWidth) -> ExecPolicy {
@@ -135,7 +107,6 @@ mod tests {
         assert_eq!(policy.backend, BackendKind::Packed);
         assert_eq!(policy.threads, 1);
         assert_eq!(policy.batch, 0);
-        assert_eq!(policy.wave_cost_factor, DEFAULT_WAVE_COST_FACTOR);
         assert_eq!(policy.lane_width, LaneWidth::Auto);
         assert_eq!(ExecPolicy::fast().threads, 0);
         assert_eq!(ExecPolicy::fast().lane_width, LaneWidth::Auto);
@@ -147,12 +118,10 @@ mod tests {
             .with_backend(BackendKind::Scalar)
             .with_threads(4)
             .with_batch(16)
-            .with_wave_cost_factor(5)
             .with_lane_width(LaneWidth::W256);
         assert_eq!(policy.backend, BackendKind::Scalar);
         assert_eq!(policy.threads, 4);
         assert_eq!(policy.batch, 16);
-        assert_eq!(policy.wave_cost_factor, 5);
         assert_eq!(policy.lane_width, LaneWidth::W256);
     }
 }

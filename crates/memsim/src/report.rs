@@ -316,10 +316,7 @@ impl Report for DiagnosisReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        diagnose, measure_coverage, run_march, CoverageConfig, FaultSimulator, InitialState,
-        InjectedFault,
-    };
+    use crate::{run_march, FaultSimulator, InitialState, InjectedFault, Session};
     use march_test::catalog;
     use sram_fault_model::{FaultList, Ffm};
 
@@ -348,11 +345,7 @@ mod tests {
 
     #[test]
     fn coverage_report_serialises() {
-        let report = measure_coverage(
-            &catalog::mats_plus(),
-            &FaultList::list_2(),
-            &CoverageConfig::default(),
-        );
+        let report = Session::default().coverage(&catalog::mats_plus(), &FaultList::list_2());
         let json = report.to_json();
         assert!(json.starts_with("{\"report\": \"coverage\""));
         assert!(json.contains("\"complete\": false"));
@@ -379,17 +372,14 @@ mod tests {
         let mut device = FaultSimulator::new(6, &InitialState::AllOne).unwrap();
         device.inject(InjectedFault::single_cell(tf, 2, 6).unwrap());
         let syndrome = Syndrome::observe(&catalog::march_ss(), &mut device);
-        let config = CoverageConfig {
-            memory_cells: 6,
-            ..CoverageConfig::default()
-        };
-        let candidates = diagnose(
+        let session = Session::default()
+            .with_memory_cells(6)
+            .with_backgrounds(vec![InitialState::AllOne]);
+        let report = session.diagnose_sweep(
             &catalog::march_ss(),
             &syndrome,
             &FaultList::unlinked_static(),
-            &config,
         );
-        let report = DiagnosisReport::new("March SS", syndrome, candidates);
         assert!(!report.is_unexplained());
         assert!(report.summary().contains("March SS"));
         let json = report.to_json();

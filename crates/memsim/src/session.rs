@@ -3,12 +3,13 @@
 //!
 //! A [`Session`] is built **once** from an [`ExecPolicy`] and owns everything
 //! execution-related: the simulation backend instance, the candidate-batching
-//! and cost-model knobs, and — when the policy asks for more than one worker
+//! and lane-width knobs, and — when the policy asks for more than one worker
 //! thread — a persistent [`WorkerPool`] that outlives individual queries, so
 //! repeated coverage / generation / diagnosis calls stop paying per-call
-//! thread spawn. Every result is byte-identical to the legacy free functions
-//! (`measure_coverage`, `run_march`, `diagnose`), which are now thin shims
-//! constructing a throwaway session.
+//! thread spawn. The session is also the one holder of the *simulation
+//! scope* — memory size, placement strategy and data backgrounds — and the
+//! only way to run coverage, campaigns and diagnosis (the generation crate
+//! extends it with generation and minimisation).
 //!
 //! A session built with [`Session::new`] owns a *private*
 //! [`ArtifactStore`](crate::ArtifactStore) and pool; sessions handed out by a
@@ -39,9 +40,9 @@ use crate::run::run_march;
 use crate::store::{ArtifactKey, ArtifactStore, DictionaryKey};
 use crate::sync::OnceLock;
 use crate::{
-    CampaignSpace, CoverageConfig, CoverageLane, CoverageReport, DiagnosisCandidate, ExecPolicy,
-    FaultDictionary, FaultSimulator, InitialState, InjectedFault, InstanceCells,
-    LinkedFaultInstance, MarchRun, PlacementStrategy, Result, Syndrome,
+    CampaignSpace, CoverageLane, CoverageReport, DiagnosisCandidate, ExecPolicy, FaultDictionary,
+    FaultSimulator, InitialState, InjectedFault, InstanceCells, LinkedFaultInstance, MarchRun,
+    PlacementStrategy, Result, Syndrome,
 };
 
 /// How many diagnosis instances one sweep shard simulates: large enough to
@@ -192,7 +193,7 @@ impl Default for Session {
 impl Session {
     /// Builds a session from `policy`, spawning the resident worker pool when
     /// the policy resolves to more than one thread. The simulation scope
-    /// defaults to [`CoverageConfig::thorough`]: an 8-cell memory,
+    /// defaults to the paper's thorough setup: an 8-cell memory,
     /// representative placements, detection required under both uniform
     /// backgrounds.
     #[must_use]
@@ -213,31 +214,15 @@ impl Session {
         pool: Option<Arc<WorkerPool>>,
         store: Arc<ArtifactStore>,
     ) -> Session {
-        let scope = CoverageConfig::thorough();
         Session {
             policy,
-            memory_cells: scope.memory_cells,
-            strategy: scope.strategy,
-            backgrounds: scope.backgrounds,
+            memory_cells: 8,
+            strategy: PlacementStrategy::Representative,
+            backgrounds: vec![InitialState::AllZero, InitialState::AllOne],
             backend: Arc::from(policy.backend.instance_with(policy.lane_width)),
             pool,
             store,
         }
-    }
-
-    /// Builds a session whose scope *and* policy mirror a legacy
-    /// [`CoverageConfig`] — the bridge the deprecated free functions use.
-    #[must_use]
-    pub fn from_coverage_config(config: &CoverageConfig) -> Session {
-        Session::new(
-            ExecPolicy::default()
-                .with_backend(config.backend)
-                .with_threads(config.threads)
-                .with_lane_width(config.lane_width),
-        )
-        .with_memory_cells(config.memory_cells)
-        .with_strategy(config.strategy)
-        .with_backgrounds(config.backgrounds.clone())
     }
 
     /// Replaces the simulated memory size (≥ 4 cells).
@@ -289,20 +274,6 @@ impl Session {
     #[must_use]
     pub fn backend_instance(&self) -> Arc<dyn SimulationBackend> {
         Arc::clone(&self.backend)
-    }
-
-    /// The legacy [`CoverageConfig`] equivalent of this session — what the
-    /// deprecated free-function path would have been called with.
-    #[must_use]
-    pub fn coverage_config(&self) -> CoverageConfig {
-        CoverageConfig {
-            memory_cells: self.memory_cells,
-            strategy: self.strategy,
-            backgrounds: self.backgrounds.clone(),
-            backend: self.policy.backend,
-            threads: self.policy.threads,
-            lane_width: self.policy.lane_width,
-        }
     }
 
     /// Returns `true` when the session owns a worker pool (resolved thread
@@ -389,29 +360,8 @@ impl Session {
     /// assert!(first.iter().all(|(_, lanes)| std::sync::Arc::ptr_eq(lanes, &first[0].1)));
     /// ```
     pub fn target_lanes(&self, list: &FaultList) -> Result<Arc<TargetLanes>> {
-        self.target_lanes_scoped(list, self.memory_cells, self.strategy, &self.backgrounds)
-    }
-
-    /// Like [`Session::target_lanes`] with an explicit simulation scope —
-    /// the entry point for pipeline stages (generator, minimiser) whose
-    /// configuration may override the session's own scope. The cache is
-    /// shared: entries are keyed by `(list contents, scope)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimulationError::MemoryTooSmall`](crate::SimulationError)
-    /// when `memory_cells` cannot host the list's placements, and
-    /// [`SimulationError::InitialStateSizeMismatch`](crate::SimulationError)
-    /// when a custom background does not match `memory_cells`.
-    pub fn target_lanes_scoped(
-        &self,
-        list: &FaultList,
-        memory_cells: usize,
-        strategy: PlacementStrategy,
-        backgrounds: &[InitialState],
-    ) -> Result<Arc<TargetLanes>> {
-        check_backgrounds(backgrounds, memory_cells)?;
-        let key = ArtifactKey::new(list, memory_cells, strategy, backgrounds);
+        check_backgrounds(&self.backgrounds, self.memory_cells)?;
+        let key = ArtifactKey::new(list, self.memory_cells, self.strategy, &self.backgrounds);
         let snapshots = self.store.snapshots();
         self.store.target_lanes(&key, || {
             // Replay the crash-safe snapshot first, when one is attached: a
@@ -423,7 +373,8 @@ impl Session {
                 }
             }
             let entries = share_by_shape(enumerate_targets(list), |shape| {
-                shape_lanes(shape, memory_cells, strategy, backgrounds).map(LaneSet::new)
+                shape_lanes(shape, self.memory_cells, self.strategy, &self.backgrounds)
+                    .map(LaneSet::new)
             })?;
             let built = Arc::new(entries);
             if let Some(snapshots) = &snapshots {
@@ -450,9 +401,9 @@ impl Session {
     }
 
     /// Measures the coverage of `test` over `list` under the session's scope
-    /// and policy — the session form of
-    /// [`measure_coverage`](crate::measure_coverage), byte-identical to it for
-    /// every backend and thread count.
+    /// and policy. Every target must be detected under every enumerated cell
+    /// placement and background; the report is byte-identical for every
+    /// backend, thread count and lane width.
     ///
     /// # Examples
     ///
@@ -680,12 +631,8 @@ impl Session {
         // needs localisation) and simulate only the first data background, so
         // the key carries exactly that scope: sessions differing only in
         // coverage strategy or trailing backgrounds share one entry.
-        let background = self
-            .backgrounds
-            .first()
-            .cloned()
-            .unwrap_or(InitialState::AllOne);
-        let key = DictionaryKey::new(test, list, self.memory_cells, background);
+        let background = self.first_background();
+        let key = DictionaryKey::new(test, list, self.memory_cells, background.clone());
         let snapshots = self.store.snapshots();
         self.store.dictionary(&key, || {
             if let Some(snapshots) = &snapshots {
@@ -693,7 +640,12 @@ impl Session {
                     return Arc::new(dictionary);
                 }
             }
-            let built = Arc::new(FaultDictionary::build(test, list, &self.coverage_config()));
+            let built = Arc::new(FaultDictionary::build(
+                test,
+                list,
+                self.memory_cells,
+                &background,
+            ));
             if let Some(snapshots) = &snapshots {
                 snapshots.store_dictionary(&key, &built, list);
             }
@@ -741,16 +693,18 @@ impl Session {
         DiagnosisReport::new(dictionary.test_name(), syndrome.clone(), candidates)
     }
 
-    /// Diagnoses `syndrome` by a full simulation sweep of `list` under `test`
-    /// — the session form of [`diagnose`](crate::diagnose()), for one-off
-    /// queries where building a dictionary would not amortise.
+    /// Diagnoses `syndrome` by a full simulation sweep of `list` under `test`,
+    /// for one-off queries where building a dictionary would not amortise.
+    /// The instances are those of [`Session::dictionary`] — every placement
+    /// on the session's memory, simulated from its first background — so the
+    /// candidates equal a dictionary lookup's, in the same order.
     ///
     /// The sweep shards its instance space over the session's resident worker
     /// pool in fixed-size ranges; each shard re-uses one scratch simulator
     /// (reset per instance with `clone_from`, so the memory buffers are
     /// allocated once per shard, not once per instance). Shard results are
-    /// concatenated in enumeration order, so the report is byte-identical to
-    /// the free function at every thread count.
+    /// concatenated in enumeration order, so the report is byte-identical at
+    /// every thread count.
     #[must_use]
     pub fn diagnose_sweep(
         &self,
@@ -761,7 +715,7 @@ impl Session {
         if syndrome.is_empty() {
             return DiagnosisReport::new(test.name(), syndrome.clone(), Vec::new());
         }
-        let instances = enumerate_diagnosis_instances(list, &self.coverage_config());
+        let instances = enumerate_diagnosis_instances(list, self.memory_cells);
         let shards: Vec<Vec<(TargetKind, InstanceCells)>> = instances
             .chunks(DIAGNOSIS_SHARD)
             .map(<[_]>::to_vec)
@@ -769,11 +723,7 @@ impl Session {
         let test_owned = test.clone();
         let observed = syndrome.clone();
         let memory_cells = self.memory_cells;
-        let background = self
-            .backgrounds
-            .first()
-            .cloned()
-            .unwrap_or(InitialState::AllOne);
+        let background = self.first_background();
         let matches: Vec<Vec<DiagnosisCandidate>> = self.execute(Arc::new(shards), move |shard| {
             let pristine = FaultSimulator::new(memory_cells, &background)
                 // lint: allow(unwrap) — the same scope was validated when the
@@ -815,14 +765,19 @@ impl Session {
     }
 
     /// A fresh fault-free simulator with the session's memory size and first
-    /// background (all-zero under the default thorough scope).
+    /// background.
     fn device(&self) -> Result<FaultSimulator> {
-        let background = self
-            .backgrounds
+        FaultSimulator::new(self.memory_cells, &self.first_background())
+    }
+
+    /// The background single runs, dictionaries and diagnosis sweeps simulate
+    /// from: the session's first (all-zero under the default thorough scope;
+    /// all-one when the session has none).
+    fn first_background(&self) -> InitialState {
+        self.backgrounds
             .first()
             .cloned()
-            .unwrap_or(InitialState::AllOne);
-        FaultSimulator::new(self.memory_cells, &background)
+            .unwrap_or(InitialState::AllOne)
     }
 }
 
@@ -857,15 +812,35 @@ fn campaign_shard_verdicts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{diagnose, measure_coverage, BackendKind, LaneWidth, Report as _};
+    use crate::coverage::assemble_coverage_report;
+    use crate::{BackendKind, LaneWidth, Report as _, SharedEngine};
     use march_test::catalog;
     use sram_fault_model::Ffm;
 
     #[test]
     fn session_coverage_matches_the_legacy_path() {
+        // The legacy path: every enumerated lane simulated on the full
+        // memory, as coverage ran before lanes were projected onto classes.
         let list = FaultList::list_2();
         let test = catalog::march_c_minus();
-        let legacy = measure_coverage(&test, &list, &CoverageConfig::thorough());
+        let session = Session::new(ExecPolicy::default().with_backend(BackendKind::Scalar));
+        let lanes = session.target_lanes(&list).unwrap();
+        let targets: Vec<TargetKind> = lanes.iter().map(|(target, _)| target.clone()).collect();
+        let escapes = lanes
+            .iter()
+            .map(|(target, lanes)| {
+                session
+                    .backend_instance()
+                    .first_undetected(&test, target, lanes, session.memory_cells())
+                    .map(|index| Escape {
+                        target: target.clone(),
+                        cells: lanes[index].cells,
+                        background: lanes[index].background.clone(),
+                    })
+            })
+            .collect();
+        let legacy = assemble_coverage_report(test.name(), list.name(), &targets, escapes);
+        assert!(!legacy.is_complete(), "March C- must escape somewhere");
         for threads in [1usize, 2, 0] {
             for backend in [BackendKind::Scalar, BackendKind::Packed] {
                 let session = Session::new(
@@ -947,20 +922,17 @@ mod tests {
     }
 
     #[test]
-    fn sweep_diagnosis_matches_the_free_function() {
+    fn sweep_diagnosis_matches_the_dictionary_lookup() {
         let session = Session::default().with_memory_cells(6);
         let tf = Ffm::TransitionFault.fault_primitives()[0].clone();
         let fault = InjectedFault::single_cell(tf, 2, 6).unwrap();
         let syndrome = session.observe(&catalog::march_ss(), &fault).unwrap();
         let list = FaultList::unlinked_static();
         let report = session.diagnose_sweep(&catalog::march_ss(), &syndrome, &list);
-        let reference = diagnose(
-            &catalog::march_ss(),
-            &syndrome,
-            &list,
-            &session.coverage_config(),
-        );
-        assert_eq!(report.candidates(), &reference[..]);
+        let dictionary = session.dictionary(&catalog::march_ss(), &list);
+        let reference = session.diagnose(&syndrome, &dictionary);
+        assert!(!report.candidates().is_empty());
+        assert_eq!(report, reference);
         assert_eq!(report.test_name(), "March SS");
 
         // The sharded parallel sweep is byte-identical to the serial one,
@@ -983,16 +955,15 @@ mod tests {
         let baseline = Session::default().coverage(&test, &list);
         for width in LaneWidth::ALL {
             let session = Session::new(ExecPolicy::default().with_lane_width(width));
-            assert_eq!(session.coverage_config().lane_width, width);
+            assert_eq!(session.policy().lane_width, width);
             assert_eq!(session.coverage(&test, &list), baseline, "width {width}");
-            let rebuilt = Session::from_coverage_config(&session.coverage_config());
-            assert_eq!(rebuilt.policy().lane_width, width);
         }
     }
 
     #[test]
     fn artifact_cache_memoises_target_lanes_per_list_and_scope() {
-        let session = Session::default();
+        let engine = SharedEngine::new(ExecPolicy::default());
+        let session = engine.session();
         assert_eq!(session.cache_hits(), 0);
         assert_eq!(session.cached_artifacts(), 0);
 
@@ -1004,14 +975,12 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(session.cache_hits(), 1);
 
-        // A different scope keys a different entry.
-        let exhaustive = session
-            .target_lanes_scoped(
-                &FaultList::list_2(),
-                6,
-                PlacementStrategy::Exhaustive,
-                session.backgrounds(),
-            )
+        // A different scope over the same store keys a different entry.
+        let exhaustive = engine
+            .session()
+            .with_memory_cells(6)
+            .with_strategy(PlacementStrategy::Exhaustive)
+            .target_lanes(&FaultList::list_2())
             .unwrap();
         assert!(!Arc::ptr_eq(&first, &exhaustive));
         assert_eq!(session.cache_hits(), 1);
@@ -1114,7 +1083,7 @@ mod tests {
 
         // The cached dictionary is byte-identical to an uncached build.
         let fresh =
-            FaultDictionary::build(&catalog::march_abl1(), &list, &session.coverage_config());
+            FaultDictionary::build(&catalog::march_abl1(), &list, 6, &InitialState::AllZero);
         assert_eq!(first.len(), fresh.len());
         assert_eq!(first.entries(), fresh.entries());
 
@@ -1264,11 +1233,7 @@ mod tests {
         assert_eq!(session.memory_cells(), 6);
         assert_eq!(session.strategy(), PlacementStrategy::Exhaustive);
         assert_eq!(session.backgrounds(), &[InitialState::AllOne]);
-        let config = session.coverage_config();
-        assert_eq!(config.memory_cells, 6);
-        assert_eq!(config.backend, BackendKind::Packed);
-        let rebuilt = Session::from_coverage_config(&config);
-        assert_eq!(rebuilt.coverage_config(), config);
+        assert_eq!(session.policy().backend, BackendKind::Packed);
         assert_eq!(session.policy().batch, 0);
         assert_eq!(session.backend_instance().name(), "packed");
     }

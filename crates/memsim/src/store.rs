@@ -461,7 +461,7 @@ impl SharedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BackendKind, CoverageConfig, LaneWidth};
+    use crate::{BackendKind, LaneWidth};
     use march_test::catalog;
 
     #[test]
@@ -648,7 +648,8 @@ mod tests {
         let engine = SharedEngine::new(ExecPolicy::default());
         let list = FaultList::list_1();
         let test = catalog::march_c_minus();
-        let legacy = crate::measure_coverage(&test, &list, &CoverageConfig::thorough());
+        // A standalone session with a private store is the reference.
+        let legacy = Session::default().coverage(&test, &list);
         assert_eq!(engine.session().coverage(&test, &list), legacy);
         assert_eq!(engine.session().coverage(&test, &list), legacy);
     }

@@ -1,15 +1,15 @@
 //! Property-based equivalence of the simulation backends: for random march
 //! tests × fault targets × placements × backgrounds, the bit-parallel
 //! [`PackedBackend`] must produce exactly the detection verdicts and escape
-//! sets of the reference [`ScalarBackend`], and `measure_coverage` must be
+//! sets of the reference [`ScalarBackend`], and session coverage must be
 //! byte-identical across backends and thread counts.
 
 use march_test::{AddressOrder, MarchElement, MarchTest};
 use proptest::prelude::*;
 use sram_fault_model::{FaultList, Ffm, Operation};
 use sram_sim::{
-    enumerate_lanes, measure_coverage, BackendKind, CoverageConfig, InitialState, LaneWidth,
-    PackedBackend, PlacementStrategy, ScalarBackend, SimulationBackend, TargetKind,
+    enumerate_lanes, BackendKind, ExecPolicy, InitialState, LaneWidth, PackedBackend,
+    PlacementStrategy, ScalarBackend, Session, SimulationBackend, TargetKind,
 };
 
 fn arbitrary_operation() -> impl Strategy<Value = Operation> {
@@ -114,17 +114,17 @@ proptest! {
         memory_cells in 4usize..9,
     ) {
         let list = FaultList::list_2();
-        let base = CoverageConfig {
-            memory_cells,
-            strategy: PlacementStrategy::Representative,
-            backgrounds,
-            ..CoverageConfig::default()
+        let session = |policy: ExecPolicy| {
+            Session::new(policy)
+                .with_memory_cells(memory_cells)
+                .with_strategy(PlacementStrategy::Representative)
+                .with_backgrounds(backgrounds.clone())
         };
-        let reference = measure_coverage(&test, &list, &base);
+        let reference = session(ExecPolicy::default()).coverage(&test, &list);
         for backend in [BackendKind::Scalar, BackendKind::Packed] {
             for threads in [1usize, 3, 0] {
-                let config = base.clone().with_backend(backend).with_threads(threads);
-                let report = measure_coverage(&test, &list, &config);
+                let policy = ExecPolicy::default().with_backend(backend).with_threads(threads);
+                let report = session(policy).coverage(&test, &list);
                 prop_assert_eq!(
                     &report,
                     &reference,
@@ -146,18 +146,12 @@ fn catalogue_escape_sets_match_across_backends() {
         FaultList::list_2(),
         FaultList::list_1(),
     ];
+    let scalar_session = Session::new(ExecPolicy::default().with_backend(BackendKind::Scalar));
+    let packed_session = Session::new(ExecPolicy::default().with_backend(BackendKind::Packed));
     for test in march_test::catalog::all() {
         for list in &lists {
-            let scalar = measure_coverage(
-                &test,
-                list,
-                &CoverageConfig::thorough().with_backend(BackendKind::Scalar),
-            );
-            let packed = measure_coverage(
-                &test,
-                list,
-                &CoverageConfig::thorough().with_backend(BackendKind::Packed),
-            );
+            let scalar = scalar_session.coverage(&test, list);
+            let packed = packed_session.coverage(&test, list);
             assert_eq!(
                 scalar.escapes(),
                 packed.escapes(),

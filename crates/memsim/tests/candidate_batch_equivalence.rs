@@ -5,12 +5,14 @@
 //! simulation backends, every pool chunk size, and regardless of how the
 //! batch was advanced (the packed path compacts pending lanes as it goes).
 
+use std::sync::Arc;
+
 use march_test::{AddressOrder, MarchElement};
 use proptest::prelude::*;
 use sram_fault_model::{FaultList, Operation};
 use sram_sim::{
     enumerate_lanes, BackendKind, CandidateBatch, InitialState, PlacementStrategy, TargetBatch,
-    TargetKind,
+    TargetKind, WorkerPool,
 };
 
 fn arbitrary_operation() -> impl Strategy<Value = Operation> {
@@ -129,24 +131,28 @@ proptest! {
 }
 
 /// Scores `pool` against `batches` by sharding the (pool chunk × target
-/// batch) grid over `threads` workers and merging in job order — the same
-/// shape the generator's scorer uses.
+/// batch) grid over a `threads`-worker pool and merging in job order — the
+/// same shape the generator's scorer uses.
 fn sharded_scores(
     pool: &[MarchElement],
     batches: &[TargetBatch],
     chunk: usize,
     threads: usize,
 ) -> Vec<usize> {
-    let pools = CandidateBatch::chunked(pool, chunk);
+    let pools = Arc::new(CandidateBatch::chunked(pool, chunk));
     let jobs: Vec<(usize, usize)> = (0..pools.len())
         .flat_map(|pool_index| (0..batches.len()).map(move |batch| (pool_index, batch)))
         .collect();
-    let results = sram_sim::parallel_map(&jobs, threads, |&(pool_index, batch)| {
-        batches[batch].score_pool(&pools[pool_index])
-    });
+    let results = {
+        let pools = Arc::clone(&pools);
+        let batches = Arc::new(batches.to_vec());
+        WorkerPool::new(threads).map(Arc::new(jobs.clone()), move |&(pool_index, batch)| {
+            batches[batch].score_pool(&pools[pool_index])
+        })
+    };
     let mut offsets = Vec::new();
     let mut offset = 0usize;
-    for pool_chunk in &pools {
+    for pool_chunk in pools.iter() {
         offsets.push(offset);
         offset += pool_chunk.len();
     }

@@ -5,8 +5,8 @@ use march_test::{catalog, MarchTest};
 use proptest::prelude::*;
 use sram_fault_model::{FaultList, Ffm, LinkTopology, Operation};
 use sram_sim::{
-    measure_coverage, run_march, CoverageConfig, FaultSimulator, InitialState, InjectedFault,
-    InstanceCells, LinkedFaultInstance, PlacementStrategy,
+    run_march, FaultSimulator, InitialState, InjectedFault, InstanceCells, LinkedFaultInstance,
+    PlacementStrategy, Session,
 };
 
 fn simulator_with(primitive: sram_fault_model::FaultPrimitive, victim: usize) -> FaultSimulator {
@@ -76,10 +76,10 @@ fn linked_fault_masking_defeats_march_ss_but_not_march_sl_on_lf1() {
     // Find a single-cell linked fault that March SS misses (the motivation of the
     // paper) and confirm the linked-fault tests still catch it.
     let list = FaultList::list_2();
-    let config = CoverageConfig::thorough();
-    let ss_report = measure_coverage(&catalog::march_ss(), &list, &config);
-    let sl_report = measure_coverage(&catalog::march_sl(), &list, &config);
-    let abl1_report = measure_coverage(&catalog::march_abl1(), &list, &config);
+    let session = Session::default();
+    let ss_report = session.coverage(&catalog::march_ss(), &list);
+    let sl_report = session.coverage(&catalog::march_sl(), &list);
+    let abl1_report = session.coverage(&catalog::march_abl1(), &list);
     assert!(sl_report.is_complete());
     assert!(abl1_report.is_complete());
     // March SS might or might not cover every LF1 under our semantics, but it must
@@ -90,7 +90,9 @@ fn linked_fault_masking_defeats_march_ss_but_not_march_sl_on_lf1() {
 #[test]
 fn coverage_report_escape_accounting_is_consistent() {
     let list = FaultList::list_1();
-    let report = measure_coverage(&catalog::march_c_minus(), &list, &CoverageConfig::default());
+    let report = Session::default()
+        .with_backgrounds(vec![InitialState::AllOne])
+        .coverage(&catalog::march_c_minus(), &list);
     assert_eq!(report.total(), list.linked().len());
     assert_eq!(report.covered() + report.escapes().len(), report.total());
     let by_topology: usize = report.by_topology().values().map(|(_, total)| *total).sum();
@@ -108,8 +110,11 @@ fn exhaustive_placements_agree_with_representative_on_complete_tests() {
     // March SL covers list #2 under representative placements; exhaustive placement
     // enumeration must agree (completeness is placement-independent for it).
     let list = FaultList::list_2();
-    let representative = measure_coverage(&catalog::march_sl(), &list, &CoverageConfig::thorough());
-    let exhaustive = measure_coverage(&catalog::march_sl(), &list, &CoverageConfig::exhaustive());
+    let representative = Session::default().coverage(&catalog::march_sl(), &list);
+    let exhaustive = Session::default()
+        .with_memory_cells(6)
+        .with_strategy(PlacementStrategy::Exhaustive)
+        .coverage(&catalog::march_sl(), &list);
     assert!(representative.is_complete());
     assert!(exhaustive.is_complete());
 }

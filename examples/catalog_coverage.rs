@@ -11,7 +11,7 @@
 
 use march_test::catalog;
 use sram_fault_model::FaultList;
-use sram_sim::{measure_coverage, CoverageConfig};
+use sram_sim::Session;
 
 fn main() {
     let lists = [
@@ -19,7 +19,8 @@ fn main() {
         FaultList::list_2(),
         FaultList::list_1(),
     ];
-    let config = CoverageConfig::thorough();
+    // The default session scope is the paper's thorough one.
+    let session = Session::default();
 
     println!(
         "{:<16} {:>6} | {:>10} {:>10} {:>10}",
@@ -30,7 +31,7 @@ fn main() {
     for test in catalog::all() {
         let mut cells = Vec::new();
         for list in &lists {
-            let report = measure_coverage(&test, list, &config);
+            let report = session.coverage(&test, list);
             cells.push(format!("{:>9.1}%", report.percent()));
         }
         println!(

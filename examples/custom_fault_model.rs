@@ -4,12 +4,12 @@
 //!
 //! Run with `cargo run --release --example custom_fault_model`.
 
-use march_gen::MarchGenerator;
+use march_gen::{MarchGenerator, SessionExt};
 use sram_fault_model::{
     CellValue, Condition, FaultEffect, FaultListBuilder, FaultPrimitive, Ffm, LinkTopology,
     LinkedFault, Operation,
 };
-use sram_sim::CoverageConfig;
+use sram_sim::Session;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Define two fault primitives by hand using the <S/F/R> notation helpers.
@@ -44,10 +44,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
     println!("fault list: {list}");
 
-    // 4. Generate and verify a march test dedicated to this list.
-    let (generated, coverage) = MarchGenerator::new(list.clone())
+    // 4. Generate and verify a march test dedicated to this list, on one session
+    //    with the paper's thorough scope (8 cells, both uniform backgrounds).
+    let session = Session::default();
+    let generated = MarchGenerator::new(list.clone())
         .named("March CUSTOM")
-        .generate_verified();
+        .generate_with(&session);
+    let coverage = session.verify(generated.test(), &list);
     println!("generated: {}", generated.test());
     println!("coverage : {coverage}");
     assert!(
@@ -57,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. Cross-check with an off-the-shelf test: MATS+ is not enough for this list.
     let mats = march_test::catalog::mats_plus();
-    let mats_coverage = march_gen::verify(&mats, &list, &CoverageConfig::thorough());
+    let mats_coverage = session.verify(&mats, &list);
     println!("MATS+    : {mats_coverage}");
     Ok(())
 }

@@ -8,16 +8,14 @@
 use march_gen::MarchGenerator;
 use march_test::export;
 use sram_fault_model::{FaultList, Ffm};
-use sram_sim::{
-    CoverageConfig, FaultDictionary, FaultSimulator, InitialState, InjectedFault, Syndrome,
-};
+use sram_sim::{FaultSimulator, InitialState, InjectedFault, Session, Syndrome};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Generate a march test for the single-cell static linked faults.
     let list = FaultList::list_2();
     let generated = MarchGenerator::new(list.clone())
         .named("March GEN-LF1")
-        .generate();
+        .generate_with(&Session::default());
     let test = generated.test().clone();
     println!("generated test : {test}");
     println!();
@@ -30,11 +28,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         dictionary_space = dictionary_space.family(*family);
     }
     let dictionary_space = dictionary_space.build()?;
-    let config = CoverageConfig {
-        memory_cells: 6,
-        ..CoverageConfig::default()
-    };
-    let dictionary = FaultDictionary::build(&test, &dictionary_space, &config);
+    //    The dictionary session simulates a 6-cell memory from the all-one
+    //    background, like the device below.
+    let session = Session::default()
+        .with_memory_cells(6)
+        .with_backgrounds(vec![InitialState::AllOne]);
+    let dictionary = session.dictionary(&test, &dictionary_space);
     println!("dictionary     : {dictionary}");
     println!(
         "undetected     : {} instances",

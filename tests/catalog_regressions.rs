@@ -1,23 +1,25 @@
 //! Regression tests pinning the simulated coverage of the published march tests of
 //! the catalogue — the cross-checks behind the comparison columns of Table 1.
 
-use march_test::catalog;
+use march_test::{catalog, MarchTest};
 use sram_fault_model::FaultList;
-use sram_sim::{measure_coverage, CoverageConfig};
+use sram_sim::{CoverageReport, PlacementStrategy, Session};
 
-fn thorough() -> CoverageConfig {
-    CoverageConfig::thorough()
+/// Coverage of `test` over `list` under the paper's thorough scope: 8 cells,
+/// representative placements, both uniform backgrounds.
+fn thorough(test: &MarchTest, list: &FaultList) -> CoverageReport {
+    Session::default().coverage(test, list)
 }
 
 #[test]
 fn march_ss_covers_unlinked_but_not_linked_faults() {
     let march_ss = catalog::march_ss();
-    let unlinked = measure_coverage(&march_ss, &FaultList::unlinked_static(), &thorough());
+    let unlinked = thorough(&march_ss, &FaultList::unlinked_static());
     assert!(unlinked.is_complete(), "escapes: {:?}", unlinked.escapes());
 
     // March SS was designed for unlinked faults; linked faults mask each other and
     // some escape it — this is precisely the motivation of the paper.
-    let linked = measure_coverage(&march_ss, &FaultList::list_1(), &thorough());
+    let linked = thorough(&march_ss, &FaultList::list_1());
     assert!(
         !linked.is_complete(),
         "March SS unexpectedly covers all static linked faults"
@@ -26,14 +28,14 @@ fn march_ss_covers_unlinked_but_not_linked_faults() {
 
 #[test]
 fn march_abl1_covers_fault_list_2_with_9n() {
-    let report = measure_coverage(&catalog::march_abl1(), &FaultList::list_2(), &thorough());
+    let report = thorough(&catalog::march_abl1(), &FaultList::list_2());
     assert!(report.is_complete(), "escapes: {:?}", report.escapes());
     assert_eq!(catalog::march_abl1().complexity(), 9);
 }
 
 #[test]
 fn march_lf1_covers_fault_list_2_with_11n() {
-    let report = measure_coverage(&catalog::march_lf1(), &FaultList::list_2(), &thorough());
+    let report = thorough(&catalog::march_lf1(), &FaultList::list_2());
     assert!(report.is_complete(), "escapes: {:?}", report.escapes());
     assert_eq!(catalog::march_lf1().complexity(), 11);
 }
@@ -45,7 +47,7 @@ fn linked_fault_tests_cover_the_single_cell_linked_faults() {
         catalog::march_abl(),
         catalog::march_rabl(),
     ] {
-        let report = measure_coverage(&test, &FaultList::list_2(), &thorough());
+        let report = thorough(&test, &FaultList::list_2());
         assert!(
             report.is_complete(),
             "{} escapes on list #2: {:?}",
@@ -58,7 +60,7 @@ fn linked_fault_tests_cover_the_single_cell_linked_faults() {
 #[test]
 fn simple_tests_do_not_cover_the_linked_lists() {
     for test in [catalog::mats_plus(), catalog::march_c_minus()] {
-        let report = measure_coverage(&test, &FaultList::list_2(), &thorough());
+        let report = thorough(&test, &FaultList::list_2());
         assert!(
             !report.is_complete(),
             "{} unexpectedly covers the single-cell linked faults",
@@ -82,17 +84,13 @@ fn table_1_complexities_are_pinned() {
 fn coverage_is_monotone_in_placement_strategy() {
     // A test that is complete under exhaustive placements is complete under the
     // representative ones (the representative set is a subset).
-    let representative = CoverageConfig {
-        memory_cells: 6,
-        strategy: sram_sim::PlacementStrategy::Representative,
-        backgrounds: thorough().backgrounds,
-        ..CoverageConfig::default()
-    };
-    let exhaustive = CoverageConfig::exhaustive();
+    let six_cells = || Session::default().with_memory_cells(6);
     let list = FaultList::list_2();
     let test = catalog::march_abl1();
-    let representative_report = measure_coverage(&test, &list, &representative);
-    let exhaustive_report = measure_coverage(&test, &list, &exhaustive);
+    let representative_report = six_cells().coverage(&test, &list);
+    let exhaustive_report = six_cells()
+        .with_strategy(PlacementStrategy::Exhaustive)
+        .coverage(&test, &list);
     assert!(representative_report.covered() >= exhaustive_report.covered());
     assert!(exhaustive_report.is_complete());
 }

@@ -8,8 +8,8 @@ use sram_fault_model::{
     LinkedFault, Operation, Placement, TestPattern,
 };
 use sram_sim::{
-    measure_coverage, run_march, CoverageConfig, FaultSimulator, InitialState, InstanceCells,
-    LinkedFaultInstance,
+    run_march, FaultSimulator, InitialState, InstanceCells, LinkedFaultInstance, PlacementStrategy,
+    Session,
 };
 
 fn cfds(notation: &str) -> sram_fault_model::FaultPrimitive {
@@ -132,7 +132,7 @@ fn coverage_of_a_derived_test_pattern_list() {
 
     // Assemble a march test by hand following the TP structure (write, then read).
     let test = MarchTest::parse("tp test", "⇕(w0); ⇑(r0,w1,r1); ⇑(r1,w0,r0)").unwrap();
-    let report = measure_coverage(&test, &list, &CoverageConfig::thorough());
+    let report = Session::default().coverage(&test, &list);
     assert!(report.is_complete(), "escapes: {:?}", report.escapes());
 
     // Sanity-check one TP explicitly.
@@ -145,7 +145,7 @@ fn coverage_of_a_derived_test_pattern_list() {
 
 #[test]
 fn fault_list_statistics_match_between_crates() {
-    // The pattern graph, the simulator's instance enumeration and the fault list
+    // The pattern graph, the simulator's lane enumeration and the fault list
     // itself must agree on the number of linked faults.
     let list = FaultList::list_2();
     let pg = PatternGraph::from_fault_list(&list).unwrap();
@@ -153,11 +153,20 @@ fn fault_list_statistics_match_between_crates() {
     // 2-cell canonical graph: 2 components × 2 expansions = 4 edges per fault.
     assert_eq!(pg.faulty_edges().len(), 4 * list.linked().len());
 
-    let instances = march_gen::TargetInstance::enumerate(
-        &list,
-        8,
-        sram_sim::PlacementStrategy::Representative,
-        &[InitialState::AllOne],
-    );
-    assert_eq!(instances.len(), list.linked().len());
+    // Representative placements: one placement per linked fault, so one
+    // instance per fault and background.
+    for backgrounds in [
+        vec![InitialState::AllOne],
+        vec![InitialState::AllZero, InitialState::AllOne],
+    ] {
+        let per_fault = backgrounds.len();
+        let lanes = Session::default()
+            .with_strategy(PlacementStrategy::Representative)
+            .with_backgrounds(backgrounds)
+            .target_lanes(&list)
+            .unwrap();
+        let instances: usize = lanes.iter().map(|(_, lanes)| lanes.len()).sum();
+        assert_eq!(lanes.len(), list.linked().len());
+        assert_eq!(instances, per_fault * list.linked().len());
+    }
 }

@@ -1,17 +1,26 @@
 //! End-to-end integration tests: the generator produces complete, verified march
 //! tests for the paper's two target fault lists (the §6 validation claim).
 
-use march_gen::{GeneratorConfig, MarchGenerator};
+use march_gen::{GeneratedTest, GeneratorConfig, MarchGenerator};
 use march_test::catalog;
 use sram_fault_model::FaultList;
-use sram_sim::CoverageConfig;
+use sram_sim::{CoverageReport, Session};
+
+/// Generates on a default session and verifies the test under the same
+/// thorough scope: 8 cells, representative placements, both uniform
+/// backgrounds.
+fn generate_and_verify(generator: MarchGenerator) -> (GeneratedTest, CoverageReport) {
+    let session = Session::default();
+    let generated = generator.generate_with(&session);
+    let coverage = session.coverage(generated.test(), generator.fault_list());
+    (generated, coverage)
+}
 
 #[test]
 fn fault_list_2_generation_is_complete_and_short() {
     let list = FaultList::list_2();
-    let (generated, coverage) = MarchGenerator::new(list.clone())
-        .named("March GEN-LF1")
-        .generate_verified();
+    let (generated, coverage) =
+        generate_and_verify(MarchGenerator::new(list.clone()).named("March GEN-LF1"));
 
     assert!(
         generated.report().is_complete(),
@@ -35,8 +44,8 @@ fn fault_list_2_generation_reported_uncovered_matches_simulation() {
     // The generator's own completeness claim must agree with an independent
     // coverage measurement.
     let list = FaultList::list_2();
-    let generated = MarchGenerator::new(list.clone()).generate();
-    let report = march_gen::verify(generated.test(), &list, &CoverageConfig::thorough());
+    let generated = MarchGenerator::new(list.clone()).generate_with(&Session::default());
+    let report = Session::default().coverage(generated.test(), &list);
     assert_eq!(generated.report().is_complete(), report.is_complete());
 }
 
@@ -46,7 +55,8 @@ fn generation_without_repair_still_covers_list_2() {
         repair: false,
         ..GeneratorConfig::default()
     };
-    let generated = MarchGenerator::with_config(FaultList::list_2(), config).generate();
+    let generated =
+        MarchGenerator::with_config(FaultList::list_2(), config).generate_with(&Session::default());
     assert!(generated.report().is_complete());
 }
 
@@ -55,9 +65,8 @@ fn lf3_subset_generation_is_complete() {
     // The hardest topology class on its own: three-cell linked faults.
     let list = FaultList::list_1().filter_topology(sram_fault_model::LinkTopology::Lf3);
     assert!(!list.is_empty());
-    let (generated, coverage) = MarchGenerator::new(list)
-        .named("March GEN-LF3")
-        .generate_verified();
+    let (generated, coverage) =
+        generate_and_verify(MarchGenerator::new(list).named("March GEN-LF3"));
     assert!(
         generated.report().is_complete(),
         "uncovered: {:?}",
@@ -86,13 +95,12 @@ fn two_cell_subset_generation_is_complete() {
         );
     }
     let list = builder.build().expect("LF2 subset is not empty");
-    let generated = MarchGenerator::new(list.clone()).generate();
+    let (generated, coverage) = generate_and_verify(MarchGenerator::new(list));
     assert!(
         generated.report().is_complete(),
         "uncovered: {:?}",
         generated.report().uncovered()
     );
-    let coverage = march_gen::verify(generated.test(), &list, &CoverageConfig::thorough());
     assert!(coverage.is_complete(), "escapes: {:?}", coverage.escapes());
 }
 
@@ -102,9 +110,8 @@ fn two_cell_subset_generation_is_complete() {
 #[test]
 fn fault_list_1_generation_is_complete_and_beats_the_baselines() {
     let list = FaultList::list_1();
-    let (generated, coverage) = MarchGenerator::new(list)
-        .named("March GEN-L1")
-        .generate_verified();
+    let (generated, coverage) =
+        generate_and_verify(MarchGenerator::new(list).named("March GEN-L1"));
     assert!(
         generated.report().is_complete(),
         "uncovered: {:?}",

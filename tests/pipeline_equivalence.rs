@@ -1,9 +1,8 @@
 //! The cross-backend differential suite: **one harness**
 //! ([`march_codex_repro::testkit::assert_pipeline_equivalent`]) asserting
 //! coverage / generation / minimisation / verification verdicts are
-//! byte-identical across backend × threads × batch × wave-cost × lane-width
-//! (64/128/256) × scope, for address-decoder (AF), cell-array (FFM) and mixed
-//! fault lists.
+//! byte-identical across backend × threads × batch × lane-width (64/128/256)
+//! × scope, for address-decoder (AF), cell-array (FFM) and mixed fault lists.
 //!
 //! This replaces the three near-duplicate equivalence suites that previously
 //! lived in `crates/memsim/tests/session_equivalence.rs`,
@@ -31,23 +30,20 @@ fn arbitrary_policy() -> impl Strategy<Value = ExecPolicy> {
         prop_oneof![Just(BackendKind::Scalar), Just(BackendKind::Packed)],
         0usize..4,
         prop_oneof![Just(0usize), Just(1usize), Just(7usize), Just(64usize)],
-        prop_oneof![Just(1usize), Just(3usize), Just(10usize)],
         prop::sample::select(LaneWidth::ALL.to_vec()),
     )
-        .prop_map(|(backend, threads, batch, factor, lane_width)| {
+        .prop_map(|(backend, threads, batch, lane_width)| {
             ExecPolicy::default()
                 .with_backend(backend)
                 .with_threads(threads)
                 .with_batch(batch)
-                .with_wave_cost_factor(factor)
                 .with_lane_width(lane_width)
         })
 }
 
 /// Deterministic sweep: every fault domain × a policy matrix spanning both
-/// backends, serial/pooled threads, full/odd/per-candidate batches, an
-/// off-default wave-cost factor and every packed lane width, each anchored to
-/// the serial scalar reference.
+/// backends, serial/pooled threads, full/odd/per-candidate batches and every
+/// packed lane width, each anchored to the serial scalar reference.
 #[test]
 fn af_ffm_and_mixed_lists_are_policy_invariant() {
     let policies = [
@@ -56,7 +52,7 @@ fn af_ffm_and_mixed_lists_are_policy_invariant() {
         ExecPolicy::default()
             .with_backend(BackendKind::Scalar)
             .with_threads(3),
-        ExecPolicy::fast().with_batch(1).with_wave_cost_factor(10),
+        ExecPolicy::fast().with_batch(1),
         ExecPolicy::default().with_lane_width(LaneWidth::W64),
         ExecPolicy::default()
             .with_lane_width(LaneWidth::W128)
