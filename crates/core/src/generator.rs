@@ -279,7 +279,8 @@ impl MarchGenerator {
         // One batch per fault target: every (placement, background) lane of the
         // target packed behind the session's simulation backend, carrying the
         // simulator state reached after the current march prefix so that
-        // scoring a candidate only needs to simulate that element. The
+        // scoring a candidate only needs to simulate that element, on the at
+        // most three cells the lane involves whatever the memory size. The
         // enumeration comes from the session's artifact cache, so repeated
         // generate/minimise/verify queries against the same list skip it.
         let mut batches: Vec<TargetBatch> = session

@@ -34,7 +34,10 @@ use sram_sim::{
 /// Re-verification is *suffix-only*: each target carries per-element
 /// checkpoints of its lane state, so a trial restores the checkpoint before
 /// the edited element and re-simulates just the suffix (with early-exit per
-/// target as before). Target lanes come from the session's memoised artifact
+/// target as before). Every lane is simulated on the at most three cells it
+/// involves ([`TargetBatch`]), and the completeness precheck is a projected
+/// coverage call, so the pass costs the same on any memory size. Target
+/// lanes come from the session's memoised artifact
 /// cache and every removal trial shards its `(target × suffix)`
 /// re-verifications over the session's resident worker pool. The minimised
 /// test is identical for every backend, batch size and thread count — and
@@ -62,11 +65,13 @@ pub(crate) fn minimise_with(
     }
 
     // Only minimise tests that are complete to begin with, otherwise
-    // "preserving coverage" is ill-defined. This is the legacy fail-fast
-    // check (first undetected lane ends the scan), so incomplete tests bail
-    // out exactly as cheaply as before the suffix rewrite.
-    let oracle = CoverageOracle::new(session, Arc::clone(&targets));
-    if !oracle.covers_all(session, test) {
+    // "preserving coverage" is ill-defined. Coverage simulates projected
+    // lane classes, whose partition each lane set memoises.
+    let complete = session
+        .try_coverage(test, list)
+        .expect("minimisation scope hosts the fault-list placements")
+        .is_complete();
+    if !complete {
         return (test.clone(), 0);
     }
 
@@ -484,8 +489,9 @@ pub fn minimise_full_resim(
     (rebuild(test.name(), &elements), removed)
 }
 
-/// The re-verification oracle of both minimisation passes: the session's
-/// cached target lanes, shared by every trial across the session's workers.
+/// The re-verification oracle of the full re-simulation pass: the session's
+/// cached target lanes walked on the full memory, shared by every trial
+/// across the session's workers.
 struct CoverageOracle {
     targets: Arc<TargetLanes>,
     backend: Arc<dyn SimulationBackend>,

@@ -1,16 +1,20 @@
 //! Incremental, backend-agnostic batches of coverage lanes — the simulation
-//! state the greedy generator advances element by element.
+//! state the greedy generator and the minimiser advance element by element.
 //!
 //! A [`TargetBatch`] holds every still-undetected `(placement, background)`
 //! lane of one fault target together with the simulator state reached after
-//! the march prefix built so far. Scoring a candidate march element only has
-//! to simulate that element: on the scalar backend by cloning each lane's
-//! [`FaultSimulator`], on the packed backend by cloning a handful of lane-word
-//! bit-planes and running all lanes of a chunk at once. The packed chunk word
-//! is width-generic ([`LaneWord`]): a `u64` chunk carries 64 lanes, the
-//! [`W128`]/[`W256`] blocks carry 128/256 — picked per batch by the
-//! [`LaneWidth`] policy, with byte-identical scores and pending sets at every
-//! width.
+//! the march prefix built so far. Every lane is simulated on its projected
+//! memory: the at most three cells its fault instance involves, their ranks
+//! as addresses and the background cut down to them (see `projection.rs`),
+//! so a batch costs the same on any memory size. The lane descriptors it
+//! reports stay the original ones. Scoring a candidate march element only
+//! has to simulate that element: on the scalar backend by cloning each
+//! lane's [`FaultSimulator`], on the packed backend by cloning a handful of
+//! lane-word bit-planes and running all lanes of a chunk at once. The packed
+//! chunk word is width-generic ([`LaneWord`]): a `u64` chunk carries 64
+//! lanes, the [`W128`]/[`W256`] blocks carry 128/256 — picked per batch by
+//! the [`LaneWidth`] policy, with byte-identical scores and pending sets at
+//! every width.
 
 use std::fmt;
 use std::sync::Arc;
@@ -21,6 +25,7 @@ use sram_fault_model::{Bit, Operation};
 use crate::backend::{scalar_lane_simulator, BackendKind, CoverageLane, PackedSimulator};
 use crate::coverage::TargetKind;
 use crate::lane::{LaneWidth, LaneWord, W128, W256};
+use crate::projection::project_lanes;
 use crate::{FaultSimulator, SimulationError};
 
 /// The wave-vs-per-candidate cost-model factor.
@@ -362,15 +367,19 @@ pub struct TargetBatch {
 }
 
 impl TargetBatch {
-    /// Builds the batch for `target` over `lanes` on a `memory_cells`-cell
-    /// memory, simulated with `backend` at the automatic lane width (the
-    /// narrowest word holding the lane count; see
-    /// [`TargetBatch::new_with_width`]).
+    /// Builds the batch for `target` over `lanes` placed on a
+    /// `memory_cells`-cell memory, simulated with `backend` at the automatic
+    /// lane width (the narrowest word holding the lane count; see
+    /// [`TargetBatch::new_with_width`]). Each lane is simulated on the at
+    /// most three cells it involves; `memory_cells` only validates the lanes,
+    /// so the batch's cost does not depend on it.
     ///
     /// # Panics
     ///
     /// Panics if a lane's placement is invalid for the target (the enumerated
-    /// placements of [`enumerate_lanes`](crate::enumerate_lanes) always are).
+    /// placements of [`enumerate_lanes`](crate::enumerate_lanes) always are),
+    /// names a cell at or beyond `memory_cells`, or starts from a custom
+    /// background whose length is not `memory_cells`.
     #[must_use]
     pub fn new(
         target: TargetKind,
@@ -384,11 +393,14 @@ impl TargetBatch {
     /// Builds the batch with an explicit packed lane width. The width only
     /// changes how many lanes share one chunk word (and hence the wall-clock
     /// cost); scores, pending sets and snapshots are byte-identical across
-    /// widths. The scalar backend ignores the width.
+    /// widths. The scalar backend ignores the width. Lanes are projected and
+    /// validated against `memory_cells` as in [`TargetBatch::new`].
     ///
     /// # Panics
     ///
-    /// Panics if a lane's placement is invalid for the target.
+    /// Panics if a lane's placement is invalid for the target, names a cell
+    /// at or beyond `memory_cells`, or starts from a custom background whose
+    /// length is not `memory_cells`.
     #[must_use]
     pub fn new_with_width(
         target: TargetKind,
@@ -397,24 +409,27 @@ impl TargetBatch {
         backend: BackendKind,
         width: LaneWidth,
     ) -> TargetBatch {
+        let (projected, cells) =
+            project_lanes(&lanes, memory_cells).expect("lanes fit the memory they are placed on");
         let state = match backend {
             BackendKind::Scalar => BatchState::Scalar(
                 lanes
                     .into_iter()
-                    .map(|lane| ScalarLane {
-                        simulator: scalar_lane_simulator(&target, &lane, memory_cells),
+                    .zip(&projected)
+                    .map(|(lane, projected)| ScalarLane {
+                        simulator: scalar_lane_simulator(&target, projected, cells),
                         lane,
                     })
                     .collect(),
             ),
             BackendKind::Packed => match width.resolve(lanes.len()) {
                 LaneWidth::W128 => {
-                    BatchState::Packed128(build_chunks::<W128>(&target, &lanes, memory_cells))
+                    BatchState::Packed128(build_chunks::<W128>(&target, &lanes, &projected, cells))
                 }
                 LaneWidth::W256 => {
-                    BatchState::Packed256(build_chunks::<W256>(&target, &lanes, memory_cells))
+                    BatchState::Packed256(build_chunks::<W256>(&target, &lanes, &projected, cells))
                 }
-                _ => BatchState::Packed(build_chunks::<u64>(&target, &lanes, memory_cells)),
+                _ => BatchState::Packed(build_chunks::<u64>(&target, &lanes, &projected, cells)),
             },
         };
         TargetBatch { target, state }
@@ -584,16 +599,20 @@ impl TargetBatch {
     }
 }
 
-/// Splits `lanes` into packed chunks of one `W` word each.
+/// Splits `lanes` into packed chunks of one `W` word each, every chunk
+/// simulating its share of the `projected` lanes on the `cells`-cell
+/// projected memory.
 fn build_chunks<W: LaneWord>(
     target: &TargetKind,
     lanes: &[CoverageLane],
-    memory_cells: usize,
+    projected: &[CoverageLane],
+    cells: usize,
 ) -> Vec<PackedChunk<W>> {
     lanes
         .chunks(W::BITS)
-        .map(|chunk| PackedChunk {
-            simulator: PackedSimulator::<W>::new(target, chunk, memory_cells)
+        .zip(projected.chunks(W::BITS))
+        .map(|(chunk, projected)| PackedChunk {
+            simulator: PackedSimulator::<W>::new(target, projected, cells)
                 .expect("enumerated placements are valid"),
             lanes: Arc::new(chunk.to_vec()),
         })
@@ -774,8 +793,8 @@ fn run_element(element: &MarchElement, simulator: &mut FaultSimulator) -> bool {
 mod tests {
     use super::*;
     use crate::backend::enumerate_lanes;
-    use crate::{InitialState, PlacementStrategy};
-    use march_test::catalog;
+    use crate::{InitialState, InstanceCells, PlacementStrategy, SimulationBackend};
+    use march_test::{catalog, MarchTest};
     use sram_fault_model::FaultList;
 
     fn batches_for(backend: BackendKind) -> Vec<TargetBatch> {
@@ -1126,6 +1145,107 @@ mod tests {
                 restored_slot.pending_lanes(),
                 restored_fresh.pending_lanes()
             );
+        }
+    }
+
+    /// A List #2 batch on 8 cells holding one enumerated lane and `lane`.
+    fn batch_with(lane: CoverageLane, backend: BackendKind) -> TargetBatch {
+        let target = TargetKind::Linked(FaultList::list_2().linked()[0].clone());
+        let mut lanes = enumerate_lanes(
+            &target,
+            8,
+            PlacementStrategy::Representative,
+            &[InitialState::AllZero],
+        )
+        .unwrap();
+        lanes.truncate(1);
+        lanes.push(lane);
+        TargetBatch::new(target, lanes, 8, backend)
+    }
+
+    /// A lane on the last cell of a 9-cell memory, one past the batch's.
+    fn placed_beyond_the_memory() -> CoverageLane {
+        CoverageLane {
+            cells: InstanceCells::single(8),
+            background: InitialState::AllZero,
+        }
+    }
+
+    /// A valid placement under a 9-cell custom image: one cell too long.
+    fn with_a_longer_custom_background() -> CoverageLane {
+        CoverageLane {
+            cells: InstanceCells::single(5),
+            background: InitialState::Custom(vec![Bit::One; 9]),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "AddressOutOfRange")]
+    fn scalar_batches_reject_lanes_placed_beyond_the_memory() {
+        let _ = batch_with(placed_beyond_the_memory(), BackendKind::Scalar);
+    }
+
+    #[test]
+    #[should_panic(expected = "AddressOutOfRange")]
+    fn packed_batches_reject_lanes_placed_beyond_the_memory() {
+        let _ = batch_with(placed_beyond_the_memory(), BackendKind::Packed);
+    }
+
+    #[test]
+    #[should_panic(expected = "InitialStateSizeMismatch")]
+    fn scalar_batches_reject_custom_backgrounds_of_another_size() {
+        let _ = batch_with(with_a_longer_custom_background(), BackendKind::Scalar);
+    }
+
+    #[test]
+    #[should_panic(expected = "InitialStateSizeMismatch")]
+    fn packed_batches_reject_custom_backgrounds_of_another_size() {
+        let _ = batch_with(with_a_longer_custom_background(), BackendKind::Packed);
+    }
+
+    #[test]
+    fn lanes_involving_fewer_cells_than_others_are_padded_exactly() {
+        // A single-cell primitive ignores the aggressor slot, but the
+        // projection keeps the cell it names: these lanes involve one or two
+        // cells, so the one-cell lanes are padded onto the two-cell memory.
+        let primitive = FaultList::unlinked_static()
+            .simple()
+            .iter()
+            .find(|primitive| !primitive.is_coupling())
+            .expect("the unlinked list has single-cell primitives")
+            .clone();
+        let target = TargetKind::Simple(primitive);
+        let image = [1, 0, 1, 1, 0, 0, 1, 0].map(|bit| if bit == 1 { Bit::One } else { Bit::Zero });
+        let lanes: Vec<CoverageLane> = [
+            InstanceCells::single(5),
+            InstanceCells::pair(2, 6),
+            InstanceCells::single(1),
+        ]
+        .into_iter()
+        .map(|cells| CoverageLane {
+            cells,
+            background: InitialState::Custom(image.to_vec()),
+        })
+        .collect();
+        let elements = catalog::march_c_minus().elements().to_vec();
+        for backend in [BackendKind::Scalar, BackendKind::Packed] {
+            let mut batch = TargetBatch::new(target.clone(), lanes.clone(), 8, backend);
+            for prefix in 1..=elements.len() {
+                batch.advance(&elements[prefix - 1]);
+                let test = MarchTest::new("prefix", elements[..prefix].to_vec()).unwrap();
+                let full_memory = crate::ScalarBackend.lane_verdicts(&test, &target, &lanes, 8);
+                let pending: Vec<CoverageLane> = lanes
+                    .iter()
+                    .zip(full_memory)
+                    .filter(|(_, detected)| !detected)
+                    .map(|(lane, _)| lane.clone())
+                    .collect();
+                assert_eq!(
+                    batch.pending_lanes(),
+                    pending,
+                    "{backend:?}, {prefix} elements"
+                );
+            }
         }
     }
 

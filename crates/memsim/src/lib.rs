@@ -30,8 +30,10 @@
 //!   lane set, partitioned once per set), and the backend simulates each
 //!   target's fault on one representative per class on a memory of at most
 //!   three cells, so the per-lane cost does not grow with the memory size.
-//!   Reports are byte-identical to the full-memory walk, which the backends,
-//!   [`PackedSimulator`], [`TargetBatch`], the minimiser and diagnosis keep;
+//!   A [`TargetBatch`] — the state the generator and the minimiser advance —
+//!   simulates every lane on its projected cells the same way. Reports,
+//!   scores and generated tests are byte-identical to the full-memory walk,
+//!   which the backends, [`PackedSimulator`] and diagnosis keep;
 //! * runs seeded Monte-Carlo **campaigns** over the exhaustive instance
 //!   space — unranked draws simulated as projected classes, reported with a
 //!   Wilson-score confidence interval ([`CampaignReport`]) — for memories

@@ -28,11 +28,17 @@
 //! ([`lane_verdicts`]).
 //!
 //! Coverage ([`Session::try_coverage`](crate::Session::try_coverage) and
-//! everything built on it) and campaigns go through this module. The
-//! backends themselves, [`PackedSimulator`](crate::PackedSimulator), the
-//! generator's [`TargetBatch`](crate::TargetBatch), the minimiser and the
-//! dictionary and diagnosis paths keep the full-memory walk, which serves as
-//! the differential reference.
+//! everything built on it) and campaigns go through this module. So do the
+//! generator's and the minimiser's [`TargetBatch`](crate::TargetBatch)es,
+//! lane by lane rather than class by class, since a greedy score counts
+//! lanes: [`project_lanes`] remaps every lane onto its involved cells, and
+//! the batch simulates it there while keeping the original descriptor. The
+//! argument below holds at every prefix of a march test, so a batch's
+//! pending lanes and scores equal the full-memory walk's after every
+//! element. The backends themselves,
+//! [`PackedSimulator`](crate::PackedSimulator), the full re-simulation
+//! minimiser and the dictionary and diagnosis paths keep the full-memory
+//! walk, which serves as the differential reference.
 //!
 //! [`LaneSet`]: crate::LaneSet
 //!
@@ -62,19 +68,25 @@
 //!
 //! The projected run therefore applies the same operation sequence to the
 //! involved cells, from the same state, with the same read results, as the
-//! full-memory run: the verdict is the same.
+//! full-memory run: the verdict is the same, and so is every read result
+//! after every operation. Uninvolved cells on the projected memory (a batch
+//! pads a lane that involves fewer cells than the others) obey the first two
+//! points, so they change nothing either.
 //!
 //! The projection reads each lane's background bit by address, so it relies
 //! on the scope checks upstream (a [`InitialState::Custom`] background must
 //! match the memory size, see
-//! [`SimulationError::InitialStateSizeMismatch`](crate::SimulationError)).
+//! [`SimulationError::InitialStateSizeMismatch`](crate::SimulationError));
+//! [`project_lanes`] makes them itself.
+
+use std::iter;
 
 use march_test::MarchTest;
 use sram_fault_model::Bit;
 
 use crate::backend::{CoverageLane, SimulationBackend};
 use crate::coverage::TargetKind;
-use crate::{InitialState, InstanceCells};
+use crate::{InitialState, InstanceCells, SimulationError};
 
 /// Number of distinct class codes: how each of the three pairs of
 /// [`InstanceCells`] slots (victim, first aggressor, second aggressor)
@@ -151,9 +163,10 @@ impl Involved {
             .expect("every slot address is an involved cell")
     }
 
-    /// `lane` remapped onto the projected memory: ranks as addresses, the
-    /// background cut down to the involved cells.
-    fn project(&self, lane: &CoverageLane) -> CoverageLane {
+    /// `lane` remapped onto a projected memory of `cells` cells, at least the
+    /// involved ones: ranks as addresses, the background cut down to the
+    /// involved cells. Any cells past them are uninvolved and start from zero.
+    fn project(&self, lane: &CoverageLane, cells: usize) -> CoverageLane {
         CoverageLane {
             cells: InstanceCells {
                 victim: self.rank(lane.cells.victim),
@@ -168,6 +181,8 @@ impl Involved {
                     self.addresses()
                         .iter()
                         .map(|&address| background.bit_at(address))
+                        .chain(iter::repeat(Bit::Zero))
+                        .take(cells)
                         .collect(),
                 ),
             },
@@ -208,7 +223,9 @@ impl Classes {
             // class involves the same number of cells.
             debug_assert!(classes.cells == 0 || classes.cells == involved.count);
             classes.cells = involved.count;
-            classes.representatives.push(involved.project(lane));
+            classes
+                .representatives
+                .push(involved.project(lane, involved.count));
         }
         classes
     }
@@ -254,6 +271,47 @@ pub(crate) fn lane_verdicts(
         .iter()
         .map(|lane| verdicts[usize::from(classes.index_of_code[class_code(lane)])])
         .collect()
+}
+
+/// Every one of `lanes` remapped onto one projected memory, in lane order,
+/// together with that memory's size: as many cells as the most any lane
+/// involves (at most three). A lane involving fewer cells leaves the cells
+/// past its own uninvolved. This is the memory a
+/// [`TargetBatch`](crate::TargetBatch) simulates its lanes on.
+///
+/// # Errors
+///
+/// Each lane is first checked against the `memory_cells`-cell memory it was
+/// placed on, since its projection would fit whatever the memory size:
+/// [`SimulationError::AddressOutOfRange`] for a cell at or beyond
+/// `memory_cells`, [`SimulationError::InitialStateSizeMismatch`] for a
+/// custom background of another length.
+pub(crate) fn project_lanes(
+    lanes: &[CoverageLane],
+    memory_cells: usize,
+) -> Result<(Vec<CoverageLane>, usize), SimulationError> {
+    let mut involved = Vec::with_capacity(lanes.len());
+    for lane in lanes {
+        if let Some(address) = slots(&lane.cells)
+            .into_iter()
+            .flatten()
+            .find(|&address| address >= memory_cells)
+        {
+            return Err(SimulationError::AddressOutOfRange {
+                address,
+                cells: memory_cells,
+            });
+        }
+        lane.background.check(memory_cells)?;
+        involved.push(Involved::of(&lane.cells));
+    }
+    let cells = involved.iter().map(|cells| cells.count).max().unwrap_or(0);
+    let projected = lanes
+        .iter()
+        .zip(&involved)
+        .map(|(lane, involved)| involved.project(lane, cells))
+        .collect();
+    Ok((projected, cells))
 }
 
 #[cfg(test)]

@@ -12,8 +12,12 @@
 //! coverage by being added here once.
 //!
 //! Coverage simulates projected lane classes rather than every lane on the
-//! full memory; [`assert_projection_exact`] holds it to a full-memory rebuild
-//! with the backend's own `first_undetected`.
+//! full memory, and target batches simulate every lane on its projected
+//! cells. [`assert_projection_exact`] holds both to the full-memory walk:
+//! coverage to a rebuild with the backend's own `first_undetected`, batches
+//! to the packed engine advanced element by element on the whole memory.
+//! [`assert_coverage_projection_exact`] checks coverage alone, for scopes
+//! where walking every batch on the full memory is too slow.
 //!
 //! The harness is compiled into the façade crate (not behind `cfg(test)`) so
 //! the workspace-level integration tests and any downstream consumer can use
@@ -21,9 +25,11 @@
 //! correct" is a legitimate user question.
 
 use march_gen::{minimise_full_resim, SessionExt};
-use march_test::{catalog, MarchTest};
+use march_test::{catalog, MarchElement, MarchTest};
 use sram_fault_model::{Bit, FaultList};
-use sram_sim::{BackendKind, ExecPolicy, InitialState, PlacementStrategy, Session};
+use sram_sim::{
+    BackendKind, CoverageLane, ExecPolicy, InitialState, PlacementStrategy, Session, TargetKind,
+};
 
 /// The catalogue probe tests every equivalence run measures coverage under:
 /// two strong tests (complete over most lists), one weak one (plenty of
@@ -297,6 +303,62 @@ fn projection_backgrounds(cells: usize) -> Vec<InitialState> {
     ]
 }
 
+/// The session a projection differential runs on: `cells` cells, `strategy`
+/// placements and the four [`projection_backgrounds`].
+fn projection_session(policy: ExecPolicy, cells: usize, strategy: PlacementStrategy) -> Session {
+    Session::new(policy)
+        .with_memory_cells(cells)
+        .with_strategy(strategy)
+        .with_backgrounds(projection_backgrounds(cells))
+}
+
+/// The probe tests of the projection differentials: the equivalence probes
+/// plus MATS, the weakest test of the catalogue.
+fn projection_probes() -> Vec<MarchTest> {
+    let mut probes = probe_tests();
+    probes.push(catalog::mats());
+    probes
+}
+
+/// Asserts **projected simulation equals the full-memory walk** under
+/// `policy`, for coverage and for the generator's target batches.
+///
+/// * **Coverage**, as [`assert_coverage_projection_exact`] checks it.
+/// * **Batches.** For every probe test and every target, one `TargetBatch`
+///   (the session's backend and lane width) advances element by element
+///   next to the packed engine walking every lane on the whole memory. At
+///   every prefix the batch's pending lanes — in lane order, with their
+///   original cells and backgrounds — must equal the lanes the walk leaves
+///   undetected, and its pool scores must equal, per candidate, the lanes
+///   the walk newly detects running that candidate next. The pool mixes
+///   every address order with one to four operations, and on the packed
+///   backend every target with two or more lanes is scored down both exact
+///   paths: the per-candidate pass and the candidate wave.
+///
+/// The walk costs every lane a full-memory pass per prefix and candidate,
+/// so large scopes check coverage alone.
+///
+/// # Panics
+///
+/// Panics on the first divergence, if `cells` cannot host the list's
+/// placements, or if no probe test escaped.
+pub fn assert_projection_exact(
+    policy: ExecPolicy,
+    fault_list: &FaultList,
+    cells: usize,
+    strategy: PlacementStrategy,
+) {
+    assert_coverage_projection_exact(policy, fault_list, cells, strategy);
+    let session = projection_session(policy, cells, strategy);
+    let target_lanes = session
+        .target_lanes(fault_list)
+        .expect("harness scope hosts the fault-list placements");
+    let probes = projection_probes();
+    for (target, lanes) in target_lanes.iter() {
+        assert_batch_exact(&session, &probes, target, lanes);
+    }
+}
+
 /// Asserts **projected coverage equals the full-memory walk** under
 /// `policy`: for every probe test, the report of `Session::try_coverage` —
 /// which simulates one representative per lane class on at most three cells
@@ -316,29 +378,24 @@ fn projection_backgrounds(cells: usize) -> Vec<InitialState> {
 ///
 /// Panics on the first divergence, if `cells` cannot host the list's
 /// placements, or if no probe test escaped.
-pub fn assert_projection_exact(
+pub fn assert_coverage_projection_exact(
     policy: ExecPolicy,
     fault_list: &FaultList,
     cells: usize,
     strategy: PlacementStrategy,
 ) {
     use sram_fault_model::LinkTopology;
-    use sram_sim::{Escape, TargetKind};
+    use sram_sim::Escape;
     use std::collections::BTreeMap;
     use std::sync::Arc;
 
-    let session = Session::new(policy)
-        .with_memory_cells(cells)
-        .with_strategy(strategy)
-        .with_backgrounds(projection_backgrounds(cells));
+    let session = projection_session(policy, cells, strategy);
     let backend = session.backend_instance();
     let target_lanes = session
         .target_lanes(fault_list)
         .expect("harness scope hosts the fault-list placements");
-    let mut probes = probe_tests();
-    probes.push(catalog::mats());
     let mut compared_escapes = 0;
-    for test in probes {
+    for test in projection_probes() {
         let label = |what: &str| {
             format!(
                 "{what} diverged: projected vs full-memory walk ({policy:?}, {cells} cells, \
@@ -400,6 +457,174 @@ pub fn assert_projection_exact(
         "no probe test escaped on {} ({cells} cells): the comparison proved nothing",
         fault_list.name()
     );
+}
+
+/// The candidates batches are scored with: every address order, one to four
+/// operations, 20 operations in all.
+fn scoring_candidates() -> Vec<MarchElement> {
+    MarchTest::parse(
+        "scoring candidates",
+        "⇑(r0); ⇓(r1); ⇕(w1,r1); ⇑(r0,w1); ⇓(r1,w0,r0); ⇕(r0,r0,w1); ⇑(r1,w0,r0,w0); \
+         ⇓(r0,w1,r1,w1)",
+    )
+    .expect("valid notation")
+    .elements()
+    .to_vec()
+}
+
+/// The lanes of the wave batch: few enough that the candidate wave scores
+/// them over the repeated pool.
+const WAVE_LANES: usize = 13;
+
+/// Holds the `TargetBatch` of `target` to the full-memory walk, the packed
+/// engine over every lane on the whole memory, while both advance element
+/// by element through every probe test.
+///
+/// At every prefix the batch's pending lanes must equal, in lane order and
+/// with their original cells and backgrounds, the lanes the walk leaves
+/// undetected, and its scores over [`scoring_candidates`] must equal, per
+/// candidate, the lanes the walk newly detects running that candidate next.
+///
+/// A packed chunk scores a pool by the candidate wave when its pending
+/// lanes × the pool's longest candidate × the cost factor (3) is at most the
+/// pool's operation count, and by the per-candidate pass otherwise. Over the
+/// eight candidates (4 and 20) a chunk of two or more pending lanes takes
+/// the per-candidate pass, so the full batch does at the empty prefix. On
+/// the packed backend a second batch over the first [`WAVE_LANES`] lanes is
+/// scored over the candidates repeated to a full 64-candidate word (4 and
+/// 160), which sends up to 13 pending lanes down the wave.
+fn assert_batch_exact(
+    session: &Session,
+    probes: &[MarchTest],
+    target: &TargetKind,
+    lanes: &[CoverageLane],
+) {
+    use sram_sim::{CandidateBatch, PackedSimulator, TargetBatch};
+
+    const WORD: usize = PackedSimulator::<u64>::MAX_LANES;
+    let (policy, cells) = (session.policy(), session.memory_cells());
+    let batch_of = |lanes: &[CoverageLane]| {
+        TargetBatch::new_with_width(
+            target.clone(),
+            lanes.to_vec(),
+            cells,
+            policy.backend,
+            policy.lane_width,
+        )
+    };
+    let candidates = scoring_candidates();
+    let pool = CandidateBatch::new(candidates.clone()).expect("the candidates fit one word");
+    let repeats = CandidateBatch::MAX_CANDIDATES / candidates.len();
+    let wide_pool = CandidateBatch::new(
+        candidates
+            .iter()
+            .flat_map(|candidate| std::iter::repeat_n(candidate.clone(), repeats))
+            .collect(),
+    )
+    .expect("the repeated candidates fill one word");
+    let wave_lanes = lanes.len().min(WAVE_LANES);
+
+    for test in probes {
+        let mut batch = batch_of(lanes);
+        let mut wave_batch =
+            (policy.backend == BackendKind::Packed).then(|| batch_of(&lanes[..wave_lanes]));
+        let mut walk: Vec<PackedSimulator> = lanes
+            .chunks(WORD)
+            .map(|chunk| {
+                PackedSimulator::new(target, chunk, cells).expect("harness lanes fit the memory")
+            })
+            .collect();
+        for prefix in 0..=test.elements().len() {
+            let label = |what: &str| {
+                format!(
+                    "{what} diverged from the full-memory walk ({policy:?}, {cells} cells, \
+                     {:?}, {target}, first {prefix} elements of {})",
+                    session.strategy(),
+                    test.name()
+                )
+            };
+            let undetected: Vec<bool> = (0..lanes.len())
+                .map(|lane| walk[lane / WORD].detected_mask() >> (lane % WORD) & 1 == 0)
+                .collect();
+            let pending_of = |lanes: &[CoverageLane]| -> Vec<CoverageLane> {
+                lanes
+                    .iter()
+                    .zip(&undetected)
+                    .filter(|(_, &undetected)| undetected)
+                    .map(|(lane, _)| lane.clone())
+                    .collect()
+            };
+            let pending = pending_of(lanes);
+            assert_eq!(
+                batch.pending_lanes(),
+                pending,
+                "{}",
+                label("batch pending lanes")
+            );
+            if pending.is_empty() {
+                break;
+            }
+
+            // Per candidate, the lanes of each walk chunk it newly detects.
+            let newly: Vec<Vec<u64>> = candidates
+                .iter()
+                .map(|candidate| {
+                    walk.iter()
+                        .map(|simulator| {
+                            if simulator.all_detected() {
+                                return 0;
+                            }
+                            let mut trial = simulator.clone();
+                            trial.apply_element(candidate);
+                            trial.detected_mask() & !simulator.detected_mask()
+                        })
+                        .collect()
+                })
+                .collect();
+            let scores: Vec<usize> = newly
+                .iter()
+                .map(|masks| masks.iter().map(|mask| mask.count_ones() as usize).sum())
+                .collect();
+            assert_eq!(
+                batch.score_pool(&pool),
+                scores,
+                "{}",
+                label("batch pool scores")
+            );
+            if let Some(wave_batch) = &wave_batch {
+                assert_eq!(
+                    wave_batch.pending_lanes(),
+                    pending_of(&lanes[..wave_lanes]),
+                    "{}",
+                    label("wave-batch pending lanes")
+                );
+                let window = (1u64 << wave_lanes) - 1;
+                let wave_scores: Vec<usize> = newly
+                    .iter()
+                    .flat_map(|masks| {
+                        std::iter::repeat_n((masks[0] & window).count_ones() as usize, repeats)
+                    })
+                    .collect();
+                assert_eq!(
+                    wave_batch.score_pool(&wide_pool),
+                    wave_scores,
+                    "{}",
+                    label("wave-batch pool scores")
+                );
+            }
+
+            let Some(element) = test.elements().get(prefix) else {
+                break;
+            };
+            batch.advance(element);
+            if let Some(wave_batch) = &mut wave_batch {
+                wave_batch.advance(element);
+            }
+            for simulator in &mut walk {
+                simulator.apply_element(element);
+            }
+        }
+    }
 }
 
 /// The serial scalar reference policy every equivalence sweep anchors to: the

@@ -1,8 +1,9 @@
 //! Large-memory smoke tests: 1024-cell coverage and diagnosis through the
 //! packed + threaded path — the first workload family where per-candidate
-//! scalar simulation is genuinely infeasible — a 2^20-cell campaign, and the
-//! projected-vs-full-memory differential at 4096 (AF) and 16 (List #1)
-//! cells.
+//! scalar simulation is genuinely infeasible — a 2^20-cell campaign, the
+//! projected-vs-full-memory coverage differential at 4096 (AF) and 16
+//! (List #1) cells, the batch differential on exhaustive 8-cell List #1, and
+//! the Table 1 generations at 4096 cells.
 //!
 //! `#[ignore]`d by default (they are release-grade workloads); the release CI
 //! job runs them with `cargo test --release -- --ignored` under a wall-clock
@@ -11,7 +12,8 @@
 
 use std::time::{Duration, Instant};
 
-use march_codex_repro::testkit::assert_projection_exact;
+use march_codex_repro::testkit::{assert_coverage_projection_exact, assert_projection_exact};
+use march_gen::{GeneratorConfig, SessionExt};
 use march_test::catalog;
 use sram_fault_model::{DecoderFault, FaultList};
 use sram_sim::{
@@ -19,22 +21,24 @@ use sram_sim::{
     LaneWidth, PlacementStrategy, Session, Syndrome, TargetKind,
 };
 
-/// Per-test wall-clock budget. Coverage and campaigns simulate projected lane
-/// classes, so every test here finishes in a few seconds or less in release;
-/// a fall-back onto the full-memory plane walk (a 2^20-cell, 100k-draw
-/// campaign took about 26 s that way) or onto an `O(cells²)` path fails the
-/// suite instead of merely slowing it.
+/// Per-test wall-clock budget. Coverage, campaigns and generation simulate
+/// projected lanes, so every test here finishes in a few seconds or less in
+/// release; a fall-back onto the full-memory plane walk (a 2^20-cell,
+/// 100k-draw campaign took about 26 s that way) or onto an `O(cells²)` path
+/// fails the suite instead of merely slowing it.
 const BUDGET: Duration = Duration::from_secs(15);
 
 // The debug-sized differential of `projection_equivalence.rs` at the memory
 // sizes the benchmark measures: every probe test's projected report must
-// equal the backend's full-memory walk over every lane.
+// equal the backend's full-memory walk over every lane. At these sizes the
+// full-memory batch walk would blow the budget, so they check coverage; the
+// batches get the exhaustive 8-cell List #1 leg below.
 
 #[test]
 #[ignore = "release-grade differential at 4096 cells; run with --ignored"]
 fn projection_matches_the_full_memory_walk_on_4096_cell_af() {
     let start = Instant::now();
-    assert_projection_exact(
+    assert_coverage_projection_exact(
         ExecPolicy::fast(),
         &FaultList::address_decoder(),
         4096,
@@ -51,7 +55,7 @@ fn projection_matches_the_full_memory_walk_on_4096_cell_af() {
 #[ignore = "release-grade differential at 16 cells; run with --ignored"]
 fn projection_matches_the_full_memory_walk_on_16_cell_list_1() {
     let start = Instant::now();
-    assert_projection_exact(
+    assert_coverage_projection_exact(
         ExecPolicy::fast(),
         &FaultList::list_1(),
         16,
@@ -60,6 +64,52 @@ fn projection_matches_the_full_memory_walk_on_16_cell_list_1() {
     assert!(
         start.elapsed() < BUDGET,
         "16-cell List #1 projection differential blew the budget: {:?}",
+        start.elapsed()
+    );
+}
+
+#[test]
+#[ignore = "release-grade batch differential; run with --ignored"]
+fn target_batches_match_the_full_memory_walk_on_8_cell_list_1() {
+    // All 844 targets, every placement and four backgrounds: each batch's
+    // pending lanes and pool scores at every prefix of every probe test.
+    let start = Instant::now();
+    assert_projection_exact(
+        ExecPolicy::fast(),
+        &FaultList::list_1(),
+        8,
+        PlacementStrategy::Exhaustive,
+    );
+    assert!(
+        start.elapsed() < BUDGET,
+        "8-cell List #1 batch differential blew the budget: {:?}",
+        start.elapsed()
+    );
+}
+
+#[test]
+#[ignore = "release-grade generation at 4096 cells; run with --ignored"]
+fn table_1_generations_are_memory_size_invariant_at_4096_cells() {
+    // Generation and minimisation simulate every lane on the at most three
+    // cells it involves, so the Table 1 runs (GABL, GRABL, GABL1) give the
+    // 8-cell tests at 4096 cells, in about the 8-cell time.
+    let start = Instant::now();
+    let (list_1, list_2) = (FaultList::list_1(), FaultList::list_2());
+    let table_1 = |session: &Session| {
+        [
+            session.generate_with_config(&list_1, GeneratorConfig::without_redundancy_removal()),
+            session.generate(&list_1),
+            session.generate(&list_2),
+        ]
+        .map(|generated| (generated.test().notation(), generated.test().complexity()))
+    };
+    let large = table_1(&Session::new(ExecPolicy::fast()).with_memory_cells(4096));
+    let small = table_1(&Session::new(ExecPolicy::fast()));
+    assert_eq!(large, small);
+    assert_eq!(small.map(|(_, complexity)| complexity), [35, 29, 7]);
+    assert!(
+        start.elapsed() < BUDGET,
+        "4096-cell Table 1 generations blew the budget: {:?}",
         start.elapsed()
     );
 }

@@ -3,8 +3,10 @@
 //! Coverage (and everything built on it) no longer walks the whole memory
 //! per lane: each lane is projected onto the at most three cells its fault
 //! instance involves, and one representative per lane class is simulated.
-//! This suite holds that projection to the full-memory walk the backends
-//! still implement ([`march_codex_repro::testkit::assert_projection_exact`]):
+//! The generator's and the minimiser's target batches simulate every lane on
+//! its projected memory too. This suite holds both to the full-memory walk
+//! the backends still implement
+//! ([`march_codex_repro::testkit::assert_projection_exact`]):
 //!
 //! * over Lists #1 and #2, the unlinked list, the address-decoder (AF) list
 //!   and a mixed FFM + AF list;
@@ -12,6 +14,8 @@
 //!   image (only the patterned two catch a class key without background
 //!   bits);
 //! * with incomplete probe tests, so escapes and their order are compared;
+//! * batch by batch, at every prefix of every probe test: pending lanes and
+//!   pool scores down both exact scoring paths;
 //! * across the backend × threads × lane-width matrix.
 //!
 //! It also pins the consequence that makes the default scope trustworthy:
@@ -20,14 +24,20 @@
 //! representative scope agrees with the exhaustive one.
 //!
 //! Sizes stay small enough for a debug build; `large_memory_smoke.rs` runs
-//! the same differential at 4096 (AF) and 16 (List #1) cells in release.
+//! the coverage differential at 4096 (AF) and 16 (List #1) cells and the
+//! batch differential on exhaustive 8-cell List #1 in release.
 
 use std::collections::BTreeSet;
 
-use march_codex_repro::testkit::{assert_projection_exact, reference_policy};
+use march_codex_repro::testkit::{
+    assert_coverage_projection_exact, assert_projection_exact, reference_policy,
+};
+use march_gen::{GeneratorConfig, SessionExt};
 use march_test::catalog;
-use sram_fault_model::FaultList;
-use sram_sim::{BackendKind, CoverageReport, ExecPolicy, LaneWidth, PlacementStrategy, Session};
+use sram_fault_model::{Bit, FaultList};
+use sram_sim::{
+    BackendKind, CoverageReport, ExecPolicy, InitialState, LaneWidth, PlacementStrategy, Session,
+};
 
 /// The backend × threads × lane-width matrix the projection must be
 /// invariant over.
@@ -53,8 +63,8 @@ fn policies() -> Vec<ExecPolicy> {
 #[test]
 fn projection_is_exact_for_fault_list_1() {
     // The three-cell list carries the most lanes. The packed policies rebuild
-    // it exhaustively (8 cells at one width, 5 at the others); the scalar
-    // full-memory rebuild is too slow for a debug build beyond the
+    // its coverage exhaustively (8 cells at one width, 5 at the others); the
+    // scalar full-memory rebuild is too slow for a debug build beyond the
     // representative scope, which the projection keys the same way.
     for policy in policies() {
         let (cells, strategy) = match (policy.backend, policy.lane_width) {
@@ -62,8 +72,17 @@ fn projection_is_exact_for_fault_list_1() {
             (_, LaneWidth::W64) => (8, PlacementStrategy::Exhaustive),
             _ => (5, PlacementStrategy::Exhaustive),
         };
-        assert_projection_exact(policy, &FaultList::list_1(), cells, strategy);
+        assert_coverage_projection_exact(policy, &FaultList::list_1(), cells, strategy);
     }
+    // Its 844 target batches walked on the full memory at every prefix are
+    // the slowest check here: the debug build drives them on the Table 1
+    // scope under one policy, the release leg exhaustively.
+    assert_projection_exact(
+        ExecPolicy::default().with_threads(1),
+        &FaultList::list_1(),
+        8,
+        PlacementStrategy::Representative,
+    );
 }
 
 #[test]
@@ -144,4 +163,61 @@ fn representative_scope_agrees_with_exhaustive_under_uniform_backgrounds() {
         }
     }
     assert!(escapes_seen > 0, "no catalogue test escaped any list");
+}
+
+#[test]
+fn cut_short_generations_name_uncovered_lanes_by_their_memory_cells() {
+    // Batches simulate on projected cells but keep every lane's original
+    // descriptor: a generation stopped after one greedy element reports its
+    // uncovered lanes exactly as a full-memory rebuild finds them, with
+    // their real addresses and the whole custom background.
+    let list = FaultList::list_1();
+    let custom = (0..8)
+        .map(|address| {
+            if address % 3 == 0 {
+                Bit::One
+            } else {
+                Bit::Zero
+            }
+        })
+        .collect();
+    let session = Session::default().with_backgrounds(vec![
+        InitialState::AllZero,
+        InitialState::Checkerboard,
+        InitialState::Custom(custom),
+    ]);
+    let config = GeneratorConfig {
+        max_elements: 2,
+        ..GeneratorConfig::default()
+    };
+    let generated = session.generate_with_config(&list, config);
+    let test = generated.test();
+    assert_eq!(test.elements().len(), 2);
+
+    let backend = session.backend_instance();
+    let mut uncovered = Vec::new();
+    let mut highest_cell = 0;
+    for (target, lanes) in session.target_lanes(&list).unwrap().iter() {
+        let verdicts = backend.lane_verdicts(test, target, lanes, session.memory_cells());
+        for (lane, detected) in lanes.iter().zip(verdicts) {
+            if !detected {
+                let cells = lane.cells;
+                highest_cell = [
+                    Some(cells.victim),
+                    cells.aggressor_first,
+                    cells.aggressor_second,
+                ]
+                .into_iter()
+                .flatten()
+                .fold(highest_cell, usize::max);
+                uncovered.push(format!("{target} @ {cells} ({:?})", lane.background));
+            }
+        }
+    }
+    assert!(!uncovered.is_empty(), "one greedy element covers List #1");
+    assert!(
+        highest_cell > 2,
+        "no uncovered lane beyond the projected ranks"
+    );
+    assert_eq!(generated.report().uncovered(), &uncovered[..]);
 }
