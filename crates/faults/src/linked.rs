@@ -101,7 +101,7 @@ impl fmt::Display for LinkTopology {
 /// assert_eq!(lf.to_string(), "<0w1;0/1/-> -> <1w0;1/0/-> [LF3]");
 /// # Ok::<(), sram_fault_model::FaultModelError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LinkedFault {
     first: FaultPrimitive,
     second: FaultPrimitive,

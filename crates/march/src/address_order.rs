@@ -91,13 +91,22 @@ impl AddressOrder {
 
     /// The concrete sequence of cell addresses visited by an element with this order
     /// on a memory of `cells` cells ([`AddressOrder::Any`] uses the ascending
-    /// sequence).
-    #[must_use]
-    pub fn addresses(self, cells: usize) -> Vec<usize> {
-        match self {
-            AddressOrder::Ascending | AddressOrder::Any => (0..cells).collect(),
-            AddressOrder::Descending => (0..cells).rev().collect(),
-        }
+    /// sequence), walked without allocating.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use march_test::AddressOrder;
+    ///
+    /// let down: Vec<usize> = AddressOrder::Descending.addresses(3).collect();
+    /// assert_eq!(down, vec![2, 1, 0]);
+    /// ```
+    pub fn addresses(
+        self,
+        cells: usize,
+    ) -> impl DoubleEndedIterator<Item = usize> + ExactSizeIterator {
+        let descending = self == AddressOrder::Descending;
+        (0..cells).map(move |index| if descending { cells - 1 - index } else { index })
     }
 }
 
@@ -151,10 +160,11 @@ mod tests {
 
     #[test]
     fn address_sequences() {
-        assert_eq!(AddressOrder::Ascending.addresses(3), vec![0, 1, 2]);
-        assert_eq!(AddressOrder::Descending.addresses(3), vec![2, 1, 0]);
-        assert_eq!(AddressOrder::Any.addresses(2), vec![0, 1]);
-        assert!(AddressOrder::Ascending.addresses(0).is_empty());
+        let walk = |order: AddressOrder, cells| order.addresses(cells).collect::<Vec<_>>();
+        assert_eq!(walk(AddressOrder::Ascending, 3), vec![0, 1, 2]);
+        assert_eq!(walk(AddressOrder::Descending, 3), vec![2, 1, 0]);
+        assert_eq!(walk(AddressOrder::Any, 2), vec![0, 1]);
+        assert!(walk(AddressOrder::Ascending, 0).is_empty());
     }
 
     #[test]

@@ -68,8 +68,8 @@ proptest! {
     /// The address sequences of ⇑ and ⇓ are reverses of each other for any size.
     #[test]
     fn address_orders_are_reverses(cells in 0usize..100) {
-        let up = AddressOrder::Ascending.addresses(cells);
-        let mut down = AddressOrder::Descending.addresses(cells);
+        let up: Vec<usize> = AddressOrder::Ascending.addresses(cells).collect();
+        let mut down: Vec<usize> = AddressOrder::Descending.addresses(cells).collect();
         down.reverse();
         prop_assert_eq!(up, down);
     }

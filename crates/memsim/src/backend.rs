@@ -22,6 +22,7 @@ use crate::batch::CandidateBatch;
 use crate::coverage::TargetKind;
 use crate::lane::{broadcast, condition_mask, LaneWidth, LaneWord, W128, W256};
 use crate::placement::{placement_shape, PlacementShape};
+use crate::projection::{projected_cells, word_verdicts};
 use crate::{
     run_march, DecoderFaultInstance, FaultSimulator, InitialState, InjectedFault, InstanceCells,
     LinkedFaultInstance, PlacementStrategy, SimulationError,
@@ -171,6 +172,43 @@ pub trait SimulationBackend: fmt::Debug + Send + Sync {
         self.lane_verdicts(test, target, lanes, memory_cells)
             .iter()
             .position(|detected| !detected)
+    }
+
+    /// The detection verdict of `test` for every `(target, lane)` pair, in
+    /// order, where each lane is **projected**: its cells are the ranks of
+    /// the at most three cells its instance involves, its background is cut
+    /// down to them, and it is simulated on a memory of exactly those cells
+    /// (see `projection.rs` for why its verdict is the full-memory one).
+    /// Pairs of any number of targets may be mixed; this is the kernel of
+    /// coverage and campaigns.
+    ///
+    /// The default simulates each run of consecutive pairs of one target
+    /// with [`SimulationBackend::lane_verdicts`] — the per-target reference
+    /// the scalar backend keeps. The packed backend packs the pairs of many
+    /// targets into shared 64-lane words instead, one simulation per word.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a lane is not projected or does not fit its target.
+    fn projected_verdicts(
+        &self,
+        test: &MarchTest,
+        lanes: &[(&TargetKind, &CoverageLane)],
+    ) -> Vec<bool> {
+        let mut verdicts = Vec::with_capacity(lanes.len());
+        let mut rest = lanes;
+        while let Some(&(target, _)) = rest.first() {
+            let run = rest
+                .iter()
+                .take_while(|(other, _)| *other == target)
+                .count();
+            let (group, tail) = rest.split_at(run);
+            let group: Vec<CoverageLane> = group.iter().map(|&(_, lane)| lane.clone()).collect();
+            let cells = group.iter().map(projected_cells).max().unwrap_or(0);
+            verdicts.extend(self.lane_verdicts(test, target, &group, cells));
+            rest = tail;
+        }
+        verdicts
     }
 }
 
@@ -369,6 +407,14 @@ impl SimulationBackend for PackedBackend {
             LaneWidth::W256 => packed_first_undetected::<W256>(test, target, lanes, memory_cells),
             _ => packed_first_undetected::<u64>(test, target, lanes, memory_cells),
         }
+    }
+
+    fn projected_verdicts(
+        &self,
+        test: &MarchTest,
+        lanes: &[(&TargetKind, &CoverageLane)],
+    ) -> Vec<bool> {
+        word_verdicts(test, lanes)
     }
 }
 

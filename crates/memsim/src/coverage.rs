@@ -8,25 +8,24 @@
 //! one by one on the whole memory: each is projected onto the at most three
 //! cells its instance involves, and lanes sharing the rank order of those
 //! cells and their background bits form one class. The partition into
-//! classes is built once per lane set and memoised there; verdicts are
-//! computed per target, the selected [`SimulationBackend`] simulating the
-//! target's fault on one representative per class on a memory of at most
-//! three cells (see `projection.rs` for why this is exact). The targets
-//! themselves are fanned out over the worker pool of a
-//! [`Session`](crate::Session), the only entry point to coverage. The report
-//! (counts, per-topology break-down and the stable-sorted escape list, each
-//! escape being the first escaping lane in enumeration order) is
-//! byte-identical to a lane-by-lane full-memory walk on every backend and
-//! thread count.
+//! classes is built once per lane set and memoised there. The class
+//! representatives of every target sharing a set are packed into shared
+//! 64-lane words that carry each lane's fault as per-lane masks, and the
+//! selected [`SimulationBackend`](crate::SimulationBackend) runs one
+//! simulation per word on a memory of at most three cells (see
+//! `projection.rs` for why this is exact). The words are fanned out over the
+//! worker pool of a [`Session`](crate::Session), the only entry point to
+//! coverage. The report (counts, per-topology break-down and the
+//! stable-sorted escape list, each escape being the first escaping lane in
+//! enumeration order) is byte-identical to a lane-by-lane full-memory walk
+//! on every backend and thread count.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use march_test::MarchTest;
 use sram_fault_model::{Bit, DecoderFault, FaultList, FaultPrimitive, LinkTopology, LinkedFault};
 
-use crate::backend::SimulationBackend;
-use crate::{InitialState, InstanceCells, LaneSet};
+use crate::{InitialState, InstanceCells};
 
 /// Which kind of target escaped a march test.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -239,27 +238,6 @@ pub fn enumerate_targets(list: &FaultList) -> Vec<TargetKind> {
                 .map(|fault| TargetKind::Decoder(*fault)),
         )
         .collect()
-}
-
-/// The first of the pre-enumerated `lanes` the test fails on, as an
-/// [`Escape`] — the per-target kernel of the session's coverage path. The
-/// lanes are projected onto the set's
-/// memoised lane classes (see `projection.rs`), so the memory size does not
-/// enter and only the target's fault is simulated per call.
-pub(crate) fn lane_escape(
-    backend: &dyn SimulationBackend,
-    test: &MarchTest,
-    target: &TargetKind,
-    lanes: &LaneSet,
-) -> Option<Escape> {
-    lanes
-        .classes()
-        .first_undetected(backend, test, target)
-        .map(|index| Escape {
-            target: target.clone(),
-            cells: lanes[index].cells,
-            background: lanes[index].background.clone(),
-        })
 }
 
 #[cfg(test)]

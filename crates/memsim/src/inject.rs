@@ -241,47 +241,7 @@ impl LinkedFaultInstance {
         cells: InstanceCells,
         memory_cells: usize,
     ) -> Result<LinkedFaultInstance, SimulationError> {
-        let topology = fault.topology();
-        let first_aggressor = match topology {
-            LinkTopology::Lf1 | LinkTopology::Lf2SingleThenCoupling => None,
-            LinkTopology::Lf2CouplingThenSingle
-            | LinkTopology::Lf2SharedAggressor
-            | LinkTopology::Lf3 => Some(cells.aggressor_first.ok_or_else(|| {
-                SimulationError::MissingCells(format!(
-                    "topology {topology} requires an aggressor for the first primitive"
-                ))
-            })?),
-        };
-        let second_aggressor = match topology {
-            LinkTopology::Lf1 | LinkTopology::Lf2CouplingThenSingle => None,
-            LinkTopology::Lf2SingleThenCoupling | LinkTopology::Lf3 => {
-                Some(cells.aggressor_second.ok_or_else(|| {
-                    SimulationError::MissingCells(format!(
-                        "topology {topology} requires an aggressor for the second primitive"
-                    ))
-                })?)
-            }
-            LinkTopology::Lf2SharedAggressor => {
-                let shared = cells
-                    .aggressor_first
-                    .or(cells.aggressor_second)
-                    .ok_or_else(|| {
-                        SimulationError::MissingCells(
-                            "shared-aggressor topology requires an aggressor cell".to_string(),
-                        )
-                    })?;
-                Some(shared)
-            }
-        };
-
-        if topology == LinkTopology::Lf3 {
-            if let (Some(a1), Some(a2)) = (first_aggressor, second_aggressor) {
-                if a1 == a2 {
-                    return Err(SimulationError::OverlappingCells { address: a1 });
-                }
-            }
-        }
-
+        let [first_aggressor, second_aggressor] = component_aggressors(&fault, cells)?;
         let components = vec![
             build_component(
                 fault.first().clone(),
@@ -462,6 +422,62 @@ impl fmt::Display for DecoderFaultInstance {
             None => write!(f, "{} @ a={}", self.fault, self.primary),
         }
     }
+}
+
+/// The aggressor each component of `fault` is bound to under `cells` (the
+/// victim is shared), by the fault's topology: the cell binding of
+/// [`LinkedFaultInstance::new`], without building the components.
+///
+/// # Errors
+///
+/// [`SimulationError::MissingCells`] when `cells` lacks an aggressor the
+/// topology needs, [`SimulationError::OverlappingCells`] when the two
+/// aggressors of an LF3 coincide.
+pub(crate) fn component_aggressors(
+    fault: &LinkedFault,
+    cells: InstanceCells,
+) -> Result<[Option<usize>; 2], SimulationError> {
+    let topology = fault.topology();
+    let first_aggressor = match topology {
+        LinkTopology::Lf1 | LinkTopology::Lf2SingleThenCoupling => None,
+        LinkTopology::Lf2CouplingThenSingle
+        | LinkTopology::Lf2SharedAggressor
+        | LinkTopology::Lf3 => Some(cells.aggressor_first.ok_or_else(|| {
+            SimulationError::MissingCells(format!(
+                "topology {topology} requires an aggressor for the first primitive"
+            ))
+        })?),
+    };
+    let second_aggressor = match topology {
+        LinkTopology::Lf1 | LinkTopology::Lf2CouplingThenSingle => None,
+        LinkTopology::Lf2SingleThenCoupling | LinkTopology::Lf3 => {
+            Some(cells.aggressor_second.ok_or_else(|| {
+                SimulationError::MissingCells(format!(
+                    "topology {topology} requires an aggressor for the second primitive"
+                ))
+            })?)
+        }
+        LinkTopology::Lf2SharedAggressor => {
+            let shared = cells
+                .aggressor_first
+                .or(cells.aggressor_second)
+                .ok_or_else(|| {
+                    SimulationError::MissingCells(
+                        "shared-aggressor topology requires an aggressor cell".to_string(),
+                    )
+                })?;
+            Some(shared)
+        }
+    };
+
+    if topology == LinkTopology::Lf3 {
+        if let (Some(a1), Some(a2)) = (first_aggressor, second_aggressor) {
+            if a1 == a2 {
+                return Err(SimulationError::OverlappingCells { address: a1 });
+            }
+        }
+    }
+    Ok([first_aggressor, second_aggressor])
 }
 
 fn build_component(

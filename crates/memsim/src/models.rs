@@ -31,13 +31,14 @@ use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::{thread, Arc, Mutex, PoisonError};
 use crate::{InitialState, PlacementStrategy, WorkerPool};
 
-fn key(name: &str) -> ArtifactKey {
+fn key(name: &str) -> ArtifactKey<'static> {
     ArtifactKey::new(
         &FaultList::new(name),
         64,
         PlacementStrategy::Exhaustive,
         &[InitialState::AllZero],
     )
+    .owned()
 }
 
 /// Exactly-once builds: two sessions racing `target_lanes` on the same key

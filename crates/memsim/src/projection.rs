@@ -1,5 +1,6 @@
 //! Projected simulation: coverage and campaign lanes simulated on the at most
-//! three cells their fault instance involves, one representative per class.
+//! three cells their fault instance involves, one representative per class,
+//! the classes of many targets packed into shared 64-lane words.
 //!
 //! A static fault instance — a simple primitive, a linked fault or an
 //! address-decoder class bound to cells — involves at most three cells: the
@@ -15,32 +16,44 @@
 //! addresses, the background cut down to those cells). The partition depends
 //! only on the lanes, never on the fault, so it is built **once per
 //! [`LaneSet`]** — the lanes every target of one placement shape shares — and
-//! memoised there. Verdicts are computed per target: one
-//! [`SimulationBackend::lane_verdicts`] call on the caller's backend
-//! simulates the target's fault on all the representatives, and every lane
-//! takes the verdict of its class. Because a class representative is its
-//! class's first lane in enumeration order, the first escaping lane is the
-//! representative of the first escaping class — escape reports, escape order
-//! and campaign traces are exactly those of the full-memory walk, while the
-//! per-lane cost no longer grows with the memory size. A coverage request
-//! therefore costs one partition per distinct lane set plus one backend call
-//! per target; campaigns partition each shard's drawn lanes per target
-//! ([`lane_verdicts`]).
+//! memoised there.
 //!
-//! Coverage ([`Session::try_coverage`](crate::Session::try_coverage) and
-//! everything built on it) and campaigns go through this module. So do the
-//! generator's and the minimiser's [`TargetBatch`](crate::TargetBatch)es,
-//! lane by lane rather than class by class, since a greedy score counts
-//! lanes: [`project_lanes`] remaps every lane onto its involved cells, and
-//! the batch simulates it there while keeping the original descriptor. The
-//! argument below holds at every prefix of a march test, so a batch's
+//! Verdicts come from one simulation per **word**, not one backend call per
+//! target. A [`ProjectedWord`] is a fixed-size, heap-free simulator of up to
+//! 64 projected lanes on at most three cells, and each of its lanes carries
+//! its own fault as per-lane masks: victim, aggressor and sensitising-site
+//! planes, one mask per sensitising operation kind, initial-state masks, the
+//! read override and the forced value of each array component, and source
+//! and destination planes plus class masks for a decoder fault.
+//! Sensitisation is mask arithmetic, so one word holds lanes of many targets.
+//! Coverage ([`coverage_words`]) packs the class representatives of every
+//! target sharing a lane set into consecutive words in (target, class)
+//! order; campaigns pack each shard's drawn classes the same way. Both go
+//! through [`SimulationBackend::projected_verdicts`]: the packed backend
+//! runs the words ([`word_verdicts`]), the scalar backend simulates each
+//! target's lanes on their own as the differential reference.
+//!
+//! Because a class representative is its class's first lane in enumeration
+//! order, the first escaping lane of a target is the representative of its
+//! first escaping class — escape reports, escape order and campaign traces
+//! are exactly those of the full-memory walk, while the per-lane cost no
+//! longer grows with the memory size. A coverage request therefore costs one
+//! partition per distinct lane set plus one simulation per word: Fault List
+//! #1 at 8 or 16 cells is 6,448 class representatives in 102 words.
+//!
+//! The generator's and the minimiser's [`TargetBatch`](crate::TargetBatch)es
+//! project too, lane by lane rather than class by class, since a greedy score
+//! counts lanes: [`project_lanes`] remaps every lane onto its involved cells,
+//! and the batch simulates it there while keeping the original descriptor.
+//! The argument below holds at every prefix of a march test, so a batch's
 //! pending lanes and scores equal the full-memory walk's after every
-//! element. The backends themselves,
+//! element. The backends' per-target methods,
 //! [`PackedSimulator`](crate::PackedSimulator), the full re-simulation
 //! minimiser and the dictionary and diagnosis paths keep the full-memory
 //! walk, which serves as the differential reference.
 //!
 //! [`LaneSet`]: crate::LaneSet
+//! [`SimulationBackend::projected_verdicts`]: crate::SimulationBackend::projected_verdicts
 //!
 //! # Why the projection is exact
 //!
@@ -70,8 +83,8 @@
 //! involved cells, from the same state, with the same read results, as the
 //! full-memory run: the verdict is the same, and so is every read result
 //! after every operation. Uninvolved cells on the projected memory (a batch
-//! pads a lane that involves fewer cells than the others) obey the first two
-//! points, so they change nothing either.
+//! or a word pads a lane that involves fewer cells than the others) obey the
+//! first two points, so they change nothing either.
 //!
 //! The projection reads each lane's background bit by address, so it relies
 //! on the scope checks upstream (a [`InitialState::Custom`] background must
@@ -80,13 +93,23 @@
 //! [`project_lanes`] makes them itself.
 
 use std::iter;
+use std::sync::Arc;
 
 use march_test::MarchTest;
-use sram_fault_model::Bit;
+use sram_fault_model::{Bit, CellValue, DecoderFault, FaultPrimitive, Operation, SensitizingSite};
 
-use crate::backend::{CoverageLane, SimulationBackend};
+use crate::backend::CoverageLane;
 use crate::coverage::TargetKind;
-use crate::{InitialState, InstanceCells, SimulationError};
+use crate::inject::component_aggressors;
+use crate::session::TargetLanes;
+use crate::{DecoderFaultInstance, InitialState, InstanceCells, SimulationError};
+
+/// How many lanes one [`ProjectedWord`] carries.
+pub(crate) const WORD_LANES: usize = 64;
+
+/// The size of the largest projected memory: an instance involves at most
+/// three cells.
+const MAX_CELLS: usize = 3;
 
 /// Number of distinct class codes: how each of the three pairs of
 /// [`InstanceCells`] slots (victim, first aggressor, second aggressor)
@@ -230,47 +253,457 @@ impl Classes {
         classes
     }
 
-    /// The verdict of every class, in class order, from one backend call.
-    fn verdicts(
-        &self,
-        backend: &dyn SimulationBackend,
-        test: &MarchTest,
-        target: &TargetKind,
-    ) -> Vec<bool> {
-        backend.lane_verdicts(test, target, &self.representatives, self.cells)
+    /// The number of classes.
+    pub(crate) fn len(&self) -> usize {
+        self.first_lanes.len()
     }
 
-    /// The index of the first partitioned lane on which `test` fails to
-    /// detect `target` — the projected equivalent of
-    /// [`SimulationBackend::first_undetected`].
-    pub(crate) fn first_undetected(
-        &self,
-        backend: &dyn SimulationBackend,
-        test: &MarchTest,
-        target: &TargetKind,
-    ) -> Option<usize> {
-        self.first_lanes
-            .iter()
-            .zip(self.verdicts(backend, test, target))
-            .find(|(_, detected)| !detected)
-            .map(|(&lane, _)| lane)
+    /// Each class's first lane, remapped onto the projected memory, in class
+    /// order.
+    pub(crate) fn representatives(&self) -> &[CoverageLane] {
+        &self.representatives
+    }
+
+    /// The index of `class`'s first lane in the partitioned lane slice.
+    pub(crate) fn first_lane(&self, class: usize) -> usize {
+        self.first_lanes[class]
+    }
+
+    /// The class of `lane`, one of the partitioned lanes.
+    pub(crate) fn class_of(&self, lane: &CoverageLane) -> usize {
+        usize::from(self.index_of_code[class_code(lane)])
     }
 }
 
-/// The detection verdict of `test` for every one of `lanes`, in lane order —
-/// the projected equivalent of [`SimulationBackend::lane_verdicts`].
-pub(crate) fn lane_verdicts(
-    backend: &dyn SimulationBackend,
-    test: &MarchTest,
-    target: &TargetKind,
-    lanes: &[CoverageLane],
-) -> Vec<bool> {
-    let classes = Classes::of(lanes);
-    let verdicts = classes.verdicts(backend, test, target);
-    lanes
-        .iter()
-        .map(|lane| verdicts[usize::from(classes.index_of_code[class_code(lane)])])
-        .collect()
+/// The size of the projected memory `lane` lives on: its cells are the
+/// ranks of the cells it involves, so one past the highest.
+pub(crate) fn projected_cells(lane: &CoverageLane) -> usize {
+    slots(&lane.cells)
+        .into_iter()
+        .flatten()
+        .max()
+        .map_or(0, |rank| rank + 1)
+}
+
+/// The projected lanes of a coverage request, cut into words of at most
+/// `word_lanes` lanes: the class representatives of every target in
+/// (target, class) order, the targets sharing one lane set consecutive, so
+/// no word straddles two sets. Each lane is named by its target's index in
+/// `target_lanes` and its class.
+pub(crate) fn coverage_words(
+    target_lanes: &TargetLanes,
+    word_lanes: usize,
+) -> Vec<Vec<(usize, usize)>> {
+    let mut words = Vec::new();
+    let mut packed = vec![false; target_lanes.len()];
+    for (first, (_, set)) in target_lanes.iter().enumerate() {
+        if packed[first] {
+            continue;
+        }
+        let mut lanes = Vec::new();
+        for (index, (_, other)) in target_lanes.iter().enumerate().skip(first) {
+            if Arc::ptr_eq(set, other) {
+                packed[index] = true;
+                lanes.extend((0..set.classes().len()).map(|class| (index, class)));
+            }
+        }
+        words.extend(lanes.chunks(word_lanes).map(<[_]>::to_vec));
+    }
+    words
+}
+
+/// The verdict of `test` for every `(target, projected lane)` pair, in
+/// order, from one [`ProjectedWord`] simulation per [`WORD_LANES`] pairs —
+/// the packed backend's
+/// [`SimulationBackend::projected_verdicts`](crate::SimulationBackend::projected_verdicts).
+pub(crate) fn word_verdicts(test: &MarchTest, lanes: &[(&TargetKind, &CoverageLane)]) -> Vec<bool> {
+    let mut verdicts = Vec::with_capacity(lanes.len());
+    for word in lanes.chunks(WORD_LANES) {
+        let detected = ProjectedWord::pack(word).run(test);
+        verdicts.extend((0..word.len()).map(|lane| detected >> lane & 1 == 1));
+    }
+    verdicts
+}
+
+/// The index of `operation`'s kind among a component's sensitising
+/// operation masks: a required read matches every read, a required write
+/// only writes of its value.
+fn operation_kind(operation: Operation) -> usize {
+    match operation {
+        Operation::Write(Bit::Zero) => 0,
+        Operation::Write(Bit::One) => 1,
+        Operation::Read(_) => 2,
+        Operation::Wait => 3,
+    }
+}
+
+/// `lanes` where `bit` is one, no lane where it is zero.
+fn lanes_holding(bit: Bit, lanes: u64) -> u64 {
+    match bit {
+        Bit::Zero => 0,
+        Bit::One => lanes,
+    }
+}
+
+/// Per-lane value of each lane's bound cell: OR of the memory planes masked
+/// by the binding planes (a lane binds at most one cell).
+fn gather(planes: &[u64; MAX_CELLS], bound: &[u64; MAX_CELLS]) -> u64 {
+    (planes[0] & bound[0]) | (planes[1] & bound[1]) | (planes[2] & bound[2])
+}
+
+/// Masked scatter: writes each lane's bit of `values` into its bound cell,
+/// on the lanes of `lanes`.
+fn force(planes: &mut [u64; MAX_CELLS], bound: &[u64; MAX_CELLS], lanes: u64, values: u64) {
+    for (plane, bound) in planes.iter_mut().zip(bound) {
+        let write = lanes & bound;
+        *plane = (*plane & !write) | (values & write);
+    }
+}
+
+/// The lanes whose cell values `values` meet their condition: lanes in
+/// `zero` need a 0, lanes in `one` a 1, every other lane accepts both.
+fn holds(zero: u64, one: u64, values: u64) -> u64 {
+    !((zero & values) | (one & !values))
+}
+
+/// Records a sensitising condition's initial state for the lanes of `bit`.
+fn bind_condition(zero: &mut u64, one: &mut u64, initial: CellValue, bit: u64) {
+    match initial {
+        CellValue::Zero => *zero |= bit,
+        CellValue::One => *one |= bit,
+        CellValue::DontCare => {}
+    }
+}
+
+/// One array component — a simple target's primitive, or the first or
+/// second primitive of a linked fault — of every lane of a
+/// [`ProjectedWord`], as per-lane masks: bit `i` of every field describes
+/// lane `i`, so the lanes of one word may carry different primitives.
+#[derive(Debug, Clone, Copy, Default)]
+struct ComponentPlanes {
+    /// `victim[cell]`: lanes whose victim is `cell`.
+    victim: [u64; MAX_CELLS],
+    /// `aggressor[cell]`: lanes whose aggressor is `cell`.
+    aggressor: [u64; MAX_CELLS],
+    /// `site[cell]`: lanes sensitised by an operation on `cell` (their
+    /// victim or their aggressor).
+    site: [u64; MAX_CELLS],
+    /// Lanes sensitised by each operation kind ([`operation_kind`]).
+    operation: [u64; 4],
+    /// Lanes sensitised by a state alone, settled after every operation.
+    state: u64,
+    /// Lanes whose victim must hold 0, or 1, to sensitise.
+    victim_zero: u64,
+    victim_one: u64,
+    /// Lanes whose aggressor must hold 0, or 1, to sensitise.
+    aggressor_zero: u64,
+    aggressor_one: u64,
+    /// Lanes whose sensitising read returns `read_value` instead of the
+    /// cell's content.
+    read_override: u64,
+    read_value: u64,
+    /// Lanes whose effect forces `forced_value` into the victim.
+    forces: u64,
+    forced_value: u64,
+}
+
+impl ComponentPlanes {
+    /// Binds `primitive` on `victim` (and `aggressor`, for a coupling
+    /// primitive) to the lanes of `bit`.
+    fn bind(
+        &mut self,
+        bit: u64,
+        primitive: &FaultPrimitive,
+        victim: usize,
+        aggressor: Option<usize>,
+    ) {
+        let aggressor = aggressor.filter(|_| primitive.is_coupling());
+        self.victim[victim] |= bit;
+        if let Some(aggressor) = aggressor {
+            self.aggressor[aggressor] |= bit;
+        }
+        match primitive.sensitizing_site() {
+            SensitizingSite::None => self.state |= bit,
+            SensitizingSite::Victim => self.site[victim] |= bit,
+            SensitizingSite::Aggressor => {
+                self.site[aggressor.expect("an aggressor-sensitised primitive is a coupling")] |=
+                    bit;
+            }
+        }
+        if let Some(operation) = primitive.sensitizing_operation() {
+            self.operation[operation_kind(operation)] |= bit;
+        }
+        bind_condition(
+            &mut self.victim_zero,
+            &mut self.victim_one,
+            primitive.victim().initial(),
+            bit,
+        );
+        if let Some(condition) = primitive.aggressor() {
+            bind_condition(
+                &mut self.aggressor_zero,
+                &mut self.aggressor_one,
+                condition.initial(),
+                bit,
+            );
+        }
+        if let Some(read) = primitive.effect().read_output() {
+            self.read_override |= bit;
+            self.read_value |= lanes_holding(read, bit);
+        }
+        if let Some(forced) = primitive.effect().victim_value().to_bit() {
+            self.forces |= bit;
+            self.forced_value |= lanes_holding(forced, bit);
+        }
+    }
+
+    /// The lanes whose victim and aggressor conditions hold on `faulty`.
+    fn conditions_hold(&self, faulty: &[u64; MAX_CELLS]) -> u64 {
+        holds(
+            self.victim_zero,
+            self.victim_one,
+            gather(faulty, &self.victim),
+        ) & holds(
+            self.aggressor_zero,
+            self.aggressor_one,
+            gather(faulty, &self.aggressor),
+        )
+    }
+
+    /// The lanes sensitised by applying an operation of `kind` to
+    /// `address`, on the pre-operation `faulty` state.
+    fn fired(&self, faulty: &[u64; MAX_CELLS], address: usize, kind: usize) -> u64 {
+        let sited = self.site[address] & self.operation[kind];
+        if sited == 0 {
+            return 0;
+        }
+        sited & self.conditions_hold(faulty)
+    }
+}
+
+/// The address-decoder fault of every lane of a [`ProjectedWord`], as
+/// per-lane masks — the decoder counterpart of [`ComponentPlanes`].
+#[derive(Debug, Clone, Copy, Default)]
+struct DecoderPlanes {
+    /// `source[cell]`: lanes whose perturbed address is `cell`.
+    source: [u64; MAX_CELLS],
+    /// `destination[cell]`: lanes whose perturbed address reaches `cell`.
+    destination: [u64; MAX_CELLS],
+    /// *No cell accessed* lanes, and those of them whose open read returns 1.
+    no_cell: u64,
+    open_read: u64,
+    /// Lanes whose perturbed address reaches its destination instead of its
+    /// own cell (*no address maps*, *multiple addresses map*).
+    redirect: u64,
+    /// Lanes whose perturbed address reaches its destination as well as its
+    /// own cell (*multiple cells accessed*).
+    fan_out: u64,
+}
+
+impl DecoderPlanes {
+    /// Binds `fault` on `cells` to the lanes of `bit`.
+    fn bind(&mut self, bit: u64, fault: DecoderFault, cells: InstanceCells) {
+        let instance = DecoderFaultInstance::new(fault, cells, MAX_CELLS)
+            .expect("projected lanes fit their decoder class");
+        self.source[instance.source()] |= bit;
+        if let Some(destination) = instance.destination() {
+            self.destination[destination] |= bit;
+        }
+        match fault {
+            DecoderFault::NoCellAccessed { open_read } => {
+                self.no_cell |= bit;
+                self.open_read |= lanes_holding(open_read, bit);
+            }
+            DecoderFault::NoAddressMaps | DecoderFault::MultipleAddressesMap => {
+                self.redirect |= bit;
+            }
+            DecoderFault::MultipleCellsAccessed => self.fan_out |= bit,
+        }
+    }
+}
+
+/// A bit-parallel simulator of up to [`WORD_LANES`] projected lanes, one
+/// lane per bit, on the at most three cells of the projected memory. Fixed
+/// size and heap-free: its planes are `[u64; 3]` arrays, and each lane
+/// carries its own fault as masks ([`ComponentPlanes`], [`DecoderPlanes`]),
+/// so a word mixes the lanes of many targets, of every fault kind and every
+/// cell count.
+///
+/// The semantics are [`PackedSimulator`](crate::PackedSimulator)'s, step for
+/// step: fire detection on the pre-operation state, decoder perturbation and
+/// read overrides, the fault-free effect routed through the decoder, fault
+/// effects in injection order, then one settle pass of the state-sensitised
+/// components.
+#[derive(Debug, Clone, Copy)]
+struct ProjectedWord {
+    /// The projected memory's size: the most cells any lane involves.
+    cells: usize,
+    /// One bit per packed lane.
+    lanes: u64,
+    faulty: [u64; MAX_CELLS],
+    golden: [u64; MAX_CELLS],
+    components: [ComponentPlanes; 2],
+    decoder: DecoderPlanes,
+    /// Lanes with a state-sensitised component; the settle pass is skipped
+    /// when there are none.
+    settles: u64,
+    detected: u64,
+}
+
+impl ProjectedWord {
+    /// Packs `lanes` (at most [`WORD_LANES`]), lane `i` in bit `i`, and
+    /// settles the initial state.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a lane is not projected (involves a cell at or beyond
+    /// three) or does not fit its target's topology.
+    fn pack(lanes: &[(&TargetKind, &CoverageLane)]) -> ProjectedWord {
+        assert!(
+            lanes.len() <= WORD_LANES,
+            "a word carries {WORD_LANES} lanes"
+        );
+        let mut word = ProjectedWord {
+            cells: 0,
+            lanes: 0,
+            faulty: [0; MAX_CELLS],
+            golden: [0; MAX_CELLS],
+            components: [ComponentPlanes::default(); 2],
+            decoder: DecoderPlanes::default(),
+            settles: 0,
+            detected: 0,
+        };
+        for (index, &(target, lane)) in lanes.iter().enumerate() {
+            let bit = 1u64 << index;
+            let cells = projected_cells(lane);
+            assert!(
+                cells <= MAX_CELLS,
+                "{:?} is not a projected lane",
+                lane.cells
+            );
+            word.cells = word.cells.max(cells);
+            word.lanes |= bit;
+            for (cell, plane) in word.faulty.iter_mut().enumerate().take(cells) {
+                *plane |= lanes_holding(lane.background.bit_at(cell), bit);
+            }
+            let victim = lane.cells.victim;
+            match target {
+                TargetKind::Simple(primitive) => {
+                    word.components[0].bind(bit, primitive, victim, lane.cells.aggressor_first);
+                }
+                TargetKind::Linked(fault) => {
+                    let aggressors = component_aggressors(fault, lane.cells)
+                        .expect("projected lanes fit their target's topology");
+                    let primitives = [fault.first(), fault.second()];
+                    for ((component, primitive), aggressor) in
+                        word.components.iter_mut().zip(primitives).zip(aggressors)
+                    {
+                        component.bind(bit, primitive, victim, aggressor);
+                    }
+                }
+                TargetKind::Decoder(fault) => word.decoder.bind(bit, *fault, lane.cells),
+            }
+        }
+        word.golden = word.faulty;
+        word.settles = word.components[0].state | word.components[1].state;
+        word.settle();
+        word
+    }
+
+    /// One pass over the state-sensitised components in injection order,
+    /// forcing the victims of every lane whose state condition holds.
+    fn settle(&mut self) {
+        if self.settles == 0 {
+            return;
+        }
+        for component in &self.components {
+            let lanes = self.lanes
+                & component.state
+                & component.forces
+                & component.conditions_hold(&self.faulty);
+            force(
+                &mut self.faulty,
+                &component.victim,
+                lanes,
+                component.forced_value,
+            );
+        }
+    }
+
+    /// Applies one memory operation to cell `address` of every lane.
+    fn apply(&mut self, address: usize, operation: Operation) {
+        // 1. Which components fire, per lane?
+        let kind = operation_kind(operation);
+        let fired = [
+            self.components[0].fired(&self.faulty, address, kind),
+            self.components[1].fired(&self.faulty, address, kind),
+        ];
+
+        // 2. Read return values and detection: the decoder perturbation
+        // resolves first, then the fired components' read overrides.
+        let decoder = &self.decoder;
+        let source = decoder.source[address];
+        if operation.is_read() {
+            let mut observed = self.faulty[address];
+            if source != 0 {
+                let destination = gather(&self.faulty, &decoder.destination);
+                let no_cell = source & decoder.no_cell;
+                let redirected = source & decoder.redirect;
+                observed = (observed & !(no_cell | redirected))
+                    | (decoder.open_read & no_cell)
+                    | (destination & redirected);
+                // Wired-AND of the own cell and the extra cell.
+                observed &= destination | !(source & decoder.fan_out);
+            }
+            for (component, fired) in self.components.iter().zip(fired) {
+                let overridden = fired & component.read_override & component.victim[address];
+                observed = (observed & !overridden) | (component.read_value & overridden);
+            }
+            self.detected |= (observed ^ self.golden[address]) & self.lanes;
+        }
+
+        // 3. Fault-free effect of the operation, routed through the perturbed
+        // decode on the faulty side.
+        if let Operation::Write(value) = operation {
+            let bits = lanes_holding(value, u64::MAX);
+            self.golden[address] = bits;
+            let own = !(source & (decoder.no_cell | decoder.redirect));
+            self.faulty[address] = (self.faulty[address] & !own) | (bits & own);
+            let reached = source & (decoder.redirect | decoder.fan_out);
+            if reached != 0 {
+                force(&mut self.faulty, &decoder.destination, reached, bits);
+            }
+        }
+
+        // 4. Fault effects of the fired components, in injection order.
+        for (component, fired) in self.components.iter().zip(fired) {
+            force(
+                &mut self.faulty,
+                &component.victim,
+                fired & component.forces,
+                component.forced_value,
+            );
+        }
+
+        // 5. One pass of the state-sensitised components.
+        self.settle();
+    }
+
+    /// Runs `test` on every lane and returns the detected lanes. Stops once
+    /// every lane has detected its fault.
+    fn run(mut self, test: &MarchTest) -> u64 {
+        for (_, element) in test.iter() {
+            for address in element.order().addresses(self.cells) {
+                if self.detected == self.lanes {
+                    return self.detected;
+                }
+                for &operation in element.operations() {
+                    self.apply(address, operation);
+                }
+            }
+        }
+        self.detected
+    }
 }
 
 /// Every one of `lanes` remapped onto one projected memory, in lane order,
@@ -318,7 +751,7 @@ pub(crate) fn project_lanes(
 mod tests {
     use super::*;
     use crate::backend::enumerate_lanes;
-    use crate::{BackendKind, LaneWidth, PlacementStrategy};
+    use crate::{BackendKind, LaneWidth, PlacementStrategy, SimulationBackend};
     use march_test::catalog;
     use sram_fault_model::{DecoderFault, FaultList};
 
@@ -361,6 +794,33 @@ mod tests {
         targets
     }
 
+    /// The verdict of every one of `lanes` from one `projected_verdicts`
+    /// call over their class representatives, and the index of the first
+    /// lane of the first escaping class.
+    fn projected(
+        backend: &dyn SimulationBackend,
+        test: &MarchTest,
+        target: &TargetKind,
+        lanes: &[CoverageLane],
+    ) -> (Vec<bool>, Option<usize>) {
+        let classes = Classes::of(lanes);
+        let representatives: Vec<(&TargetKind, &CoverageLane)> = classes
+            .representatives()
+            .iter()
+            .map(|lane| (target, lane))
+            .collect();
+        let class_verdicts = backend.projected_verdicts(test, &representatives);
+        let verdicts = lanes
+            .iter()
+            .map(|lane| class_verdicts[classes.class_of(lane)])
+            .collect();
+        let first = class_verdicts
+            .iter()
+            .position(|detected| !detected)
+            .map(|class| classes.first_lane(class));
+        (verdicts, first)
+    }
+
     #[test]
     fn projected_verdicts_match_the_full_memory_walk() {
         for target in targets() {
@@ -372,15 +832,16 @@ mod tests {
                     BackendKind::Packed.instance_with(LaneWidth::W256),
                 ] {
                     let full = backend.lane_verdicts(&test, &target, &lanes, 8);
+                    let (verdicts, first) = projected(backend.as_ref(), &test, &target, &lanes);
                     assert_eq!(
-                        lane_verdicts(backend.as_ref(), &test, &target, &lanes),
+                        verdicts,
                         full,
                         "{target} under {} on {}",
                         test.name(),
                         backend.name()
                     );
                     assert_eq!(
-                        Classes::of(&lanes).first_undetected(backend.as_ref(), &test, &target),
+                        first,
                         full.iter().position(|detected| !detected),
                         "{target} under {} on {}",
                         test.name(),
@@ -445,8 +906,13 @@ mod tests {
             .cells,
             2
         );
-        assert!(Classes::of(&[])
-            .verdicts(&crate::ScalarBackend, &catalog::march_ss(), &targets()[0])
-            .is_empty());
+        let empty = Classes::of(&[]);
+        assert_eq!(empty.len(), 0);
+        for backend in [BackendKind::Scalar, BackendKind::Packed] {
+            assert!(backend
+                .instance()
+                .projected_verdicts(&catalog::march_ss(), &[])
+                .is_empty());
+        }
     }
 }

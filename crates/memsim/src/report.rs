@@ -4,7 +4,7 @@
 //! trajectory file (`march-bench`'s `trajectory.rs`), whose escaping rules
 //! live here so both crates share one implementation.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use crate::coverage::CoverageReport;
 use crate::diagnose::DiagnosisCandidate;
@@ -39,20 +39,32 @@ pub trait Report {
 #[must_use]
 pub fn json_escape(text: &str) -> String {
     let mut escaped = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => escaped.push_str("\\\""),
-            '\\' => escaped.push_str("\\\\"),
-            '\n' => escaped.push_str("\\n"),
-            '\t' => escaped.push_str("\\t"),
-            '\r' => escaped.push_str("\\r"),
-            control if (control as u32) < 0x20 => {
-                let _ = write!(escaped, "\\u{:04x}", control as u32);
-            }
-            other => escaped.push(other),
-        }
-    }
+    let _ = JsonEscaped(&mut escaped).write_str(text);
     escaped
+}
+
+/// A [`fmt::Write`] sink that JSON-escapes everything written to it into
+/// the wrapped buffer: [`json_escape`] for `Display` values, without an
+/// intermediate string.
+struct JsonEscaped<'a>(&'a mut String);
+
+impl fmt::Write for JsonEscaped<'_> {
+    fn write_str(&mut self, text: &str) -> fmt::Result {
+        for c in text.chars() {
+            match c {
+                '"' => self.0.push_str("\\\""),
+                '\\' => self.0.push_str("\\\\"),
+                '\n' => self.0.push_str("\\n"),
+                '\t' => self.0.push_str("\\t"),
+                '\r' => self.0.push_str("\\r"),
+                control if (control as u32) < 0x20 => {
+                    write!(self.0, "\\u{:04x}", control as u32)?;
+                }
+                other => self.0.push(other),
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A minimal JSON object writer: fields are emitted in insertion order, so the
@@ -158,13 +170,22 @@ impl Report for CoverageReport {
                     .number("total", *total as u64)
                     .build()
             });
-        let escapes = self.escapes().iter().map(|escape| {
-            JsonObject::new()
-                .string("target", &escape.target.to_string())
-                .string("cells", &escape.cells.to_string())
-                .string("background", &format!("{:?}", escape.background))
-                .build()
-        });
+        // The escapes are written straight into one buffer: a long escape
+        // list would otherwise pay an object and three strings per escape.
+        let mut escapes = String::from("[");
+        for (index, escape) in self.escapes().iter().enumerate() {
+            if index > 0 {
+                escapes.push_str(", ");
+            }
+            escapes.push_str("{\"target\": \"");
+            let _ = write!(JsonEscaped(&mut escapes), "{}", escape.target);
+            escapes.push_str("\", \"cells\": \"");
+            let _ = write!(JsonEscaped(&mut escapes), "{}", escape.cells);
+            escapes.push_str("\", \"background\": \"");
+            let _ = write!(JsonEscaped(&mut escapes), "{:?}", escape.background);
+            escapes.push_str("\"}");
+        }
+        escapes.push(']');
         JsonObject::new()
             .string("report", self.kind())
             .string("test", self.test_name())
@@ -174,7 +195,7 @@ impl Report for CoverageReport {
             .float("percent", self.percent())
             .boolean("complete", self.is_complete())
             .raw_array("by_topology", topology)
-            .raw_array("escapes", escapes)
+            .raw("escapes", escapes)
             .build()
     }
 }
@@ -352,6 +373,34 @@ mod tests {
         assert!(json.contains("\"escapes\": ["));
         assert_eq!(report.detail_lines().len(), report.escapes().len());
         assert_eq!(report.summary(), report.to_string());
+    }
+
+    #[test]
+    fn streamed_escapes_match_per_escape_objects() {
+        // The escape list is written straight into the buffer; it must stay
+        // byte-identical to one JsonObject per escape.
+        let custom = InitialState::Custom(
+            (0..8)
+                .map(|cell| sram_fault_model::Bit::from(cell % 3 == 0))
+                .collect(),
+        );
+        let report = Session::default()
+            .with_backgrounds(vec![InitialState::Checkerboard, custom])
+            .coverage(&catalog::mats_plus(), &FaultList::list_1());
+        assert!(report.escapes().len() > 100);
+        let objects: Vec<String> = report
+            .escapes()
+            .iter()
+            .map(|escape| {
+                JsonObject::new()
+                    .string("target", &escape.target.to_string())
+                    .string("cells", &escape.cells.to_string())
+                    .string("background", &format!("{:?}", escape.background))
+                    .build()
+            })
+            .collect();
+        let expected = format!("\"escapes\": [{}]}}", objects.join(", "));
+        assert!(report.to_json().ends_with(&expected));
     }
 
     #[test]

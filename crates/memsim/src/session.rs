@@ -27,14 +27,12 @@ use sram_fault_model::FaultList;
 
 use crate::backend::{shape_lanes, SimulationBackend};
 use crate::campaign::{sample_draw_indices, CampaignConfig, CampaignEscape, CampaignReport};
-use crate::coverage::{
-    assemble_coverage_report, enumerate_targets, lane_escape, Escape, TargetKind,
-};
+use crate::coverage::{assemble_coverage_report, enumerate_targets, Escape, TargetKind};
 use crate::diagnose::{enumerate_diagnosis_instances, inject_diagnosis_instance};
 use crate::memory::check_backgrounds;
 use crate::parallel::WorkerPool;
 use crate::placement::{placement_shape, PlacementShape};
-use crate::projection::{self, Classes};
+use crate::projection::{coverage_words, Classes, WORD_LANES};
 use crate::report::DiagnosisReport;
 use crate::run::run_march;
 use crate::store::{ArtifactKey, ArtifactStore, DictionaryKey};
@@ -50,10 +48,9 @@ use crate::{
 /// of a representative sweep still spread over every worker.
 const DIAGNOSIS_SHARD: usize = 256;
 
-/// How many campaign draws one shard decodes and simulates: a multiple of
-/// the widest packed lane word (256), so each shard's per-target lane groups
-/// fill whole simulation waves, while typical sample sizes still shard over
-/// every worker.
+/// How many campaign draws one shard decodes and simulates: enough that the
+/// classes its draws fall into fill whole words, few enough that typical
+/// sample sizes still shard over every worker.
 const CAMPAIGN_SHARD: usize = 2048;
 
 /// Every fault target of a list, in [`enumerate_targets`] order, with the
@@ -433,8 +430,12 @@ impl Session {
     /// Each target's lanes are projected onto the at most three cells they
     /// involve and simulated once per lane class (see the crate docs), so
     /// the cost per lane does not grow with the memory size. The partition
-    /// into classes is memoised per [`LaneSet`], so a request costs one
-    /// partition per distinct set plus one backend call per target.
+    /// into classes is memoised per [`LaneSet`], and the class
+    /// representatives of every target sharing a set are packed into shared
+    /// 64-lane words, so a request costs one partition per distinct set plus
+    /// one simulation per word. With a worker pool the words, not the
+    /// targets, are sharded, and merged back in word order; each target
+    /// still reports its first escaping class.
     ///
     /// # Errors
     ///
@@ -444,19 +445,50 @@ impl Session {
     /// for mis-sized custom backgrounds.
     pub fn try_coverage(&self, test: &MarchTest, list: &FaultList) -> Result<CoverageReport> {
         let target_lanes = self.target_lanes(list)?;
-        let first_escapes: Vec<Option<Escape>> = match &self.pool {
+        let word_lanes = match &self.pool {
+            // Every worker gets a word: a small request is cut into as many
+            // shorter words as the pool has threads.
             Some(pool) => {
-                let test = test.clone();
-                let backend = Arc::clone(&self.backend);
-                pool.map(Arc::clone(&target_lanes), move |(target, lanes)| {
-                    lane_escape(backend.as_ref(), &test, target, lanes)
-                })
+                let lanes: usize = target_lanes
+                    .iter()
+                    .map(|(_, set)| set.classes().len())
+                    .sum();
+                lanes.div_ceil(pool.threads()).clamp(1, WORD_LANES)
             }
-            None => target_lanes
-                .iter()
-                .map(|(target, lanes)| lane_escape(self.backend.as_ref(), test, target, lanes))
-                .collect(),
+            None => WORD_LANES,
         };
+        let words = Arc::new(coverage_words(&target_lanes, word_lanes));
+        let verdicts = {
+            let test = test.clone();
+            let backend = Arc::clone(&self.backend);
+            let target_lanes = Arc::clone(&target_lanes);
+            self.execute(Arc::clone(&words), move |word| {
+                let lanes: Vec<(&TargetKind, &CoverageLane)> = word
+                    .iter()
+                    .map(|&(index, class)| {
+                        let (target, set) = &target_lanes[index];
+                        (target, &set.classes().representatives()[class])
+                    })
+                    .collect();
+                backend.projected_verdicts(&test, &lanes)
+            })
+        };
+        // A target's classes are consecutive and in class order, so its
+        // first undetected lane is its first escaping class.
+        let mut first_escapes: Vec<Option<Escape>> = vec![None; target_lanes.len()];
+        for (word, verdicts) in words.iter().zip(verdicts) {
+            for (&(index, class), detected) in word.iter().zip(verdicts) {
+                if !detected && first_escapes[index].is_none() {
+                    let (target, set) = &target_lanes[index];
+                    let lane = &set[set.classes().first_lane(class)];
+                    first_escapes[index] = Some(Escape {
+                        target: target.clone(),
+                        cells: lane.cells,
+                        background: lane.background.clone(),
+                    });
+                }
+            }
+        }
         let targets: Vec<TargetKind> = target_lanes
             .iter()
             .map(|(target, _)| target.clone())
@@ -782,10 +814,10 @@ impl Session {
 }
 
 /// The detection verdicts of one campaign shard, in draw order: the shard's
-/// draws are decoded, grouped per target (remembering each draw's slot), and
-/// every group is projected onto its lane classes, whose representatives the
-/// backend simulates in one call, before the verdicts scatter back to their
-/// draw positions.
+/// draws are decoded and grouped per target (remembering each draw's
+/// position), every group is partitioned into its lane classes, and the
+/// class representatives of every group are packed into shared words for
+/// one backend call, before each draw takes its class's verdict.
 fn campaign_shard_verdicts(
     backend: &dyn SimulationBackend,
     test: &MarchTest,
@@ -799,12 +831,28 @@ fn campaign_shard_verdicts(
         entry.0.push(position);
         entry.1.push(lane);
     }
+    let classes: Vec<Classes> = groups
+        .values()
+        .map(|(_, lanes)| Classes::of(lanes))
+        .collect();
+    let representatives: Vec<(&TargetKind, &CoverageLane)> = groups
+        .keys()
+        .zip(&classes)
+        .flat_map(|(&slot, classes)| {
+            classes
+                .representatives()
+                .iter()
+                .map(move |lane| (space.target(slot), lane))
+        })
+        .collect();
+    let class_verdicts = backend.projected_verdicts(test, &representatives);
     let mut verdicts = vec![false; shard.len()];
-    for (slot, (positions, lanes)) in groups {
-        let group = projection::lane_verdicts(backend, test, space.target(slot), &lanes);
-        for (position, verdict) in positions.into_iter().zip(group) {
-            verdicts[position] = verdict;
+    let mut first_class = 0;
+    for ((positions, lanes), classes) in groups.values().zip(&classes) {
+        for (&position, lane) in positions.iter().zip(lanes) {
+            verdicts[position] = class_verdicts[first_class + classes.class_of(lane)];
         }
+        first_class += classes.len();
     }
     verdicts
 }

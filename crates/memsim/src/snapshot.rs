@@ -84,7 +84,7 @@ use sram_fault_model::{Bit, FaultList};
 use crate::diagnose::{Syndrome, SyndromeEntry};
 use crate::placement::placement_shape;
 use crate::session::{share_by_shape, LaneSet, TargetLanes};
-use crate::store::{ArtifactKey, DictionaryKey, ListFingerprint};
+use crate::store::{ArtifactKey, DictionaryKey};
 use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use crate::sync::{Arc, Mutex, PoisonError};
 use crate::{
@@ -769,34 +769,44 @@ impl<'a> Cursor<'a> {
 // Canonical key encodings (file-name hash + in-file key echo)
 // ---------------------------------------------------------------------------
 
-fn push_fingerprint(buf: &mut Vec<u8>, fingerprint: &ListFingerprint) {
-    push_str(buf, &fingerprint.list_name);
-    push_u64(buf, fingerprint.list_contents.len() as u64);
-    for notation in &fingerprint.list_contents {
-        push_str(buf, notation);
+/// The list part of a key encoding: the list name, then one notation string
+/// per fault in [`enumerate_targets`] order. Notation strings are built here
+/// and nowhere else: the in-memory keys compare the structured contents.
+fn push_list(buf: &mut Vec<u8>, list: &FaultList) {
+    push_str(buf, list.name());
+    let faults = list.simple().len() + list.linked().len() + list.decoders().len();
+    push_u64(buf, faults as u64);
+    for primitive in list.simple() {
+        push_str(buf, &primitive.notation());
+    }
+    for fault in list.linked() {
+        push_str(buf, &fault.to_string());
+    }
+    for fault in list.decoders() {
+        push_str(buf, &fault.notation());
     }
 }
 
-fn encode_artifact_key(key: &ArtifactKey) -> Vec<u8> {
+fn encode_artifact_key(key: &ArtifactKey<'_>) -> Vec<u8> {
     let mut buf = Vec::new();
-    push_fingerprint(&mut buf, &key.fingerprint);
+    push_list(&mut buf, &key.list);
     push_u64(&mut buf, key.memory_cells as u64);
     buf.push(match key.strategy {
         PlacementStrategy::Representative => 0,
         PlacementStrategy::Exhaustive => 1,
     });
     push_u64(&mut buf, key.backgrounds.len() as u64);
-    for background in &key.backgrounds {
+    for background in key.backgrounds.iter() {
         push_state(&mut buf, background);
     }
     buf
 }
 
-fn encode_dictionary_key(key: &DictionaryKey) -> Vec<u8> {
+fn encode_dictionary_key(key: &DictionaryKey<'_>) -> Vec<u8> {
     let mut buf = Vec::new();
-    push_str(&mut buf, &key.test_name);
-    push_str(&mut buf, &key.test_notation);
-    push_fingerprint(&mut buf, &key.fingerprint);
+    push_str(&mut buf, key.test.name());
+    push_str(&mut buf, &key.test.notation());
+    push_list(&mut buf, &key.list);
     push_u64(&mut buf, key.memory_cells as u64);
     push_state(&mut buf, &key.background);
     buf
@@ -997,13 +1007,13 @@ fn encode_dictionary(dictionary: &FaultDictionary, list: &FaultList) -> Vec<u8> 
 
 fn decode_dictionary(
     payload: &[u8],
-    key: &DictionaryKey,
+    key: &DictionaryKey<'_>,
     list: &FaultList,
 ) -> DecodeResult<FaultDictionary> {
     let targets = enumerate_targets(list);
     let mut cursor = Cursor::new(payload);
     let test_name = cursor.string()?;
-    if test_name != key.test_name {
+    if test_name != key.test.name() {
         return Err(SnapshotError::Malformed {
             detail: "dictionary test name does not match the key",
         });
@@ -1172,7 +1182,11 @@ impl SnapshotStore {
 
     /// Loads the snapshot of `key`, or `None` when the store must fall back
     /// to an in-memory build (miss, corruption, I/O failure — all counted).
-    pub(crate) fn load_lanes(&self, key: &ArtifactKey, list: &FaultList) -> Option<TargetLanes> {
+    pub(crate) fn load_lanes(
+        &self,
+        key: &ArtifactKey<'_>,
+        list: &FaultList,
+    ) -> Option<TargetLanes> {
         let key_bytes = encode_artifact_key(key);
         let name = file_name("art", &key_bytes);
         let bytes = self.read_current(&name)?;
@@ -1192,7 +1206,7 @@ impl SnapshotStore {
 
     /// Persists the lane enumeration of `key`. Failures degrade silently
     /// into the counters — the in-memory result is served regardless.
-    pub(crate) fn store_lanes(&self, key: &ArtifactKey, lanes: &TargetLanes) {
+    pub(crate) fn store_lanes(&self, key: &ArtifactKey<'_>, lanes: &TargetLanes) {
         let key_bytes = encode_artifact_key(key);
         let name = file_name("art", &key_bytes);
         let payload = encode_lanes(lanes);
@@ -1202,7 +1216,7 @@ impl SnapshotStore {
     /// Loads the dictionary snapshot of `key`, or `None` on any degradation.
     pub(crate) fn load_dictionary(
         &self,
-        key: &DictionaryKey,
+        key: &DictionaryKey<'_>,
         list: &FaultList,
     ) -> Option<FaultDictionary> {
         let key_bytes = encode_dictionary_key(key);
@@ -1225,7 +1239,7 @@ impl SnapshotStore {
     /// Persists the dictionary of `key`.
     pub(crate) fn store_dictionary(
         &self,
-        key: &DictionaryKey,
+        key: &DictionaryKey<'_>,
         dictionary: &FaultDictionary,
         list: &FaultList,
     ) {
@@ -1417,7 +1431,7 @@ mod tests {
 
     /// The key `build_lanes` enumerates under: 6 cells, the session's
     /// default representative placements and uniform backgrounds.
-    fn artifact_key(list: &FaultList) -> ArtifactKey {
+    fn artifact_key(list: &FaultList) -> ArtifactKey<'_> {
         ArtifactKey::new(
             list,
             6,
@@ -1665,6 +1679,37 @@ mod tests {
         // Losing the lock race is neither a write nor a failure.
         assert_eq!(stats.writes, 0);
         assert_eq!(stats.write_failures, 0);
+    }
+
+    #[test]
+    fn key_encodings_keep_their_file_names() {
+        // A snapshot's file name hashes the canonical key encoding, so a
+        // change to how keys are held in memory must never move it: every
+        // existing snapshot directory would silently miss.
+        let list = FaultList::list_1();
+        let uniform = [InitialState::AllZero, InitialState::AllOne];
+        let lanes = ArtifactKey::new(&list, 8, PlacementStrategy::Representative, &uniform);
+        assert_eq!(
+            file_name("art", &encode_artifact_key(&lanes)),
+            "art-9d23bc13ccb947d2.snap"
+        );
+        let decoders = FaultList::list_2().with_address_decoder_faults();
+        let patterned = [
+            InitialState::Checkerboard,
+            InitialState::Custom(vec![Bit::One; 16]),
+        ];
+        let lanes = ArtifactKey::new(&decoders, 16, PlacementStrategy::Exhaustive, &patterned);
+        assert_eq!(
+            file_name("art", &encode_artifact_key(&lanes)),
+            "art-f9eb43bb0ede3ddb.snap"
+        );
+        let test = march_test::catalog::march_ss();
+        let unlinked = FaultList::unlinked_static();
+        let dictionary = DictionaryKey::new(&test, &unlinked, 6, InitialState::AllZero);
+        assert_eq!(
+            file_name("dict", &encode_dictionary_key(&dictionary)),
+            "dict-5b9845747eaba7f5.snap"
+        );
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! Concurrency model:
 //!
 //! * the key → entry maps are **sharded** ([`STORE_SHARDS`] shards selected by
-//!   key hash), so concurrent lookups on different keys contend only on a
-//!   per-shard mutex held for a `HashMap` probe;
+//!   a compact key digest), so concurrent lookups on different keys contend
+//!   only on a per-shard mutex held for one probe;
 //! * each entry is a per-key slot built **exactly once**: the first requester
 //!   of a key builds while holding only that key's slot lock, concurrent
 //!   requesters of the *same* key block on the slot and then score a cache
@@ -28,12 +28,13 @@
 
 use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
 use march_test::MarchTest;
-use sram_fault_model::{FaultList, FaultPrimitive};
+use sram_fault_model::FaultList;
 
 use crate::parallel::WorkerPool;
 use crate::session::{Session, TargetLanes};
@@ -41,99 +42,123 @@ use crate::snapshot::{SnapshotStats, SnapshotStore};
 use crate::{ExecPolicy, FaultDictionary, InitialState, PlacementStrategy, Result};
 
 /// How many shards the store's key → entry maps split into. Shards are
-/// selected by key hash; 16 is plenty for the handful of cores one process
+/// selected by key digest; 16 is plenty for the handful of cores one process
 /// serves while keeping the empty-store footprint trivial.
 const STORE_SHARDS: usize = 16;
 
-/// The content fingerprint of a fault list: its name plus one notation string
-/// per fault, kept as separate fields (not joined into one string) so a
-/// crafted list name can never collide with another list's name + contents.
-/// This is the shared key *prefix* of both cache families.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct ListFingerprint {
-    pub(crate) list_name: String,
-    pub(crate) list_contents: Vec<String>,
+/// Feeds the compact digest of `list` — its name and its three lengths —
+/// into `hasher`. Equal lists have equal digests, which is all a store probe
+/// needs: the digest picks a bucket, and the full comparison decides.
+fn hash_list(list: &FaultList, hasher: &mut DefaultHasher) {
+    list.name().hash(hasher);
+    list.simple().len().hash(hasher);
+    list.linked().len().hash(hasher);
+    list.decoders().len().hash(hasher);
 }
 
-impl ListFingerprint {
-    pub(crate) fn new(list: &FaultList) -> ListFingerprint {
-        // The fingerprint covers the list *contents*, not just its name: two
-        // lists that happen to share a name but differ in a primitive key
-        // different cache entries.
-        let list_contents = list
-            .simple()
-            .iter()
-            .map(FaultPrimitive::notation)
-            .chain(list.linked().iter().map(|fault| fault.to_string()))
-            .chain(list.decoders().iter().map(|fault| fault.notation()))
-            .collect();
-        ListFingerprint {
-            list_name: list.name().to_string(),
-            list_contents,
-        }
-    }
-}
-
-/// The immutable key of one cached target-lane enumeration: the list
-/// fingerprint crossed with the full simulation scope it was enumerated under
+/// The immutable key of one cached target-lane enumeration: the fault list's
+/// contents crossed with the full simulation scope it was enumerated under
 /// (memory size, placement strategy and every data background, all of which
 /// change the enumerated lanes). Entries are never invalidated — a different
 /// list or scope simply keys a different entry.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct ArtifactKey {
-    pub(crate) fingerprint: ListFingerprint,
+///
+/// The key compares the list's structured contents, not just its name: two
+/// lists that share a name but differ in a primitive key different entries.
+/// A probe borrows the caller's list and backgrounds; only the key of a new
+/// entry owns copies of them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct ArtifactKey<'a> {
+    pub(crate) list: Cow<'a, FaultList>,
     pub(crate) memory_cells: usize,
     pub(crate) strategy: PlacementStrategy,
-    pub(crate) backgrounds: Vec<InitialState>,
+    pub(crate) backgrounds: Cow<'a, [InitialState]>,
 }
 
-impl ArtifactKey {
+impl<'a> ArtifactKey<'a> {
     pub(crate) fn new(
-        list: &FaultList,
+        list: &'a FaultList,
         memory_cells: usize,
         strategy: PlacementStrategy,
-        backgrounds: &[InitialState],
-    ) -> ArtifactKey {
+        backgrounds: &'a [InitialState],
+    ) -> ArtifactKey<'a> {
         ArtifactKey {
-            fingerprint: ListFingerprint::new(list),
+            list: Cow::Borrowed(list),
             memory_cells,
             strategy,
-            backgrounds: backgrounds.to_vec(),
+            backgrounds: Cow::Borrowed(backgrounds),
         }
+    }
+
+    /// The key owning copies of everything it borrows.
+    pub(crate) fn owned(&self) -> ArtifactKey<'static> {
+        ArtifactKey {
+            list: Cow::Owned(self.list.clone().into_owned()),
+            memory_cells: self.memory_cells,
+            strategy: self.strategy,
+            backgrounds: Cow::Owned(self.backgrounds.to_vec()),
+        }
+    }
+
+    fn digest(&self) -> u64 {
+        let mut hasher = DefaultHasher::new();
+        hash_list(&self.list, &mut hasher);
+        self.memory_cells.hash(&mut hasher);
+        self.strategy.hash(&mut hasher);
+        self.backgrounds.hash(&mut hasher);
+        hasher.finish()
     }
 }
 
-/// The cache key of one memoised fault dictionary: the march test's identity
-/// (name *and* notation, so a renamed or edited test can never alias) crossed
-/// with the list fingerprint and **only the scope a dictionary actually
-/// depends on**. [`FaultDictionary::build`] always enumerates placements
-/// exhaustively and simulates only the first background, so the key pins the
-/// exhaustive strategy and carries a single background — two sessions whose
-/// scopes differ only in coverage strategy or trailing backgrounds share one
-/// dictionary entry instead of recomputing it.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct DictionaryKey {
-    pub(crate) test_name: String,
-    pub(crate) test_notation: String,
-    pub(crate) fingerprint: ListFingerprint,
+/// The cache key of one memoised fault dictionary: the march test (name
+/// *and* elements, so a renamed or edited test can never alias) crossed with
+/// the list's contents and **only the scope a dictionary actually depends
+/// on**. [`FaultDictionary::build`] always enumerates placements
+/// exhaustively and simulates only the first background, so the key pins
+/// the exhaustive strategy and carries a single background — two sessions
+/// whose scopes differ only in coverage strategy or trailing backgrounds
+/// share one dictionary entry instead of recomputing it. Like
+/// [`ArtifactKey`], a probe borrows and a new entry's key owns.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct DictionaryKey<'a> {
+    pub(crate) test: Cow<'a, MarchTest>,
+    pub(crate) list: Cow<'a, FaultList>,
     pub(crate) memory_cells: usize,
     pub(crate) background: InitialState,
 }
 
-impl DictionaryKey {
+impl<'a> DictionaryKey<'a> {
     pub(crate) fn new(
-        test: &MarchTest,
-        list: &FaultList,
+        test: &'a MarchTest,
+        list: &'a FaultList,
         memory_cells: usize,
         background: InitialState,
-    ) -> DictionaryKey {
+    ) -> DictionaryKey<'a> {
         DictionaryKey {
-            test_name: test.name().to_string(),
-            test_notation: test.notation(),
-            fingerprint: ListFingerprint::new(list),
+            test: Cow::Borrowed(test),
+            list: Cow::Borrowed(list),
             memory_cells,
             background,
         }
+    }
+
+    /// The key owning copies of everything it borrows.
+    pub(crate) fn owned(&self) -> DictionaryKey<'static> {
+        DictionaryKey {
+            test: Cow::Owned(self.test.clone().into_owned()),
+            list: Cow::Owned(self.list.clone().into_owned()),
+            memory_cells: self.memory_cells,
+            background: self.background.clone(),
+        }
+    }
+
+    fn digest(&self) -> u64 {
+        let mut hasher = DefaultHasher::new();
+        self.test.name().hash(&mut hasher);
+        self.test.elements().len().hash(&mut hasher);
+        hash_list(&self.list, &mut hasher);
+        self.memory_cells.hash(&mut hasher);
+        self.background.hash(&mut hasher);
+        hasher.finish()
     }
 }
 
@@ -142,37 +167,50 @@ impl DictionaryKey {
 /// rendezvous.
 type Slot<V> = Arc<Mutex<Option<Arc<V>>>>;
 
-/// A sharded key → build-once-entry map.
+/// One shard of a [`ShardedMap`]: key digest → the keys sharing it.
+type Shard<K, V> = Mutex<BTreeMap<u64, Vec<(K, Slot<V>)>>>;
+
+/// A sharded key → build-once-entry map. Keys are located by a compact
+/// digest consistent with their `Eq` (see [`ArtifactKey`]): the digest
+/// selects the shard and a bucket, and only the bucket's keys are compared
+/// in full.
 #[derive(Debug)]
 struct ShardedMap<K, V> {
-    shards: Vec<Mutex<HashMap<K, Slot<V>>>>,
+    shards: Vec<Shard<K, V>>,
 }
 
-impl<K: Eq + Hash + Clone, V> ShardedMap<K, V> {
+impl<K, V> ShardedMap<K, V> {
     fn new() -> ShardedMap<K, V> {
         ShardedMap {
             shards: (0..STORE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(BTreeMap::new()))
                 .collect(),
         }
     }
 
-    /// The entry slot of `key`, created empty on first sight. Only the shard
-    /// mutex is held, and only for the map probe — never across a build.
-    fn slot(&self, key: &K) -> Slot<V> {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        let shard = (hasher.finish() as usize) % STORE_SHARDS;
+    /// The entry slot of the key with `digest` that `matches`, created empty
+    /// on first sight under the key `owned` returns — the only time a key is
+    /// copied. Only the shard mutex is held, and only for the probe — never
+    /// across a build.
+    fn slot(
+        &self,
+        digest: u64,
+        matches: impl Fn(&K) -> bool,
+        owned: impl FnOnce() -> K,
+    ) -> Slot<V> {
         // Poison recovery: the shard lock only guards the map probe (no user
         // code runs under it), so a panicked builder elsewhere leaves the map
         // consistent and the resident service keeps answering.
-        Arc::clone(
-            self.shards[shard]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .entry(key.clone())
-                .or_default(),
-        )
+        let mut shard = self.shards[(digest as usize) % STORE_SHARDS]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let bucket = shard.entry(digest).or_default();
+        if let Some((_, slot)) = bucket.iter().find(|(key, _)| matches(key)) {
+            return Arc::clone(slot);
+        }
+        let slot = Slot::default();
+        bucket.push((owned(), Arc::clone(&slot)));
+        slot
     }
 }
 
@@ -190,8 +228,8 @@ impl<K: Eq + Hash + Clone, V> ShardedMap<K, V> {
 ///   — distinct populated entries per family.
 #[derive(Debug)]
 pub struct ArtifactStore {
-    artifacts: ShardedMap<ArtifactKey, TargetLanes>,
-    dictionaries: ShardedMap<DictionaryKey, FaultDictionary>,
+    artifacts: ShardedMap<ArtifactKey<'static>, TargetLanes>,
+    dictionaries: ShardedMap<DictionaryKey<'static>, FaultDictionary>,
     hits: AtomicUsize,
     enumerations: AtomicUsize,
     artifact_entries: AtomicUsize,
@@ -308,20 +346,28 @@ impl ArtifactStore {
     }
 
     /// The target-lane entry of `key`, built at most once via `build`.
-    pub(crate) fn target_lanes<F>(&self, key: &ArtifactKey, build: F) -> Result<Arc<TargetLanes>>
+    pub(crate) fn target_lanes<F>(
+        &self,
+        key: &ArtifactKey<'_>,
+        build: F,
+    ) -> Result<Arc<TargetLanes>>
     where
         F: FnOnce() -> Result<Arc<TargetLanes>>,
     {
-        let slot = self.artifacts.slot(key);
+        let slot = self
+            .artifacts
+            .slot(key.digest(), |stored| stored == key, || key.owned());
         self.get_or_build(&slot, &self.artifact_entries, build)
     }
 
     /// The dictionary entry of `key`, built at most once via `build`.
-    pub(crate) fn dictionary<F>(&self, key: &DictionaryKey, build: F) -> Arc<FaultDictionary>
+    pub(crate) fn dictionary<F>(&self, key: &DictionaryKey<'_>, build: F) -> Arc<FaultDictionary>
     where
         F: FnOnce() -> Arc<FaultDictionary>,
     {
-        let slot = self.dictionaries.slot(key);
+        let slot = self
+            .dictionaries
+            .slot(key.digest(), |stored| stored == key, || key.owned());
         self.get_or_build(&slot, &self.dictionary_entries, || Ok(build()))
             // lint: allow(unwrap) — the build closure is wrapped in Ok just
             // above; no error value can reach this expect.
@@ -605,7 +651,8 @@ mod tests {
             8,
             PlacementStrategy::Representative,
             &[InitialState::AllOne],
-        );
+        )
+        .owned();
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             store.target_lanes(&key, || panic!("builder exploded mid-enumeration"))
         }));

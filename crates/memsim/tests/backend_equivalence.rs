@@ -4,12 +4,13 @@
 //! sets of the reference [`ScalarBackend`], and session coverage must be
 //! byte-identical across backends and thread counts.
 
-use march_test::{AddressOrder, MarchElement, MarchTest};
+use march_test::{catalog, AddressOrder, MarchElement, MarchTest};
 use proptest::prelude::*;
-use sram_fault_model::{FaultList, Ffm, Operation};
+use sram_fault_model::{Bit, FaultList, Ffm, Operation};
 use sram_sim::{
-    enumerate_lanes, BackendKind, ExecPolicy, InitialState, LaneWidth, PackedBackend,
-    PlacementStrategy, ScalarBackend, Session, SimulationBackend, TargetKind,
+    enumerate_lanes, enumerate_targets, BackendKind, CoverageLane, ExecPolicy, InitialState,
+    InstanceCells, LaneWidth, PackedBackend, PlacementStrategy, ScalarBackend, Session,
+    SimulationBackend, TargetKind,
 };
 
 fn arbitrary_operation() -> impl Strategy<Value = Operation> {
@@ -148,7 +149,7 @@ fn catalogue_escape_sets_match_across_backends() {
     ];
     let scalar_session = Session::new(ExecPolicy::default().with_backend(BackendKind::Scalar));
     let packed_session = Session::new(ExecPolicy::default().with_backend(BackendKind::Packed));
-    for test in march_test::catalog::all() {
+    for test in catalog::all() {
         for list in &lists {
             let scalar = scalar_session.coverage(&test, list);
             let packed = packed_session.coverage(&test, list);
@@ -162,4 +163,185 @@ fn catalogue_escape_sets_match_across_backends() {
             assert_eq!(scalar, packed);
         }
     }
+}
+
+/// The first lane of each class of `lanes`, with its projection: the lane
+/// remapped onto its involved cells (their ranks as addresses, its
+/// background cut down to them). Two lanes share a class exactly when their
+/// projections are equal. Written here from the definition, independently
+/// of the simulator's own partition.
+fn class_representatives(
+    lanes: &[CoverageLane],
+    memory_cells: usize,
+) -> Vec<(CoverageLane, CoverageLane)> {
+    let mut classes: Vec<(CoverageLane, CoverageLane)> = Vec::new();
+    for lane in lanes {
+        let cells = lane.cells;
+        let mut involved: Vec<usize> = [
+            Some(cells.victim),
+            cells.aggressor_first,
+            cells.aggressor_second,
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
+        involved.sort_unstable();
+        involved.dedup();
+        let rank = |cell: usize| involved.iter().position(|&other| other == cell).unwrap();
+        let content = lane.background.materialise(memory_cells).unwrap();
+        let projected = CoverageLane {
+            cells: InstanceCells {
+                victim: rank(cells.victim),
+                aggressor_first: cells.aggressor_first.map(rank),
+                aggressor_second: cells.aggressor_second.map(rank),
+            },
+            background: InitialState::Custom(involved.iter().map(|&cell| content[cell]).collect()),
+        };
+        if !classes.iter().any(|(_, seen)| *seen == projected) {
+            classes.push((lane.clone(), projected));
+        }
+    }
+    classes
+}
+
+/// A seeded random test over every operation kind — waits and unannotated
+/// reads included — so wait- and read-sensitised lanes are told apart.
+fn seeded_test(seed: u64) -> MarchTest {
+    let mut state = seed;
+    let mut next = move |bound: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % bound as u64) as usize
+    };
+    let operations = [
+        Operation::W0,
+        Operation::W1,
+        Operation::R0,
+        Operation::R1,
+        Operation::Read(None),
+        Operation::Wait,
+    ];
+    let elements = (0..5)
+        .map(|_| {
+            let order = AddressOrder::ALL[next(3)];
+            let ops = (0..1 + next(6)).map(|_| operations[next(6)]).collect();
+            MarchElement::new(order, ops).expect("non-empty")
+        })
+        .collect();
+    MarchTest::new("seeded", elements).expect("non-empty")
+}
+
+/// Every target of `list`, keeping one linked fault in `step`.
+fn domain(list: &FaultList, step: usize) -> Vec<TargetKind> {
+    let mut linked = 0;
+    enumerate_targets(list)
+        .into_iter()
+        .filter(|target| {
+            let TargetKind::Linked(_) = target else {
+                return true;
+            };
+            linked += 1;
+            (linked - 1) % step == 0
+        })
+        .collect()
+}
+
+/// Mixed words hold to per-target calls: packing the class representatives
+/// of many targets into shared words must give, lane for lane, the scalar
+/// backend's per-target verdicts and the full-memory verdict of each
+/// class's first lane — across fault domains, scopes, backgrounds and tests,
+/// and across word layouts where a target's classes straddle two words, the
+/// last word is partial, and one word mixes shapes of different cell counts.
+#[test]
+fn mixed_target_words_match_per_target_verdicts() {
+    let generated = MarchTest::parse(
+        "35n",
+        "⇕(w0); ⇑(r0,r0,w1,w1,r1,r1,w0,w0,r0,w1); ⇑(r1,r1,w0,w0,r0,r0,w1,w1,r1,w0); \
+         ⇑(r1,r1,w0,w0,r0,r0,w1,w1,r1,w0); ⇓(r0,w0,r0,w1)",
+    )
+    .unwrap();
+    let tests = [
+        catalog::mats_plus(),
+        catalog::march_c_minus(),
+        catalog::march_ss(),
+        catalog::march_sl(),
+        generated,
+        seeded_test(7),
+    ];
+    let domains = [
+        domain(&FaultList::unlinked_static(), 1),
+        domain(&FaultList::list_1(), 29),
+        domain(&FaultList::list_2(), 1),
+        domain(&FaultList::address_decoder(), 1),
+        domain(&FaultList::list_1().with_address_decoder_faults(), 53),
+    ];
+    let (mut straddles, mut partial, mut mixed) = (false, false, false);
+    for (strategy, cells) in [
+        (PlacementStrategy::Representative, 8),
+        (PlacementStrategy::Exhaustive, 6),
+    ] {
+        let irregular = InitialState::Custom(
+            (0..cells)
+                .map(|cell| Bit::from((cell * 7 + 3) % 5 < 2))
+                .collect(),
+        );
+        let uniform = vec![InitialState::AllZero, InitialState::AllOne];
+        let patterned = [uniform.clone(), vec![InitialState::Checkerboard, irregular]].concat();
+        for backgrounds in [uniform, patterned] {
+            for targets in &domains {
+                let classes: Vec<Vec<(CoverageLane, CoverageLane)>> = targets
+                    .iter()
+                    .map(|target| {
+                        let lanes = enumerate_lanes(target, cells, strategy, &backgrounds).unwrap();
+                        class_representatives(&lanes, cells)
+                    })
+                    .collect();
+                let pairs: Vec<(&TargetKind, &CoverageLane)> = targets
+                    .iter()
+                    .zip(&classes)
+                    .flat_map(|(target, classes)| {
+                        classes
+                            .iter()
+                            .map(move |(_, projected)| (target, projected))
+                    })
+                    .collect();
+                let mut first = 0;
+                for target_classes in &classes {
+                    let last = first + target_classes.len() - 1;
+                    straddles |= first / 64 != last / 64;
+                    first = last + 1;
+                }
+                partial |= !pairs.len().is_multiple_of(64);
+                mixed |= pairs.chunks(64).any(|word| {
+                    let size = |lane: &CoverageLane| {
+                        [lane.cells.aggressor_first, lane.cells.aggressor_second]
+                            .into_iter()
+                            .flatten()
+                            .fold(lane.cells.victim, usize::max)
+                    };
+                    word.iter().any(|(_, lane)| size(lane) != size(word[0].1))
+                });
+                for test in &tests {
+                    let packed = PackedBackend::default().projected_verdicts(test, &pairs);
+                    let scalar = ScalarBackend.projected_verdicts(test, &pairs);
+                    let full: Vec<bool> = targets
+                        .iter()
+                        .zip(&classes)
+                        .flat_map(|(target, classes)| {
+                            let firsts: Vec<CoverageLane> =
+                                classes.iter().map(|(lane, _)| lane.clone()).collect();
+                            ScalarBackend.lane_verdicts(test, target, &firsts, cells)
+                        })
+                        .collect();
+                    let context = format!("{} at {cells} cells, {backgrounds:?}", test.name());
+                    assert_eq!(scalar, full, "per-target projection: {context}");
+                    assert_eq!(packed, scalar, "mixed words: {context}");
+                }
+            }
+        }
+    }
+    assert!(straddles, "no target's classes straddled a word boundary");
+    assert!(partial, "no sweep ended on a partial word");
+    assert!(mixed, "no word mixed shapes of different cell counts");
 }
