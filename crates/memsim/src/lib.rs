@@ -27,9 +27,12 @@
 //! * simulates coverage and campaign lanes **projected** onto the at most
 //!   three cells each fault instance involves: lanes sharing the rank order
 //!   of those cells and their background bits form one class (at most 48 per
-//!   lane set, partitioned once per set), and the backend simulates each
-//!   target's fault on one representative per class on a memory of at most
-//!   three cells, so the per-lane cost does not grow with the memory size.
+//!   lane set, partitioned once per set), and the class representatives of
+//!   many targets are packed into shared 64-lane words whose lanes carry
+//!   their own fault as masks — one simulation per word on a memory of at
+//!   most three cells, not one backend call per target
+//!   ([`SimulationBackend::projected_verdicts`]), so the per-lane cost does
+//!   not grow with the memory size.
 //!   A [`TargetBatch`] — the state the generator and the minimiser advance —
 //!   simulates every lane on its projected cells the same way. Reports,
 //!   scores and generated tests are byte-identical to the full-memory walk,

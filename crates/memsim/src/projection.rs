@@ -221,8 +221,6 @@ pub(crate) struct Classes {
     first_lanes: Vec<usize>,
     /// Each class's first lane, remapped onto the projected memory.
     representatives: Vec<CoverageLane>,
-    /// Size of the projected memory: the number of cells each lane involves.
-    cells: usize,
 }
 
 impl Classes {
@@ -232,7 +230,6 @@ impl Classes {
             index_of_code: [UNSEEN; CLASS_CODES],
             first_lanes: Vec::new(),
             representatives: Vec::new(),
-            cells: 0,
         };
         for (index, lane) in lanes.iter().enumerate() {
             let code = class_code(lane);
@@ -242,10 +239,6 @@ impl Classes {
             classes.index_of_code[code] = classes.first_lanes.len() as u16;
             classes.first_lanes.push(index);
             let involved = Involved::of(&lane.cells);
-            // Every lane of a set has the set's placement shape, so every
-            // class involves the same number of cells.
-            debug_assert!(classes.cells == 0 || classes.cells == involved.count);
-            classes.cells = involved.count;
             classes
                 .representatives
                 .push(involved.project(lane, involved.count));
@@ -366,10 +359,28 @@ fn holds(zero: u64, one: u64, values: u64) -> u64 {
     !((zero & values) | (one & !values))
 }
 
-/// A primitive's sensitisation and effect as per-lane masks: the part of
-/// [`ComponentPlanes`] that does not depend on the lane's cells.
+/// Records a sensitising condition's initial state for the lanes of `bit`.
+fn bind_condition(zero: &mut u64, one: &mut u64, initial: CellValue, bit: u64) {
+    match initial {
+        CellValue::Zero => *zero |= bit,
+        CellValue::One => *one |= bit,
+        CellValue::DontCare => {}
+    }
+}
+
+/// One array component — a simple target's primitive, or the first or
+/// second primitive of a linked fault — of every lane of a
+/// [`ProjectedWord`], as per-lane masks: bit `i` of every field describes
+/// lane `i`, so the lanes of one word may carry different primitives.
 #[derive(Debug, Clone, Copy, Default)]
-struct FaultMasks {
+struct ComponentPlanes {
+    /// `victim[cell]`: lanes whose victim is `cell`.
+    victim: [u64; MAX_CELLS],
+    /// `aggressor[cell]`: lanes whose aggressor is `cell`.
+    aggressor: [u64; MAX_CELLS],
+    /// `site[cell]`: lanes sensitised by an operation on `cell` (their
+    /// victim or their aggressor).
+    site: [u64; MAX_CELLS],
     /// Lanes sensitised by each operation kind ([`operation_kind`]).
     operation: [u64; 4],
     /// Lanes sensitised by a state alone, settled after every operation.
@@ -389,143 +400,65 @@ struct FaultMasks {
     forced_value: u64,
 }
 
-impl FaultMasks {
-    /// `primitive`'s masks on every lane: each mask all ones or all zeros.
-    fn of(primitive: &FaultPrimitive) -> FaultMasks {
-        let mut masks = FaultMasks::default();
-        if let Some(operation) = primitive.sensitizing_operation() {
-            masks.operation[operation_kind(operation)] = u64::MAX;
-        } else {
-            masks.state = u64::MAX;
-        }
-        (masks.victim_zero, masks.victim_one) = condition_masks(primitive.victim().initial());
-        if let Some(condition) = primitive.aggressor() {
-            (masks.aggressor_zero, masks.aggressor_one) = condition_masks(condition.initial());
-        }
-        if let Some(read) = primitive.effect().read_output() {
-            masks.read_override = u64::MAX;
-            masks.read_value = lanes_holding(read, u64::MAX);
-        }
-        if let Some(forced) = primitive.effect().victim_value().to_bit() {
-            masks.forces = u64::MAX;
-            masks.forced_value = lanes_holding(forced, u64::MAX);
-        }
-        masks
-    }
-
-    /// Adds the masks of `every` — a primitive on every lane — to the lanes
-    /// of `bit`.
-    fn add(&mut self, every: &FaultMasks, bit: u64) {
-        for (mask, every) in self.operation.iter_mut().zip(every.operation) {
-            *mask |= every & bit;
-        }
-        self.state |= every.state & bit;
-        self.victim_zero |= every.victim_zero & bit;
-        self.victim_one |= every.victim_one & bit;
-        self.aggressor_zero |= every.aggressor_zero & bit;
-        self.aggressor_one |= every.aggressor_one & bit;
-        self.read_override |= every.read_override & bit;
-        self.read_value |= every.read_value & bit;
-        self.forces |= every.forces & bit;
-        self.forced_value |= every.forced_value & bit;
-    }
-}
-
-/// The masks of a sensitising condition's initial state on every lane:
-/// (lanes needing a 0, lanes needing a 1).
-fn condition_masks(initial: CellValue) -> (u64, u64) {
-    match initial {
-        CellValue::Zero => (u64::MAX, 0),
-        CellValue::One => (0, u64::MAX),
-        CellValue::DontCare => (0, 0),
-    }
-}
-
-/// One primitive, ready to bind to lanes: computed once per run of one
-/// target's lanes in a word.
-#[derive(Debug, Clone, Copy)]
-struct PrimitiveMasks {
-    fault: FaultMasks,
-    /// Whether the primitive binds an aggressor cell.
-    coupling: bool,
-    /// Whether its sensitising operation applies to the aggressor rather
-    /// than to the victim.
-    aggressor_site: bool,
-}
-
-impl PrimitiveMasks {
-    fn of(primitive: &FaultPrimitive) -> PrimitiveMasks {
-        PrimitiveMasks {
-            fault: FaultMasks::of(primitive),
-            coupling: primitive.is_coupling(),
-            aggressor_site: primitive.sensitizing_site() == SensitizingSite::Aggressor,
-        }
-    }
-
-    /// The masks of each array component of `target`.
-    fn of_target(target: &TargetKind) -> [Option<PrimitiveMasks>; 2] {
-        match target {
-            TargetKind::Simple(primitive) => [Some(PrimitiveMasks::of(primitive)), None],
-            TargetKind::Linked(fault) => [
-                Some(PrimitiveMasks::of(fault.first())),
-                Some(PrimitiveMasks::of(fault.second())),
-            ],
-            TargetKind::Decoder(_) => [None, None],
-        }
-    }
-}
-
-/// One array component — a simple target's primitive, or the first or
-/// second primitive of a linked fault — of every lane of a
-/// [`ProjectedWord`], as per-lane masks: bit `i` of every field describes
-/// lane `i`, so the lanes of one word may carry different primitives.
-#[derive(Debug, Clone, Copy, Default)]
-struct ComponentPlanes {
-    /// `victim[cell]`: lanes whose victim is `cell`.
-    victim: [u64; MAX_CELLS],
-    /// `aggressor[cell]`: lanes whose aggressor is `cell`.
-    aggressor: [u64; MAX_CELLS],
-    /// `site[cell]`: lanes sensitised by an operation on `cell` (their
-    /// victim or their aggressor).
-    site: [u64; MAX_CELLS],
-    fault: FaultMasks,
-}
-
 impl ComponentPlanes {
     /// Binds `primitive` on `victim` (and `aggressor`, for a coupling
     /// primitive) to the lanes of `bit`.
     fn bind(
         &mut self,
         bit: u64,
-        primitive: &PrimitiveMasks,
+        primitive: &FaultPrimitive,
         victim: usize,
         aggressor: Option<usize>,
     ) {
-        let aggressor = aggressor.filter(|_| primitive.coupling);
+        let aggressor = aggressor.filter(|_| primitive.is_coupling());
         self.victim[victim] |= bit;
         if let Some(aggressor) = aggressor {
             self.aggressor[aggressor] |= bit;
         }
-        if primitive.fault.state == 0 {
-            let site = if primitive.aggressor_site {
-                aggressor.expect("an aggressor-sensitised primitive is a coupling")
-            } else {
-                victim
-            };
-            self.site[site] |= bit;
+        match primitive.sensitizing_site() {
+            SensitizingSite::None => self.state |= bit,
+            SensitizingSite::Victim => self.site[victim] |= bit,
+            SensitizingSite::Aggressor => {
+                self.site[aggressor.expect("an aggressor-sensitised primitive is a coupling")] |=
+                    bit;
+            }
         }
-        self.fault.add(&primitive.fault, bit);
+        if let Some(operation) = primitive.sensitizing_operation() {
+            self.operation[operation_kind(operation)] |= bit;
+        }
+        bind_condition(
+            &mut self.victim_zero,
+            &mut self.victim_one,
+            primitive.victim().initial(),
+            bit,
+        );
+        if let Some(condition) = primitive.aggressor() {
+            bind_condition(
+                &mut self.aggressor_zero,
+                &mut self.aggressor_one,
+                condition.initial(),
+                bit,
+            );
+        }
+        if let Some(read) = primitive.effect().read_output() {
+            self.read_override |= bit;
+            self.read_value |= lanes_holding(read, bit);
+        }
+        if let Some(forced) = primitive.effect().victim_value().to_bit() {
+            self.forces |= bit;
+            self.forced_value |= lanes_holding(forced, bit);
+        }
     }
 
     /// The lanes whose victim and aggressor conditions hold on `faulty`.
     fn conditions_hold(&self, faulty: &[u64; MAX_CELLS]) -> u64 {
         holds(
-            self.fault.victim_zero,
-            self.fault.victim_one,
+            self.victim_zero,
+            self.victim_one,
             gather(faulty, &self.victim),
         ) & holds(
-            self.fault.aggressor_zero,
-            self.fault.aggressor_one,
+            self.aggressor_zero,
+            self.aggressor_one,
             gather(faulty, &self.aggressor),
         )
     }
@@ -533,7 +466,7 @@ impl ComponentPlanes {
     /// The lanes sensitised by applying an operation of `kind` to
     /// `address`, on the pre-operation `faulty` state.
     fn fired(&self, faulty: &[u64; MAX_CELLS], address: usize, kind: usize) -> u64 {
-        let sited = self.site[address] & self.fault.operation[kind];
+        let sited = self.site[address] & self.operation[kind];
         if sited == 0 {
             return 0;
         }
@@ -633,10 +566,6 @@ impl ProjectedWord {
             settles: 0,
             detected: 0,
         };
-        // Consecutive lanes mostly share a target: its masks are computed
-        // once per run of its lanes.
-        let mut current: Option<&TargetKind> = None;
-        let mut primitives = [None; 2];
         for (index, &(target, lane)) in lanes.iter().enumerate() {
             let bit = 1u64 << index;
             let cells = projected_cells(lane);
@@ -650,29 +579,26 @@ impl ProjectedWord {
             for (cell, plane) in word.faulty.iter_mut().enumerate().take(cells) {
                 *plane |= lanes_holding(lane.background.bit_at(cell), bit);
             }
-            if !current.is_some_and(|seen| std::ptr::eq(seen, target)) {
-                current = Some(target);
-                primitives = PrimitiveMasks::of_target(target);
-            }
-            let aggressors = match target {
-                TargetKind::Simple(_) => [lane.cells.aggressor_first, None],
-                TargetKind::Linked(fault) => component_aggressors(fault, lane.cells)
-                    .expect("projected lanes fit their target's topology"),
-                TargetKind::Decoder(fault) => {
-                    word.decoder.bind(bit, *fault, lane.cells);
-                    [None, None]
+            let victim = lane.cells.victim;
+            match target {
+                TargetKind::Simple(primitive) => {
+                    word.components[0].bind(bit, primitive, victim, lane.cells.aggressor_first);
                 }
-            };
-            for ((component, primitive), aggressor) in
-                word.components.iter_mut().zip(&primitives).zip(aggressors)
-            {
-                if let Some(primitive) = primitive {
-                    component.bind(bit, primitive, lane.cells.victim, aggressor);
+                TargetKind::Linked(fault) => {
+                    let aggressors = component_aggressors(fault, lane.cells)
+                        .expect("projected lanes fit their target's topology");
+                    let primitives = [fault.first(), fault.second()];
+                    for ((component, primitive), aggressor) in
+                        word.components.iter_mut().zip(primitives).zip(aggressors)
+                    {
+                        component.bind(bit, primitive, victim, aggressor);
+                    }
                 }
+                TargetKind::Decoder(fault) => word.decoder.bind(bit, *fault, lane.cells),
             }
         }
         word.golden = word.faulty;
-        word.settles = word.components[0].fault.state | word.components[1].fault.state;
+        word.settles = word.components[0].state | word.components[1].state;
         word.settle();
         word
     }
@@ -685,14 +611,14 @@ impl ProjectedWord {
         }
         for component in &self.components {
             let lanes = self.lanes
-                & component.fault.state
-                & component.fault.forces
+                & component.state
+                & component.forces
                 & component.conditions_hold(&self.faulty);
             force(
                 &mut self.faulty,
                 &component.victim,
                 lanes,
-                component.fault.forced_value,
+                component.forced_value,
             );
         }
     }
@@ -723,8 +649,8 @@ impl ProjectedWord {
                 observed &= destination | !(source & decoder.fan_out);
             }
             for (component, fired) in self.components.iter().zip(fired) {
-                let overridden = fired & component.fault.read_override & component.victim[address];
-                observed = (observed & !overridden) | (component.fault.read_value & overridden);
+                let overridden = fired & component.read_override & component.victim[address];
+                observed = (observed & !overridden) | (component.read_value & overridden);
             }
             self.detected |= (observed ^ self.golden[address]) & self.lanes;
         }
@@ -747,8 +673,8 @@ impl ProjectedWord {
             force(
                 &mut self.faulty,
                 &component.victim,
-                fired & component.fault.forces,
-                component.fault.forced_value,
+                fired & component.forces,
+                component.forced_value,
             );
         }
 
@@ -938,7 +864,10 @@ mod tests {
         let classes = Classes::of(&lanes);
         // Six orders under two uniform backgrounds; three projected cells.
         assert_eq!(classes.first_lanes.len(), 12);
-        assert_eq!(classes.cells, 3);
+        assert!(classes
+            .representatives()
+            .iter()
+            .all(|lane| projected_cells(lane) == 3));
         assert_eq!(classes.first_lanes[0], 0);
         assert!(classes.first_lanes.windows(2).all(|pair| pair[0] < pair[1]));
 
@@ -966,11 +895,13 @@ mod tests {
         // A pair placement names its aggressor in both slots but involves
         // two cells.
         assert_eq!(
-            Classes::of(&[CoverageLane {
-                cells: InstanceCells::pair(5, 2),
-                background: InitialState::AllOne,
-            }])
-            .cells,
+            projected_cells(
+                &Classes::of(&[CoverageLane {
+                    cells: InstanceCells::pair(5, 2),
+                    background: InitialState::AllOne,
+                }])
+                .representatives()[0]
+            ),
             2
         );
         let empty = Classes::of(&[]);
