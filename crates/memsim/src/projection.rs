@@ -93,6 +93,7 @@
 //! [`project_lanes`] makes them itself.
 
 use std::iter;
+use std::ops::Range;
 use std::sync::Arc;
 
 use march_test::MarchTest;
@@ -278,31 +279,38 @@ pub(crate) fn projected_cells(lane: &CoverageLane) -> usize {
         .map_or(0, |rank| rank + 1)
 }
 
-/// The projected lanes of a coverage request, cut into words of at most
-/// `word_lanes` lanes: the class representatives of every target in
-/// (target, class) order, the targets sharing one lane set consecutive, so
-/// no word straddles two sets. Each lane is named by its target's index in
-/// `target_lanes` and its class.
+/// The projected lanes of a coverage request and the words they are cut
+/// into. The lanes are the class representatives of every target in
+/// (target, class) order, the targets sharing one lane set consecutive, each
+/// named by its target's index in `target_lanes` and its class. The words
+/// are ranges of those lanes, at most `word_lanes` long, none straddling two
+/// sets.
 pub(crate) fn coverage_words(
     target_lanes: &TargetLanes,
     word_lanes: usize,
-) -> Vec<Vec<(usize, usize)>> {
+) -> (Vec<(usize, usize)>, Vec<Range<usize>>) {
+    let mut lanes = Vec::new();
     let mut words = Vec::new();
     let mut packed = vec![false; target_lanes.len()];
     for (first, (_, set)) in target_lanes.iter().enumerate() {
         if packed[first] {
             continue;
         }
-        let mut lanes = Vec::new();
+        let start = lanes.len();
         for (index, (_, other)) in target_lanes.iter().enumerate().skip(first) {
             if Arc::ptr_eq(set, other) {
                 packed[index] = true;
                 lanes.extend((0..set.classes().len()).map(|class| (index, class)));
             }
         }
-        words.extend(lanes.chunks(word_lanes).map(<[_]>::to_vec));
+        let end = lanes.len();
+        words.extend(
+            (start..end)
+                .step_by(word_lanes)
+                .map(|word| word..end.min(word + word_lanes)),
+        );
     }
-    words
+    (lanes, words)
 }
 
 /// The verdict of `test` for every `(target, projected lane)` pair, in

@@ -457,36 +457,36 @@ impl Session {
             }
             None => WORD_LANES,
         };
-        let words = Arc::new(coverage_words(&target_lanes, word_lanes));
+        let (lanes, words) = coverage_words(&target_lanes, word_lanes);
+        let lanes = Arc::new(lanes);
         let verdicts = {
             let test = test.clone();
             let backend = Arc::clone(&self.backend);
             let target_lanes = Arc::clone(&target_lanes);
-            self.execute(Arc::clone(&words), move |word| {
-                let lanes: Vec<(&TargetKind, &CoverageLane)> = word
+            let lanes = Arc::clone(&lanes);
+            self.execute(Arc::new(words), move |word| {
+                let word: Vec<(&TargetKind, &CoverageLane)> = lanes[word.clone()]
                     .iter()
                     .map(|&(index, class)| {
                         let (target, set) = &target_lanes[index];
                         (target, &set.classes().representatives()[class])
                     })
                     .collect();
-                backend.projected_verdicts(&test, &lanes)
+                backend.projected_verdicts(&test, &word)
             })
         };
         // A target's classes are consecutive and in class order, so its
         // first undetected lane is its first escaping class.
         let mut first_escapes: Vec<Option<Escape>> = vec![None; target_lanes.len()];
-        for (word, verdicts) in words.iter().zip(verdicts) {
-            for (&(index, class), detected) in word.iter().zip(verdicts) {
-                if !detected && first_escapes[index].is_none() {
-                    let (target, set) = &target_lanes[index];
-                    let lane = &set[set.classes().first_lane(class)];
-                    first_escapes[index] = Some(Escape {
-                        target: target.clone(),
-                        cells: lane.cells,
-                        background: lane.background.clone(),
-                    });
-                }
+        for (&(index, class), detected) in lanes.iter().zip(verdicts.into_iter().flatten()) {
+            if !detected && first_escapes[index].is_none() {
+                let (target, set) = &target_lanes[index];
+                let lane = &set[set.classes().first_lane(class)];
+                first_escapes[index] = Some(Escape {
+                    target: target.clone(),
+                    cells: lane.cells,
+                    background: lane.background.clone(),
+                });
             }
         }
         let targets: Vec<TargetKind> = target_lanes
