@@ -1,8 +1,7 @@
 //! The perf-trajectory benchmark with a machine-readable trail: times the
 //! full-memory lane sweep of both simulation backends on the coverage-matrix
-//! workloads, the generator's
-//! candidate-scoring hot path with batched vs per-candidate pools, the
-//! redundancy-removal pass with suffix-only snapshots vs full re-simulation,
+//! workloads, the redundancy-removal pass with suffix-only snapshots vs full
+//! re-simulation,
 //! repeated coverage through one resident [`Session`] vs a fresh session
 //! per call, the wide-word packed engine (128/256
 //! lanes per word vs 64) on exhaustive address-decoder sweeps, projected
@@ -24,13 +23,12 @@ use std::time::{Duration, Instant};
 
 use march_bench::{BenchFile, BenchRecord};
 use march_codex_cli::{serve_lines, ServeMetrics, ServeOptions};
-use march_gen::{exhaustive_candidates, minimise_full_resim, score_candidates, SessionExt};
-use march_test::{catalog, MarchElement, MarchTest};
+use march_gen::{minimise_full_resim, SessionExt};
+use march_test::{catalog, MarchTest};
 use sram_fault_model::{FaultList, FaultListBuilder};
 use sram_sim::{
-    effective_threads, enumerate_lanes, enumerate_targets, ArtifactStore, BackendKind,
-    CampaignConfig, ExecPolicy, InitialState, LaneWidth, MemIo, PlacementStrategy, Report, Session,
-    SharedEngine, SnapshotStore, TargetBatch, TargetLanes,
+    effective_threads, ArtifactStore, BackendKind, CampaignConfig, ExecPolicy, InitialState,
+    LaneWidth, MemIo, PlacementStrategy, Report, Session, SharedEngine, SnapshotStore, TargetLanes,
 };
 
 /// A session over `policy` on `cells` cells with `strategy` placements and
@@ -81,61 +79,6 @@ fn coverage_workloads() -> Vec<CoverageWorkload> {
             list: FaultList::list_1(),
             cells: 6,
             strategy: PlacementStrategy::Exhaustive,
-        },
-    ]
-}
-
-/// One generation workload: target batches advanced past a march prefix (the
-/// generator's mid-run state), scored against a candidate pool — batched
-/// full-word pools vs the per-candidate path of PR 1.
-struct ScoringWorkload {
-    name: &'static str,
-    batches: Vec<TargetBatch>,
-    pool: Vec<MarchElement>,
-}
-
-/// Builds the packed target batches of `list`, advanced by `prefix` so only
-/// the hard-to-cover lanes are still pending — the regime in which the
-/// generator leans on the exhaustive 4^k repair pool.
-fn advanced_batches(list: &FaultList, prefix: &[MarchElement]) -> Vec<TargetBatch> {
-    let backgrounds = [InitialState::AllZero, InitialState::AllOne];
-    let mut batches: Vec<TargetBatch> = enumerate_targets(list)
-        .into_iter()
-        .map(|target| {
-            let lanes =
-                enumerate_lanes(&target, 8, PlacementStrategy::Representative, &backgrounds)
-                    .expect("benchmark scope hosts the placements");
-            TargetBatch::new(target, lanes, 8, BackendKind::Packed)
-        })
-        .collect();
-    for element in prefix {
-        for batch in &mut batches {
-            batch.advance(element);
-        }
-    }
-    batches.retain(|batch| batch.pending() > 0);
-    batches
-}
-
-fn scoring_workloads() -> Vec<ScoringWorkload> {
-    // March ABL1's first two elements cover the easy lanes of list #2; the
-    // repair pool of length ≤ 4 then hunts the rest.
-    let abl1 = catalog::march_abl1();
-    let list2_prefix: Vec<MarchElement> = abl1.elements()[..2].to_vec();
-    // March SL's first four elements play the same role for list #1: what is
-    // left pending is the hard tail the repair search actually sees.
-    let sl = catalog::march_sl();
-    let list1_prefix: Vec<MarchElement> = sl.elements()[..4].to_vec();
-    vec![
-        ScoringWorkload {
-            name: "repair_pool4_vs_list_2_tail",
-            batches: advanced_batches(&FaultList::list_2(), &list2_prefix),
-            pool: exhaustive_candidates(4),
-        },
-        ScoringWorkload {
-            name: "repair_pool4_vs_list_1_tail",
-            batches: advanced_batches(&FaultList::list_1(), &list1_prefix),
-            pool: exhaustive_candidates(4),
         },
     ]
 }
@@ -641,10 +584,9 @@ fn time_projection(reps: u32) -> (Duration, Duration) {
 
 /// One full-memory sweep: the session backend's own `lane_verdicts` over
 /// every enumerated lane of `lanes`, targets fanned out over the session's
-/// pool. This is the plane walk generation and minimisation still run;
-/// coverage itself simulates projected lane classes, so the `coverage`,
-/// `af_coverage` and `lane_width` rows time this sweep rather than
-/// [`Session::coverage`].
+/// pool — the differential reference. Coverage, generation and minimisation
+/// simulate projected lanes, so the `coverage`, `af_coverage` and
+/// `lane_width` rows time this sweep rather than [`Session::coverage`].
 fn full_memory_sweep(
     session: &Session,
     test: &MarchTest,
@@ -803,26 +745,6 @@ fn time_coverage(workload: &CoverageWorkload, threads: usize, reps: u32) -> (Dur
     (timed(&scalar), timed(&packed))
 }
 
-fn time_scoring(workload: &ScoringWorkload, batch: usize, threads: usize, reps: u32) -> Duration {
-    let session = |batch: usize| {
-        Session::new(
-            ExecPolicy::default()
-                .with_batch(batch)
-                .with_threads(threads),
-        )
-    };
-    // Warm-up; also pins the verdicts so a scoring bug cannot masquerade as a
-    // speedup.
-    let baseline = score_candidates(&session(1), &workload.pool, &workload.batches);
-    let timed = session(batch);
-    let start = Instant::now();
-    for _ in 0..reps {
-        let scores = score_candidates(&timed, &workload.pool, &workload.batches);
-        assert_eq!(scores, baseline);
-    }
-    start.elapsed() / reps
-}
-
 #[allow(clippy::cast_possible_truncation)]
 fn main() {
     let mut out_path = "BENCH_simulation.json".to_string();
@@ -860,28 +782,6 @@ fn main() {
             contender: "packed".to_string(),
             baseline_ns: scalar.as_nanos() as u64,
             contender_ns: packed.as_nanos() as u64,
-            speedup,
-            lane_width: None,
-        });
-    }
-    for workload in scoring_workloads() {
-        let sequential = time_scoring(&workload, 1, threads, 10);
-        let batched = time_scoring(&workload, 0, threads, 10);
-        let speedup = sequential.as_secs_f64() / batched.as_secs_f64().max(1e-9);
-        println!(
-            "{:<38} {:>10.2}ms {:>10.2}ms {:>8.2}x",
-            workload.name,
-            sequential.as_secs_f64() * 1e3,
-            batched.as_secs_f64() * 1e3,
-            speedup
-        );
-        records.push(BenchRecord {
-            name: workload.name.to_string(),
-            kind: "generation".to_string(),
-            baseline: "per-candidate".to_string(),
-            contender: "batched".to_string(),
-            baseline_ns: sequential.as_nanos() as u64,
-            contender_ns: batched.as_nanos() as u64,
             speedup,
             lane_width: None,
         });

@@ -34,19 +34,20 @@ use crate::json_escape;
 pub const SCHEMA_VERSION: u64 = 2;
 
 /// One timed workload of the trajectory file: a named baseline-vs-contender
-/// pair (scalar vs packed backends, or per-candidate vs batched scoring).
+/// pair (scalar vs packed backends, or full re-simulation vs suffix-only
+/// minimisation).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
     /// Workload name (test × list × configuration); the differ matches
     /// baseline and current files by this key.
     pub name: String,
-    /// Workload family: `"coverage"`, `"generation"`, `"minimise"`,
+    /// Workload family: `"coverage"`, `"minimise"`,
     /// `"session"`, `"af_coverage"` (the large-memory address-decoder
     /// workloads) or `"lane_width"` (wide packed words vs 64-lane words).
     pub kind: String,
-    /// What the slow side is (`"scalar"`, `"per-candidate"`, …).
+    /// What the slow side is (`"scalar"`, `"full-resim"`, …).
     pub baseline: String,
-    /// What the fast side is (`"packed"`, `"batched"`, …).
+    /// What the fast side is (`"packed"`, `"snapshot"`, …).
     pub contender: String,
     /// Mean baseline wall time, nanoseconds.
     pub baseline_ns: u64,

@@ -93,7 +93,7 @@ pub enum Command {
     },
     /// `generate [--list <1|2>] [--faults ffm|af|all] [--cells N] [--no-removal]
     /// [--order up|down] [--name NAME] [--exhaustive] [--backend scalar|packed]
-    /// [--threads N] [--batch N] [--json]`.
+    /// [--threads N] [--lane-width auto|64|128|256] [--json]`.
     Generate {
         /// The target fault list (required unless `--faults af`).
         list: Option<CoverageTarget>,
@@ -114,10 +114,9 @@ pub enum Command {
         backend: BackendKind,
         /// Worker threads for scoring/verification (0 = auto).
         threads: usize,
-        /// Candidates packed per scoring batch (0 = full 64-lane words,
-        /// 1 = per-candidate scoring).
-        batch: usize,
-        /// Coverage lanes per packed word (auto = narrowest fitting width).
+        /// Lanes per word of the packed full-memory reference walk (auto =
+        /// narrowest fitting width); generation and verification never
+        /// read it.
         lane_width: LaneWidth,
         /// Emit the machine-readable `Report` JSON instead of the text form.
         json: bool,
@@ -330,7 +329,6 @@ impl Command {
                 let mut exhaustive = false;
                 let mut backend = BackendKind::Packed;
                 let mut threads = None;
-                let mut batch = 0usize;
                 let mut lane_width = LaneWidth::Auto;
                 let mut json = false;
                 while let Some(arg) = args.next() {
@@ -355,7 +353,6 @@ impl Command {
                         "--threads" => {
                             threads = Some(parse_threads(&required(&mut args, "--threads")?)?);
                         }
-                        "--batch" => batch = parse_batch(&required(&mut args, "--batch")?)?,
                         "--lane-width" => {
                             lane_width = parse_lane_width(&required(&mut args, "--lane-width")?)?;
                         }
@@ -374,7 +371,6 @@ impl Command {
                     exhaustive,
                     backend,
                     threads: resolve_threads(threads, cells),
-                    batch,
                     lane_width,
                     json,
                 })
@@ -799,20 +795,6 @@ fn parse_lane_width(text: &str) -> Result<LaneWidth, ParseArgsError> {
         .map_err(|error| ParseArgsError(error.to_string()))
 }
 
-fn parse_batch(text: &str) -> Result<usize, ParseArgsError> {
-    let batch = text.parse::<usize>().map_err(|_| {
-        ParseArgsError(format!(
-            "`{text}` is not a valid batch size (use 0 for full words)"
-        ))
-    })?;
-    if batch > 64 {
-        return Err(ParseArgsError(format!(
-            "batch sizes pack at most 64 candidates per word, got {batch}"
-        )));
-    }
-    Ok(batch)
-}
-
 fn unknown_flag(flag: &str) -> ParseArgsError {
     ParseArgsError(format!("unknown flag `{flag}`"))
 }
@@ -829,7 +811,7 @@ pub fn usage() -> String {
      \x20 march-codex show <name>\n\
      \x20 march-codex generate [--list <1|2>] [--faults ffm|af|all] [--cells N] [--no-removal]\n\
      \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20[--order up|down] [--name NAME] [--exhaustive]\n\
-     \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20[--backend scalar|packed] [--threads N] [--batch N]\n\
+     \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20[--backend scalar|packed] [--threads N]\n\
      \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20[--lane-width auto|64|128|256] [--json]\n\
      \x20 march-codex coverage [--test <name>] [--list <1|2|unlinked>] [--faults ffm|af|all]\n\
      \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20[--cells N] [--exhaustive] [--sample N [--seed S] [--confidence C]]\n\
@@ -850,18 +832,17 @@ pub fn usage() -> String {
      \x20 march-codex help\n\
      \n\
      Every invocation builds one sram_sim::Session from the --backend/--threads/\n\
-     --batch/--lane-width execution policy; --json emits the session report's\n\
+     --lane-width execution policy; --json emits the session report's\n\
      machine-readable form.\n\
      --faults selects the fault domain: ffm (the cell-array --list, the default), af\n\
      (the four address-decoder classes; --list must be omitted) or all (--list plus\n\
      the decoder classes). --cells sets the simulated memory size; above 64 cells\n\
      --threads defaults to the available parallelism (the packed + threaded\n\
-     large-memory path). --lane-width packs 64, 128 or 256 coverage lanes into one\n\
-     simulation pass of the packed backend (auto, the default, picks the narrowest\n\
-     width holding each target's lanes — e.g. `coverage --faults af --cells 1024\n\
-     --lane-width 256` quarters the sensitization passes of the exhaustive decoder\n\
-     sweep). Reports are byte-identical at every width. coverage --test defaults\n\
-     to March SS.\n\
+     large-memory path). --lane-width sets how many lanes (64, 128 or 256; auto\n\
+     picks the narrowest width holding each target's lanes) one pass of the packed\n\
+     backend's full-memory reference walk carries; coverage, campaigns, generation\n\
+     and minimisation simulate projected 64-lane words and never read it. Reports\n\
+     are byte-identical at every width. coverage --test defaults to March SS.\n\
      coverage --sample N replaces enumeration with a seeded Monte-Carlo campaign\n\
      over the exhaustive (placement, background) space: N draws (1e6 notation is\n\
      accepted), a Wilson-score confidence interval at --confidence (default 0.95),\n\
@@ -930,7 +911,6 @@ mod tests {
                 exhaustive: false,
                 backend: BackendKind::Packed,
                 threads: 1,
-                batch: 0,
                 lane_width: LaneWidth::Auto,
                 json: false,
             }
@@ -995,8 +975,6 @@ mod tests {
             "scalar",
             "--threads",
             "4",
-            "--batch",
-            "16",
         ])
         .unwrap();
         assert!(matches!(
@@ -1004,12 +982,14 @@ mod tests {
             Command::Generate {
                 backend: BackendKind::Scalar,
                 threads: 4,
-                batch: 16,
                 ..
             }
         ));
-        assert!(parse(&["generate", "--list", "2", "--batch", "65"]).is_err());
-        assert!(parse(&["generate", "--list", "2", "--batch", "lots"]).is_err());
+        // The candidate-batch knob is gone: `--batch` is an unknown flag.
+        assert_eq!(
+            parse(&["generate", "--list", "2", "--batch", "16"]),
+            Err(ParseArgsError("unknown flag `--batch`".to_string()))
+        );
         let coverage = parse(&[
             "coverage",
             "--test",

@@ -74,7 +74,6 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             exhaustive,
             backend,
             threads,
-            batch,
             lane_width,
             json,
         } => generate(
@@ -87,7 +86,6 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             ExecPolicy::default()
                 .with_backend(*backend)
                 .with_threads(*threads)
-                .with_batch(*batch)
                 .with_lane_width(*lane_width),
             *json,
         ),
@@ -764,7 +762,6 @@ mod tests {
                 exhaustive: true,
                 backend: BackendKind::Packed,
                 threads: 1,
-                batch: 0,
                 lane_width: LaneWidth::Auto,
                 json: true,
             })
@@ -916,7 +913,6 @@ mod tests {
             exhaustive: false,
             backend: BackendKind::Packed,
             threads: 0,
-            batch: 0,
             lane_width: LaneWidth::Auto,
             json: false,
         })
@@ -1062,7 +1058,6 @@ mod tests {
             exhaustive: false,
             backend: BackendKind::Packed,
             threads: 1,
-            batch: 0,
             lane_width: LaneWidth::Auto,
             json: true,
         })
@@ -1159,7 +1154,6 @@ mod tests {
             exhaustive: false,
             backend: BackendKind::Packed,
             threads: 1,
-            batch: 0,
             lane_width: LaneWidth::Auto,
             json: false,
         })

@@ -22,7 +22,7 @@
 //!   worker pool (see [`serve_lines`]).
 //!
 //! Every invocation builds **one** [`sram_sim::Session`] from the
-//! `--backend`/`--threads`/`--batch` execution policy and routes the pipeline
+//! `--backend`/`--threads`/`--lane-width` execution policy and routes the pipeline
 //! through it; `--json` swaps the text output of `coverage`/`generate`/
 //! `diagnose` for the session report's machine-readable
 //! [`Report`](sram_sim::Report) serialisation.

@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use march_test::{AddressOrder, MarchElement, MarchTest, MarchTestBuilder};
 use sram_fault_model::{Bit, FaultList};
-use sram_sim::{CandidateBatch, Session, TargetBatch};
+use sram_sim::{Session, TargetBatch};
 
 use crate::optimize::minimise_with;
 use crate::{exhaustive_candidates, library_candidates};
@@ -261,9 +261,9 @@ impl MarchGenerator {
     /// Runs the generation algorithm on `session` and returns the generated
     /// march test together with its report. The session supplies the
     /// simulation scope (memory size, placements, backgrounds) and **every**
-    /// execution knob — backend, worker pool, candidate-batch width; the
-    /// configuration contributes the generator-specific knobs only. The
-    /// generated test is byte-identical for every execution policy.
+    /// execution knob — backend and worker pool; the configuration
+    /// contributes the generator-specific knobs only. The generated test is
+    /// byte-identical for every execution policy.
     ///
     /// # Panics
     ///
@@ -276,45 +276,35 @@ impl MarchGenerator {
         let start = Instant::now();
         let policy = session.policy();
 
-        // One batch per fault target: every (placement, background) lane of the
-        // target packed behind the session's simulation backend, carrying the
-        // simulator state reached after the current march prefix so that
+        // One batch over every fault target: every (placement, background)
+        // lane of the list behind the session's simulation backend, carrying
+        // the simulator state reached after the current march prefix so that
         // scoring a candidate only needs to simulate that element, on the at
-        // most three cells the lane involves whatever the memory size. The
+        // most three cells the lane involves whatever the memory size. On the
+        // packed backend the lanes of all targets share 64-lane words. The
         // enumeration comes from the session's artifact cache, so repeated
         // generate/minimise/verify queries against the same list skip it.
-        let mut batches: Vec<TargetBatch> = session
-            .target_lanes(&self.list)
-            .expect("generator scope hosts the fault-list placements")
-            .iter()
-            .map(|(target, lanes)| {
-                TargetBatch::new_with_width(
-                    target.clone(),
-                    lanes.to_vec(),
-                    session.memory_cells(),
-                    policy.backend,
-                    policy.lane_width,
-                )
-            })
-            .collect();
-        let initial_targets: usize = batches.iter().map(TargetBatch::pending).sum();
+        let mut batch = TargetBatch::new(
+            session
+                .target_lanes(&self.list)
+                .expect("generator scope hosts the fault-list placements"),
+            session.memory_cells(),
+            policy.backend,
+        );
+        let initial_targets = batch.pending();
 
         // The march test always starts with the initialisation element ⇕(w·).
         let init = MarchElement::initialise(self.config.initial_write);
         let mut elements = vec![init.clone()];
-
-        for batch in &mut batches {
-            batch.advance(&init);
-        }
-        batches.retain(|batch| batch.pending() > 0);
+        batch.advance(&init);
 
         let library = self.filter_orders(library_candidates());
         let mut element_history = Vec::new();
         let mut iterations = 0usize;
 
-        while !batches.is_empty() && elements.len() < self.config.max_elements {
+        while batch.pending() > 0 && elements.len() < self.config.max_elements {
             let choice = self
-                .best_candidate(session, &library, &batches)
+                .best_candidate(session, &library, &batch)
                 .filter(|(_, covered)| *covered > 0)
                 .or_else(|| {
                     if self.config.repair {
@@ -323,7 +313,7 @@ impl MarchGenerator {
                             &self.filter_orders(exhaustive_candidates(
                                 self.config.repair_max_length,
                             )),
-                            &batches,
+                            &batch,
                         )
                         .filter(|(_, covered)| *covered > 0)
                     } else {
@@ -335,29 +325,17 @@ impl MarchGenerator {
                 break;
             };
 
-            for batch in &mut batches {
-                batch.advance(&element);
-            }
-            batches.retain(|batch| batch.pending() > 0);
+            batch.advance(&element);
             element_history.push((element.to_string(), covered));
             elements.push(element);
             iterations += 1;
         }
 
-        let mut pending = Vec::new();
-        let mut uncovered: Vec<String> = Vec::new();
-        for batch in &batches {
-            pending.clear();
-            batch.pending_lanes_into(&mut pending);
-            uncovered.extend(pending.iter().map(|lane| {
-                format!(
-                    "{} @ {} ({:?})",
-                    batch.target(),
-                    lane.cells,
-                    lane.background
-                )
-            }));
-        }
+        let uncovered: Vec<String> = batch
+            .pending_lanes()
+            .into_iter()
+            .map(|(target, lane)| format!("{target} @ {} ({:?})", lane.cells, lane.background))
+            .collect();
 
         let mut test = MarchTestBuilder::new(&self.name);
         for element in elements {
@@ -394,19 +372,19 @@ impl MarchGenerator {
             .collect()
     }
 
-    /// Scores every candidate against the pending target batches and returns the
+    /// Scores every candidate against the pending lanes and returns the
     /// best `(element, newly covered lanes)` pair: most newly covered lanes
-    /// first, fewest operations as the tie-breaker. Scoring is batched and
-    /// fans out over the session's worker pool ([`score_candidates`]);
-    /// the selection scan is sequential and in candidate order, so the result
-    /// is independent of the thread count and batch size.
+    /// first, fewest operations as the tie-breaker. Scoring fans out over the
+    /// session's worker pool ([`score_candidates`]); the selection scan is
+    /// sequential and in candidate order, so the result is independent of
+    /// the thread count.
     fn best_candidate(
         &self,
         session: &Session,
         candidates: &[MarchElement],
-        batches: &[TargetBatch],
+        batch: &TargetBatch,
     ) -> Option<(MarchElement, usize)> {
-        let scores = score_candidates(session, candidates, batches);
+        let scores = score_candidates(session, candidates, batch);
         let mut best: Option<(MarchElement, usize)> = None;
         for (candidate, covered) in candidates.iter().zip(scores) {
             let better = match &best {
@@ -424,18 +402,17 @@ impl MarchGenerator {
     }
 }
 
-/// Scores a whole candidate pool against a set of pending target batches: the
-/// number of still-undetected `(placement, background)` lanes each candidate
-/// would newly detect, in candidate order.
+/// Scores a whole candidate pool against a target batch: the number of
+/// still-undetected `(placement, background)` lanes each candidate would
+/// newly detect, in candidate order.
 ///
-/// This is the batched hot path of the greedy generator and its repair search.
-/// The pool is packed into [`CandidateBatch`]es of at most the session
-/// policy's `batch` elements (`0` = full 64-candidate words, `1` = the
-/// per-candidate behaviour), after a stable sort by operation count so words
-/// hold similar-length programs and padding stays low, and the `(pool, target
-/// batch)` grid is sharded over the session's resident worker pool. Scores are
-/// merged back in pool order — per-candidate `usize` additions — so the result
-/// is byte-identical for every batch size and thread count.
+/// This is the hot path of the greedy generator and its repair search. A
+/// serial session scores the batch in place ([`TargetBatch::score_pool`]:
+/// every candidate on a copy of each 64-lane word). A parallel session hands
+/// the batch's words ([`TargetBatch::split_words`]) to its resident worker
+/// pool, each job scoring the whole pool against one word, and sums the
+/// per-word scores in word order — `usize` additions, so the result is
+/// byte-identical for every thread count.
 ///
 /// # Examples
 ///
@@ -445,98 +422,34 @@ impl MarchGenerator {
 /// use sram_sim::{BackendKind, ExecPolicy, Session, TargetBatch};
 ///
 /// let session = Session::default();
-/// let batches: Vec<TargetBatch> = session
-///     .target_lanes(&FaultList::list_2())
-///     .unwrap()
-///     .iter()
-///     .map(|(target, lanes)| TargetBatch::new(target.clone(), lanes.to_vec(), 8, BackendKind::Packed))
-///     .collect();
+/// let targets = session.target_lanes(&FaultList::list_2()).unwrap();
+/// let batch = TargetBatch::new(targets, 8, BackendKind::Packed);
 /// let pool = library_candidates();
-/// let batched = score_candidates(&session, &pool, &batches);
-/// let sequential = score_candidates(&Session::new(ExecPolicy::default().with_batch(1)), &pool, &batches);
-/// assert_eq!(batched, sequential);
+/// let serial = score_candidates(&session, &pool, &batch);
+/// let pooled = score_candidates(&Session::new(ExecPolicy::default().with_threads(2)), &pool, &batch);
+/// assert_eq!(serial, pooled);
 /// ```
 #[must_use]
 pub fn score_candidates(
     session: &Session,
     candidates: &[MarchElement],
-    batches: &[TargetBatch],
+    batch: &TargetBatch,
 ) -> Vec<usize> {
-    if candidates.is_empty() || batches.is_empty() {
-        return vec![0; candidates.len()];
+    if !session.is_parallel() {
+        return batch.score_pool(candidates);
     }
-    let packed = pack_pools(candidates, batches.len(), session.policy().batch);
-    let results: Vec<Vec<usize>> = if session.is_parallel() {
-        // The pool requires `'static` jobs: pools and jobs are already
-        // `Arc`'d by `pack_pools`, so only the target batches are snapshotted
-        // (one clone per scoring call, amortised by the per-candidate
-        // simulator clones scoring itself performs).
-        let pools = Arc::clone(&packed.pools);
-        let target_batches = Arc::new(batches.to_vec());
-        session.execute(Arc::clone(&packed.jobs), move |&(pool, batch)| {
-            target_batches[batch].score_pool(&pools[pool])
+    let pool = Arc::new(candidates.to_vec());
+    session
+        .execute(Arc::new(batch.split_words()), move |word| {
+            word.score_pool(&pool)
         })
-    } else {
-        packed
-            .jobs
-            .iter()
-            .map(|&(pool, batch)| batches[batch].score_pool(&packed.pools[pool]))
-            .collect()
-    };
-    merge_scores(&packed, results, candidates.len())
-}
-
-/// The packed scoring grid: candidate pools from length-sorted candidates plus
-/// the `(pool, target batch)` job list. Pools and jobs are `Arc`'d so they
-/// ship to the session's worker pool without copying.
-struct PackedPools {
-    /// `order[sorted position] = original candidate index`.
-    order: Vec<usize>,
-    pools: Arc<Vec<CandidateBatch>>,
-    pool_offsets: Vec<usize>,
-    jobs: Arc<Vec<(usize, usize)>>,
-}
-
-/// Packs words from length-sorted candidates (stable, so equal lengths keep
-/// pool order) and shards the `(pool × target batch)` grid: coarse enough to
-/// amortise the per-job packed setup, fine enough to keep every worker busy
-/// even when the pool fits one word.
-fn pack_pools(candidates: &[MarchElement], batches: usize, batch: usize) -> PackedPools {
-    let mut order: Vec<usize> = (0..candidates.len()).collect();
-    order.sort_by_key(|&index| candidates[index].len());
-    let sorted: Vec<MarchElement> = order
-        .iter()
-        .map(|&index| candidates[index].clone())
-        .collect();
-    let pools = CandidateBatch::chunked(&sorted, batch);
-    let jobs: Vec<(usize, usize)> = (0..pools.len())
-        .flat_map(|pool| (0..batches).map(move |batch| (pool, batch)))
-        .collect();
-    let mut pool_offsets = Vec::with_capacity(pools.len());
-    let mut offset = 0usize;
-    for pool in &pools {
-        pool_offsets.push(offset);
-        offset += pool.len();
-    }
-    PackedPools {
-        order,
-        pools: Arc::new(pools),
-        pool_offsets,
-        jobs: Arc::new(jobs),
-    }
-}
-
-/// Merges per-job pool scores back into candidate order — per-candidate
-/// `usize` additions, so the result is byte-identical for every batch size
-/// and thread count.
-fn merge_scores(packed: &PackedPools, results: Vec<Vec<usize>>, candidates: usize) -> Vec<usize> {
-    let mut scores = vec![0usize; candidates];
-    for (&(pool, _), pool_scores) in packed.jobs.iter().zip(results) {
-        for (index, score) in pool_scores.into_iter().enumerate() {
-            scores[packed.order[packed.pool_offsets[pool] + index]] += score;
-        }
-    }
-    scores
+        .into_iter()
+        .fold(vec![0; candidates.len()], |mut scores, word_scores| {
+            for (score, word_score) in scores.iter_mut().zip(word_scores) {
+                *score += word_score;
+            }
+            scores
+        })
 }
 
 #[cfg(test)]
@@ -629,51 +542,58 @@ mod tests {
 
     #[test]
     fn batch_size_and_threads_do_not_change_the_generated_test() {
+        // A serial session scores the whole batch at once; a pool scores it
+        // one 64-lane word per job. Neither the batch a job scores nor the
+        // thread count changes the test.
         let generator = MarchGenerator::new(FaultList::list_2());
         let baseline = generator.generate_with(&Session::default());
-        for (batch, threads) in [(1, 1), (7, 2), (0, 0)] {
-            let policy = ExecPolicy::default()
-                .with_batch(batch)
-                .with_threads(threads);
+        for threads in [2, 0] {
+            let policy = ExecPolicy::default().with_threads(threads);
             let generated = generator.generate_with(&Session::new(policy));
             assert_eq!(
                 baseline.test().notation(),
                 generated.test().notation(),
-                "batch {batch}, threads {threads}"
+                "threads {threads}"
             );
         }
     }
 
     #[test]
     fn score_candidates_is_invariant_in_batch_and_threads() {
+        // One batch over the whole list and one batch per target score
+        // alike, serially and sharded word by word over a pool.
         let list = FaultList::list_2();
-        let batches: Vec<TargetBatch> = Session::default()
+        let targets = Session::default()
             .target_lanes(&list)
-            .expect("8 cells host list #2")
+            .expect("8 cells host list #2");
+        let pool = crate::exhaustive_candidates(2);
+        let session = |threads: usize| Session::new(ExecPolicy::default().with_threads(threads));
+        let per_target: Vec<usize> = targets
             .iter()
             .map(|(target, lanes)| {
-                TargetBatch::new(target.clone(), lanes.to_vec(), 8, BackendKind::Packed)
+                let target = Arc::new(vec![(target.clone(), Arc::clone(lanes))]);
+                TargetBatch::new(target, 8, BackendKind::Scalar).score_pool(&pool)
             })
-            .collect();
-        let pool = crate::exhaustive_candidates(2);
-        let session = |batch: usize, threads: usize| {
-            Session::new(
-                ExecPolicy::default()
-                    .with_batch(batch)
-                    .with_threads(threads),
-            )
-        };
-        let baseline = score_candidates(&session(1, 1), &pool, &batches);
-        for (batch, threads) in [(0, 1), (0, 4), (3, 2), (64, 0)] {
-            assert_eq!(
-                score_candidates(&session(batch, threads), &pool, &batches),
-                baseline,
-                "batch {batch}, threads {threads}"
-            );
+            .fold(vec![0; pool.len()], |mut scores, target_scores| {
+                for (score, target_score) in scores.iter_mut().zip(target_scores) {
+                    *score += target_score;
+                }
+                scores
+            });
+        for backend in [BackendKind::Scalar, BackendKind::Packed] {
+            let batch = TargetBatch::new(Arc::clone(&targets), 8, backend);
+            for threads in [1, 2, 0] {
+                assert_eq!(
+                    score_candidates(&session(threads), &pool, &batch),
+                    per_target,
+                    "{backend}, threads {threads}"
+                );
+            }
+            assert!(score_candidates(&session(1), &[], &batch).is_empty());
         }
-        assert!(score_candidates(&session(0, 1), &[], &batches).is_empty());
+        let empty = TargetBatch::new(Arc::default(), 8, BackendKind::Packed);
         assert_eq!(
-            score_candidates(&session(0, 1), &pool, &[]),
+            score_candidates(&session(2), &pool, &empty),
             vec![0; pool.len()]
         );
     }

@@ -1,23 +1,20 @@
 //! Redundancy removal: shortening a march test while preserving its coverage.
 //!
 //! The pass is **suffix-only**: as the minimiser walks the test back-to-front
-//! it records one [`BatchSnapshot`] per march element for every fault target,
-//! so the trial for "remove operation *i* of element *e*" restores the
-//! checkpoint taken before *e* and re-simulates only the suffix — the prefix
-//! is untouched by the removal, so every lane it already detected stays
-//! detected. This turns the pass from quadratic in test length (every trial
-//! re-simulating the whole shortened test) into one bounded by the suffix
-//! lengths, while producing byte-identical results to the full re-simulation
-//! oracle ([`minimise_full_resim`]).
+//! it records one [`BatchSnapshot`] per march element for every 64-lane
+//! chunk of the list's lanes, so the trial for "remove operation *i* of
+//! element *e*" restores the checkpoint taken before *e* and re-simulates
+//! only the suffix — the prefix is untouched by the removal, so every lane it
+//! already detected stays detected. This turns the pass from quadratic in
+//! test length (every trial re-simulating the whole shortened test) into one
+//! bounded by the suffix lengths, while producing byte-identical results to
+//! the full re-simulation oracle ([`minimise_full_resim`]).
 
 use std::sync::{Arc, Mutex};
 
 use march_test::{MarchElement, MarchTest, MarchTestBuilder};
 use sram_fault_model::FaultList;
-use sram_sim::{
-    BackendKind, BatchSnapshot, CoverageLane, LaneWidth, Session, SimulationBackend, TargetBatch,
-    TargetKind, TargetLanes,
-};
+use sram_sim::{BatchSnapshot, Session, SimulationBackend, TargetBatch, TargetLanes};
 
 /// Removes redundant operations from `test` while preserving complete coverage of
 /// `list` under the session's simulation scope — the engine behind
@@ -31,18 +28,19 @@ use sram_sim::{
 /// "ABL"-style greedy result into the shorter "RABL"-style test of the paper's
 /// Table 1.
 ///
-/// Re-verification is *suffix-only*: each target carries per-element
-/// checkpoints of its lane state, so a trial restores the checkpoint before
-/// the edited element and re-simulates just the suffix (with early-exit per
-/// target as before). Every lane is simulated on the at most three cells it
-/// involves ([`TargetBatch`]), and the completeness precheck is a projected
-/// coverage call, so the pass costs the same on any memory size. Target
-/// lanes come from the session's memoised artifact
-/// cache and every removal trial shards its `(target × suffix)`
-/// re-verifications over the session's resident worker pool. The minimised
-/// test is identical for every backend, batch size and thread count — and
-/// byte-identical to the full re-simulation oracle, see
-/// [`minimise_full_resim`].
+/// Re-verification is *suffix-only*: the list's lanes, in (target, lane)
+/// order, are cut into 64-lane chunks — one projected word each on the
+/// packed backend ([`TargetBatch::split_words`]) — and each chunk carries
+/// per-element checkpoints of its lane state, so a trial restores the
+/// checkpoint before the edited element and re-simulates just the suffix,
+/// with an early exit at the first chunk it leaves uncovered. Every lane is
+/// simulated on the at most three cells it involves, and the completeness
+/// precheck is a projected coverage call, so the pass costs the same on any
+/// memory size. Target lanes come from the session's memoised artifact cache
+/// and every removal trial shards its `(chunk × suffix)` re-verifications
+/// over the session's resident worker pool. The minimised test is identical
+/// for every backend and thread count — and byte-identical to the full
+/// re-simulation oracle, see [`minimise_full_resim`].
 ///
 /// Returns the minimised test and the number of operations removed.
 ///
@@ -57,7 +55,6 @@ pub(crate) fn minimise_with(
     let targets = session
         .target_lanes(list)
         .expect("minimisation scope hosts the fault-list placements");
-    let memory_cells = session.memory_cells();
 
     // Nothing to preserve: return the test untouched.
     if targets.is_empty() {
@@ -75,24 +72,17 @@ pub(crate) fn minimise_with(
         return (test.clone(), 0);
     }
 
-    let policy = session.policy();
-    let states: Arc<Vec<Mutex<TargetState>>> = Arc::new(
-        targets
-            .iter()
-            .map(|(target, lanes)| {
-                Mutex::new(TargetState::new(
-                    target.clone(),
-                    lanes.to_vec(),
-                    memory_cells,
-                    policy.backend,
-                    policy.lane_width,
-                ))
-            })
+    let batch = TargetBatch::new(targets, session.memory_cells(), session.policy().backend);
+    let states: Arc<Vec<Mutex<ChunkState>>> = Arc::new(
+        batch
+            .split_words()
+            .into_iter()
+            .map(|chunk| Mutex::new(ChunkState::new(chunk)))
             .collect(),
     );
-    // The sharding unit: one index per fault target. Each worker locks its
-    // target's state (disjoint by construction), restores the checkpoint and
-    // runs the trial suffix.
+    // The sharding unit: one index per chunk. Each worker locks its chunk's
+    // state (disjoint by construction), restores the checkpoint and runs the
+    // trial suffix.
     let indices: Arc<Vec<usize>> = Arc::new((0..states.len()).collect());
 
     let mut elements: Vec<MarchElement> = test.elements().to_vec();
@@ -100,10 +90,10 @@ pub(crate) fn minimise_with(
     // re-published whenever a removal is accepted.
     let mut shared: Arc<Vec<MarchElement>> = Arc::new(elements.clone());
 
-    // The serial fast path probes targets in most-recently-failed-first
+    // The serial fast path probes chunks in most-recently-failed-first
     // order: most trials are rejected, and consecutive rejections tend to
-    // fail on the same few targets, so the early exit usually costs one
-    // suffix run. The verdict ("do ALL targets stay covered?") is
+    // fail on the same few chunks, so the early exit usually costs one
+    // suffix run. The verdict ("do ALL chunks stay covered?") is
     // order-independent, so the minimised test is unaffected.
     let mut probe_order: Vec<usize> = (0..states.len()).collect();
 
@@ -137,7 +127,7 @@ pub(crate) fn minimise_with(
                 suffix.extend(edited.iter().cloned());
                 suffix.extend_from_slice(&elements[element_index + 1..]);
                 let suffix = Arc::new(suffix);
-                let covered = trial_all_targets(
+                let covered = trial_all_chunks(
                     session,
                     &states,
                     &indices,
@@ -156,13 +146,13 @@ pub(crate) fn minimise_with(
                     removed += 1;
                     changed = true;
                     // The accepted trial's own simulation becomes the new
-                    // checkpoint trail: targets that recorded it commit their
+                    // checkpoint trail: chunks that recorded it commit their
                     // staged snapshots, the rest rewind to the last valid
                     // checkpoint and re-advance lazily.
                     for state in states.iter() {
                         state
                             .lock()
-                            .expect("target state lock")
+                            .expect("chunk state lock")
                             .commit_or_invalidate(element_index);
                     }
                     shared = Arc::new(elements.clone());
@@ -181,18 +171,18 @@ pub(crate) fn minimise_with(
     (rebuild(test.name(), &elements), removed)
 }
 
-/// Evaluates one removal trial over every target: parallel sessions shard the
-/// targets over the resident pool; serial sessions probe targets in
+/// Evaluates one removal trial over every chunk: parallel sessions shard the
+/// chunks over the resident pool; serial sessions probe chunks in
 /// most-recently-failed-first order (`probe_order`) and early-exit at the
-/// first failing target, moving it to the front. The front probe runs
+/// first failing chunk, moving it to the front. The front probe runs
 /// fail-fast without recording; the rest record their suffix simulation as
 /// staged checkpoints, so an accepted trial's work is committed instead of
-/// re-simulated. The all-targets verdict is order-independent, so the result
+/// re-simulated. The all-chunks verdict is order-independent, so the result
 /// is identical either way.
 #[allow(clippy::too_many_arguments)]
-fn trial_all_targets(
+fn trial_all_chunks(
     session: &Session,
-    states: &Arc<Vec<Mutex<TargetState>>>,
+    states: &Arc<Vec<Mutex<ChunkState>>>,
     indices: &Arc<Vec<usize>>,
     elements: &Arc<Vec<MarchElement>>,
     probe_order: &mut [usize],
@@ -205,7 +195,7 @@ fn trial_all_targets(
         let suffix = Arc::clone(suffix);
         return session
             .execute(Arc::clone(indices), move |&index| {
-                let mut state = states[index].lock().expect("target state lock");
+                let mut state = states[index].lock().expect("chunk state lock");
                 state.trial_covers(&elements, at, &suffix, Record::Staged)
             })
             .into_iter()
@@ -219,7 +209,7 @@ fn trial_all_targets(
             Record::Staged
         };
         let covered = {
-            let mut state = states[index].lock().expect("target state lock");
+            let mut state = states[index].lock().expect("chunk state lock");
             state.trial_covers(elements, at, suffix, record)
         };
         if !covered {
@@ -233,25 +223,25 @@ fn trial_all_targets(
 /// Whether a removal trial stages its suffix simulation as checkpoints.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Record {
-    /// Fail-fast probe: run the suffix chunk-major and keep nothing — the
-    /// cheap mode for the target expected to reject the trial.
+    /// Fail-fast probe: run the suffix word-major and keep nothing — the
+    /// cheap mode for the chunk expected to reject the trial.
     Discarded,
     /// Record one staged snapshot per suffix element, so an accepted trial
     /// commits its own simulation as the new checkpoint trail.
     Staged,
 }
 
-/// One fault target of the minimisation run: its lane batch advanced through
-/// the current element prefix, the per-element snapshots taken along the way,
-/// and a scratch batch trials restore into (buffer-reusing, so repeated
-/// trials allocate nothing).
+/// One 64-lane chunk of the minimisation run: its lane batch advanced
+/// through the current element prefix, the per-element snapshots taken along
+/// the way, and a scratch batch trials restore into (buffer-reusing, so
+/// repeated trials allocate nothing).
 ///
-/// Once the prefix detects every lane of the target, the state stops
+/// Once the prefix detects every lane of the chunk, the state stops
 /// simulating: detection is monotone and the prefix is never edited by a
 /// trial at or after the detection point, so every later checkpoint is
 /// trivially pending-free and every later trial answers `true` without a
 /// restore.
-struct TargetState {
+struct ChunkState {
     /// The lane state after `elements[..simulated]`.
     batch: TargetBatch,
     /// Number of elements `batch` has actually executed.
@@ -277,19 +267,12 @@ struct TargetState {
     staged_run: Option<(usize, usize)>,
 }
 
-impl TargetState {
-    fn new(
-        target: TargetKind,
-        lanes: Vec<CoverageLane>,
-        memory_cells: usize,
-        backend: BackendKind,
-        lane_width: LaneWidth,
-    ) -> TargetState {
-        let batch = TargetBatch::new_with_width(target, lanes, memory_cells, backend, lane_width);
+impl ChunkState {
+    fn new(batch: TargetBatch) -> ChunkState {
         let checkpoints = vec![batch.snapshot()];
         let pending_at = vec![batch.pending()];
         let trial = batch.clone();
-        TargetState {
+        ChunkState {
             batch,
             simulated: 0,
             advanced: 0,
@@ -304,7 +287,7 @@ impl TargetState {
 
     /// Advances the checkpoint trail through `elements[..upto]`. Elements past
     /// the point where every lane detected are accounted without simulation;
-    /// stale slots left behind by [`TargetState::invalidate`] are refreshed in
+    /// stale slots left behind by [`ChunkState::invalidate`] are refreshed in
     /// place with buffer-reusing [`TargetBatch::snapshot_into`].
     fn ensure(&mut self, elements: &[MarchElement], upto: usize) {
         while self.advanced < upto {
@@ -327,11 +310,11 @@ impl TargetState {
 
     /// The suffix-only removal trial: restore the checkpoint before element
     /// `at` and check that `suffix` detects every lane still pending there.
-    /// Targets the prefix already covers answer without restoring anything.
+    /// Chunks the prefix already covers answer without restoring anything.
     ///
     /// In [`Record::Staged`] mode the run additionally snapshots the trial
     /// state after each suffix element, so that if the whole removal is
-    /// accepted, [`TargetState::commit_or_invalidate`] promotes the staged
+    /// accepted, [`ChunkState::commit_or_invalidate`] promotes the staged
     /// snapshots to the real checkpoint trail instead of re-simulating the
     /// suffix. Both modes return the same verdict.
     fn trial_covers(
@@ -375,7 +358,7 @@ impl TargetState {
         }
     }
 
-    /// After an accepted removal at element `keep`: if this target staged the
+    /// After an accepted removal at element `keep`: if this chunk staged the
     /// accepted trial, its snapshots become the checkpoint trail (no
     /// re-simulation); otherwise the stale checkpoints are dropped and the
     /// batch rewinds to the last valid one, to be re-advanced lazily.
@@ -402,7 +385,7 @@ impl TargetState {
 
     /// Marks the checkpoints an accepted removal at element `keep` stales
     /// (everything after it) and rewinds the main batch to the last valid
-    /// one. Stale slots stay allocated for [`TargetState::ensure`] to refresh
+    /// one. Stale slots stay allocated for [`ChunkState::ensure`] to refresh
     /// in place.
     fn invalidate(&mut self, keep: usize) {
         if self.advanced <= keep {
@@ -573,7 +556,7 @@ fn rebuild(name: &str, elements: &[MarchElement]) -> MarchTest {
 mod tests {
     use super::*;
     use march_test::catalog;
-    use sram_sim::ExecPolicy;
+    use sram_sim::{BackendKind, ExecPolicy};
 
     /// March ABL1 with two useless extra reads appended.
     fn padded() -> MarchTest {

@@ -227,7 +227,7 @@ mod tests {
         let legacy = MarchGenerator::new(list.clone()).generate_with(&Session::default());
         for policy in [
             ExecPolicy::default(),
-            ExecPolicy::default().with_threads(2).with_batch(7),
+            ExecPolicy::default().with_threads(2),
             ExecPolicy::default().with_backend(BackendKind::Scalar),
         ] {
             let session = Session::new(policy);

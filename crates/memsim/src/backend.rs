@@ -6,11 +6,13 @@
 //! one at a time with [`FaultSimulator`]; the packed backend pins each lane to
 //! one bit of a lane word ([`LaneWord`]: `u64`, or a `[u64; N]` block for 128
 //! and 256 lanes) and evaluates a whole word of lanes per memory operation
-//! with branch-free bitwise sensitization/effect arithmetic — the hot-path
-//! optimisation that makes the generator's simulation-backed greedy search and
-//! the coverage matrix fast. The lane width is a policy knob
-//! ([`LaneWidth`](crate::LaneWidth)): verdicts are byte-identical across
-//! widths, wider words just carry more lanes per pass.
+//! with branch-free bitwise sensitization/effect arithmetic. These per-target
+//! walks over the whole memory are the differential reference; coverage,
+//! campaigns, generation and minimisation run on projected words instead
+//! ([`SimulationBackend::projected_verdicts`],
+//! [`TargetBatch`](crate::TargetBatch)). The lane width of the packed walk is
+//! a policy knob ([`LaneWidth`](crate::LaneWidth)): verdicts are
+//! byte-identical across widths, wider words just carry more lanes per pass.
 
 use std::fmt;
 use std::str::FromStr;
@@ -18,7 +20,6 @@ use std::str::FromStr;
 use march_test::{MarchElement, MarchTest};
 use sram_fault_model::{Bit, DecoderFault, FaultPrimitive, Operation, SensitizingSite};
 
-use crate::batch::CandidateBatch;
 use crate::coverage::TargetKind;
 use crate::lane::{broadcast, condition_mask, LaneWidth, LaneWord, W128, W256};
 use crate::placement::{placement_shape, PlacementShape};
@@ -420,7 +421,7 @@ impl SimulationBackend for PackedBackend {
 
 /// One fault-primitive component of the packed target, with its per-lane cell
 /// bindings encoded as bit-plane masks.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct PackedComponent<W: LaneWord> {
     /// The primitive — identical across lanes (lanes vary only placement and
     /// background).
@@ -430,22 +431,6 @@ struct PackedComponent<W: LaneWord> {
     /// `aggressor_at[cell]`: lanes whose aggressor is bound to `cell` (all-zero
     /// planes for single-cell primitives).
     aggressor_at: Vec<W>,
-}
-
-impl<W: LaneWord> Clone for PackedComponent<W> {
-    fn clone(&self) -> PackedComponent<W> {
-        PackedComponent {
-            primitive: self.primitive.clone(),
-            victim_at: self.victim_at.clone(),
-            aggressor_at: self.aggressor_at.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &PackedComponent<W>) {
-        self.primitive.clone_from(&source.primitive);
-        self.victim_at.clone_from(&source.victim_at);
-        self.aggressor_at.clone_from(&source.aggressor_at);
-    }
 }
 
 impl<W: LaneWord> PackedComponent<W> {
@@ -480,7 +465,7 @@ impl<W: LaneWord> PackedComponent<W> {
 /// costs `O(popcount(redirected lanes))` random accesses instead of an
 /// `O(cells)` plane scan, which is what keeps the decode perturbation cheap
 /// on 1k+-cell memories.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct PackedDecoder<W: LaneWord> {
     fault: DecoderFault,
     /// `source_at[cell]`: lanes whose perturbed address is `cell`.
@@ -494,24 +479,6 @@ struct PackedDecoder<W: LaneWord> {
     /// cluster by perturbed address (the enumeration orders placements by
     /// primary), so this stays far smaller than the cell count per chunk.
     bound_sources: Vec<usize>,
-}
-
-impl<W: LaneWord> Clone for PackedDecoder<W> {
-    fn clone(&self) -> PackedDecoder<W> {
-        PackedDecoder {
-            fault: self.fault,
-            source_at: self.source_at.clone(),
-            dest_of_lane: self.dest_of_lane.clone(),
-            bound_sources: self.bound_sources.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &PackedDecoder<W>) {
-        self.fault = source.fault;
-        self.source_at.clone_from(&source.source_at);
-        self.dest_of_lane.clone_from(&source.dest_of_lane);
-        self.bound_sources.clone_from(&source.bound_sources);
-    }
 }
 
 impl<W: LaneWord> PackedDecoder<W> {
@@ -544,14 +511,6 @@ impl<W: LaneWord> PackedDecoder<W> {
             self.source_at[source] = W::ZERO;
         }
         self.dest_of_lane.clear();
-    }
-
-    /// The destination cell of `lane`, if its instance has one.
-    fn destination(&self, lane: usize) -> Option<usize> {
-        self.dest_of_lane
-            .get(lane)
-            .copied()
-            .filter(|&cell| cell != usize::MAX)
     }
 
     /// Per-lane value of each redirected lane's destination cell, gathered in
@@ -651,7 +610,7 @@ impl<W: LaneWord> PackedDecoder<W> {
 /// assert_eq!(wide_detected, wide.lane_mask());
 /// # Ok::<(), sram_sim::SimulationError>(())
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PackedSimulator<W: LaneWord = u64> {
     cells: usize,
     lanes: usize,
@@ -666,40 +625,6 @@ pub struct PackedSimulator<W: LaneWord = u64> {
     /// (whose component list is empty).
     has_state_faults: bool,
     detected: W,
-}
-
-impl<W: LaneWord> Clone for PackedSimulator<W> {
-    fn clone(&self) -> PackedSimulator<W> {
-        PackedSimulator {
-            cells: self.cells,
-            lanes: self.lanes,
-            lane_mask: self.lane_mask,
-            faulty: self.faulty.clone(),
-            golden: self.golden.clone(),
-            components: self.components.clone(),
-            decoder: self.decoder.clone(),
-            has_state_faults: self.has_state_faults,
-            detected: self.detected,
-        }
-    }
-
-    /// Field-wise `clone_from` so the bit-plane buffers are re-used when a
-    /// snapshot is restored into an existing simulator of the same memory size
-    /// — the hot restore of the suffix-only redundancy-removal trials.
-    fn clone_from(&mut self, source: &PackedSimulator<W>) {
-        self.cells = source.cells;
-        self.lanes = source.lanes;
-        self.lane_mask = source.lane_mask;
-        self.faulty.clone_from(&source.faulty);
-        self.golden.clone_from(&source.golden);
-        self.components.clone_from(&source.components);
-        match (&mut self.decoder, &source.decoder) {
-            (Some(into), Some(from)) => into.clone_from(from),
-            (into, from) => *into = from.clone(),
-        }
-        self.has_state_faults = source.has_state_faults;
-        self.detected = source.detected;
-    }
 }
 
 impl<W: LaneWord> PackedSimulator<W> {
@@ -876,8 +801,7 @@ impl<W: LaneWord> PackedSimulator<W> {
         }
 
         // One shared width-generic boundary: `full_mask` handles the
-        // n == width case that used to be special-cased here and in
-        // `merge_lanes`.
+        // n == width case.
         self.lanes = lanes.len();
         self.lane_mask = W::full_mask(lanes.len());
         self.detected = W::ZERO;
@@ -1126,378 +1050,6 @@ impl<W: LaneWord> PackedSimulator<W> {
         }
         self.detected
     }
-
-    /// Re-packs one coverage lane of this simulator as a [`CandidateWave`]: the
-    /// lane's memory state broadcast across up to one candidate word of
-    /// *candidate* lanes, so a whole [`CandidateBatch`] can be scored against
-    /// it in one bit-parallel pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is not a packed lane of this simulator.
-    #[must_use]
-    pub(crate) fn candidate_wave<C: LaneWord>(&self, lane: usize) -> CandidateWave<'_, C> {
-        assert!(lane < self.lanes, "lane {lane} out of range");
-        let broadcast_lane = |plane: &W| {
-            if plane.test_bit(lane) {
-                C::ALL
-            } else {
-                C::ZERO
-            }
-        };
-        CandidateWave {
-            cells: self.cells,
-            faulty: self.faulty.iter().map(broadcast_lane).collect(),
-            golden: self.golden.iter().map(broadcast_lane).collect(),
-            components: self
-                .components
-                .iter()
-                .map(|component| WaveComponent {
-                    primitive: &component.primitive,
-                    victim: component
-                        .victim_at
-                        .iter()
-                        .position(|plane| plane.test_bit(lane))
-                        .expect("every packed lane binds a victim cell"),
-                    aggressor: component
-                        .aggressor_at
-                        .iter()
-                        .position(|plane| plane.test_bit(lane)),
-                })
-                .collect(),
-            decoder: self.decoder.as_ref().map(|decoder| WaveDecoder {
-                fault: decoder.fault,
-                source: decoder
-                    .source_at
-                    .iter()
-                    .position(|plane| plane.test_bit(lane))
-                    .expect("every packed decoder lane binds a source address"),
-                destination: decoder.destination(lane),
-            }),
-            detected: C::ZERO,
-        }
-    }
-
-    /// Merges selected lane columns of several same-target simulators into one
-    /// dense simulator (used by [`TargetBatch`](crate::TargetBatch) to compact
-    /// pending lanes after detected ones drop out). Lane order follows the
-    /// source order, so escape/pending reporting stays deterministic.
-    ///
-    /// Returns `None` when no lanes are selected.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than [`PackedSimulator::MAX_LANES`] lanes are selected or
-    /// the sources disagree on memory size / component structure.
-    pub(crate) fn merge_lanes(sources: &[(&PackedSimulator<W>, W)]) -> Option<PackedSimulator<W>> {
-        let first = sources.iter().find(|(_, mask)| !mask.is_zero())?.0;
-        let cells = first.cells;
-        let mut merged = PackedSimulator {
-            cells,
-            lanes: 0,
-            lane_mask: W::ZERO,
-            faulty: vec![W::ZERO; cells],
-            golden: vec![W::ZERO; cells],
-            components: first
-                .components
-                .iter()
-                .map(|component| PackedComponent::new(component.primitive.clone(), cells))
-                .collect(),
-            decoder: first
-                .decoder
-                .as_ref()
-                .map(|decoder| PackedDecoder::new(decoder.fault, cells)),
-            has_state_faults: first.has_state_faults,
-            detected: W::ZERO,
-        };
-        let mut dest = 0usize;
-        for (source, mask) in sources {
-            assert_eq!(source.cells, cells, "merged simulators share the memory");
-            assert_eq!(
-                source.components.len(),
-                merged.components.len(),
-                "merged simulators share the target"
-            );
-            let mut bits = *mask;
-            while !bits.is_zero() {
-                let lane = bits.trailing_zeros() as usize;
-                bits.clear_lowest_bit();
-                assert!(
-                    dest < Self::MAX_LANES,
-                    "compacted more than {} lanes into one word",
-                    Self::MAX_LANES
-                );
-                let dest_bit = W::bit(dest);
-                for cell in 0..cells {
-                    if source.faulty[cell].test_bit(lane) {
-                        merged.faulty[cell] |= dest_bit;
-                    }
-                    if source.golden[cell].test_bit(lane) {
-                        merged.golden[cell] |= dest_bit;
-                    }
-                }
-                for (into, from) in merged.components.iter_mut().zip(&source.components) {
-                    for cell in 0..cells {
-                        if from.victim_at[cell].test_bit(lane) {
-                            into.victim_at[cell] |= dest_bit;
-                        }
-                        if from.aggressor_at[cell].test_bit(lane) {
-                            into.aggressor_at[cell] |= dest_bit;
-                        }
-                    }
-                }
-                if let (Some(into), Some(from)) = (merged.decoder.as_mut(), source.decoder.as_ref())
-                {
-                    for cell in 0..cells {
-                        if from.source_at[cell].test_bit(lane) {
-                            into.source_at[cell] |= dest_bit;
-                        }
-                    }
-                    if into.dest_of_lane.len() <= dest {
-                        into.dest_of_lane.resize(dest + 1, usize::MAX);
-                    }
-                    into.dest_of_lane[dest] =
-                        from.dest_of_lane.get(lane).copied().unwrap_or(usize::MAX);
-                }
-                if source.detected.test_bit(lane) {
-                    merged.detected |= dest_bit;
-                }
-                dest += 1;
-            }
-        }
-        if dest == 0 {
-            return None;
-        }
-        merged.lanes = dest;
-        // The same shared boundary helper as `new`: no width special cases.
-        merged.lane_mask = W::full_mask(dest);
-        Some(merged)
-    }
-}
-
-/// One fault-primitive component of a [`CandidateWave`], bound to concrete
-/// cells (the wave replicates a *single* coverage lane, so the binding is a
-/// scalar address rather than a per-lane bit-plane).
-#[derive(Debug)]
-struct WaveComponent<'a> {
-    primitive: &'a FaultPrimitive,
-    victim: usize,
-    aggressor: Option<usize>,
-}
-
-/// The decoder perturbation of a [`CandidateWave`] (the wave replicates a
-/// single coverage lane, so the binding is scalar addresses).
-#[derive(Debug, Clone, Copy)]
-struct WaveDecoder {
-    fault: DecoderFault,
-    source: usize,
-    destination: Option<usize>,
-}
-
-/// A bit-parallel **candidate** evaluator: one still-pending coverage lane's
-/// simulator state broadcast across one candidate word of lanes, where each
-/// lane executes a *different* candidate march element of a [`CandidateBatch`].
-///
-/// This is the transpose of [`PackedSimulator`]: instead of a word of fault
-/// instances running one program, one fault instance runs a word of programs.
-/// Per micro-step (cell visit × operation slot) the lanes are grouped by
-/// address order and operation kind — at most two addresses
-/// (ascending/descending cursor) and four operation kinds — and each group is
-/// applied with masked bitwise arithmetic, so a whole candidate pool is scored
-/// in a handful of passes instead of one full simulation per candidate.
-///
-/// The semantics mirror [`FaultSimulator`](crate::FaultSimulator) exactly: fire
-/// detection on the pre-operation state, read override, fault-free effect,
-/// fault effects in injection order, then one settle pass of state-sensitized
-/// primitives — masked to the lanes that executed an operation this step, just
-/// as each scalar simulator settles only after its own operations.
-#[derive(Debug)]
-pub(crate) struct CandidateWave<'a, C: LaneWord = u64> {
-    cells: usize,
-    faulty: Vec<C>,
-    golden: Vec<C>,
-    components: Vec<WaveComponent<'a>>,
-    decoder: Option<WaveDecoder>,
-    detected: C,
-}
-
-impl<C: LaneWord> CandidateWave<'_, C> {
-    /// Runs every candidate of `pool` against the replicated lane state and
-    /// returns the mask of candidates whose element detects the lane.
-    pub(crate) fn run_pool(&mut self, pool: &CandidateBatch<C>) -> C {
-        let ascending = pool.ascending_mask();
-        let descending = !ascending & pool.lane_mask();
-        for index in 0..self.cells {
-            let descending_address = self.cells - 1 - index;
-            for slot in 0..pool.max_ops() {
-                if self.detected == pool.lane_mask() {
-                    return self.detected;
-                }
-                for (operation, kind_mask) in pool.slot_ops(slot) {
-                    let up = kind_mask & ascending;
-                    if !up.is_zero() {
-                        self.apply_masked(index, operation, up);
-                    }
-                    let down = kind_mask & descending;
-                    if !down.is_zero() {
-                        self.apply_masked(descending_address, operation, down);
-                    }
-                }
-            }
-        }
-        self.detected
-    }
-
-    /// Applies `operation` to cell `address` on the candidate lanes of
-    /// `lanes` only, mirroring [`PackedSimulator::apply`] step for step.
-    fn apply_masked(&mut self, address: usize, operation: Operation, lanes: C) {
-        // 1. Which operation-sensitized primitives fire, per candidate lane?
-        let mut fired = [C::ZERO; 2];
-        for (index, component) in self.components.iter().enumerate() {
-            fired[index] = self.sensitized_mask(component, address, operation) & lanes;
-        }
-
-        // 2. Read return values and detection. The decoder perturbation (if
-        // any) resolves first, mirroring the packed engine.
-        if operation.is_read() {
-            let golden_read = self.golden[address];
-            let mut observed = self.faulty[address];
-            if let Some(decoder) = self.decoder {
-                if decoder.source == address {
-                    observed = match decoder.fault {
-                        DecoderFault::NoCellAccessed { open_read } => broadcast::<C>(open_read),
-                        DecoderFault::NoAddressMaps | DecoderFault::MultipleAddressesMap => {
-                            self.faulty
-                                [decoder.destination.expect("pair class binds a destination")]
-                        }
-                        DecoderFault::MultipleCellsAccessed => {
-                            observed
-                                & self.faulty
-                                    [decoder.destination.expect("pair class binds a destination")]
-                        }
-                    };
-                }
-            }
-            for (index, component) in self.components.iter().enumerate() {
-                if component.victim == address {
-                    if let Some(read_output) = component.primitive.effect().read_output() {
-                        let mask = fired[index];
-                        let bits = broadcast::<C>(read_output);
-                        observed = (observed & !mask) | (bits & mask);
-                    }
-                }
-            }
-            self.detected |= (observed ^ golden_read) & lanes;
-        }
-
-        // 3. Fault-free effect of the operation, routed through the perturbed
-        // decode on the faulty side.
-        if let Operation::Write(value) = operation {
-            let bits = broadcast::<C>(value);
-            self.golden[address] = (self.golden[address] & !lanes) | (bits & lanes);
-            let mut write_own = true;
-            if let Some(decoder) = self.decoder {
-                if decoder.source == address {
-                    match decoder.fault {
-                        DecoderFault::NoCellAccessed { .. } => write_own = false,
-                        DecoderFault::NoAddressMaps | DecoderFault::MultipleAddressesMap => {
-                            write_own = false;
-                            let destination =
-                                decoder.destination.expect("pair class binds a destination");
-                            self.faulty[destination] =
-                                (self.faulty[destination] & !lanes) | (bits & lanes);
-                        }
-                        DecoderFault::MultipleCellsAccessed => {
-                            let destination =
-                                decoder.destination.expect("pair class binds a destination");
-                            self.faulty[destination] =
-                                (self.faulty[destination] & !lanes) | (bits & lanes);
-                        }
-                    }
-                }
-            }
-            if write_own {
-                self.faulty[address] = (self.faulty[address] & !lanes) | (bits & lanes);
-            }
-        }
-
-        // 4. Fault effects of the fired primitives, in injection order.
-        for (index, component) in self.components.iter().enumerate() {
-            if let Some(forced) = component.primitive.effect().victim_value().to_bit() {
-                let mask = fired[index];
-                if !mask.is_zero() {
-                    let bits = broadcast::<C>(forced);
-                    self.faulty[component.victim] =
-                        (self.faulty[component.victim] & !mask) | (bits & mask);
-                }
-            }
-        }
-
-        // 5. One settle pass of the state-sensitized primitives, on the lanes
-        // that executed this operation.
-        self.settle_state_faults(lanes);
-    }
-
-    /// Candidate lanes of `component` sensitized by applying `operation` to
-    /// `address`, evaluated on the pre-operation faulty state.
-    fn sensitized_mask(
-        &self,
-        component: &WaveComponent<'_>,
-        address: usize,
-        operation: Operation,
-    ) -> C {
-        let primitive = component.primitive;
-        let site = match primitive.sensitizing_site() {
-            SensitizingSite::None => return C::ZERO,
-            SensitizingSite::Victim => component.victim,
-            SensitizingSite::Aggressor => match component.aggressor {
-                Some(aggressor) => aggressor,
-                None => return C::ZERO,
-            },
-        };
-        if site != address {
-            return C::ZERO;
-        }
-        let required = primitive
-            .sensitizing_operation()
-            .expect("operation-sensitized primitive has an operation");
-        if !required.matches(operation) {
-            return C::ZERO;
-        }
-        let mut mask = condition_mask(primitive.victim().initial(), self.faulty[component.victim]);
-        if let Some(aggressor) = primitive.aggressor() {
-            let values = component
-                .aggressor
-                .map_or(C::ZERO, |aggressor_cell| self.faulty[aggressor_cell]);
-            mask &= condition_mask(aggressor.initial(), values);
-        }
-        mask
-    }
-
-    /// One pass over the state-sensitized primitives in injection order,
-    /// restricted to the candidate lanes of `lanes`.
-    fn settle_state_faults(&mut self, lanes: C) {
-        for index in 0..self.components.len() {
-            let component = &self.components[index];
-            let primitive = component.primitive;
-            if primitive.sensitizing_site() != SensitizingSite::None {
-                continue;
-            }
-            let mut mask =
-                lanes & condition_mask(primitive.victim().initial(), self.faulty[component.victim]);
-            if let Some(aggressor) = primitive.aggressor() {
-                let values = component
-                    .aggressor
-                    .map_or(C::ZERO, |aggressor_cell| self.faulty[aggressor_cell]);
-                mask &= condition_mask(aggressor.initial(), values);
-            }
-            if let Some(forced) = primitive.effect().victim_value().to_bit() {
-                let victim = self.components[index].victim;
-                let bits = broadcast::<C>(forced);
-                self.faulty[victim] = (self.faulty[victim] & !mask) | (bits & mask);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1667,8 +1219,7 @@ mod tests {
 
         // Exhaustive address-line pairs on 32 cells: 32 primaries × 5 strides
         // × 2 backgrounds = 320 lanes — forces chunking, and partial
-        // detection exercises the decoder-plane path of `merge_lanes` through
-        // `TargetBatch` compaction.
+        // detection exercises the decoder masks of `TargetBatch` compaction.
         let backgrounds = [InitialState::AllZero, InitialState::AllOne];
         for fault in DecoderFault::all() {
             let target = TargetKind::Decoder(fault);
@@ -1687,32 +1238,33 @@ mod tests {
                 );
             }
 
-            // Advance the scalar batch and a packed batch of every lane width
-            // element by element through a weak test: compaction
-            // (decoder-plane lane merging) must not change scores or the
-            // surviving lane set at any width.
-            for width in LaneWidth::ALL {
-                let mut scalar_batch =
-                    crate::TargetBatch::new(target.clone(), lanes.clone(), 32, BackendKind::Scalar);
-                let mut packed_batch = crate::TargetBatch::new_with_width(
-                    target.clone(),
-                    lanes.clone(),
-                    32,
-                    BackendKind::Packed,
-                    width,
+            // Advance a scalar and a packed batch element by element through
+            // a weak test: re-packing the survivors across words (decoder
+            // masks included) must not change scores or the surviving lanes.
+            let targets = std::sync::Arc::new(vec![(
+                target.clone(),
+                std::sync::Arc::new(crate::LaneSet::from(lanes.clone())),
+            )]);
+            let mut scalar_batch =
+                crate::TargetBatch::new(std::sync::Arc::clone(&targets), 32, BackendKind::Scalar);
+            let mut packed_batch = crate::TargetBatch::new(targets, 32, BackendKind::Packed);
+            let pool = catalog::march_c_minus().elements().to_vec();
+            for (_, element) in catalog::mats_plus().iter() {
+                assert_eq!(
+                    scalar_batch.score_pool(&pool),
+                    packed_batch.score_pool(&pool),
+                    "{fault}"
                 );
-                for (_, element) in catalog::mats_plus().iter() {
-                    assert_eq!(
-                        scalar_batch.advance(element),
-                        packed_batch.advance(element),
-                        "{fault} at width {width}"
-                    );
-                    assert_eq!(
-                        scalar_batch.pending_lanes(),
-                        packed_batch.pending_lanes(),
-                        "{fault} at width {width}"
-                    );
-                }
+                assert_eq!(
+                    scalar_batch.advance(element),
+                    packed_batch.advance(element),
+                    "{fault}"
+                );
+                assert_eq!(
+                    scalar_batch.pending_lanes(),
+                    packed_batch.pending_lanes(),
+                    "{fault}"
+                );
             }
         }
     }

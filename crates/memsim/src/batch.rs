@@ -1,149 +1,94 @@
 //! Incremental, backend-agnostic batches of coverage lanes — the simulation
 //! state the greedy generator and the minimiser advance element by element.
 //!
-//! A [`TargetBatch`] holds every still-undetected `(placement, background)`
-//! lane of one fault target together with the simulator state reached after
-//! the march prefix built so far. Every lane is simulated on its projected
+//! A [`TargetBatch`] holds the still-undetected `(placement, background)`
+//! lanes of any number of fault targets — the generator builds one over every
+//! target of a list — together with the simulator state reached after the
+//! march prefix built so far. Every lane is simulated on its projected
 //! memory: the at most three cells its fault instance involves, their ranks
 //! as addresses and the background cut down to them (see `projection.rs`),
 //! so a batch costs the same on any memory size. The lane descriptors it
-//! reports stay the original ones. Scoring a candidate march element only
-//! has to simulate that element: on the scalar backend by cloning each
-//! lane's [`FaultSimulator`], on the packed backend by cloning a handful of
-//! lane-word bit-planes and running all lanes of a chunk at once. The packed
-//! chunk word is width-generic ([`LaneWord`]): a `u64` chunk carries 64
-//! lanes, the [`W128`]/[`W256`] blocks carry 128/256 — picked per batch by
-//! the [`LaneWidth`] policy, with byte-identical scores and pending sets at
-//! every width.
+//! reports stay the original ones.
+//!
+//! On the packed backend the lanes are packed, in (target, lane) order, into
+//! shared 64-lane projected words whose lanes carry their own fault as masks,
+//! so one word mixes the lanes of several targets, of any fault kind and
+//! cell count. Scoring a candidate march element copies each word and runs
+//! the element on the copy; advancing re-packs the pending lanes of all
+//! targets densely, in order, whenever that frees a word. The scalar backend
+//! keeps one [`FaultSimulator`] per lane as the differential reference.
 
 use std::fmt;
 use std::sync::Arc;
 
 use march_test::MarchElement;
-use sram_fault_model::{Bit, Operation};
 
-use crate::backend::{scalar_lane_simulator, BackendKind, CoverageLane, PackedSimulator};
+use crate::backend::{scalar_lane_simulator, BackendKind, CoverageLane};
 use crate::coverage::TargetKind;
-use crate::lane::{LaneWidth, LaneWord, W128, W256};
-use crate::projection::project_lanes;
-use crate::{FaultSimulator, SimulationError};
+use crate::projection::{project_lane, projected_cells, ProjectedWord, WORD_LANES};
+use crate::{FaultSimulator, TargetLanes};
 
-/// The wave-vs-per-candidate cost-model factor.
-///
-/// The packed candidate-wave evaluator pays roughly this many masked group
-/// passes per padded operation slot per pending lane, versus one plain pass
-/// per operation of every candidate on the per-candidate path (see
-/// [`TargetBatch::score_pool`]). The value is calibrated from the committed
-/// `BENCH_simulation.json` trajectory: with a factor of 3 the batched
-/// repair-pool workloads run 10–12× over per-candidate scoring, and nudging
-/// the factor to 2 or 4 flips the switch on pool shapes where the measured
-/// times show the other path is cheaper.
-pub(crate) const WAVE_COST_FACTOR: usize = 3;
+/// A lane of a batch: its target's index in the batch's [`TargetLanes`] and
+/// its own index among that target's lanes.
+type LaneRef = (usize, usize);
 
-/// One scalar lane: its descriptor plus the advanced simulator state.
+/// One scalar lane and its advanced simulator state.
 #[derive(Debug)]
 struct ScalarLane {
-    lane: CoverageLane,
+    lane: LaneRef,
     simulator: FaultSimulator,
 }
 
 impl Clone for ScalarLane {
     fn clone(&self) -> ScalarLane {
         ScalarLane {
-            lane: self.lane.clone(),
+            lane: self.lane,
             simulator: self.simulator.clone(),
         }
     }
 
     fn clone_from(&mut self, source: &ScalarLane) {
-        self.lane.clone_from(&source.lane);
+        self.lane = source.lane;
         self.simulator.clone_from(&source.simulator);
     }
 }
 
-/// The backend-specific simulation state of a batch. The packed variants
-/// differ only in the lane-word width of their chunks; every operation on
-/// them goes through the same width-generic helpers.
+/// One packed word and the lane each of its lanes holds, in bit order. The
+/// lane list is `Arc`-shared with every snapshot of the word: it only
+/// changes on compaction, so a snapshot copies the word and bumps a count.
+#[derive(Debug, Clone)]
+struct BatchWord {
+    word: ProjectedWord,
+    lanes: Arc<[LaneRef]>,
+}
+
+/// The backend-specific simulation state of a batch.
 #[derive(Debug)]
 enum BatchState {
     /// One dual-memory simulator per undetected lane.
     Scalar(Vec<ScalarLane>),
-    /// Packed chunks of up to 64 lanes; detected lanes are masked out of the
-    /// scoring by each chunk's detection mask.
-    Packed(Vec<PackedChunk>),
-    /// Packed chunks of up to 128 lanes (`[u64; 2]` words).
-    Packed128(Vec<PackedChunk<W128>>),
-    /// Packed chunks of up to 256 lanes (`[u64; 4]` words).
-    Packed256(Vec<PackedChunk<W256>>),
+    /// Projected words of up to 64 lanes; detected lanes are masked out of
+    /// the scoring by each word's detection mask until a compaction drops
+    /// them.
+    Packed(Vec<BatchWord>),
 }
 
 impl Clone for BatchState {
     fn clone(&self) -> BatchState {
         match self {
             BatchState::Scalar(lanes) => BatchState::Scalar(lanes.clone()),
-            BatchState::Packed(chunks) => BatchState::Packed(chunks.clone()),
-            BatchState::Packed128(chunks) => BatchState::Packed128(chunks.clone()),
-            BatchState::Packed256(chunks) => BatchState::Packed256(chunks.clone()),
+            BatchState::Packed(words) => BatchState::Packed(words.clone()),
         }
     }
 
     /// Variant-aware `clone_from`: restoring a snapshot into a batch of the
-    /// same backend (and lane width) re-uses every lane/plane buffer already
-    /// allocated.
+    /// same backend re-uses every lane and word buffer already allocated.
     fn clone_from(&mut self, source: &BatchState) {
         match (self, source) {
             (BatchState::Scalar(into), BatchState::Scalar(from)) => into.clone_from(from),
             (BatchState::Packed(into), BatchState::Packed(from)) => into.clone_from(from),
-            (BatchState::Packed128(into), BatchState::Packed128(from)) => into.clone_from(from),
-            (BatchState::Packed256(into), BatchState::Packed256(from)) => into.clone_from(from),
             (into, from) => *into = from.clone(),
         }
-    }
-}
-
-#[derive(Debug)]
-struct PackedChunk<W: LaneWord = u64> {
-    /// The lane descriptors, `Arc`-shared with every snapshot of this chunk:
-    /// they only change on compaction, so snapshot/restore pays one refcount
-    /// bump instead of cloning the whole descriptor vector.
-    lanes: Arc<Vec<CoverageLane>>,
-    simulator: PackedSimulator<W>,
-}
-
-impl<W: LaneWord> Clone for PackedChunk<W> {
-    fn clone(&self) -> PackedChunk<W> {
-        PackedChunk {
-            lanes: self.lanes.clone(),
-            simulator: self.simulator.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &PackedChunk<W>) {
-        self.lanes = Arc::clone(&source.lanes);
-        self.simulator.clone_from(&source.simulator);
-    }
-}
-
-impl<W: LaneWord> PackedChunk<W> {
-    fn pending_mask(&self) -> W {
-        !self.simulator.detected_mask() & self.simulator.lane_mask()
-    }
-
-    fn pending(&self) -> usize {
-        self.pending_mask().count_ones() as usize
-    }
-
-    /// Newly detected lanes of this chunk if `element` were executed next.
-    /// The trial runs on `scratch` (rebuilt from this chunk's state with
-    /// buffer-reusing `clone_from`), so repeated scoring never reallocates.
-    fn score_one_with(&self, element: &MarchElement, scratch: &mut PackedSimulator<W>) -> usize {
-        let before = self.simulator.detected_mask();
-        if before == self.simulator.lane_mask() {
-            return 0;
-        }
-        scratch.clone_from(&self.simulator);
-        scratch.apply_element(element);
-        (scratch.detected_mask() & !before).count_ones() as usize
     }
 }
 
@@ -151,294 +96,125 @@ impl<W: LaneWord> PackedChunk<W> {
 /// [`TargetBatch::snapshot`] and replayed with [`TargetBatch::restore`].
 ///
 /// The redundancy-removal pass records one snapshot per march element as it
-/// advances each target, so the trial for "remove operation *i* of element
-/// *e*" restores the checkpoint taken before *e* and re-simulates only the
-/// suffix — instead of re-running the whole shortened test from scratch.
+/// advances each chunk of lanes, so the trial for "remove operation *i* of
+/// element *e*" restores the checkpoint taken before *e* and re-simulates
+/// only the suffix — instead of re-running the whole shortened test from
+/// scratch.
 #[derive(Debug, Clone)]
 pub struct BatchSnapshot {
     state: BatchState,
 }
 
-/// A pool of candidate march elements packed one per bit-lane of a candidate
-/// word, ready for single-pass scoring against the pending lanes of a
-/// [`TargetBatch`]. The default `u64` word packs up to 64 candidates.
-///
-/// Per operation slot the pool pre-computes one lane mask per operation kind
-/// (`w0` / `w1` / read / wait — the only distinctions the fault semantics make)
-/// plus the mask of lanes that march ascending, so the
-/// candidate-wave evaluator can execute all candidates with a handful of
-/// masked bitwise operations per cell visit.
+/// Every coverage lane of a set of fault targets, advanced in lock-step as
+/// march elements are appended.
 ///
 /// # Examples
 ///
 /// ```
 /// use march_test::catalog;
 /// use sram_fault_model::FaultList;
-/// use sram_sim::{
-///     enumerate_lanes, BackendKind, CandidateBatch, InitialState, PlacementStrategy,
-///     TargetBatch, TargetKind,
-/// };
+/// use sram_sim::{BackendKind, Session, TargetBatch};
 ///
-/// let fault = FaultList::list_2().linked()[0].clone();
-/// let target = TargetKind::Linked(fault);
-/// let lanes = enumerate_lanes(
-///     &target,
-///     8,
-///     PlacementStrategy::Representative,
-///     &[InitialState::AllOne],
-/// )?;
-/// let batch = TargetBatch::new(target, lanes, 8, BackendKind::Packed);
-/// let pool: Vec<_> = catalog::march_sl().elements().to_vec();
-/// let packed = CandidateBatch::new(pool.clone())?;
-/// // One packed pass scores the whole pool...
-/// let batched = batch.score_pool(&packed);
-/// // ...and agrees with scoring every candidate on its own.
-/// let sequential: Vec<usize> = pool.iter().map(|e| batch.score(e)).collect();
-/// assert_eq!(batched, sequential);
-/// # Ok::<(), sram_sim::SimulationError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct CandidateBatch<C: LaneWord = u64> {
-    candidates: Vec<MarchElement>,
-    lane_mask: C,
-    ascending: C,
-    max_ops: usize,
-    total_ops: usize,
-    w0: Vec<C>,
-    w1: Vec<C>,
-    read: Vec<C>,
-    wait: Vec<C>,
-}
-
-impl CandidateBatch {
-    /// The maximum number of candidates one default-width (`u64`) batch
-    /// packs. Wider candidate words hold `C::BITS` candidates.
-    pub const MAX_CANDIDATES: usize = 64;
-
-    /// Splits a pool of any size into batches of at most `batch` candidates
-    /// (`0` = [`CandidateBatch::MAX_CANDIDATES`]; larger values are clamped).
-    #[must_use]
-    pub fn chunked(pool: &[MarchElement], batch: usize) -> Vec<CandidateBatch> {
-        let size = if batch == 0 {
-            CandidateBatch::MAX_CANDIDATES
-        } else {
-            batch.min(CandidateBatch::MAX_CANDIDATES)
-        };
-        pool.chunks(size)
-            .map(|chunk| CandidateBatch::new(chunk.to_vec()).expect("chunk sizes are in range"))
-            .collect()
-    }
-}
-
-impl<C: LaneWord> CandidateBatch<C> {
-    /// Packs `candidates` one per bit-lane.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimulationError::LaneCountOutOfRange`] if `candidates` is
-    /// empty or holds more than one candidate word's worth of elements
-    /// (split larger pools with [`CandidateBatch::chunked`]).
-    pub fn new(candidates: Vec<MarchElement>) -> Result<CandidateBatch<C>, SimulationError> {
-        if candidates.is_empty() || candidates.len() > C::BITS {
-            return Err(SimulationError::LaneCountOutOfRange {
-                requested: candidates.len(),
-            });
-        }
-        let max_ops = candidates
-            .iter()
-            .map(MarchElement::len)
-            .max()
-            .expect("pool is non-empty");
-        let total_ops = candidates.iter().map(MarchElement::len).sum();
-        let mut batch = CandidateBatch {
-            // The shared width-generic boundary helper: no `== 64` special
-            // case (see `LaneWord::full_mask`).
-            lane_mask: C::full_mask(candidates.len()),
-            ascending: C::ZERO,
-            max_ops,
-            total_ops,
-            w0: vec![C::ZERO; max_ops],
-            w1: vec![C::ZERO; max_ops],
-            read: vec![C::ZERO; max_ops],
-            wait: vec![C::ZERO; max_ops],
-            candidates,
-        };
-        for (lane, candidate) in batch.candidates.iter().enumerate() {
-            let bit = C::bit(lane);
-            // `Any` conventionally executes ascending, as in `run_march`.
-            if candidate.order() != march_test::AddressOrder::Descending {
-                batch.ascending |= bit;
-            }
-            for (slot, operation) in candidate.operations().iter().enumerate() {
-                match operation {
-                    Operation::Write(Bit::Zero) => batch.w0[slot] |= bit,
-                    Operation::Write(Bit::One) => batch.w1[slot] |= bit,
-                    Operation::Read(_) => batch.read[slot] |= bit,
-                    Operation::Wait => batch.wait[slot] |= bit,
-                }
-            }
-        }
-        Ok(batch)
-    }
-
-    /// The packed candidates, in lane order.
-    #[must_use]
-    pub fn candidates(&self) -> &[MarchElement] {
-        &self.candidates
-    }
-
-    /// Number of packed candidates.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.candidates.len()
-    }
-
-    /// Always `false`: batches are non-empty by construction.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.candidates.is_empty()
-    }
-
-    /// The mask with one bit set per packed candidate.
-    #[must_use]
-    pub fn lane_mask(&self) -> C {
-        self.lane_mask
-    }
-
-    /// Candidate lanes whose element visits cells in ascending order.
-    pub(crate) fn ascending_mask(&self) -> C {
-        self.ascending
-    }
-
-    /// The longest candidate's operation count (the padded slot count).
-    pub(crate) fn max_ops(&self) -> usize {
-        self.max_ops
-    }
-
-    /// Total operation count over all candidates (the per-candidate
-    /// scoring cost, used to decide when the wave pass is cheaper).
-    pub(crate) fn total_ops(&self) -> usize {
-        self.total_ops
-    }
-
-    /// The operation kinds executed at `slot` with their candidate-lane masks
-    /// (lanes shorter than `slot` appear in no mask and idle).
-    pub(crate) fn slot_ops(&self, slot: usize) -> [(Operation, C); 4] {
-        [
-            (Operation::W0, self.w0[slot]),
-            (Operation::W1, self.w1[slot]),
-            (Operation::Read(None), self.read[slot]),
-            (Operation::Wait, self.wait[slot]),
-        ]
-    }
-}
-
-/// Every coverage lane of one fault target, advanced in lock-step as march
-/// elements are appended.
-///
-/// # Examples
-///
-/// ```
-/// use march_test::catalog;
-/// use sram_fault_model::FaultList;
-/// use sram_sim::{
-///     enumerate_lanes, BackendKind, InitialState, PlacementStrategy, TargetBatch, TargetKind,
-/// };
-///
-/// let fault = FaultList::list_2().linked()[0].clone();
-/// let target = TargetKind::Linked(fault);
-/// let lanes = enumerate_lanes(
-///     &target,
-///     8,
-///     PlacementStrategy::Representative,
-///     &[InitialState::AllOne],
-/// )?;
-/// let mut batch = TargetBatch::new(target, lanes, 8, BackendKind::Packed);
-/// for (_, element) in catalog::march_sl().iter() {
+/// let session = Session::default();
+/// // One batch over every target of the list, its lanes packed into shared
+/// // 64-lane words.
+/// let mut batch = TargetBatch::new(
+///     session.target_lanes(&FaultList::list_2())?,
+///     session.memory_cells(),
+///     BackendKind::Packed,
+/// );
+/// let elements = catalog::march_sl().elements().to_vec();
+/// // Scoring a pool agrees with scoring every candidate on its own...
+/// let scores = batch.score_pool(&elements);
+/// let one_by_one: Vec<usize> = elements.iter().map(|element| batch.score(element)).collect();
+/// assert_eq!(scores, one_by_one);
+/// // ...and March SL covers every lane.
+/// for element in &elements {
 ///     batch.advance(element);
 /// }
-/// assert_eq!(batch.pending(), 0, "March SL covers every lane");
+/// assert_eq!(batch.pending(), 0);
 /// # Ok::<(), sram_sim::SimulationError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct TargetBatch {
-    target: TargetKind,
+    targets: Arc<TargetLanes>,
     state: BatchState,
 }
 
 impl TargetBatch {
-    /// Builds the batch for `target` over `lanes` placed on a
-    /// `memory_cells`-cell memory, simulated with `backend` at the automatic
-    /// lane width (the narrowest word holding the lane count; see
-    /// [`TargetBatch::new_with_width`]). Each lane is simulated on the at
-    /// most three cells it involves; `memory_cells` only validates the lanes,
-    /// so the batch's cost does not depend on it.
+    /// Builds the batch over every lane of `targets` — the lanes of a list
+    /// as [`Session::target_lanes`](crate::Session::target_lanes) returns
+    /// them, placed on a `memory_cells`-cell memory — simulated with
+    /// `backend`. Lanes keep (target, lane) order, and the batch keeps
+    /// `targets` to report them. Each lane is simulated on the at most three
+    /// cells it involves; `memory_cells` only validates the lanes, so the
+    /// batch's cost does not depend on it.
     ///
     /// # Panics
     ///
-    /// Panics if a lane's placement is invalid for the target (the enumerated
-    /// placements of [`enumerate_lanes`](crate::enumerate_lanes) always are),
-    /// names a cell at or beyond `memory_cells`, or starts from a custom
-    /// background whose length is not `memory_cells`.
+    /// Panics if a lane's placement is invalid for its target (the
+    /// enumerated placements of [`enumerate_lanes`](crate::enumerate_lanes)
+    /// always are), names a cell at or beyond `memory_cells`, or starts from
+    /// a custom background whose length is not `memory_cells`.
     #[must_use]
     pub fn new(
-        target: TargetKind,
-        lanes: Vec<CoverageLane>,
+        targets: Arc<TargetLanes>,
         memory_cells: usize,
         backend: BackendKind,
     ) -> TargetBatch {
-        TargetBatch::new_with_width(target, lanes, memory_cells, backend, LaneWidth::Auto)
-    }
-
-    /// Builds the batch with an explicit packed lane width. The width only
-    /// changes how many lanes share one chunk word (and hence the wall-clock
-    /// cost); scores, pending sets and snapshots are byte-identical across
-    /// widths. The scalar backend ignores the width. Lanes are projected and
-    /// validated against `memory_cells` as in [`TargetBatch::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a lane's placement is invalid for the target, names a cell
-    /// at or beyond `memory_cells`, or starts from a custom background whose
-    /// length is not `memory_cells`.
-    #[must_use]
-    pub fn new_with_width(
-        target: TargetKind,
-        lanes: Vec<CoverageLane>,
-        memory_cells: usize,
-        backend: BackendKind,
-        width: LaneWidth,
-    ) -> TargetBatch {
-        let (projected, cells) =
-            project_lanes(&lanes, memory_cells).expect("lanes fit the memory they are placed on");
+        let lanes: Vec<LaneRef> = targets
+            .iter()
+            .enumerate()
+            .flat_map(|(target, (_, lanes))| (0..lanes.len()).map(move |lane| (target, lane)))
+            .collect();
+        let projected = |&(target, lane): &LaneRef| {
+            let (kind, lanes) = &targets[target];
+            let projected = project_lane(&lanes[lane], memory_cells)
+                .expect("lanes fit the memory they are placed on");
+            (kind, projected)
+        };
         let state = match backend {
             BackendKind::Scalar => BatchState::Scalar(
                 lanes
-                    .into_iter()
-                    .zip(&projected)
-                    .map(|(lane, projected)| ScalarLane {
-                        simulator: scalar_lane_simulator(&target, projected, cells),
-                        lane,
+                    .iter()
+                    .map(|lane| {
+                        let (target, projected) = projected(lane);
+                        ScalarLane {
+                            lane: *lane,
+                            simulator: scalar_lane_simulator(
+                                target,
+                                &projected,
+                                projected_cells(&projected),
+                            ),
+                        }
                     })
                     .collect(),
             ),
-            BackendKind::Packed => match width.resolve(lanes.len()) {
-                LaneWidth::W128 => {
-                    BatchState::Packed128(build_chunks::<W128>(&target, &lanes, &projected, cells))
+            BackendKind::Packed => {
+                // Lanes are projected a word at a time into one buffer, so
+                // the batch never holds a projected copy of every lane.
+                let mut buffer = Vec::with_capacity(WORD_LANES);
+                let mut words = Vec::with_capacity(lanes.len().div_ceil(WORD_LANES));
+                for word in lanes.chunks(WORD_LANES) {
+                    buffer.clear();
+                    buffer.extend(word.iter().map(projected));
+                    words.push(BatchWord {
+                        word: ProjectedWord::pack(
+                            buffer.iter().map(|(target, lane)| (*target, lane)),
+                        ),
+                        lanes: word.into(),
+                    });
                 }
-                LaneWidth::W256 => {
-                    BatchState::Packed256(build_chunks::<W256>(&target, &lanes, &projected, cells))
-                }
-                _ => BatchState::Packed(build_chunks::<u64>(&target, &lanes, &projected, cells)),
-            },
+                BatchState::Packed(words)
+            }
         };
-        TargetBatch { target, state }
+        TargetBatch { targets, state }
     }
 
-    /// The fault target the batch instantiates.
-    #[must_use]
-    pub fn target(&self) -> &TargetKind {
-        &self.target
+    /// The target and the original descriptor of `lane`.
+    fn describe(&self, (target, lane): LaneRef) -> (&TargetKind, &CoverageLane) {
+        let (kind, lanes) = &self.targets[target];
+        (kind, &lanes[lane])
     }
 
     /// Number of lanes not yet detected by the march prefix.
@@ -446,29 +222,27 @@ impl TargetBatch {
     pub fn pending(&self) -> usize {
         match &self.state {
             BatchState::Scalar(lanes) => lanes.len(),
-            BatchState::Packed(chunks) => chunks_pending(chunks),
-            BatchState::Packed128(chunks) => chunks_pending(chunks),
-            BatchState::Packed256(chunks) => chunks_pending(chunks),
+            BatchState::Packed(words) => words
+                .iter()
+                .map(|word| word.word.pending().count_ones() as usize)
+                .sum(),
         }
     }
 
-    /// The descriptors of the still-undetected lanes.
+    /// The targets and original descriptors of the still-undetected lanes,
+    /// in (target, lane) order.
     #[must_use]
-    pub fn pending_lanes(&self) -> Vec<CoverageLane> {
-        let mut lanes = Vec::new();
-        self.pending_lanes_into(&mut lanes);
-        lanes
-    }
-
-    /// Appends the descriptors of the still-undetected lanes to `out` without
-    /// allocating a fresh vector — callers looping over many batches (escape
-    /// reporting, the minimiser's diagnostics) re-use one buffer.
-    pub fn pending_lanes_into(&self, out: &mut Vec<CoverageLane>) {
+    pub fn pending_lanes(&self) -> Vec<(&TargetKind, &CoverageLane)> {
         match &self.state {
-            BatchState::Scalar(lanes) => out.extend(lanes.iter().map(|lane| lane.lane.clone())),
-            BatchState::Packed(chunks) => chunks_pending_lanes_into(chunks, out),
-            BatchState::Packed128(chunks) => chunks_pending_lanes_into(chunks, out),
-            BatchState::Packed256(chunks) => chunks_pending_lanes_into(chunks, out),
+            BatchState::Scalar(lanes) => {
+                lanes.iter().map(|lane| self.describe(lane.lane)).collect()
+            }
+            BatchState::Packed(words) => words
+                .iter()
+                .flat_map(|word| {
+                    lanes_of(word.word.pending()).map(|bit| self.describe(word.lanes[bit]))
+                })
+                .collect(),
         }
     }
 
@@ -489,9 +263,9 @@ impl TargetBatch {
         snapshot.state.clone_from(&self.state);
     }
 
-    /// Rewinds the batch to a previously taken [`BatchSnapshot`]. The restore
-    /// re-uses the buffers the batch already holds (no allocation when the
-    /// shapes match), so trial-restore loops are cheap.
+    /// Rewinds the batch to a previously taken [`BatchSnapshot`] of it. The
+    /// restore re-uses the buffers the batch already holds, so trial-restore
+    /// loops are cheap.
     pub fn restore(&mut self, snapshot: &BatchSnapshot) {
         self.state.clone_from(&snapshot.state);
     }
@@ -502,7 +276,7 @@ impl TargetBatch {
     ///
     /// The batch state is consumed by the trial (lane states advance with no
     /// compaction); callers restore a snapshot before the next trial. The
-    /// scan is lane-major with a fail-fast: the first lane (scalar) or chunk
+    /// scan is lane-major with a fail-fast: the first lane (scalar) or word
     /// (packed) the suffix leaves undetected ends the trial, mirroring the
     /// early exit of
     /// [`SimulationBackend::first_undetected`](crate::SimulationBackend).
@@ -513,9 +287,15 @@ impl TargetBatch {
                     .iter()
                     .any(|element| run_element(element, &mut lane.simulator))
             }),
-            BatchState::Packed(chunks) => chunks_covers_suffix(chunks, elements),
-            BatchState::Packed128(chunks) => chunks_covers_suffix(chunks, elements),
-            BatchState::Packed256(chunks) => chunks_covers_suffix(chunks, elements),
+            BatchState::Packed(words) => words.iter_mut().all(|word| {
+                for element in elements {
+                    if word.word.pending() == 0 {
+                        return true;
+                    }
+                    word.word.run_element(element);
+                }
+                word.word.pending() == 0
+            }),
         }
     }
 
@@ -540,51 +320,40 @@ impl TargetBatch {
                     })
                     .count()
             }
-            BatchState::Packed(chunks) => chunks_score(chunks, element),
-            BatchState::Packed128(chunks) => chunks_score(chunks, element),
-            BatchState::Packed256(chunks) => chunks_score(chunks, element),
+            BatchState::Packed(words) => words
+                .iter()
+                .filter(|word| word.word.pending() != 0)
+                .map(|word| newly_detected(&word.word, element))
+                .sum(),
         }
     }
 
-    /// Scores every candidate of `pool` without advancing the batch, returning
-    /// the number of still-undetected lanes each candidate would newly detect,
-    /// in candidate order.
-    ///
-    /// On the scalar backend this is the per-candidate reference loop. On the
-    /// packed backend each chunk picks, per pool, the cheaper of two exact
-    /// strategies: the classic per-candidate packed pass, or transposing the
-    /// problem into a candidate wave — each pending lane's state broadcast
-    /// across the pool so one bit-parallel pass scores a whole candidate word
-    /// at once. The verdicts are byte-identical either way.
+    /// Scores every candidate of `pool` without advancing the batch,
+    /// returning the number of still-undetected lanes each candidate would
+    /// newly detect, in candidate order. The packed backend runs every
+    /// candidate on a copy of each word, word by word; the scalar backend
+    /// scores each candidate with [`TargetBatch::score`].
     #[must_use]
-    pub fn score_pool(&self, pool: &CandidateBatch) -> Vec<usize> {
-        self.score_pool_with_factor(pool, WAVE_COST_FACTOR)
-    }
-
-    /// [`TargetBatch::score_pool`] with an explicit cost-model factor: the
-    /// candidate wave is chosen when `pending × padded slots × factor ≤ Σ
-    /// candidate ops`. Both strategies are exact, so every factor returns
-    /// identical scores — the tests force each path through this.
-    pub(crate) fn score_pool_with_factor(
-        &self,
-        pool: &CandidateBatch,
-        wave_cost_factor: usize,
-    ) -> Vec<usize> {
+    pub fn score_pool(&self, pool: &[MarchElement]) -> Vec<usize> {
         match &self.state {
-            BatchState::Scalar(_) => pool
-                .candidates()
-                .iter()
-                .map(|candidate| self.score(candidate))
-                .collect(),
-            BatchState::Packed(chunks) => chunks_score_pool(chunks, pool, wave_cost_factor),
-            BatchState::Packed128(chunks) => chunks_score_pool(chunks, pool, wave_cost_factor),
-            BatchState::Packed256(chunks) => chunks_score_pool(chunks, pool, wave_cost_factor),
+            BatchState::Scalar(_) => pool.iter().map(|candidate| self.score(candidate)).collect(),
+            BatchState::Packed(words) => {
+                let mut scores = vec![0usize; pool.len()];
+                for word in words.iter().filter(|word| word.word.pending() != 0) {
+                    for (score, candidate) in scores.iter_mut().zip(pool) {
+                        *score += newly_detected(&word.word, candidate);
+                    }
+                }
+                scores
+            }
         }
     }
 
     /// Advances the batch by executing `element`; returns the number of lanes
-    /// it newly detected (those lanes stop being simulated). Detected lanes
-    /// are compacted away so later scoring only pays for pending ones.
+    /// it newly detected (those lanes stop being simulated). On the packed
+    /// backend the pending lanes of all words are then re-packed densely, in
+    /// order, when that needs fewer words, so later scoring only pays for
+    /// pending lanes.
     pub fn advance(&mut self, element: &MarchElement) -> usize {
         match &mut self.state {
             BatchState::Scalar(lanes) => {
@@ -592,185 +361,121 @@ impl TargetBatch {
                 lanes.retain_mut(|lane| !run_element(element, &mut lane.simulator));
                 before - lanes.len()
             }
-            BatchState::Packed(chunks) => chunks_advance(chunks, element),
-            BatchState::Packed128(chunks) => chunks_advance(chunks, element),
-            BatchState::Packed256(chunks) => chunks_advance(chunks, element),
-        }
-    }
-}
-
-/// Splits `lanes` into packed chunks of one `W` word each, every chunk
-/// simulating its share of the `projected` lanes on the `cells`-cell
-/// projected memory.
-fn build_chunks<W: LaneWord>(
-    target: &TargetKind,
-    lanes: &[CoverageLane],
-    projected: &[CoverageLane],
-    cells: usize,
-) -> Vec<PackedChunk<W>> {
-    lanes
-        .chunks(W::BITS)
-        .zip(projected.chunks(W::BITS))
-        .map(|(chunk, projected)| PackedChunk {
-            simulator: PackedSimulator::<W>::new(target, projected, cells)
-                .expect("enumerated placements are valid"),
-            lanes: Arc::new(chunk.to_vec()),
-        })
-        .collect()
-}
-
-fn chunks_pending<W: LaneWord>(chunks: &[PackedChunk<W>]) -> usize {
-    chunks.iter().map(PackedChunk::pending).sum()
-}
-
-fn chunks_pending_lanes_into<W: LaneWord>(chunks: &[PackedChunk<W>], out: &mut Vec<CoverageLane>) {
-    for chunk in chunks {
-        let detected = chunk.simulator.detected_mask();
-        out.extend(
-            chunk
-                .lanes
-                .iter()
-                .enumerate()
-                .filter(|(index, _)| !detected.test_bit(*index))
-                .map(|(_, lane)| lane.clone()),
-        );
-    }
-}
-
-fn chunks_covers_suffix<W: LaneWord>(
-    chunks: &mut [PackedChunk<W>],
-    elements: &[MarchElement],
-) -> bool {
-    chunks.iter_mut().all(|chunk| {
-        for element in elements {
-            if chunk.simulator.all_detected() {
-                return true;
+            BatchState::Packed(words) => {
+                let mut newly = 0usize;
+                for word in words.iter_mut() {
+                    let before = word.word.pending();
+                    if before == 0 {
+                        continue;
+                    }
+                    word.word.run_element(element);
+                    newly += (before & !word.word.pending()).count_ones() as usize;
+                }
+                compact(words);
+                newly
             }
-            chunk.simulator.apply_element(element);
         }
-        chunk.pending_mask().is_zero()
+    }
+
+    /// Splits the batch into one batch per 64-lane word, in order (on the
+    /// scalar backend, one per 64 lanes). The parts share this batch's lane
+    /// descriptors, and together they score, advance and report exactly as
+    /// the whole: they are the units a worker pool shards and the chunks the
+    /// minimiser checkpoints.
+    #[must_use]
+    pub fn split_words(&self) -> Vec<TargetBatch> {
+        let part = |state| TargetBatch {
+            targets: Arc::clone(&self.targets),
+            state,
+        };
+        match &self.state {
+            BatchState::Scalar(lanes) => lanes
+                .chunks(WORD_LANES)
+                .map(|chunk| part(BatchState::Scalar(chunk.to_vec())))
+                .collect(),
+            BatchState::Packed(words) => words
+                .iter()
+                .map(|word| part(BatchState::Packed(vec![word.clone()])))
+                .collect(),
+        }
+    }
+}
+
+/// The lanes `element` would newly detect on `word`, run on a copy.
+fn newly_detected(word: &ProjectedWord, element: &MarchElement) -> usize {
+    let mut trial = *word;
+    trial.run_element(element);
+    (word.pending() & !trial.pending()).count_ones() as usize
+}
+
+/// The set bits of `mask`, lowest first.
+fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane
+        })
     })
 }
 
-fn chunks_score<W: LaneWord>(chunks: &[PackedChunk<W>], element: &MarchElement) -> usize {
-    let mut scratch: Option<PackedSimulator<W>> = None;
-    chunks
+/// The lowest `count` set bits of `mask` (all of them if it has fewer).
+fn lowest_lanes(mask: u64, count: usize) -> u64 {
+    if mask.count_ones() as usize <= count {
+        return mask;
+    }
+    let beyond = lanes_of(mask).nth(count).expect("the mask has more lanes");
+    mask & ((1 << beyond) - 1)
+}
+
+/// Re-packs the pending lanes of `words` densely into as few words as hold
+/// them, in order, when that is fewer than there are: fully detected words
+/// drop out, and lanes move across word boundaries as needed. Lane order is
+/// preserved, so pending reporting and scores stay byte-identical.
+fn compact(words: &mut Vec<BatchWord>) {
+    let pending: usize = words
         .iter()
-        .map(|chunk| {
-            let scratch = match scratch.as_mut() {
-                Some(scratch) => scratch,
-                None => scratch.insert(chunk.simulator.clone()),
-            };
-            chunk.score_one_with(element, scratch)
-        })
-        .sum()
-}
-
-fn chunks_score_pool<W: LaneWord>(
-    chunks: &[PackedChunk<W>],
-    pool: &CandidateBatch,
-    wave_cost_factor: usize,
-) -> Vec<usize> {
-    let mut scores = vec![0usize; pool.len()];
-    let mut scratch: Option<PackedSimulator<W>> = None;
-    for chunk in chunks {
-        let pending = chunk.pending_mask();
-        if pending.is_zero() {
-            continue;
-        }
-        // The wave pays ~`wave_cost_factor` masked group passes per padded
-        // slot per pending lane; the per-candidate pass pays one plain pass
-        // per operation of every candidate. Saturating: a pathological
-        // factor must degrade to the per-candidate path, not wrap around to
-        // a spuriously cheap wave.
-        let pending_count = pending.count_ones() as usize;
-        let wave_cost = pending_count
-            .saturating_mul(pool.max_ops())
-            .saturating_mul(wave_cost_factor);
-        if wave_cost <= pool.total_ops() {
-            let mut lanes = pending;
-            while !lanes.is_zero() {
-                let lane = lanes.trailing_zeros() as usize;
-                lanes.clear_lowest_bit();
-                let mut detected = chunk.simulator.candidate_wave(lane).run_pool(pool);
-                while detected != 0 {
-                    let candidate = detected.trailing_zeros() as usize;
-                    detected &= detected - 1;
-                    scores[candidate] += 1;
-                }
-            }
-        } else {
-            // One scratch simulator serves every candidate of every chunk:
-            // the trial state is rebuilt with buffer-reusing `clone_from`
-            // instead of a fresh allocation per candidate.
-            let scratch = match scratch.as_mut() {
-                Some(scratch) => scratch,
-                None => scratch.insert(chunk.simulator.clone()),
-            };
-            for (index, candidate) in pool.candidates().iter().enumerate() {
-                scores[index] += chunk.score_one_with(candidate, scratch);
-            }
-        }
-    }
-    scores
-}
-
-fn chunks_advance<W: LaneWord>(chunks: &mut Vec<PackedChunk<W>>, element: &MarchElement) -> usize {
-    let mut newly = 0usize;
-    for chunk in chunks.iter_mut() {
-        let before = chunk.simulator.detected_mask();
-        if before == chunk.simulator.lane_mask() {
-            continue;
-        }
-        chunk.simulator.apply_element(element);
-        newly += (chunk.simulator.detected_mask() & !before).count_ones() as usize;
-    }
-    compact_chunks(chunks);
-    newly
-}
-
-/// Drops fully-detected packed chunks and, when every pending lane fits in
-/// one word, merges the survivors into a single dense chunk — so candidate
-/// scoring after a long march prefix clones and simulates one small word
-/// instead of many sparse ones. Lane order is preserved, keeping pending
-/// reporting and scores byte-identical to the uncompacted state.
-fn compact_chunks<W: LaneWord>(chunks: &mut Vec<PackedChunk<W>>) {
-    chunks.retain(|chunk| chunk.pending() > 0);
-    let total: usize = chunks.iter().map(PackedChunk::pending).sum();
-    let compactable = chunks.len() > 1
-        || chunks
-            .first()
-            .is_some_and(|chunk| chunk.lanes.len() > total);
-    if total == 0 || total > W::BITS || !compactable {
+        .map(|word| word.word.pending().count_ones() as usize)
+        .sum();
+    if pending.div_ceil(WORD_LANES) == words.len() {
         return;
     }
-    let sources: Vec<(&PackedSimulator<W>, W)> = chunks
-        .iter()
-        .map(|chunk| (&chunk.simulator, chunk.pending_mask()))
-        .collect();
-    let merged = PackedSimulator::merge_lanes(&sources)
-        .expect("at least one pending lane survives compaction");
-    let lanes: Vec<CoverageLane> = chunks
-        .iter()
-        .flat_map(|chunk| {
-            let pending = chunk.pending_mask();
-            chunk
-                .lanes
-                .iter()
-                .enumerate()
-                .filter(move |(index, _)| pending.test_bit(*index))
-                .map(|(_, lane)| lane.clone())
-        })
-        .collect();
-    *chunks = vec![PackedChunk {
-        lanes: Arc::new(lanes),
-        simulator: merged,
-    }];
+    let mut packed = Vec::with_capacity(pending.div_ceil(WORD_LANES));
+    let mut word = ProjectedWord::default();
+    let mut lanes: Vec<LaneRef> = Vec::with_capacity(WORD_LANES);
+    for source in words.iter() {
+        let mut rest = source.word.pending();
+        while rest != 0 {
+            let part = lowest_lanes(rest, WORD_LANES - lanes.len());
+            word.take(&source.word, part, lanes.len());
+            lanes.extend(lanes_of(part).map(|bit| source.lanes[bit]));
+            rest &= !part;
+            if lanes.len() == WORD_LANES {
+                packed.push(BatchWord {
+                    word,
+                    lanes: lanes.drain(..).collect(),
+                });
+                word = ProjectedWord::default();
+            }
+        }
+    }
+    if !lanes.is_empty() {
+        packed.push(BatchWord {
+            word,
+            lanes: lanes.into(),
+        });
+    }
+    *words = packed;
 }
 
 impl fmt::Display for TargetBatch {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} ({} pending lanes)", self.target, self.pending())
+        write!(
+            f,
+            "{} targets ({} pending lanes)",
+            self.targets.len(),
+            self.pending()
+        )
     }
 }
 
@@ -793,46 +498,80 @@ fn run_element(element: &MarchElement, simulator: &mut FaultSimulator) -> bool {
 mod tests {
     use super::*;
     use crate::backend::enumerate_lanes;
-    use crate::{InitialState, InstanceCells, PlacementStrategy, SimulationBackend};
+    use crate::{InitialState, InstanceCells, LaneSet, PlacementStrategy, SimulationBackend};
     use march_test::{catalog, MarchTest};
-    use sram_fault_model::FaultList;
+    use sram_fault_model::{Bit, FaultList};
 
-    fn batches_for(backend: BackendKind) -> Vec<TargetBatch> {
-        let list = FaultList::list_2();
-        list.linked()
-            .iter()
-            .map(|fault| {
-                let target = TargetKind::Linked(fault.clone());
-                let lanes = enumerate_lanes(
-                    &target,
-                    8,
-                    PlacementStrategy::Representative,
-                    &[InitialState::AllZero, InitialState::AllOne],
-                )
-                .unwrap();
-                TargetBatch::new(target, lanes, 8, backend)
-            })
-            .collect()
+    /// `targets` with their lanes, as a batch takes them.
+    fn target_lanes(targets: Vec<(TargetKind, Vec<CoverageLane>)>) -> Arc<TargetLanes> {
+        Arc::new(
+            targets
+                .into_iter()
+                .map(|(target, lanes)| (target, Arc::new(LaneSet::from(lanes))))
+                .collect(),
+        )
     }
 
-    /// The 112-lane linked target the width tests use: chunked at width 64,
-    /// one word at 128/256.
-    fn wide_target() -> (TargetKind, Vec<CoverageLane>) {
-        let fault = FaultList::list_1()
-            .linked()
-            .iter()
-            .find(|fault| fault.cell_count() == 2)
-            .expect("list #1 has two-cell faults")
-            .clone();
-        let target = TargetKind::Linked(fault);
-        let lanes = enumerate_lanes(
-            &target,
-            8,
-            PlacementStrategy::Exhaustive,
-            &[InitialState::AllZero, InitialState::AllOne],
+    /// Every target of `list` with its lanes on 8 cells under both uniform
+    /// backgrounds.
+    fn targets_of(list: &FaultList, strategy: PlacementStrategy) -> Arc<TargetLanes> {
+        target_lanes(
+            crate::enumerate_targets(list)
+                .into_iter()
+                .map(|target| {
+                    let lanes = enumerate_lanes(
+                        &target,
+                        8,
+                        strategy,
+                        &[InitialState::AllZero, InitialState::AllOne],
+                    )
+                    .unwrap();
+                    (target, lanes)
+                })
+                .collect(),
         )
-        .unwrap();
-        (target, lanes)
+    }
+
+    /// One batch over every target of `targets`.
+    fn batch_over(targets: &Arc<TargetLanes>, backend: BackendKind) -> TargetBatch {
+        TargetBatch::new(Arc::clone(targets), 8, backend)
+    }
+
+    /// One batch over every target of List #2 at representative scope.
+    fn list_2_batch(backend: BackendKind) -> TargetBatch {
+        batch_over(
+            &targets_of(&FaultList::list_2(), PlacementStrategy::Representative),
+            backend,
+        )
+    }
+
+    /// A List #1 batch of more than two words: a two-cell target under
+    /// exhaustive placements (112 lanes), then a single-cell and a
+    /// three-cell target, so words mix targets and cell counts.
+    fn mixed_targets() -> Arc<TargetLanes> {
+        let list = FaultList::list_1();
+        let linked = |cells: usize| {
+            list.linked()
+                .iter()
+                .find(|fault| fault.cell_count() == cells)
+                .expect("list #1 has faults of one, two and three cells")
+                .clone()
+        };
+        let backgrounds = [InitialState::AllZero, InitialState::AllOne];
+        target_lanes(
+            [
+                (2, PlacementStrategy::Exhaustive),
+                (1, PlacementStrategy::Exhaustive),
+                (3, PlacementStrategy::Representative),
+            ]
+            .into_iter()
+            .map(|(cells, strategy)| {
+                let target = TargetKind::Linked(linked(cells));
+                let lanes = enumerate_lanes(&target, 8, strategy, &backgrounds).unwrap();
+                (target, lanes)
+            })
+            .collect(),
+        )
     }
 
     #[test]
@@ -841,185 +580,90 @@ mod tests {
         // every lane exactly once, on both backends.
         let abl1 = catalog::march_abl1();
         for backend in [BackendKind::Scalar, BackendKind::Packed] {
-            for mut batch in batches_for(backend) {
-                let lanes = batch.pending();
-                let newly: usize = abl1.iter().map(|(_, element)| batch.advance(element)).sum();
-                assert_eq!(newly, lanes, "{}", batch.target());
-                assert_eq!(batch.pending(), 0);
-            }
+            let mut batch = list_2_batch(backend);
+            let lanes = batch.pending();
+            let newly: usize = abl1.iter().map(|(_, element)| batch.advance(element)).sum();
+            assert_eq!(newly, lanes, "{backend:?}");
+            assert_eq!(batch.pending(), 0);
         }
     }
 
     #[test]
     fn scalar_and_packed_batches_advance_identically() {
-        let mut scalar = batches_for(BackendKind::Scalar);
-        let mut packed = batches_for(BackendKind::Packed);
+        let mut scalar = list_2_batch(BackendKind::Scalar);
+        let mut packed = list_2_batch(BackendKind::Packed);
         for (_, element) in catalog::march_sl().iter() {
-            for (s, p) in scalar.iter_mut().zip(packed.iter_mut()) {
-                let score_s = s.score(element);
-                let score_p = p.score(element);
-                assert_eq!(score_s, score_p, "score diverged on {}", s.target());
-                assert_eq!(s.advance(element), score_s);
-                assert_eq!(p.advance(element), score_p);
-                assert_eq!(s.pending(), p.pending());
-            }
+            let score = scalar.score(element);
+            assert_eq!(packed.score(element), score, "score diverged on {element}");
+            assert_eq!(scalar.advance(element), score);
+            assert_eq!(packed.advance(element), score);
+            assert_eq!(scalar.pending(), packed.pending());
         }
-        assert!(scalar.iter().all(|batch| batch.pending() == 0));
-    }
-
-    #[test]
-    fn candidate_batch_construction_and_chunking() {
-        let pool = catalog::march_sl().elements().to_vec();
-        let batch: CandidateBatch = CandidateBatch::new(pool.clone()).unwrap();
-        assert_eq!(batch.len(), pool.len());
-        assert!(!batch.is_empty());
-        assert_eq!(batch.lane_mask().count_ones() as usize, pool.len());
-        assert_eq!(batch.candidates(), &pool[..]);
-        assert!(matches!(
-            CandidateBatch::<u64>::new(Vec::new()),
-            Err(SimulationError::LaneCountOutOfRange { requested: 0 })
-        ));
-        let big: Vec<MarchElement> = vec![pool[0].clone(); 65];
-        assert!(CandidateBatch::<u64>::new(big.clone()).is_err());
-        // A wider candidate word packs the same 65-element pool whole.
-        let wide = CandidateBatch::<W128>::new(big.clone()).unwrap();
-        assert_eq!(wide.len(), 65);
-        assert_eq!(wide.lane_mask().count_ones(), 65);
-        let chunks = CandidateBatch::chunked(&big, 0);
-        assert_eq!(chunks.len(), 2);
-        assert_eq!(chunks[0].len(), 64);
-        assert_eq!(chunks[1].len(), 1);
-        let small = CandidateBatch::chunked(&big, 7);
-        assert!(small.iter().all(|chunk| chunk.len() <= 7));
-        assert_eq!(small.iter().map(CandidateBatch::len).sum::<usize>(), 65);
-        assert!(CandidateBatch::chunked(&[], 0).is_empty());
+        assert_eq!(scalar.pending(), 0);
     }
 
     #[test]
     fn pool_scores_match_sequential_scores_on_both_backends() {
         // A pool mixing lengths, orders and kinds, scored at several march
-        // prefixes so both the wave and the per-candidate paths are exercised.
+        // prefixes.
         let mut pool = catalog::march_sl().elements().to_vec();
         pool.extend(catalog::march_ss().elements().iter().cloned());
         pool.extend(catalog::mats_plus().elements().iter().cloned());
-        let packed_pool: CandidateBatch = CandidateBatch::new(pool.clone()).unwrap();
-        let mut scalar = batches_for(BackendKind::Scalar);
-        let mut packed = batches_for(BackendKind::Packed);
+        let mut scalar = list_2_batch(BackendKind::Scalar);
+        let mut packed = list_2_batch(BackendKind::Packed);
         for (_, element) in catalog::march_ss().iter() {
-            for (s, p) in scalar.iter_mut().zip(packed.iter_mut()) {
-                let sequential: Vec<usize> =
-                    pool.iter().map(|candidate| s.score(candidate)).collect();
-                assert_eq!(s.score_pool(&packed_pool), sequential, "{}", s.target());
-                assert_eq!(p.score_pool(&packed_pool), sequential, "{}", p.target());
-                s.advance(element);
-                p.advance(element);
-            }
+            let sequential: Vec<usize> = pool
+                .iter()
+                .map(|candidate| scalar.score(candidate))
+                .collect();
+            assert_eq!(scalar.score_pool(&pool), sequential);
+            assert_eq!(packed.score_pool(&pool), sequential);
+            scalar.advance(element);
+            packed.advance(element);
         }
     }
 
     #[test]
     fn packed_compaction_preserves_scores_beyond_64_lanes() {
-        // Exhaustive two-cell placements on 8 cells force multiple chunks at
-        // width 64 (pinned: `Auto` would pick one 128-lane word and never
-        // chunk); advancing detects lanes and compacts the survivors.
-        let (target, lanes) = wide_target();
-        assert!(lanes.len() > PackedSimulator::<u64>::MAX_LANES);
-        let mut scalar = TargetBatch::new(target.clone(), lanes.clone(), 8, BackendKind::Scalar);
-        let mut packed =
-            TargetBatch::new_with_width(target, lanes, 8, BackendKind::Packed, LaneWidth::W64);
-        let pool: CandidateBatch =
-            CandidateBatch::new(catalog::march_ss().elements().to_vec()).unwrap();
+        // Three targets of one, two and three cells, 136 lanes in three
+        // words: advancing detects lanes and re-packs the survivors of all
+        // three targets into fewer words.
+        let targets = mixed_targets();
+        let mut scalar = batch_over(&targets, BackendKind::Scalar);
+        let mut packed = batch_over(&targets, BackendKind::Packed);
+        assert_eq!(packed.split_words().len(), 3);
+        let pool = catalog::march_ss().elements().to_vec();
+        let mut repacked = false;
         for (_, element) in catalog::march_sl().iter() {
             assert_eq!(scalar.advance(element), packed.advance(element));
             assert_eq!(scalar.pending_lanes(), packed.pending_lanes());
             assert_eq!(scalar.score_pool(&pool), packed.score_pool(&pool));
+            repacked |= packed.pending() > 0 && packed.split_words().len() < 3;
         }
         assert_eq!(packed.pending(), 0);
+        assert!(repacked, "the survivors were never re-packed");
     }
 
     #[test]
-    fn lane_widths_advance_and_score_identically() {
-        // Every lane width must produce the same scores, pending sets and
-        // pool scores at every march prefix — the batch-level byte-identity
-        // the pipeline-wide differential harness builds on.
-        let (target, lanes) = wide_target();
-        let mut reference = TargetBatch::new_with_width(
-            target.clone(),
-            lanes.clone(),
-            8,
-            BackendKind::Packed,
-            LaneWidth::W64,
-        );
-        let mut wide: Vec<TargetBatch> = [LaneWidth::Auto, LaneWidth::W128, LaneWidth::W256]
-            .into_iter()
-            .map(|width| {
-                TargetBatch::new_with_width(
-                    target.clone(),
-                    lanes.clone(),
-                    8,
-                    BackendKind::Packed,
-                    width,
-                )
-            })
-            .collect();
-        let pool: CandidateBatch =
-            CandidateBatch::new(catalog::march_ss().elements().to_vec()).unwrap();
-        for (_, element) in catalog::march_sl().iter() {
-            let scores = reference.score_pool(&pool);
-            let newly = reference.advance(element);
-            for batch in wide.iter_mut() {
-                assert_eq!(batch.score_pool(&pool), scores);
-                assert_eq!(batch.advance(element), newly);
-                assert_eq!(batch.pending_lanes(), reference.pending_lanes());
-            }
-        }
-        assert_eq!(reference.pending(), 0);
-    }
-
-    #[test]
-    fn wave_cost_factor_is_result_invariant() {
-        // Factor 0 forces the wave on every chunk, a huge factor forces the
-        // per-candidate pass; the scores must not change either way.
-        let mut pool = catalog::march_sl().elements().to_vec();
-        pool.extend(catalog::mats_plus().elements().iter().cloned());
-        let packed_pool: CandidateBatch = CandidateBatch::new(pool).unwrap();
-        let batches = batches_for(BackendKind::Packed);
-        for batch in &batches {
-            let reference = batch.score_pool(&packed_pool);
-            for factor in [0usize, 1, 3, 1_000_000] {
-                assert_eq!(
-                    batch.score_pool_with_factor(&packed_pool, factor),
-                    reference,
-                    "factor {factor} changed scores on {}",
-                    batch.target()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pathological_wave_cost_factors_degrade_to_per_candidate_scoring() {
-        // `usize::MAX`-adjacent factors used to overflow the wave-cost
-        // product (wrapping to a spuriously cheap wave in release builds);
-        // saturating arithmetic must pin them to the per-candidate path with
-        // byte-identical scores.
-        let pool: CandidateBatch =
-            CandidateBatch::new(catalog::march_ss().elements().to_vec()).unwrap();
-        let batches = batches_for(BackendKind::Packed);
-        for batch in &batches {
-            let reference = batch.score_pool(&pool);
-            for factor in [
-                usize::MAX,
-                usize::MAX - 1,
-                usize::MAX / 2,
-                usize::MAX / 3 + 1,
-            ] {
-                assert_eq!(
-                    batch.score_pool_with_factor(&pool, factor),
-                    reference,
-                    "factor {factor} changed scores on {}",
-                    batch.target()
-                );
+    fn split_words_score_and_report_as_the_whole() {
+        let targets = mixed_targets();
+        let pool = catalog::march_ss().elements().to_vec();
+        for backend in [BackendKind::Scalar, BackendKind::Packed] {
+            let mut batch = batch_over(&targets, backend);
+            for (_, element) in catalog::mats_plus().iter() {
+                let parts = batch.split_words();
+                assert!(parts.iter().all(|part| part.pending() <= WORD_LANES));
+                let mut scores = vec![0; pool.len()];
+                let mut pending = Vec::new();
+                for part in &parts {
+                    for (score, part_score) in scores.iter_mut().zip(part.score_pool(&pool)) {
+                        *score += part_score;
+                    }
+                    pending.extend(part.pending_lanes());
+                }
+                assert_eq!(scores, batch.score_pool(&pool), "{backend:?}");
+                assert_eq!(pending, batch.pending_lanes(), "{backend:?}");
+                batch.advance(element);
             }
         }
     }
@@ -1030,63 +674,33 @@ mod tests {
         // restored snapshot must behave exactly like a batch advanced from
         // scratch through the same prefix.
         let elements: Vec<MarchElement> = catalog::march_sl().elements().to_vec();
+        let targets = mixed_targets();
         for backend in [BackendKind::Scalar, BackendKind::Packed] {
-            for mut batch in batches_for(backend) {
-                let mut snapshots = vec![batch.snapshot()];
-                for element in &elements {
-                    batch.advance(element);
-                    snapshots.push(batch.snapshot());
-                }
-                let mut scratch = batch.clone();
-                for (prefix_len, snapshot) in snapshots.iter().enumerate() {
-                    scratch.restore(snapshot);
-                    let mut reference = batches_for(backend)
-                        .into_iter()
-                        .find(|candidate| candidate.target() == batch.target())
-                        .expect("same target set");
-                    for element in &elements[..prefix_len] {
-                        reference.advance(element);
-                    }
-                    assert_eq!(
-                        scratch.pending(),
-                        reference.pending(),
-                        "prefix {prefix_len}"
-                    );
-                    assert_eq!(scratch.pending_lanes(), reference.pending_lanes());
-                    // The restored state scores candidates identically too.
-                    let probe = &elements[0];
-                    assert_eq!(scratch.score(probe), reference.score(probe));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn wide_snapshots_restore_byte_identical_state() {
-        // The snapshot/restore chain carries the wide chunk variants too:
-        // restoring across a compaction boundary must rewind exactly.
-        let (target, lanes) = wide_target();
-        for width in [LaneWidth::W128, LaneWidth::W256] {
-            let mut batch = TargetBatch::new_with_width(
-                target.clone(),
-                lanes.clone(),
-                8,
-                BackendKind::Packed,
-                width,
-            );
-            let baseline = batch.snapshot();
-            let pending_before = batch.pending_lanes();
-            let mut slot = batch.snapshot();
-            for (_, element) in catalog::march_sl().iter() {
+            let mut batch = batch_over(&targets, backend);
+            let mut snapshots = vec![batch.snapshot()];
+            for element in &elements {
                 batch.advance(element);
-                batch.snapshot_into(&mut slot);
+                snapshots.push(batch.snapshot());
             }
-            assert_eq!(batch.pending(), 0);
-            let mut restored = batch.clone();
-            restored.restore(&slot);
-            assert_eq!(restored.pending(), 0, "width {width}");
-            restored.restore(&baseline);
-            assert_eq!(restored.pending_lanes(), pending_before, "width {width}");
+            let mut scratch = batch.clone();
+            for (prefix_len, snapshot) in snapshots.iter().enumerate() {
+                scratch.restore(snapshot);
+                let mut reference = batch_over(&targets, backend);
+                for element in &elements[..prefix_len] {
+                    reference.advance(element);
+                }
+                assert_eq!(
+                    scratch.pending(),
+                    reference.pending(),
+                    "prefix {prefix_len}"
+                );
+                assert_eq!(scratch.pending_lanes(), reference.pending_lanes());
+                // The restored state scores candidates identically too.
+                assert_eq!(
+                    scratch.score_pool(&elements),
+                    reference.score_pool(&elements)
+                );
+            }
         }
     }
 
@@ -1097,11 +711,17 @@ mod tests {
         // redundancy-removal pass is built on.
         let complete: Vec<MarchElement> = catalog::march_sl().elements().to_vec();
         let incomplete: Vec<MarchElement> = catalog::mats_plus().elements().to_vec();
+        let targets = targets_of(&FaultList::list_2(), PlacementStrategy::Representative);
         for backend in [BackendKind::Scalar, BackendKind::Packed] {
-            for (elements, expected) in [(&complete, true), (&incomplete, false)] {
-                for batch in batches_for(backend) {
-                    let full_expected = expected || {
-                        // Some targets are covered even by MATS+.
+            for elements in [&complete, &incomplete] {
+                // The whole list, and every target on its own.
+                let batches = std::iter::once(batch_over(&targets, backend)).chain(
+                    targets
+                        .iter()
+                        .map(|target| batch_over(&Arc::new(vec![target.clone()]), backend)),
+                );
+                for batch in batches {
+                    let expected = {
                         let mut probe = batch.clone();
                         elements.iter().for_each(|element| {
                             probe.advance(element);
@@ -1113,10 +733,9 @@ mod tests {
                         let mut trial = batch.clone();
                         trial.restore(&advanced.snapshot());
                         assert_eq!(
-                            trial.covers_suffix(&elements[split.min(elements.len())..]),
-                            full_expected,
-                            "{} split {split} ({backend:?})",
-                            batch.target()
+                            trial.covers_suffix(&elements[split..]),
+                            expected,
+                            "{batch} split {split} ({backend:?})"
                         );
                         if split < elements.len() {
                             advanced.advance(&elements[split]);
@@ -1130,7 +749,7 @@ mod tests {
     #[test]
     fn snapshot_into_reuses_slots_identically() {
         let elements: Vec<MarchElement> = catalog::march_ss().elements().to_vec();
-        let mut batch = batches_for(BackendKind::Packed).remove(0);
+        let mut batch = batch_over(&mixed_targets(), BackendKind::Packed);
         let mut slot = batch.snapshot();
         for element in &elements {
             batch.advance(element);
@@ -1160,7 +779,7 @@ mod tests {
         .unwrap();
         lanes.truncate(1);
         lanes.push(lane);
-        TargetBatch::new(target, lanes, 8, backend)
+        TargetBatch::new(target_lanes(vec![(target, lanes)]), 8, backend)
     }
 
     /// A lane on the last cell of a 9-cell memory, one past the batch's.
@@ -1207,7 +826,8 @@ mod tests {
     fn lanes_involving_fewer_cells_than_others_are_padded_exactly() {
         // A single-cell primitive ignores the aggressor slot, but the
         // projection keeps the cell it names: these lanes involve one or two
-        // cells, so the one-cell lanes are padded onto the two-cell memory.
+        // cells, so in a packed word the one-cell lanes are padded onto the
+        // two-cell memory.
         let primitive = FaultList::unlinked_static()
             .simple()
             .iter()
@@ -1229,16 +849,20 @@ mod tests {
         .collect();
         let elements = catalog::march_c_minus().elements().to_vec();
         for backend in [BackendKind::Scalar, BackendKind::Packed] {
-            let mut batch = TargetBatch::new(target.clone(), lanes.clone(), 8, backend);
+            let mut batch = TargetBatch::new(
+                target_lanes(vec![(target.clone(), lanes.clone())]),
+                8,
+                backend,
+            );
             for prefix in 1..=elements.len() {
                 batch.advance(&elements[prefix - 1]);
                 let test = MarchTest::new("prefix", elements[..prefix].to_vec()).unwrap();
                 let full_memory = crate::ScalarBackend.lane_verdicts(&test, &target, &lanes, 8);
-                let pending: Vec<CoverageLane> = lanes
+                let pending: Vec<(&TargetKind, &CoverageLane)> = lanes
                     .iter()
                     .zip(full_memory)
                     .filter(|(_, detected)| !detected)
-                    .map(|(lane, _)| lane.clone())
+                    .map(|(lane, _)| (&target, lane))
                     .collect();
                 assert_eq!(
                     batch.pending_lanes(),
@@ -1251,15 +875,14 @@ mod tests {
 
     #[test]
     fn pending_lanes_match_across_backends() {
-        let mut scalar = batches_for(BackendKind::Scalar);
-        let mut packed = batches_for(BackendKind::Packed);
+        let mut scalar = list_2_batch(BackendKind::Scalar);
+        let mut packed = list_2_batch(BackendKind::Packed);
         // Advance by an incomplete prefix and compare the surviving lanes.
         let element = catalog::mats_plus().elements()[0].clone();
-        for (s, p) in scalar.iter_mut().zip(packed.iter_mut()) {
-            s.advance(&element);
-            p.advance(&element);
-            assert_eq!(s.pending_lanes(), p.pending_lanes());
-            assert!(!s.to_string().is_empty());
-        }
+        scalar.advance(&element);
+        packed.advance(&element);
+        assert_eq!(scalar.pending_lanes(), packed.pending_lanes());
+        assert!(!scalar.pending_lanes().is_empty());
+        assert_eq!(scalar.to_string(), packed.to_string());
     }
 }

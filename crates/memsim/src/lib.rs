@@ -34,7 +34,8 @@
 //!   ([`SimulationBackend::projected_verdicts`]), so the per-lane cost does
 //!   not grow with the memory size.
 //!   A [`TargetBatch`] — the state the generator and the minimiser advance —
-//!   simulates every lane on its projected cells the same way. Reports,
+//!   simulates every lane on its projected cells the same way, the lanes of
+//!   all targets of a list packed into shared 64-lane words. Reports,
 //!   scores and generated tests are byte-identical to the full-memory walk,
 //!   which the backends, [`PackedSimulator`] and diagnosis keep;
 //! * runs seeded Monte-Carlo **campaigns** over the exhaustive instance
@@ -111,7 +112,7 @@ pub use backend::{
     enumerate_lanes, BackendKind, CoverageLane, PackedBackend, PackedSimulator, ScalarBackend,
     SimulationBackend,
 };
-pub use batch::{BatchSnapshot, CandidateBatch, TargetBatch};
+pub use batch::{BatchSnapshot, TargetBatch};
 pub use campaign::{
     sample_draw_indices, wilson_interval, CampaignConfig, CampaignEscape, CampaignReport,
     CampaignSpace, MAX_CAMPAIGN_DRAWS,

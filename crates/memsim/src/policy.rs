@@ -12,8 +12,8 @@ use crate::backend::BackendKind;
 use crate::lane::LaneWidth;
 
 /// Execution policy shared by every pipeline stage: which backend simulates,
-/// how many worker threads fan the work out, how many candidates are packed
-/// per scoring batch, and how many coverage lanes one packed word carries.
+/// how many worker threads fan the work out, and how many lanes one word of
+/// the packed backend's full-memory reference walk carries.
 ///
 /// Every knob is *result-invariant*: verdicts, reports and generated tests
 /// are byte-identical for every policy; only the wall-clock changes.
@@ -23,25 +23,25 @@ use crate::lane::LaneWidth;
 /// ```
 /// use sram_sim::{BackendKind, ExecPolicy};
 ///
-/// let policy = ExecPolicy::default().with_threads(0).with_batch(32);
+/// let policy = ExecPolicy::default().with_threads(0);
 /// assert_eq!(policy.backend, BackendKind::Packed);
-/// assert_eq!(policy.batch, 32);
+/// assert_eq!(policy.threads, 0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExecPolicy {
     /// Which simulation backend evaluates coverage lanes and candidates.
     /// Defaults to the bit-parallel packed engine.
     pub backend: BackendKind,
-    /// Worker threads the fault targets / scoring grid fan out over
-    /// (`1` = serial, `0` = available parallelism).
+    /// Worker threads coverage words, scoring words and minimiser chunks
+    /// fan out over (`1` = serial, `0` = available parallelism).
     pub threads: usize,
-    /// Maximum candidates packed per [`CandidateBatch`](crate::CandidateBatch)
-    /// when scoring (`0` = full 64-lane words, `1` = per-candidate scoring).
-    pub batch: usize,
-    /// How many coverage lanes the packed backend carries per word
-    /// (`Auto` = narrowest width holding each target's lane count; explicit
-    /// 64/128/256 pin the word). Ignored by the scalar backend. Like every
-    /// other knob, result-invariant: reports are byte-identical at any width.
+    /// How many lanes one word of the packed backend's full-memory walk
+    /// ([`SimulationBackend::lane_verdicts`](crate::SimulationBackend::lane_verdicts)
+    /// and `first_undetected`, the differential reference) carries (`Auto` =
+    /// narrowest width holding each target's lane count; explicit 64/128/256
+    /// pin the word). Coverage, campaigns, generation and minimisation run
+    /// on 64-lane projected words and never read it. Ignored by the scalar
+    /// backend; result-invariant like every other knob.
     pub lane_width: LaneWidth,
 }
 
@@ -50,15 +50,14 @@ impl Default for ExecPolicy {
         ExecPolicy {
             backend: BackendKind::Packed,
             threads: 1,
-            batch: 0,
             lane_width: LaneWidth::Auto,
         }
     }
 }
 
 impl ExecPolicy {
-    /// A policy using every available core and full scoring words — the fast
-    /// path for large workloads. Results are identical to the default policy.
+    /// A policy using every available core — the fast path for large
+    /// workloads. Results are identical to the default policy.
     #[must_use]
     pub fn fast() -> ExecPolicy {
         ExecPolicy {
@@ -81,14 +80,6 @@ impl ExecPolicy {
         self
     }
 
-    /// Replaces the candidate-batch width (`0` = full 64-candidate words,
-    /// `1` = per-candidate scoring).
-    #[must_use]
-    pub fn with_batch(mut self, batch: usize) -> ExecPolicy {
-        self.batch = batch;
-        self
-    }
-
     /// Replaces the packed lane width.
     #[must_use]
     pub fn with_lane_width(mut self, lane_width: LaneWidth) -> ExecPolicy {
@@ -106,7 +97,6 @@ mod tests {
         let policy = ExecPolicy::default();
         assert_eq!(policy.backend, BackendKind::Packed);
         assert_eq!(policy.threads, 1);
-        assert_eq!(policy.batch, 0);
         assert_eq!(policy.lane_width, LaneWidth::Auto);
         assert_eq!(ExecPolicy::fast().threads, 0);
         assert_eq!(ExecPolicy::fast().lane_width, LaneWidth::Auto);
@@ -117,11 +107,9 @@ mod tests {
         let policy = ExecPolicy::default()
             .with_backend(BackendKind::Scalar)
             .with_threads(4)
-            .with_batch(16)
             .with_lane_width(LaneWidth::W256);
         assert_eq!(policy.backend, BackendKind::Scalar);
         assert_eq!(policy.threads, 4);
-        assert_eq!(policy.batch, 16);
         assert_eq!(policy.lane_width, LaneWidth::W256);
     }
 }

@@ -41,16 +41,19 @@
 //! partition per distinct lane set plus one simulation per word: Fault List
 //! #1 at 8 or 16 cells is 6,448 class representatives in 102 words.
 //!
-//! The generator's and the minimiser's [`TargetBatch`](crate::TargetBatch)es
-//! project too, lane by lane rather than class by class, since a greedy score
-//! counts lanes: [`project_lanes`] remaps every lane onto its involved cells,
-//! and the batch simulates it there while keeping the original descriptor.
-//! The argument below holds at every prefix of a march test, so a batch's
-//! pending lanes and scores equal the full-memory walk's after every
-//! element. The backends' per-target methods,
-//! [`PackedSimulator`](crate::PackedSimulator), the full re-simulation
-//! minimiser and the dictionary and diagnosis paths keep the full-memory
-//! walk, which serves as the differential reference.
+//! The generator's and the minimiser's [`TargetBatch`](crate::TargetBatch)
+//! projects too, lane by lane rather than class by class, since a greedy
+//! score counts lanes: [`project_lane`] remaps every lane onto its involved
+//! cells, and the packed batch packs the lanes of all its targets, in
+//! (target, lane) order, into the same words, keeping each lane's original
+//! descriptor beside them. Scoring runs a candidate on a copy of a word
+//! ([`ProjectedWord::run_element`]); advancing re-packs the pending lanes
+//! densely ([`ProjectedWord::take`]). The argument below holds at every
+//! prefix of a march test, so a batch's pending lanes and scores equal the
+//! full-memory walk's after every element. The backends' per-target
+//! methods, [`PackedSimulator`](crate::PackedSimulator), the full
+//! re-simulation minimiser and the dictionary and diagnosis paths keep the
+//! full-memory walk, which serves as the differential reference.
 //!
 //! [`LaneSet`]: crate::LaneSet
 //! [`SimulationBackend::projected_verdicts`]: crate::SimulationBackend::projected_verdicts
@@ -82,21 +85,20 @@
 //! The projected run therefore applies the same operation sequence to the
 //! involved cells, from the same state, with the same read results, as the
 //! full-memory run: the verdict is the same, and so is every read result
-//! after every operation. Uninvolved cells on the projected memory (a batch
-//! or a word pads a lane that involves fewer cells than the others) obey the
-//! first two points, so they change nothing either.
+//! after every operation. Uninvolved cells on the projected memory (a word
+//! pads a lane that involves fewer cells than the others) obey the first two
+//! points, so they change nothing either.
 //!
 //! The projection reads each lane's background bit by address, so it relies
 //! on the scope checks upstream (a [`InitialState::Custom`] background must
 //! match the memory size, see
 //! [`SimulationError::InitialStateSizeMismatch`](crate::SimulationError));
-//! [`project_lanes`] makes them itself.
+//! [`project_lane`] makes them itself.
 
-use std::iter;
 use std::ops::Range;
 use std::sync::Arc;
 
-use march_test::MarchTest;
+use march_test::{MarchElement, MarchTest};
 use sram_fault_model::{Bit, CellValue, DecoderFault, FaultPrimitive, Operation, SensitizingSite};
 
 use crate::backend::CoverageLane;
@@ -187,10 +189,9 @@ impl Involved {
             .expect("every slot address is an involved cell")
     }
 
-    /// `lane` remapped onto a projected memory of `cells` cells, at least the
-    /// involved ones: ranks as addresses, the background cut down to the
-    /// involved cells. Any cells past them are uninvolved and start from zero.
-    fn project(&self, lane: &CoverageLane, cells: usize) -> CoverageLane {
+    /// `lane` remapped onto the projected memory of its involved cells:
+    /// ranks as addresses, the background cut down to those cells.
+    fn project(&self, lane: &CoverageLane) -> CoverageLane {
         CoverageLane {
             cells: InstanceCells {
                 victim: self.rank(lane.cells.victim),
@@ -205,8 +206,6 @@ impl Involved {
                     self.addresses()
                         .iter()
                         .map(|&address| background.bit_at(address))
-                        .chain(iter::repeat(Bit::Zero))
-                        .take(cells)
                         .collect(),
                 ),
             },
@@ -240,9 +239,7 @@ impl Classes {
             classes.index_of_code[code] = classes.first_lanes.len() as u16;
             classes.first_lanes.push(index);
             let involved = Involved::of(&lane.cells);
-            classes
-                .representatives
-                .push(involved.project(lane, involved.count));
+            classes.representatives.push(involved.project(lane));
         }
         classes
     }
@@ -320,7 +317,7 @@ pub(crate) fn coverage_words(
 pub(crate) fn word_verdicts(test: &MarchTest, lanes: &[(&TargetKind, &CoverageLane)]) -> Vec<bool> {
     let mut verdicts = Vec::with_capacity(lanes.len());
     for word in lanes.chunks(WORD_LANES) {
-        let detected = ProjectedWord::pack(word).run(test);
+        let detected = ProjectedWord::pack(word.iter().copied()).run(test);
         verdicts.extend((0..word.len()).map(|lane| detected >> lane & 1 == 1));
     }
     verdicts
@@ -344,6 +341,47 @@ fn lanes_holding(bit: Bit, lanes: u64) -> u64 {
         Bit::Zero => 0,
         Bit::One => lanes,
     }
+}
+
+/// The runs of consecutive lanes of a lane mask, as `(first lane, length)`
+/// pairs in bit order: gathering any mask's bits at those lanes into
+/// consecutive low bits costs one shift per run, not one per lane.
+struct Runs {
+    runs: [(u32, u32); WORD_LANES / 2],
+    count: usize,
+}
+
+impl Runs {
+    fn of(mut lanes: u64) -> Runs {
+        let mut runs = Runs {
+            runs: [(0, 0); WORD_LANES / 2],
+            count: 0,
+        };
+        while lanes != 0 {
+            let first = lanes.trailing_zeros();
+            let length = (lanes >> first).trailing_ones();
+            runs.runs[runs.count] = (first, length);
+            runs.count += 1;
+            lanes &= !(low_bits(length) << first);
+        }
+        runs
+    }
+
+    /// `bits` at the lanes of the runs, packed into consecutive low bits.
+    fn gather(&self, bits: u64) -> u64 {
+        let mut gathered = 0;
+        let mut at = 0;
+        for &(first, length) in &self.runs[..self.count] {
+            gathered |= (bits >> first & low_bits(length)) << at;
+            at += length;
+        }
+        gathered
+    }
+}
+
+/// The mask of the lowest `count` bits, `count` in `1..=64`.
+fn low_bits(count: u32) -> u64 {
+    u64::MAX >> (64 - count)
 }
 
 /// Per-lane value of each lane's bound cell: OR of the memory planes masked
@@ -409,6 +447,41 @@ struct ComponentPlanes {
 }
 
 impl ComponentPlanes {
+    /// Every mask of the component.
+    fn masks_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+        let ComponentPlanes {
+            victim,
+            aggressor,
+            site,
+            operation,
+            state,
+            victim_zero,
+            victim_one,
+            aggressor_zero,
+            aggressor_one,
+            read_override,
+            read_value,
+            forces,
+            forced_value,
+        } = self;
+        victim
+            .iter_mut()
+            .chain(aggressor)
+            .chain(site)
+            .chain(operation)
+            .chain([
+                state,
+                victim_zero,
+                victim_one,
+                aggressor_zero,
+                aggressor_one,
+                read_override,
+                read_value,
+                forces,
+                forced_value,
+            ])
+    }
+
     /// Binds `primitive` on `victim` (and `aggressor`, for a coupling
     /// primitive) to the lanes of `bit`.
     fn bind(
@@ -502,6 +575,22 @@ struct DecoderPlanes {
 }
 
 impl DecoderPlanes {
+    /// Every mask of the decoder fault.
+    fn masks_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+        let DecoderPlanes {
+            source,
+            destination,
+            no_cell,
+            open_read,
+            redirect,
+            fan_out,
+        } = self;
+        source
+            .iter_mut()
+            .chain(destination)
+            .chain([no_cell, open_read, redirect, fan_out])
+    }
+
     /// Binds `fault` on `cells` to the lanes of `bit`.
     fn bind(&mut self, bit: u64, fault: DecoderFault, cells: InstanceCells) {
         let instance = DecoderFaultInstance::new(fault, cells, MAX_CELLS)
@@ -535,8 +624,8 @@ impl DecoderPlanes {
 /// read overrides, the fault-free effect routed through the decoder, fault
 /// effects in injection order, then one settle pass of the state-sensitised
 /// components.
-#[derive(Debug, Clone, Copy)]
-struct ProjectedWord {
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ProjectedWord {
     /// The projected memory's size: the most cells any lane involves.
     cells: usize,
     /// One bit per packed lane.
@@ -559,22 +648,12 @@ impl ProjectedWord {
     ///
     /// Panics when a lane is not projected (involves a cell at or beyond
     /// three) or does not fit its target's topology.
-    fn pack(lanes: &[(&TargetKind, &CoverageLane)]) -> ProjectedWord {
-        assert!(
-            lanes.len() <= WORD_LANES,
-            "a word carries {WORD_LANES} lanes"
-        );
-        let mut word = ProjectedWord {
-            cells: 0,
-            lanes: 0,
-            faulty: [0; MAX_CELLS],
-            golden: [0; MAX_CELLS],
-            components: [ComponentPlanes::default(); 2],
-            decoder: DecoderPlanes::default(),
-            settles: 0,
-            detected: 0,
-        };
-        for (index, &(target, lane)) in lanes.iter().enumerate() {
+    pub(crate) fn pack<'t, 'l>(
+        lanes: impl IntoIterator<Item = (&'t TargetKind, &'l CoverageLane)>,
+    ) -> ProjectedWord {
+        let mut word = ProjectedWord::default();
+        for (index, (target, lane)) in lanes.into_iter().enumerate() {
+            assert!(index < WORD_LANES, "a word carries {WORD_LANES} lanes");
             let bit = 1u64 << index;
             let cells = projected_cells(lane);
             assert!(
@@ -611,6 +690,70 @@ impl ProjectedWord {
         word
     }
 
+    /// The lanes that have not detected their fault yet.
+    pub(crate) fn pending(&self) -> u64 {
+        self.lanes & !self.detected
+    }
+
+    /// Every per-lane mask of the word: the lanes, the memory planes and the
+    /// fault masks. Lane `i` of the word is bit `i` of each.
+    fn masks_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+        let ProjectedWord {
+            cells: _,
+            lanes,
+            faulty,
+            golden,
+            components,
+            decoder,
+            settles,
+            detected,
+        } = self;
+        [lanes, settles, detected]
+            .into_iter()
+            .chain(faulty)
+            .chain(golden)
+            .chain(components.iter_mut().flat_map(ComponentPlanes::masks_mut))
+            .chain(decoder.masks_mut())
+    }
+
+    /// Moves the lanes of `lanes`, a mask of `source`'s lanes, into this
+    /// word's lanes `at..`, in bit order: each keeps its memory state, its
+    /// detection bit and its fault. The destination lanes must be free.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the moved lanes do not fit below bit [`WORD_LANES`].
+    pub(crate) fn take(&mut self, source: &ProjectedWord, lanes: u64, at: usize) {
+        assert!(
+            at + lanes.count_ones() as usize <= WORD_LANES,
+            "a word carries {WORD_LANES} lanes"
+        );
+        if lanes == 0 {
+            return;
+        }
+        let runs = Runs::of(lanes);
+        // `masks_mut` lists the masks once for both words; the source side
+        // walks a copy.
+        let mut source = *source;
+        self.cells = self.cells.max(source.cells);
+        for (into, from) in self.masks_mut().zip(source.masks_mut()) {
+            *into |= runs.gather(*from) << at;
+        }
+    }
+
+    /// Executes one march element on every lane. Stops once every lane has
+    /// detected its fault.
+    pub(crate) fn run_element(&mut self, element: &MarchElement) {
+        for address in element.order().addresses(self.cells) {
+            if self.detected == self.lanes {
+                return;
+            }
+            for &operation in element.operations() {
+                self.apply(address, operation);
+            }
+        }
+    }
+
     /// One pass over the state-sensitised components in injection order,
     /// forcing the victims of every lane whose state condition holds.
     fn settle(&mut self) {
@@ -618,10 +761,11 @@ impl ProjectedWord {
             return;
         }
         for component in &self.components {
-            let lanes = self.lanes
-                & component.state
-                & component.forces
-                & component.conditions_hold(&self.faulty);
+            let lanes = self.lanes & component.state & component.forces;
+            if lanes == 0 {
+                continue;
+            }
+            let lanes = lanes & component.conditions_hold(&self.faulty);
             force(
                 &mut self.faulty,
                 &component.victim,
@@ -678,12 +822,15 @@ impl ProjectedWord {
 
         // 4. Fault effects of the fired components, in injection order.
         for (component, fired) in self.components.iter().zip(fired) {
-            force(
-                &mut self.faulty,
-                &component.victim,
-                fired & component.forces,
-                component.forced_value,
-            );
+            let lanes = fired & component.forces;
+            if lanes != 0 {
+                force(
+                    &mut self.faulty,
+                    &component.victim,
+                    lanes,
+                    component.forced_value,
+                );
+            }
         }
 
         // 5. One pass of the state-sensitised components.
@@ -694,58 +841,44 @@ impl ProjectedWord {
     /// every lane has detected its fault.
     fn run(mut self, test: &MarchTest) -> u64 {
         for (_, element) in test.iter() {
-            for address in element.order().addresses(self.cells) {
-                if self.detected == self.lanes {
-                    return self.detected;
-                }
-                for &operation in element.operations() {
-                    self.apply(address, operation);
-                }
+            if self.detected == self.lanes {
+                break;
             }
+            self.run_element(element);
         }
         self.detected
     }
 }
 
-/// Every one of `lanes` remapped onto one projected memory, in lane order,
-/// together with that memory's size: as many cells as the most any lane
-/// involves (at most three). A lane involving fewer cells leaves the cells
-/// past its own uninvolved. This is the memory a
-/// [`TargetBatch`](crate::TargetBatch) simulates its lanes on.
+/// `lane` remapped onto the projected memory of the cells it involves: their
+/// ranks as addresses, the background cut down to them. This is how a
+/// [`TargetBatch`](crate::TargetBatch) simulates every lane while it keeps
+/// the original descriptor.
 ///
 /// # Errors
 ///
-/// Each lane is first checked against the `memory_cells`-cell memory it was
+/// The lane is first checked against the `memory_cells`-cell memory it was
 /// placed on, since its projection would fit whatever the memory size:
 /// [`SimulationError::AddressOutOfRange`] for a cell at or beyond
 /// `memory_cells`, [`SimulationError::InitialStateSizeMismatch`] for a
 /// custom background of another length.
-pub(crate) fn project_lanes(
-    lanes: &[CoverageLane],
+pub(crate) fn project_lane(
+    lane: &CoverageLane,
     memory_cells: usize,
-) -> Result<(Vec<CoverageLane>, usize), SimulationError> {
-    let mut involved = Vec::with_capacity(lanes.len());
-    for lane in lanes {
-        if let Some(address) = slots(&lane.cells)
-            .into_iter()
-            .flatten()
-            .find(|&address| address >= memory_cells)
-        {
-            return Err(SimulationError::AddressOutOfRange {
-                address,
-                cells: memory_cells,
-            });
-        }
-        lane.background.check(memory_cells)?;
-        involved.push(Involved::of(&lane.cells));
+) -> Result<CoverageLane, SimulationError> {
+    if let Some(address) = slots(&lane.cells)
+        .into_iter()
+        .flatten()
+        .find(|&address| address >= memory_cells)
+    {
+        return Err(SimulationError::AddressOutOfRange {
+            address,
+            cells: memory_cells,
+        });
     }
-    let cells = involved.iter().map(|cells| cells.count).max().unwrap_or(0);
-    let projected = lanes
-        .iter()
-        .zip(&involved)
-        .map(|(lane, involved)| involved.project(lane, cells))
-        .collect();
-    Ok((projected, cells))
+    lane.background.check(memory_cells)?;
+    let involved = Involved::of(&lane.cells);
+    Ok(involved.project(lane))
 }
 
 #[cfg(test)]
@@ -919,6 +1052,33 @@ mod tests {
                 .instance()
                 .projected_verdicts(&catalog::march_ss(), &[])
                 .is_empty());
+        }
+    }
+
+    #[test]
+    fn runs_gather_the_lanes_of_a_mask_in_bit_order() {
+        // Lane masks at the word's edges: none, all, the top lane alone, a
+        // run ending at the top lane, and alternating lanes (32 runs).
+        let masks = [
+            0,
+            u64::MAX,
+            1 << 63,
+            u64::MAX << 10,
+            0x5555_5555_5555_5555,
+            0x8000_0000_0000_0001,
+            0x00ff_0f00_f0f0_0001,
+        ];
+        let bits = [0, u64::MAX, 0x0123_4567_89ab_cdef, 0xaaaa_aaaa_aaaa_aaaa];
+        for lanes in masks {
+            let runs = Runs::of(lanes);
+            for value in bits {
+                // One lane at a time, lowest first.
+                let mut expected = 0;
+                for (at, lane) in (0..64).filter(|lane| lanes >> lane & 1 == 1).enumerate() {
+                    expected |= (value >> lane & 1) << at;
+                }
+                assert_eq!(runs.gather(value), expected, "{lanes:#x} of {value:#x}");
+            }
         }
     }
 }

@@ -2,8 +2,8 @@
 //! pipeline.
 //!
 //! A [`Session`] is built **once** from an [`ExecPolicy`] and owns everything
-//! execution-related: the simulation backend instance, the candidate-batching
-//! and lane-width knobs, and — when the policy asks for more than one worker
+//! execution-related: the simulation backend instance, the lane width of its
+//! full-memory reference walk, and — when the policy asks for more than one worker
 //! thread — a persistent [`WorkerPool`] that outlives individual queries, so
 //! repeated coverage / generation / diagnosis calls stop paying per-call
 //! thread spawn. The session is also the one holder of the *simulation
@@ -91,6 +91,15 @@ impl LaneSet {
     /// The set's lane classes, partitioned on first use.
     pub(crate) fn classes(&self) -> &Classes {
         self.classes.get_or_init(|| Classes::of(&self.lanes))
+    }
+}
+
+impl From<Vec<CoverageLane>> for LaneSet {
+    /// A set over `lanes`, for callers that build a [`TargetLanes`] of
+    /// their own lanes rather than enumerating them with
+    /// [`Session::target_lanes`].
+    fn from(lanes: Vec<CoverageLane>) -> LaneSet {
+        LaneSet::new(lanes)
     }
 }
 
@@ -1282,7 +1291,7 @@ mod tests {
         assert_eq!(session.strategy(), PlacementStrategy::Exhaustive);
         assert_eq!(session.backgrounds(), &[InitialState::AllOne]);
         assert_eq!(session.policy().backend, BackendKind::Packed);
-        assert_eq!(session.policy().batch, 0);
+        assert_eq!(session.policy().threads, 1);
         assert_eq!(session.backend_instance().name(), "packed");
     }
 }

@@ -11,7 +11,7 @@ use sram_fault_model::FaultList;
 use sram_sim::{ExecPolicy, Report, Session};
 
 fn main() {
-    // 1. One session owns the execution policy (backend, threads, batching)
+    // 1. One session owns the execution policy (backend, threads)
     //    for the whole pipeline. `ExecPolicy::fast()` uses every core.
     let session = Session::new(ExecPolicy::fast());
 

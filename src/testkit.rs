@@ -1,8 +1,8 @@
 //! Cross-backend differential test support: one generic harness asserting the
 //! whole pipeline — coverage, generation, minimisation, verification — is
 //! **byte-identical** across two execution policies (any combination of
-//! backend, thread count, batch size and packed lane width: 64, 128 or 256
-//! lanes per word).
+//! backend, thread count and the packed reference walk's lane width: 64, 128
+//! or 256 lanes per word).
 //!
 //! This module replaces the three near-duplicate equivalence suites that used
 //! to live in `sram_sim` and `march_gen` (`session_equivalence` ×2 and
@@ -13,9 +13,11 @@
 //!
 //! Coverage simulates projected lane classes rather than every lane on the
 //! full memory, and target batches simulate every lane on its projected
-//! cells. [`assert_projection_exact`] holds both to the full-memory walk:
-//! coverage to a rebuild with the backend's own `first_undetected`, batches
-//! to the packed engine advanced element by element on the whole memory.
+//! cells, the lanes of many targets sharing one word. [`assert_projection_exact`]
+//! holds both to the full-memory walk: coverage to a rebuild with the
+//! backend's own `first_undetected`, a batch over the whole list to the
+//! packed engine advanced target by target, element by element, on the
+//! whole memory.
 //! [`assert_coverage_projection_exact`] checks coverage alone, for scopes
 //! where walking every batch on the full memory is too slow.
 //!
@@ -23,6 +25,8 @@
 //! the workspace-level integration tests and any downstream consumer can use
 //! it; it is `#[doc(hidden)]`-free because "how do I check a new backend is
 //! correct" is a legitimate user question.
+
+use std::sync::Arc;
 
 use march_gen::{minimise_full_resim, SessionExt};
 use march_test::{catalog, MarchElement, MarchTest};
@@ -320,23 +324,49 @@ fn projection_probes() -> Vec<MarchTest> {
     probes
 }
 
+/// The word layouts a packed batch sweep went through: the cases only words
+/// shared by several targets produce. Each flag records that some batch of
+/// the sweep hit it, so a suite can assert that its differential was not
+/// vacuous.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BatchLayouts {
+    /// A word held lanes of two or more targets with different projected
+    /// cell counts.
+    pub mixed_cell_counts: bool,
+    /// A word held both address-decoder and cell-array lanes.
+    pub decoder_and_array: bool,
+    /// An advance re-packed the pending lanes of two or more words into one.
+    pub merging_compaction: bool,
+    /// A batch's last word was partial.
+    pub partial_last_word: bool,
+}
+
+impl BatchLayouts {
+    fn merge(&mut self, other: BatchLayouts) {
+        self.mixed_cell_counts |= other.mixed_cell_counts;
+        self.decoder_and_array |= other.decoder_and_array;
+        self.merging_compaction |= other.merging_compaction;
+        self.partial_last_word |= other.partial_last_word;
+    }
+}
+
 /// Asserts **projected simulation equals the full-memory walk** under
-/// `policy`, for coverage and for the generator's target batches.
+/// `policy`, for coverage and for the generator's target batch.
 ///
 /// * **Coverage**, as [`assert_coverage_projection_exact`] checks it.
-/// * **Batches.** For every probe test and every target, one `TargetBatch`
-///   (the session's backend and lane width) advances element by element
-///   next to the packed engine walking every lane on the whole memory. At
-///   every prefix the batch's pending lanes — in lane order, with their
-///   original cells and backgrounds — must equal the lanes the walk leaves
-///   undetected, and its pool scores must equal, per candidate, the lanes
-///   the walk newly detects running that candidate next. The pool mixes
-///   every address order with one to four operations, and on the packed
-///   backend every target with two or more lanes is scored down both exact
-///   paths: the per-candidate pass and the candidate wave.
+/// * **Batches.** For every probe test, one `TargetBatch` over every target
+///   of the list, as the generator builds it (the session's backend),
+///   advances element by element next to the packed engine walking every
+///   lane of every target on the whole memory. At every prefix the batch's
+///   pending lanes — in (target, lane) order, with their original cells and
+///   backgrounds — must equal the lanes the walks leave undetected, and its
+///   pool scores must equal, per candidate, the lanes the walks newly detect
+///   running that candidate next, summed over the targets. The pool mixes
+///   every address order with one to four operations.
 ///
 /// The walk costs every lane a full-memory pass per prefix and candidate,
-/// so large scopes check coverage alone.
+/// so large scopes check coverage alone. Returns the word layouts the
+/// packed batches went through (none on the scalar backend).
 ///
 /// # Panics
 ///
@@ -347,16 +377,17 @@ pub fn assert_projection_exact(
     fault_list: &FaultList,
     cells: usize,
     strategy: PlacementStrategy,
-) {
+) -> BatchLayouts {
     assert_coverage_projection_exact(policy, fault_list, cells, strategy);
     let session = projection_session(policy, cells, strategy);
     let target_lanes = session
         .target_lanes(fault_list)
         .expect("harness scope hosts the fault-list placements");
-    let probes = projection_probes();
-    for (target, lanes) in target_lanes.iter() {
-        assert_batch_exact(&session, &probes, target, lanes);
+    let mut layouts = BatchLayouts::default();
+    for test in projection_probes() {
+        layouts.merge(assert_batch_exact(&session, &test, &target_lanes));
     }
+    layouts
 }
 
 /// Asserts **projected coverage equals the full-memory walk** under
@@ -387,7 +418,6 @@ pub fn assert_coverage_projection_exact(
     use sram_fault_model::LinkTopology;
     use sram_sim::Escape;
     use std::collections::BTreeMap;
-    use std::sync::Arc;
 
     let session = projection_session(policy, cells, strategy);
     let backend = session.backend_instance();
@@ -472,159 +502,173 @@ fn scoring_candidates() -> Vec<MarchElement> {
     .to_vec()
 }
 
-/// The lanes of the wave batch: few enough that the candidate wave scores
-/// them over the repeated pool.
-const WAVE_LANES: usize = 13;
-
-/// Holds the `TargetBatch` of `target` to the full-memory walk, the packed
-/// engine over every lane on the whole memory, while both advance element
-/// by element through every probe test.
+/// Holds one `TargetBatch` over every target of `target_lanes` to the
+/// full-memory walk — the packed engine over every lane of each target on
+/// the whole memory — while both advance element by element through `test`.
 ///
-/// At every prefix the batch's pending lanes must equal, in lane order and
-/// with their original cells and backgrounds, the lanes the walk leaves
-/// undetected, and its scores over [`scoring_candidates`] must equal, per
-/// candidate, the lanes the walk newly detects running that candidate next.
-///
-/// A packed chunk scores a pool by the candidate wave when its pending
-/// lanes × the pool's longest candidate × the cost factor (3) is at most the
-/// pool's operation count, and by the per-candidate pass otherwise. Over the
-/// eight candidates (4 and 20) a chunk of two or more pending lanes takes
-/// the per-candidate pass, so the full batch does at the empty prefix. On
-/// the packed backend a second batch over the first [`WAVE_LANES`] lanes is
-/// scored over the candidates repeated to a full 64-candidate word (4 and
-/// 160), which sends up to 13 pending lanes down the wave.
+/// At every prefix the batch's pending lanes must equal the lanes the walks
+/// leave undetected, concatenated in (target, lane) order with their
+/// original cells and backgrounds, and its scores over
+/// [`scoring_candidates`] must equal, per candidate, the lanes the walks
+/// newly detect running that candidate next, summed over the targets.
+/// Returns the word layouts the batch went through on the packed backend.
 fn assert_batch_exact(
     session: &Session,
-    probes: &[MarchTest],
-    target: &TargetKind,
-    lanes: &[CoverageLane],
-) {
-    use sram_sim::{CandidateBatch, PackedSimulator, TargetBatch};
+    test: &MarchTest,
+    target_lanes: &Arc<sram_sim::TargetLanes>,
+) -> BatchLayouts {
+    use sram_sim::{PackedSimulator, TargetBatch};
 
     const WORD: usize = PackedSimulator::<u64>::MAX_LANES;
     let (policy, cells) = (session.policy(), session.memory_cells());
-    let batch_of = |lanes: &[CoverageLane]| {
-        TargetBatch::new_with_width(
-            target.clone(),
-            lanes.to_vec(),
-            cells,
-            policy.backend,
-            policy.lane_width,
-        )
-    };
     let candidates = scoring_candidates();
-    let pool = CandidateBatch::new(candidates.clone()).expect("the candidates fit one word");
-    let repeats = CandidateBatch::MAX_CANDIDATES / candidates.len();
-    let wide_pool = CandidateBatch::new(
-        candidates
+    let mut batch = TargetBatch::new(Arc::clone(target_lanes), cells, policy.backend);
+    let mut walks: Vec<Vec<PackedSimulator>> = target_lanes
+        .iter()
+        .map(|(target, lanes)| {
+            lanes
+                .chunks(WORD)
+                .map(|chunk| {
+                    PackedSimulator::new(target, chunk, cells)
+                        .expect("harness lanes fit the memory")
+                })
+                .collect()
+        })
+        .collect();
+    let mut layouts = BatchLayouts::default();
+    let packed = policy.backend == BackendKind::Packed;
+    if packed {
+        layouts.merge(word_layouts(&batch));
+        layouts.partial_last_word = batch
+            .split_words()
+            .last()
+            .is_some_and(|word| word.pending() < WORD);
+    }
+    for prefix in 0..=test.elements().len() {
+        let label = |what: &str| {
+            format!(
+                "{what} diverged from the full-memory walk ({policy:?}, {cells} cells, \
+                 {:?}, first {prefix} elements of {})",
+                session.strategy(),
+                test.name()
+            )
+        };
+        let pending: Vec<(&TargetKind, &CoverageLane)> = target_lanes
             .iter()
-            .flat_map(|candidate| std::iter::repeat_n(candidate.clone(), repeats))
-            .collect(),
-    )
-    .expect("the repeated candidates fill one word");
-    let wave_lanes = lanes.len().min(WAVE_LANES);
-
-    for test in probes {
-        let mut batch = batch_of(lanes);
-        let mut wave_batch =
-            (policy.backend == BackendKind::Packed).then(|| batch_of(&lanes[..wave_lanes]));
-        let mut walk: Vec<PackedSimulator> = lanes
-            .chunks(WORD)
-            .map(|chunk| {
-                PackedSimulator::new(target, chunk, cells).expect("harness lanes fit the memory")
-            })
-            .collect();
-        for prefix in 0..=test.elements().len() {
-            let label = |what: &str| {
-                format!(
-                    "{what} diverged from the full-memory walk ({policy:?}, {cells} cells, \
-                     {:?}, {target}, first {prefix} elements of {})",
-                    session.strategy(),
-                    test.name()
-                )
-            };
-            let undetected: Vec<bool> = (0..lanes.len())
-                .map(|lane| walk[lane / WORD].detected_mask() >> (lane % WORD) & 1 == 0)
-                .collect();
-            let pending_of = |lanes: &[CoverageLane]| -> Vec<CoverageLane> {
+            .zip(&walks)
+            .flat_map(|((target, lanes), walk)| {
                 lanes
                     .iter()
-                    .zip(&undetected)
-                    .filter(|(_, &undetected)| undetected)
-                    .map(|(lane, _)| lane.clone())
-                    .collect()
-            };
-            let pending = pending_of(lanes);
-            assert_eq!(
-                batch.pending_lanes(),
-                pending,
-                "{}",
-                label("batch pending lanes")
-            );
-            if pending.is_empty() {
-                break;
-            }
+                    .enumerate()
+                    .filter(|(lane, _)| walk[lane / WORD].detected_mask() >> (lane % WORD) & 1 == 0)
+                    .map(move |(_, lane)| (target, lane))
+            })
+            .collect();
+        assert_eq!(
+            batch.pending_lanes(),
+            pending,
+            "{}",
+            label("batch pending lanes")
+        );
+        if pending.is_empty() {
+            break;
+        }
 
-            // Per candidate, the lanes of each walk chunk it newly detects.
-            let newly: Vec<Vec<u64>> = candidates
-                .iter()
-                .map(|candidate| {
-                    walk.iter()
-                        .map(|simulator| {
-                            if simulator.all_detected() {
-                                return 0;
-                            }
-                            let mut trial = simulator.clone();
-                            trial.apply_element(candidate);
-                            trial.detected_mask() & !simulator.detected_mask()
-                        })
-                        .collect()
-                })
-                .collect();
-            let scores: Vec<usize> = newly
-                .iter()
-                .map(|masks| masks.iter().map(|mask| mask.count_ones() as usize).sum())
-                .collect();
-            assert_eq!(
-                batch.score_pool(&pool),
-                scores,
-                "{}",
-                label("batch pool scores")
-            );
-            if let Some(wave_batch) = &wave_batch {
-                assert_eq!(
-                    wave_batch.pending_lanes(),
-                    pending_of(&lanes[..wave_lanes]),
-                    "{}",
-                    label("wave-batch pending lanes")
-                );
-                let window = (1u64 << wave_lanes) - 1;
-                let wave_scores: Vec<usize> = newly
+        // Per candidate, the lanes of every walk chunk it newly detects.
+        let scores: Vec<usize> = candidates
+            .iter()
+            .map(|candidate| {
+                walks
                     .iter()
-                    .flat_map(|masks| {
-                        std::iter::repeat_n((masks[0] & window).count_ones() as usize, repeats)
+                    .flatten()
+                    .filter(|simulator| !simulator.all_detected())
+                    .map(|simulator| {
+                        let mut trial = simulator.clone();
+                        trial.apply_element(candidate);
+                        (trial.detected_mask() & !simulator.detected_mask()).count_ones() as usize
                     })
-                    .collect();
-                assert_eq!(
-                    wave_batch.score_pool(&wide_pool),
-                    wave_scores,
-                    "{}",
-                    label("wave-batch pool scores")
-                );
-            }
+                    .sum()
+            })
+            .collect();
+        assert_eq!(
+            batch.score_pool(&candidates),
+            scores,
+            "{}",
+            label("batch pool scores")
+        );
 
-            let Some(element) = test.elements().get(prefix) else {
-                break;
-            };
-            batch.advance(element);
-            if let Some(wave_batch) = &mut wave_batch {
-                wave_batch.advance(element);
-            }
-            for simulator in &mut walk {
-                simulator.apply_element(element);
-            }
+        let Some(element) = test.elements().get(prefix) else {
+            break;
+        };
+        let before = packed.then(|| batch.split_words());
+        batch.advance(element);
+        if let Some(before) = before {
+            layouts.merging_compaction |= merges_words(&before, &batch);
+            layouts.merge(word_layouts(&batch));
+        }
+        for simulator in walks.iter_mut().flatten() {
+            simulator.apply_element(element);
         }
     }
+    layouts
+}
+
+/// The layouts of `batch`'s words: whether one holds pending lanes of two
+/// or more targets with different projected cell counts, and whether one
+/// holds both decoder and cell-array lanes.
+fn word_layouts(batch: &sram_sim::TargetBatch) -> BatchLayouts {
+    let mut layouts = BatchLayouts::default();
+    for word in batch.split_words() {
+        let lanes = word.pending_lanes();
+        let differ = |key: &dyn Fn(&(&TargetKind, &CoverageLane)) -> usize| {
+            lanes.windows(2).any(|pair| key(&pair[0]) != key(&pair[1]))
+        };
+        let several_targets = lanes
+            .windows(2)
+            .any(|pair| !std::ptr::eq(pair[0].0, pair[1].0));
+        layouts.mixed_cell_counts |= several_targets && differ(&|(_, lane)| involved_cells(lane));
+        layouts.decoder_and_array |=
+            differ(&|(target, _)| usize::from(matches!(target, TargetKind::Decoder(_))));
+    }
+    layouts
+}
+
+/// The number of distinct cells `lane` involves: the size of its projected
+/// memory.
+fn involved_cells(lane: &CoverageLane) -> usize {
+    let mut cells: Vec<usize> = [
+        Some(lane.cells.victim),
+        lane.cells.aggressor_first,
+        lane.cells.aggressor_second,
+    ]
+    .into_iter()
+    .flatten()
+    .collect();
+    cells.sort_unstable();
+    cells.dedup();
+    cells.len()
+}
+
+/// Whether some word of `after` holds pending lanes that sat in two or more
+/// words of `before` — a compaction that merged words.
+fn merges_words(before: &[sram_sim::TargetBatch], after: &sram_sim::TargetBatch) -> bool {
+    let word_of: std::collections::HashMap<*const CoverageLane, usize> = before
+        .iter()
+        .enumerate()
+        .flat_map(|(index, word)| {
+            word.pending_lanes()
+                .into_iter()
+                .map(move |(_, lane)| (std::ptr::from_ref(lane), index))
+        })
+        .collect();
+    after.split_words().iter().any(|word| {
+        let sources: Vec<usize> = word
+            .pending_lanes()
+            .into_iter()
+            .map(|(_, lane)| word_of[&std::ptr::from_ref(lane)])
+            .collect();
+        sources.windows(2).any(|pair| pair[0] != pair[1])
+    })
 }
 
 /// The serial scalar reference policy every equivalence sweep anchors to: the
@@ -634,7 +678,6 @@ pub fn reference_policy() -> ExecPolicy {
     ExecPolicy::default()
         .with_backend(BackendKind::Scalar)
         .with_threads(1)
-        .with_batch(1)
 }
 
 /// Asserts crash-safe snapshot persistence is **observationally
@@ -656,7 +699,6 @@ pub fn reference_policy() -> ExecPolicy {
 pub fn assert_snapshot_transparent(policy: ExecPolicy, fault_list: &FaultList, cells: usize) {
     use sram_fault_model::Ffm;
     use sram_sim::{ArtifactStore, InjectedFault, MemIo, Report, SharedEngine, SnapshotStore};
-    use std::sync::Arc;
 
     let test = catalog::march_ss();
     let primitive = Ffm::all_fault_primitives()

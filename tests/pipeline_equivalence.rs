@@ -1,7 +1,7 @@
 //! The cross-backend differential suite: **one harness**
 //! ([`march_codex_repro::testkit::assert_pipeline_equivalent`]) asserting
 //! coverage / generation / minimisation / verification verdicts are
-//! byte-identical across backend × threads × batch × lane-width (64/128/256)
+//! byte-identical across backend × threads × lane-width (64/128/256)
 //! × scope, for address-decoder (AF), cell-array (FFM) and mixed fault lists.
 //!
 //! This replaces the three near-duplicate equivalence suites that previously
@@ -29,37 +29,33 @@ fn arbitrary_policy() -> impl Strategy<Value = ExecPolicy> {
     (
         prop_oneof![Just(BackendKind::Scalar), Just(BackendKind::Packed)],
         0usize..4,
-        prop_oneof![Just(0usize), Just(1usize), Just(7usize), Just(64usize)],
         prop::sample::select(LaneWidth::ALL.to_vec()),
     )
-        .prop_map(|(backend, threads, batch, lane_width)| {
+        .prop_map(|(backend, threads, lane_width)| {
             ExecPolicy::default()
                 .with_backend(backend)
                 .with_threads(threads)
-                .with_batch(batch)
                 .with_lane_width(lane_width)
         })
 }
 
 /// Deterministic sweep: every fault domain × a policy matrix spanning both
-/// backends, serial/pooled threads, full/odd/per-candidate batches and every
-/// packed lane width, each anchored to the serial scalar reference.
+/// backends, serial/pooled threads and every packed lane width, each
+/// anchored to the serial scalar reference.
 #[test]
 fn af_ffm_and_mixed_lists_are_policy_invariant() {
     let policies = [
-        ExecPolicy::default(), // packed, serial, full words, auto width
-        ExecPolicy::default().with_threads(2).with_batch(7),
+        ExecPolicy::default(), // packed, serial, auto width
+        ExecPolicy::default().with_threads(2),
         ExecPolicy::default()
             .with_backend(BackendKind::Scalar)
             .with_threads(3),
-        ExecPolicy::fast().with_batch(1),
+        ExecPolicy::fast(),
         ExecPolicy::default().with_lane_width(LaneWidth::W64),
         ExecPolicy::default()
             .with_lane_width(LaneWidth::W128)
             .with_threads(2),
-        ExecPolicy::fast()
-            .with_lane_width(LaneWidth::W256)
-            .with_batch(7),
+        ExecPolicy::fast().with_lane_width(LaneWidth::W256),
     ];
     for list in fault_lists() {
         for policy in policies {
@@ -74,12 +70,7 @@ fn af_ffm_and_mixed_lists_are_policy_invariant() {
 fn decoder_only_lists_run_on_tiny_and_odd_sized_memories() {
     let list = FaultList::address_decoder();
     for cells in [4usize, 6, 12] {
-        assert_pipeline_equivalent(
-            reference_policy(),
-            ExecPolicy::fast().with_batch(7),
-            &list,
-            cells,
-        );
+        assert_pipeline_equivalent(reference_policy(), ExecPolicy::fast(), &list, cells);
     }
 }
 

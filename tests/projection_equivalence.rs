@@ -14,8 +14,11 @@
 //!   image (only the patterned two catch a class key without background
 //!   bits);
 //! * with incomplete probe tests, so escapes and their order are compared;
-//! * batch by batch, at every prefix of every probe test: pending lanes and
-//!   pool scores down both exact scoring paths;
+//! * with one batch over every target of the list, as the generator builds
+//!   it, at every prefix of every probe test: pending lanes and pool scores,
+//!   through words that mix targets of different cell counts, words that mix
+//!   decoder and cell-array lanes, compactions that merge words and partial
+//!   last words;
 //! * across the backend × threads × lane-width matrix.
 //!
 //! It also pins the consequence that makes the default scope trustworthy:
@@ -30,7 +33,7 @@
 use std::collections::BTreeSet;
 
 use march_codex_repro::testkit::{
-    assert_coverage_projection_exact, assert_projection_exact, reference_policy,
+    assert_coverage_projection_exact, assert_projection_exact, reference_policy, BatchLayouts,
 };
 use march_gen::{GeneratorConfig, SessionExt};
 use march_test::catalog;
@@ -74,15 +77,20 @@ fn projection_is_exact_for_fault_list_1() {
         };
         assert_coverage_projection_exact(policy, &FaultList::list_1(), cells, strategy);
     }
-    // Its 844 target batches walked on the full memory at every prefix are
-    // the slowest check here: the debug build drives them on the Table 1
-    // scope under one policy, the release leg exhaustively.
-    assert_projection_exact(
+    // Its 844 targets walked on the full memory at every prefix are the
+    // slowest check here: the debug build drives them on the Table 1 scope
+    // under one policy, the release leg exhaustively.
+    let layouts = assert_projection_exact(
         ExecPolicy::default().with_threads(1),
         &FaultList::list_1(),
         8,
         PlacementStrategy::Representative,
     );
+    // Its one-, two- and three-cell targets share words, and detection
+    // thins the words out until they merge.
+    assert!(layouts.mixed_cell_counts, "{layouts:?}");
+    assert!(layouts.merging_compaction, "{layouts:?}");
+    assert!(layouts.partial_last_word, "{layouts:?}");
 }
 
 #[test]
@@ -115,12 +123,21 @@ fn projection_is_exact_for_address_decoder_faults() {
 #[test]
 fn projection_is_exact_for_a_mixed_list() {
     let list = FaultList::list_2().with_address_decoder_faults();
+    let mut layouts = BatchLayouts::default();
     for policy in policies() {
-        for cells in [6, 8] {
-            assert_projection_exact(policy, &list, cells, PlacementStrategy::Exhaustive);
+        for (cells, strategy) in [
+            (6, PlacementStrategy::Exhaustive),
+            (8, PlacementStrategy::Exhaustive),
+            (8, PlacementStrategy::Representative),
+        ] {
+            let seen = assert_projection_exact(policy, &list, cells, strategy);
+            layouts.decoder_and_array |= seen.decoder_and_array;
         }
-        assert_projection_exact(policy, &list, 8, PlacementStrategy::Representative);
     }
+    assert!(
+        layouts.decoder_and_array,
+        "no word mixed decoder and array lanes"
+    );
 }
 
 /// The targets a report leaves uncovered.

@@ -10,7 +10,7 @@ use march_codex_repro::sram_sim::{ExecPolicy, InjectedFault, Report, Session, Sy
 
 #[test]
 fn the_whole_pipeline_runs_through_one_session() {
-    let session = Session::new(ExecPolicy::default().with_threads(2).with_batch(16));
+    let session = Session::new(ExecPolicy::default().with_threads(2));
     let spawned = session.workers_spawned();
     let list = FaultList::list_2();
 

@@ -9,8 +9,9 @@
 //! lanes they simulate (order included) changed.
 
 use march_gen::{GeneratorConfig, SessionExt};
+use march_test::{MarchElement, MarchTest};
 use sram_fault_model::FaultList;
-use sram_sim::Session;
+use sram_sim::{PlacementStrategy, Session};
 
 /// (row, notation, complexity in n).
 const EXPECTED: [(&str, &str, usize); 3] = [
@@ -55,4 +56,53 @@ fn table_1_generations_match_the_golden_notations() {
         total += test.complexity();
     }
     assert_eq!(total, 71);
+}
+
+/// Every test `test` becomes with one operation deleted, the element
+/// dropped when it empties out.
+fn single_deletions(test: &MarchTest) -> Vec<MarchTest> {
+    let elements = test.elements();
+    let mut deletions = Vec::new();
+    for (element_index, element) in elements.iter().enumerate() {
+        for op_index in 0..element.len() {
+            let mut operations = element.operations().to_vec();
+            operations.remove(op_index);
+            let mut shortened = elements.to_vec();
+            if operations.is_empty() {
+                shortened.remove(element_index);
+            } else {
+                shortened[element_index] = MarchElement::new(element.order(), operations)
+                    .expect("the element keeps an operation");
+            }
+            deletions
+                .push(MarchTest::new(test.name(), shortened).expect("the test keeps an element"));
+        }
+    }
+    deletions
+}
+
+#[test]
+fn minimised_table_1_tests_are_irredundant() {
+    // The minimiser's fixed point: no single operation of GRABL (29n) or
+    // GABL1 (7n) can go without losing coverage — on the default session the
+    // minimiser ran on, and at the exhaustive 8-cell scope it never saw.
+    let session = Session::default();
+    let exhaustive = Session::default().with_strategy(PlacementStrategy::Exhaustive);
+    for (row, list, complexity) in [
+        ("GRABL", FaultList::list_1(), 29),
+        ("GABL1", FaultList::list_2(), 7),
+    ] {
+        let generated = session.generate(&list);
+        let deletions = single_deletions(generated.test());
+        assert_eq!(deletions.len(), complexity, "{row} deletions");
+        for (scope, scoped) in [("default", &session), ("exhaustive", &exhaustive)] {
+            for shortened in &deletions {
+                assert!(
+                    !scoped.coverage(shortened, &list).is_complete(),
+                    "{row} stays complete at {scope} scope as {}",
+                    shortened.notation()
+                );
+            }
+        }
+    }
 }
