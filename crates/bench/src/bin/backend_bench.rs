@@ -596,7 +596,7 @@ fn full_memory_sweep(
     let test = test.clone();
     let cells = session.memory_cells();
     session.execute(Arc::clone(lanes), move |(target, lanes)| {
-        backend.lane_verdicts(&test, target, lanes, cells)
+        backend.lane_verdicts(&test, target, lanes.lanes(), cells)
     })
 }
 

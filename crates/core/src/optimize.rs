@@ -502,7 +502,7 @@ impl CoverageOracle {
             session
                 .execute(Arc::clone(&self.targets), move |(target, lanes)| {
                     backend
-                        .first_undetected(&test, target, lanes, memory_cells)
+                        .first_undetected(&test, target, lanes.lanes(), memory_cells)
                         .is_none()
                 })
                 .into_iter()
@@ -510,7 +510,7 @@ impl CoverageOracle {
         } else {
             self.targets.iter().all(|(target, lanes)| {
                 self.backend
-                    .first_undetected(test, target, lanes, self.memory_cells)
+                    .first_undetected(test, target, lanes.lanes(), self.memory_cells)
                     .is_none()
             })
         }

@@ -67,7 +67,18 @@ pub(crate) fn shape_lanes(
     strategy: PlacementStrategy,
     backgrounds: &[InitialState],
 ) -> Result<Vec<CoverageLane>, SimulationError> {
-    let placements = shape.placements(memory_cells, strategy)?;
+    Ok(cross_backgrounds(
+        shape.placements(memory_cells, strategy)?,
+        backgrounds,
+    ))
+}
+
+/// Every one of `placements` crossed with every background, placements
+/// outermost.
+pub(crate) fn cross_backgrounds(
+    placements: Vec<InstanceCells>,
+    backgrounds: &[InitialState],
+) -> Vec<CoverageLane> {
     let mut lanes = Vec::with_capacity(placements.len() * backgrounds.len());
     for cells in placements {
         for background in backgrounds {
@@ -77,7 +88,7 @@ pub(crate) fn shape_lanes(
             });
         }
     }
-    Ok(lanes)
+    lanes
 }
 
 /// Which simulation backend a coverage or generation run uses.

@@ -169,7 +169,7 @@ impl TargetBatch {
             .collect();
         let projected = |&(target, lane): &LaneRef| {
             let (kind, lanes) = &targets[target];
-            let projected = project_lane(&lanes[lane], memory_cells)
+            let projected = project_lane(&lanes.lanes()[lane], memory_cells)
                 .expect("lanes fit the memory they are placed on");
             (kind, projected)
         };
@@ -214,7 +214,7 @@ impl TargetBatch {
     /// The target and the original descriptor of `lane`.
     fn describe(&self, (target, lane): LaneRef) -> (&TargetKind, &CoverageLane) {
         let (kind, lanes) = &self.targets[target];
-        (kind, &lanes[lane])
+        (kind, &lanes.lanes()[lane])
     }
 
     /// Number of lanes not yet detected by the march prefix.

@@ -1,18 +1,23 @@
 //! Monte-Carlo fault-injection campaigns: seeded sampling over the
 //! `(target, placement, background)` instance space.
 //!
-//! Exhaustive placement enumeration caps the memory sizes coverage
-//! measurement can reach — all-pairs coupling spaces are quadratic in the
-//! cell count. A *campaign* instead draws a seeded, reproducible sample of
-//! instance lanes from the exhaustive space (never materialising it: every
-//! draw index is **unranked** directly into its [`InstanceCells`] /
-//! background pair with closed-form arithmetic mirroring
-//! [`enumerate_placements`](crate::enumerate_placements) and
-//! [`enumerate_decoder_placements`](crate::enumerate_decoder_placements)),
-//! simulates the drawn lanes as projected classes on the session's backend
-//! (one representative per class on at most three cells, exactly like
-//! coverage), and reports a point coverage estimate with a Wilson-score
-//! confidence interval.
+//! A *campaign* draws a seeded, reproducible sample of instance lanes from
+//! the exhaustive space without materialising it: every draw index is
+//! **unranked** directly into its [`InstanceCells`] / background pair with
+//! the closed-form arithmetic of the placement shapes (`placement.rs`),
+//! which mirrors [`enumerate_placements`](crate::enumerate_placements) and
+//! [`enumerate_decoder_placements`](crate::enumerate_decoder_placements).
+//! Each draw then takes the verdict of its lane class: the session simulates
+//! every (target, class) pair the draws hit once, projected onto at most
+//! three cells and packed into shared words exactly like coverage, and
+//! reports a point estimate of the detected share of lanes with a
+//! Wilson-score confidence interval.
+//!
+//! Exhaustive coverage derives the same classes in closed form at any
+//! memory size, so a campaign no longer reaches memories coverage cannot.
+//! It answers a different question: coverage says which targets escape
+//! under some lane, a campaign estimates what share of all lanes is
+//! detected.
 //!
 //! The draw sequence is a pure function of the seed, so campaigns are
 //! replayable: the same `(seed, scope, list)` triple visits the same lanes in
@@ -29,109 +34,7 @@ use crate::coverage::{enumerate_targets, Escape, TargetKind};
 use crate::memory::check_backgrounds;
 use crate::placement::{placement_shape, PlacementShape};
 use crate::report::{JsonObject, Report};
-use crate::{CoverageLane, InitialState, InstanceCells, SimulationError};
-
-/// The closed-form count/unrank arithmetic of each placement shape's
-/// exhaustive space, in the exact lane order of the exhaustive enumeration.
-impl PlacementShape {
-    /// The size of the exhaustive placement space on a `cells`-cell memory.
-    fn count(self, cells: usize) -> u64 {
-        let n = cells as u64;
-        match self {
-            PlacementShape::Single | PlacementShape::DecoderSingle => n,
-            PlacementShape::Pair => n * (n - 1),
-            PlacementShape::Triple => n * (n - 1) * (n - 2),
-            PlacementShape::DecoderPair => address_strides(cells)
-                .map(|stride| decoder_stride_count(cells, stride))
-                .sum(),
-        }
-    }
-
-    /// The `index`-th placement of the exhaustive enumeration order —
-    /// byte-identical to `enumerate_placements(…, Exhaustive)[index]` (or the
-    /// decoder counterpart) without materialising the space.
-    fn unrank(self, cells: usize, index: u64) -> InstanceCells {
-        match self {
-            PlacementShape::Single | PlacementShape::DecoderSingle => {
-                InstanceCells::single(index as usize)
-            }
-            PlacementShape::Pair => {
-                let others = (cells - 1) as u64;
-                let aggressor = (index / others) as usize;
-                let slot = (index % others) as usize;
-                let victim = if slot < aggressor { slot } else { slot + 1 };
-                InstanceCells::pair(aggressor, victim)
-            }
-            PlacementShape::Triple => {
-                let block = ((cells - 1) * (cells - 2)) as u64;
-                let a1 = (index / block) as usize;
-                let rest = index % block;
-                let a2_slot = (rest / (cells - 2) as u64) as usize;
-                let a2 = if a2_slot < a1 { a2_slot } else { a2_slot + 1 };
-                let mut v = (rest % (cells - 2) as u64) as usize;
-                let (lo, hi) = if a1 < a2 { (a1, a2) } else { (a2, a1) };
-                if v >= lo {
-                    v += 1;
-                }
-                if v >= hi {
-                    v += 1;
-                }
-                InstanceCells::triple(a1, a2, v)
-            }
-            PlacementShape::DecoderPair => {
-                let mut remaining = index;
-                for stride in address_strides(cells) {
-                    let count = decoder_stride_count(cells, stride);
-                    if remaining < count {
-                        let primary = decoder_stride_unrank(cells, stride, remaining);
-                        return InstanceCells::pair(primary ^ stride, primary);
-                    }
-                    remaining -= count;
-                }
-                unreachable!("decoder placement index out of range");
-            }
-        }
-    }
-}
-
-/// The single-bit address strides `1, 2, 4, …` below `cells` — duplicated
-/// from the placement module so the count arithmetic and the materialising
-/// enumerator cannot drift apart silently (the unit tests pin them equal).
-fn address_strides(cells: usize) -> impl Iterator<Item = usize> {
-    (0..usize::BITS)
-        .map(|bit| 1usize << bit)
-        .take_while(move |&stride| stride < cells)
-}
-
-/// How many primaries `p` in `0..cells` have `p ^ stride < cells`: every
-/// primary of each full `2·stride` block, plus the mirrored pairs of the
-/// partial tail block.
-fn decoder_stride_count(cells: usize, stride: usize) -> u64 {
-    let block = 2 * stride;
-    let full = (cells / block) * block;
-    let tail = cells % block;
-    (full + 2 * tail.saturating_sub(stride)) as u64
-}
-
-/// The `index`-th valid primary of the stride's enumeration order (primary
-/// ascending, skipping primaries whose partner falls outside the memory).
-fn decoder_stride_unrank(cells: usize, stride: usize, index: u64) -> usize {
-    let block = 2 * stride;
-    let full = ((cells / block) * block) as u64;
-    if index < full {
-        return index as usize;
-    }
-    // Tail block: primaries `full + r` are valid for `r < tail - stride`
-    // (partner above) and `stride <= r < tail` (partner below).
-    let tail_pairs = (cells % block - stride) as u64;
-    let offset = index - full;
-    let r = if offset < tail_pairs {
-        offset
-    } else {
-        stride as u64 + (offset - tail_pairs)
-    };
-    full as usize + r as usize
-}
+use crate::{CoverageLane, InitialState, InstanceCells, PlacementStrategy, SimulationError};
 
 /// One fault target of a campaign space: its identity, placement shape and
 /// the number of `(placement, background)` lanes it contributes.
@@ -188,19 +91,19 @@ impl CampaignSpace {
         let mut total: u128 = 0;
         for target in enumerate_targets(list) {
             let shape = placement_shape(&target);
-            let min_cells = shape.min_cells();
-            if memory_cells < min_cells {
-                return Err(SimulationError::MemoryTooSmall {
-                    cells: memory_cells,
-                    min_cells,
-                });
-            }
-            let lanes = u128::from(shape.count(memory_cells)) * backgrounds.len() as u128;
-            if total + lanes > u128::from(u64::MAX) {
-                return Err(SimulationError::InvalidCampaign(format!(
+            shape.check(memory_cells)?;
+            let too_large = || {
+                SimulationError::InvalidCampaign(format!(
                     "the campaign space of `{}` on {memory_cells} cells exceeds 2^64 lanes",
                     list.name()
-                )));
+                ))
+            };
+            let placements = shape
+                .count(memory_cells, PlacementStrategy::Exhaustive)
+                .ok_or_else(too_large)?;
+            let lanes = u128::from(placements) * backgrounds.len() as u128;
+            if total + lanes > u128::from(u64::MAX) {
+                return Err(too_large());
             }
             targets.push(SpaceTarget {
                 target,
@@ -249,6 +152,19 @@ impl CampaignSpace {
     /// sampled below the total.
     #[must_use]
     pub fn decode(&self, index: u64) -> (usize, CoverageLane) {
+        let (slot, cells, background) = self.locate(index);
+        (
+            slot,
+            CoverageLane {
+                cells,
+                background: background.clone(),
+            },
+        )
+    }
+
+    /// [`CampaignSpace::decode`] without cloning the background: the target
+    /// slot, the placement and the background of lane `index`.
+    pub(crate) fn locate(&self, index: u64) -> (usize, InstanceCells, &InitialState) {
         assert!(index < self.total, "lane index {index} out of space");
         // The last target whose first lane is <= index.
         let slot = match self.targets.binary_search_by(|t| t.first_lane.cmp(&index)) {
@@ -259,14 +175,8 @@ impl CampaignSpace {
         let local = index - entry.first_lane;
         let n_backgrounds = self.backgrounds.len() as u64;
         let placement = entry.shape.unrank(self.memory_cells, local / n_backgrounds);
-        let background = self.backgrounds[(local % n_backgrounds) as usize].clone();
-        (
-            slot,
-            CoverageLane {
-                cells: placement,
-                background,
-            },
-        )
+        let background = &self.backgrounds[(local % n_backgrounds) as usize];
+        (slot, placement, background)
     }
 }
 
@@ -707,70 +617,9 @@ fn probit(p: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::backend::enumerate_lanes;
-    use crate::placement::{enumerate_decoder_placements, enumerate_placements};
-    use crate::PlacementStrategy;
-    use sram_fault_model::{DecoderFault, LinkTopology};
 
     fn both_backgrounds() -> Vec<InitialState> {
         vec![InitialState::AllZero, InitialState::AllOne]
-    }
-
-    #[test]
-    fn unranking_matches_exhaustive_cell_array_enumeration() {
-        for cells in [4usize, 5, 6, 7, 8, 12] {
-            for (topology, shape) in [
-                (LinkTopology::Lf1, PlacementShape::Single),
-                (LinkTopology::Lf2SharedAggressor, PlacementShape::Pair),
-                (LinkTopology::Lf3, PlacementShape::Triple),
-            ] {
-                let reference =
-                    enumerate_placements(topology, cells, PlacementStrategy::Exhaustive).unwrap();
-                assert_eq!(shape.count(cells), reference.len() as u64, "{cells} cells");
-                for (index, expected) in reference.iter().enumerate() {
-                    assert_eq!(
-                        shape.unrank(cells, index as u64),
-                        *expected,
-                        "{shape:?} index {index} on {cells} cells"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn unranking_matches_exhaustive_decoder_enumeration() {
-        for cells in [2usize, 3, 5, 6, 7, 8, 12, 16, 1024] {
-            let singles = enumerate_decoder_placements(
-                DecoderFault::NoCellAccessed {
-                    open_read: sram_fault_model::Bit::Zero,
-                },
-                cells,
-                PlacementStrategy::Exhaustive,
-            )
-            .unwrap();
-            assert_eq!(
-                PlacementShape::DecoderSingle.count(cells),
-                singles.len() as u64
-            );
-            let pairs = enumerate_decoder_placements(
-                DecoderFault::NoAddressMaps,
-                cells,
-                PlacementStrategy::Exhaustive,
-            )
-            .unwrap();
-            assert_eq!(
-                PlacementShape::DecoderPair.count(cells),
-                pairs.len() as u64,
-                "{cells} cells"
-            );
-            for (index, expected) in pairs.iter().enumerate() {
-                assert_eq!(
-                    PlacementShape::DecoderPair.unrank(cells, index as u64),
-                    *expected,
-                    "index {index} on {cells} cells"
-                );
-            }
-        }
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! shape share one [`LaneSet`](crate::LaneSet). The lanes are not simulated
 //! one by one on the whole memory: each is projected onto the at most three
 //! cells its instance involves, and lanes sharing the rank order of those
-//! cells and their background bits form one class. The partition into
-//! classes is built once per lane set and memoised there. The class
-//! representatives of every target sharing a set are packed into shared
+//! cells and their background bits form one class. A lane set derives its
+//! classes from its shape and scope without listing its lanes, so no
+//! coverage cost grows with the memory size. The class representatives of
+//! every target sharing a set are packed into shared
 //! 64-lane words that carry each lane's fault as per-lane masks, and the
 //! selected [`SimulationBackend`](crate::SimulationBackend) runs one
 //! simulation per word on a memory of at most three cells (see

@@ -50,6 +50,12 @@ pub enum SimulationError {
     /// A Monte-Carlo campaign configuration or sample space is degenerate
     /// (zero draws, a confidence level outside `(0, 1)`, an empty space, …).
     InvalidCampaign(String),
+    /// A lane set of the simulated memory has more lanes than a `usize`
+    /// counts (e.g. every cell triple of a 2^22-cell memory).
+    LaneCountOverflow {
+        /// The number of cells of the configured memory.
+        cells: usize,
+    },
 }
 
 impl fmt::Display for SimulationError {
@@ -100,6 +106,10 @@ impl fmt::Display for SimulationError {
             SimulationError::InvalidCampaign(reason) => {
                 write!(f, "invalid campaign configuration: {reason}")
             }
+            SimulationError::LaneCountOverflow { cells } => write!(
+                f,
+                "the lanes of a {cells}-cell memory are more than a usize counts"
+            ),
         }
     }
 }
@@ -132,6 +142,7 @@ mod tests {
                 min_cells: 4,
             },
             SimulationError::InvalidCampaign("zero draws".into()),
+            SimulationError::LaneCountOverflow { cells: 1 << 22 },
         ] {
             assert!(!err.to_string().is_empty());
         }

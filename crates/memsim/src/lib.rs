@@ -21,27 +21,28 @@
 //!   `u64` word, 128/256 per [`W128`]/[`W256`] block, selected by
 //!   [`LaneWidth`]) — fanning the fault targets out over the resident
 //!   [`WorkerPool`] of a [`Session`];
-//! * enumerates coverage lanes once per **placement shape** (single cell,
+//! * describes coverage lanes once per **placement shape** (single cell,
 //!   cell pair, cell triple, decoder address, decoder pair), not once per
-//!   target: every target of one shape shares one [`LaneSet`];
+//!   target: every target of one shape shares one [`LaneSet`], which counts
+//!   its lanes and derives their classes without listing them;
 //! * simulates coverage and campaign lanes **projected** onto the at most
 //!   three cells each fault instance involves: lanes sharing the rank order
 //!   of those cells and their background bits form one class (at most 48 per
-//!   lane set, partitioned once per set), and the class representatives of
-//!   many targets are packed into shared 64-lane words whose lanes carry
-//!   their own fault as masks — one simulation per word on a memory of at
-//!   most three cells, not one backend call per target
-//!   ([`SimulationBackend::projected_verdicts`]), so the per-lane cost does
-//!   not grow with the memory size.
+//!   lane set, derived in closed form from its shape and scope), and the
+//!   class representatives of many targets are packed into shared 64-lane
+//!   words whose lanes carry their own fault as masks — one simulation per
+//!   word on a memory of at most three cells, not one backend call per
+//!   target ([`SimulationBackend::projected_verdicts`]), so no coverage or
+//!   campaign cost grows with the memory size.
 //!   A [`TargetBatch`] — the state the generator and the minimiser advance —
 //!   simulates every lane on its projected cells the same way, the lanes of
 //!   all targets of a list packed into shared 64-lane words. Reports,
 //!   scores and generated tests are byte-identical to the full-memory walk,
 //!   which the backends, [`PackedSimulator`] and diagnosis keep;
 //! * runs seeded Monte-Carlo **campaigns** over the exhaustive instance
-//!   space — unranked draws simulated as projected classes, reported with a
-//!   Wilson-score confidence interval ([`CampaignReport`]) — for memories
-//!   where exhaustive enumeration is intractable;
+//!   space — unranked draws, each taking the verdict of its projected class,
+//!   reported with a Wilson-score confidence interval ([`CampaignReport`]) —
+//!   to estimate the detected share of a space's lanes;
 //! * exposes the whole pipeline through one long-lived engine handle
 //!   ([`Session`]), the one holder of the simulation scope (memory size,
 //!   placement strategy, backgrounds), built from an [`ExecPolicy`] and

@@ -1,9 +1,40 @@
-//! Enumeration of cell placements for coverage measurement.
+//! Cell placements of fault instances: their enumeration, the count, rank
+//! and unrank arithmetic of each placement shape's exhaustive space, and the
+//! lane classes a shape yields under a simulation scope without listing its
+//! lanes.
+//!
+//! A target's lanes cross its placements with the scope's backgrounds,
+//! placements outermost, and the lanes of one class agree on the rank order
+//! of their involved cells and on the background bit under each
+//! (`projection.rs`). So the first lane of a class is the first placement,
+//! in enumeration order, that has the class's order and bits under some
+//! background. [`PlacementShape::class_first_lanes`] finds those lanes
+//! without building the others:
+//!
+//! * Representative placements are few, so it walks them.
+//! * Exhaustive single cells, pairs and triples are enumerated in
+//!   lexicographic order of their slots. For given bits in address order,
+//!   the *leftmost embedding* — the first cell holding the lowest bit, then
+//!   the first cell after it holding the next, and so on — puts each
+//!   involved cell at the lowest address any placement with those bits can
+//!   give it. So every assignment of its cells to the slots is the first
+//!   placement of its class. Under a uniform or checkerboard background each
+//!   step is closed form; under a custom image it is a scan onwards from the
+//!   previous cell, at most 24 scans per image.
+//! * Exhaustive decoder pairs are enumerated stride by stride. A uniform or
+//!   checkerboard background shows all its classes on at most eight pairs
+//!   of the two smallest strides; a custom image is walked stride by stride
+//!   until every class has shown, at most one pass over its cells per
+//!   address line.
+//!
+//! The classes therefore cost the same at any memory size under a
+//! repeating background, and a bounded number of passes over a custom image.
 
-use sram_fault_model::{DecoderFault, LinkTopology};
+use sram_fault_model::{Bit, DecoderFault, LinkTopology};
 
 use crate::coverage::TargetKind;
-use crate::{InstanceCells, SimulationError};
+use crate::projection::class_code;
+use crate::{InitialState, InstanceCells, SimulationError};
 
 /// The smallest memory linked-fault placement enumeration supports: three
 /// distinct cells with distinct relative positions need at least 4 cells.
@@ -86,6 +117,20 @@ impl PlacementShape {
         }
     }
 
+    /// Checks that a `cells`-cell memory hosts this shape's placements.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimulationError::MemoryTooSmall`] below
+    /// [`PlacementShape::min_cells`].
+    pub(crate) fn check(self, cells: usize) -> Result<(), SimulationError> {
+        let min_cells = self.min_cells();
+        if cells < min_cells {
+            return Err(SimulationError::MemoryTooSmall { cells, min_cells });
+        }
+        Ok(())
+    }
+
     /// The placements of this shape on a `cells`-cell memory, in enumeration
     /// order — what [`enumerate_placements`] and
     /// [`enumerate_decoder_placements`] return for targets of this shape.
@@ -94,11 +139,14 @@ impl PlacementShape {
         cells: usize,
         strategy: PlacementStrategy,
     ) -> Result<Vec<InstanceCells>, SimulationError> {
-        let min_cells = self.min_cells();
-        if cells < min_cells {
-            return Err(SimulationError::MemoryTooSmall { cells, min_cells });
-        }
-        Ok(match (self, strategy) {
+        self.check(cells)?;
+        Ok(self.enumerate(cells, strategy))
+    }
+
+    /// [`PlacementShape::placements`] on a memory already checked to host
+    /// them.
+    pub(crate) fn enumerate(self, cells: usize, strategy: PlacementStrategy) -> Vec<InstanceCells> {
+        match (self, strategy) {
             (PlacementShape::Single, PlacementStrategy::Representative) => {
                 vec![InstanceCells::single(cells / 2)]
             }
@@ -112,8 +160,274 @@ impl PlacementShape {
                 representative_addresses(cells)
             }
             (PlacementShape::DecoderPair, _) => decoder_pair_placements(cells, strategy),
-        })
+        }
     }
+
+    /// How many placements of this shape a memory of at least
+    /// [`PlacementShape::min_cells`] cells holds under `strategy`, or `None`
+    /// when the count exceeds `u64`: the exhaustive triples of a
+    /// 2^22-cell memory are about 7.4·10^19.
+    pub(crate) fn count(self, cells: usize, strategy: PlacementStrategy) -> Option<u64> {
+        if strategy == PlacementStrategy::Representative {
+            return u64::try_from(self.enumerate(cells, strategy).len()).ok();
+        }
+        let n = cells as u64;
+        match self {
+            PlacementShape::Single | PlacementShape::DecoderSingle => Some(n),
+            PlacementShape::Pair => n.checked_mul(n - 1),
+            PlacementShape::Triple => n.checked_mul(n - 1)?.checked_mul(n - 2),
+            PlacementShape::DecoderPair => Some(
+                address_strides(cells)
+                    .map(|stride| decoder_stride_count(cells, stride))
+                    .sum(),
+            ),
+        }
+    }
+
+    /// The `index`-th placement of the exhaustive enumeration order —
+    /// `enumerate_placements(…, Exhaustive)[index]` (or the decoder
+    /// counterpart) without materialising the space.
+    pub(crate) fn unrank(self, cells: usize, index: u64) -> InstanceCells {
+        match self {
+            PlacementShape::Single | PlacementShape::DecoderSingle => {
+                InstanceCells::single(index as usize)
+            }
+            PlacementShape::Pair => {
+                let others = (cells - 1) as u64;
+                let aggressor = (index / others) as usize;
+                let slot = (index % others) as usize;
+                let victim = if slot < aggressor { slot } else { slot + 1 };
+                InstanceCells::pair(aggressor, victim)
+            }
+            PlacementShape::Triple => {
+                let block = ((cells - 1) * (cells - 2)) as u64;
+                let a1 = (index / block) as usize;
+                let rest = index % block;
+                let a2_slot = (rest / (cells - 2) as u64) as usize;
+                let a2 = if a2_slot < a1 { a2_slot } else { a2_slot + 1 };
+                let mut v = (rest % (cells - 2) as u64) as usize;
+                let (lo, hi) = if a1 < a2 { (a1, a2) } else { (a2, a1) };
+                if v >= lo {
+                    v += 1;
+                }
+                if v >= hi {
+                    v += 1;
+                }
+                InstanceCells::triple(a1, a2, v)
+            }
+            PlacementShape::DecoderPair => {
+                let mut remaining = index;
+                for stride in address_strides(cells) {
+                    let count = decoder_stride_count(cells, stride);
+                    if remaining < count {
+                        let primary = decoder_stride_unrank(cells, stride, remaining);
+                        return decoder_pair(primary, primary ^ stride);
+                    }
+                    remaining -= count;
+                }
+                unreachable!("decoder placement index out of range");
+            }
+        }
+    }
+
+    /// The index of `placement` in the exhaustive enumeration order: the
+    /// inverse of [`PlacementShape::unrank`].
+    pub(crate) fn rank(self, cells: usize, placement: &InstanceCells) -> u64 {
+        let n = cells as u64;
+        let v = placement.victim;
+        let a1 = placement.aggressor_first.unwrap_or(v);
+        let a2 = placement.aggressor_second.unwrap_or(v);
+        match self {
+            PlacementShape::Single | PlacementShape::DecoderSingle => v as u64,
+            PlacementShape::Pair => a1 as u64 * (n - 1) + position_among_others(v, &[a1]),
+            PlacementShape::Triple => {
+                (a1 as u64 * (n - 1) + position_among_others(a2, &[a1])) * (n - 2)
+                    + position_among_others(v, &[a1, a2])
+            }
+            PlacementShape::DecoderPair => {
+                let stride = v ^ a1;
+                address_strides(cells)
+                    .take_while(|&smaller| smaller < stride)
+                    .map(|smaller| decoder_stride_count(cells, smaller))
+                    .sum::<u64>()
+                    + decoder_stride_rank(cells, stride, v)
+            }
+        }
+    }
+
+    /// Lanes of this shape under `strategy` and `backgrounds` that include
+    /// the first lane of every lane class, in lane order, each as its index
+    /// among the lanes, its placement and its background's index. The lanes
+    /// cross the placements with the backgrounds, placements outermost.
+    ///
+    /// Representative placements are few, so they are all walked. Under
+    /// exhaustive placements each background contributes the first placement
+    /// of each class it has (see the module docs), so the list holds at most
+    /// 48 lanes per background however large the memory is.
+    pub(crate) fn class_first_lanes(
+        self,
+        cells: usize,
+        strategy: PlacementStrategy,
+        backgrounds: &[InitialState],
+    ) -> Vec<(usize, InstanceCells, usize)> {
+        let per_placement = backgrounds.len();
+        let mut lanes: Vec<(usize, InstanceCells, usize)> = match strategy {
+            PlacementStrategy::Representative => self
+                .enumerate(cells, strategy)
+                .into_iter()
+                .enumerate()
+                .flat_map(|(index, placement)| {
+                    (0..per_placement).map(move |background| {
+                        (index * per_placement + background, placement, background)
+                    })
+                })
+                .collect(),
+            PlacementStrategy::Exhaustive => backgrounds
+                .iter()
+                .enumerate()
+                .flat_map(|(index, background)| {
+                    self.first_placements(cells, background)
+                        .into_iter()
+                        .map(move |placement| {
+                            let rank = self.rank(cells, &placement) as usize;
+                            (rank * per_placement + index, placement, index)
+                        })
+                })
+                .collect(),
+        };
+        lanes.sort_unstable_by_key(|&(index, ..)| index);
+        lanes
+    }
+
+    /// Exhaustive placements including, for every class `background` has,
+    /// its first placement in enumeration order.
+    fn first_placements(self, cells: usize, background: &InitialState) -> Vec<InstanceCells> {
+        match self {
+            PlacementShape::Single | PlacementShape::DecoderSingle => [Bit::Zero, Bit::One]
+                .into_iter()
+                .filter_map(|bit| next_with(background, bit, 0, cells))
+                .map(InstanceCells::single)
+                .collect(),
+            PlacementShape::Pair => bit_patterns()
+                .filter_map(|bits| leftmost(background, bits, cells))
+                .flat_map(|[low, high]| {
+                    [
+                        InstanceCells::pair(low, high),
+                        InstanceCells::pair(high, low),
+                    ]
+                })
+                .collect(),
+            PlacementShape::Triple => bit_patterns()
+                .filter_map(|bits| leftmost(background, bits, cells))
+                .flat_map(|[low, middle, high]| {
+                    [
+                        (low, middle, high),
+                        (low, high, middle),
+                        (middle, low, high),
+                        (middle, high, low),
+                        (high, low, middle),
+                        (high, middle, low),
+                    ]
+                    .map(|(a1, a2, v)| InstanceCells::triple(a1, a2, v))
+                })
+                .collect(),
+            PlacementShape::DecoderPair => decoder_first_pairs(cells, background),
+        }
+    }
+}
+
+/// The position of `address` among the cells other than `taken`.
+fn position_among_others(address: usize, taken: &[usize]) -> u64 {
+    (address - taken.iter().filter(|&&cell| cell < address).count()) as u64
+}
+
+/// Every assignment of bits to `K` cells.
+fn bit_patterns<const K: usize>() -> impl Iterator<Item = [Bit; K]> {
+    (0..1usize << K).map(|pattern| std::array::from_fn(|cell| Bit::from(pattern >> cell & 1 == 1)))
+}
+
+/// The leftmost embedding of `bits` in `background`: the first cell holding
+/// the first bit, then the first cell after it holding the second, and so
+/// on. No placement whose cells, in address order, hold `bits` has a cell
+/// below the embedding's, so every assignment of the embedding's cells to
+/// the slots is the first placement of its class.
+fn leftmost<const K: usize>(
+    background: &InitialState,
+    bits: [Bit; K],
+    cells: usize,
+) -> Option<[usize; K]> {
+    let mut embedding = [0; K];
+    let mut from = 0;
+    for (cell, bit) in embedding.iter_mut().zip(bits) {
+        *cell = next_with(background, bit, from, cells)?;
+        from = *cell + 1;
+    }
+    Some(embedding)
+}
+
+/// The first address in `from..cells` whose bit under `background` is
+/// `bit`: one of the next two addresses for a background repeating every
+/// cell or every other one, a scan of a custom image.
+fn next_with(background: &InitialState, bit: Bit, from: usize, cells: usize) -> Option<usize> {
+    let at = match background {
+        InitialState::Custom(image) => {
+            from + image.get(from..)?.iter().position(|&cell| cell == bit)?
+        }
+        repeating => (from..from + 2).find(|&address| repeating.bit_at(address) == bit)?,
+    };
+    (at < cells).then_some(at)
+}
+
+/// How many cells `background` repeats after: 1 for a uniform background,
+/// 2 for the checkerboard, `None` for a custom image.
+fn period(background: &InitialState) -> Option<usize> {
+    match background {
+        InitialState::AllZero | InitialState::AllOne => Some(1),
+        InitialState::Checkerboard => Some(2),
+        InitialState::Custom(_) => None,
+    }
+}
+
+/// How many classes decoder pairs have at most: two relative orders times
+/// the bits under the primary and the partner.
+const DECODER_PAIR_CLASSES: usize = 8;
+
+/// Exhaustive decoder pairs including the first of each class under
+/// `background`, found by walking the pairs in enumeration order — stride
+/// by stride, primary by primary — until every class has shown.
+///
+/// The bits under a primary and its partner depend only on their residues
+/// modulo the background's period, so a repeating background shows all its
+/// classes on the primaries below twice the period, both orders included,
+/// of the strides up to the period: a larger stride pairs the same residues
+/// as the period's own stride, on fewer valid primaries. That is at most
+/// eight pairs. A custom image is walked one stride at a time, which takes
+/// one pass over its cells per address line when a class never shows.
+fn decoder_first_pairs(cells: usize, background: &InitialState) -> Vec<InstanceCells> {
+    let (last_stride, primaries) = match period(background) {
+        Some(period) => (period, (2 * period).min(cells)),
+        None => (cells, cells),
+    };
+    let mut codes = Vec::with_capacity(DECODER_PAIR_CLASSES);
+    let mut first = Vec::with_capacity(DECODER_PAIR_CLASSES);
+    for stride in address_strides(cells).take_while(|&stride| stride <= last_stride) {
+        for primary in 0..primaries {
+            let partner = primary ^ stride;
+            if partner >= cells {
+                continue;
+            }
+            let placement = decoder_pair(primary, partner);
+            let code = class_code(&placement, background);
+            if !codes.contains(&code) {
+                codes.push(code);
+                first.push(placement);
+                if codes.len() == DECODER_PAIR_CLASSES {
+                    return first;
+                }
+            }
+        }
+    }
+    first
 }
 
 /// Enumerates the cell assignments used to instantiate a linked fault of the given
@@ -274,10 +588,57 @@ fn decoder_pair(primary: usize, partner: usize) -> InstanceCells {
     InstanceCells::pair(partner, primary)
 }
 
+/// How many primaries `p` in `0..cells` have `p ^ stride < cells`: every
+/// primary of each full `2·stride` block, plus the mirrored pairs of the
+/// partial tail block.
+fn decoder_stride_count(cells: usize, stride: usize) -> u64 {
+    let block = 2 * stride;
+    let full = (cells / block) * block;
+    let tail = cells % block;
+    (full + 2 * tail.saturating_sub(stride)) as u64
+}
+
+/// The `index`-th valid primary of the stride's enumeration order (primary
+/// ascending, skipping primaries whose partner falls outside the memory).
+fn decoder_stride_unrank(cells: usize, stride: usize, index: u64) -> usize {
+    let block = 2 * stride;
+    let full = ((cells / block) * block) as u64;
+    if index < full {
+        return index as usize;
+    }
+    // Tail block: primaries `full + r` are valid for `r < tail - stride`
+    // (partner above) and `stride <= r < tail` (partner below).
+    let tail_pairs = (cells % block - stride) as u64;
+    let offset = index - full;
+    let r = if offset < tail_pairs {
+        offset
+    } else {
+        stride as u64 + (offset - tail_pairs)
+    };
+    full as usize + r as usize
+}
+
+/// The index of the valid `primary` in the stride's enumeration order: the
+/// inverse of [`decoder_stride_unrank`].
+fn decoder_stride_rank(cells: usize, stride: usize, primary: usize) -> u64 {
+    let block = 2 * stride;
+    let full = (cells / block) * block;
+    if primary < full {
+        return primary as u64;
+    }
+    let tail_pairs = cells % block - stride;
+    let r = primary - full;
+    let offset = if r < tail_pairs {
+        r
+    } else {
+        tail_pairs + (r - stride)
+    };
+    (full + offset) as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sram_fault_model::Bit;
 
     #[test]
     fn representative_counts() {
@@ -438,5 +799,94 @@ mod tests {
         .unwrap();
         assert!(singles.len() <= 16);
         assert!(singles.iter().any(|p| p.victim == 1023));
+    }
+
+    #[test]
+    fn unranking_matches_exhaustive_cell_array_enumeration() {
+        for cells in [4usize, 5, 6, 7, 8, 12] {
+            for (topology, shape) in [
+                (LinkTopology::Lf1, PlacementShape::Single),
+                (LinkTopology::Lf2SharedAggressor, PlacementShape::Pair),
+                (LinkTopology::Lf3, PlacementShape::Triple),
+            ] {
+                let reference =
+                    enumerate_placements(topology, cells, PlacementStrategy::Exhaustive).unwrap();
+                assert_eq!(
+                    shape.count(cells, PlacementStrategy::Exhaustive),
+                    Some(reference.len() as u64),
+                    "{cells} cells"
+                );
+                for (index, expected) in reference.iter().enumerate() {
+                    assert_eq!(
+                        shape.unrank(cells, index as u64),
+                        *expected,
+                        "{shape:?} index {index} on {cells} cells"
+                    );
+                    assert_eq!(shape.rank(cells, expected), index as u64, "{expected}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unranking_matches_exhaustive_decoder_enumeration() {
+        for cells in [2usize, 3, 5, 6, 7, 8, 12, 16, 1024] {
+            let singles = enumerate_decoder_placements(
+                DecoderFault::NoCellAccessed {
+                    open_read: Bit::Zero,
+                },
+                cells,
+                PlacementStrategy::Exhaustive,
+            )
+            .unwrap();
+            assert_eq!(
+                PlacementShape::DecoderSingle.count(cells, PlacementStrategy::Exhaustive),
+                Some(singles.len() as u64)
+            );
+            let pairs = enumerate_decoder_placements(
+                DecoderFault::NoAddressMaps,
+                cells,
+                PlacementStrategy::Exhaustive,
+            )
+            .unwrap();
+            assert_eq!(
+                PlacementShape::DecoderPair.count(cells, PlacementStrategy::Exhaustive),
+                Some(pairs.len() as u64),
+                "{cells} cells"
+            );
+            for (index, expected) in pairs.iter().enumerate() {
+                assert_eq!(
+                    PlacementShape::DecoderPair.unrank(cells, index as u64),
+                    *expected,
+                    "index {index} on {cells} cells"
+                );
+                assert_eq!(
+                    PlacementShape::DecoderPair.rank(cells, expected),
+                    index as u64,
+                    "{expected} on {cells} cells"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn placement_counts_beyond_u64_are_none() {
+        // 2^22 cells: about 7.4·10^19 triples, beyond u64; 1.8·10^13 pairs.
+        let cells = 1usize << 22;
+        let exhaustive = PlacementStrategy::Exhaustive;
+        assert_eq!(PlacementShape::Triple.count(cells, exhaustive), None);
+        assert_eq!(
+            PlacementShape::Pair.count(cells, exhaustive),
+            Some((cells * (cells - 1)) as u64)
+        );
+        // The largest memory whose triples still fit.
+        assert!(PlacementShape::Triple
+            .count(2_642_246, exhaustive)
+            .is_some());
+        assert_eq!(PlacementShape::Triple.count(2_642_247, exhaustive), None);
+        assert_eq!(
+            PlacementShape::Triple.count(cells, PlacementStrategy::Representative),
+            Some(6)
+        );
     }
 }

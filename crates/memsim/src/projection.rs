@@ -11,12 +11,14 @@
 //! verdict: at most 3! orders × 2³ background patterns = 48 classes per
 //! target, whatever the memory size.
 //!
-//! [`Classes`] keys every lane of a lane set by its class and remaps the
-//! first lane of each class onto a memory of k ≤ 3 cells (the cells' ranks as
-//! addresses, the background cut down to those cells). The partition depends
-//! only on the lanes, never on the fault, so it is built **once per
-//! [`LaneSet`]** — the lanes every target of one placement shape shares — and
-//! memoised there.
+//! [`Classes`] names each class of a lane set by its first lane in
+//! enumeration order and remaps that lane onto a memory of k ≤ 3 cells (the
+//! cells' ranks as addresses, the background cut down to those cells). The
+//! classes depend only on the lanes, never on the fault, so a [`LaneSet`] —
+//! the lanes every target of one placement shape shares — derives them once,
+//! from its shape and scope, without listing its lanes (`placement.rs`).
+//! `Classes::of`, the lane-by-lane partition, is the test reference they are
+//! held to.
 //!
 //! Verdicts come from one simulation per **word**, not one backend call per
 //! target. A [`ProjectedWord`] is a fixed-size, heap-free simulator of up to
@@ -28,7 +30,7 @@
 //! Sensitisation is mask arithmetic, so one word holds lanes of many targets.
 //! Coverage ([`coverage_words`]) packs the class representatives of every
 //! target sharing a lane set into consecutive words in (target, class)
-//! order; campaigns pack each shard's drawn classes the same way. Both go
+//! order; a campaign packs the classes its draws hit the same way. Both go
 //! through [`SimulationBackend::projected_verdicts`]: the packed backend
 //! runs the words ([`word_verdicts`]), the scalar backend simulates each
 //! target's lanes on their own as the differential reference.
@@ -36,10 +38,10 @@
 //! Because a class representative is its class's first lane in enumeration
 //! order, the first escaping lane of a target is the representative of its
 //! first escaping class — escape reports, escape order and campaign traces
-//! are exactly those of the full-memory walk, while the per-lane cost no
-//! longer grows with the memory size. A coverage request therefore costs one
-//! partition per distinct lane set plus one simulation per word: Fault List
-//! #1 at 8 or 16 cells is 6,448 class representatives in 102 words.
+//! are exactly those of the full-memory walk, while no cost grows with the
+//! memory size. A coverage request therefore costs one simulation per word:
+//! Fault List #1 at 8 or 16 cells is 6,448 class representatives in 102
+//! words, and at 4096 cells too.
 //!
 //! The generator's and the minimiser's [`TargetBatch`](crate::TargetBatch)
 //! projects too, lane by lane rather than class by class, since a greedy
@@ -95,6 +97,7 @@
 //! [`SimulationError::InitialStateSizeMismatch`](crate::SimulationError));
 //! [`project_lane`] makes them itself.
 
+use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -119,17 +122,22 @@ const MAX_CELLS: usize = 3;
 /// compares, two bits each, plus the background bit under each slot.
 const CLASS_CODES: usize = 1 << 9;
 
+/// The most classes one lane set has: three cells in any of their 3! rank
+/// orders, under any of the 2³ patterns of background bits.
+pub(crate) const MAX_CLASSES: usize = 48;
+
 /// Marks a class code no lane has produced yet.
 const UNSEEN: u16 = u16::MAX;
 
-/// The class code of `lane`. Comparing every pair of slots — less, equal,
-/// greater, or absent when a slot is empty — fixes the rank order of the
-/// involved cells (two slots may share a cell, like the shared aggressor of a
-/// pair placement), and the background bit under each slot fixes their
-/// initial content. This runs once per lane, so it avoids sorting.
+/// The class code of a lane placed on `cells` under `background`. Comparing
+/// every pair of slots — less, equal, greater, or absent when a slot is
+/// empty — fixes the rank order of the involved cells (two slots may share a
+/// cell, like the shared aggressor of a pair placement), and the background
+/// bit under each slot fixes their initial content. This runs once per
+/// campaign draw, so it avoids sorting.
 #[inline]
-fn class_code(lane: &CoverageLane) -> usize {
-    let slots = slots(&lane.cells);
+pub(crate) fn class_code(cells: &InstanceCells, background: &InitialState) -> usize {
+    let slots = slots(cells);
     let compare = |first: Option<usize>, second: Option<usize>| match (first, second) {
         (Some(first), Some(second)) => (first.cmp(&second) as isize + 1) as usize,
         _ => 3,
@@ -138,7 +146,7 @@ fn class_code(lane: &CoverageLane) -> usize {
         | compare(slots[0], slots[2]) << 2
         | compare(slots[1], slots[2]) << 4;
     for (position, slot) in slots.into_iter().enumerate() {
-        if slot.is_some_and(|address| lane.background.bit_at(address) == Bit::One) {
+        if slot.is_some_and(|address| background.bit_at(address) == Bit::One) {
             code |= 1 << (6 + position);
         }
     }
@@ -213,56 +221,90 @@ impl Involved {
     }
 }
 
-/// The lane classes of one lane set, in first-seen order.
+/// One lane class of a lane set.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct LaneClass {
+    /// The index of its first lane among the set's lanes.
+    pub(crate) first_lane: usize,
+    /// Its first lane, as the set enumerates it.
+    pub(crate) lane: CoverageLane,
+    /// Its first lane remapped onto the projected memory: the lane its
+    /// verdict is simulated on.
+    pub(crate) representative: CoverageLane,
+}
+
+/// The lane classes of one lane set, in the order of their first lanes, and
+/// the class of each class code.
+#[derive(Clone, PartialEq, Eq)]
 pub(crate) struct Classes {
     /// Class index of each class code ([`UNSEEN`] for codes no lane has).
     index_of_code: [u16; CLASS_CODES],
-    /// The index of each class's first lane in the caller's lane slice.
-    first_lanes: Vec<usize>,
-    /// Each class's first lane, remapped onto the projected memory.
-    representatives: Vec<CoverageLane>,
+    classes: Vec<LaneClass>,
 }
 
 impl Classes {
-    /// Partitions `lanes` into their classes.
-    pub(crate) fn of(lanes: &[CoverageLane]) -> Classes {
+    /// The classes of a lane set from some of its lanes: `(index, cells,
+    /// background)` triples in increasing lane index, among them the first
+    /// lane of every class. Each class is named by the first of its lanes
+    /// met, so the others are skipped.
+    pub(crate) fn first_seen<'b>(
+        lanes: impl IntoIterator<Item = (usize, InstanceCells, &'b InitialState)>,
+    ) -> Classes {
         let mut classes = Classes {
             index_of_code: [UNSEEN; CLASS_CODES],
-            first_lanes: Vec::new(),
-            representatives: Vec::new(),
+            classes: Vec::new(),
         };
-        for (index, lane) in lanes.iter().enumerate() {
-            let code = class_code(lane);
+        for (first_lane, cells, background) in lanes {
+            let code = class_code(&cells, background);
             if classes.index_of_code[code] != UNSEEN {
                 continue;
             }
-            classes.index_of_code[code] = classes.first_lanes.len() as u16;
-            classes.first_lanes.push(index);
-            let involved = Involved::of(&lane.cells);
-            classes.representatives.push(involved.project(lane));
+            classes.index_of_code[code] = classes.classes.len() as u16;
+            let lane = CoverageLane {
+                cells,
+                background: background.clone(),
+            };
+            classes.classes.push(LaneClass {
+                first_lane,
+                representative: Involved::of(&cells).project(&lane),
+                lane,
+            });
         }
         classes
     }
 
+    /// Partitions `lanes` into their classes, lane by lane: the reference the
+    /// closed-form classes of each placement shape are tested against.
+    #[cfg(test)]
+    pub(crate) fn of(lanes: &[CoverageLane]) -> Classes {
+        Classes::first_seen(
+            lanes
+                .iter()
+                .enumerate()
+                .map(|(index, lane)| (index, lane.cells, &lane.background)),
+        )
+    }
+
     /// The number of classes.
     pub(crate) fn len(&self) -> usize {
-        self.first_lanes.len()
+        self.classes.len()
     }
 
-    /// Each class's first lane, remapped onto the projected memory, in class
-    /// order.
-    pub(crate) fn representatives(&self) -> &[CoverageLane] {
-        &self.representatives
+    /// `class`, by its index in class order.
+    pub(crate) fn get(&self, class: usize) -> &LaneClass {
+        &self.classes[class]
     }
 
-    /// The index of `class`'s first lane in the partitioned lane slice.
-    pub(crate) fn first_lane(&self, class: usize) -> usize {
-        self.first_lanes[class]
+    /// The index of the class of a lane placed on `cells` under
+    /// `background`, which must be one of the set's lanes.
+    pub(crate) fn class_of(&self, cells: &InstanceCells, background: &InitialState) -> usize {
+        usize::from(self.index_of_code[class_code(cells, background)])
     }
+}
 
-    /// The class of `lane`, one of the partitioned lanes.
-    pub(crate) fn class_of(&self, lane: &CoverageLane) -> usize {
-        usize::from(self.index_of_code[class_code(lane)])
+impl fmt::Debug for Classes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(&self.classes).finish()
     }
 }
 
@@ -276,14 +318,15 @@ pub(crate) fn projected_cells(lane: &CoverageLane) -> usize {
         .map_or(0, |rank| rank + 1)
 }
 
-/// The projected lanes of a coverage request and the words they are cut
-/// into. The lanes are the class representatives of every target in
-/// (target, class) order, the targets sharing one lane set consecutive, each
-/// named by its target's index in `target_lanes` and its class. The words
-/// are ranges of those lanes, at most `word_lanes` long, none straddling two
-/// sets.
+/// The projected lanes of a request and the words they are cut into. The
+/// lanes are the class representatives `classes[index]` selects of every
+/// target (bit `c` selects class `c`), in (target, class) order, the targets
+/// sharing one lane set consecutive, each named by its target's index in
+/// `target_lanes` and its class. The words are ranges of those lanes, at
+/// most `word_lanes` long, none straddling two sets.
 pub(crate) fn coverage_words(
     target_lanes: &TargetLanes,
+    classes: &[u64],
     word_lanes: usize,
 ) -> (Vec<(usize, usize)>, Vec<Range<usize>>) {
     let mut lanes = Vec::new();
@@ -297,7 +340,11 @@ pub(crate) fn coverage_words(
         for (index, (_, other)) in target_lanes.iter().enumerate().skip(first) {
             if Arc::ptr_eq(set, other) {
                 packed[index] = true;
-                lanes.extend((0..set.classes().len()).map(|class| (index, class)));
+                let mut selected = classes[index];
+                while selected != 0 {
+                    lanes.push((index, selected.trailing_zeros() as usize));
+                    selected &= selected - 1;
+                }
             }
         }
         let end = lanes.len();
@@ -938,20 +985,18 @@ mod tests {
         lanes: &[CoverageLane],
     ) -> (Vec<bool>, Option<usize>) {
         let classes = Classes::of(lanes);
-        let representatives: Vec<(&TargetKind, &CoverageLane)> = classes
-            .representatives()
-            .iter()
-            .map(|lane| (target, lane))
+        let representatives: Vec<(&TargetKind, &CoverageLane)> = (0..classes.len())
+            .map(|class| (target, &classes.get(class).representative))
             .collect();
         let class_verdicts = backend.projected_verdicts(test, &representatives);
         let verdicts = lanes
             .iter()
-            .map(|lane| class_verdicts[classes.class_of(lane)])
+            .map(|lane| class_verdicts[classes.class_of(&lane.cells, &lane.background)])
             .collect();
         let first = class_verdicts
             .iter()
             .position(|detected| !detected)
-            .map(|class| classes.first_lane(class));
+            .map(|class| classes.get(class).first_lane);
         (verdicts, first)
     }
 
@@ -1004,19 +1049,24 @@ mod tests {
         .unwrap();
         let classes = Classes::of(&lanes);
         // Six orders under two uniform backgrounds; three projected cells.
-        assert_eq!(classes.first_lanes.len(), 12);
+        assert_eq!(classes.len(), 12);
         assert!(classes
-            .representatives()
+            .classes
             .iter()
-            .all(|lane| projected_cells(lane) == 3));
-        assert_eq!(classes.first_lanes[0], 0);
-        assert!(classes.first_lanes.windows(2).all(|pair| pair[0] < pair[1]));
+            .all(|class| projected_cells(&class.representative) == 3));
+        let first_lanes: Vec<usize> = classes
+            .classes
+            .iter()
+            .map(|class| class.first_lane)
+            .collect();
+        assert_eq!(first_lanes[0], 0);
+        assert!(first_lanes.windows(2).all(|pair| pair[0] < pair[1]));
 
         // Patterned backgrounds split the classes by the bits under the
         // involved cells, up to 2^3 patterns per order.
         let lanes =
             enumerate_lanes(&target, 16, PlacementStrategy::Exhaustive, &backgrounds(16)).unwrap();
-        assert_eq!(Classes::of(&lanes).first_lanes.len(), 48);
+        assert_eq!(Classes::of(&lanes).len(), MAX_CLASSES);
     }
 
     #[test]
@@ -1026,13 +1076,15 @@ mod tests {
             background: InitialState::Checkerboard,
         };
         let classes = Classes::of(std::slice::from_ref(&lane));
+        assert_eq!(classes.len(), 1);
         assert_eq!(
-            classes.representatives,
-            vec![CoverageLane {
+            classes.get(0).representative,
+            CoverageLane {
                 cells: InstanceCells::triple(2, 0, 1),
                 background: InitialState::Custom(vec![Bit::One, Bit::Zero, Bit::Zero]),
-            }]
+            }
         );
+        assert_eq!(classes.get(0).lane, lane);
         // A pair placement names its aggressor in both slots but involves
         // two cells.
         assert_eq!(
@@ -1041,7 +1093,8 @@ mod tests {
                     cells: InstanceCells::pair(5, 2),
                     background: InitialState::AllOne,
                 }])
-                .representatives()[0]
+                .get(0)
+                .representative
             ),
             2
         );

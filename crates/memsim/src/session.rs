@@ -17,22 +17,20 @@
 //! store and one resident pool, so many concurrent sessions amortise the same
 //! warm cache.
 
-use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::Deref;
 use std::sync::Arc;
 
 use march_test::MarchTest;
 use sram_fault_model::FaultList;
 
-use crate::backend::{shape_lanes, SimulationBackend};
+use crate::backend::{cross_backgrounds, SimulationBackend};
 use crate::campaign::{sample_draw_indices, CampaignConfig, CampaignEscape, CampaignReport};
 use crate::coverage::{assemble_coverage_report, enumerate_targets, Escape, TargetKind};
 use crate::diagnose::{enumerate_diagnosis_instances, inject_diagnosis_instance};
 use crate::memory::check_backgrounds;
 use crate::parallel::WorkerPool;
 use crate::placement::{placement_shape, PlacementShape};
-use crate::projection::{coverage_words, Classes, WORD_LANES};
+use crate::projection::{coverage_words, Classes, MAX_CLASSES, WORD_LANES};
 use crate::report::DiagnosisReport;
 use crate::run::run_march;
 use crate::store::{ArtifactKey, ArtifactStore, DictionaryKey};
@@ -40,7 +38,7 @@ use crate::sync::OnceLock;
 use crate::{
     CampaignSpace, CoverageLane, CoverageReport, DiagnosisCandidate, ExecPolicy, FaultDictionary,
     FaultSimulator, InitialState, InjectedFault, InstanceCells, LinkedFaultInstance, MarchRun,
-    PlacementStrategy, Result, Syndrome,
+    PlacementStrategy, Result, SimulationError, Syndrome,
 };
 
 /// How many diagnosis instances one sweep shard simulates: large enough to
@@ -48,13 +46,8 @@ use crate::{
 /// of a representative sweep still spread over every worker.
 const DIAGNOSIS_SHARD: usize = 256;
 
-/// How many campaign draws one shard decodes and simulates: enough that the
-/// classes its draws fall into fill whole words, few enough that typical
-/// sample sizes still shard over every worker.
-const CAMPAIGN_SHARD: usize = 2048;
-
 /// Every fault target of a list, in [`enumerate_targets`] order, with the
-/// coverage lanes it is simulated under — the session-cached setup artifact
+/// lane set it is simulated under — the session-cached setup artifact
 /// shared by coverage measurement, the greedy generator and the
 /// redundancy-removal pass.
 ///
@@ -69,57 +62,154 @@ pub type TargetLanes = Vec<(TargetKind, Arc<LaneSet>)>;
 /// one simulation scope: every placement crossed with every background,
 /// placements outermost.
 ///
-/// A set derefs to `[CoverageLane]`, so it reads like the lane vector it
-/// wraps. It also memoises its partition into projected lane classes (see
-/// `projection.rs`), built on first use: the class codes, first lanes and
-/// projected representatives depend only on the lanes, so every target
-/// sharing the set reuses them and coverage only simulates each target's
-/// fault on the representatives.
+/// A set is its shape and scope, not a list of lanes. On construction it
+/// derives its lane classes from them (see `projection.rs`): each class's
+/// code, its first lane in enumeration order and that lane projected onto
+/// the at most three cells it involves. The first lanes come in closed
+/// form under uniform and checkerboard backgrounds, and from a bounded
+/// number of passes over a custom image (see `placement.rs`). Coverage and
+/// campaigns read only the classes, so they build no lanes and cost the
+/// same at any memory size: [`LaneSet::len`] counts the lanes without
+/// listing them.
+///
+/// The lanes are built on the first call to [`LaneSet::lanes`] and kept.
+/// Only the callers that simulate or store every lane pay for them: a
+/// [`TargetBatch`](crate::TargetBatch), and a snapshot of the set.
 pub struct LaneSet {
-    lanes: Vec<CoverageLane>,
-    classes: OnceLock<Classes>,
+    /// The shape and scope the lanes enumerate; `None` for a set over a
+    /// caller's own lanes.
+    space: Option<LaneSpace>,
+    /// The lane classes; none for a set over a caller's own lanes, which
+    /// only batches read.
+    classes: Classes,
+    len: usize,
+    lanes: OnceLock<Vec<CoverageLane>>,
+}
+
+/// What the lanes of a shape's [`LaneSet`] enumerate.
+struct LaneSpace {
+    shape: PlacementShape,
+    memory_cells: usize,
+    strategy: PlacementStrategy,
+    backgrounds: Arc<[InitialState]>,
 }
 
 impl LaneSet {
-    pub(crate) fn new(lanes: Vec<CoverageLane>) -> LaneSet {
-        LaneSet {
-            lanes,
-            classes: OnceLock::new(),
-        }
+    /// The lane set of `shape` on a `memory_cells`-cell memory under
+    /// `strategy` and `backgrounds`, which must fit the memory.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimulationError::MemoryTooSmall`](crate::SimulationError)
+    /// when the memory cannot host the shape's placements, and
+    /// [`SimulationError::LaneCountOverflow`](crate::SimulationError) when
+    /// the set has more lanes than a `usize` counts.
+    pub(crate) fn new(
+        shape: PlacementShape,
+        memory_cells: usize,
+        strategy: PlacementStrategy,
+        backgrounds: &Arc<[InitialState]>,
+    ) -> Result<LaneSet> {
+        shape.check(memory_cells)?;
+        let len = shape
+            .count(memory_cells, strategy)
+            .and_then(|placements| usize::try_from(placements).ok())
+            .and_then(|placements| placements.checked_mul(backgrounds.len()))
+            .ok_or(SimulationError::LaneCountOverflow {
+                cells: memory_cells,
+            })?;
+        let classes = Classes::first_seen(
+            shape
+                .class_first_lanes(memory_cells, strategy, backgrounds)
+                .into_iter()
+                .map(|(index, cells, background)| (index, cells, &backgrounds[background])),
+        );
+        Ok(LaneSet {
+            space: Some(LaneSpace {
+                shape,
+                memory_cells,
+                strategy,
+                backgrounds: Arc::clone(backgrounds),
+            }),
+            classes,
+            len,
+            lanes: OnceLock::new(),
+        })
     }
 
-    /// The set's lane classes, partitioned on first use.
+    /// The number of lanes, counted without listing them.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when the set has no lanes.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The lanes, in enumeration order: built on the first call and kept.
+    #[must_use]
+    pub fn lanes(&self) -> &[CoverageLane] {
+        self.lanes.get_or_init(|| match &self.space {
+            Some(space) => cross_backgrounds(
+                space.shape.enumerate(space.memory_cells, space.strategy),
+                &space.backgrounds,
+            ),
+            // A set over a caller's own lanes holds them from the start.
+            None => Vec::new(),
+        })
+    }
+
+    /// Fills the lanes with `lanes`, read back from a snapshot of the set.
+    /// Returns `false`, leaving the set as it was, when they are not as many
+    /// as the set has.
+    pub(crate) fn restore_lanes(&self, lanes: Vec<CoverageLane>) -> bool {
+        lanes.len() == self.len && self.lanes.set(lanes).is_ok()
+    }
+
+    /// The set's lane classes.
     pub(crate) fn classes(&self) -> &Classes {
-        self.classes.get_or_init(|| Classes::of(&self.lanes))
+        &self.classes
     }
 }
 
 impl From<Vec<CoverageLane>> for LaneSet {
     /// A set over `lanes`, for callers that build a [`TargetLanes`] of
-    /// their own lanes rather than enumerating them with
-    /// [`Session::target_lanes`].
+    /// their own lanes for a [`TargetBatch`](crate::TargetBatch) rather than
+    /// enumerating them with [`Session::target_lanes`]. It has no shape and
+    /// so no classes; coverage and campaigns never read it.
     fn from(lanes: Vec<CoverageLane>) -> LaneSet {
-        LaneSet::new(lanes)
-    }
-}
-
-impl Deref for LaneSet {
-    type Target = [CoverageLane];
-
-    fn deref(&self) -> &[CoverageLane] {
-        &self.lanes
+        LaneSet {
+            space: None,
+            classes: Classes::first_seen([]),
+            len: lanes.len(),
+            lanes: OnceLock::from(lanes),
+        }
     }
 }
 
 impl PartialEq for LaneSet {
+    /// Sets are equal when their lanes are, which builds them.
     fn eq(&self, other: &LaneSet) -> bool {
-        self.lanes == other.lanes
+        self.len == other.len && self.lanes() == other.lanes()
     }
 }
 
 impl fmt::Debug for LaneSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.lanes.fmt(f)
+        let mut set = f.debug_struct("LaneSet");
+        if let Some(space) = &self.space {
+            set.field("shape", &space.shape)
+                .field("memory_cells", &space.memory_cells)
+                .field("strategy", &space.strategy)
+                .field("backgrounds", &space.backgrounds.len());
+        }
+        set.field("len", &self.len)
+            .field("classes", &self.classes.len())
+            .field("lanes_built", &self.lanes.get().is_some())
+            .finish()
     }
 }
 
@@ -333,29 +423,32 @@ impl Session {
         Arc::clone(&self.store)
     }
 
-    /// Every fault target of `list` with its coverage lanes under the
-    /// session's scope, memoised for the session's lifetime: the first call
-    /// per `(list, scope)` enumerates, every later one returns the shared
-    /// [`Arc`] (observable through [`Session::cache_hits`]).
+    /// Every fault target of `list` with its lane set under the session's
+    /// scope, memoised for the session's lifetime: the first call per
+    /// `(list, scope)` builds, every later one returns the shared [`Arc`]
+    /// (observable through [`Session::cache_hits`]).
     ///
-    /// The enumeration runs once per placement shape, not once per target:
-    /// every target of one shape holds the same [`LaneSet`], so exhaustive
-    /// Fault List #1 at 16 cells (844 targets, 2.84M lanes when counted per
-    /// target) enumerates 7,232 distinct lanes in three sets. A snapshot
-    /// replay restores the same sharing.
+    /// A set is built once per placement shape, not once per target, and
+    /// lists no lanes: every target of one shape holds the same [`LaneSet`],
+    /// which counts its lanes and derives its classes without building them.
+    /// So exhaustive Fault List #1 costs the same at 4096 cells, where its
+    /// triple set alone holds 1.37·10^11 lanes, as at 16. A snapshot replay
+    /// restores the same sets, their lanes read back from the file.
     ///
     /// # Errors
     ///
     /// Returns [`SimulationError::MemoryTooSmall`](crate::SimulationError)
-    /// when the session's memory cannot host the list's placements, and
+    /// when the session's memory cannot host the list's placements,
     /// [`SimulationError::InitialStateSizeMismatch`](crate::SimulationError)
-    /// when a custom background does not match the memory size.
+    /// when a custom background does not match the memory size, and
+    /// [`SimulationError::LaneCountOverflow`](crate::SimulationError) when a
+    /// set has more lanes than a `usize` counts.
     ///
     /// # Examples
     ///
     /// ```
     /// use sram_fault_model::FaultList;
-    /// use sram_sim::Session;
+    /// use sram_sim::{PlacementStrategy, Session};
     ///
     /// let session = Session::default();
     /// let first = session.target_lanes(&FaultList::list_2()).unwrap();
@@ -364,6 +457,15 @@ impl Session {
     /// assert_eq!(session.cache_hits(), 1);
     /// // List #2 holds only single-cell linked faults: one shared lane set.
     /// assert!(first.iter().all(|(_, lanes)| std::sync::Arc::ptr_eq(lanes, &first[0].1)));
+    ///
+    /// // Every placement of List #1 on 4096 cells: the sets count their
+    /// // lanes without listing them.
+    /// let large = Session::default()
+    ///     .with_memory_cells(4096)
+    ///     .with_strategy(PlacementStrategy::Exhaustive);
+    /// let lanes = large.target_lanes(&FaultList::list_1()).unwrap();
+    /// let total: usize = lanes.iter().map(|(_, set)| set.len()).sum();
+    /// assert_eq!(total, 53_850_705_854_464);
     /// ```
     pub fn target_lanes(&self, list: &FaultList) -> Result<Arc<TargetLanes>> {
         check_backgrounds(&self.backgrounds, self.memory_cells)?;
@@ -371,22 +473,27 @@ impl Session {
         let snapshots = self.store.snapshots();
         self.store.target_lanes(&key, || {
             // Replay the crash-safe snapshot first, when one is attached: a
-            // valid file short-circuits the whole enumeration, anything else
-            // (miss, corruption, I/O failure) degrades to the build below.
+            // valid file short-circuits the build, anything else (miss,
+            // corruption, I/O failure) degrades to the build below.
             if let Some(snapshots) = &snapshots {
                 if let Some(lanes) = snapshots.load_lanes(&key, list) {
                     return Ok(Arc::new(lanes));
                 }
             }
-            let entries = share_by_shape(enumerate_targets(list), |shape| {
-                shape_lanes(shape, self.memory_cells, self.strategy, &self.backgrounds)
-                    .map(LaneSet::new)
-            })?;
-            let built = Arc::new(entries);
+            let built = Arc::new(self.shape_sets(list, self.strategy)?);
             if let Some(snapshots) = &snapshots {
                 snapshots.store_lanes(&key, &built);
             }
             Ok(built)
+        })
+    }
+
+    /// Every target of `list` with the lane set of its shape under the
+    /// session's memory and backgrounds and `strategy`, built afresh.
+    fn shape_sets(&self, list: &FaultList, strategy: PlacementStrategy) -> Result<TargetLanes> {
+        let backgrounds: Arc<[InitialState]> = Arc::from(self.backgrounds.as_slice());
+        share_by_shape(enumerate_targets(list), |shape| {
+            LaneSet::new(shape, self.memory_cells, strategy, &backgrounds)
         })
     }
 
@@ -437,60 +544,37 @@ impl Session {
     /// background does not match the memory size.
     ///
     /// Each target's lanes are projected onto the at most three cells they
-    /// involve and simulated once per lane class (see the crate docs), so
-    /// the cost per lane does not grow with the memory size. The partition
-    /// into classes is memoised per [`LaneSet`], and the class
+    /// involve and simulated once per lane class (see the crate docs). The
+    /// classes come from the target's [`LaneSet`], which derives them from
+    /// its shape and scope without building lanes, and the class
     /// representatives of every target sharing a set are packed into shared
-    /// 64-lane words, so a request costs one partition per distinct set plus
-    /// one simulation per word. With a worker pool the words, not the
-    /// targets, are sharded, and merged back in word order; each target
-    /// still reports its first escaping class.
+    /// 64-lane words, so a request costs one simulation per word whatever
+    /// the memory size. With a worker pool the words, not the targets, are
+    /// sharded, and merged back in word order; each target still reports its
+    /// first escaping class.
     ///
     /// # Errors
     ///
     /// Returns [`SimulationError::MemoryTooSmall`](crate::SimulationError)
-    /// for undersized memories and
+    /// for undersized memories,
     /// [`SimulationError::InitialStateSizeMismatch`](crate::SimulationError)
-    /// for mis-sized custom backgrounds.
+    /// for mis-sized custom backgrounds and
+    /// [`SimulationError::LaneCountOverflow`](crate::SimulationError) for a
+    /// lane set beyond `usize`.
     pub fn try_coverage(&self, test: &MarchTest, list: &FaultList) -> Result<CoverageReport> {
         let target_lanes = self.target_lanes(list)?;
-        let word_lanes = match &self.pool {
-            // Every worker gets a word: a small request is cut into as many
-            // shorter words as the pool has threads.
-            Some(pool) => {
-                let lanes: usize = target_lanes
-                    .iter()
-                    .map(|(_, set)| set.classes().len())
-                    .sum();
-                lanes.div_ceil(pool.threads()).clamp(1, WORD_LANES)
-            }
-            None => WORD_LANES,
-        };
-        let (lanes, words) = coverage_words(&target_lanes, word_lanes);
-        let lanes = Arc::new(lanes);
-        let verdicts = {
-            let test = test.clone();
-            let backend = Arc::clone(&self.backend);
-            let target_lanes = Arc::clone(&target_lanes);
-            let lanes = Arc::clone(&lanes);
-            self.execute(Arc::new(words), move |word| {
-                let word: Vec<(&TargetKind, &CoverageLane)> = lanes[word.clone()]
-                    .iter()
-                    .map(|&(index, class)| {
-                        let (target, set) = &target_lanes[index];
-                        (target, &set.classes().representatives()[class])
-                    })
-                    .collect();
-                backend.projected_verdicts(&test, &word)
-            })
-        };
+        let every_class: Vec<u64> = target_lanes
+            .iter()
+            .map(|(_, set)| (1 << set.classes().len()) - 1)
+            .collect();
+        let (lanes, verdicts) = self.class_verdicts(test, &target_lanes, &every_class);
         // A target's classes are consecutive and in class order, so its
         // first undetected lane is its first escaping class.
         let mut first_escapes: Vec<Option<Escape>> = vec![None; target_lanes.len()];
-        for (&(index, class), detected) in lanes.iter().zip(verdicts.into_iter().flatten()) {
+        for (&(index, class), detected) in lanes.iter().zip(verdicts) {
             if !detected && first_escapes[index].is_none() {
                 let (target, set) = &target_lanes[index];
-                let lane = &set[set.classes().first_lane(class)];
+                let lane = &set.classes().get(class).lane;
                 first_escapes[index] = Some(Escape {
                     target: target.clone(),
                     cells: lane.cells,
@@ -510,27 +594,72 @@ impl Session {
         ))
     }
 
+    /// The verdict of `test` on the classes `classes` selects of every
+    /// target of `target_lanes` — bit `c` of `classes[i]` selects class `c`
+    /// of target `i` — with the (target, class) pairs in the order of
+    /// [`coverage_words`]. Their representatives are packed into shared
+    /// words, one simulation per word on the session's pool.
+    fn class_verdicts(
+        &self,
+        test: &MarchTest,
+        target_lanes: &Arc<TargetLanes>,
+        classes: &[u64],
+    ) -> (Arc<Vec<(usize, usize)>>, Vec<bool>) {
+        let word_lanes = match &self.pool {
+            // Every worker gets a word: a small request is cut into as many
+            // shorter words as the pool has threads.
+            Some(pool) => {
+                let lanes: usize = classes.iter().map(|mask| mask.count_ones() as usize).sum();
+                lanes.div_ceil(pool.threads()).clamp(1, WORD_LANES)
+            }
+            None => WORD_LANES,
+        };
+        let (lanes, words) = coverage_words(target_lanes, classes, word_lanes);
+        let lanes = Arc::new(lanes);
+        let verdicts = {
+            let test = test.clone();
+            let backend = Arc::clone(&self.backend);
+            let target_lanes = Arc::clone(target_lanes);
+            let lanes = Arc::clone(&lanes);
+            self.execute(Arc::new(words), move |word| {
+                let word: Vec<(&TargetKind, &CoverageLane)> = lanes[word.clone()]
+                    .iter()
+                    .map(|&(index, class)| {
+                        let (target, set) = &target_lanes[index];
+                        (target, &set.classes().get(class).representative)
+                    })
+                    .collect();
+                backend.projected_verdicts(&test, &word)
+            })
+        };
+        (lanes, verdicts.into_iter().flatten().collect())
+    }
+
     /// Runs a seeded Monte-Carlo coverage campaign of `test` over `list`:
     /// `config.draws` lanes are sampled from the **exhaustive**
     /// `(target, placement, background)` instance space (regardless of the
     /// session's placement strategy — sampling only makes sense over the full
-    /// space), projected onto their involved cells and simulated once per
-    /// lane class by the session's backend, like coverage, and summarised as
-    /// a point estimate with a Wilson-score confidence interval.
+    /// space) and summarised as a point estimate with a Wilson-score
+    /// confidence interval.
+    ///
+    /// A campaign is a lookup: each draw is unranked into its target and
+    /// lane and takes the verdict of the lane's class. Every (target, class)
+    /// pair the draws hit is simulated once, projected and packed into
+    /// shared words like coverage, so the cost grows with the classes hit,
+    /// not with the draws or the memory.
     ///
     /// The draw sequence is a pure function of `config.seed` and the space,
-    /// and shards merge deterministically in draw order, so the report is
-    /// byte-identical across backends, thread counts and lane widths. A
-    /// request covering the whole space degenerates to sampling without
-    /// replacement in lane order — verdict-identical to
+    /// so the report is byte-identical across backends, thread counts and
+    /// lane widths. A request covering the whole space degenerates to
+    /// sampling without replacement in lane order — verdict-identical to
     /// [`Session::try_coverage`] under exhaustive placements.
     ///
     /// # Errors
     ///
     /// Returns [`SimulationError::InvalidCampaign`](crate::SimulationError)
-    /// for a degenerate configuration or an empty space,
-    /// [`SimulationError::MemoryTooSmall`](crate::SimulationError) when the
-    /// session's memory cannot host the list's placements, and
+    /// for a degenerate configuration, an empty space or one beyond 2^64
+    /// lanes, [`SimulationError::MemoryTooSmall`](crate::SimulationError)
+    /// when the session's memory cannot host the list's placements, and
     /// [`SimulationError::InitialStateSizeMismatch`](crate::SimulationError)
     /// for mis-sized custom backgrounds.
     pub fn try_campaign(
@@ -540,32 +669,38 @@ impl Session {
         config: &CampaignConfig,
     ) -> Result<CampaignReport> {
         config.validate()?;
-        let space = Arc::new(CampaignSpace::build(
-            list,
-            self.memory_cells,
-            &self.backgrounds,
-        )?);
+        let space = CampaignSpace::build(list, self.memory_cells, &self.backgrounds)?;
+        let target_lanes = Arc::new(self.shape_sets(list, PlacementStrategy::Exhaustive)?);
         let without_replacement = config.draws >= space.total();
         let indices = sample_draw_indices(config.seed, space.total(), config.draws);
         let draws = indices.len() as u64;
-        let shards: Vec<Vec<u64>> = indices.chunks(CAMPAIGN_SHARD).map(<[_]>::to_vec).collect();
-        let verdict_shards: Vec<Vec<bool>> = {
-            let test = test.clone();
-            let backend = Arc::clone(&self.backend);
-            let space = Arc::clone(&space);
-            self.execute(Arc::new(shards), move |shard| {
-                campaign_shard_verdicts(backend.as_ref(), &test, &space, shard)
+        // Each draw's (target, class) pair, and the classes the draws hit.
+        let mut hit = vec![0u64; target_lanes.len()];
+        let draw_classes: Vec<usize> = indices
+            .iter()
+            .map(|&index| {
+                let (slot, cells, background) = space.locate(index);
+                let class = target_lanes[slot].1.classes().class_of(&cells, background);
+                hit[slot] |= 1 << class;
+                slot * MAX_CLASSES + class
             })
-        };
-        let verdicts: Vec<bool> = verdict_shards.into_iter().flatten().collect();
-        let detected = verdicts.iter().filter(|&&lane| lane).count() as u64;
+            .collect();
+        let (lanes, verdicts) = self.class_verdicts(test, &target_lanes, &hit);
+        let mut class_detected = vec![false; target_lanes.len() * MAX_CLASSES];
+        for (&(slot, class), detected) in lanes.iter().zip(verdicts) {
+            class_detected[slot * MAX_CLASSES + class] = detected;
+        }
+        let detected = draw_classes
+            .iter()
+            .filter(|&&class| class_detected[class])
+            .count() as u64;
         let mut trace = Vec::new();
         let mut truncated = false;
         for (position, (&index, _)) in indices
             .iter()
-            .zip(&verdicts)
+            .zip(&draw_classes)
             .enumerate()
-            .filter(|(_, (_, &detected_lane))| !detected_lane)
+            .filter(|(_, (_, &class))| !class_detected[class])
         {
             if trace.len() >= config.max_escapes {
                 truncated = true;
@@ -822,50 +957,6 @@ impl Session {
     }
 }
 
-/// The detection verdicts of one campaign shard, in draw order: the shard's
-/// draws are decoded and grouped per target (remembering each draw's
-/// position), every group is partitioned into its lane classes, and the
-/// class representatives of every group are packed into shared words for
-/// one backend call, before each draw takes its class's verdict.
-fn campaign_shard_verdicts(
-    backend: &dyn SimulationBackend,
-    test: &MarchTest,
-    space: &CampaignSpace,
-    shard: &[u64],
-) -> Vec<bool> {
-    let mut groups: BTreeMap<usize, (Vec<usize>, Vec<CoverageLane>)> = BTreeMap::new();
-    for (position, &index) in shard.iter().enumerate() {
-        let (slot, lane) = space.decode(index);
-        let entry = groups.entry(slot).or_default();
-        entry.0.push(position);
-        entry.1.push(lane);
-    }
-    let classes: Vec<Classes> = groups
-        .values()
-        .map(|(_, lanes)| Classes::of(lanes))
-        .collect();
-    let representatives: Vec<(&TargetKind, &CoverageLane)> = groups
-        .keys()
-        .zip(&classes)
-        .flat_map(|(&slot, classes)| {
-            classes
-                .representatives()
-                .iter()
-                .map(move |lane| (space.target(slot), lane))
-        })
-        .collect();
-    let class_verdicts = backend.projected_verdicts(test, &representatives);
-    let mut verdicts = vec![false; shard.len()];
-    let mut first_class = 0;
-    for ((positions, lanes), classes) in groups.values().zip(&classes) {
-        for (&position, lane) in positions.iter().zip(lanes) {
-            verdicts[position] = class_verdicts[first_class + classes.class_of(lane)];
-        }
-        first_class += classes.len();
-    }
-    verdicts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -885,7 +976,8 @@ mod tests {
         let targets: Vec<TargetKind> = lanes.iter().map(|(target, _)| target.clone()).collect();
         let escapes = lanes
             .iter()
-            .map(|(target, lanes)| {
+            .map(|(target, set)| {
+                let lanes = set.lanes();
                 session
                     .backend_instance()
                     .first_undetected(&test, target, lanes, session.memory_cells())
@@ -1097,18 +1189,129 @@ mod tests {
 
     #[test]
     fn lane_classes_are_partitioned_once_per_set() {
+        // A set derives its classes when it is built and lists no lanes:
+        // coverage reads the classes alone, and the lanes are built once,
+        // on request.
         let session = Session::default();
         let list = FaultList::list_1();
         let lanes = session.target_lanes(&list).unwrap();
         let set = &lanes[0].1;
-        assert!(set.classes.get().is_none(), "partitioned before first use");
         let first: *const Classes = set.classes();
-        assert!(std::ptr::eq(first, set.classes()));
-        // Coverage partitions every set on first use and reuses the same
-        // partition on every later query.
         let _ = session.coverage(&catalog::march_sl(), &list);
         assert!(std::ptr::eq(first, set.classes()));
-        assert!(lanes.iter().all(|(_, set)| set.classes.get().is_some()));
+        assert!(
+            lanes.iter().all(|(_, set)| set.lanes.get().is_none()),
+            "coverage built lanes"
+        );
+        let built: *const [CoverageLane] = set.lanes();
+        assert_eq!(set.lanes().len(), set.len());
+        assert!(std::ptr::eq(built, set.lanes()));
+    }
+
+    /// The background lists the closed-form classes are checked under on
+    /// a `cells`-cell memory: each uniform background alone, both orders of
+    /// the pair, the pair and the checkerboard, the checkerboard alone, and
+    /// an irregular custom image alone and after the pair.
+    fn background_lists(cells: usize) -> Vec<Vec<InitialState>> {
+        let image = InitialState::Custom(
+            (0..cells)
+                .map(|address| sram_fault_model::Bit::from((address * 7 + 3) % 5 < 2))
+                .collect(),
+        );
+        let (zero, one) = (InitialState::AllZero, InitialState::AllOne);
+        vec![
+            vec![zero.clone()],
+            vec![one.clone()],
+            vec![zero.clone(), one.clone()],
+            vec![one.clone(), zero.clone()],
+            vec![zero.clone(), one.clone(), InitialState::Checkerboard],
+            vec![InitialState::Checkerboard],
+            vec![image.clone()],
+            vec![zero, one, image],
+        ]
+    }
+
+    #[test]
+    fn closed_form_classes_equal_the_per_lane_partition() {
+        use PlacementShape::{DecoderPair, DecoderSingle, Pair, Single, Triple};
+        for shape in [Single, Pair, Triple, DecoderSingle, DecoderPair] {
+            for strategy in [
+                PlacementStrategy::Representative,
+                PlacementStrategy::Exhaustive,
+            ] {
+                for cells in (shape.min_cells()..=17).chain([31, 64, 100]) {
+                    for backgrounds in background_lists(cells) {
+                        let label =
+                            format!("{shape:?}, {strategy:?}, {cells} cells, {backgrounds:?}");
+                        let backgrounds: Arc<[InitialState]> = Arc::from(backgrounds);
+                        let set = LaneSet::new(shape, cells, strategy, &backgrounds).unwrap();
+                        let classes = set.classes().clone();
+                        assert!(set.lanes.get().is_none(), "{label}");
+                        // The lanes are `shape_lanes`' enumeration, every
+                        // placement crossed with every background, checked
+                        // placement by placement so that the largest sets
+                        // (2.9M lanes) are held once.
+                        let lanes = set.lanes();
+                        let placements = shape.placements(cells, strategy).unwrap();
+                        assert_eq!(set.len(), placements.len() * backgrounds.len(), "{label}");
+                        assert_eq!(lanes.len(), set.len(), "{label}");
+                        for (chunk, placement) in lanes.chunks(backgrounds.len()).zip(&placements) {
+                            let expected =
+                                crate::backend::cross_backgrounds(vec![*placement], &backgrounds);
+                            assert!(chunk == expected.as_slice(), "{label}: {placement}");
+                        }
+                        assert_eq!(classes, Classes::of(lanes), "{label}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_counts_beyond_u64_are_typed_errors_on_both_paths() {
+        // One LF3 on 2^22 cells: 7.4·10^19 triples, beyond u64. Wrapped,
+        // the count read 1.8·10^19 and a campaign sampled a quarter of the
+        // space.
+        let lf3 = FaultList::list_1()
+            .linked()
+            .iter()
+            .find(|fault| fault.cell_count() == 3)
+            .cloned()
+            .unwrap();
+        let list = sram_fault_model::FaultListBuilder::new("one LF3")
+            .linked(lf3)
+            .build()
+            .unwrap();
+        let cells = 1 << 22;
+        let backgrounds = [InitialState::AllZero, InitialState::AllOne];
+        assert!(matches!(
+            CampaignSpace::build(&list, cells, &backgrounds),
+            Err(SimulationError::InvalidCampaign(reason)) if reason.contains("exceeds 2^64 lanes")
+        ));
+        let session = Session::default()
+            .with_memory_cells(cells)
+            .with_strategy(PlacementStrategy::Exhaustive);
+        let overflow = SimulationError::LaneCountOverflow { cells };
+        assert_eq!(
+            session.target_lanes(&list).map(|_| ()),
+            Err(overflow.clone())
+        );
+        assert_eq!(
+            session.try_coverage(&catalog::march_ss(), &list),
+            Err(overflow)
+        );
+        assert!(matches!(
+            session.try_campaign(&catalog::march_ss(), &list, &CampaignConfig::default()),
+            Err(SimulationError::InvalidCampaign(_))
+        ));
+        // Representative placements stay a handful of lanes.
+        let representative = Session::default().with_memory_cells(cells);
+        assert_eq!(
+            representative
+                .try_coverage(&catalog::march_sl(), &list)
+                .map(|report| report.total()),
+            Ok(1)
+        );
     }
 
     #[test]

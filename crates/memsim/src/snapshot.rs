@@ -32,7 +32,11 @@
 //! A target-lane payload stores each distinct [`LaneSet`] once. The targets
 //! of one placement shape share one set, so the loader re-derives the
 //! target → set mapping from the live list's shapes, the same way it
-//! re-derives the targets, and a restored artifact keeps the sharing:
+//! re-derives the targets, and a restored artifact keeps the sharing. It
+//! builds each set from its shape and the key's scope, as a fresh build
+//! would, and fills the set's lanes from the payload, which must hold as
+//! many as the set counts. Writing a snapshot builds every lane of every
+//! set, since the payload lists them:
 //!
 //! ```text
 //! u64   target count (must equal the live list's)
@@ -566,16 +570,62 @@ impl SnapshotIo for MemIo {
 // Binary codec
 // ---------------------------------------------------------------------------
 
-/// CRC32 (IEEE 802.3 polynomial, reflected), bitwise — dependency-free and
-/// fast enough for artifact-sized files.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in bytes {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// The reflected IEEE 802.3 CRC32 polynomial.
+const CRC_POLYNOMIAL: u32 = 0xEDB8_8320;
+
+/// The slice-by-8 tables of [`crc32`], built at compile time: `CRC_TABLES[0]`
+/// is the classic byte table, and `CRC_TABLES[k][byte]` is the CRC register
+/// after `byte` followed by `k` zero bytes.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut crc = byte as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLYNOMIAL & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        tables[0][byte] = crc;
+        byte += 1;
+    }
+    let mut byte = 0;
+    while byte < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let previous = tables[k - 1][byte];
+            tables[k][byte] = (previous >> 8) ^ tables[0][(previous & 0xFF) as usize];
+            k += 1;
+        }
+        byte += 1;
+    }
+    tables
+}
+
+/// CRC32 (IEEE 802.3 polynomial, reflected), slice-by-8: eight table lookups
+/// per eight bytes, then the classic byte table for the tail. Dependency-free
+/// and equal to the bitwise definition on every input.
+fn crc32(bytes: &[u8]) -> u32 {
+    let table =
+        |k: usize, value: u32, shift: u32| CRC_TABLES[k][((value >> shift) & 0xFF) as usize];
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let low = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let high = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        crc = table(7, low, 0)
+            ^ table(6, low, 8)
+            ^ table(5, low, 16)
+            ^ table(4, low, 24)
+            ^ table(3, high, 0)
+            ^ table(2, high, 8)
+            ^ table(1, high, 16)
+            ^ table(0, high, 24);
+    }
+    for &byte in chunks.remainder() {
+        crc = (crc >> 8) ^ table(0, crc ^ u32::from(byte), 0);
     }
     !crc
 }
@@ -922,7 +972,7 @@ fn encode_lanes(lanes: &TargetLanes) -> Vec<u8> {
     push_u64(&mut buf, sets.len() as u64);
     for set in sets {
         push_u64(&mut buf, set.len() as u64);
-        for lane in set.iter() {
+        for lane in set.lanes() {
             push_cells(&mut buf, &lane.cells);
             push_state(&mut buf, &lane.background);
         }
@@ -932,8 +982,14 @@ fn encode_lanes(lanes: &TargetLanes) -> Vec<u8> {
 
 /// Decodes a lane payload against a fresh `enumerate_targets(list)`: the
 /// target identities, and which lane set each of them shares, come from the
-/// live fault list, never from the file.
-fn decode_lanes(payload: &[u8], list: &FaultList) -> DecodeResult<TargetLanes> {
+/// live fault list, never from the file. Each set is the one `key`'s scope
+/// builds for its shape, its lanes read from the payload, so their count
+/// must be the set's.
+fn decode_lanes(
+    payload: &[u8],
+    key: &ArtifactKey<'_>,
+    list: &FaultList,
+) -> DecodeResult<TargetLanes> {
     let targets = enumerate_targets(list);
     let mut cursor = Cursor::new(payload);
     // The targets hold no payload bytes of their own, so their count is
@@ -944,14 +1000,21 @@ fn decode_lanes(payload: &[u8], list: &FaultList) -> DecodeResult<TargetLanes> {
         });
     }
     let set_count = cursor.count(8)?;
+    let backgrounds: Arc<[InitialState]> = Arc::from(&key.backgrounds[..]);
     let mut decoded = 0usize;
-    let lanes = share_by_shape(targets, |_| {
+    let lanes = share_by_shape(targets, |shape| {
         decoded += 1;
         if decoded > set_count {
             return Err(SnapshotError::Malformed {
                 detail: "lane-set count does not match the fault list",
             });
         }
+        let set =
+            LaneSet::new(shape, key.memory_cells, key.strategy, &backgrounds).map_err(|_| {
+                SnapshotError::Malformed {
+                    detail: "the key's scope cannot host the fault list",
+                }
+            })?;
         let lane_count = cursor.count(10)?;
         let mut lanes = Vec::with_capacity(lane_count);
         for _ in 0..lane_count {
@@ -959,7 +1022,12 @@ fn decode_lanes(payload: &[u8], list: &FaultList) -> DecodeResult<TargetLanes> {
             let background = cursor.state()?;
             lanes.push(CoverageLane { cells, background });
         }
-        Ok(LaneSet::new(lanes))
+        if !set.restore_lanes(lanes) {
+            return Err(SnapshotError::Malformed {
+                detail: "lane count does not match the key's scope",
+            });
+        }
+        Ok(set)
     })?;
     if decoded != set_count {
         return Err(SnapshotError::Malformed {
@@ -1191,7 +1259,7 @@ impl SnapshotStore {
         let name = file_name("art", &key_bytes);
         let bytes = self.read_current(&name)?;
         match decode_container(&bytes, KIND_LANES, Some(&key_bytes))
-            .and_then(|payload| decode_lanes(payload, list))
+            .and_then(|payload| decode_lanes(payload, key, list))
         {
             Ok(lanes) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -1785,5 +1853,46 @@ mod tests {
         // IEEE 802.3 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The CRC register of `bytes`, one bit at a time: the definition the
+    /// table-driven [`crc32`] must equal.
+    fn bitwise_crc32(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &byte in bytes {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC_POLYNOMIAL & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn table_driven_crc32_equals_the_bitwise_definition() {
+        // A xorshift stream: every length up to 64 crosses the 8-byte
+        // blocks at each offset, and 128 KiB covers a large snapshot file.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let buffer: Vec<u8> = (0..128 * 1024)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        for length in 0..=64 {
+            for offset in [0, 3] {
+                let bytes = &buffer[offset..offset + length];
+                assert_eq!(
+                    crc32(bytes),
+                    bitwise_crc32(bytes),
+                    "{length} bytes at {offset}"
+                );
+            }
+        }
+        assert_eq!(crc32(&buffer), bitwise_crc32(&buffer));
+        assert_eq!(bitwise_crc32(b"123456789"), 0xCBF4_3926);
     }
 }

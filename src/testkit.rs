@@ -443,7 +443,8 @@ pub fn assert_coverage_projection_exact(
         let full_walk = {
             let backend = Arc::clone(&backend);
             let test = test.clone();
-            session.execute(Arc::clone(&target_lanes), move |(target, lanes)| {
+            session.execute(Arc::clone(&target_lanes), move |(target, set)| {
+                let lanes = set.lanes();
                 backend
                     .first_undetected(&test, target, lanes, cells)
                     .map(|index| Escape {
@@ -527,6 +528,7 @@ fn assert_batch_exact(
         .iter()
         .map(|(target, lanes)| {
             lanes
+                .lanes()
                 .chunks(WORD)
                 .map(|chunk| {
                     PackedSimulator::new(target, chunk, cells)
@@ -558,6 +560,7 @@ fn assert_batch_exact(
             .zip(&walks)
             .flat_map(|((target, lanes), walk)| {
                 lanes
+                    .lanes()
                     .iter()
                     .enumerate()
                     .filter(|(lane, _)| walk[lane / WORD].detected_mask() >> (lane % WORD) & 1 == 0)

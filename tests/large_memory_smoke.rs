@@ -2,8 +2,9 @@
 //! packed + threaded path — the first workload family where per-candidate
 //! scalar simulation is genuinely infeasible — a 2^20-cell campaign, the
 //! projected-vs-full-memory coverage differential at 4096 (AF) and 16
-//! (List #1) cells, the batch differential on exhaustive 8-cell List #1, and
-//! the Table 1 generations at 4096 cells.
+//! (List #1) cells, the batch differential on exhaustive 8-cell List #1,
+//! exhaustive coverage at 4096 and 2^20 cells against the 16-cell reports,
+//! and the Table 1 generations at 4096 cells.
 //!
 //! `#[ignore]`d by default (they are release-grade workloads); the release CI
 //! job runs them with `cargo test --release -- --ignored` under a wall-clock
@@ -14,11 +15,11 @@ use std::time::{Duration, Instant};
 
 use march_codex_repro::testkit::{assert_coverage_projection_exact, assert_projection_exact};
 use march_gen::{GeneratorConfig, SessionExt};
-use march_test::catalog;
+use march_test::{catalog, MarchTest};
 use sram_fault_model::{DecoderFault, FaultList};
 use sram_sim::{
     CampaignConfig, DecoderFaultInstance, ExecPolicy, FaultSimulator, InitialState, InstanceCells,
-    LaneWidth, PlacementStrategy, Session, Syndrome, TargetKind,
+    LaneWidth, PlacementStrategy, Report, Session, Syndrome, TargetKind,
 };
 
 /// Per-test wall-clock budget. Coverage, campaigns and generation simulate
@@ -83,6 +84,60 @@ fn target_batches_match_the_full_memory_walk_on_8_cell_list_1() {
     assert!(
         start.elapsed() < BUDGET,
         "8-cell List #1 batch differential blew the budget: {:?}",
+        start.elapsed()
+    );
+}
+
+#[test]
+#[ignore = "release-grade exhaustive coverage at 4096 and 2^20 cells; run with --ignored"]
+fn exhaustive_coverage_reports_are_memory_size_invariant() {
+    // A lane set derives its classes from its shape and scope without
+    // listing its lanes, so exhaustive coverage costs the same at any memory
+    // size: List #1's triple set alone is 1.37·10^11 lanes at 4096 cells,
+    // AF's pair set 41.9M lanes at 2^20. The first lane of every class sits
+    // on the lowest addresses, so each report equals the 16-cell one.
+    let start = Instant::now();
+    let uniform = vec![InitialState::AllZero, InitialState::AllOne];
+    let patterned = vec![
+        InitialState::AllZero,
+        InitialState::AllOne,
+        InitialState::Checkerboard,
+    ];
+    let tests = [
+        catalog::mats_plus(),
+        catalog::march_c_minus(),
+        catalog::march_ss(),
+    ];
+    for (list, cells) in [
+        (FaultList::list_1(), 4096),
+        (FaultList::address_decoder(), 1 << 20),
+        (FaultList::list_1().with_address_decoder_faults(), 4096),
+    ] {
+        for backgrounds in [&uniform, &patterned] {
+            let report = |cells: usize, test: &MarchTest| {
+                Session::new(ExecPolicy::fast())
+                    .with_memory_cells(cells)
+                    .with_strategy(PlacementStrategy::Exhaustive)
+                    .with_backgrounds(backgrounds.clone())
+                    .try_coverage(test, &list)
+                    .expect("the scope hosts every placement")
+                    .to_json()
+            };
+            for test in &tests {
+                assert_eq!(
+                    report(cells, test),
+                    report(16, test),
+                    "{} under {} on {cells} cells, {} backgrounds",
+                    list.name(),
+                    test.name(),
+                    backgrounds.len()
+                );
+            }
+        }
+    }
+    assert!(
+        start.elapsed() < BUDGET,
+        "exhaustive coverage at 4096 and 2^20 cells blew the budget: {:?}",
         start.elapsed()
     );
 }

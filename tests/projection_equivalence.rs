@@ -214,7 +214,8 @@ fn cut_short_generations_name_uncovered_lanes_by_their_memory_cells() {
     let backend = session.backend_instance();
     let mut uncovered = Vec::new();
     let mut highest_cell = 0;
-    for (target, lanes) in session.target_lanes(&list).unwrap().iter() {
+    for (target, set) in session.target_lanes(&list).unwrap().iter() {
+        let lanes = set.lanes();
         let verdicts = backend.lane_verdicts(test, target, lanes, session.memory_cells());
         for (lane, detected) in lanes.iter().zip(verdicts) {
             if !detected {
