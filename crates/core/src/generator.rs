@@ -274,23 +274,20 @@ impl MarchGenerator {
         // lint: allow(timing) — generation CPU time is itself a reported
         // quantity (Table 1 of the paper); it never shapes the test.
         let start = Instant::now();
-        let policy = session.policy();
 
         // One batch over every fault target: every (placement, background)
         // lane of the list behind the session's simulation backend, carrying
         // the simulator state reached after the current march prefix so that
         // scoring a candidate only needs to simulate that element, on the at
         // most three cells the lane involves whatever the memory size. On the
-        // packed backend the lanes of all targets share 64-lane words. The
-        // enumeration comes from the session's artifact cache, so repeated
-        // generate/minimise/verify queries against the same list skip it.
-        let mut batch = TargetBatch::new(
-            session
-                .target_lanes(&self.list)
-                .expect("generator scope hosts the fault-list placements"),
-            session.memory_cells(),
-            policy.backend,
-        );
+        // packed backend the batch is a copy of the list's class image from
+        // the session's artifact store — one representative per lane class,
+        // weighted by its lane count, in shared 64-lane words — so repeated
+        // generate/minimise/verify queries against the same list bind the
+        // classes once.
+        let mut batch = session
+            .target_batch(&self.list)
+            .expect("generator scope hosts the fault-list placements");
         let initial_targets = batch.pending();
 
         // The march test always starts with the initialisation element ⇕(w·).

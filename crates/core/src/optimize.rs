@@ -28,17 +28,19 @@ use sram_sim::{BatchSnapshot, Session, SimulationBackend, TargetBatch, TargetLan
 /// "ABL"-style greedy result into the shorter "RABL"-style test of the paper's
 /// Table 1.
 ///
-/// Re-verification is *suffix-only*: the list's lanes, in (target, lane)
-/// order, are cut into 64-lane chunks — one projected word each on the
-/// packed backend ([`TargetBatch::split_words`]) — and each chunk carries
-/// per-element checkpoints of its lane state, so a trial restores the
-/// checkpoint before the edited element and re-simulates just the suffix,
-/// with an early exit at the first chunk it leaves uncovered. Every lane is
-/// simulated on the at most three cells it involves, and the completeness
-/// precheck is a projected coverage call, so the pass costs the same on any
-/// memory size. Target lanes come from the session's memoised artifact cache
-/// and every removal trial shards its `(chunk × suffix)` re-verifications
-/// over the session's resident worker pool. The minimised test is identical
+/// Re-verification is *suffix-only*: the session's batch over the list
+/// ([`Session::target_batch`]) is cut into 64-lane chunks — one projected
+/// word of weighted class representatives each on the packed backend
+/// ([`TargetBatch::split_words`]) — and each chunk carries per-element
+/// checkpoints of its lane state, so a trial restores the checkpoint before
+/// the edited element and re-simulates just the suffix, with an early exit
+/// at the first chunk it leaves uncovered. Every lane is simulated on the
+/// at most three cells it involves, and the completeness precheck is a
+/// projected coverage call, so the pass costs the same on any memory size.
+/// The batch and the precheck both start from the list's class image in
+/// the session's artifact store, and every removal trial shards its
+/// `(chunk × suffix)` re-verifications over the session's resident worker
+/// pool. The minimised test is identical
 /// for every backend and thread count — and byte-identical to the full
 /// re-simulation oracle, see [`minimise_full_resim`].
 ///
@@ -52,18 +54,18 @@ pub(crate) fn minimise_with(
     test: &MarchTest,
     list: &FaultList,
 ) -> (MarchTest, usize) {
-    let targets = session
-        .target_lanes(list)
+    let batch = session
+        .target_batch(list)
         .expect("minimisation scope hosts the fault-list placements");
 
     // Nothing to preserve: return the test untouched.
-    if targets.is_empty() {
+    if batch.pending() == 0 {
         return (test.clone(), 0);
     }
 
     // Only minimise tests that are complete to begin with, otherwise
-    // "preserving coverage" is ill-defined. Coverage simulates projected
-    // lane classes, whose partition each lane set memoises.
+    // "preserving coverage" is ill-defined. Coverage runs the test on a
+    // copy of the list's class image, as the batch starts from one.
     let complete = session
         .try_coverage(test, list)
         .expect("minimisation scope hosts the fault-list placements")
@@ -72,7 +74,6 @@ pub(crate) fn minimise_with(
         return (test.clone(), 0);
     }
 
-    let batch = TargetBatch::new(targets, session.memory_cells(), session.policy().backend);
     let states: Arc<Vec<Mutex<ChunkState>>> = Arc::new(
         batch
             .split_words()

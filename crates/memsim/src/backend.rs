@@ -9,12 +9,13 @@
 //! with branch-free bitwise sensitization/effect arithmetic. These per-target
 //! walks over the whole memory are the differential reference; coverage,
 //! campaigns, generation and minimisation run on projected words instead
-//! ([`SimulationBackend::projected_verdicts`],
+//! ([`SimulationBackend::image_verdicts`],
 //! [`TargetBatch`](crate::TargetBatch)). The lane width of the packed walk is
 //! a policy knob ([`LaneWidth`](crate::LaneWidth)): verdicts are
 //! byte-identical across widths, wider words just carry more lanes per pass.
 
 use std::fmt;
+use std::ops::Range;
 use std::str::FromStr;
 
 use march_test::{MarchElement, MarchTest};
@@ -23,7 +24,7 @@ use sram_fault_model::{Bit, DecoderFault, FaultPrimitive, Operation, Sensitizing
 use crate::coverage::TargetKind;
 use crate::lane::{broadcast, condition_mask, LaneWidth, LaneWord, W128, W256};
 use crate::placement::{placement_shape, PlacementShape};
-use crate::projection::{projected_cells, word_verdicts};
+use crate::projection::{projected_cells, word_verdicts, ClassImage};
 use crate::{
     run_march, DecoderFaultInstance, FaultSimulator, InitialState, InjectedFault, InstanceCells,
     LinkedFaultInstance, PlacementStrategy, SimulationError,
@@ -221,6 +222,22 @@ pub trait SimulationBackend: fmt::Debug + Send + Sync {
             rest = tail;
         }
         verdicts
+    }
+
+    /// The lanes among `lanes` of a class image that `test` detects, as a
+    /// mask: bit `i` for lane `lanes.start + i`. `lanes` spans at most 64
+    /// lanes. This is the kernel of coverage and campaigns: every class
+    /// representative of a list is bound into the image's 64-lane words
+    /// once per scope, and each request runs the test on copies of them.
+    ///
+    /// The default simulates the representatives one by one through
+    /// [`SimulationBackend::projected_verdicts`] — the reference the scalar
+    /// backend keeps. The packed backend runs a copy of the words instead.
+    fn image_verdicts(&self, test: &MarchTest, image: &ClassImage, lanes: Range<usize>) -> u64 {
+        self.projected_verdicts(test, &image.representatives(lanes))
+            .into_iter()
+            .enumerate()
+            .fold(0, |detected, (lane, hit)| detected | u64::from(hit) << lane)
     }
 }
 
@@ -427,6 +444,10 @@ impl SimulationBackend for PackedBackend {
         lanes: &[(&TargetKind, &CoverageLane)],
     ) -> Vec<bool> {
         word_verdicts(test, lanes)
+    }
+
+    fn image_verdicts(&self, test: &MarchTest, image: &ClassImage, lanes: Range<usize>) -> u64 {
+        image.word_of(lanes).run(test)
     }
 }
 

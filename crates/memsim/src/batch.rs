@@ -10,13 +10,23 @@
 //! so a batch costs the same on any memory size. The lane descriptors it
 //! reports stay the original ones.
 //!
-//! On the packed backend the lanes are packed, in (target, lane) order, into
-//! shared 64-lane projected words whose lanes carry their own fault as masks,
-//! so one word mixes the lanes of several targets, of any fault kind and
-//! cell count. Scoring a candidate march element copies each word and runs
-//! the element on the copy; advancing re-packs the pending lanes of all
-//! targets densely, in order, whenever that frees a word. The scalar backend
-//! keeps one [`FaultSimulator`] per lane as the differential reference.
+//! On the packed backend a batch starts from a copy of the list's class
+//! image: one representative per lane class, in (target, class) order, in
+//! shared 64-lane projected words whose lanes carry their own fault as
+//! masks. All lanes of a class share every verdict at every prefix, so each
+//! representative carries its class's **weight**, its lane count, and a
+//! score or a pending count sums weights where a per-lane batch would count
+//! lanes. Scoring a candidate march element copies each word and runs the
+//! element on the copy. Advancing **merges** the pending lanes whose whole
+//! state — memory planes and fault masks — has become equal, since they
+//! behave alike from then on: each lane's state is read as one `u64` key by
+//! a bit transpose of its word, the first lane of each key keeps the summed
+//! weight and every class of the lanes folded into it, and the survivors
+//! are re-packed densely, in order, whenever a merge or a detection frees a
+//! word. This is counting by boundary state: a class is a lane set counted
+//! by its weight, and a merged lane a set of classes. A batch still names
+//! every pending lane, in (target, lane) order. The scalar backend keeps one
+//! [`FaultSimulator`] per lane as the differential reference.
 
 use std::fmt;
 use std::sync::Arc;
@@ -25,11 +35,13 @@ use march_test::MarchElement;
 
 use crate::backend::{scalar_lane_simulator, BackendKind, CoverageLane};
 use crate::coverage::TargetKind;
-use crate::projection::{project_lane, projected_cells, ProjectedWord, WORD_LANES};
+use crate::projection::{
+    project_lane, projected_cells, ClassImage, ClassRef, ProjectedWord, WORD_LANES,
+};
 use crate::{FaultSimulator, TargetLanes};
 
-/// A lane of a batch: its target's index in the batch's [`TargetLanes`] and
-/// its own index among that target's lanes.
+/// A lane of a scalar batch: its target's index in the batch's
+/// [`TargetLanes`] and its own index among that target's lanes.
 type LaneRef = (usize, usize);
 
 /// One scalar lane and its advanced simulator state.
@@ -53,13 +65,86 @@ impl Clone for ScalarLane {
     }
 }
 
-/// One packed word and the lane each of its lanes holds, in bit order. The
-/// lane list is `Arc`-shared with every snapshot of the word: it only
-/// changes on compaction, so a snapshot copies the word and bumps a count.
+/// What the lanes of one packed word stand for, in bit order: the weight of
+/// each lane — how many original lanes it counts for — and the classes it
+/// holds.
+#[derive(Debug)]
+struct WordLanes {
+    /// Bit `b` of `weight_bits[k]` is bit `k` of lane `b`'s weight, so the
+    /// weight of a lane mask is one popcount per weight bit.
+    weight_bits: Vec<u64>,
+    /// Lane `i` holds `classes[starts[i]..starts[i + 1]]`.
+    starts: Vec<u32>,
+    classes: Vec<ClassRef>,
+}
+
+impl WordLanes {
+    /// The lanes `lanes` lists, each as its weight and its classes.
+    fn new<'c>(lanes: impl IntoIterator<Item = (usize, &'c [ClassRef])>) -> WordLanes {
+        let mut word = WordLanes {
+            weight_bits: Vec::new(),
+            starts: vec![0],
+            classes: Vec::new(),
+        };
+        for (lane, (weight, classes)) in lanes.into_iter().enumerate() {
+            let bits = (usize::BITS - weight.leading_zeros()) as usize;
+            if word.weight_bits.len() < bits {
+                word.weight_bits.resize(bits, 0);
+            }
+            for (bit, plane) in word.weight_bits.iter_mut().enumerate() {
+                *plane |= ((weight >> bit & 1) as u64) << lane;
+            }
+            word.classes.extend_from_slice(classes);
+            word.starts.push(word.classes.len() as u32);
+        }
+        word
+    }
+
+    /// The summed weight of the lanes of `lanes`.
+    fn weigh(&self, lanes: u64) -> usize {
+        self.weight_bits
+            .iter()
+            .enumerate()
+            .map(|(bit, plane)| ((lanes & plane).count_ones() as usize) << bit)
+            .sum()
+    }
+
+    /// The classes lane `lane` holds.
+    fn classes_of(&self, lane: usize) -> &[ClassRef] {
+        &self.classes[self.starts[lane] as usize..self.starts[lane + 1] as usize]
+    }
+}
+
+/// One packed word and what its lanes stand for. The lane data is
+/// `Arc`-shared with every snapshot of the word: it only changes when an
+/// advance re-packs, so a snapshot copies the word and bumps a count.
 #[derive(Debug, Clone)]
 struct BatchWord {
     word: ProjectedWord,
-    lanes: Arc<[LaneRef]>,
+    lanes: Arc<WordLanes>,
+}
+
+/// The packed state of a batch: its words, and how many lanes advances have
+/// merged into others so far.
+#[derive(Debug)]
+struct PackedLanes {
+    words: Vec<BatchWord>,
+    merged: usize,
+}
+
+impl Clone for PackedLanes {
+    fn clone(&self) -> PackedLanes {
+        PackedLanes {
+            words: self.words.clone(),
+            merged: self.merged,
+        }
+    }
+
+    /// Re-uses the word buffer already allocated.
+    fn clone_from(&mut self, source: &PackedLanes) {
+        self.words.clone_from(&source.words);
+        self.merged = source.merged;
+    }
 }
 
 /// The backend-specific simulation state of a batch.
@@ -67,17 +152,17 @@ struct BatchWord {
 enum BatchState {
     /// One dual-memory simulator per undetected lane.
     Scalar(Vec<ScalarLane>),
-    /// Projected words of up to 64 lanes; detected lanes are masked out of
-    /// the scoring by each word's detection mask until a compaction drops
-    /// them.
-    Packed(Vec<BatchWord>),
+    /// Projected words of up to 64 weighted lanes; detected lanes are masked
+    /// out of the scoring by each word's detection mask until a re-pack
+    /// drops them.
+    Packed(PackedLanes),
 }
 
 impl Clone for BatchState {
     fn clone(&self) -> BatchState {
         match self {
             BatchState::Scalar(lanes) => BatchState::Scalar(lanes.clone()),
-            BatchState::Packed(words) => BatchState::Packed(words.clone()),
+            BatchState::Packed(packed) => BatchState::Packed(packed.clone()),
         }
     }
 
@@ -116,8 +201,8 @@ pub struct BatchSnapshot {
 /// use sram_sim::{BackendKind, Session, TargetBatch};
 ///
 /// let session = Session::default();
-/// // One batch over every target of the list, its lanes packed into shared
-/// // 64-lane words.
+/// // One batch over every target of the list: one weighted representative
+/// // per lane class, packed into shared 64-lane words.
 /// let mut batch = TargetBatch::new(
 ///     session.target_lanes(&FaultList::list_2())?,
 ///     session.memory_cells(),
@@ -145,76 +230,86 @@ impl TargetBatch {
     /// Builds the batch over every lane of `targets` — the lanes of a list
     /// as [`Session::target_lanes`](crate::Session::target_lanes) returns
     /// them, placed on a `memory_cells`-cell memory — simulated with
-    /// `backend`. Lanes keep (target, lane) order, and the batch keeps
-    /// `targets` to report them. Each lane is simulated on the at most three
-    /// cells it involves; `memory_cells` only validates the lanes, so the
-    /// batch's cost does not depend on it.
+    /// `backend`. The packed backend binds one representative per lane
+    /// class, weighted by the class's lane count, as
+    /// [`Session::target_batch`](crate::Session::target_batch) does from the
+    /// session's memoised class image; the scalar backend simulates every
+    /// lane. Each lane is simulated on the at most three cells it involves;
+    /// `memory_cells` only validates the lanes, so the batch's cost does not
+    /// depend on it.
     ///
     /// # Panics
     ///
     /// Panics if a lane's placement is invalid for its target (the
     /// enumerated placements of [`enumerate_lanes`](crate::enumerate_lanes)
     /// always are), names a cell at or beyond `memory_cells`, or starts from
-    /// a custom background whose length is not `memory_cells`.
+    /// a custom background whose length is not `memory_cells`, and if the
+    /// targets' lanes together are more than a `usize` counts.
     #[must_use]
     pub fn new(
         targets: Arc<TargetLanes>,
         memory_cells: usize,
         backend: BackendKind,
     ) -> TargetBatch {
-        let lanes: Vec<LaneRef> = targets
-            .iter()
-            .enumerate()
-            .flat_map(|(target, (_, lanes))| (0..lanes.len()).map(move |lane| (target, lane)))
-            .collect();
-        let projected = |&(target, lane): &LaneRef| {
-            let (kind, lanes) = &targets[target];
-            let projected = project_lane(&lanes.lanes()[lane], memory_cells)
-                .expect("lanes fit the memory they are placed on");
-            (kind, projected)
-        };
-        let state = match backend {
-            BackendKind::Scalar => BatchState::Scalar(
-                lanes
+        match backend {
+            BackendKind::Scalar => {
+                let lanes = targets
                     .iter()
-                    .map(|lane| {
-                        let (target, projected) = projected(lane);
-                        ScalarLane {
-                            lane: *lane,
-                            simulator: scalar_lane_simulator(
-                                target,
-                                &projected,
-                                projected_cells(&projected),
-                            ),
-                        }
+                    .enumerate()
+                    .flat_map(|(target, (kind, set))| {
+                        set.lanes().iter().enumerate().map(move |(lane, placed)| {
+                            let projected = project_lane(placed, memory_cells)
+                                .expect("lanes fit the memory they are placed on");
+                            ScalarLane {
+                                lane: (target, lane),
+                                simulator: scalar_lane_simulator(
+                                    kind,
+                                    &projected,
+                                    projected_cells(&projected),
+                                ),
+                            }
+                        })
                     })
-                    .collect(),
-            ),
-            BackendKind::Packed => {
-                // Lanes are projected a word at a time into one buffer, so
-                // the batch never holds a projected copy of every lane.
-                let mut buffer = Vec::with_capacity(WORD_LANES);
-                let mut words = Vec::with_capacity(lanes.len().div_ceil(WORD_LANES));
-                for word in lanes.chunks(WORD_LANES) {
-                    buffer.clear();
-                    buffer.extend(word.iter().map(projected));
-                    words.push(BatchWord {
-                        word: ProjectedWord::pack(
-                            buffer.iter().map(|(target, lane)| (*target, lane)),
-                        ),
-                        lanes: word.into(),
-                    });
+                    .collect();
+                TargetBatch {
+                    targets,
+                    state: BatchState::Scalar(lanes),
                 }
-                BatchState::Packed(words)
             }
-        };
-        TargetBatch { targets, state }
+            BackendKind::Packed => {
+                let mut lanes = 0usize;
+                for (_, set) in targets.iter() {
+                    set.check_fits(memory_cells)
+                        .expect("lanes fit the memory they are placed on");
+                    lanes = lanes
+                        .checked_add(set.len())
+                        .expect("a batch counts its lanes in a usize");
+                }
+                TargetBatch::from_image(&ClassImage::new(targets, None))
+            }
+        }
     }
 
-    /// The target and the original descriptor of `lane`.
-    fn describe(&self, (target, lane): LaneRef) -> (&TargetKind, &CoverageLane) {
-        let (kind, lanes) = &self.targets[target];
-        (kind, &lanes.lanes()[lane])
+    /// The packed batch over every class of `image`: a copy of its words,
+    /// each lane weighted by its class's lane count.
+    pub(crate) fn from_image(image: &ClassImage) -> TargetBatch {
+        let targets = Arc::clone(image.targets());
+        let words = image
+            .words()
+            .iter()
+            .zip(image.classes().chunks(WORD_LANES))
+            .map(|(word, classes)| BatchWord {
+                word: *word,
+                lanes: Arc::new(WordLanes::new(classes.iter().map(|class| {
+                    let weight = targets[class.target()].1.weights()[class.class()];
+                    (weight, std::slice::from_ref(class))
+                }))),
+            })
+            .collect();
+        TargetBatch {
+            targets,
+            state: BatchState::Packed(PackedLanes { words, merged: 0 }),
+        }
     }
 
     /// Number of lanes not yet detected by the march prefix.
@@ -222,10 +317,21 @@ impl TargetBatch {
     pub fn pending(&self) -> usize {
         match &self.state {
             BatchState::Scalar(lanes) => lanes.len(),
-            BatchState::Packed(words) => words
+            BatchState::Packed(packed) => packed
+                .words
                 .iter()
-                .map(|word| word.word.pending().count_ones() as usize)
+                .map(|word| word.lanes.weigh(word.word.pending()))
                 .sum(),
+        }
+    }
+
+    /// How many simulated lanes advances have merged into lanes of equal
+    /// state so far (always 0 on the scalar backend, which keeps every lane).
+    #[must_use]
+    pub fn merged_lanes(&self) -> usize {
+        match &self.state {
+            BatchState::Scalar(_) => 0,
+            BatchState::Packed(packed) => packed.merged,
         }
     }
 
@@ -234,15 +340,42 @@ impl TargetBatch {
     #[must_use]
     pub fn pending_lanes(&self) -> Vec<(&TargetKind, &CoverageLane)> {
         match &self.state {
-            BatchState::Scalar(lanes) => {
-                lanes.iter().map(|lane| self.describe(lane.lane)).collect()
-            }
-            BatchState::Packed(words) => words
+            BatchState::Scalar(lanes) => lanes
                 .iter()
-                .flat_map(|word| {
-                    lanes_of(word.word.pending()).map(|bit| self.describe(word.lanes[bit]))
+                .map(|lane| {
+                    let (target, index) = lane.lane;
+                    let (kind, set) = &self.targets[target];
+                    (kind, &set.lanes()[index])
                 })
                 .collect(),
+            BatchState::Packed(packed) => {
+                let mut classes: Vec<ClassRef> = packed
+                    .words
+                    .iter()
+                    .flat_map(|word| {
+                        lanes_of(word.word.pending())
+                            .flat_map(|lane| word.lanes.classes_of(lane).iter().copied())
+                    })
+                    .collect();
+                classes.sort_unstable();
+                let mut lanes = Vec::new();
+                for of_target in classes.chunk_by(|a, b| a.target() == b.target()) {
+                    let (kind, set) = &self.targets[of_target[0].target()];
+                    let mut pending = vec![false; set.classes().len()];
+                    for class in of_target {
+                        pending[class.class()] = true;
+                    }
+                    lanes.extend(
+                        set.lanes()
+                            .iter()
+                            .filter(|lane| {
+                                pending[set.classes().class_of(&lane.cells, &lane.background)]
+                            })
+                            .map(|lane| (kind, lane)),
+                    );
+                }
+                lanes
+            }
         }
     }
 
@@ -275,7 +408,7 @@ impl TargetBatch {
     /// suffix-only re-verification primitive of the redundancy-removal pass.
     ///
     /// The batch state is consumed by the trial (lane states advance with no
-    /// compaction); callers restore a snapshot before the next trial. The
+    /// re-packing); callers restore a snapshot before the next trial. The
     /// scan is lane-major with a fail-fast: the first lane (scalar) or word
     /// (packed) the suffix leaves undetected ends the trial, mirroring the
     /// early exit of
@@ -287,7 +420,7 @@ impl TargetBatch {
                     .iter()
                     .any(|element| run_element(element, &mut lane.simulator))
             }),
-            BatchState::Packed(words) => words.iter_mut().all(|word| {
+            BatchState::Packed(packed) => packed.words.iter_mut().all(|word| {
                 for element in elements {
                     if word.word.pending() == 0 {
                         return true;
@@ -320,10 +453,11 @@ impl TargetBatch {
                     })
                     .count()
             }
-            BatchState::Packed(words) => words
+            BatchState::Packed(packed) => packed
+                .words
                 .iter()
                 .filter(|word| word.word.pending() != 0)
-                .map(|word| newly_detected(&word.word, element))
+                .map(|word| word.lanes.weigh(newly_detected(&word.word, element)))
                 .sum(),
         }
     }
@@ -331,17 +465,18 @@ impl TargetBatch {
     /// Scores every candidate of `pool` without advancing the batch,
     /// returning the number of still-undetected lanes each candidate would
     /// newly detect, in candidate order. The packed backend runs every
-    /// candidate on a copy of each word, word by word; the scalar backend
-    /// scores each candidate with [`TargetBatch::score`].
+    /// candidate on a copy of each word, word by word, and sums the weights
+    /// of the lanes it detects; the scalar backend scores each candidate
+    /// with [`TargetBatch::score`].
     #[must_use]
     pub fn score_pool(&self, pool: &[MarchElement]) -> Vec<usize> {
         match &self.state {
             BatchState::Scalar(_) => pool.iter().map(|candidate| self.score(candidate)).collect(),
-            BatchState::Packed(words) => {
+            BatchState::Packed(packed) => {
                 let mut scores = vec![0usize; pool.len()];
-                for word in words.iter().filter(|word| word.word.pending() != 0) {
+                for word in packed.words.iter().filter(|word| word.word.pending() != 0) {
                     for (score, candidate) in scores.iter_mut().zip(pool) {
-                        *score += newly_detected(&word.word, candidate);
+                        *score += word.lanes.weigh(newly_detected(&word.word, candidate));
                     }
                 }
                 scores
@@ -351,9 +486,10 @@ impl TargetBatch {
 
     /// Advances the batch by executing `element`; returns the number of lanes
     /// it newly detected (those lanes stop being simulated). On the packed
-    /// backend the pending lanes of all words are then re-packed densely, in
-    /// order, when that needs fewer words, so later scoring only pays for
-    /// pending lanes.
+    /// backend a batch of several words then merges its pending lanes of
+    /// equal state and re-packs the survivors densely, in order, when that
+    /// needs fewer words or a merge happened, so later scoring only pays for
+    /// distinct pending states.
     pub fn advance(&mut self, element: &MarchElement) -> usize {
         match &mut self.state {
             BatchState::Scalar(lanes) => {
@@ -361,17 +497,17 @@ impl TargetBatch {
                 lanes.retain_mut(|lane| !run_element(element, &mut lane.simulator));
                 before - lanes.len()
             }
-            BatchState::Packed(words) => {
+            BatchState::Packed(packed) => {
                 let mut newly = 0usize;
-                for word in words.iter_mut() {
+                for word in &mut packed.words {
                     let before = word.word.pending();
                     if before == 0 {
                         continue;
                     }
                     word.word.run_element(element);
-                    newly += (before & !word.word.pending()).count_ones() as usize;
+                    newly += word.lanes.weigh(before & !word.word.pending());
                 }
-                compact(words);
+                packed.merged += repack(&mut packed.words);
                 newly
             }
         }
@@ -379,9 +515,9 @@ impl TargetBatch {
 
     /// Splits the batch into one batch per 64-lane word, in order (on the
     /// scalar backend, one per 64 lanes). The parts share this batch's lane
-    /// descriptors, and together they score, advance and report exactly as
-    /// the whole: they are the units a worker pool shards and the chunks the
-    /// minimiser checkpoints.
+    /// descriptors, and together they score and advance as the whole and
+    /// hold its pending lanes: they are the units a worker pool shards and
+    /// the chunks the minimiser checkpoints.
     #[must_use]
     pub fn split_words(&self) -> Vec<TargetBatch> {
         let part = |state| TargetBatch {
@@ -393,19 +529,25 @@ impl TargetBatch {
                 .chunks(WORD_LANES)
                 .map(|chunk| part(BatchState::Scalar(chunk.to_vec())))
                 .collect(),
-            BatchState::Packed(words) => words
+            BatchState::Packed(packed) => packed
+                .words
                 .iter()
-                .map(|word| part(BatchState::Packed(vec![word.clone()])))
+                .map(|word| {
+                    part(BatchState::Packed(PackedLanes {
+                        words: vec![word.clone()],
+                        merged: 0,
+                    }))
+                })
                 .collect(),
         }
     }
 }
 
 /// The lanes `element` would newly detect on `word`, run on a copy.
-fn newly_detected(word: &ProjectedWord, element: &MarchElement) -> usize {
+fn newly_detected(word: &ProjectedWord, element: &MarchElement) -> u64 {
     let mut trial = *word;
     trial.run_element(element);
-    (word.pending() & !trial.pending()).count_ones() as usize
+    word.pending() & !trial.pending()
 }
 
 /// The set bits of `mask`, lowest first.
@@ -419,53 +561,135 @@ fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// The lowest `count` set bits of `mask` (all of them if it has fewer).
-fn lowest_lanes(mask: u64, count: usize) -> u64 {
-    if mask.count_ones() as usize <= count {
-        return mask;
-    }
-    let beyond = lanes_of(mask).nth(count).expect("the mask has more lanes");
-    mask & ((1 << beyond) - 1)
+/// The survivors of a merge: the first pending lane met with each lane
+/// state, found by open addressing on the state.
+struct Survivors {
+    /// Each survivor's state, in the order they were met.
+    states: Vec<u64>,
+    /// `1 +` the survivor a slot holds, 0 for a free slot.
+    slots: Vec<u32>,
+    shift: u32,
 }
 
-/// Re-packs the pending lanes of `words` densely into as few words as hold
-/// them, in order, when that is fewer than there are: fully detected words
-/// drop out, and lanes move across word boundaries as needed. Lane order is
-/// preserved, so pending reporting and scores stay byte-identical.
-fn compact(words: &mut Vec<BatchWord>) {
+impl Survivors {
+    /// A table for up to `lanes` lanes, at most half full.
+    fn with_capacity(lanes: usize) -> Survivors {
+        let bits = (2 * lanes).next_power_of_two().trailing_zeros().max(1);
+        Survivors {
+            states: Vec::with_capacity(lanes),
+            slots: vec![0; 1 << bits],
+            shift: u64::BITS - bits,
+        }
+    }
+
+    /// The survivor holding `state`: a new one when no lane had it yet.
+    fn of(&mut self, state: u64) -> usize {
+        let last = self.slots.len() - 1;
+        let mut at = (state.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize;
+        loop {
+            match self.slots[at] {
+                0 => {
+                    self.states.push(state);
+                    self.slots[at] = self.states.len() as u32;
+                    return self.states.len() - 1;
+                }
+                slot if self.states[slot as usize - 1] == state => return slot as usize - 1,
+                _ => at = (at + 1) & last,
+            }
+        }
+    }
+}
+
+/// Merges and re-packs the pending lanes of `words`, returning how many
+/// lanes were merged.
+///
+/// Merging pays only by freeing words, so a batch of one word is left
+/// alone (or emptied once every lane is detected). In a batch of several
+/// words, every pending lane whose state equals that of an earlier pending
+/// lane folds into it: the earlier lane keeps the summed weight and both
+/// lanes' classes. When a lane was merged or a word can be freed, the
+/// surviving lanes are packed densely into as few words as hold them, in
+/// order: each lane's state is one row of the transposed word
+/// ([`ProjectedWord::lane_states`]), so a new word is the transpose of its
+/// lanes' rows.
+fn repack(words: &mut Vec<BatchWord>) -> usize {
+    if words.len() <= 1 {
+        words.retain(|word| word.word.pending() != 0);
+        return 0;
+    }
     let pending: usize = words
         .iter()
         .map(|word| word.word.pending().count_ones() as usize)
         .sum();
-    if pending.div_ceil(WORD_LANES) == words.len() {
-        return;
-    }
-    let mut packed = Vec::with_capacity(pending.div_ceil(WORD_LANES));
-    let mut word = ProjectedWord::default();
-    let mut lanes: Vec<LaneRef> = Vec::with_capacity(WORD_LANES);
-    for source in words.iter() {
-        let mut rest = source.word.pending();
-        while rest != 0 {
-            let part = lowest_lanes(rest, WORD_LANES - lanes.len());
-            word.take(&source.word, part, lanes.len());
-            lanes.extend(lanes_of(part).map(|bit| source.lanes[bit]));
-            rest &= !part;
-            if lanes.len() == WORD_LANES {
-                packed.push(BatchWord {
-                    word,
-                    lanes: lanes.drain(..).collect(),
-                });
-                word = ProjectedWord::default();
+    // The survivor each pending lane folds into, in lane order, and the
+    // survivors' states and projected memory sizes.
+    let mut folds_into: Vec<u32> = Vec::with_capacity(pending);
+    let mut survivors = Survivors::with_capacity(pending);
+    let mut cells: Vec<u8> = Vec::with_capacity(pending);
+    for word in words.iter() {
+        let pending = word.word.pending();
+        if pending == 0 {
+            continue;
+        }
+        let states = word.word.lane_states();
+        for lane in lanes_of(pending) {
+            let survivor = survivors.of(states[lane]);
+            if survivor == cells.len() {
+                cells.push(word.word.cells() as u8);
             }
+            folds_into.push(survivor as u32);
         }
     }
-    if !lanes.is_empty() {
-        packed.push(BatchWord {
-            word,
-            lanes: lanes.into(),
-        });
+    let count = survivors.states.len();
+    let merged = pending - count;
+    if merged == 0 && count.div_ceil(WORD_LANES) == words.len() {
+        return 0;
     }
-    *words = packed;
+
+    // Each survivor's weight and classes: its own first, then those of the
+    // lanes folded into it, in lane order.
+    let pending_lanes = || {
+        words
+            .iter()
+            .flat_map(|word| lanes_of(word.word.pending()).map(move |lane| (&*word.lanes, lane)))
+            .zip(folds_into.iter().map(|&survivor| survivor as usize))
+    };
+    let mut weights = vec![0usize; count];
+    let mut starts = vec![0usize; count + 1];
+    for ((word, lane), survivor) in pending_lanes() {
+        weights[survivor] += word.weigh(1 << lane);
+        starts[survivor + 1] += word.classes_of(lane).len();
+    }
+    for survivor in 0..count {
+        starts[survivor + 1] += starts[survivor];
+    }
+    let mut classes = vec![ClassRef::default(); starts[count]];
+    let mut cursor = starts.clone();
+    for ((word, lane), survivor) in pending_lanes() {
+        let of_lane = word.classes_of(lane);
+        classes[cursor[survivor]..cursor[survivor] + of_lane.len()].copy_from_slice(of_lane);
+        cursor[survivor] += of_lane.len();
+    }
+
+    *words = (0..count)
+        .step_by(WORD_LANES)
+        .map(|first| {
+            let held = first..count.min(first + WORD_LANES);
+            BatchWord {
+                word: ProjectedWord::from_lane_states(
+                    &survivors.states[held.clone()],
+                    usize::from(cells[held.clone()].iter().copied().max().unwrap_or(0)),
+                ),
+                lanes: Arc::new(WordLanes::new(held.map(|survivor| {
+                    (
+                        weights[survivor],
+                        &classes[starts[survivor]..starts[survivor + 1]],
+                    )
+                }))),
+            }
+        })
+        .collect();
+    merged
 }
 
 impl fmt::Display for TargetBatch {
@@ -545,32 +769,42 @@ mod tests {
         )
     }
 
-    /// A List #1 batch of more than two words: a two-cell target under
-    /// exhaustive placements (112 lanes), then a single-cell and a
-    /// three-cell target, so words mix targets and cell counts.
+    /// A List #1 batch of three words: a two-cell and a single-cell target
+    /// under exhaustive placements (112 and 16 lanes, 4 and 2 classes), then
+    /// eleven three-cell targets at representative placements (12 lanes and
+    /// classes each), 138 classes in all, so words mix targets and cell
+    /// counts.
     fn mixed_targets() -> Arc<TargetLanes> {
         let list = FaultList::list_1();
         let linked = |cells: usize| {
             list.linked()
                 .iter()
-                .find(|fault| fault.cell_count() == cells)
-                .expect("list #1 has faults of one, two and three cells")
-                .clone()
+                .filter(move |fault| fault.cell_count() == cells)
+                .cloned()
         };
         let backgrounds = [InitialState::AllZero, InitialState::AllOne];
+        let targets = linked(2)
+            .take(1)
+            .map(|fault| (fault, PlacementStrategy::Exhaustive))
+            .chain(
+                linked(1)
+                    .take(1)
+                    .map(|fault| (fault, PlacementStrategy::Exhaustive)),
+            )
+            .chain(
+                linked(3)
+                    .step_by(31)
+                    .take(11)
+                    .map(|fault| (fault, PlacementStrategy::Representative)),
+            );
         target_lanes(
-            [
-                (2, PlacementStrategy::Exhaustive),
-                (1, PlacementStrategy::Exhaustive),
-                (3, PlacementStrategy::Representative),
-            ]
-            .into_iter()
-            .map(|(cells, strategy)| {
-                let target = TargetKind::Linked(linked(cells));
-                let lanes = enumerate_lanes(&target, 8, strategy, &backgrounds).unwrap();
-                (target, lanes)
-            })
-            .collect(),
+            targets
+                .map(|(fault, strategy)| {
+                    let target = TargetKind::Linked(fault);
+                    let lanes = enumerate_lanes(&target, 8, strategy, &backgrounds).unwrap();
+                    (target, lanes)
+                })
+                .collect(),
         )
     }
 
@@ -625,9 +859,9 @@ mod tests {
 
     #[test]
     fn packed_compaction_preserves_scores_beyond_64_lanes() {
-        // Three targets of one, two and three cells, 136 lanes in three
-        // words: advancing detects lanes and re-packs the survivors of all
-        // three targets into fewer words.
+        // Targets of one, two and three cells, 138 classes in three words:
+        // advancing detects and merges lanes and re-packs the survivors of
+        // all targets into fewer words.
         let targets = mixed_targets();
         let mut scalar = batch_over(&targets, BackendKind::Scalar);
         let mut packed = batch_over(&targets, BackendKind::Packed);
@@ -652,7 +886,9 @@ mod tests {
             let mut batch = batch_over(&targets, backend);
             for (_, element) in catalog::mats_plus().iter() {
                 let parts = batch.split_words();
-                assert!(parts.iter().all(|part| part.pending() <= WORD_LANES));
+                // A packed part is one word of weighted lanes, so its
+                // pending count may exceed 64; it never splits further.
+                assert!(parts.iter().all(|part| part.split_words().len() <= 1));
                 let mut scores = vec![0; pool.len()];
                 let mut pending = Vec::new();
                 for part in &parts {

@@ -184,16 +184,17 @@ impl fmt::Display for CoverageReport {
 /// order.
 /// Escapes are stable-sorted by [`Escape::sort_key`] so reports are
 /// byte-identical across backends and thread counts.
-pub(crate) fn assemble_coverage_report(
+pub(crate) fn assemble_coverage_report<'t>(
     test_name: &str,
     list_name: &str,
-    targets: &[TargetKind],
+    targets: impl IntoIterator<Item = &'t TargetKind>,
     first_escapes: Vec<Option<Escape>>,
 ) -> CoverageReport {
+    let total = first_escapes.len();
     let mut covered = 0usize;
     let mut escapes = Vec::new();
     let mut by_topology: BTreeMap<LinkTopology, (usize, usize)> = BTreeMap::new();
-    for (target, escape) in targets.iter().zip(first_escapes) {
+    for (target, escape) in targets.into_iter().zip(first_escapes) {
         let detected = escape.is_none();
         if let TargetKind::Linked(fault) = target {
             let entry = by_topology.entry(fault.topology()).or_insert((0, 0));
@@ -212,7 +213,7 @@ pub(crate) fn assemble_coverage_report(
     CoverageReport {
         test_name: test_name.to_string(),
         list_name: list_name.to_string(),
-        total: targets.len(),
+        total,
         covered,
         escapes,
         by_topology,

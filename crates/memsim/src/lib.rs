@@ -29,16 +29,18 @@
 //!   three cells each fault instance involves: lanes sharing the rank order
 //!   of those cells and their background bits form one class (at most 48 per
 //!   lane set, derived in closed form from its shape and scope), and the
-//!   class representatives of many targets are packed into shared 64-lane
-//!   words whose lanes carry their own fault as masks — one simulation per
-//!   word on a memory of at most three cells, not one backend call per
-//!   target ([`SimulationBackend::projected_verdicts`]), so no coverage or
-//!   campaign cost grows with the memory size.
+//!   class representatives of a list's targets are bound once per (list,
+//!   scope) into a [`ClassImage`] of shared 64-lane words whose lanes carry
+//!   their own fault as masks — one simulation per word on a memory of at
+//!   most three cells, not one backend call per target
+//!   ([`SimulationBackend::image_verdicts`]), so no coverage or campaign
+//!   cost grows with the memory size.
 //!   A [`TargetBatch`] — the state the generator and the minimiser advance —
-//!   simulates every lane on its projected cells the same way, the lanes of
-//!   all targets of a list packed into shared 64-lane words. Reports,
-//!   scores and generated tests are byte-identical to the full-memory walk,
-//!   which the backends, [`PackedSimulator`] and diagnosis keep;
+//!   starts from a copy of the same image, each representative weighted by
+//!   its class's lane count, and merges lanes whose states meet as it
+//!   advances. Reports, scores and generated tests are byte-identical to
+//!   the full-memory walk, which the backends, [`PackedSimulator`] and
+//!   diagnosis keep;
 //! * runs seeded Monte-Carlo **campaigns** over the exhaustive instance
 //!   space — unranked draws, each taking the verdict of its projected class,
 //!   reported with a Wilson-score confidence interval ([`CampaignReport`]) —
@@ -131,6 +133,7 @@ pub use placement::{
     enumerate_decoder_placements, enumerate_placements, PlacementStrategy, MIN_PLACEMENT_CELLS,
 };
 pub use policy::ExecPolicy;
+pub use projection::ClassImage;
 pub use report::{json_escape, DiagnosisReport, JsonObject, Report};
 pub use run::{run_march, Failure, MarchRun};
 pub use session::{LaneSet, Session, TargetLanes};

@@ -58,6 +58,12 @@ impl InitialState {
         }
     }
 
+    /// `true` for the all-zero and all-one backgrounds: every cell starts
+    /// from the same bit.
+    pub(crate) fn is_uniform(&self) -> bool {
+        matches!(self, InitialState::AllZero | InitialState::AllOne)
+    }
+
     /// The initial value of cell `address`, without materialising the whole
     /// content.
     ///

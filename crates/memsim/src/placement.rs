@@ -184,6 +184,22 @@ impl PlacementShape {
         }
     }
 
+    /// How many exhaustive placements of a `cells`-cell memory put the
+    /// involved cells in any one rank order: each shape's placements split
+    /// evenly over its orders (one for a single address, two for a pair,
+    /// six for a triple). The memory must hold a countable number of them.
+    pub(crate) fn placements_per_order(self, cells: usize) -> usize {
+        let orders = match self {
+            PlacementShape::Single | PlacementShape::DecoderSingle => 1,
+            PlacementShape::Pair | PlacementShape::DecoderPair => 2,
+            PlacementShape::Triple => 6,
+        };
+        let placements = self
+            .count(cells, PlacementStrategy::Exhaustive)
+            .expect("the set's lanes were counted");
+        usize::try_from(placements / orders).expect("the set's lanes were counted")
+    }
+
     /// The `index`-th placement of the exhaustive enumeration order —
     /// `enumerate_placements(…, Exhaustive)[index]` (or the decoder
     /// counterpart) without materialising the space.

@@ -28,37 +28,44 @@
 //! read override and the forced value of each array component, and source
 //! and destination planes plus class masks for a decoder fault.
 //! Sensitisation is mask arithmetic, so one word holds lanes of many targets.
-//! Coverage ([`coverage_words`]) packs the class representatives of every
-//! target sharing a lane set into consecutive words in (target, class)
-//! order; a campaign packs the classes its draws hit the same way. Both go
-//! through [`SimulationBackend::projected_verdicts`]: the packed backend
-//! runs the words ([`word_verdicts`]), the scalar backend simulates each
-//! target's lanes on their own as the differential reference.
+//!
+//! A [`ClassImage`] binds every class representative of every target of a
+//! list into consecutive words, in (target, class) order. The session's
+//! artifact store keeps one per (list, scope), beside the target lanes, and
+//! drops it with them; it is never snapshotted. Coverage runs a test on
+//! copies of its words through
+//! [`SimulationBackend::image_verdicts`]: the packed backend runs each word
+//! ([`ProjectedWord::run`]), the scalar backend simulates the
+//! representatives one by one as the differential reference. A campaign
+//! binds the classes its draws hit into an image of its own the same way.
 //!
 //! Because a class representative is its class's first lane in enumeration
 //! order, the first escaping lane of a target is the representative of its
 //! first escaping class — escape reports, escape order and campaign traces
 //! are exactly those of the full-memory walk, while no cost grows with the
 //! memory size. A coverage request therefore costs one simulation per word:
-//! Fault List #1 at 8 or 16 cells is 6,448 class representatives in 102
+//! Fault List #1 at 8 or 16 cells is 6,448 class representatives in 101
 //! words, and at 4096 cells too.
 //!
 //! The generator's and the minimiser's [`TargetBatch`](crate::TargetBatch)
-//! projects too, lane by lane rather than class by class, since a greedy
-//! score counts lanes: [`project_lane`] remaps every lane onto its involved
-//! cells, and the packed batch packs the lanes of all its targets, in
-//! (target, lane) order, into the same words, keeping each lane's original
-//! descriptor beside them. Scoring runs a candidate on a copy of a word
-//! ([`ProjectedWord::run_element`]); advancing re-packs the pending lanes
-//! densely ([`ProjectedWord::take`]). The argument below holds at every
+//! starts from a copy of the same image, each lane weighted by its class's
+//! lane count ([`LaneSet`]'s weight table), since a greedy score counts
+//! lanes. Scoring runs a candidate on a copy of a word
+//! ([`ProjectedWord::run_element`]) and sums the weights of the lanes it
+//! detects. Advancing merges the pending lanes whose whole state has become
+//! equal — their memory planes and fault masks, 63 bits that
+//! [`ProjectedWord::lane_states`] reads for all 64 lanes at once with a bit
+//! transpose — and packs the survivors densely again
+//! ([`ProjectedWord::from_lane_states`]). The argument below holds at every
 //! prefix of a march test, so a batch's pending lanes and scores equal the
-//! full-memory walk's after every element. The backends' per-target
-//! methods, [`PackedSimulator`](crate::PackedSimulator), the full
-//! re-simulation minimiser and the dictionary and diagnosis paths keep the
-//! full-memory walk, which serves as the differential reference.
+//! full-memory walk's after every element. The scalar batch projects every
+//! lane on its own ([`project_lane`]) as the reference. The backends'
+//! per-target methods, [`PackedSimulator`](crate::PackedSimulator), the
+//! full re-simulation minimiser and the dictionary and diagnosis paths keep
+//! the full-memory walk, which serves as the differential reference.
 //!
 //! [`LaneSet`]: crate::LaneSet
-//! [`SimulationBackend::projected_verdicts`]: crate::SimulationBackend::projected_verdicts
+//! [`SimulationBackend::image_verdicts`]: crate::SimulationBackend::image_verdicts
 //!
 //! # Why the projection is exact
 //!
@@ -95,7 +102,7 @@
 //! on the scope checks upstream (a [`InitialState::Custom`] background must
 //! match the memory size, see
 //! [`SimulationError::InitialStateSizeMismatch`](crate::SimulationError));
-//! [`project_lane`] makes them itself.
+//! [`check_lane`] makes them for lanes a caller brings.
 
 use std::fmt;
 use std::ops::Range;
@@ -318,43 +325,152 @@ pub(crate) fn projected_cells(lane: &CoverageLane) -> usize {
         .map_or(0, |rank| rank + 1)
 }
 
-/// The projected lanes of a request and the words they are cut into. The
-/// lanes are the class representatives `classes[index]` selects of every
-/// target (bit `c` selects class `c`), in (target, class) order, the targets
-/// sharing one lane set consecutive, each named by its target's index in
-/// `target_lanes` and its class. The words are ranges of those lanes, at
-/// most `word_lanes` long, none straddling two sets.
-pub(crate) fn coverage_words(
-    target_lanes: &TargetLanes,
-    classes: &[u64],
-    word_lanes: usize,
-) -> (Vec<(usize, usize)>, Vec<Range<usize>>) {
-    let mut lanes = Vec::new();
-    let mut words = Vec::new();
-    let mut packed = vec![false; target_lanes.len()];
-    for (first, (_, set)) in target_lanes.iter().enumerate() {
-        if packed[first] {
-            continue;
-        }
-        let start = lanes.len();
-        for (index, (_, other)) in target_lanes.iter().enumerate().skip(first) {
-            if Arc::ptr_eq(set, other) {
-                packed[index] = true;
-                let mut selected = classes[index];
-                while selected != 0 {
-                    lanes.push((index, selected.trailing_zeros() as usize));
-                    selected &= selected - 1;
+/// A class of one target: the target's index in its [`TargetLanes`] and the
+/// class's index among its lane set's classes, packed into one word.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct ClassRef(u32);
+
+impl ClassRef {
+    /// Bits of the class index: a set of caller-built lanes may have a class
+    /// for every class code.
+    const CLASS_BITS: u32 = CLASS_CODES.trailing_zeros();
+
+    pub(crate) fn new(target: usize, class: usize) -> ClassRef {
+        debug_assert!(class < CLASS_CODES);
+        ClassRef(
+            u32::try_from(target << Self::CLASS_BITS | class)
+                .expect("a list has fewer than 2^23 targets"),
+        )
+    }
+
+    pub(crate) fn target(self) -> usize {
+        (self.0 >> Self::CLASS_BITS) as usize
+    }
+
+    pub(crate) fn class(self) -> usize {
+        (self.0 & ((1 << Self::CLASS_BITS) - 1)) as usize
+    }
+}
+
+/// Class representatives of the targets of a list, bound into 64-lane
+/// projected words: lane `i` of the image is lane `i % 64` of word
+/// `i / 64`, the lanes in (target, class) order.
+///
+/// The session's artifact store keeps one image of every class per (list,
+/// scope), beside the list's target lanes, and drops it with them. Coverage
+/// runs a test on copies of its words, one backend call per word
+/// ([`SimulationBackend::image_verdicts`]); a
+/// [`TargetBatch`](crate::TargetBatch) starts from a copy of it. So a list's
+/// classes are bound once per scope however many requests, generations and
+/// minimisations read them.
+///
+/// [`SimulationBackend::image_verdicts`]: crate::SimulationBackend::image_verdicts
+pub struct ClassImage {
+    targets: Arc<TargetLanes>,
+    words: Vec<ProjectedWord>,
+    classes: Vec<ClassRef>,
+}
+
+impl ClassImage {
+    /// The image of the classes `selected` picks of every target of
+    /// `targets` (bit `c` of `selected[t]` picks class `c` of target `t`),
+    /// or of every class when `selected` is `None`.
+    pub(crate) fn new(targets: Arc<TargetLanes>, selected: Option<&[u64]>) -> ClassImage {
+        let mut classes = Vec::new();
+        for (index, (_, set)) in targets.iter().enumerate() {
+            let count = set.classes().len();
+            match selected {
+                None => classes.extend((0..count).map(|class| ClassRef::new(index, class))),
+                Some(selected) => {
+                    let mut picked = selected[index];
+                    while picked != 0 {
+                        classes.push(ClassRef::new(index, picked.trailing_zeros() as usize));
+                        picked &= picked - 1;
+                    }
                 }
             }
         }
-        let end = lanes.len();
-        words.extend(
-            (start..end)
-                .step_by(word_lanes)
-                .map(|word| word..end.min(word + word_lanes)),
-        );
+        let words = classes
+            .chunks(WORD_LANES)
+            .map(|word| {
+                ProjectedWord::pack(word.iter().map(|&class| representative(&targets, class)))
+            })
+            .collect();
+        ClassImage {
+            targets,
+            words,
+            classes,
+        }
     }
-    (lanes, words)
+
+    /// The targets and lane sets the classes belong to.
+    pub(crate) fn targets(&self) -> &Arc<TargetLanes> {
+        &self.targets
+    }
+
+    /// The words, in lane order.
+    pub(crate) fn words(&self) -> &[ProjectedWord] {
+        &self.words
+    }
+
+    /// The class of every lane, in lane order.
+    pub(crate) fn classes(&self) -> &[ClassRef] {
+        &self.classes
+    }
+
+    /// The target and projected representative of every lane of `lanes`.
+    pub(crate) fn representatives(&self, lanes: Range<usize>) -> Vec<(&TargetKind, &CoverageLane)> {
+        self.classes[lanes]
+            .iter()
+            .map(|&class| representative(&self.targets, class))
+            .collect()
+    }
+
+    /// Lanes `lanes` of the image, at most [`WORD_LANES`], as one word: a
+    /// copy when they are one whole word, else taken run by run from the at
+    /// most two words they span.
+    pub(crate) fn word_of(&self, lanes: Range<usize>) -> ProjectedWord {
+        assert!(
+            lanes.len() <= WORD_LANES,
+            "a word carries {WORD_LANES} lanes"
+        );
+        let first = lanes.start / WORD_LANES;
+        if lanes.start.is_multiple_of(WORD_LANES)
+            && (lanes.len() == WORD_LANES || lanes.end == self.classes.len())
+        {
+            return self.words[first];
+        }
+        let mut word = ProjectedWord::default();
+        let mut at = 0;
+        let mut start = lanes.start;
+        while start < lanes.end {
+            let source = start / WORD_LANES;
+            let end = lanes.end.min((source + 1) * WORD_LANES);
+            let (low, high) = (start % WORD_LANES, (end - 1) % WORD_LANES + 1);
+            let mask = (u64::MAX >> (WORD_LANES - high)) & (u64::MAX << low);
+            word.take(&self.words[source], mask, at);
+            at += end - start;
+            start = end;
+        }
+        word
+    }
+}
+
+impl fmt::Debug for ClassImage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ClassImage")
+            .field("targets", &self.targets.len())
+            .field("classes", &self.classes.len())
+            .field("words", &self.words.len())
+            .finish()
+    }
+}
+
+/// The target of `class` and the representative its verdicts are simulated
+/// on.
+fn representative(targets: &TargetLanes, class: ClassRef) -> (&TargetKind, &CoverageLane) {
+    let (target, set) = &targets[class.target()];
+    (target, &set.classes().get(class.class()).representative)
 }
 
 /// The verdict of `test` for every `(target, projected lane)` pair, in
@@ -884,9 +1000,48 @@ impl ProjectedWord {
         self.settle();
     }
 
+    /// Every lane's whole state — its memory planes and fault masks, one bit
+    /// of each mask — as one `u64`, lane `i` at index `i`. Two pending lanes
+    /// with equal states run every later operation alike. The masks are
+    /// read as the rows of a 64 × 64 bit matrix and transposed, so no lane's
+    /// masks are walked one by one.
+    pub(crate) fn lane_states(&self) -> [u64; WORD_LANES] {
+        let mut rows = [0; WORD_LANES];
+        let mut word = *self;
+        let mut masks = word.masks_mut();
+        for (row, mask) in rows.iter_mut().zip(&mut masks) {
+            *row = *mask;
+        }
+        debug_assert!(masks.next().is_none(), "a lane's state fits a u64");
+        transpose(&mut rows);
+        rows
+    }
+
+    /// The word whose lane `i` has state `states[i]`, as
+    /// [`ProjectedWord::lane_states`] reads it, on a projected memory of
+    /// `cells` cells: the inverse transpose.
+    pub(crate) fn from_lane_states(states: &[u64], cells: usize) -> ProjectedWord {
+        let mut rows = [0; WORD_LANES];
+        rows[..states.len()].copy_from_slice(states);
+        transpose(&mut rows);
+        let mut word = ProjectedWord {
+            cells,
+            ..ProjectedWord::default()
+        };
+        for (mask, row) in word.masks_mut().zip(rows) {
+            *mask = row;
+        }
+        word
+    }
+
+    /// The size of the projected memory the word simulates.
+    pub(crate) fn cells(&self) -> usize {
+        self.cells
+    }
+
     /// Runs `test` on every lane and returns the detected lanes. Stops once
     /// every lane has detected its fault.
-    fn run(mut self, test: &MarchTest) -> u64 {
+    pub(crate) fn run(mut self, test: &MarchTest) -> u64 {
         for (_, element) in test.iter() {
             if self.detected == self.lanes {
                 break;
@@ -897,22 +1052,31 @@ impl ProjectedWord {
     }
 }
 
-/// `lane` remapped onto the projected memory of the cells it involves: their
-/// ranks as addresses, the background cut down to them. This is how a
-/// [`TargetBatch`](crate::TargetBatch) simulates every lane while it keeps
-/// the original descriptor.
-///
-/// # Errors
-///
-/// The lane is first checked against the `memory_cells`-cell memory it was
-/// placed on, since its projection would fit whatever the memory size:
+/// Transposes the 64 × 64 bit matrix whose row `r` is `rows[r]`: afterwards
+/// bit `c` of row `r` is what bit `r` of row `c` was. Each step swaps the
+/// off-diagonal blocks of every block of twice its width.
+fn transpose(rows: &mut [u64; WORD_LANES]) {
+    let mut width = WORD_LANES / 2;
+    let mut low = u64::MAX >> width;
+    while width > 0 {
+        for block in (0..WORD_LANES).step_by(2 * width) {
+            for row in block..block + width {
+                let swap = ((rows[row] >> width) ^ rows[row + width]) & low;
+                rows[row] ^= swap << width;
+                rows[row + width] ^= swap;
+            }
+        }
+        width /= 2;
+        low ^= low << width;
+    }
+}
+
+/// Checks `lane` against the `memory_cells`-cell memory it was placed on,
+/// since its projection would fit whatever the memory size:
 /// [`SimulationError::AddressOutOfRange`] for a cell at or beyond
 /// `memory_cells`, [`SimulationError::InitialStateSizeMismatch`] for a
 /// custom background of another length.
-pub(crate) fn project_lane(
-    lane: &CoverageLane,
-    memory_cells: usize,
-) -> Result<CoverageLane, SimulationError> {
+pub(crate) fn check_lane(lane: &CoverageLane, memory_cells: usize) -> Result<(), SimulationError> {
     if let Some(address) = slots(&lane.cells)
         .into_iter()
         .flatten()
@@ -923,9 +1087,24 @@ pub(crate) fn project_lane(
             cells: memory_cells,
         });
     }
-    lane.background.check(memory_cells)?;
-    let involved = Involved::of(&lane.cells);
-    Ok(involved.project(lane))
+    lane.background.check(memory_cells)
+}
+
+/// `lane` remapped onto the projected memory of the cells it involves: their
+/// ranks as addresses, the background cut down to them. This is how the
+/// scalar [`TargetBatch`](crate::TargetBatch) simulates every lane while it
+/// keeps the original descriptor.
+///
+/// # Errors
+///
+/// Those of [`check_lane`]: the lane must fit the `memory_cells`-cell
+/// memory it was placed on.
+pub(crate) fn project_lane(
+    lane: &CoverageLane,
+    memory_cells: usize,
+) -> Result<CoverageLane, SimulationError> {
+    check_lane(lane, memory_cells)?;
+    Ok(Involved::of(&lane.cells).project(lane))
 }
 
 #[cfg(test)]
@@ -1105,6 +1284,64 @@ mod tests {
                 .instance()
                 .projected_verdicts(&catalog::march_ss(), &[])
                 .is_empty());
+        }
+    }
+
+    #[test]
+    fn transpose_swaps_rows_and_columns() {
+        let mut rows = [0u64; WORD_LANES];
+        for (index, row) in rows.iter_mut().enumerate() {
+            *row = (index as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (1 << index);
+        }
+        let original = rows;
+        transpose(&mut rows);
+        for (row, bits) in rows.iter().enumerate() {
+            for (column, source) in original.iter().enumerate() {
+                assert_eq!(bits >> column & 1, source >> row & 1, "{row}, {column}");
+            }
+        }
+        transpose(&mut rows);
+        assert_eq!(rows, original);
+    }
+
+    #[test]
+    fn lane_states_rebuild_the_word_they_were_read_from() {
+        // A word of mixed targets after a few elements: reading each lane's
+        // state and packing the states back gives the same word, and the
+        // states of two lanes are equal exactly when every mask agrees on
+        // them.
+        let target_lanes: Vec<(TargetKind, CoverageLane)> = targets()
+            .into_iter()
+            .flat_map(|target| {
+                enumerate_lanes(
+                    &target,
+                    8,
+                    PlacementStrategy::Representative,
+                    &backgrounds(8),
+                )
+                .unwrap()
+                .into_iter()
+                .take(6)
+                .map(move |lane| (target.clone(), Involved::of(&lane.cells).project(&lane)))
+            })
+            .take(WORD_LANES)
+            .collect();
+        let mut word =
+            ProjectedWord::pack(target_lanes.iter().map(|(target, lane)| (target, lane)));
+        for element in catalog::mats_plus().elements().iter().take(2) {
+            word.run_element(element);
+        }
+        let states = word.lane_states();
+        let rebuilt = ProjectedWord::from_lane_states(&states[..target_lanes.len()], word.cells);
+        let (mut word_masks, mut rebuilt_masks) = (word, rebuilt);
+        assert!(word_masks.masks_mut().eq(rebuilt_masks.masks_mut()));
+        for first in 0..target_lanes.len() {
+            for second in 0..target_lanes.len() {
+                let agree = word_masks
+                    .masks_mut()
+                    .all(|mask| (*mask >> first & 1) == (*mask >> second & 1));
+                assert_eq!(states[first] == states[second], agree, "{first}, {second}");
+            }
         }
     }
 

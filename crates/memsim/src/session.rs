@@ -18,6 +18,7 @@
 //! warm cache.
 
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use march_test::MarchTest;
@@ -30,15 +31,16 @@ use crate::diagnose::{enumerate_diagnosis_instances, inject_diagnosis_instance};
 use crate::memory::check_backgrounds;
 use crate::parallel::WorkerPool;
 use crate::placement::{placement_shape, PlacementShape};
-use crate::projection::{coverage_words, Classes, MAX_CLASSES, WORD_LANES};
+use crate::projection::{check_lane, ClassImage, Classes, MAX_CLASSES, WORD_LANES};
 use crate::report::DiagnosisReport;
 use crate::run::run_march;
-use crate::store::{ArtifactKey, ArtifactStore, DictionaryKey};
+use crate::store::{ArtifactKey, ArtifactStore, DictionaryKey, TargetEntry};
 use crate::sync::OnceLock;
 use crate::{
-    CampaignSpace, CoverageLane, CoverageReport, DiagnosisCandidate, ExecPolicy, FaultDictionary,
-    FaultSimulator, InitialState, InjectedFault, InstanceCells, LinkedFaultInstance, MarchRun,
-    PlacementStrategy, Result, SimulationError, Syndrome,
+    BackendKind, CampaignSpace, CoverageLane, CoverageReport, DiagnosisCandidate, ExecPolicy,
+    FaultDictionary, FaultSimulator, InitialState, InjectedFault, InstanceCells,
+    LinkedFaultInstance, MarchRun, PlacementStrategy, Result, SimulationError, Syndrome,
+    TargetBatch,
 };
 
 /// How many diagnosis instances one sweep shard simulates: large enough to
@@ -73,17 +75,22 @@ pub type TargetLanes = Vec<(TargetKind, Arc<LaneSet>)>;
 /// listing them.
 ///
 /// The lanes are built on the first call to [`LaneSet::lanes`] and kept.
-/// Only the callers that simulate or store every lane pay for them: a
-/// [`TargetBatch`](crate::TargetBatch), and a snapshot of the set.
+/// Only the callers that list or store every lane pay for them: a snapshot
+/// of the set, the scalar [`TargetBatch`](crate::TargetBatch), and a packed
+/// batch naming its pending lanes. The weight of each class — how many
+/// lanes it holds — is counted on the first call that needs it, for the
+/// packed batch's scores: in closed form at representative scope and under
+/// uniform backgrounds, from the lanes otherwise. Coverage reads neither.
 pub struct LaneSet {
     /// The shape and scope the lanes enumerate; `None` for a set over a
     /// caller's own lanes.
     space: Option<LaneSpace>,
-    /// The lane classes; none for a set over a caller's own lanes, which
-    /// only batches read.
+    /// The lane classes.
     classes: Classes,
     len: usize,
     lanes: OnceLock<Vec<CoverageLane>>,
+    /// The number of lanes of each class, in class order.
+    weights: OnceLock<Vec<usize>>,
 }
 
 /// What the lanes of a shape's [`LaneSet`] enumerate.
@@ -134,6 +141,7 @@ impl LaneSet {
             classes,
             len,
             lanes: OnceLock::new(),
+            weights: OnceLock::new(),
         })
     }
 
@@ -173,19 +181,82 @@ impl LaneSet {
     pub(crate) fn classes(&self) -> &Classes {
         &self.classes
     }
+
+    /// The number of lanes of each class, in class order: counted on the
+    /// first call and kept.
+    pub(crate) fn weights(&self) -> &[usize] {
+        self.weights.get_or_init(|| {
+            let classes = &self.classes;
+            let mut weights = vec![0; classes.len()];
+            match &self.space {
+                // Representative placements are few: every lane is walked
+                // without building the set's lanes.
+                Some(space) if space.strategy == PlacementStrategy::Representative => {
+                    for (_, cells, background) in space.shape.class_first_lanes(
+                        space.memory_cells,
+                        space.strategy,
+                        &space.backgrounds,
+                    ) {
+                        weights[classes.class_of(&cells, &space.backgrounds[background])] += 1;
+                    }
+                }
+                // Under uniform backgrounds a class is a rank order under
+                // the backgrounds of one bit, and every rank order has as
+                // many placements as any other.
+                Some(space) if space.backgrounds.iter().all(InitialState::is_uniform) => {
+                    let per_order = space.shape.placements_per_order(space.memory_cells);
+                    for (class, weight) in weights.iter_mut().enumerate() {
+                        let bit = classes.get(class).lane.background.bit_at(0);
+                        let backgrounds = space
+                            .backgrounds
+                            .iter()
+                            .filter(|background| background.bit_at(0) == bit)
+                            .count();
+                        *weight = per_order * backgrounds;
+                    }
+                }
+                _ => {
+                    for lane in self.lanes() {
+                        weights[classes.class_of(&lane.cells, &lane.background)] += 1;
+                    }
+                }
+            }
+            weights
+        })
+    }
+
+    /// Checks that the set's lanes fit a `memory_cells`-cell memory: the
+    /// first lane of every class of an enumerated set, every lane of a
+    /// caller's own.
+    pub(crate) fn check_fits(&self, memory_cells: usize) -> Result<()> {
+        match &self.space {
+            Some(_) => (0..self.classes.len())
+                .try_for_each(|class| check_lane(&self.classes.get(class).lane, memory_cells)),
+            None => self
+                .lanes()
+                .iter()
+                .try_for_each(|lane| check_lane(lane, memory_cells)),
+        }
+    }
 }
 
 impl From<Vec<CoverageLane>> for LaneSet {
     /// A set over `lanes`, for callers that build a [`TargetLanes`] of
     /// their own lanes for a [`TargetBatch`](crate::TargetBatch) rather than
-    /// enumerating them with [`Session::target_lanes`]. It has no shape and
-    /// so no classes; coverage and campaigns never read it.
+    /// enumerating them with [`Session::target_lanes`]. Its classes are
+    /// partitioned lane by lane.
     fn from(lanes: Vec<CoverageLane>) -> LaneSet {
         LaneSet {
             space: None,
-            classes: Classes::first_seen([]),
+            classes: Classes::first_seen(
+                lanes
+                    .iter()
+                    .enumerate()
+                    .map(|(index, lane)| (index, lane.cells, &lane.background)),
+            ),
             len: lanes.len(),
             lanes: OnceLock::from(lanes),
+            weights: OnceLock::new(),
         }
     }
 }
@@ -468,10 +539,17 @@ impl Session {
     /// assert_eq!(total, 53_850_705_854_464);
     /// ```
     pub fn target_lanes(&self, list: &FaultList) -> Result<Arc<TargetLanes>> {
+        Ok(Arc::clone(self.target_entry(list)?.lanes()))
+    }
+
+    /// The store entry of `list` under the session's scope: its target
+    /// lanes, and the class image built beside them on first use. One
+    /// counted store query, like [`Session::target_lanes`].
+    fn target_entry(&self, list: &FaultList) -> Result<Arc<TargetEntry>> {
         check_backgrounds(&self.backgrounds, self.memory_cells)?;
         let key = ArtifactKey::new(list, self.memory_cells, self.strategy, &self.backgrounds);
         let snapshots = self.store.snapshots();
-        self.store.target_lanes(&key, || {
+        self.store.target_entry(&key, || {
             // Replay the crash-safe snapshot first, when one is attached: a
             // valid file short-circuits the build, anything else (miss,
             // corruption, I/O failure) degrades to the build below.
@@ -485,6 +563,63 @@ impl Session {
                 snapshots.store_lanes(&key, &built);
             }
             Ok(built)
+        })
+    }
+
+    /// Every class representative of every target of `list` under the
+    /// session's scope, bound into 64-lane words once per (list, scope) and
+    /// kept in the session's store beside the target lanes.
+    pub(crate) fn class_image(&self, list: &FaultList) -> Result<Arc<ClassImage>> {
+        Ok(self.target_entry(list)?.image())
+    }
+
+    /// A [`TargetBatch`] over every target of `list` under the session's
+    /// scope and backend, as the generator and the minimiser advance it: on
+    /// the packed backend a copy of the list's memoised class image, each
+    /// class weighted by its lane count, so a list's classes are bound once
+    /// per session however many batches start from them; on the scalar
+    /// backend one simulator per lane.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`Session::target_lanes`], and
+    /// [`SimulationError::LaneCountOverflow`](crate::SimulationError) when
+    /// the list's lanes together are more than a `usize` counts, since
+    /// scores and pending counts count them.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use march_test::catalog;
+    /// use sram_fault_model::FaultList;
+    /// use sram_sim::Session;
+    ///
+    /// let session = Session::default();
+    /// let mut batch = session.target_batch(&FaultList::list_2())?;
+    /// // 32 faults, each on one cell under two backgrounds.
+    /// assert_eq!(batch.pending(), 64);
+    /// for element in catalog::march_abl1().elements() {
+    ///     batch.advance(element);
+    /// }
+    /// assert_eq!(batch.pending(), 0);
+    /// # Ok::<(), sram_sim::SimulationError>(())
+    /// ```
+    pub fn target_batch(&self, list: &FaultList) -> Result<TargetBatch> {
+        let entry = self.target_entry(list)?;
+        entry
+            .lanes()
+            .iter()
+            .try_fold(0usize, |lanes, (_, set)| lanes.checked_add(set.len()))
+            .ok_or(SimulationError::LaneCountOverflow {
+                cells: self.memory_cells,
+            })?;
+        Ok(match self.policy.backend {
+            BackendKind::Scalar => TargetBatch::new(
+                Arc::clone(entry.lanes()),
+                self.memory_cells,
+                BackendKind::Scalar,
+            ),
+            BackendKind::Packed => entry.batch(),
         })
     }
 
@@ -547,11 +682,13 @@ impl Session {
     /// involve and simulated once per lane class (see the crate docs). The
     /// classes come from the target's [`LaneSet`], which derives them from
     /// its shape and scope without building lanes, and the class
-    /// representatives of every target sharing a set are packed into shared
-    /// 64-lane words, so a request costs one simulation per word whatever
-    /// the memory size. With a worker pool the words, not the targets, are
-    /// sharded, and merged back in word order; each target still reports its
-    /// first escaping class.
+    /// representatives of every target are bound into the list's
+    /// [`ClassImage`] of shared 64-lane words once per (list, scope), kept
+    /// in the session's store. A request runs the test on copies of the
+    /// image's words, one simulation per word whatever the memory size. With
+    /// a worker pool the words, not the targets, are sharded, and merged
+    /// back in word order; each target still reports its first escaping
+    /// class.
     ///
     /// # Errors
     ///
@@ -562,77 +699,63 @@ impl Session {
     /// [`SimulationError::LaneCountOverflow`](crate::SimulationError) for a
     /// lane set beyond `usize`.
     pub fn try_coverage(&self, test: &MarchTest, list: &FaultList) -> Result<CoverageReport> {
-        let target_lanes = self.target_lanes(list)?;
-        let every_class: Vec<u64> = target_lanes
-            .iter()
-            .map(|(_, set)| (1 << set.classes().len()) - 1)
-            .collect();
-        let (lanes, verdicts) = self.class_verdicts(test, &target_lanes, &every_class);
+        let image = self.class_image(list)?;
+        let target_lanes = image.targets();
+        let verdicts = self.image_verdicts(test, &image);
         // A target's classes are consecutive and in class order, so its
         // first undetected lane is its first escaping class.
         let mut first_escapes: Vec<Option<Escape>> = vec![None; target_lanes.len()];
-        for (&(index, class), detected) in lanes.iter().zip(verdicts) {
-            if !detected && first_escapes[index].is_none() {
-                let (target, set) = &target_lanes[index];
-                let lane = &set.classes().get(class).lane;
-                first_escapes[index] = Some(Escape {
+        for (&class, detected) in image.classes().iter().zip(verdicts) {
+            let escape = &mut first_escapes[class.target()];
+            if !detected && escape.is_none() {
+                let (target, set) = &target_lanes[class.target()];
+                let lane = &set.classes().get(class.class()).lane;
+                *escape = Some(Escape {
                     target: target.clone(),
                     cells: lane.cells,
                     background: lane.background.clone(),
                 });
             }
         }
-        let targets: Vec<TargetKind> = target_lanes
-            .iter()
-            .map(|(target, _)| target.clone())
-            .collect();
         Ok(assemble_coverage_report(
             test.name(),
             list.name(),
-            &targets,
+            target_lanes.iter().map(|(target, _)| target),
             first_escapes,
         ))
     }
 
-    /// The verdict of `test` on the classes `classes` selects of every
-    /// target of `target_lanes` — bit `c` of `classes[i]` selects class `c`
-    /// of target `i` — with the (target, class) pairs in the order of
-    /// [`coverage_words`]. Their representatives are packed into shared
-    /// words, one simulation per word on the session's pool.
-    fn class_verdicts(
-        &self,
-        test: &MarchTest,
-        target_lanes: &Arc<TargetLanes>,
-        classes: &[u64],
-    ) -> (Arc<Vec<(usize, usize)>>, Vec<bool>) {
-        let word_lanes = match &self.pool {
-            // Every worker gets a word: a small request is cut into as many
-            // shorter words as the pool has threads.
-            Some(pool) => {
-                let lanes: usize = classes.iter().map(|mask| mask.count_ones() as usize).sum();
-                lanes.div_ceil(pool.threads()).clamp(1, WORD_LANES)
-            }
+    /// The verdict of `test` on every lane of `image`, in lane order: one
+    /// backend call per word, on a copy of it. With a pool the lanes are cut
+    /// into as many ranges as it has threads, at most a word each, so every
+    /// worker gets work even when the image is one word.
+    fn image_verdicts(&self, test: &MarchTest, image: &Arc<ClassImage>) -> Vec<bool> {
+        let lanes = image.classes().len();
+        let shard = match &self.pool {
+            Some(pool) => lanes.div_ceil(pool.threads()).clamp(1, WORD_LANES),
             None => WORD_LANES,
         };
-        let (lanes, words) = coverage_words(target_lanes, classes, word_lanes);
-        let lanes = Arc::new(lanes);
-        let verdicts = {
+        let shards: Arc<Vec<Range<usize>>> = Arc::new(
+            (0..lanes)
+                .step_by(shard)
+                .map(|start| start..lanes.min(start + shard))
+                .collect(),
+        );
+        let detected = {
             let test = test.clone();
             let backend = Arc::clone(&self.backend);
-            let target_lanes = Arc::clone(target_lanes);
-            let lanes = Arc::clone(&lanes);
-            self.execute(Arc::new(words), move |word| {
-                let word: Vec<(&TargetKind, &CoverageLane)> = lanes[word.clone()]
-                    .iter()
-                    .map(|&(index, class)| {
-                        let (target, set) = &target_lanes[index];
-                        (target, &set.classes().get(class).representative)
-                    })
-                    .collect();
-                backend.projected_verdicts(&test, &word)
+            let image = Arc::clone(image);
+            self.execute(Arc::clone(&shards), move |lanes| {
+                backend.image_verdicts(&test, &image, lanes.clone())
             })
         };
-        (lanes, verdicts.into_iter().flatten().collect())
+        shards
+            .iter()
+            .zip(detected)
+            .flat_map(|(lanes, detected)| {
+                (0..lanes.len()).map(move |lane| detected >> lane & 1 == 1)
+            })
+            .collect()
     }
 
     /// Runs a seeded Monte-Carlo coverage campaign of `test` over `list`:
@@ -643,10 +766,10 @@ impl Session {
     /// confidence interval.
     ///
     /// A campaign is a lookup: each draw is unranked into its target and
-    /// lane and takes the verdict of the lane's class. Every (target, class)
-    /// pair the draws hit is simulated once, projected and packed into
-    /// shared words like coverage, so the cost grows with the classes hit,
-    /// not with the draws or the memory.
+    /// lane and takes the verdict of the lane's class. The classes the draws
+    /// hit are bound into a class image of their own, like coverage's, and
+    /// simulated once each, so the cost grows with the classes hit, not with
+    /// the draws or the memory.
     ///
     /// The draw sequence is a pure function of `config.seed` and the space,
     /// so the report is byte-identical across backends, thread counts and
@@ -685,10 +808,11 @@ impl Session {
                 slot * MAX_CLASSES + class
             })
             .collect();
-        let (lanes, verdicts) = self.class_verdicts(test, &target_lanes, &hit);
-        let mut class_detected = vec![false; target_lanes.len() * MAX_CLASSES];
-        for (&(slot, class), detected) in lanes.iter().zip(verdicts) {
-            class_detected[slot * MAX_CLASSES + class] = detected;
+        let image = Arc::new(ClassImage::new(target_lanes, Some(&hit)));
+        let verdicts = self.image_verdicts(test, &image);
+        let mut class_detected = vec![false; image.targets().len() * MAX_CLASSES];
+        for (&class, detected) in image.classes().iter().zip(verdicts) {
+            class_detected[class.target() * MAX_CLASSES + class.class()] = detected;
         }
         let detected = draw_classes
             .iter()
@@ -1210,8 +1334,9 @@ mod tests {
 
     /// The background lists the closed-form classes are checked under on
     /// a `cells`-cell memory: each uniform background alone, both orders of
-    /// the pair, the pair and the checkerboard, the checkerboard alone, and
-    /// an irregular custom image alone and after the pair.
+    /// the pair, one uniform background twice, the pair and the
+    /// checkerboard, the checkerboard alone, and an irregular custom image
+    /// alone and after the pair.
     fn background_lists(cells: usize) -> Vec<Vec<InitialState>> {
         let image = InitialState::Custom(
             (0..cells)
@@ -1224,11 +1349,50 @@ mod tests {
             vec![one.clone()],
             vec![zero.clone(), one.clone()],
             vec![one.clone(), zero.clone()],
+            vec![zero.clone(), zero.clone()],
             vec![zero.clone(), one.clone(), InitialState::Checkerboard],
             vec![InitialState::Checkerboard],
             vec![image.clone()],
             vec![zero, one, image],
         ]
+    }
+
+    #[test]
+    fn batches_beyond_a_usize_of_lanes_are_typed_errors() {
+        // Every set of exhaustive List #1 at 2^20 cells counts its lanes in
+        // a usize (2.3·10^18 for the triples), but the 392 LF3 targets
+        // together hold about 9·10^20: a batch's scores would wrap.
+        let session = Session::default()
+            .with_memory_cells(1 << 20)
+            .with_strategy(PlacementStrategy::Exhaustive);
+        let list = FaultList::list_1();
+        assert!(session.target_lanes(&list).is_ok());
+        assert_eq!(
+            session.target_batch(&list).map(|batch| batch.pending()),
+            Err(SimulationError::LaneCountOverflow { cells: 1 << 20 })
+        );
+    }
+
+    #[test]
+    fn class_weights_are_counted_without_lanes_where_closed_form() {
+        // Representative scope and uniform backgrounds weigh their classes
+        // without building a lane; the packed batch's pending count is the
+        // set's lane count, and coverage builds no weights.
+        let list = FaultList::list_1();
+        for session in [
+            Session::default(),
+            Session::default()
+                .with_memory_cells(16)
+                .with_strategy(PlacementStrategy::Exhaustive),
+        ] {
+            let lanes = session.target_lanes(&list).unwrap();
+            let _ = session.coverage(&catalog::march_sl(), &list);
+            assert!(lanes.iter().all(|(_, set)| set.weights.get().is_none()));
+            let batch = session.target_batch(&list).unwrap();
+            let total: usize = lanes.iter().map(|(_, set)| set.len()).sum();
+            assert_eq!(batch.pending(), total);
+            assert!(lanes.iter().all(|(_, set)| set.lanes.get().is_none()));
+        }
     }
 
     #[test]
@@ -1261,6 +1425,12 @@ mod tests {
                             assert!(chunk == expected.as_slice(), "{label}: {placement}");
                         }
                         assert_eq!(classes, Classes::of(lanes), "{label}");
+                        // Each class weighs as many lanes as it holds.
+                        let mut counted = vec![0; classes.len()];
+                        for lane in lanes {
+                            counted[classes.class_of(&lane.cells, &lane.background)] += 1;
+                        }
+                        assert_eq!(set.weights(), counted.as_slice(), "{label}");
                     }
                 }
             }

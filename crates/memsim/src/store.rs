@@ -37,9 +37,10 @@ use march_test::MarchTest;
 use sram_fault_model::FaultList;
 
 use crate::parallel::WorkerPool;
+use crate::projection::ClassImage;
 use crate::session::{Session, TargetLanes};
 use crate::snapshot::{SnapshotStats, SnapshotStore};
-use crate::{ExecPolicy, FaultDictionary, InitialState, PlacementStrategy, Result};
+use crate::{ExecPolicy, FaultDictionary, InitialState, PlacementStrategy, Result, TargetBatch};
 
 /// How many shards the store's key → entry maps split into. Shards are
 /// selected by key digest; 16 is plenty for the handful of cores one process
@@ -214,6 +215,51 @@ impl<K, V> ShardedMap<K, V> {
     }
 }
 
+/// One memoised target-lane enumeration and, built on first use, the class
+/// image of its targets — every class representative bound into 64-lane
+/// words — and the packed batch over them, each lane weighted by its
+/// class's lane count. Coverage, `verify` and minimiser prechecks of one
+/// (list, scope) run on copies of the image, generation and minimisation
+/// on copies of the batch; both live and die with the entry and are never
+/// snapshotted, and coverage never builds the batch.
+#[derive(Debug)]
+pub(crate) struct TargetEntry {
+    lanes: Arc<TargetLanes>,
+    image: OnceLock<Arc<ClassImage>>,
+    batch: OnceLock<TargetBatch>,
+}
+
+impl TargetEntry {
+    fn new(lanes: Arc<TargetLanes>) -> TargetEntry {
+        TargetEntry {
+            lanes,
+            image: OnceLock::new(),
+            batch: OnceLock::new(),
+        }
+    }
+
+    /// A copy of the packed batch over every class of the image, bound on
+    /// the first call.
+    pub(crate) fn batch(&self) -> TargetBatch {
+        self.batch
+            .get_or_init(|| TargetBatch::from_image(&self.image()))
+            .clone()
+    }
+
+    /// The enumerated targets with their lane sets.
+    pub(crate) fn lanes(&self) -> &Arc<TargetLanes> {
+        &self.lanes
+    }
+
+    /// The class image of the targets, bound on the first call.
+    pub(crate) fn image(&self) -> Arc<ClassImage> {
+        Arc::clone(
+            self.image
+                .get_or_init(|| Arc::new(ClassImage::new(Arc::clone(&self.lanes), None))),
+        )
+    }
+}
+
 /// The concurrent artifact store: target-lane enumerations and fault
 /// dictionaries, memoised under immutable content-fingerprint keys and shared
 /// by every [`Session`] handle attached to it.
@@ -228,7 +274,7 @@ impl<K, V> ShardedMap<K, V> {
 ///   — distinct populated entries per family.
 #[derive(Debug)]
 pub struct ArtifactStore {
-    artifacts: ShardedMap<ArtifactKey<'static>, TargetLanes>,
+    artifacts: ShardedMap<ArtifactKey<'static>, TargetEntry>,
     dictionaries: ShardedMap<DictionaryKey<'static>, FaultDictionary>,
     hits: AtomicUsize,
     enumerations: AtomicUsize,
@@ -345,7 +391,8 @@ impl ArtifactStore {
         Ok(built)
     }
 
-    /// The target-lane entry of `key`, built at most once via `build`.
+    /// The target lanes of `key`, built at most once via `build`.
+    #[cfg(test)]
     pub(crate) fn target_lanes<F>(
         &self,
         key: &ArtifactKey<'_>,
@@ -354,10 +401,25 @@ impl ArtifactStore {
     where
         F: FnOnce() -> Result<Arc<TargetLanes>>,
     {
+        Ok(Arc::clone(self.target_entry(key, build)?.lanes()))
+    }
+
+    /// The target-lane entry of `key`, its lanes built at most once via
+    /// `build`: one counted query, a hit or a build.
+    pub(crate) fn target_entry<F>(
+        &self,
+        key: &ArtifactKey<'_>,
+        build: F,
+    ) -> Result<Arc<TargetEntry>>
+    where
+        F: FnOnce() -> Result<Arc<TargetLanes>>,
+    {
         let slot = self
             .artifacts
             .slot(key.digest(), |stored| stored == key, || key.owned());
-        self.get_or_build(&slot, &self.artifact_entries, build)
+        self.get_or_build(&slot, &self.artifact_entries, || {
+            Ok(Arc::new(TargetEntry::new(build()?)))
+        })
     }
 
     /// The dictionary entry of `key`, built at most once via `build`.

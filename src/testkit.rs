@@ -12,8 +12,10 @@
 //! coverage by being added here once.
 //!
 //! Coverage simulates projected lane classes rather than every lane on the
-//! full memory, and target batches simulate every lane on its projected
-//! cells, the lanes of many targets sharing one word. [`assert_projection_exact`]
+//! full memory, and the session's target batches simulate one weighted
+//! representative per class on its projected cells, the classes of many
+//! targets sharing one word and merging as their states meet.
+//! [`assert_projection_exact`]
 //! holds both to the full-memory walk: coverage to a rebuild with the
 //! backend's own `first_undetected`, a batch over the whole list to the
 //! packed engine advanced target by target, element by element, on the
@@ -339,6 +341,9 @@ pub struct BatchLayouts {
     pub merging_compaction: bool,
     /// A batch's last word was partial.
     pub partial_last_word: bool,
+    /// An advance merged pending lanes of equal state into one weighted
+    /// lane.
+    pub lanes_merged: bool,
 }
 
 impl BatchLayouts {
@@ -347,6 +352,7 @@ impl BatchLayouts {
         self.decoder_and_array |= other.decoder_and_array;
         self.merging_compaction |= other.merging_compaction;
         self.partial_last_word |= other.partial_last_word;
+        self.lanes_merged |= other.lanes_merged;
     }
 }
 
@@ -355,14 +361,17 @@ impl BatchLayouts {
 ///
 /// * **Coverage**, as [`assert_coverage_projection_exact`] checks it.
 /// * **Batches.** For every probe test, one `TargetBatch` over every target
-///   of the list, as the generator builds it (the session's backend),
-///   advances element by element next to the packed engine walking every
-///   lane of every target on the whole memory. At every prefix the batch's
-///   pending lanes — in (target, lane) order, with their original cells and
-///   backgrounds — must equal the lanes the walks leave undetected, and its
-///   pool scores must equal, per candidate, the lanes the walks newly detect
-///   running that candidate next, summed over the targets. The pool mixes
-///   every address order with one to four operations.
+///   of the list, as the generator takes it from the session
+///   (`Session::target_batch`: on the packed backend, weighted class
+///   representatives that merge as their states meet), advances element by
+///   element next to the packed engine walking every lane of every target
+///   on the whole memory. At every prefix the batch's pending lanes — in
+///   (target, lane) order, with their original cells and backgrounds — must
+///   equal the lanes the walks leave undetected, its pending count their
+///   number, and its pool scores must equal, per candidate, the lanes the
+///   walks newly detect running that candidate next, summed over the
+///   targets. The pool mixes every address order with one to four
+///   operations.
 ///
 /// The walk costs every lane a full-memory pass per prefix and candidate,
 /// so large scopes check coverage alone. Returns the word layouts the
@@ -385,7 +394,48 @@ pub fn assert_projection_exact(
         .expect("harness scope hosts the fault-list placements");
     let mut layouts = BatchLayouts::default();
     for test in projection_probes() {
-        layouts.merge(assert_batch_exact(&session, &test, &target_lanes));
+        layouts.merge(assert_batch_exact(
+            &session,
+            fault_list,
+            &test,
+            &target_lanes,
+        ));
+    }
+    layouts
+}
+
+/// Holds the session's target batch over `fault_list` — `cells` cells,
+/// `strategy` placements, `backgrounds` — to the full-memory walk at every
+/// prefix of every projection probe, as [`assert_projection_exact`] does for
+/// its four backgrounds, and returns the word layouts the batches went
+/// through.
+///
+/// # Panics
+///
+/// Panics on the first divergence, or if `cells` cannot host the list's
+/// placements.
+pub fn assert_batch_projection_exact(
+    policy: ExecPolicy,
+    fault_list: &FaultList,
+    cells: usize,
+    strategy: PlacementStrategy,
+    backgrounds: Vec<InitialState>,
+) -> BatchLayouts {
+    let session = Session::new(policy)
+        .with_memory_cells(cells)
+        .with_strategy(strategy)
+        .with_backgrounds(backgrounds);
+    let target_lanes = session
+        .target_lanes(fault_list)
+        .expect("harness scope hosts the fault-list placements");
+    let mut layouts = BatchLayouts::default();
+    for test in projection_probes() {
+        layouts.merge(assert_batch_exact(
+            &session,
+            fault_list,
+            &test,
+            &target_lanes,
+        ));
     }
     layouts
 }
@@ -507,23 +557,29 @@ fn scoring_candidates() -> Vec<MarchElement> {
 /// full-memory walk — the packed engine over every lane of each target on
 /// the whole memory — while both advance element by element through `test`.
 ///
-/// At every prefix the batch's pending lanes must equal the lanes the walks
-/// leave undetected, concatenated in (target, lane) order with their
-/// original cells and backgrounds, and its scores over
-/// [`scoring_candidates`] must equal, per candidate, the lanes the walks
-/// newly detect running that candidate next, summed over the targets.
+/// The batch is the session's (`Session::target_batch`), so on the packed
+/// backend its lanes are class representatives weighted by their lane
+/// counts, merged as their states meet. At every prefix the batch's
+/// pending lanes must equal the lanes the walks leave undetected,
+/// concatenated in (target, lane) order with their original cells and
+/// backgrounds, its pending count must equal their number, and its scores
+/// over [`scoring_candidates`] must equal, per candidate, the lanes the
+/// walks newly detect running that candidate next, summed over the targets.
 /// Returns the word layouts the batch went through on the packed backend.
 fn assert_batch_exact(
     session: &Session,
+    fault_list: &FaultList,
     test: &MarchTest,
     target_lanes: &Arc<sram_sim::TargetLanes>,
 ) -> BatchLayouts {
-    use sram_sim::{PackedSimulator, TargetBatch};
+    use sram_sim::PackedSimulator;
 
     const WORD: usize = PackedSimulator::<u64>::MAX_LANES;
     let (policy, cells) = (session.policy(), session.memory_cells());
     let candidates = scoring_candidates();
-    let mut batch = TargetBatch::new(Arc::clone(target_lanes), cells, policy.backend);
+    let mut batch = session
+        .target_batch(fault_list)
+        .expect("harness scope hosts the fault-list placements");
     let mut walks: Vec<Vec<PackedSimulator>> = target_lanes
         .iter()
         .map(|(target, lanes)| {
@@ -573,6 +629,12 @@ fn assert_batch_exact(
             "{}",
             label("batch pending lanes")
         );
+        assert_eq!(
+            batch.pending(),
+            pending.len(),
+            "{}",
+            label("batch pending count")
+        );
         if pending.is_empty() {
             break;
         }
@@ -604,7 +666,9 @@ fn assert_batch_exact(
             break;
         };
         let before = packed.then(|| batch.split_words());
+        let merged = batch.merged_lanes();
         batch.advance(element);
+        layouts.lanes_merged |= batch.merged_lanes() > merged;
         if let Some(before) = before {
             layouts.merging_compaction |= merges_words(&before, &batch);
             layouts.merge(word_layouts(&batch));

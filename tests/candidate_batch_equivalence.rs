@@ -1,11 +1,11 @@
 //! Property-based equivalence of batched candidate scoring: for random march
 //! prefixes × candidate pools × sets of fault targets × placements ×
 //! backgrounds, the scores of one packed [`TargetBatch`] over every target —
-//! the lanes of all of them sharing 64-lane words — must be byte-identical to
-//! scoring every candidate on its own against the scalar reference batch,
-//! however the batch was advanced (the packed batch re-packs pending lanes
-//! as it goes), and [`score_candidates`] must return the same scores for
-//! every thread count on both backends.
+//! weighted class representatives of all of them sharing 64-lane words —
+//! must be byte-identical to scoring every candidate on its own against the
+//! scalar reference batch, however the batch was advanced (the packed batch
+//! merges and re-packs pending lanes as it goes), and [`score_candidates`]
+//! must return the same scores for every thread count on both backends.
 
 use march_gen::score_candidates;
 use march_test::{AddressOrder, MarchElement};

@@ -4,7 +4,8 @@
 //! projected-vs-full-memory coverage differential at 4096 (AF) and 16
 //! (List #1) cells, the batch differential on exhaustive 8-cell List #1,
 //! exhaustive coverage at 4096 and 2^20 cells against the 16-cell reports,
-//! and the Table 1 generations at 4096 cells.
+//! the Table 1 generations at 4096 cells, and exhaustive List #1 generation
+//! at 16 cells on weighted classes.
 //!
 //! `#[ignore]`d by default (they are release-grade workloads); the release CI
 //! job runs them with `cargo test --release -- --ignored` under a wall-clock
@@ -165,6 +166,43 @@ fn table_1_generations_are_memory_size_invariant_at_4096_cells() {
     assert!(
         start.elapsed() < BUDGET,
         "4096-cell Table 1 generations blew the budget: {:?}",
+        start.elapsed()
+    );
+}
+
+#[test]
+#[ignore = "release-grade exhaustive generation at 16 cells; run with --ignored"]
+fn exhaustive_list_1_generation_runs_at_class_cost_at_16_cells() {
+    // Under exhaustive placements at 16 cells List #1 has 2,836,864 lanes
+    // but 6,448 classes: the session's batch holds one weighted
+    // representative per class, so the greedy scores as many words as at
+    // the representative scope. Its choices may differ from 6 or 8 cells,
+    // since exhaustive weights grow with the memory; the test it yields
+    // must verify complete at this scope.
+    let start = Instant::now();
+    let list = FaultList::list_1();
+    let session = Session::new(ExecPolicy::fast())
+        .with_memory_cells(16)
+        .with_strategy(PlacementStrategy::Exhaustive);
+    let generated = session.generate(&list);
+    let lanes: usize = session
+        .target_lanes(&list)
+        .unwrap()
+        .iter()
+        .map(|(_, set)| set.len())
+        .sum();
+    assert_eq!(lanes, 2_836_864);
+    assert_eq!(generated.report().initial_targets(), lanes);
+    assert!(
+        generated.report().is_complete(),
+        "uncovered: {:?}",
+        generated.report().uncovered()
+    );
+    let verified = session.try_coverage(generated.test(), &list).unwrap();
+    assert!(verified.is_complete(), "escapes: {:?}", verified.escapes());
+    assert!(
+        start.elapsed() < BUDGET,
+        "16-cell exhaustive List #1 generation blew the budget: {:?}",
         start.elapsed()
     );
 }

@@ -14,11 +14,14 @@
 //!   image (only the patterned two catch a class key without background
 //!   bits);
 //! * with incomplete probe tests, so escapes and their order are compared;
-//! * with one batch over every target of the list, as the generator builds
-//!   it, at every prefix of every probe test: pending lanes and pool scores,
-//!   through words that mix targets of different cell counts, words that mix
-//!   decoder and cell-array lanes, compactions that merge words and partial
-//!   last words;
+//! * with one batch over every target of the list, as the generator takes
+//!   it from the session — weighted class representatives that merge as
+//!   their states meet — at every prefix of every probe test: pending lanes,
+//!   pending counts and pool scores, through words that mix targets of
+//!   different cell counts, words that mix decoder and cell-array lanes,
+//!   compactions that merge words, merged lanes and partial last words, at
+//!   the representative 8-cell and the exhaustive 6-cell scope and under
+//!   patterned backgrounds;
 //! * across the backend × threads × lane-width matrix.
 //!
 //! It also pins the consequence that makes the default scope trustworthy:
@@ -33,7 +36,8 @@
 use std::collections::BTreeSet;
 
 use march_codex_repro::testkit::{
-    assert_coverage_projection_exact, assert_projection_exact, reference_policy, BatchLayouts,
+    assert_batch_projection_exact, assert_coverage_projection_exact, assert_projection_exact,
+    reference_policy, BatchLayouts,
 };
 use march_gen::{GeneratorConfig, SessionExt};
 use march_test::catalog;
@@ -86,11 +90,51 @@ fn projection_is_exact_for_fault_list_1() {
         8,
         PlacementStrategy::Representative,
     );
-    // Its one-, two- and three-cell targets share words, and detection
-    // thins the words out until they merge.
+    // Its one-, two- and three-cell targets share words, detection thins
+    // the words out until they merge, and lanes whose states meet merge.
     assert!(layouts.mixed_cell_counts, "{layouts:?}");
     assert!(layouts.merging_compaction, "{layouts:?}");
     assert!(layouts.partial_last_word, "{layouts:?}");
+    assert!(layouts.lanes_merged, "{layouts:?}");
+}
+
+#[test]
+fn weighted_batches_merge_lanes_at_the_exhaustive_and_patterned_scopes() {
+    // The batch of weighted class representatives, merging as states meet,
+    // against the full-memory walk of every lane: at the CLI's exhaustive
+    // 6-cell scope, where every class weighs many lanes, and under both
+    // uniform backgrounds plus the checkerboard, which splits the classes
+    // unevenly.
+    let policy = ExecPolicy::default().with_threads(1);
+    let (zero, one) = (InitialState::AllZero, InitialState::AllOne);
+    for (cells, strategy, backgrounds) in [
+        (
+            6,
+            PlacementStrategy::Exhaustive,
+            vec![zero.clone(), one.clone()],
+        ),
+        (
+            8,
+            PlacementStrategy::Representative,
+            vec![zero, one, InitialState::Checkerboard],
+        ),
+    ] {
+        let layouts = assert_batch_projection_exact(
+            policy,
+            &FaultList::list_1(),
+            cells,
+            strategy,
+            backgrounds,
+        );
+        assert!(
+            layouts.lanes_merged,
+            "{cells} cells, {strategy:?}: {layouts:?}"
+        );
+        assert!(
+            layouts.merging_compaction,
+            "{cells} cells, {strategy:?}: {layouts:?}"
+        );
+    }
 }
 
 #[test]
