@@ -54,25 +54,20 @@ pub(crate) fn minimise_with(
     test: &MarchTest,
     list: &FaultList,
 ) -> (MarchTest, usize) {
+    // Only minimise tests that are complete to begin with, otherwise
+    // "preserving coverage" is ill-defined; with no target there is
+    // nothing to preserve. Either way the test comes back untouched.
+    // Coverage runs the test on the list's class image, which the batch
+    // below starts from too, so an incomplete test builds no batch.
+    let report = session
+        .try_coverage(test, list)
+        .expect("minimisation scope hosts the fault-list placements");
+    if report.total() == 0 || !report.is_complete() {
+        return (test.clone(), 0);
+    }
     let batch = session
         .target_batch(list)
         .expect("minimisation scope hosts the fault-list placements");
-
-    // Nothing to preserve: return the test untouched.
-    if batch.pending() == 0 {
-        return (test.clone(), 0);
-    }
-
-    // Only minimise tests that are complete to begin with, otherwise
-    // "preserving coverage" is ill-defined. Coverage runs the test on a
-    // copy of the list's class image, as the batch starts from one.
-    let complete = session
-        .try_coverage(test, list)
-        .expect("minimisation scope hosts the fault-list placements")
-        .is_complete();
-    if !complete {
-        return (test.clone(), 0);
-    }
 
     let states: Arc<Vec<Mutex<ChunkState>>> = Arc::new(
         batch
@@ -557,7 +552,7 @@ fn rebuild(name: &str, elements: &[MarchElement]) -> MarchTest {
 mod tests {
     use super::*;
     use march_test::catalog;
-    use sram_sim::{BackendKind, ExecPolicy};
+    use sram_sim::{BackendKind, ExecPolicy, PlacementStrategy};
 
     /// March ABL1 with two useless extra reads appended.
     fn padded() -> MarchTest {
@@ -625,11 +620,25 @@ mod tests {
 
     #[test]
     fn incomplete_tests_are_left_untouched() {
-        let mats = catalog::mats_plus();
-        let list = FaultList::list_2();
-        let (unchanged, removed) = minimise_with(&Session::default(), &mats, &list);
-        assert_eq!(removed, 0);
-        assert_eq!(unchanged, mats);
+        // Exhaustive List #1 at 2^20 cells has more lanes than a batch
+        // counts, yet its coverage runs on the classes: the precheck turns
+        // an incomplete test away before any batch is asked for.
+        let huge = Session::default()
+            .with_memory_cells(1 << 20)
+            .with_strategy(PlacementStrategy::Exhaustive);
+        assert!(huge.target_batch(&FaultList::list_1()).is_err());
+        for (session, test, list) in [
+            (
+                Session::default(),
+                catalog::mats_plus(),
+                FaultList::list_2(),
+            ),
+            (huge, catalog::march_c_minus(), FaultList::list_1()),
+        ] {
+            let (unchanged, removed) = minimise_with(&session, &test, &list);
+            assert_eq!(removed, 0);
+            assert_eq!(unchanged, test);
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use sram_fault_model::{Bit, DecoderFault, FaultPrimitive, Operation, Sensitizing
 use crate::coverage::TargetKind;
 use crate::lane::{broadcast, condition_mask, LaneWidth, LaneWord, W128, W256};
 use crate::placement::{placement_shape, PlacementShape};
-use crate::projection::{projected_cells, word_verdicts, ClassImage};
+use crate::projection::{projected_cells, ClassImage};
 use crate::{
     run_march, DecoderFaultInstance, FaultSimulator, InitialState, InjectedFault, InstanceCells,
     LinkedFaultInstance, PlacementStrategy, SimulationError,
@@ -187,57 +187,34 @@ pub trait SimulationBackend: fmt::Debug + Send + Sync {
             .position(|detected| !detected)
     }
 
-    /// The detection verdict of `test` for every `(target, lane)` pair, in
-    /// order, where each lane is **projected**: its cells are the ranks of
-    /// the at most three cells its instance involves, its background is cut
-    /// down to them, and it is simulated on a memory of exactly those cells
-    /// (see `projection.rs` for why its verdict is the full-memory one).
-    /// Pairs of any number of targets may be mixed; this is the kernel of
-    /// coverage and campaigns.
-    ///
-    /// The default simulates each run of consecutive pairs of one target
-    /// with [`SimulationBackend::lane_verdicts`] — the per-target reference
-    /// the scalar backend keeps. The packed backend packs the pairs of many
-    /// targets into shared 64-lane words instead, one simulation per word.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a lane is not projected or does not fit its target.
-    fn projected_verdicts(
-        &self,
-        test: &MarchTest,
-        lanes: &[(&TargetKind, &CoverageLane)],
-    ) -> Vec<bool> {
-        let mut verdicts = Vec::with_capacity(lanes.len());
-        let mut rest = lanes;
-        while let Some(&(target, _)) = rest.first() {
-            let run = rest
-                .iter()
-                .take_while(|(other, _)| *other == target)
-                .count();
-            let (group, tail) = rest.split_at(run);
-            let group: Vec<CoverageLane> = group.iter().map(|&(_, lane)| lane.clone()).collect();
-            let cells = group.iter().map(projected_cells).max().unwrap_or(0);
-            verdicts.extend(self.lane_verdicts(test, target, &group, cells));
-            rest = tail;
-        }
-        verdicts
-    }
-
     /// The lanes among `lanes` of a class image that `test` detects, as a
     /// mask: bit `i` for lane `lanes.start + i`. `lanes` spans at most 64
     /// lanes. This is the kernel of coverage and campaigns: every class
     /// representative of a list is bound into the image's 64-lane words
-    /// once per scope, and each request runs the test on copies of them.
+    /// once per scope, and each request runs the test on them.
     ///
-    /// The default simulates the representatives one by one through
-    /// [`SimulationBackend::projected_verdicts`] — the reference the scalar
-    /// backend keeps. The packed backend runs a copy of the words instead.
+    /// Each lane of the image is **projected**: its cells are the ranks of
+    /// the at most three cells its instance involves and its background is
+    /// cut down to them (see `projection.rs` for why its verdict is the
+    /// full-memory one). The default simulates each run of consecutive
+    /// representatives of one target with
+    /// [`SimulationBackend::lane_verdicts`] on a memory of exactly those
+    /// cells — the per-target reference the scalar backend keeps. The
+    /// packed backend runs a copy of the image's words instead, the lanes
+    /// taken from the at most two words they span.
     fn image_verdicts(&self, test: &MarchTest, image: &ClassImage, lanes: Range<usize>) -> u64 {
-        self.projected_verdicts(test, &image.representatives(lanes))
-            .into_iter()
-            .enumerate()
-            .fold(0, |detected, (lane, hit)| detected | u64::from(hit) << lane)
+        let mut detected = 0;
+        let mut at = 0;
+        let representatives = image.representatives(lanes);
+        for run in representatives.chunk_by(|(one, _), (other, _)| one == other) {
+            let group: Vec<CoverageLane> = run.iter().map(|&(_, lane)| lane.clone()).collect();
+            let cells = group.iter().map(projected_cells).max().unwrap_or(0);
+            for hit in self.lane_verdicts(test, run[0].0, &group, cells) {
+                detected |= u64::from(hit) << at;
+                at += 1;
+            }
+        }
+        detected
     }
 }
 
@@ -436,14 +413,6 @@ impl SimulationBackend for PackedBackend {
             LaneWidth::W256 => packed_first_undetected::<W256>(test, target, lanes, memory_cells),
             _ => packed_first_undetected::<u64>(test, target, lanes, memory_cells),
         }
-    }
-
-    fn projected_verdicts(
-        &self,
-        test: &MarchTest,
-        lanes: &[(&TargetKind, &CoverageLane)],
-    ) -> Vec<bool> {
-        word_verdicts(test, lanes)
     }
 
     fn image_verdicts(&self, test: &MarchTest, image: &ClassImage, lanes: Range<usize>) -> u64 {

@@ -28,6 +28,7 @@
 //! every pending lane, in (target, lane) order. The scalar backend keeps one
 //! [`FaultSimulator`] per lane as the differential reference.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -285,7 +286,7 @@ impl TargetBatch {
                         .checked_add(set.len())
                         .expect("a batch counts its lanes in a usize");
                 }
-                TargetBatch::from_image(&ClassImage::new(targets, None))
+                TargetBatch::from_image(&ClassImage::new(targets))
             }
         }
     }
@@ -561,45 +562,6 @@ fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// The survivors of a merge: the first pending lane met with each lane
-/// state, found by open addressing on the state.
-struct Survivors {
-    /// Each survivor's state, in the order they were met.
-    states: Vec<u64>,
-    /// `1 +` the survivor a slot holds, 0 for a free slot.
-    slots: Vec<u32>,
-    shift: u32,
-}
-
-impl Survivors {
-    /// A table for up to `lanes` lanes, at most half full.
-    fn with_capacity(lanes: usize) -> Survivors {
-        let bits = (2 * lanes).next_power_of_two().trailing_zeros().max(1);
-        Survivors {
-            states: Vec::with_capacity(lanes),
-            slots: vec![0; 1 << bits],
-            shift: u64::BITS - bits,
-        }
-    }
-
-    /// The survivor holding `state`: a new one when no lane had it yet.
-    fn of(&mut self, state: u64) -> usize {
-        let last = self.slots.len() - 1;
-        let mut at = (state.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize;
-        loop {
-            match self.slots[at] {
-                0 => {
-                    self.states.push(state);
-                    self.slots[at] = self.states.len() as u32;
-                    return self.states.len() - 1;
-                }
-                slot if self.states[slot as usize - 1] == state => return slot as usize - 1,
-                _ => at = (at + 1) & last,
-            }
-        }
-    }
-}
-
 /// Merges and re-packs the pending lanes of `words`, returning how many
 /// lanes were merged.
 ///
@@ -621,26 +583,30 @@ fn repack(words: &mut Vec<BatchWord>) -> usize {
         .iter()
         .map(|word| word.word.pending().count_ones() as usize)
         .sum();
-    // The survivor each pending lane folds into, in lane order, and the
-    // survivors' states and projected memory sizes.
+    // The survivor each pending lane folds into, in lane order; the
+    // survivors' states and projected memory sizes, in the order they were
+    // met; and the survivor of each state.
     let mut folds_into: Vec<u32> = Vec::with_capacity(pending);
-    let mut survivors = Survivors::with_capacity(pending);
+    let mut states: Vec<u64> = Vec::with_capacity(pending);
     let mut cells: Vec<u8> = Vec::with_capacity(pending);
+    let mut survivor_of: HashMap<u64, u32> = HashMap::with_capacity(pending);
     for word in words.iter() {
         let pending = word.word.pending();
         if pending == 0 {
             continue;
         }
-        let states = word.word.lane_states();
+        let lane_states = word.word.lane_states();
         for lane in lanes_of(pending) {
-            let survivor = survivors.of(states[lane]);
-            if survivor == cells.len() {
+            let state = lane_states[lane];
+            let survivor = *survivor_of.entry(state).or_insert_with(|| {
+                states.push(state);
                 cells.push(word.word.cells() as u8);
-            }
-            folds_into.push(survivor as u32);
+                states.len() as u32 - 1
+            });
+            folds_into.push(survivor);
         }
     }
-    let count = survivors.states.len();
+    let count = states.len();
     let merged = pending - count;
     if merged == 0 && count.div_ceil(WORD_LANES) == words.len() {
         return 0;
@@ -677,7 +643,7 @@ fn repack(words: &mut Vec<BatchWord>) -> usize {
             let held = first..count.min(first + WORD_LANES);
             BatchWord {
                 word: ProjectedWord::from_lane_states(
-                    &survivors.states[held.clone()],
+                    &states[held.clone()],
                     usize::from(cells[held.clone()].iter().copied().max().unwrap_or(0)),
                 ),
                 lanes: Arc::new(WordLanes::new(held.map(|survivor| {

@@ -372,24 +372,37 @@ pub struct ClassImage {
 }
 
 impl ClassImage {
+    /// The image of every class of every target of `targets`, in (target,
+    /// class) order: a target's classes come in the order of their first
+    /// lanes.
+    #[must_use]
+    pub fn new(targets: Arc<TargetLanes>) -> ClassImage {
+        let classes = targets
+            .iter()
+            .enumerate()
+            .flat_map(|(index, (_, set))| {
+                (0..set.classes().len()).map(move |class| ClassRef::new(index, class))
+            })
+            .collect();
+        ClassImage::bind(targets, classes)
+    }
+
     /// The image of the classes `selected` picks of every target of
-    /// `targets` (bit `c` of `selected[t]` picks class `c` of target `t`),
-    /// or of every class when `selected` is `None`.
-    pub(crate) fn new(targets: Arc<TargetLanes>, selected: Option<&[u64]>) -> ClassImage {
+    /// `targets`: bit `c` of `selected[t]` picks class `c` of target `t`.
+    pub(crate) fn selected(targets: Arc<TargetLanes>, selected: &[u64]) -> ClassImage {
         let mut classes = Vec::new();
-        for (index, (_, set)) in targets.iter().enumerate() {
-            let count = set.classes().len();
-            match selected {
-                None => classes.extend((0..count).map(|class| ClassRef::new(index, class))),
-                Some(selected) => {
-                    let mut picked = selected[index];
-                    while picked != 0 {
-                        classes.push(ClassRef::new(index, picked.trailing_zeros() as usize));
-                        picked &= picked - 1;
-                    }
-                }
+        for (index, &picked) in selected.iter().enumerate() {
+            let mut picked = picked;
+            while picked != 0 {
+                classes.push(ClassRef::new(index, picked.trailing_zeros() as usize));
+                picked &= picked - 1;
             }
         }
+        ClassImage::bind(targets, classes)
+    }
+
+    /// Binds the representatives of `classes` into words.
+    fn bind(targets: Arc<TargetLanes>, classes: Vec<ClassRef>) -> ClassImage {
         let words = classes
             .chunks(WORD_LANES)
             .map(|word| {
@@ -401,6 +414,18 @@ impl ClassImage {
             words,
             classes,
         }
+    }
+
+    /// The number of lanes: one per class.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.classes.len()
+    }
+
+    /// `true` when the image has no lanes.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.classes.is_empty()
     }
 
     /// The targets and lane sets the classes belong to.
@@ -434,11 +459,11 @@ impl ClassImage {
             lanes.len() <= WORD_LANES,
             "a word carries {WORD_LANES} lanes"
         );
-        let first = lanes.start / WORD_LANES;
         if lanes.start.is_multiple_of(WORD_LANES)
+            && !lanes.is_empty()
             && (lanes.len() == WORD_LANES || lanes.end == self.classes.len())
         {
-            return self.words[first];
+            return self.words[lanes.start / WORD_LANES];
         }
         let mut word = ProjectedWord::default();
         let mut at = 0;
@@ -471,19 +496,6 @@ impl fmt::Debug for ClassImage {
 fn representative(targets: &TargetLanes, class: ClassRef) -> (&TargetKind, &CoverageLane) {
     let (target, set) = &targets[class.target()];
     (target, &set.classes().get(class.class()).representative)
-}
-
-/// The verdict of `test` for every `(target, projected lane)` pair, in
-/// order, from one [`ProjectedWord`] simulation per [`WORD_LANES`] pairs —
-/// the packed backend's
-/// [`SimulationBackend::projected_verdicts`](crate::SimulationBackend::projected_verdicts).
-pub(crate) fn word_verdicts(test: &MarchTest, lanes: &[(&TargetKind, &CoverageLane)]) -> Vec<bool> {
-    let mut verdicts = Vec::with_capacity(lanes.len());
-    for word in lanes.chunks(WORD_LANES) {
-        let detected = ProjectedWord::pack(word.iter().copied()).run(test);
-        verdicts.extend((0..word.len()).map(|lane| detected >> lane & 1 == 1));
-    }
-    verdicts
 }
 
 /// The index of `operation`'s kind among a component's sensitising
@@ -1111,7 +1123,7 @@ pub(crate) fn project_lane(
 mod tests {
     use super::*;
     use crate::backend::enumerate_lanes;
-    use crate::{BackendKind, LaneWidth, PlacementStrategy, SimulationBackend};
+    use crate::{BackendKind, LaneSet, LaneWidth, PlacementStrategy, SimulationBackend};
     use march_test::catalog;
     use sram_fault_model::{DecoderFault, FaultList};
 
@@ -1154,20 +1166,26 @@ mod tests {
         targets
     }
 
-    /// The verdict of every one of `lanes` from one `projected_verdicts`
-    /// call over their class representatives, and the index of the first
-    /// lane of the first escaping class.
+    /// The verdict of every one of `lanes` from the image of their classes,
+    /// one `image_verdicts` call per word, and the index of the first lane
+    /// of the first escaping class.
     fn projected(
         backend: &dyn SimulationBackend,
         test: &MarchTest,
         target: &TargetKind,
         lanes: &[CoverageLane],
     ) -> (Vec<bool>, Option<usize>) {
-        let classes = Classes::of(lanes);
-        let representatives: Vec<(&TargetKind, &CoverageLane)> = (0..classes.len())
-            .map(|class| (target, &classes.get(class).representative))
+        let set = Arc::new(LaneSet::from(lanes.to_vec()));
+        let image = ClassImage::new(Arc::new(vec![(target.clone(), Arc::clone(&set))]));
+        let classes = set.classes();
+        let class_verdicts: Vec<bool> = (0..image.len())
+            .step_by(WORD_LANES)
+            .flat_map(|first| {
+                let word = first..image.len().min(first + WORD_LANES);
+                let detected = backend.image_verdicts(test, &image, word.clone());
+                word.map(move |lane| detected >> (lane - first) & 1 == 1)
+            })
             .collect();
-        let class_verdicts = backend.projected_verdicts(test, &representatives);
         let verdicts = lanes
             .iter()
             .map(|lane| class_verdicts[classes.class_of(&lane.cells, &lane.background)])
@@ -1279,11 +1297,15 @@ mod tests {
         );
         let empty = Classes::of(&[]);
         assert_eq!(empty.len(), 0);
+        let image = ClassImage::new(Arc::new(Vec::new()));
+        assert!(image.is_empty());
         for backend in [BackendKind::Scalar, BackendKind::Packed] {
-            assert!(backend
-                .instance()
-                .projected_verdicts(&catalog::march_ss(), &[])
-                .is_empty());
+            assert_eq!(
+                backend
+                    .instance()
+                    .image_verdicts(&catalog::march_ss(), &image, 0..0),
+                0
+            );
         }
     }
 

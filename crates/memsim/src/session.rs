@@ -808,7 +808,7 @@ impl Session {
                 slot * MAX_CLASSES + class
             })
             .collect();
-        let image = Arc::new(ClassImage::new(target_lanes, Some(&hit)));
+        let image = Arc::new(ClassImage::selected(target_lanes, &hit));
         let verdicts = self.image_verdicts(test, &image);
         let mut class_detected = vec![false; image.targets().len() * MAX_CLASSES];
         for (&class, detected) in image.classes().iter().zip(verdicts) {

@@ -239,7 +239,8 @@ impl TargetEntry {
     }
 
     /// A copy of the packed batch over every class of the image, bound on
-    /// the first call.
+    /// the first call. Copying it skips the per-word weight tables a batch
+    /// built afresh from the image pays for.
     pub(crate) fn batch(&self) -> TargetBatch {
         self.batch
             .get_or_init(|| TargetBatch::from_image(&self.image()))
@@ -255,7 +256,7 @@ impl TargetEntry {
     pub(crate) fn image(&self) -> Arc<ClassImage> {
         Arc::clone(
             self.image
-                .get_or_init(|| Arc::new(ClassImage::new(Arc::clone(&self.lanes), None))),
+                .get_or_init(|| Arc::new(ClassImage::new(Arc::clone(&self.lanes)))),
         )
     }
 }

@@ -4,13 +4,16 @@
 //! sets of the reference [`ScalarBackend`], and session coverage must be
 //! byte-identical across backends and thread counts.
 
+use std::ops::Range;
+use std::sync::Arc;
+
 use march_test::{catalog, AddressOrder, MarchElement, MarchTest};
 use proptest::prelude::*;
 use sram_fault_model::{Bit, FaultList, Ffm, Operation};
 use sram_sim::{
-    enumerate_lanes, enumerate_targets, BackendKind, CoverageLane, ExecPolicy, InitialState,
-    InstanceCells, LaneWidth, PackedBackend, PlacementStrategy, ScalarBackend, Session,
-    SimulationBackend, TargetKind,
+    enumerate_lanes, enumerate_targets, BackendKind, ClassImage, CoverageLane, ExecPolicy,
+    InitialState, InstanceCells, LaneSet, LaneWidth, PackedBackend, PlacementStrategy,
+    ScalarBackend, Session, SimulationBackend, TargetKind,
 };
 
 fn arbitrary_operation() -> impl Strategy<Value = Operation> {
@@ -247,12 +250,45 @@ fn domain(list: &FaultList, step: usize) -> Vec<TargetKind> {
         .collect()
 }
 
-/// Mixed words hold to per-target calls: packing the class representatives
+/// The verdict of every lane of `image` under `test`, from one
+/// `image_verdicts` call per range of `ranges`, which cut the image's lanes
+/// in order.
+fn image_verdicts(
+    backend: &dyn SimulationBackend,
+    test: &MarchTest,
+    image: &ClassImage,
+    ranges: &[Range<usize>],
+) -> Vec<bool> {
+    ranges
+        .iter()
+        .flat_map(|lanes| {
+            let detected = backend.image_verdicts(test, image, lanes.clone());
+            (0..lanes.len()).map(move |lane| detected >> lane & 1 == 1)
+        })
+        .collect()
+}
+
+/// `0..lanes` cut into ranges of at most 64 lanes, the first `first` lanes
+/// long.
+fn cut(lanes: usize, first: usize, size: usize) -> Vec<Range<usize>> {
+    let mut ranges = Vec::new();
+    let mut start = 0;
+    while start < lanes {
+        let end = lanes.min(start + if start == 0 { first } else { size });
+        ranges.push(start..end);
+        start = end;
+    }
+    ranges
+}
+
+/// Class images hold to per-target calls: binding the class representatives
 /// of many targets into shared words must give, lane for lane, the scalar
 /// backend's per-target verdicts and the full-memory verdict of each
 /// class's first lane — across fault domains, scopes, backgrounds and tests,
-/// and across word layouts where a target's classes straddle two words, the
-/// last word is partial, and one word mixes shapes of different cell counts.
+/// across image layouts where a target's classes straddle two words, the
+/// last word is partial, and one word mixes shapes of different cell counts,
+/// and across lane ranges that copy a whole word of the image, take lanes
+/// from within one word, or take them from two.
 #[test]
 fn mixed_target_words_match_per_target_verdicts() {
     let generated = MarchTest::parse(
@@ -277,6 +313,7 @@ fn mixed_target_words_match_per_target_verdicts() {
         domain(&FaultList::list_1().with_address_decoder_faults(), 53),
     ];
     let (mut straddles, mut partial, mut mixed) = (false, false, false);
+    let (mut within_one_word, mut across_two_words) = (false, false);
     for (strategy, cells) in [
         (PlacementStrategy::Representative, 8),
         (PlacementStrategy::Exhaustive, 6),
@@ -290,41 +327,58 @@ fn mixed_target_words_match_per_target_verdicts() {
         let patterned = [uniform.clone(), vec![InitialState::Checkerboard, irregular]].concat();
         for backgrounds in [uniform, patterned] {
             for targets in &domains {
-                let classes: Vec<Vec<(CoverageLane, CoverageLane)>> = targets
+                let lanes: Vec<Vec<CoverageLane>> = targets
                     .iter()
-                    .map(|target| {
-                        let lanes = enumerate_lanes(target, cells, strategy, &backgrounds).unwrap();
-                        class_representatives(&lanes, cells)
-                    })
+                    .map(|target| enumerate_lanes(target, cells, strategy, &backgrounds).unwrap())
                     .collect();
-                let pairs: Vec<(&TargetKind, &CoverageLane)> = targets
+                let classes: Vec<Vec<(CoverageLane, CoverageLane)>> = lanes
                     .iter()
-                    .zip(&classes)
-                    .flat_map(|(target, classes)| {
-                        classes
-                            .iter()
-                            .map(move |(_, projected)| (target, projected))
-                    })
+                    .map(|lanes| class_representatives(lanes, cells))
                     .collect();
+                let image = ClassImage::new(Arc::new(
+                    targets
+                        .iter()
+                        .cloned()
+                        .zip(
+                            lanes
+                                .into_iter()
+                                .map(|lanes| Arc::new(LaneSet::from(lanes))),
+                        )
+                        .collect(),
+                ));
+                let representatives: Vec<&CoverageLane> = classes
+                    .iter()
+                    .flatten()
+                    .map(|(_, projected)| projected)
+                    .collect();
+                assert_eq!(image.len(), representatives.len(), "class count");
                 let mut first = 0;
                 for target_classes in &classes {
                     let last = first + target_classes.len() - 1;
                     straddles |= first / 64 != last / 64;
                     first = last + 1;
                 }
-                partial |= !pairs.len().is_multiple_of(64);
-                mixed |= pairs.chunks(64).any(|word| {
+                partial |= !image.len().is_multiple_of(64);
+                mixed |= representatives.chunks(64).any(|word| {
                     let size = |lane: &CoverageLane| {
                         [lane.cells.aggressor_first, lane.cells.aggressor_second]
                             .into_iter()
                             .flatten()
                             .fold(lane.cells.victim, usize::max)
                     };
-                    word.iter().any(|(_, lane)| size(lane) != size(word[0].1))
+                    word.iter().any(|lane| size(lane) != size(word[0]))
                 });
+                let words = cut(image.len(), 64, 64);
+                // Ranges of 23 then 64 lanes, and of 41: each takes lanes
+                // from within one word or from two.
+                let taken = [cut(image.len(), 23, 64), cut(image.len(), 41, 41)];
+                for lanes in taken.iter().flatten() {
+                    let (first_word, last_word) = (lanes.start / 64, (lanes.end - 1) / 64);
+                    across_two_words |= first_word != last_word;
+                    within_one_word |= first_word == last_word && lanes.len() < 64;
+                }
                 for test in &tests {
-                    let packed = PackedBackend::default().projected_verdicts(test, &pairs);
-                    let scalar = ScalarBackend.projected_verdicts(test, &pairs);
+                    let scalar = image_verdicts(&ScalarBackend, test, &image, &words);
                     let full: Vec<bool> = targets
                         .iter()
                         .zip(&classes)
@@ -336,7 +390,11 @@ fn mixed_target_words_match_per_target_verdicts() {
                         .collect();
                     let context = format!("{} at {cells} cells, {backgrounds:?}", test.name());
                     assert_eq!(scalar, full, "per-target projection: {context}");
-                    assert_eq!(packed, scalar, "mixed words: {context}");
+                    for ranges in std::iter::once(&words).chain(&taken) {
+                        let packed =
+                            image_verdicts(&PackedBackend::default(), test, &image, ranges);
+                        assert_eq!(packed, scalar, "mixed words, ranges {ranges:?}: {context}");
+                    }
                 }
             }
         }
@@ -344,4 +402,6 @@ fn mixed_target_words_match_per_target_verdicts() {
     assert!(straddles, "no target's classes straddled a word boundary");
     assert!(partial, "no sweep ended on a partial word");
     assert!(mixed, "no word mixed shapes of different cell counts");
+    assert!(within_one_word, "no range took lanes from within one word");
+    assert!(across_two_words, "no range took lanes from two words");
 }
