@@ -841,7 +841,7 @@ pub fn usage() -> String {
      large-memory path). --lane-width sets how many lanes (64, 128 or 256; auto\n\
      picks the narrowest width holding each target's lanes) one pass of the packed\n\
      backend's full-memory reference walk carries; coverage, campaigns, generation\n\
-     and minimisation simulate projected 64-lane words and never read it. Reports\n\
+     and minimisation simulate projected 256-lane words and never read it. Reports\n\
      are byte-identical at every width. coverage --test defaults to March SS.\n\
      coverage --sample N replaces enumeration with a seeded Monte-Carlo campaign\n\
      over the exhaustive (placement, background) space: N draws (1e6 notation is\n\

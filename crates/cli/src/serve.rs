@@ -663,7 +663,7 @@ where
 /// requests on any stream are answered with a typed `shutting_down` error
 /// while already-accepted jobs finish and are answered normally.
 fn serve_lines_draining<R, W>(
-    input: R,
+    mut input: R,
     output: &mut W,
     engine: &Arc<SharedEngine>,
     metrics: &Arc<ServeMetrics>,
@@ -726,9 +726,15 @@ where
 
         let mut seq = 0u64;
         let mut read_error = None;
-        for line in input.lines() {
-            let line = match line {
-                Ok(line) => line,
+        // Lines are read as bytes: one that is not UTF-8 is a malformed
+        // request, answered at its `seq` like any other, not the end of the
+        // session.
+        let mut bytes = Vec::new();
+        loop {
+            bytes.clear();
+            match input.read_until(b'\n', &mut bytes) {
+                Ok(0) => break,
+                Ok(_) => {}
                 Err(error) => {
                     if matches!(
                         error.kind(),
@@ -754,8 +760,12 @@ where
                     }
                     break;
                 }
-            };
-            if line.trim().is_empty() {
+            }
+            let line = bytes
+                .strip_suffix(b"\n")
+                .map_or(&bytes[..], |line| line.strip_suffix(b"\r").unwrap_or(line));
+            let line = std::str::from_utf8(line);
+            if line.is_ok_and(|line| line.trim().is_empty()) {
                 continue;
             }
             // Accept-order bookkeeping must reach the collector before the
@@ -768,7 +778,10 @@ where
                 // virtual clock.
                 deadline: Instant::now() + options.timeout,
             });
-            match parse_request(&line) {
+            let request = line
+                .map_err(|_| CliError::Arguments("request line is not valid UTF-8".to_string()))
+                .and_then(parse_request);
+            match request {
                 Ok(Request::Shutdown) => {
                     draining.store(true, Ordering::SeqCst);
                     let _ = out_tx.send(Outcome::Finished {
@@ -954,6 +967,49 @@ mod tests {
             .lines()
             .map(str::to_string)
             .collect()
+    }
+
+    #[test]
+    fn a_request_line_that_is_not_utf8_is_a_protocol_error() {
+        // The bytes of `printf '{"op": "stats"}\n\xff\xfe garbage\n{"op":
+        // "stats"}\n'`: the middle line is answered at its seq with a typed
+        // error, counted, and the service goes on to the next line.
+        let engine = engine();
+        let metrics = Arc::new(ServeMetrics::default());
+        let script: &[u8] = b"{\"op\": \"stats\"}\n\xff\xfe garbage\n{\"op\": \"stats\"}\n";
+        let mut output = Vec::new();
+        serve_lines(
+            script,
+            &mut output,
+            &engine,
+            &metrics,
+            &ServeOptions::default(),
+        )
+        .unwrap();
+        let lines: Vec<String> = String::from_utf8(output)
+            .unwrap()
+            .lines()
+            .map(str::to_string)
+            .collect();
+        assert_eq!(lines.len(), 3, "{lines:?}");
+        assert!(
+            lines[0].starts_with("{\"seq\": 0, \"ok\": true"),
+            "{}",
+            lines[0]
+        );
+        assert!(
+            lines[1].starts_with("{\"seq\": 1, \"ok\": false"),
+            "{}",
+            lines[1]
+        );
+        assert!(lines[1].contains("\"kind\": \"protocol\""), "{}", lines[1]);
+        assert!(lines[1].contains("not valid UTF-8"), "{}", lines[1]);
+        assert!(
+            lines[2].starts_with("{\"seq\": 2, \"ok\": true"),
+            "{}",
+            lines[2]
+        );
+        assert_eq!(metrics.errors.load(Ordering::Relaxed), 1);
     }
 
     #[test]

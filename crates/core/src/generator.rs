@@ -282,7 +282,7 @@ impl MarchGenerator {
         // most three cells the lane involves whatever the memory size. On the
         // packed backend the batch is a copy of the list's class image from
         // the session's artifact store — one representative per lane class,
-        // weighted by its lane count, in shared 64-lane words — so repeated
+        // weighted by its lane count, in shared 256-lane words — so repeated
         // generate/minimise/verify queries against the same list bind the
         // classes once.
         let mut batch = session
@@ -405,7 +405,7 @@ impl MarchGenerator {
 ///
 /// This is the hot path of the greedy generator and its repair search. A
 /// serial session scores the batch in place ([`TargetBatch::score_pool`]:
-/// every candidate on a copy of each 64-lane word). A parallel session hands
+/// every candidate on a copy of each 256-lane word). A parallel session hands
 /// the batch's words ([`TargetBatch::split_words`]) to its resident worker
 /// pool, each job scoring the whole pool against one word, and sums the
 /// per-word scores in word order — `usize` additions, so the result is
@@ -540,7 +540,7 @@ mod tests {
     #[test]
     fn batch_size_and_threads_do_not_change_the_generated_test() {
         // A serial session scores the whole batch at once; a pool scores it
-        // one 64-lane word per job. Neither the batch a job scores nor the
+        // one 256-lane word per job. Neither the batch a job scores nor the
         // thread count changes the test.
         let generator = MarchGenerator::new(FaultList::list_2());
         let baseline = generator.generate_with(&Session::default());

@@ -1,7 +1,7 @@
 //! Redundancy removal: shortening a march test while preserving its coverage.
 //!
 //! The pass is **suffix-only**: as the minimiser walks the test back-to-front
-//! it records one [`BatchSnapshot`] per march element for every 64-lane
+//! it records one [`BatchSnapshot`] per march element for every 256-lane
 //! chunk of the list's lanes, so the trial for "remove operation *i* of
 //! element *e*" restores the checkpoint taken before *e* and re-simulates
 //! only the suffix — the prefix is untouched by the removal, so every lane it
@@ -29,7 +29,7 @@ use sram_sim::{BatchSnapshot, Session, SimulationBackend, TargetBatch, TargetLan
 /// Table 1.
 ///
 /// Re-verification is *suffix-only*: the session's batch over the list
-/// ([`Session::target_batch`]) is cut into 64-lane chunks — one projected
+/// ([`Session::target_batch`]) is cut into 256-lane chunks — one projected
 /// word of weighted class representatives each on the packed backend
 /// ([`TargetBatch::split_words`]) — and each chunk carries per-element
 /// checkpoints of its lane state, so a trial restores the checkpoint before
@@ -227,7 +227,7 @@ enum Record {
     Staged,
 }
 
-/// One 64-lane chunk of the minimisation run: its lane batch advanced
+/// One 256-lane chunk of the minimisation run: its lane batch advanced
 /// through the current element prefix, the per-element snapshots taken along
 /// the way, and a scratch batch trials restore into (buffer-reusing, so
 /// repeated trials allocate nothing).

@@ -188,9 +188,9 @@ pub trait SimulationBackend: fmt::Debug + Send + Sync {
     }
 
     /// The lanes among `lanes` of a class image that `test` detects, as a
-    /// mask: bit `i` for lane `lanes.start + i`. `lanes` spans at most 64
+    /// mask: lane `i` for lane `lanes.start + i`. `lanes` spans at most 256
     /// lanes. This is the kernel of coverage and campaigns: every class
-    /// representative of a list is bound into the image's 64-lane words
+    /// representative of a list is bound into the image's 256-lane words
     /// once per scope, and each request runs the test on them.
     ///
     /// Each lane of the image is **projected**: its cells are the ranks of
@@ -202,15 +202,17 @@ pub trait SimulationBackend: fmt::Debug + Send + Sync {
     /// cells — the per-target reference the scalar backend keeps. The
     /// packed backend runs a copy of the image's words instead, the lanes
     /// taken from the at most two words they span.
-    fn image_verdicts(&self, test: &MarchTest, image: &ClassImage, lanes: Range<usize>) -> u64 {
-        let mut detected = 0;
+    fn image_verdicts(&self, test: &MarchTest, image: &ClassImage, lanes: Range<usize>) -> W256 {
+        let mut detected = W256::ZERO;
         let mut at = 0;
         let representatives = image.representatives(lanes);
         for run in representatives.chunk_by(|(one, _), (other, _)| one == other) {
             let group: Vec<CoverageLane> = run.iter().map(|&(_, lane)| lane.clone()).collect();
             let cells = group.iter().map(projected_cells).max().unwrap_or(0);
             for hit in self.lane_verdicts(test, run[0].0, &group, cells) {
-                detected |= u64::from(hit) << at;
+                if hit {
+                    detected |= W256::bit(at);
+                }
                 at += 1;
             }
         }
@@ -415,7 +417,7 @@ impl SimulationBackend for PackedBackend {
         }
     }
 
-    fn image_verdicts(&self, test: &MarchTest, image: &ClassImage, lanes: Range<usize>) -> u64 {
+    fn image_verdicts(&self, test: &MarchTest, image: &ClassImage, lanes: Range<usize>) -> W256 {
         image.word_of(lanes).run(test)
     }
 }

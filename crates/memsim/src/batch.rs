@@ -12,7 +12,7 @@
 //!
 //! On the packed backend a batch starts from a copy of the list's class
 //! image: one representative per lane class, in (target, class) order, in
-//! shared 64-lane projected words whose lanes carry their own fault as
+//! shared 256-lane projected words whose lanes carry their own fault as
 //! masks. All lanes of a class share every verdict at every prefix, so each
 //! representative carries its class's **weight**, its lane count, and a
 //! score or a pending count sums weights where a per-lane batch would count
@@ -20,13 +20,14 @@
 //! element on the copy. Advancing **merges** the pending lanes whose whole
 //! state — memory planes and fault masks — has become equal, since they
 //! behave alike from then on: each lane's state is read as one `u64` key by
-//! a bit transpose of its word, the first lane of each key keeps the summed
-//! weight and every class of the lanes folded into it, and the survivors
-//! are re-packed densely, in order, whenever a merge or a detection frees a
-//! word. This is counting by boundary state: a class is a lane set counted
-//! by its weight, and a merged lane a set of classes. A batch still names
-//! every pending lane, in (target, lane) order. The scalar backend keeps one
-//! [`FaultSimulator`] per lane as the differential reference.
+//! a bit transpose of each limb of its word, the first lane of each key
+//! keeps the summed weight and every class of the lanes folded into it, and
+//! the survivors are re-packed densely, in order, whenever a merge or a
+//! detection frees a word. This is counting by boundary state: a class is
+//! a lane set counted by its weight, and a merged lane a set of classes. A
+//! batch still names every pending lane, in (target, lane) order. The
+//! scalar backend keeps one [`FaultSimulator`] per lane as the differential
+//! reference.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -36,8 +37,9 @@ use march_test::MarchElement;
 
 use crate::backend::{scalar_lane_simulator, BackendKind, CoverageLane};
 use crate::coverage::TargetKind;
+use crate::lane::{LaneWord, W256};
 use crate::projection::{
-    project_lane, projected_cells, ClassImage, ClassRef, ProjectedWord, WORD_LANES,
+    lanes_of, project_lane, projected_cells, ClassImage, ClassRef, ProjectedWord, WORD_LANES,
 };
 use crate::{FaultSimulator, TargetLanes};
 
@@ -71,9 +73,9 @@ impl Clone for ScalarLane {
 /// holds.
 #[derive(Debug)]
 struct WordLanes {
-    /// Bit `b` of `weight_bits[k]` is bit `k` of lane `b`'s weight, so the
+    /// Lane `b` of `weight_bits[k]` is bit `k` of lane `b`'s weight, so the
     /// weight of a lane mask is one popcount per weight bit.
-    weight_bits: Vec<u64>,
+    weight_bits: Vec<W256>,
     /// Lane `i` holds `classes[starts[i]..starts[i + 1]]`.
     starts: Vec<u32>,
     classes: Vec<ClassRef>,
@@ -90,10 +92,10 @@ impl WordLanes {
         for (lane, (weight, classes)) in lanes.into_iter().enumerate() {
             let bits = (usize::BITS - weight.leading_zeros()) as usize;
             if word.weight_bits.len() < bits {
-                word.weight_bits.resize(bits, 0);
+                word.weight_bits.resize(bits, W256::ZERO);
             }
             for (bit, plane) in word.weight_bits.iter_mut().enumerate() {
-                *plane |= ((weight >> bit & 1) as u64) << lane;
+                *plane.limb_mut(lane / 64) |= ((weight >> bit & 1) as u64) << (lane % 64);
             }
             word.classes.extend_from_slice(classes);
             word.starts.push(word.classes.len() as u32);
@@ -102,11 +104,11 @@ impl WordLanes {
     }
 
     /// The summed weight of the lanes of `lanes`.
-    fn weigh(&self, lanes: u64) -> usize {
+    fn weigh(&self, lanes: W256) -> usize {
         self.weight_bits
             .iter()
             .enumerate()
-            .map(|(bit, plane)| ((lanes & plane).count_ones() as usize) << bit)
+            .map(|(bit, plane)| ((lanes & *plane).count_ones() as usize) << bit)
             .sum()
     }
 
@@ -153,7 +155,7 @@ impl Clone for PackedLanes {
 enum BatchState {
     /// One dual-memory simulator per undetected lane.
     Scalar(Vec<ScalarLane>),
-    /// Projected words of up to 64 weighted lanes; detected lanes are masked
+    /// Projected words of up to 256 weighted lanes; detected lanes are masked
     /// out of the scoring by each word's detection mask until a re-pack
     /// drops them.
     Packed(PackedLanes),
@@ -203,7 +205,7 @@ pub struct BatchSnapshot {
 ///
 /// let session = Session::default();
 /// // One batch over every target of the list: one weighted representative
-/// // per lane class, packed into shared 64-lane words.
+/// // per lane class, packed into shared 256-lane words.
 /// let mut batch = TargetBatch::new(
 ///     session.target_lanes(&FaultList::list_2())?,
 ///     session.memory_cells(),
@@ -340,40 +342,67 @@ impl TargetBatch {
     /// in (target, lane) order.
     #[must_use]
     pub fn pending_lanes(&self) -> Vec<(&TargetKind, &CoverageLane)> {
+        self.pending_with_slots()
+            .into_iter()
+            .map(|(target, lane, _)| (target, lane))
+            .collect()
+    }
+
+    /// The lane of its word, `0..256`, that simulates each lane
+    /// [`TargetBatch::pending_lanes`] lists, in the same order (on the
+    /// scalar backend, its index in its [`TargetBatch::split_words`] part).
+    /// Positions change no result; the differential suites read them to see
+    /// re-packs move lanes between the limbs of a word.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn pending_slots(&self) -> Vec<usize> {
+        self.pending_with_slots()
+            .into_iter()
+            .map(|(_, _, slot)| slot)
+            .collect()
+    }
+
+    /// Every pending lane in (target, lane) order, with the lane of its word
+    /// that simulates it.
+    fn pending_with_slots(&self) -> Vec<(&TargetKind, &CoverageLane, usize)> {
         match &self.state {
             BatchState::Scalar(lanes) => lanes
                 .iter()
-                .map(|lane| {
+                .enumerate()
+                .map(|(slot, lane)| {
                     let (target, index) = lane.lane;
                     let (kind, set) = &self.targets[target];
-                    (kind, &set.lanes()[index])
+                    (kind, &set.lanes()[index], slot % WORD_LANES)
                 })
                 .collect(),
             BatchState::Packed(packed) => {
-                let mut classes: Vec<ClassRef> = packed
+                // A class is held by exactly one simulated lane.
+                let mut classes: Vec<(ClassRef, usize)> = packed
                     .words
                     .iter()
                     .flat_map(|word| {
-                        lanes_of(word.word.pending())
-                            .flat_map(|lane| word.lanes.classes_of(lane).iter().copied())
+                        lanes_of(word.word.pending()).flat_map(|slot| {
+                            word.lanes
+                                .classes_of(slot)
+                                .iter()
+                                .map(move |&class| (class, slot))
+                        })
                     })
                     .collect();
                 classes.sort_unstable();
                 let mut lanes = Vec::new();
-                for of_target in classes.chunk_by(|a, b| a.target() == b.target()) {
-                    let (kind, set) = &self.targets[of_target[0].target()];
-                    let mut pending = vec![false; set.classes().len()];
-                    for class in of_target {
-                        pending[class.class()] = true;
+                for of_target in
+                    classes.chunk_by(|(one, _), (other, _)| one.target() == other.target())
+                {
+                    let (kind, set) = &self.targets[of_target[0].0.target()];
+                    let mut slot_of = vec![None; set.classes().len()];
+                    for &(class, slot) in of_target {
+                        slot_of[class.class()] = Some(slot);
                     }
-                    lanes.extend(
-                        set.lanes()
-                            .iter()
-                            .filter(|lane| {
-                                pending[set.classes().class_of(&lane.cells, &lane.background)]
-                            })
-                            .map(|lane| (kind, lane)),
-                    );
+                    lanes.extend(set.lanes().iter().filter_map(|lane| {
+                        slot_of[set.classes().class_of(&lane.cells, &lane.background)]
+                            .map(|slot| (kind, lane, slot))
+                    }));
                 }
                 lanes
             }
@@ -423,12 +452,12 @@ impl TargetBatch {
             }),
             BatchState::Packed(packed) => packed.words.iter_mut().all(|word| {
                 for element in elements {
-                    if word.word.pending() == 0 {
+                    if word.word.pending().is_zero() {
                         return true;
                     }
                     word.word.run_element(element);
                 }
-                word.word.pending() == 0
+                word.word.pending().is_zero()
             }),
         }
     }
@@ -457,7 +486,7 @@ impl TargetBatch {
             BatchState::Packed(packed) => packed
                 .words
                 .iter()
-                .filter(|word| word.word.pending() != 0)
+                .filter(|word| !word.word.pending().is_zero())
                 .map(|word| word.lanes.weigh(newly_detected(&word.word, element)))
                 .sum(),
         }
@@ -475,7 +504,11 @@ impl TargetBatch {
             BatchState::Scalar(_) => pool.iter().map(|candidate| self.score(candidate)).collect(),
             BatchState::Packed(packed) => {
                 let mut scores = vec![0usize; pool.len()];
-                for word in packed.words.iter().filter(|word| word.word.pending() != 0) {
+                for word in packed
+                    .words
+                    .iter()
+                    .filter(|word| !word.word.pending().is_zero())
+                {
                     for (score, candidate) in scores.iter_mut().zip(pool) {
                         *score += word.lanes.weigh(newly_detected(&word.word, candidate));
                     }
@@ -502,7 +535,7 @@ impl TargetBatch {
                 let mut newly = 0usize;
                 for word in &mut packed.words {
                     let before = word.word.pending();
-                    if before == 0 {
+                    if before.is_zero() {
                         continue;
                     }
                     word.word.run_element(element);
@@ -514,8 +547,8 @@ impl TargetBatch {
         }
     }
 
-    /// Splits the batch into one batch per 64-lane word, in order (on the
-    /// scalar backend, one per 64 lanes). The parts share this batch's lane
+    /// Splits the batch into one batch per 256-lane word, in order (on the
+    /// scalar backend, one per 256 lanes). The parts share this batch's lane
     /// descriptors, and together they score and advance as the whole and
     /// hold its pending lanes: they are the units a worker pool shards and
     /// the chunks the minimiser checkpoints.
@@ -545,21 +578,10 @@ impl TargetBatch {
 }
 
 /// The lanes `element` would newly detect on `word`, run on a copy.
-fn newly_detected(word: &ProjectedWord, element: &MarchElement) -> u64 {
+fn newly_detected(word: &ProjectedWord, element: &MarchElement) -> W256 {
     let mut trial = *word;
     trial.run_element(element);
     word.pending() & !trial.pending()
-}
-
-/// The set bits of `mask`, lowest first.
-fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        (mask != 0).then(|| {
-            let lane = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            lane
-        })
-    })
 }
 
 /// Merges and re-packs the pending lanes of `words`, returning how many
@@ -576,7 +598,7 @@ fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
 /// lanes' rows.
 fn repack(words: &mut Vec<BatchWord>) -> usize {
     if words.len() <= 1 {
-        words.retain(|word| word.word.pending() != 0);
+        words.retain(|word| !word.word.pending().is_zero());
         return 0;
     }
     let pending: usize = words
@@ -592,7 +614,7 @@ fn repack(words: &mut Vec<BatchWord>) -> usize {
     let mut survivor_of: HashMap<u64, u32> = HashMap::with_capacity(pending);
     for word in words.iter() {
         let pending = word.word.pending();
-        if pending == 0 {
+        if pending.is_zero() {
             continue;
         }
         let lane_states = word.word.lane_states();
@@ -623,7 +645,7 @@ fn repack(words: &mut Vec<BatchWord>) -> usize {
     let mut weights = vec![0usize; count];
     let mut starts = vec![0usize; count + 1];
     for ((word, lane), survivor) in pending_lanes() {
-        weights[survivor] += word.weigh(1 << lane);
+        weights[survivor] += word.weigh(W256::bit(lane));
         starts[survivor + 1] += word.classes_of(lane).len();
     }
     for survivor in 0..count {
@@ -737,9 +759,9 @@ mod tests {
 
     /// A List #1 batch of three words: a two-cell and a single-cell target
     /// under exhaustive placements (112 and 16 lanes, 4 and 2 classes), then
-    /// eleven three-cell targets at representative placements (12 lanes and
-    /// classes each), 138 classes in all, so words mix targets and cell
-    /// counts.
+    /// 43 three-cell targets at representative placements (12 lanes and
+    /// classes each), 522 classes in all, so words mix targets and cell
+    /// counts and fill every limb of the first two.
     fn mixed_targets() -> Arc<TargetLanes> {
         let list = FaultList::list_1();
         let linked = |cells: usize| {
@@ -759,8 +781,8 @@ mod tests {
             )
             .chain(
                 linked(3)
-                    .step_by(31)
-                    .take(11)
+                    .step_by(9)
+                    .take(43)
                     .map(|fault| (fault, PlacementStrategy::Representative)),
             );
         target_lanes(
@@ -825,7 +847,7 @@ mod tests {
 
     #[test]
     fn packed_compaction_preserves_scores_beyond_64_lanes() {
-        // Targets of one, two and three cells, 138 classes in three words:
+        // Targets of one, two and three cells, 522 classes in three words:
         // advancing detects and merges lanes and re-packs the survivors of
         // all targets into fewer words.
         let targets = mixed_targets();
@@ -853,7 +875,7 @@ mod tests {
             for (_, element) in catalog::mats_plus().iter() {
                 let parts = batch.split_words();
                 // A packed part is one word of weighted lanes, so its
-                // pending count may exceed 64; it never splits further.
+                // pending count may exceed 256; it never splits further.
                 assert!(parts.iter().all(|part| part.split_words().len() <= 1));
                 let mut scores = vec![0; pool.len()];
                 let mut pending = Vec::new();

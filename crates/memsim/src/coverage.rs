@@ -11,7 +11,7 @@
 //! classes from its shape and scope without listing its lanes, so no
 //! coverage cost grows with the memory size. The class representatives of
 //! every target sharing a set are packed into shared
-//! 64-lane words that carry each lane's fault as per-lane masks, and the
+//! 256-lane words that carry each lane's fault as per-lane masks, and the
 //! selected [`SimulationBackend`](crate::SimulationBackend) runs one
 //! simulation per word on a memory of at most three cells (see
 //! `projection.rs` for why this is exact). The words are fanned out over the

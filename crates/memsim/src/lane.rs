@@ -14,9 +14,13 @@
 //! [`LaneWidth`] is the user-facing policy knob (`auto | 64 | 128 | 256`)
 //! threaded through `ExecPolicy` and the CLI `--lane-width` flag; `auto`
 //! picks the narrowest width that holds the enumerated lane count.
+//!
+//! [`W256`] is also the lane block of the projected words
+//! (`projection.rs`) that coverage, campaigns, generation and minimisation
+//! run on, whatever the knob says: one AVX2 register per mask.
 
 use std::fmt;
-use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, Not};
+use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, Not, Shl, Shr};
 use std::str::FromStr;
 
 use crate::SimulationError;
@@ -174,6 +178,13 @@ impl<const N: usize> fmt::Debug for WideWord<N> {
     }
 }
 
+/// The word with no lane set.
+impl<const N: usize> Default for WideWord<N> {
+    fn default() -> Self {
+        WideWord([0; N])
+    }
+}
+
 impl<const N: usize> Not for WideWord<N> {
     type Output = Self;
     #[inline]
@@ -209,6 +220,44 @@ macro_rules! wide_binop {
 wide_binop!(BitAnd, bitand, BitAndAssign, bitand_assign, &=);
 wide_binop!(BitOr, bitor, BitOrAssign, bitor_assign, |=);
 wide_binop!(BitXor, bitxor, BitXorAssign, bitxor_assign, ^=);
+
+/// Moves every lane `by` lanes up (towards limb `N - 1`); lanes shifted past
+/// the top are dropped, like `u64 << by`. `by` may be any width.
+impl<const N: usize> Shl<usize> for WideWord<N> {
+    type Output = Self;
+    #[inline]
+    fn shl(self, by: usize) -> Self {
+        let (limbs, bits) = (by / 64, by % 64);
+        let mut shifted = [0u64; N];
+        for (index, limb) in shifted.iter_mut().enumerate().skip(limbs) {
+            let from = index - limbs;
+            *limb = self.0[from] << bits;
+            if bits > 0 && from > 0 {
+                *limb |= self.0[from - 1] >> (64 - bits);
+            }
+        }
+        WideWord(shifted)
+    }
+}
+
+/// Moves every lane `by` lanes down (towards limb 0); lanes shifted below
+/// lane 0 are dropped, like `u64 >> by`. `by` may be any width.
+impl<const N: usize> Shr<usize> for WideWord<N> {
+    type Output = Self;
+    #[inline]
+    fn shr(self, by: usize) -> Self {
+        let (limbs, bits) = (by / 64, by % 64);
+        let mut shifted = [0u64; N];
+        for (index, limb) in shifted.iter_mut().enumerate().take(N.saturating_sub(limbs)) {
+            let from = index + limbs;
+            *limb = self.0[from] >> bits;
+            if bits > 0 && from + 1 < N {
+                *limb |= self.0[from + 1] << (64 - bits);
+            }
+        }
+        WideWord(shifted)
+    }
+}
 
 impl<const N: usize> LaneWord for WideWord<N> {
     const BITS: usize = 64 * N;
@@ -246,7 +295,8 @@ impl<const N: usize> LaneWord for WideWord<N> {
 
     #[inline]
     fn is_zero(&self) -> bool {
-        self.0.iter().all(|&limb| limb == 0)
+        // One OR-reduction rather than a branch per limb.
+        self.0.iter().fold(0, |any, &limb| any | limb) == 0
     }
 
     #[inline]
@@ -443,6 +493,30 @@ mod tests {
         bit_scan_roundtrip::<u64>();
         bit_scan_roundtrip::<W128>();
         bit_scan_roundtrip::<W256>();
+    }
+
+    #[test]
+    fn wide_shifts_move_lanes_across_limbs() {
+        // Lanes at every limb edge, shifted within a limb, by a whole limb,
+        // across several and out of the word, land where moving them lane
+        // by lane puts them.
+        let lanes = [0usize, 1, 62, 63, 64, 65, 127, 128, 191, 192, 254, 255];
+        let word = lanes
+            .iter()
+            .fold(W256::ZERO, |word, &lane| word | W256::bit(lane));
+        for by in [0, 1, 5, 63, 64, 65, 127, 128, 200, 255, 256, 300] {
+            let (mut up, mut down) = (W256::ZERO, W256::ZERO);
+            for lane in lanes {
+                if lane + by < W256::BITS {
+                    up |= W256::bit(lane + by);
+                }
+                if lane >= by {
+                    down |= W256::bit(lane - by);
+                }
+            }
+            assert_eq!(word << by, up, "<< {by}");
+            assert_eq!(word >> by, down, ">> {by}");
+        }
     }
 
     #[test]

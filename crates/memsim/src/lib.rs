@@ -30,9 +30,10 @@
 //!   of those cells and their background bits form one class (at most 48 per
 //!   lane set, derived in closed form from its shape and scope), and the
 //!   class representatives of a list's targets are bound once per (list,
-//!   scope) into a [`ClassImage`] of shared 64-lane words whose lanes carry
-//!   their own fault as masks — one simulation per word on a memory of at
-//!   most three cells, not one backend call per target
+//!   scope) into a [`ClassImage`] of shared 256-lane words (one [`W256`]
+//!   per mask) whose lanes carry their own fault as masks — one simulation
+//!   per word on a memory of at most three cells, not one backend call per
+//!   target
 //!   ([`SimulationBackend::image_verdicts`]), so no coverage or campaign
 //!   cost grows with the memory size.
 //!   A [`TargetBatch`] — the state the generator and the minimiser advance —

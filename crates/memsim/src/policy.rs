@@ -40,7 +40,7 @@ pub struct ExecPolicy {
     /// and `first_undetected`, the differential reference) carries (`Auto` =
     /// narrowest width holding each target's lane count; explicit 64/128/256
     /// pin the word). Coverage, campaigns, generation and minimisation run
-    /// on 64-lane projected words and never read it. Ignored by the scalar
+    /// on 256-lane projected words and never read it. Ignored by the scalar
     /// backend; result-invariant like every other knob.
     pub lane_width: LaneWidth,
 }

@@ -1,6 +1,6 @@
 //! Projected simulation: coverage and campaign lanes simulated on the at most
 //! three cells their fault instance involves, one representative per class,
-//! the classes of many targets packed into shared 64-lane words.
+//! the classes of many targets packed into shared 256-lane words.
 //!
 //! A static fault instance — a simple primitive, a linked fault or an
 //! address-decoder class bound to cells — involves at most three cells: the
@@ -22,18 +22,20 @@
 //!
 //! Verdicts come from one simulation per **word**, not one backend call per
 //! target. A [`ProjectedWord`] is a fixed-size, heap-free simulator of up to
-//! 64 projected lanes on at most three cells, and each of its lanes carries
-//! its own fault as per-lane masks: victim, aggressor and sensitising-site
-//! planes, one mask per sensitising operation kind, initial-state masks, the
-//! read override and the forced value of each array component, and source
-//! and destination planes plus class masks for a decoder fault.
-//! Sensitisation is mask arithmetic, so one word holds lanes of many targets.
+//! 256 projected lanes on at most three cells, every mask a [`W256`] of four
+//! 64-bit limbs (one AVX2 register), and each of its lanes carries its own
+//! fault as per-lane masks: victim, aggressor and sensitising-site planes,
+//! one mask per sensitising operation kind, initial-state masks, the read
+//! override and the forced value of each array component, and source and
+//! destination planes plus class masks for a decoder fault. Sensitisation
+//! is mask arithmetic, so one word holds lanes of many targets.
 //!
 //! A [`ClassImage`] binds every class representative of every target of a
-//! list into consecutive words, in (target, class) order. The session's
-//! artifact store keeps one per (list, scope), beside the target lanes, and
-//! drops it with them; it is never snapshotted. Coverage runs a test on
-//! copies of its words through
+//! list into consecutive words, in (target, class) order, decoding each
+//! target's fault once and stamping each of its classes in by its cells
+//! and background bits. The session's artifact store keeps one per (list,
+//! scope), beside the target lanes, and drops it with them; it is never
+//! snapshotted. Coverage runs a test on copies of its words through
 //! [`SimulationBackend::image_verdicts`]: the packed backend runs each word
 //! ([`ProjectedWord::run`]), the scalar backend simulates the
 //! representatives one by one as the differential reference. A campaign
@@ -44,7 +46,7 @@
 //! first escaping class — escape reports, escape order and campaign traces
 //! are exactly those of the full-memory walk, while no cost grows with the
 //! memory size. A coverage request therefore costs one simulation per word:
-//! Fault List #1 at 8 or 16 cells is 6,448 class representatives in 101
+//! Fault List #1 at 8 or 16 cells is 6,448 class representatives in 26
 //! words, and at 4096 cells too.
 //!
 //! The generator's and the minimiser's [`TargetBatch`](crate::TargetBatch)
@@ -54,8 +56,8 @@
 //! ([`ProjectedWord::run_element`]) and sums the weights of the lanes it
 //! detects. Advancing merges the pending lanes whose whole state has become
 //! equal — their memory planes and fault masks, 63 bits that
-//! [`ProjectedWord::lane_states`] reads for all 64 lanes at once with a bit
-//! transpose — and packs the survivors densely again
+//! [`ProjectedWord::lane_states`] reads for all 256 lanes at once with one
+//! bit transpose per limb — and packs the survivors densely again
 //! ([`ProjectedWord::from_lane_states`]). The argument below holds at every
 //! prefix of a march test, so a batch's pending lanes and scores equal the
 //! full-memory walk's after every element. The scalar batch projects every
@@ -109,16 +111,19 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use march_test::{MarchElement, MarchTest};
-use sram_fault_model::{Bit, CellValue, DecoderFault, FaultPrimitive, Operation, SensitizingSite};
+use sram_fault_model::{
+    Bit, CellValue, DecoderFault, FaultPrimitive, LinkedFault, Operation, SensitizingSite,
+};
 
 use crate::backend::CoverageLane;
 use crate::coverage::TargetKind;
 use crate::inject::component_aggressors;
+use crate::lane::{broadcast, LaneWord, W256};
 use crate::session::TargetLanes;
 use crate::{DecoderFaultInstance, InitialState, InstanceCells, SimulationError};
 
-/// How many lanes one [`ProjectedWord`] carries.
-pub(crate) const WORD_LANES: usize = 64;
+/// How many lanes one [`ProjectedWord`] carries: one per bit of a [`W256`].
+pub(crate) const WORD_LANES: usize = W256::BITS;
 
 /// The size of the largest projected memory: an instance involves at most
 /// three cells.
@@ -262,34 +267,57 @@ impl Classes {
             classes: Vec::new(),
         };
         for (first_lane, cells, background) in lanes {
-            let code = class_code(&cells, background);
-            if classes.index_of_code[code] != UNSEEN {
-                continue;
-            }
-            classes.index_of_code[code] = classes.classes.len() as u16;
+            classes.insert(first_lane, cells, background);
+        }
+        classes
+    }
+
+    /// The index of the class of a lane placed on `cells` under
+    /// `background`, named by this lane, the `first_lane`-th of its set,
+    /// when it is the first of its class met.
+    fn insert(
+        &mut self,
+        first_lane: usize,
+        cells: InstanceCells,
+        background: &InitialState,
+    ) -> usize {
+        let code = class_code(&cells, background);
+        if self.index_of_code[code] == UNSEEN {
+            self.index_of_code[code] = self.classes.len() as u16;
             let lane = CoverageLane {
                 cells,
                 background: background.clone(),
             };
-            classes.classes.push(LaneClass {
+            self.classes.push(LaneClass {
                 first_lane,
                 representative: Involved::of(&cells).project(&lane),
                 lane,
             });
         }
-        classes
+        usize::from(self.index_of_code[code])
     }
 
     /// Partitions `lanes` into their classes, lane by lane: the reference the
     /// closed-form classes of each placement shape are tested against.
     #[cfg(test)]
     pub(crate) fn of(lanes: &[CoverageLane]) -> Classes {
-        Classes::first_seen(
-            lanes
-                .iter()
-                .enumerate()
-                .map(|(index, lane)| (index, lane.cells, &lane.background)),
-        )
+        Classes::counted(lanes).0
+    }
+
+    /// [`Classes::of`] and the number of lanes in each class, from one
+    /// class code per lane: the reference for the closed-form weights too.
+    #[cfg(test)]
+    pub(crate) fn counted(lanes: &[CoverageLane]) -> (Classes, Vec<usize>) {
+        let mut classes = Classes::first_seen([]);
+        let mut counts = Vec::new();
+        for (index, lane) in lanes.iter().enumerate() {
+            let class = classes.insert(index, lane.cells, &lane.background);
+            if class == counts.len() {
+                counts.push(0);
+            }
+            counts[class] += 1;
+        }
+        (classes, counts)
     }
 
     /// The number of classes.
@@ -352,9 +380,9 @@ impl ClassRef {
     }
 }
 
-/// Class representatives of the targets of a list, bound into 64-lane
-/// projected words: lane `i` of the image is lane `i % 64` of word
-/// `i / 64`, the lanes in (target, class) order.
+/// Class representatives of the targets of a list, bound into 256-lane
+/// projected words: lane `i` of the image is lane `i % 256` of word
+/// `i / 256`, the lanes in (target, class) order.
 ///
 /// The session's artifact store keeps one image of every class per (list,
 /// scope), beside the list's target lanes, and drops it with them. Coverage
@@ -401,14 +429,21 @@ impl ClassImage {
         ClassImage::bind(targets, classes)
     }
 
-    /// Binds the representatives of `classes` into words.
+    /// Binds the representatives of `classes` into words, decoding each
+    /// target's fault once for all of its classes.
     fn bind(targets: Arc<TargetLanes>, classes: Vec<ClassRef>) -> ClassImage {
-        let words = classes
-            .chunks(WORD_LANES)
-            .map(|word| {
-                ProjectedWord::pack(word.iter().map(|&class| representative(&targets, class)))
-            })
-            .collect();
+        let mut words = vec![ProjectedWord::default(); classes.len().div_ceil(WORD_LANES)];
+        let mut lane = 0;
+        for of_target in classes.chunk_by(|one, other| one.target() == other.target()) {
+            let (target, set) = &targets[of_target[0].target()];
+            let fault = FaultTemplate::of(target);
+            for class in of_target {
+                let representative = &set.classes().get(class.class()).representative;
+                words[lane / WORD_LANES].bind(lane % WORD_LANES, &fault, representative);
+                lane += 1;
+            }
+        }
+        words.iter_mut().for_each(ProjectedWord::seal);
         ClassImage {
             targets,
             words,
@@ -452,8 +487,8 @@ impl ClassImage {
     }
 
     /// Lanes `lanes` of the image, at most [`WORD_LANES`], as one word: a
-    /// copy when they are one whole word, else taken run by run from the at
-    /// most two words they span.
+    /// copy when they are one whole word, else taken range by range from
+    /// the at most two words they span.
     pub(crate) fn word_of(&self, lanes: Range<usize>) -> ProjectedWord {
         assert!(
             lanes.len() <= WORD_LANES,
@@ -471,9 +506,8 @@ impl ClassImage {
         while start < lanes.end {
             let source = start / WORD_LANES;
             let end = lanes.end.min((source + 1) * WORD_LANES);
-            let (low, high) = (start % WORD_LANES, (end - 1) % WORD_LANES + 1);
-            let mask = (u64::MAX >> (WORD_LANES - high)) & (u64::MAX << low);
-            word.take(&self.words[source], mask, at);
+            let first = start % WORD_LANES;
+            word.take(&self.words[source], first..first + (end - start), at);
             at += end - start;
             start = end;
         }
@@ -510,120 +544,164 @@ fn operation_kind(operation: Operation) -> usize {
     }
 }
 
-/// `lanes` where `bit` is one, no lane where it is zero.
-fn lanes_holding(bit: Bit, lanes: u64) -> u64 {
-    match bit {
-        Bit::Zero => 0,
-        Bit::One => lanes,
-    }
+/// One lane of a [`ProjectedWord`], as the limb that holds it and its bit
+/// there: binding a lane sets one bit of one limb per mask.
+#[derive(Debug, Clone, Copy)]
+struct LaneBit {
+    limb: usize,
+    bit: u64,
 }
 
-/// The runs of consecutive lanes of a lane mask, as `(first lane, length)`
-/// pairs in bit order: gathering any mask's bits at those lanes into
-/// consecutive low bits costs one shift per run, not one per lane.
-struct Runs {
-    runs: [(u32, u32); WORD_LANES / 2],
-    count: usize,
-}
-
-impl Runs {
-    fn of(mut lanes: u64) -> Runs {
-        let mut runs = Runs {
-            runs: [(0, 0); WORD_LANES / 2],
-            count: 0,
-        };
-        while lanes != 0 {
-            let first = lanes.trailing_zeros();
-            let length = (lanes >> first).trailing_ones();
-            runs.runs[runs.count] = (first, length);
-            runs.count += 1;
-            lanes &= !(low_bits(length) << first);
+impl LaneBit {
+    fn of(lane: usize) -> LaneBit {
+        assert!(lane < WORD_LANES, "a word carries {WORD_LANES} lanes");
+        LaneBit {
+            limb: lane / 64,
+            bit: 1 << (lane % 64),
         }
-        runs
     }
 
-    /// `bits` at the lanes of the runs, packed into consecutive low bits.
-    fn gather(&self, bits: u64) -> u64 {
-        let mut gathered = 0;
-        let mut at = 0;
-        for &(first, length) in &self.runs[..self.count] {
-            gathered |= (bits >> first & low_bits(length)) << at;
-            at += length;
+    /// Adds the lane to `mask`.
+    fn set(self, mask: &mut W256) {
+        *mask.limb_mut(self.limb) |= self.bit;
+    }
+
+    /// Adds the lane to `mask` when `value` is one.
+    fn set_to(self, mask: &mut W256, value: Bit) {
+        if value == Bit::One {
+            self.set(mask);
         }
-        gathered
     }
-}
-
-/// The mask of the lowest `count` bits, `count` in `1..=64`.
-fn low_bits(count: u32) -> u64 {
-    u64::MAX >> (64 - count)
 }
 
 /// Per-lane value of each lane's bound cell: OR of the memory planes masked
 /// by the binding planes (a lane binds at most one cell).
-fn gather(planes: &[u64; MAX_CELLS], bound: &[u64; MAX_CELLS]) -> u64 {
+#[inline(always)]
+fn gather(planes: &[W256; MAX_CELLS], bound: &[W256; MAX_CELLS]) -> W256 {
     (planes[0] & bound[0]) | (planes[1] & bound[1]) | (planes[2] & bound[2])
 }
 
 /// Masked scatter: writes each lane's bit of `values` into its bound cell,
 /// on the lanes of `lanes`.
-fn force(planes: &mut [u64; MAX_CELLS], bound: &[u64; MAX_CELLS], lanes: u64, values: u64) {
+#[inline(always)]
+fn force(planes: &mut [W256; MAX_CELLS], bound: &[W256; MAX_CELLS], lanes: W256, values: W256) {
     for (plane, bound) in planes.iter_mut().zip(bound) {
-        let write = lanes & bound;
+        let write = lanes & *bound;
         *plane = (*plane & !write) | (values & write);
     }
 }
 
 /// The lanes whose cell values `values` meet their condition: lanes in
 /// `zero` need a 0, lanes in `one` a 1, every other lane accepts both.
-fn holds(zero: u64, one: u64, values: u64) -> u64 {
+#[inline(always)]
+fn holds(zero: W256, one: W256, values: W256) -> W256 {
     !((zero & values) | (one & !values))
 }
 
-/// Records a sensitising condition's initial state for the lanes of `bit`.
-fn bind_condition(zero: &mut u64, one: &mut u64, initial: CellValue, bit: u64) {
+/// Records a sensitising condition's initial state for `lane`.
+fn bind_condition(zero: &mut W256, one: &mut W256, initial: CellValue, lane: LaneBit) {
     match initial {
-        CellValue::Zero => *zero |= bit,
-        CellValue::One => *one |= bit,
+        CellValue::Zero => lane.set(zero),
+        CellValue::One => lane.set(one),
         CellValue::DontCare => {}
+    }
+}
+
+/// One array component's primitive, decoded once per target: everything
+/// binding a lane of it needs except the lane's cells.
+#[derive(Debug, Clone, Copy)]
+struct ComponentTemplate {
+    /// Whether the primitive has an aggressor.
+    coupling: bool,
+    site: SensitizingSite,
+    /// The kind of its sensitising operation ([`operation_kind`]), if any.
+    operation: Option<usize>,
+    /// The initial states its victim and its aggressor must hold (`DontCare`
+    /// for the aggressor of a single-cell primitive).
+    victim: CellValue,
+    aggressor: CellValue,
+    /// What its sensitising read returns, when it overrides the cell.
+    read: Option<Bit>,
+    /// What its effect forces into the victim, if anything.
+    forced: Option<Bit>,
+}
+
+impl ComponentTemplate {
+    fn of(primitive: &FaultPrimitive) -> ComponentTemplate {
+        ComponentTemplate {
+            coupling: primitive.is_coupling(),
+            site: primitive.sensitizing_site(),
+            operation: primitive.sensitizing_operation().map(operation_kind),
+            victim: primitive.victim().initial(),
+            aggressor: primitive
+                .aggressor()
+                .map_or(CellValue::DontCare, |condition| condition.initial()),
+            read: primitive.effect().read_output(),
+            forced: primitive.effect().victim_value().to_bit(),
+        }
+    }
+}
+
+/// A target's fault decoded once, so that binding each of its classes only
+/// stamps the class's cells and background bits into the word.
+enum FaultTemplate<'t> {
+    Simple(ComponentTemplate),
+    /// The linked fault, whose topology places each component's aggressor,
+    /// and its first and second components.
+    Linked(&'t LinkedFault, [ComponentTemplate; 2]),
+    Decoder(DecoderFault),
+}
+
+impl FaultTemplate<'_> {
+    fn of(target: &TargetKind) -> FaultTemplate<'_> {
+        match target {
+            TargetKind::Simple(primitive) => {
+                FaultTemplate::Simple(ComponentTemplate::of(primitive))
+            }
+            TargetKind::Linked(fault) => FaultTemplate::Linked(
+                fault,
+                [fault.first(), fault.second()].map(ComponentTemplate::of),
+            ),
+            TargetKind::Decoder(fault) => FaultTemplate::Decoder(*fault),
+        }
     }
 }
 
 /// One array component — a simple target's primitive, or the first or
 /// second primitive of a linked fault — of every lane of a
-/// [`ProjectedWord`], as per-lane masks: bit `i` of every field describes
+/// [`ProjectedWord`], as per-lane masks: lane `i` of every field describes
 /// lane `i`, so the lanes of one word may carry different primitives.
 #[derive(Debug, Clone, Copy, Default)]
 struct ComponentPlanes {
     /// `victim[cell]`: lanes whose victim is `cell`.
-    victim: [u64; MAX_CELLS],
+    victim: [W256; MAX_CELLS],
     /// `aggressor[cell]`: lanes whose aggressor is `cell`.
-    aggressor: [u64; MAX_CELLS],
+    aggressor: [W256; MAX_CELLS],
     /// `site[cell]`: lanes sensitised by an operation on `cell` (their
     /// victim or their aggressor).
-    site: [u64; MAX_CELLS],
+    site: [W256; MAX_CELLS],
     /// Lanes sensitised by each operation kind ([`operation_kind`]).
-    operation: [u64; 4],
+    operation: [W256; 4],
     /// Lanes sensitised by a state alone, settled after every operation.
-    state: u64,
+    state: W256,
     /// Lanes whose victim must hold 0, or 1, to sensitise.
-    victim_zero: u64,
-    victim_one: u64,
+    victim_zero: W256,
+    victim_one: W256,
     /// Lanes whose aggressor must hold 0, or 1, to sensitise.
-    aggressor_zero: u64,
-    aggressor_one: u64,
+    aggressor_zero: W256,
+    aggressor_one: W256,
     /// Lanes whose sensitising read returns `read_value` instead of the
     /// cell's content.
-    read_override: u64,
-    read_value: u64,
+    read_override: W256,
+    read_value: W256,
     /// Lanes whose effect forces `forced_value` into the victim.
-    forces: u64,
-    forced_value: u64,
+    forces: W256,
+    forced_value: W256,
 }
 
 impl ComponentPlanes {
     /// Every mask of the component.
-    fn masks_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+    fn masks_mut(&mut self) -> impl Iterator<Item = &mut W256> {
         let ComponentPlanes {
             victim,
             aggressor,
@@ -657,57 +735,55 @@ impl ComponentPlanes {
             ])
     }
 
-    /// Binds `primitive` on `victim` (and `aggressor`, for a coupling
-    /// primitive) to the lanes of `bit`.
+    /// Binds the primitive of `template` on `victim` (and `aggressor`, for
+    /// a coupling primitive) to `lane`.
     fn bind(
         &mut self,
-        bit: u64,
-        primitive: &FaultPrimitive,
+        lane: LaneBit,
+        template: &ComponentTemplate,
         victim: usize,
         aggressor: Option<usize>,
     ) {
-        let aggressor = aggressor.filter(|_| primitive.is_coupling());
-        self.victim[victim] |= bit;
+        let aggressor = aggressor.filter(|_| template.coupling);
+        lane.set(&mut self.victim[victim]);
         if let Some(aggressor) = aggressor {
-            self.aggressor[aggressor] |= bit;
+            lane.set(&mut self.aggressor[aggressor]);
         }
-        match primitive.sensitizing_site() {
-            SensitizingSite::None => self.state |= bit,
-            SensitizingSite::Victim => self.site[victim] |= bit,
-            SensitizingSite::Aggressor => {
-                self.site[aggressor.expect("an aggressor-sensitised primitive is a coupling")] |=
-                    bit;
-            }
+        match template.site {
+            SensitizingSite::None => lane.set(&mut self.state),
+            SensitizingSite::Victim => lane.set(&mut self.site[victim]),
+            SensitizingSite::Aggressor => lane.set(
+                &mut self.site[aggressor.expect("an aggressor-sensitised primitive is a coupling")],
+            ),
         }
-        if let Some(operation) = primitive.sensitizing_operation() {
-            self.operation[operation_kind(operation)] |= bit;
+        if let Some(kind) = template.operation {
+            lane.set(&mut self.operation[kind]);
         }
         bind_condition(
             &mut self.victim_zero,
             &mut self.victim_one,
-            primitive.victim().initial(),
-            bit,
+            template.victim,
+            lane,
         );
-        if let Some(condition) = primitive.aggressor() {
-            bind_condition(
-                &mut self.aggressor_zero,
-                &mut self.aggressor_one,
-                condition.initial(),
-                bit,
-            );
+        bind_condition(
+            &mut self.aggressor_zero,
+            &mut self.aggressor_one,
+            template.aggressor,
+            lane,
+        );
+        if let Some(read) = template.read {
+            lane.set(&mut self.read_override);
+            lane.set_to(&mut self.read_value, read);
         }
-        if let Some(read) = primitive.effect().read_output() {
-            self.read_override |= bit;
-            self.read_value |= lanes_holding(read, bit);
-        }
-        if let Some(forced) = primitive.effect().victim_value().to_bit() {
-            self.forces |= bit;
-            self.forced_value |= lanes_holding(forced, bit);
+        if let Some(forced) = template.forced {
+            lane.set(&mut self.forces);
+            lane.set_to(&mut self.forced_value, forced);
         }
     }
 
     /// The lanes whose victim and aggressor conditions hold on `faulty`.
-    fn conditions_hold(&self, faulty: &[u64; MAX_CELLS]) -> u64 {
+    #[inline(always)]
+    fn conditions_hold(&self, faulty: &[W256; MAX_CELLS]) -> W256 {
         holds(
             self.victim_zero,
             self.victim_one,
@@ -721,10 +797,11 @@ impl ComponentPlanes {
 
     /// The lanes sensitised by applying an operation of `kind` to
     /// `address`, on the pre-operation `faulty` state.
-    fn fired(&self, faulty: &[u64; MAX_CELLS], address: usize, kind: usize) -> u64 {
+    #[inline(always)]
+    fn fired(&self, faulty: &[W256; MAX_CELLS], address: usize, kind: usize) -> W256 {
         let sited = self.site[address] & self.operation[kind];
-        if sited == 0 {
-            return 0;
+        if sited.is_zero() {
+            return W256::ZERO;
         }
         sited & self.conditions_hold(faulty)
     }
@@ -735,23 +812,23 @@ impl ComponentPlanes {
 #[derive(Debug, Clone, Copy, Default)]
 struct DecoderPlanes {
     /// `source[cell]`: lanes whose perturbed address is `cell`.
-    source: [u64; MAX_CELLS],
+    source: [W256; MAX_CELLS],
     /// `destination[cell]`: lanes whose perturbed address reaches `cell`.
-    destination: [u64; MAX_CELLS],
+    destination: [W256; MAX_CELLS],
     /// *No cell accessed* lanes, and those of them whose open read returns 1.
-    no_cell: u64,
-    open_read: u64,
+    no_cell: W256,
+    open_read: W256,
     /// Lanes whose perturbed address reaches its destination instead of its
     /// own cell (*no address maps*, *multiple addresses map*).
-    redirect: u64,
+    redirect: W256,
     /// Lanes whose perturbed address reaches its destination as well as its
     /// own cell (*multiple cells accessed*).
-    fan_out: u64,
+    fan_out: W256,
 }
 
 impl DecoderPlanes {
     /// Every mask of the decoder fault.
-    fn masks_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+    fn masks_mut(&mut self) -> impl Iterator<Item = &mut W256> {
         let DecoderPlanes {
             source,
             destination,
@@ -766,33 +843,33 @@ impl DecoderPlanes {
             .chain([no_cell, open_read, redirect, fan_out])
     }
 
-    /// Binds `fault` on `cells` to the lanes of `bit`.
-    fn bind(&mut self, bit: u64, fault: DecoderFault, cells: InstanceCells) {
+    /// Binds `fault` on `cells` to `lane`.
+    fn bind(&mut self, lane: LaneBit, fault: DecoderFault, cells: InstanceCells) {
         let instance = DecoderFaultInstance::new(fault, cells, MAX_CELLS)
             .expect("projected lanes fit their decoder class");
-        self.source[instance.source()] |= bit;
+        lane.set(&mut self.source[instance.source()]);
         if let Some(destination) = instance.destination() {
-            self.destination[destination] |= bit;
+            lane.set(&mut self.destination[destination]);
         }
         match fault {
             DecoderFault::NoCellAccessed { open_read } => {
-                self.no_cell |= bit;
-                self.open_read |= lanes_holding(open_read, bit);
+                lane.set(&mut self.no_cell);
+                lane.set_to(&mut self.open_read, open_read);
             }
             DecoderFault::NoAddressMaps | DecoderFault::MultipleAddressesMap => {
-                self.redirect |= bit;
+                lane.set(&mut self.redirect);
             }
-            DecoderFault::MultipleCellsAccessed => self.fan_out |= bit,
+            DecoderFault::MultipleCellsAccessed => lane.set(&mut self.fan_out),
         }
     }
 }
 
 /// A bit-parallel simulator of up to [`WORD_LANES`] projected lanes, one
-/// lane per bit, on the at most three cells of the projected memory. Fixed
-/// size and heap-free: its planes are `[u64; 3]` arrays, and each lane
-/// carries its own fault as masks ([`ComponentPlanes`], [`DecoderPlanes`]),
-/// so a word mixes the lanes of many targets, of every fault kind and every
-/// cell count.
+/// lane per bit of a [`W256`] (four 64-bit limbs, one AVX2 register), on the
+/// at most three cells of the projected memory. Fixed size and heap-free:
+/// its planes are `[W256; 3]` arrays, and each lane carries its own fault as
+/// masks ([`ComponentPlanes`], [`DecoderPlanes`]), so a word mixes the lanes
+/// of many targets, of every fault kind and every cell count.
 ///
 /// The semantics are [`PackedSimulator`](crate::PackedSimulator)'s, step for
 /// step: fire detection on the pre-operation state, decoder perturbation and
@@ -804,75 +881,75 @@ pub(crate) struct ProjectedWord {
     /// The projected memory's size: the most cells any lane involves.
     cells: usize,
     /// One bit per packed lane.
-    lanes: u64,
-    faulty: [u64; MAX_CELLS],
-    golden: [u64; MAX_CELLS],
+    lanes: W256,
+    faulty: [W256; MAX_CELLS],
+    golden: [W256; MAX_CELLS],
     components: [ComponentPlanes; 2],
     decoder: DecoderPlanes,
     /// Lanes with a state-sensitised component; the settle pass is skipped
     /// when there are none.
-    settles: u64,
-    detected: u64,
+    settles: W256,
+    detected: W256,
 }
 
 impl ProjectedWord {
-    /// Packs `lanes` (at most [`WORD_LANES`]), lane `i` in bit `i`, and
-    /// settles the initial state.
+    /// Binds lane `lane` of the word to `representative`, a lane of the
+    /// target `fault` decodes: its cells, its background bits and its
+    /// fault's masks. [`ProjectedWord::seal`] completes the word once every
+    /// lane is bound.
     ///
     /// # Panics
     ///
-    /// Panics when a lane is not projected (involves a cell at or beyond
-    /// three) or does not fit its target's topology.
-    pub(crate) fn pack<'t, 'l>(
-        lanes: impl IntoIterator<Item = (&'t TargetKind, &'l CoverageLane)>,
-    ) -> ProjectedWord {
-        let mut word = ProjectedWord::default();
-        for (index, (target, lane)) in lanes.into_iter().enumerate() {
-            assert!(index < WORD_LANES, "a word carries {WORD_LANES} lanes");
-            let bit = 1u64 << index;
-            let cells = projected_cells(lane);
-            assert!(
-                cells <= MAX_CELLS,
-                "{:?} is not a projected lane",
-                lane.cells
-            );
-            word.cells = word.cells.max(cells);
-            word.lanes |= bit;
-            for (cell, plane) in word.faulty.iter_mut().enumerate().take(cells) {
-                *plane |= lanes_holding(lane.background.bit_at(cell), bit);
-            }
-            let victim = lane.cells.victim;
-            match target {
-                TargetKind::Simple(primitive) => {
-                    word.components[0].bind(bit, primitive, victim, lane.cells.aggressor_first);
-                }
-                TargetKind::Linked(fault) => {
-                    let aggressors = component_aggressors(fault, lane.cells)
-                        .expect("projected lanes fit their target's topology");
-                    let primitives = [fault.first(), fault.second()];
-                    for ((component, primitive), aggressor) in
-                        word.components.iter_mut().zip(primitives).zip(aggressors)
-                    {
-                        component.bind(bit, primitive, victim, aggressor);
-                    }
-                }
-                TargetKind::Decoder(fault) => word.decoder.bind(bit, *fault, lane.cells),
-            }
+    /// Panics when `lane` is not a lane of the word, or `representative` is
+    /// not projected (involves a cell at or beyond three) or does not fit
+    /// its target's topology.
+    fn bind(&mut self, lane: usize, fault: &FaultTemplate, representative: &CoverageLane) {
+        let bit = LaneBit::of(lane);
+        let cells = projected_cells(representative);
+        assert!(
+            cells <= MAX_CELLS,
+            "{:?} is not a projected lane",
+            representative.cells
+        );
+        self.cells = self.cells.max(cells);
+        bit.set(&mut self.lanes);
+        for (cell, plane) in self.faulty.iter_mut().enumerate().take(cells) {
+            bit.set_to(plane, representative.background.bit_at(cell));
         }
-        word.golden = word.faulty;
-        word.settles = word.components[0].state | word.components[1].state;
-        word.settle();
-        word
+        let placed = representative.cells;
+        match fault {
+            FaultTemplate::Simple(component) => {
+                self.components[0].bind(bit, component, placed.victim, placed.aggressor_first);
+            }
+            FaultTemplate::Linked(fault, components) => {
+                let aggressors = component_aggressors(fault, placed)
+                    .expect("projected lanes fit their target's topology");
+                for ((planes, component), aggressor) in
+                    self.components.iter_mut().zip(components).zip(aggressors)
+                {
+                    planes.bind(bit, component, placed.victim, aggressor);
+                }
+            }
+            FaultTemplate::Decoder(fault) => self.decoder.bind(bit, *fault, placed),
+        }
+    }
+
+    /// Starts the golden memory from the bound initial state and settles
+    /// it: the last step of binding a word.
+    fn seal(&mut self) {
+        self.golden = self.faulty;
+        self.settles = self.components[0].state | self.components[1].state;
+        self.settle();
     }
 
     /// The lanes that have not detected their fault yet.
-    pub(crate) fn pending(&self) -> u64 {
+    pub(crate) fn pending(&self) -> W256 {
         self.lanes & !self.detected
     }
 
     /// Every per-lane mask of the word: the lanes, the memory planes and the
-    /// fault masks. Lane `i` of the word is bit `i` of each.
-    fn masks_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+    /// fault masks. Lane `i` of the word is lane `i` of each.
+    fn masks_mut(&mut self) -> impl Iterator<Item = &mut W256> {
         let ProjectedWord {
             cells: _,
             lanes,
@@ -891,28 +968,28 @@ impl ProjectedWord {
             .chain(decoder.masks_mut())
     }
 
-    /// Moves the lanes of `lanes`, a mask of `source`'s lanes, into this
-    /// word's lanes `at..`, in bit order: each keeps its memory state, its
-    /// detection bit and its fault. The destination lanes must be free.
+    /// Moves lanes `lanes` of `source` into this word's lanes `at..`, in
+    /// order: each keeps its memory state, its detection bit and its fault.
+    /// The destination lanes must be free.
     ///
     /// # Panics
     ///
-    /// Panics when the moved lanes do not fit below bit [`WORD_LANES`].
-    pub(crate) fn take(&mut self, source: &ProjectedWord, lanes: u64, at: usize) {
+    /// Panics when the moved lanes do not fit below lane [`WORD_LANES`].
+    pub(crate) fn take(&mut self, source: &ProjectedWord, lanes: Range<usize>, at: usize) {
         assert!(
-            at + lanes.count_ones() as usize <= WORD_LANES,
+            lanes.end <= WORD_LANES && at + lanes.len() <= WORD_LANES,
             "a word carries {WORD_LANES} lanes"
         );
-        if lanes == 0 {
+        if lanes.is_empty() {
             return;
         }
-        let runs = Runs::of(lanes);
+        let kept = W256::full_mask(lanes.len());
         // `masks_mut` lists the masks once for both words; the source side
         // walks a copy.
         let mut source = *source;
         self.cells = self.cells.max(source.cells);
         for (into, from) in self.masks_mut().zip(source.masks_mut()) {
-            *into |= runs.gather(*from) << at;
+            *into |= ((*from >> lanes.start) & kept) << at;
         }
     }
 
@@ -931,13 +1008,14 @@ impl ProjectedWord {
 
     /// One pass over the state-sensitised components in injection order,
     /// forcing the victims of every lane whose state condition holds.
+    #[inline(always)]
     fn settle(&mut self) {
-        if self.settles == 0 {
+        if self.settles.is_zero() {
             return;
         }
         for component in &self.components {
             let lanes = self.lanes & component.state & component.forces;
-            if lanes == 0 {
+            if lanes.is_zero() {
                 continue;
             }
             let lanes = lanes & component.conditions_hold(&self.faulty);
@@ -951,6 +1029,7 @@ impl ProjectedWord {
     }
 
     /// Applies one memory operation to cell `address` of every lane.
+    #[inline(always)]
     fn apply(&mut self, address: usize, operation: Operation) {
         // 1. Which components fire, per lane?
         let kind = operation_kind(operation);
@@ -965,7 +1044,7 @@ impl ProjectedWord {
         let source = decoder.source[address];
         if operation.is_read() {
             let mut observed = self.faulty[address];
-            if source != 0 {
+            if !source.is_zero() {
                 let destination = gather(&self.faulty, &decoder.destination);
                 let no_cell = source & decoder.no_cell;
                 let redirected = source & decoder.redirect;
@@ -985,12 +1064,12 @@ impl ProjectedWord {
         // 3. Fault-free effect of the operation, routed through the perturbed
         // decode on the faulty side.
         if let Operation::Write(value) = operation {
-            let bits = lanes_holding(value, u64::MAX);
+            let bits = broadcast::<W256>(value);
             self.golden[address] = bits;
             let own = !(source & (decoder.no_cell | decoder.redirect));
             self.faulty[address] = (self.faulty[address] & !own) | (bits & own);
             let reached = source & (decoder.redirect | decoder.fan_out);
-            if reached != 0 {
+            if !reached.is_zero() {
                 force(&mut self.faulty, &decoder.destination, reached, bits);
             }
         }
@@ -998,7 +1077,7 @@ impl ProjectedWord {
         // 4. Fault effects of the fired components, in injection order.
         for (component, fired) in self.components.iter().zip(fired) {
             let lanes = fired & component.forces;
-            if lanes != 0 {
+            if !lanes.is_zero() {
                 force(
                     &mut self.faulty,
                     &component.victim,
@@ -1014,34 +1093,44 @@ impl ProjectedWord {
 
     /// Every lane's whole state — its memory planes and fault masks, one bit
     /// of each mask — as one `u64`, lane `i` at index `i`. Two pending lanes
-    /// with equal states run every later operation alike. The masks are
-    /// read as the rows of a 64 × 64 bit matrix and transposed, so no lane's
-    /// masks are walked one by one.
+    /// with equal states run every later operation alike. Each limb of the
+    /// masks is read as the rows of a 64 × 64 bit matrix and transposed, so
+    /// no lane's masks are walked one by one.
     pub(crate) fn lane_states(&self) -> [u64; WORD_LANES] {
-        let mut rows = [0; WORD_LANES];
+        // Row `r` of limb `l`'s matrix is limb `l` of mask `r`.
+        let mut states = [0; WORD_LANES];
         let mut word = *self;
-        let mut masks = word.masks_mut();
-        for (row, mask) in rows.iter_mut().zip(&mut masks) {
-            *row = *mask;
+        let mut rows = 0;
+        for (row, mask) in word.masks_mut().enumerate() {
+            for limb in 0..W256::LIMBS {
+                states[limb * 64 + row] = mask.limb(limb);
+            }
+            rows = row + 1;
         }
-        debug_assert!(masks.next().is_none(), "a lane's state fits a u64");
-        transpose(&mut rows);
-        rows
+        debug_assert!(rows <= 64, "a lane's state fits a u64");
+        for matrix in states.as_chunks_mut::<64>().0 {
+            transpose(matrix);
+        }
+        states
     }
 
     /// The word whose lane `i` has state `states[i]`, as
     /// [`ProjectedWord::lane_states`] reads it, on a projected memory of
-    /// `cells` cells: the inverse transpose.
+    /// `cells` cells: the inverse transpose, limb by limb.
     pub(crate) fn from_lane_states(states: &[u64], cells: usize) -> ProjectedWord {
         let mut rows = [0; WORD_LANES];
         rows[..states.len()].copy_from_slice(states);
-        transpose(&mut rows);
+        for matrix in rows.as_chunks_mut::<64>().0 {
+            transpose(matrix);
+        }
         let mut word = ProjectedWord {
             cells,
             ..ProjectedWord::default()
         };
-        for (mask, row) in word.masks_mut().zip(rows) {
-            *mask = row;
+        for (row, mask) in word.masks_mut().enumerate() {
+            for limb in 0..W256::LIMBS {
+                *mask.limb_mut(limb) = rows[limb * 64 + row];
+            }
         }
         word
     }
@@ -1053,7 +1142,7 @@ impl ProjectedWord {
 
     /// Runs `test` on every lane and returns the detected lanes. Stops once
     /// every lane has detected its fault.
-    pub(crate) fn run(mut self, test: &MarchTest) -> u64 {
+    pub(crate) fn run(mut self, test: &MarchTest) -> W256 {
         for (_, element) in test.iter() {
             if self.detected == self.lanes {
                 break;
@@ -1064,14 +1153,28 @@ impl ProjectedWord {
     }
 }
 
+/// The set lanes of `mask`, lowest first, limb by limb.
+pub(crate) fn lanes_of(mask: W256) -> impl Iterator<Item = usize> {
+    (0..W256::LIMBS).flat_map(move |limb| {
+        let mut bits = mask.limb(limb);
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let lane = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                limb * 64 + lane
+            })
+        })
+    })
+}
+
 /// Transposes the 64 × 64 bit matrix whose row `r` is `rows[r]`: afterwards
 /// bit `c` of row `r` is what bit `r` of row `c` was. Each step swaps the
 /// off-diagonal blocks of every block of twice its width.
-fn transpose(rows: &mut [u64; WORD_LANES]) {
-    let mut width = WORD_LANES / 2;
+fn transpose(rows: &mut [u64; 64]) {
+    let mut width = 32;
     let mut low = u64::MAX >> width;
     while width > 0 {
-        for block in (0..WORD_LANES).step_by(2 * width) {
+        for block in (0..64).step_by(2 * width) {
             for row in block..block + width {
                 let swap = ((rows[row] >> width) ^ rows[row + width]) & low;
                 rows[row] ^= swap << width;
@@ -1183,7 +1286,7 @@ mod tests {
             .flat_map(|first| {
                 let word = first..image.len().min(first + WORD_LANES);
                 let detected = backend.image_verdicts(test, &image, word.clone());
-                word.map(move |lane| detected >> (lane - first) & 1 == 1)
+                word.map(move |lane| detected.test_bit(lane - first))
             })
             .collect();
         let verdicts = lanes
@@ -1304,14 +1407,14 @@ mod tests {
                 backend
                     .instance()
                     .image_verdicts(&catalog::march_ss(), &image, 0..0),
-                0
+                W256::ZERO
             );
         }
     }
 
     #[test]
     fn transpose_swaps_rows_and_columns() {
-        let mut rows = [0u64; WORD_LANES];
+        let mut rows = [0u64; 64];
         for (index, row) in rows.iter_mut().enumerate() {
             *row = (index as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (1 << index);
         }
@@ -1326,12 +1429,21 @@ mod tests {
         assert_eq!(rows, original);
     }
 
-    #[test]
-    fn lane_states_rebuild_the_word_they_were_read_from() {
-        // A word of mixed targets after a few elements: reading each lane's
-        // state and packing the states back gives the same word, and the
-        // states of two lanes are equal exactly when every mask agrees on
-        // them.
+    /// One word of `lanes`, lane `i` bound to `lanes[i]`, each lane's target
+    /// decoded on its own.
+    fn pack(lanes: &[(TargetKind, CoverageLane)]) -> ProjectedWord {
+        let mut word = ProjectedWord::default();
+        for (lane, (target, representative)) in lanes.iter().enumerate() {
+            word.bind(lane, &FaultTemplate::of(target), representative);
+        }
+        word.seal();
+        word
+    }
+
+    /// A full word of mixed targets — linked, simple and decoder lanes of
+    /// one, two and three cells in every limb — after the first two
+    /// elements of MATS+, so some lanes have detected their fault.
+    fn mixed_word() -> ProjectedWord {
         let target_lanes: Vec<(TargetKind, CoverageLane)> = targets()
             .into_iter()
             .flat_map(|target| {
@@ -1343,53 +1455,93 @@ mod tests {
                 )
                 .unwrap()
                 .into_iter()
-                .take(6)
+                .take(8)
                 .map(move |lane| (target.clone(), Involved::of(&lane.cells).project(&lane)))
             })
             .take(WORD_LANES)
             .collect();
-        let mut word =
-            ProjectedWord::pack(target_lanes.iter().map(|(target, lane)| (target, lane)));
+        assert_eq!(target_lanes.len(), WORD_LANES);
+        let mut word = pack(&target_lanes);
         for element in catalog::mats_plus().elements().iter().take(2) {
             word.run_element(element);
         }
+        for limb in 0..W256::LIMBS {
+            let detected = word.detected.limb(limb);
+            assert!(detected != 0 && detected != u64::MAX, "limb {limb}");
+        }
+        word
+    }
+
+    /// Lane `lane` of every mask of `word`, in mask order.
+    fn lane_bits(word: &ProjectedWord, lane: usize) -> Vec<bool> {
+        let mut word = *word;
+        word.masks_mut().map(|mask| mask.test_bit(lane)).collect()
+    }
+
+    #[test]
+    fn lane_states_rebuild_the_word_they_were_read_from() {
+        // A full word of mixed targets after a few elements: reading each
+        // lane's state and packing the states back gives the same word, and
+        // the states of two lanes are equal exactly when every mask agrees
+        // on them, in every limb.
+        let word = mixed_word();
         let states = word.lane_states();
-        let rebuilt = ProjectedWord::from_lane_states(&states[..target_lanes.len()], word.cells);
+        let rebuilt = ProjectedWord::from_lane_states(&states, word.cells);
         let (mut word_masks, mut rebuilt_masks) = (word, rebuilt);
         assert!(word_masks.masks_mut().eq(rebuilt_masks.masks_mut()));
-        for first in 0..target_lanes.len() {
-            for second in 0..target_lanes.len() {
-                let agree = word_masks
-                    .masks_mut()
-                    .all(|mask| (*mask >> first & 1) == (*mask >> second & 1));
-                assert_eq!(states[first] == states[second], agree, "{first}, {second}");
+        let bits: Vec<Vec<bool>> = (0..WORD_LANES).map(|lane| lane_bits(&word, lane)).collect();
+        for first in 0..WORD_LANES {
+            for second in 0..WORD_LANES {
+                assert_eq!(
+                    states[first] == states[second],
+                    bits[first] == bits[second],
+                    "{first}, {second}"
+                );
             }
+        }
+        // Each state is its lane's bits, read in mask order.
+        for (lane, bits) in bits.iter().enumerate() {
+            let state = bits
+                .iter()
+                .enumerate()
+                .fold(0u64, |state, (row, &bit)| state | u64::from(bit) << row);
+            assert_eq!(states[lane], state, "lane {lane}");
         }
     }
 
     #[test]
-    fn runs_gather_the_lanes_of_a_mask_in_bit_order() {
-        // Lane masks at the word's edges: none, all, the top lane alone, a
-        // run ending at the top lane, and alternating lanes (32 runs).
-        let masks = [
-            0,
-            u64::MAX,
-            1 << 63,
-            u64::MAX << 10,
-            0x5555_5555_5555_5555,
-            0x8000_0000_0000_0001,
-            0x00ff_0f00_f0f0_0001,
-        ];
-        let bits = [0, u64::MAX, 0x0123_4567_89ab_cdef, 0xaaaa_aaaa_aaaa_aaaa];
-        for lanes in masks {
-            let runs = Runs::of(lanes);
-            for value in bits {
-                // One lane at a time, lowest first.
-                let mut expected = 0;
-                for (at, lane) in (0..64).filter(|lane| lanes >> lane & 1 == 1).enumerate() {
-                    expected |= (value >> lane & 1) << at;
-                }
-                assert_eq!(runs.gather(value), expected, "{lanes:#x} of {value:#x}");
+    fn take_moves_lane_ranges_across_limbs() {
+        // Ranges that start, end or sit at limb edges, moved within a limb,
+        // across limbs and to the top of the word: every moved lane keeps
+        // every mask bit, and no other lane is set.
+        let source = mixed_word();
+        for (lanes, at) in [
+            (0..WORD_LANES, 0),
+            (0..1, 255),
+            (63..65, 0),
+            (63..65, 127),
+            (60..130, 10),
+            (64..192, 64),
+            (190..256, 0),
+            (1..256, 0),
+            (200..201, 63),
+            (5..5, 0),
+        ] {
+            let mut word = ProjectedWord::default();
+            word.take(&source, lanes.clone(), at);
+            let cells = if lanes.is_empty() { 0 } else { source.cells() };
+            assert_eq!(word.cells(), cells, "{lanes:?} to {at}");
+            for lane in 0..WORD_LANES {
+                let expected = if (at..at + lanes.len()).contains(&lane) {
+                    lane_bits(&source, lanes.start + lane - at)
+                } else {
+                    vec![false; lane_bits(&source, 0).len()]
+                };
+                assert_eq!(
+                    lane_bits(&word, lane),
+                    expected,
+                    "{lanes:?} to {at}, lane {lane}"
+                );
             }
         }
     }

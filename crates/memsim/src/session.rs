@@ -28,6 +28,7 @@ use crate::backend::{cross_backgrounds, SimulationBackend};
 use crate::campaign::{sample_draw_indices, CampaignConfig, CampaignEscape, CampaignReport};
 use crate::coverage::{assemble_coverage_report, enumerate_targets, Escape, TargetKind};
 use crate::diagnose::{enumerate_diagnosis_instances, inject_diagnosis_instance};
+use crate::lane::LaneWord;
 use crate::memory::check_backgrounds;
 use crate::parallel::WorkerPool;
 use crate::placement::{placement_shape, PlacementShape};
@@ -567,7 +568,7 @@ impl Session {
     }
 
     /// Every class representative of every target of `list` under the
-    /// session's scope, bound into 64-lane words once per (list, scope) and
+    /// session's scope, bound into 256-lane words once per (list, scope) and
     /// kept in the session's store beside the target lanes.
     pub(crate) fn class_image(&self, list: &FaultList) -> Result<Arc<ClassImage>> {
         Ok(self.target_entry(list)?.image())
@@ -683,7 +684,7 @@ impl Session {
     /// classes come from the target's [`LaneSet`], which derives them from
     /// its shape and scope without building lanes, and the class
     /// representatives of every target are bound into the list's
-    /// [`ClassImage`] of shared 64-lane words once per (list, scope), kept
+    /// [`ClassImage`] of shared 256-lane words once per (list, scope), kept
     /// in the session's store. A request runs the test on copies of the
     /// image's words, one simulation per word whatever the memory size. With
     /// a worker pool the words, not the targets, are sharded, and merged
@@ -752,9 +753,7 @@ impl Session {
         shards
             .iter()
             .zip(detected)
-            .flat_map(|(lanes, detected)| {
-                (0..lanes.len()).map(move |lane| detected >> lane & 1 == 1)
-            })
+            .flat_map(|(lanes, detected)| (0..lanes.len()).map(move |lane| detected.test_bit(lane)))
             .collect()
     }
 
@@ -1413,23 +1412,27 @@ mod tests {
                         assert!(set.lanes.get().is_none(), "{label}");
                         // The lanes are `shape_lanes`' enumeration, every
                         // placement crossed with every background, checked
-                        // placement by placement so that the largest sets
-                        // (2.9M lanes) are held once.
+                        // placement by placement in place, so that the
+                        // largest sets (2.9M lanes) are held once.
                         let lanes = set.lanes();
                         let placements = shape.placements(cells, strategy).unwrap();
                         assert_eq!(set.len(), placements.len() * backgrounds.len(), "{label}");
                         assert_eq!(lanes.len(), set.len(), "{label}");
                         for (chunk, placement) in lanes.chunks(backgrounds.len()).zip(&placements) {
-                            let expected =
-                                crate::backend::cross_backgrounds(vec![*placement], &backgrounds);
-                            assert!(chunk == expected.as_slice(), "{label}: {placement}");
+                            assert!(
+                                chunk
+                                    .iter()
+                                    .zip(backgrounds.iter())
+                                    .all(|(lane, background)| {
+                                        lane.cells == *placement && lane.background == *background
+                                    }),
+                                "{label}: {placement}"
+                            );
                         }
-                        assert_eq!(classes, Classes::of(lanes), "{label}");
-                        // Each class weighs as many lanes as it holds.
-                        let mut counted = vec![0; classes.len()];
-                        for lane in lanes {
-                            counted[classes.class_of(&lane.cells, &lane.background)] += 1;
-                        }
+                        // The partition, and each class weighing as many
+                        // lanes as it holds, from one class code per lane.
+                        let (partition, counted) = Classes::counted(lanes);
+                        assert_eq!(classes, partition, "{label}");
                         assert_eq!(set.weights(), counted.as_slice(), "{label}");
                     }
                 }

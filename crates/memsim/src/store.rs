@@ -216,7 +216,7 @@ impl<K, V> ShardedMap<K, V> {
 }
 
 /// One memoised target-lane enumeration and, built on first use, the class
-/// image of its targets — every class representative bound into 64-lane
+/// image of its targets — every class representative bound into 256-lane
 /// words — and the packed batch over them, each lane weighted by its
 /// class's lane count. Coverage, `verify` and minimiser prechecks of one
 /// (list, scope) run on copies of the image, generation and minimisation

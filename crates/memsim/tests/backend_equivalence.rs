@@ -12,8 +12,8 @@ use proptest::prelude::*;
 use sram_fault_model::{Bit, FaultList, Ffm, Operation};
 use sram_sim::{
     enumerate_lanes, enumerate_targets, BackendKind, ClassImage, CoverageLane, ExecPolicy,
-    InitialState, InstanceCells, LaneSet, LaneWidth, PackedBackend, PlacementStrategy,
-    ScalarBackend, Session, SimulationBackend, TargetKind,
+    InitialState, InstanceCells, LaneSet, LaneWidth, LaneWord, PackedBackend, PlacementStrategy,
+    ScalarBackend, Session, SimulationBackend, TargetKind, W256,
 };
 
 fn arbitrary_operation() -> impl Strategy<Value = Operation> {
@@ -263,13 +263,13 @@ fn image_verdicts(
         .iter()
         .flat_map(|lanes| {
             let detected = backend.image_verdicts(test, image, lanes.clone());
-            (0..lanes.len()).map(move |lane| detected >> lane & 1 == 1)
+            (0..lanes.len()).map(move |lane| detected.test_bit(lane))
         })
         .collect()
 }
 
-/// `0..lanes` cut into ranges of at most 64 lanes, the first `first` lanes
-/// long.
+/// `0..lanes` cut into ranges of at most 256 lanes, the first `first`
+/// lanes long and the others `size`.
 fn cut(lanes: usize, first: usize, size: usize) -> Vec<Range<usize>> {
     let mut ranges = Vec::new();
     let mut start = 0;
@@ -288,7 +288,8 @@ fn cut(lanes: usize, first: usize, size: usize) -> Vec<Range<usize>> {
 /// across image layouts where a target's classes straddle two words, the
 /// last word is partial, and one word mixes shapes of different cell counts,
 /// and across lane ranges that copy a whole word of the image, take lanes
-/// from within one word, or take them from two.
+/// from within one 64-lane limb of a word, take them across a limb boundary
+/// inside one word, start on a limb edge, or take them from two words.
 #[test]
 fn mixed_target_words_match_per_target_verdicts() {
     let generated = MarchTest::parse(
@@ -313,7 +314,9 @@ fn mixed_target_words_match_per_target_verdicts() {
         domain(&FaultList::list_1().with_address_decoder_faults(), 53),
     ];
     let (mut straddles, mut partial, mut mixed) = (false, false, false);
-    let (mut within_one_word, mut across_two_words) = (false, false);
+    let (mut within_one_limb, mut across_limbs, mut across_two_words) = (false, false, false);
+    let mut from_a_limb_edge = false;
+    const WORD: usize = W256::BITS;
     for (strategy, cells) in [
         (PlacementStrategy::Representative, 8),
         (PlacementStrategy::Exhaustive, 6),
@@ -355,11 +358,11 @@ fn mixed_target_words_match_per_target_verdicts() {
                 let mut first = 0;
                 for target_classes in &classes {
                     let last = first + target_classes.len() - 1;
-                    straddles |= first / 64 != last / 64;
+                    straddles |= first / WORD != last / WORD;
                     first = last + 1;
                 }
-                partial |= !image.len().is_multiple_of(64);
-                mixed |= representatives.chunks(64).any(|word| {
+                partial |= !image.len().is_multiple_of(WORD);
+                mixed |= representatives.chunks(WORD).any(|word| {
                     let size = |lane: &CoverageLane| {
                         [lane.cells.aggressor_first, lane.cells.aggressor_second]
                             .into_iter()
@@ -368,14 +371,23 @@ fn mixed_target_words_match_per_target_verdicts() {
                     };
                     word.iter().any(|lane| size(lane) != size(word[0]))
                 });
-                let words = cut(image.len(), 64, 64);
-                // Ranges of 23 then 64 lanes, and of 41: each takes lanes
-                // from within one word or from two.
-                let taken = [cut(image.len(), 23, 64), cut(image.len(), 41, 41)];
+                let words = cut(image.len(), WORD, WORD);
+                // Ranges of 23 then 256 lanes, of 41, and of 64 then 128,
+                // which start on limb edges: each takes lanes from within
+                // one limb, across a limb boundary inside one word, or from
+                // two words.
+                let taken = [
+                    cut(image.len(), 23, WORD),
+                    cut(image.len(), 41, 41),
+                    cut(image.len(), 64, 128),
+                ];
                 for lanes in taken.iter().flatten() {
-                    let (first_word, last_word) = (lanes.start / 64, (lanes.end - 1) / 64);
-                    across_two_words |= first_word != last_word;
-                    within_one_word |= first_word == last_word && lanes.len() < 64;
+                    let last = lanes.end - 1;
+                    let one_word = lanes.start / WORD == last / WORD;
+                    across_two_words |= !one_word;
+                    within_one_limb |= lanes.start / 64 == last / 64;
+                    across_limbs |= one_word && lanes.start / 64 != last / 64;
+                    from_a_limb_edge |= lanes.start % WORD != 0 && lanes.start % 64 == 0;
                 }
                 for test in &tests {
                     let scalar = image_verdicts(&ScalarBackend, test, &image, &words);
@@ -402,6 +414,68 @@ fn mixed_target_words_match_per_target_verdicts() {
     assert!(straddles, "no target's classes straddled a word boundary");
     assert!(partial, "no sweep ended on a partial word");
     assert!(mixed, "no word mixed shapes of different cell counts");
-    assert!(within_one_word, "no range took lanes from within one word");
+    assert!(within_one_limb, "no range took lanes from within one limb");
+    assert!(
+        across_limbs,
+        "no range crossed a limb boundary inside one word"
+    );
     assert!(across_two_words, "no range took lanes from two words");
+    assert!(
+        from_a_limb_edge,
+        "no range started on a limb edge inside a word"
+    );
+}
+
+/// The targets a random word mixes: every linked fault of List #1, every
+/// unlinked realistic primitive and every address-decoder class — one, two
+/// and three cells, array and decoder lanes.
+fn mixable_targets() -> Vec<TargetKind> {
+    [
+        FaultList::list_1(),
+        FaultList::unlinked_static(),
+        FaultList::address_decoder(),
+    ]
+    .iter()
+    .flat_map(enumerate_targets)
+    .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The classes of a random mix of targets, filling 1..=256 lanes of a
+    /// word, detect lane for lane what the scalar reference simulates one
+    /// target at a time, for random short march tests.
+    #[test]
+    fn random_target_mixes_in_one_word_match_the_scalar_kernel(
+        test in arbitrary_test(),
+        picks in prop::collection::vec(0usize..1_000_000, 1..257),
+        lanes in 1usize..257,
+        strategy in arbitrary_strategy(),
+        backgrounds in arbitrary_backgrounds(),
+    ) {
+        let pool = mixable_targets();
+        let mut targets = Vec::new();
+        let mut classes = 0;
+        for pick in picks {
+            if classes >= lanes {
+                break;
+            }
+            let target = pool[pick % pool.len()].clone();
+            let set = Arc::new(LaneSet::from(
+                enumerate_lanes(&target, 8, strategy, &backgrounds).unwrap(),
+            ));
+            classes += ClassImage::new(Arc::new(vec![(target.clone(), Arc::clone(&set))])).len();
+            targets.push((target, set));
+        }
+        let image = ClassImage::new(Arc::new(targets));
+        prop_assert_eq!(image.len(), classes);
+        let word = 0..lanes.min(image.len());
+        let word_len = word.len();
+        prop_assert_eq!(
+            PackedBackend::default().image_verdicts(&test, &image, word.clone()),
+            ScalarBackend.image_verdicts(&test, &image, word),
+            "{} lanes of {} classes", word_len, classes
+        );
+    }
 }

@@ -344,6 +344,9 @@ pub struct BatchLayouts {
     /// An advance merged pending lanes of equal state into one weighted
     /// lane.
     pub lanes_merged: bool,
+    /// An advance re-packed a pending lane into another 64-lane limb of
+    /// its word than the one it sat in.
+    pub limb_crossing_repack: bool,
 }
 
 impl BatchLayouts {
@@ -353,6 +356,7 @@ impl BatchLayouts {
         self.merging_compaction |= other.merging_compaction;
         self.partial_last_word |= other.partial_last_word;
         self.lanes_merged |= other.lanes_merged;
+        self.limb_crossing_repack |= other.limb_crossing_repack;
     }
 }
 
@@ -597,10 +601,14 @@ fn assert_batch_exact(
     let packed = policy.backend == BackendKind::Packed;
     if packed {
         layouts.merge(word_layouts(&batch));
-        layouts.partial_last_word = batch
-            .split_words()
-            .last()
-            .is_some_and(|word| word.pending() < WORD);
+        // A word is partial when fewer of its lanes than it carries hold a
+        // pending lane: a weighted lane counts many pending lanes at once.
+        layouts.partial_last_word = batch.split_words().last().is_some_and(|word| {
+            let mut slots = word.pending_slots();
+            slots.sort_unstable();
+            slots.dedup();
+            slots.len() < <sram_sim::W256 as sram_sim::LaneWord>::BITS
+        });
     }
     for prefix in 0..=test.elements().len() {
         let label = |what: &str| {
@@ -665,12 +673,15 @@ fn assert_batch_exact(
         let Some(element) = test.elements().get(prefix) else {
             break;
         };
-        let before = packed.then(|| batch.split_words());
+        let before = packed.then(|| (batch.split_words(), lane_limbs(&batch)));
         let merged = batch.merged_lanes();
         batch.advance(element);
         layouts.lanes_merged |= batch.merged_lanes() > merged;
-        if let Some(before) = before {
+        if let Some((before, limbs)) = before {
             layouts.merging_compaction |= merges_words(&before, &batch);
+            layouts.limb_crossing_repack |= lane_limbs(&batch)
+                .iter()
+                .any(|(lane, limb)| limbs.get(lane).is_some_and(|was| was != limb));
             layouts.merge(word_layouts(&batch));
         }
         for simulator in walks.iter_mut().flatten() {
@@ -714,6 +725,29 @@ fn involved_cells(lane: &CoverageLane) -> usize {
     cells.sort_unstable();
     cells.dedup();
     cells.len()
+}
+
+/// The limb of its word — which 64 of its 256 lanes — that simulates each
+/// pending lane of `batch`, keyed by the lane's target and descriptor.
+fn lane_limbs(
+    batch: &sram_sim::TargetBatch,
+) -> std::collections::HashMap<(*const TargetKind, *const CoverageLane), usize> {
+    let words = batch.split_words();
+    words
+        .iter()
+        .flat_map(|word| {
+            word.pending_lanes()
+                .into_iter()
+                .zip(word.pending_slots())
+                .map(|((target, lane), slot)| {
+                    (
+                        (std::ptr::from_ref(target), std::ptr::from_ref(lane)),
+                        slot / 64,
+                    )
+                })
+                .collect::<Vec<_>>()
+        })
+        .collect()
 }
 
 /// Whether some word of `after` holds pending lanes that sat in two or more

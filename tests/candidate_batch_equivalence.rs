@@ -1,7 +1,7 @@
 //! Property-based equivalence of batched candidate scoring: for random march
 //! prefixes × candidate pools × sets of fault targets × placements ×
 //! backgrounds, the scores of one packed [`TargetBatch`] over every target —
-//! weighted class representatives of all of them sharing 64-lane words —
+//! weighted class representatives of all of them sharing 256-lane words —
 //! must be byte-identical to scoring every candidate on its own against the
 //! scalar reference batch, however the batch was advanced (the packed batch
 //! merges and re-packs pending lanes as it goes), and [`score_candidates`]

@@ -19,7 +19,8 @@
 //!   their states meet — at every prefix of every probe test: pending lanes,
 //!   pending counts and pool scores, through words that mix targets of
 //!   different cell counts, words that mix decoder and cell-array lanes,
-//!   compactions that merge words, merged lanes and partial last words, at
+//!   compactions that merge words, merged lanes, re-packs that move lanes
+//!   between the limbs of a word and partial last words, at
 //!   the representative 8-cell and the exhaustive 6-cell scope and under
 //!   patterned backgrounds;
 //! * across the backend × threads × lane-width matrix.
@@ -91,11 +92,13 @@ fn projection_is_exact_for_fault_list_1() {
         PlacementStrategy::Representative,
     );
     // Its one-, two- and three-cell targets share words, detection thins
-    // the words out until they merge, and lanes whose states meet merge.
+    // the words out until they merge, lanes whose states meet merge, and
+    // re-packing moves survivors between the limbs of a word.
     assert!(layouts.mixed_cell_counts, "{layouts:?}");
     assert!(layouts.merging_compaction, "{layouts:?}");
     assert!(layouts.partial_last_word, "{layouts:?}");
     assert!(layouts.lanes_merged, "{layouts:?}");
+    assert!(layouts.limb_crossing_repack, "{layouts:?}");
 }
 
 #[test]
