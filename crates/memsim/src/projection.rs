@@ -32,10 +32,11 @@
 //!
 //! A [`ClassImage`] binds every class representative of every target of a
 //! list into consecutive words, in (target, class) order, decoding each
-//! target's fault once and stamping each of its classes in by its cells
-//! and background bits. The session's artifact store keeps one per (list,
-//! scope), beside the target lanes, and drops it with them; it is never
-//! snapshotted. Coverage runs a test on copies of its words through
+//! target's fault once, binding the masks that do not depend on a class's
+//! cells as one range of lanes per word, and stamping each class in by its
+//! cells and background bits. The session's artifact store keeps one per
+//! (list, scope), beside the target lanes, and drops it with them; it is
+//! never snapshotted. Coverage runs a test on copies of its words through
 //! [`SimulationBackend::image_verdicts`]: the packed backend runs each word
 //! ([`ProjectedWord::run`]), the scalar backend simulates the
 //! representatives one by one as the differential reference. A campaign
@@ -430,13 +431,23 @@ impl ClassImage {
     }
 
     /// Binds the representatives of `classes` into words, decoding each
-    /// target's fault once for all of its classes.
+    /// target's fault once for all of its classes and binding the masks
+    /// that do not depend on a class's cells once per word its classes
+    /// reach.
     fn bind(targets: Arc<TargetLanes>, classes: Vec<ClassRef>) -> ClassImage {
         let mut words = vec![ProjectedWord::default(); classes.len().div_ceil(WORD_LANES)];
         let mut lane = 0;
         for of_target in classes.chunk_by(|one, other| one.target() == other.target()) {
             let (target, set) = &targets[of_target[0].target()];
             let fault = FaultTemplate::of(target);
+            let (mut start, end) = (lane, lane + of_target.len());
+            while start < end {
+                let word = start / WORD_LANES;
+                let stop = end.min((word + 1) * WORD_LANES);
+                let first = start % WORD_LANES;
+                words[word].bind_fault(first..first + (stop - start), &fault);
+                start = stop;
+            }
             for class in of_target {
                 let representative = &set.classes().get(class.class()).representative;
                 words[lane / WORD_LANES].bind(lane % WORD_LANES, &fault, representative);
@@ -598,11 +609,11 @@ fn holds(zero: W256, one: W256, values: W256) -> W256 {
     !((zero & values) | (one & !values))
 }
 
-/// Records a sensitising condition's initial state for `lane`.
-fn bind_condition(zero: &mut W256, one: &mut W256, initial: CellValue, lane: LaneBit) {
+/// Records a sensitising condition's initial state for `lanes`.
+fn bind_condition(zero: &mut W256, one: &mut W256, initial: CellValue, lanes: W256) {
     match initial {
-        CellValue::Zero => lane.set(zero),
-        CellValue::One => lane.set(one),
+        CellValue::Zero => *zero |= lanes,
+        CellValue::One => *one |= lanes,
         CellValue::DontCare => {}
     }
 }
@@ -735,9 +746,42 @@ impl ComponentPlanes {
             ])
     }
 
+    /// Binds what the primitive of `template` sets whatever its cells — its
+    /// sensitising operation, conditions, read override and forced value —
+    /// to every lane of `lanes`.
+    fn bind_fault(&mut self, lanes: W256, template: &ComponentTemplate) {
+        if template.site == SensitizingSite::None {
+            self.state |= lanes;
+        }
+        if let Some(kind) = template.operation {
+            self.operation[kind] |= lanes;
+        }
+        bind_condition(
+            &mut self.victim_zero,
+            &mut self.victim_one,
+            template.victim,
+            lanes,
+        );
+        bind_condition(
+            &mut self.aggressor_zero,
+            &mut self.aggressor_one,
+            template.aggressor,
+            lanes,
+        );
+        if let Some(read) = template.read {
+            self.read_override |= lanes;
+            self.read_value |= broadcast::<W256>(read) & lanes;
+        }
+        if let Some(forced) = template.forced {
+            self.forces |= lanes;
+            self.forced_value |= broadcast::<W256>(forced) & lanes;
+        }
+    }
+
     /// Binds the primitive of `template` on `victim` (and `aggressor`, for
-    /// a coupling primitive) to `lane`.
-    fn bind(
+    /// a coupling primitive) to `lane`: its victim, aggressor and
+    /// sensitising-site planes.
+    fn bind_cells(
         &mut self,
         lane: LaneBit,
         template: &ComponentTemplate,
@@ -750,34 +794,11 @@ impl ComponentPlanes {
             lane.set(&mut self.aggressor[aggressor]);
         }
         match template.site {
-            SensitizingSite::None => lane.set(&mut self.state),
+            SensitizingSite::None => {}
             SensitizingSite::Victim => lane.set(&mut self.site[victim]),
             SensitizingSite::Aggressor => lane.set(
                 &mut self.site[aggressor.expect("an aggressor-sensitised primitive is a coupling")],
             ),
-        }
-        if let Some(kind) = template.operation {
-            lane.set(&mut self.operation[kind]);
-        }
-        bind_condition(
-            &mut self.victim_zero,
-            &mut self.victim_one,
-            template.victim,
-            lane,
-        );
-        bind_condition(
-            &mut self.aggressor_zero,
-            &mut self.aggressor_one,
-            template.aggressor,
-            lane,
-        );
-        if let Some(read) = template.read {
-            lane.set(&mut self.read_override);
-            lane.set_to(&mut self.read_value, read);
-        }
-        if let Some(forced) = template.forced {
-            lane.set(&mut self.forces);
-            lane.set_to(&mut self.forced_value, forced);
         }
     }
 
@@ -843,23 +864,28 @@ impl DecoderPlanes {
             .chain([no_cell, open_read, redirect, fan_out])
     }
 
-    /// Binds `fault` on `cells` to `lane`.
-    fn bind(&mut self, lane: LaneBit, fault: DecoderFault, cells: InstanceCells) {
+    /// Binds the class of `fault` to every lane of `lanes`.
+    fn bind_fault(&mut self, lanes: W256, fault: DecoderFault) {
+        match fault {
+            DecoderFault::NoCellAccessed { open_read } => {
+                self.no_cell |= lanes;
+                self.open_read |= broadcast::<W256>(open_read) & lanes;
+            }
+            DecoderFault::NoAddressMaps | DecoderFault::MultipleAddressesMap => {
+                self.redirect |= lanes;
+            }
+            DecoderFault::MultipleCellsAccessed => self.fan_out |= lanes,
+        }
+    }
+
+    /// Binds `fault` on `cells` to `lane`: its source and destination
+    /// planes.
+    fn bind_cells(&mut self, lane: LaneBit, fault: DecoderFault, cells: InstanceCells) {
         let instance = DecoderFaultInstance::new(fault, cells, MAX_CELLS)
             .expect("projected lanes fit their decoder class");
         lane.set(&mut self.source[instance.source()]);
         if let Some(destination) = instance.destination() {
             lane.set(&mut self.destination[destination]);
-        }
-        match fault {
-            DecoderFault::NoCellAccessed { open_read } => {
-                lane.set(&mut self.no_cell);
-                lane.set_to(&mut self.open_read, open_read);
-            }
-            DecoderFault::NoAddressMaps | DecoderFault::MultipleAddressesMap => {
-                lane.set(&mut self.redirect);
-            }
-            DecoderFault::MultipleCellsAccessed => lane.set(&mut self.fan_out),
         }
     }
 }
@@ -893,10 +919,36 @@ pub(crate) struct ProjectedWord {
 }
 
 impl ProjectedWord {
-    /// Binds lane `lane` of the word to `representative`, a lane of the
-    /// target `fault` decodes: its cells, its background bits and its
-    /// fault's masks. [`ProjectedWord::seal`] completes the word once every
-    /// lane is bound.
+    /// Binds lanes `lanes` of the word to the target `fault` decodes: the
+    /// lanes themselves and every mask of the fault that does not depend on
+    /// a lane's cells, one range of lanes per mask. [`ProjectedWord::bind`]
+    /// then binds each lane's cells.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lanes` is empty or reaches past the word.
+    fn bind_fault(&mut self, lanes: Range<usize>, fault: &FaultTemplate) {
+        assert!(
+            !lanes.is_empty() && lanes.end <= WORD_LANES,
+            "a word carries {WORD_LANES} lanes"
+        );
+        let lanes = W256::full_mask(lanes.len()) << lanes.start;
+        self.lanes |= lanes;
+        match fault {
+            FaultTemplate::Simple(component) => self.components[0].bind_fault(lanes, component),
+            FaultTemplate::Linked(_, components) => {
+                for (planes, component) in self.components.iter_mut().zip(components) {
+                    planes.bind_fault(lanes, component);
+                }
+            }
+            FaultTemplate::Decoder(fault) => self.decoder.bind_fault(lanes, *fault),
+        }
+    }
+
+    /// Binds lane `lane` of the word, whose fault
+    /// [`ProjectedWord::bind_fault`] bound, to `representative`, a lane of
+    /// the target `fault` decodes: its cells and its background bits.
+    /// [`ProjectedWord::seal`] completes the word once every lane is bound.
     ///
     /// # Panics
     ///
@@ -912,14 +964,18 @@ impl ProjectedWord {
             representative.cells
         );
         self.cells = self.cells.max(cells);
-        bit.set(&mut self.lanes);
         for (cell, plane) in self.faulty.iter_mut().enumerate().take(cells) {
             bit.set_to(plane, representative.background.bit_at(cell));
         }
         let placed = representative.cells;
         match fault {
             FaultTemplate::Simple(component) => {
-                self.components[0].bind(bit, component, placed.victim, placed.aggressor_first);
+                self.components[0].bind_cells(
+                    bit,
+                    component,
+                    placed.victim,
+                    placed.aggressor_first,
+                );
             }
             FaultTemplate::Linked(fault, components) => {
                 let aggressors = component_aggressors(fault, placed)
@@ -927,10 +983,10 @@ impl ProjectedWord {
                 for ((planes, component), aggressor) in
                     self.components.iter_mut().zip(components).zip(aggressors)
                 {
-                    planes.bind(bit, component, placed.victim, aggressor);
+                    planes.bind_cells(bit, component, placed.victim, aggressor);
                 }
             }
-            FaultTemplate::Decoder(fault) => self.decoder.bind(bit, *fault, placed),
+            FaultTemplate::Decoder(fault) => self.decoder.bind_cells(bit, *fault, placed),
         }
     }
 
@@ -1434,7 +1490,9 @@ mod tests {
     fn pack(lanes: &[(TargetKind, CoverageLane)]) -> ProjectedWord {
         let mut word = ProjectedWord::default();
         for (lane, (target, representative)) in lanes.iter().enumerate() {
-            word.bind(lane, &FaultTemplate::of(target), representative);
+            let fault = FaultTemplate::of(target);
+            word.bind_fault(lane..lane + 1, &fault);
+            word.bind(lane, &fault, representative);
         }
         word.seal();
         word
