@@ -3,9 +3,8 @@
 //! workloads, the redundancy-removal pass with suffix-only snapshots vs full
 //! re-simulation,
 //! repeated coverage through one resident [`Session`] vs a fresh session
-//! per call, the wide-word packed engine (128/256
-//! lanes per word vs 64) on exhaustive address-decoder sweeps, projected
-//! coverage against the full-memory sweep it replaces, **and** the
+//! per call, projected coverage against the full-memory sweep it replaces,
+//! **and** the
 //! `march-codex serve` loop replaying a fixed NDJSON script against a cold
 //! engine per replay vs one resident engine with a warm artifact store, then
 //! writes the speedups to
@@ -25,10 +24,10 @@ use march_bench::{BenchFile, BenchRecord};
 use march_codex_cli::{serve_lines, ServeMetrics, ServeOptions};
 use march_gen::{minimise_full_resim, SessionExt};
 use march_test::{catalog, MarchTest};
-use sram_fault_model::{FaultList, FaultListBuilder};
+use sram_fault_model::FaultList;
 use sram_sim::{
-    effective_threads, ArtifactStore, BackendKind, CampaignConfig, ExecPolicy, InitialState,
-    LaneWidth, MemIo, PlacementStrategy, Report, Session, SharedEngine, SnapshotStore, TargetLanes,
+    effective_threads, ArtifactStore, BackendKind, CampaignConfig, ExecPolicy, InitialState, MemIo,
+    PlacementStrategy, Report, Session, SharedEngine, SnapshotStore, TargetLanes,
 };
 
 /// A session over `policy` on `cells` cells with `strategy` placements and
@@ -151,49 +150,6 @@ fn af_workloads() -> Vec<AfWorkload> {
             name: "af_coverage_march_ss_1024",
             cells: 1024,
             reps: 3,
-        },
-    ]
-}
-
-/// One lane-width workload: the full-memory sweep of the exhaustive
-/// address-decoder lanes (the regime where every target carries thousands of
-/// lanes — `cells` placements per decoder class × 2 backgrounds × up to 10
-/// sensitizing pairs) timed with 64-lane packed words (baseline) against one
-/// wide `[u64; N]` width (contender). Same backend, same thread count, same
-/// plan: the only difference is how many coverage lanes one sensitization
-/// pass carries.
-struct LaneWidthWorkload {
-    name: &'static str,
-    cells: usize,
-    width: LaneWidth,
-    reps: u32,
-}
-
-fn lane_width_workloads() -> Vec<LaneWidthWorkload> {
-    vec![
-        LaneWidthWorkload {
-            name: "af-sl-xh-256c-w128",
-            cells: 256,
-            width: LaneWidth::W128,
-            reps: 5,
-        },
-        LaneWidthWorkload {
-            name: "af-sl-xh-256c-w256",
-            cells: 256,
-            width: LaneWidth::W256,
-            reps: 5,
-        },
-        LaneWidthWorkload {
-            name: "af-sl-xh-1024c-w128",
-            cells: 1024,
-            width: LaneWidth::W128,
-            reps: 7,
-        },
-        LaneWidthWorkload {
-            name: "af-sl-xh-1024c-w256",
-            cells: 1024,
-            width: LaneWidth::W256,
-            reps: 7,
         },
     ]
 }
@@ -441,66 +397,6 @@ fn time_service(workload: &ServiceWorkload) -> (Duration, Duration) {
     (cold, warm)
 }
 
-/// Times one lane-width workload; the narrow and wide sweeps are pinned
-/// verdict-identical every repetition (and to the coverage report once), so
-/// a wide-word carry bug cannot masquerade as a speedup. Both sides run
-/// packed single-worker — the AF
-/// decoder space splits into only five targets, so at 4 threads the wall
-/// time measures pool scheduling over lumpy work items, not the per-pass
-/// width effect under test — and the sweep is timed one decoder class at a
-/// time, each side keeping its best repetition per class and summing the
-/// minima. Short per-class samples are far less likely to absorb a
-/// scheduler interference spike than a whole five-class sweep, and the
-/// damping is symmetric across both sides. The width is the only variable.
-fn time_lane_width(workload: &LaneWidthWorkload) -> (Duration, Duration) {
-    // March SL: the heaviest complete test in the catalog (most operations
-    // per cell), so the workload is dominated by sensitization passes — the
-    // work the lane width multiplies — rather than per-chunk setup.
-    let test = catalog::march_sl();
-    let session = |width: LaneWidth| {
-        Session::new(ExecPolicy::default().with_threads(1).with_lane_width(width))
-            .with_memory_cells(workload.cells)
-            .with_strategy(PlacementStrategy::Exhaustive)
-    };
-    let narrow = session(LaneWidth::W64);
-    let wide = session(workload.width);
-
-    let mut narrow_time = Duration::ZERO;
-    let mut wide_time = Duration::ZERO;
-    for decoder in FaultList::address_decoder().decoders() {
-        let list = FaultListBuilder::new(format!("AF class {decoder}"))
-            .decoder(*decoder)
-            .build()
-            .expect("single-decoder list is well-formed");
-        let lanes = narrow
-            .target_lanes(&list)
-            .expect("benchmark scope hosts the placements");
-        let reference = full_memory_sweep(&narrow, &test, &lanes);
-        assert_eq!(
-            covered_targets(&reference),
-            narrow.coverage(&test, &list).covered()
-        );
-        assert_eq!(full_memory_sweep(&wide, &test, &lanes), reference);
-
-        let mut narrow_best = Duration::MAX;
-        for _ in 0..workload.reps {
-            let start = Instant::now();
-            assert_eq!(full_memory_sweep(&narrow, &test, &lanes), reference);
-            narrow_best = narrow_best.min(start.elapsed());
-        }
-        narrow_time += narrow_best;
-
-        let mut wide_best = Duration::MAX;
-        for _ in 0..workload.reps {
-            let start = Instant::now();
-            assert_eq!(full_memory_sweep(&wide, &test, &lanes), reference);
-            wide_best = wide_best.min(start.elapsed());
-        }
-        wide_time += wide_best;
-    }
-    (narrow_time, wide_time)
-}
-
 /// Times one AF workload; the two sides' sweeps are pinned verdict-identical
 /// every repetition (and to the coverage report once), so a
 /// decode-semantics bug cannot masquerade as a speedup. The contender runs
@@ -585,8 +481,8 @@ fn time_projection(reps: u32) -> (Duration, Duration) {
 /// One full-memory sweep: the session backend's own `lane_verdicts` over
 /// every enumerated lane of `lanes`, targets fanned out over the session's
 /// pool — the differential reference. Coverage, generation and minimisation
-/// simulate projected lanes, so the `coverage`, `af_coverage` and
-/// `lane_width` rows time this sweep rather than [`Session::coverage`].
+/// simulate projected lanes, so the `coverage` and `af_coverage` rows time
+/// this sweep rather than [`Session::coverage`].
 fn full_memory_sweep(
     session: &Session,
     test: &MarchTest,
@@ -783,7 +679,6 @@ fn main() {
             baseline_ns: scalar.as_nanos() as u64,
             contender_ns: packed.as_nanos() as u64,
             speedup,
-            lane_width: None,
         });
     }
     for workload in minimise_workloads() {
@@ -804,7 +699,6 @@ fn main() {
             baseline_ns: full.as_nanos() as u64,
             contender_ns: suffix.as_nanos() as u64,
             speedup,
-            lane_width: None,
         });
     }
     for workload in af_workloads() {
@@ -825,28 +719,6 @@ fn main() {
             baseline_ns: scalar.as_nanos() as u64,
             contender_ns: packed.as_nanos() as u64,
             speedup,
-            lane_width: None,
-        });
-    }
-    for workload in lane_width_workloads() {
-        let (narrow, wide) = time_lane_width(&workload);
-        let speedup = narrow.as_secs_f64() / wide.as_secs_f64().max(1e-9);
-        println!(
-            "{:<38} {:>10.2}ms {:>10.2}ms {:>8.2}x",
-            workload.name,
-            narrow.as_secs_f64() * 1e3,
-            wide.as_secs_f64() * 1e3,
-            speedup
-        );
-        records.push(BenchRecord {
-            name: workload.name.to_string(),
-            kind: "lane_width".to_string(),
-            baseline: "packed-w64".to_string(),
-            contender: format!("packed-w{}", workload.width.name()),
-            baseline_ns: narrow.as_nanos() as u64,
-            contender_ns: wide.as_nanos() as u64,
-            speedup,
-            lane_width: Some(workload.width.name().to_string()),
         });
     }
     {
@@ -868,7 +740,6 @@ fn main() {
             baseline_ns: full.as_nanos() as u64,
             contender_ns: projected.as_nanos() as u64,
             speedup,
-            lane_width: None,
         });
     }
     for workload in service_workloads() {
@@ -889,7 +760,6 @@ fn main() {
             baseline_ns: cold.as_nanos() as u64,
             contender_ns: warm.as_nanos() as u64,
             speedup,
-            lane_width: None,
         });
     }
     for workload in snapshot_workloads() {
@@ -910,7 +780,6 @@ fn main() {
             baseline_ns: cold.as_nanos() as u64,
             contender_ns: warm.as_nanos() as u64,
             speedup,
-            lane_width: None,
         });
     }
     for workload in campaign_workloads() {
@@ -931,7 +800,6 @@ fn main() {
             baseline_ns: exhaustive.as_nanos() as u64,
             contender_ns: campaign.as_nanos() as u64,
             speedup,
-            lane_width: None,
         });
     }
     for workload in session_workloads() {
@@ -952,7 +820,6 @@ fn main() {
             baseline_ns: per_call.as_nanos() as u64,
             contender_ns: pooled.as_nanos() as u64,
             speedup,
-            lane_width: None,
         });
     }
 

@@ -41,9 +41,9 @@ pub struct BenchRecord {
     /// Workload name (test × list × configuration); the differ matches
     /// baseline and current files by this key.
     pub name: String,
-    /// Workload family: `"coverage"`, `"minimise"`,
-    /// `"session"`, `"af_coverage"` (the large-memory address-decoder
-    /// workloads) or `"lane_width"` (wide packed words vs 64-lane words).
+    /// Workload family: `"coverage"`, `"minimise"`, `"session"`,
+    /// `"af_coverage"` (the large-memory address-decoder workloads),
+    /// `"projection"`, `"service"`, `"snapshot"` or `"campaign"`.
     pub kind: String,
     /// What the slow side is (`"scalar"`, `"full-resim"`, …).
     pub baseline: String,
@@ -55,10 +55,6 @@ pub struct BenchRecord {
     pub contender_ns: u64,
     /// `baseline_ns / contender_ns`.
     pub speedup: f64,
-    /// The contender's packed lane width (`"64"`, `"128"`, `"256"`), present
-    /// only on `"lane_width"`-kind workloads. Optional in the JSON: records
-    /// written before the wide-word engine simply omit it.
-    pub lane_width: Option<String>,
 }
 
 /// A parsed (or to-be-written) `BENCH_simulation.json`.
@@ -101,16 +97,10 @@ impl BenchFile {
         ));
         json.push_str("  \"workloads\": [\n");
         for (index, record) in self.workloads.iter().enumerate() {
-            let lane_width = record
-                .lane_width
-                .as_ref()
-                .map_or_else(String::new, |width| {
-                    format!(", \"lane_width\": \"{}\"", json_escape(width))
-                });
             json.push_str(&format!(
                 "    {{\"name\": \"{}\", \"kind\": \"{}\", \"baseline\": \"{}\", \
                  \"contender\": \"{}\", \"baseline_ns\": {}, \"contender_ns\": {}, \
-                 \"speedup\": {:.3}{}}}{}\n",
+                 \"speedup\": {:.3}}}{}\n",
                 json_escape(&record.name),
                 json_escape(&record.kind),
                 json_escape(&record.baseline),
@@ -118,7 +108,6 @@ impl BenchFile {
                 record.baseline_ns,
                 record.contender_ns,
                 record.speedup,
-                lane_width,
                 if index + 1 == self.workloads.len() {
                     ""
                 } else {
@@ -160,10 +149,6 @@ impl BenchFile {
             if !(speedup.is_finite() && speedup > 0.0) {
                 return Err(format!("workloads[{index}]: speedup must be positive"));
             }
-            let lane_width = match get(record, "lane_width") {
-                Ok(value) => Some(value.as_string("lane_width")?),
-                Err(_) => None,
-            };
             workloads.push(BenchRecord {
                 name: get(record, "name")?.as_string("name")?,
                 kind: get(record, "kind")?.as_string("kind")?,
@@ -172,7 +157,6 @@ impl BenchFile {
                 baseline_ns: get(record, "baseline_ns")?.as_u64("baseline_ns")?,
                 contender_ns: get(record, "contender_ns")?.as_u64("contender_ns")?,
                 speedup,
-                lane_width,
             });
         }
         if workloads.is_empty() {
@@ -628,7 +612,6 @@ mod tests {
             baseline_ns: (speedup * 1000.0) as u64,
             contender_ns: 1000,
             speedup,
-            lane_width: None,
         }
     }
 
@@ -643,27 +626,6 @@ mod tests {
         assert!((parsed.geomean_speedup - 4.0).abs() < 1e-9);
         assert_eq!(parsed.threads, 4);
         assert_eq!(parsed.version, SCHEMA_VERSION);
-    }
-
-    #[test]
-    fn lane_width_is_optional_and_round_trips() {
-        // A wide-word record carries the width; plain records omit the field
-        // entirely (old baselines must keep parsing).
-        let wide = BenchRecord {
-            kind: "lane_width".to_string(),
-            baseline: "packed-w64".to_string(),
-            contender: "packed-w256".to_string(),
-            lane_width: Some("256".to_string()),
-            ..record("af-xh-1024c-w256", 3.5)
-        };
-        let file = BenchFile::new(1, vec![wide, record("plain", 2.0)]);
-        let json = file.to_json();
-        assert!(json.contains("\"lane_width\": \"256\""));
-        assert_eq!(json.matches("\"lane_width\":").count(), 1);
-        let parsed = BenchFile::parse(&json).unwrap();
-        assert_eq!(parsed.workloads, file.workloads);
-        assert_eq!(parsed.workloads[0].lane_width.as_deref(), Some("256"));
-        assert_eq!(parsed.workloads[1].lane_width, None);
     }
 
     #[test]

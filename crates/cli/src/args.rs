@@ -4,7 +4,6 @@ use std::error::Error;
 use std::fmt;
 
 use march_test::AddressOrder;
-use sram_sim::{BackendKind, LaneWidth};
 
 /// Errors produced while parsing command-line arguments.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,8 +91,7 @@ pub enum Command {
         name: String,
     },
     /// `generate [--list <1|2>] [--faults ffm|af|all] [--cells N] [--no-removal]
-    /// [--order up|down] [--name NAME] [--exhaustive] [--backend scalar|packed]
-    /// [--threads N] [--lane-width auto|64|128|256] [--json]`.
+    /// [--order up|down] [--name NAME] [--exhaustive] [--threads N] [--json]`.
     Generate {
         /// The target fault list (required unless `--faults af`).
         list: Option<CoverageTarget>,
@@ -109,22 +107,14 @@ pub enum Command {
         name: Option<String>,
         /// Verify with exhaustive placements after generation.
         exhaustive: bool,
-        /// Which simulation backend evaluates candidates and verification
-        /// (defaults to the packed engine; `--backend scalar` opts out).
-        backend: BackendKind,
         /// Worker threads for scoring/verification (0 = auto).
         threads: usize,
-        /// Lanes per word of the packed full-memory reference walk (auto =
-        /// narrowest fitting width); generation and verification never
-        /// read it.
-        lane_width: LaneWidth,
         /// Emit the machine-readable `Report` JSON instead of the text form.
         json: bool,
     },
     /// `coverage [--test <name>] [--list <1|2|unlinked>] [--faults ffm|af|all]
     /// [--cells N] [--exhaustive] [--sample N --seed S --confidence C]
-    /// [--backend scalar|packed] [--threads N]
-    /// [--lane-width auto|64|128|256] [--json]`.
+    /// [--threads N] [--json]`.
     ///
     /// Without an explicit `--threads`, memories larger than 64 cells fan out
     /// over every available core (`--threads 0`): large-memory coverage is
@@ -153,19 +143,13 @@ pub enum Command {
         /// Confidence level of the campaign's Wilson-score interval,
         /// strictly inside `(0, 1)`.
         confidence: f64,
-        /// Which simulation backend evaluates the coverage lanes (defaults to
-        /// the packed engine; `--backend scalar` opts out).
-        backend: BackendKind,
         /// Worker threads the fault targets fan out over (0 = auto).
         threads: usize,
-        /// Coverage lanes per packed word (auto = narrowest fitting width).
-        lane_width: LaneWidth,
         /// Emit the machine-readable `Report` JSON instead of the text form.
         json: bool,
     },
-    /// `minimise --test <name> --list <1|2|unlinked>
-    /// [--backend scalar|packed] [--threads N] [--lane-width auto|64|128|256]
-    /// [--json]`.
+    /// `minimise --test <name> --list <1|2|unlinked> [--faults ffm|af|all]
+    /// [--cells N] [--threads N] [--json]`.
     ///
     /// Runs the suffix-only redundancy-removal pass on a catalogue march test:
     /// every operation whose removal keeps the fault list fully covered is
@@ -181,17 +165,13 @@ pub enum Command {
         faults: FaultDomain,
         /// Memory size in cells (`None` = the scope default).
         cells: Option<usize>,
-        /// Which simulation backend re-verifies the removal trials.
-        backend: BackendKind,
         /// Worker threads the `(target × suffix)` trials shard over (0 = auto).
         threads: usize,
-        /// Coverage lanes per packed word (auto = narrowest fitting width).
-        lane_width: LaneWidth,
         /// Emit the machine-readable `Report` JSON instead of the text form.
         json: bool,
     },
     /// `diagnose --test <name> --fault <notation> --victim <cell> --list <1|2|unlinked>
-    /// [--aggressor <cell>] [--cells <n>] [--backend scalar|packed] [--threads N] [--json]`.
+    /// [--aggressor <cell>] [--cells <n>] [--threads N] [--json]`.
     ///
     /// Simulates a device carrying the given fault, observes its failure
     /// syndrome under the march test, then sweeps the fault list for every
@@ -210,12 +190,8 @@ pub enum Command {
         cells: usize,
         /// The fault space searched for matching candidates.
         list: CoverageTarget,
-        /// Which simulation backend the session uses.
-        backend: BackendKind,
         /// Worker threads of the session (0 = auto).
         threads: usize,
-        /// Coverage lanes per packed word (auto = narrowest fitting width).
-        lane_width: LaneWidth,
         /// Emit the machine-readable `Report` JSON instead of the text form.
         json: bool,
     },
@@ -233,9 +209,8 @@ pub enum Command {
         /// Memory size in cells.
         cells: usize,
     },
-    /// `serve [--backend scalar|packed] [--threads N] [--lane-width auto|64|128|256]
-    /// [--max-in-flight N] [--timeout-ms N] [--read-timeout-ms N]
-    /// [--snapshot-dir DIR] [--tcp ADDR]`.
+    /// `serve [--threads N] [--max-in-flight N] [--timeout-ms N]
+    /// [--read-timeout-ms N] [--snapshot-dir DIR] [--tcp ADDR]`.
     ///
     /// Runs the resident service loop: newline-delimited JSON requests
     /// (coverage / generate / minimise / diagnose / stats / shutdown) from
@@ -243,13 +218,9 @@ pub enum Command {
     /// multiplexed over one shared engine whose artifact store and worker
     /// pool stay warm across requests and clients.
     Serve {
-        /// Which simulation backend the shared engine uses.
-        backend: BackendKind,
         /// Worker threads of the resident pool (0 = auto; the default, since
         /// a server wants every core).
         threads: usize,
-        /// Coverage lanes per packed word (auto = narrowest fitting width).
-        lane_width: LaneWidth,
         /// Maximum concurrently executing requests; further requests apply
         /// backpressure to the client.
         max_in_flight: usize,
@@ -327,9 +298,7 @@ impl Command {
                 let mut order = None;
                 let mut name = None;
                 let mut exhaustive = false;
-                let mut backend = BackendKind::Packed;
                 let mut threads = None;
-                let mut lane_width = LaneWidth::Auto;
                 let mut json = false;
                 while let Some(arg) = args.next() {
                     match arg.as_str() {
@@ -349,12 +318,8 @@ impl Command {
                             })?);
                         }
                         "--name" => name = Some(required(&mut args, "--name")?),
-                        "--backend" => backend = parse_backend(&required(&mut args, "--backend")?)?,
                         "--threads" => {
                             threads = Some(parse_threads(&required(&mut args, "--threads")?)?);
-                        }
-                        "--lane-width" => {
-                            lane_width = parse_lane_width(&required(&mut args, "--lane-width")?)?;
                         }
                         "--json" => json = true,
                         other => return Err(unknown_flag(other)),
@@ -369,9 +334,7 @@ impl Command {
                     order,
                     name,
                     exhaustive,
-                    backend,
                     threads: resolve_threads(threads, cells),
-                    lane_width,
                     json,
                 })
             }
@@ -384,9 +347,7 @@ impl Command {
                 let mut sample = None;
                 let mut seed = None;
                 let mut confidence = None;
-                let mut backend = BackendKind::Packed;
                 let mut threads = None;
-                let mut lane_width = LaneWidth::Auto;
                 let mut json = false;
                 while let Some(arg) = args.next() {
                     match arg.as_str() {
@@ -407,12 +368,8 @@ impl Command {
                             confidence =
                                 Some(parse_confidence(&required(&mut args, "--confidence")?)?);
                         }
-                        "--backend" => backend = parse_backend(&required(&mut args, "--backend")?)?,
                         "--threads" => {
                             threads = Some(parse_threads(&required(&mut args, "--threads")?)?);
-                        }
-                        "--lane-width" => {
-                            lane_width = parse_lane_width(&required(&mut args, "--lane-width")?)?;
                         }
                         "--json" => json = true,
                         other => return Err(unknown_flag(other)),
@@ -451,9 +408,7 @@ impl Command {
                     sample,
                     seed: seed.unwrap_or(0),
                     confidence: confidence.unwrap_or(0.95),
-                    backend,
                     threads: resolve_threads(threads, cells),
-                    lane_width,
                     json,
                 })
             }
@@ -462,9 +417,7 @@ impl Command {
                 let mut list = None;
                 let mut faults = FaultDomain::Ffm;
                 let mut cells = None;
-                let mut backend = BackendKind::Packed;
                 let mut threads = None;
-                let mut lane_width = LaneWidth::Auto;
                 let mut json = false;
                 while let Some(arg) = args.next() {
                     match arg.as_str() {
@@ -476,12 +429,8 @@ impl Command {
                             faults = FaultDomain::parse(&required(&mut args, "--faults")?)?
                         }
                         "--cells" => cells = Some(parse_number(&required(&mut args, "--cells")?)?),
-                        "--backend" => backend = parse_backend(&required(&mut args, "--backend")?)?,
                         "--threads" => {
                             threads = Some(parse_threads(&required(&mut args, "--threads")?)?);
-                        }
-                        "--lane-width" => {
-                            lane_width = parse_lane_width(&required(&mut args, "--lane-width")?)?;
                         }
                         "--json" => json = true,
                         other => return Err(unknown_flag(other)),
@@ -493,9 +442,7 @@ impl Command {
                     list,
                     faults,
                     cells,
-                    backend,
                     threads: resolve_threads(threads, cells),
-                    lane_width,
                     json,
                 })
             }
@@ -506,9 +453,7 @@ impl Command {
                 let mut aggressor = None;
                 let mut cells = 8usize;
                 let mut list = None;
-                let mut backend = BackendKind::Packed;
                 let mut threads = None;
-                let mut lane_width = LaneWidth::Auto;
                 let mut json = false;
                 while let Some(arg) = args.next() {
                     match arg.as_str() {
@@ -524,12 +469,8 @@ impl Command {
                         "--list" => {
                             list = Some(CoverageTarget::parse(&required(&mut args, "--list")?)?)
                         }
-                        "--backend" => backend = parse_backend(&required(&mut args, "--backend")?)?,
                         "--threads" => {
                             threads = Some(parse_threads(&required(&mut args, "--threads")?)?);
-                        }
-                        "--lane-width" => {
-                            lane_width = parse_lane_width(&required(&mut args, "--lane-width")?)?;
                         }
                         "--json" => json = true,
                         other => return Err(unknown_flag(other)),
@@ -544,9 +485,7 @@ impl Command {
                     aggressor,
                     cells,
                     list: list.ok_or_else(|| ParseArgsError("diagnose requires --list".into()))?,
-                    backend,
                     threads: resolve_threads(threads, Some(cells)),
-                    lane_width,
                     json,
                 })
             }
@@ -581,9 +520,7 @@ impl Command {
                 })
             }
             "serve" => {
-                let mut backend = BackendKind::Packed;
                 let mut threads = None;
-                let mut lane_width = LaneWidth::Auto;
                 let mut max_in_flight = 4usize;
                 let mut timeout_ms = 30_000u64;
                 let mut read_timeout_ms = None;
@@ -591,12 +528,8 @@ impl Command {
                 let mut tcp = None;
                 while let Some(arg) = args.next() {
                     match arg.as_str() {
-                        "--backend" => backend = parse_backend(&required(&mut args, "--backend")?)?,
                         "--threads" => {
                             threads = Some(parse_threads(&required(&mut args, "--threads")?)?);
-                        }
-                        "--lane-width" => {
-                            lane_width = parse_lane_width(&required(&mut args, "--lane-width")?)?;
                         }
                         "--max-in-flight" => {
                             let value = required(&mut args, "--max-in-flight")?;
@@ -634,11 +567,9 @@ impl Command {
                     }
                 }
                 Ok(Command::Serve {
-                    backend,
                     // A resident service defaults to every core, unlike the
                     // serial one-shot commands.
                     threads: threads.unwrap_or(0),
-                    lane_width,
                     max_in_flight,
                     timeout_ms,
                     read_timeout_ms,
@@ -720,9 +651,11 @@ pub(crate) fn require_list(
 }
 
 /// Resolves the worker-thread count: an explicit `--threads` wins; otherwise
-/// memories beyond 64 cells (one packed lane word) default to the available
-/// parallelism — the packed + threaded path is the only viable one there —
-/// and small memories stay serial, as before.
+/// memories beyond 64 cells default to the available parallelism and small
+/// memories stay serial. The diagnosis sweep still simulates every fault
+/// instance on the whole memory, sharded over the pool, so its cost grows
+/// with the cell count; coverage, campaigns, generation and minimisation
+/// simulate projected classes, whose cost does not.
 fn resolve_threads(threads: Option<usize>, cells: Option<usize>) -> usize {
     match (threads, cells) {
         (Some(threads), _) => threads,
@@ -777,22 +710,12 @@ fn parse_confidence(text: &str) -> Result<f64, ParseArgsError> {
     Ok(value)
 }
 
-fn parse_backend(text: &str) -> Result<BackendKind, ParseArgsError> {
-    text.parse::<BackendKind>()
-        .map_err(|error| ParseArgsError(error.to_string()))
-}
-
 fn parse_threads(text: &str) -> Result<usize, ParseArgsError> {
     text.parse::<usize>().map_err(|_| {
         ParseArgsError(format!(
             "`{text}` is not a valid thread count (use 0 for auto)"
         ))
     })
-}
-
-fn parse_lane_width(text: &str) -> Result<LaneWidth, ParseArgsError> {
-    text.parse::<LaneWidth>()
-        .map_err(|error| ParseArgsError(error.to_string()))
 }
 
 fn unknown_flag(flag: &str) -> ParseArgsError {
@@ -810,46 +733,34 @@ pub fn usage() -> String {
      \x20 march-codex catalog\n\
      \x20 march-codex show <name>\n\
      \x20 march-codex generate [--list <1|2>] [--faults ffm|af|all] [--cells N] [--no-removal]\n\
-     \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20[--order up|down] [--name NAME] [--exhaustive]\n\
-     \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20[--backend scalar|packed] [--threads N]\n\
-     \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20[--lane-width auto|64|128|256] [--json]\n\
+     \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20[--order up|down] [--name NAME] [--exhaustive] [--threads N] [--json]\n\
      \x20 march-codex coverage [--test <name>] [--list <1|2|unlinked>] [--faults ffm|af|all]\n\
      \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20[--cells N] [--exhaustive] [--sample N [--seed S] [--confidence C]]\n\
-     \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20[--backend scalar|packed] [--threads N]\n\
-     \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20[--lane-width auto|64|128|256] [--json]\n\
+     \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20[--threads N] [--json]\n\
      \x20 march-codex minimise --test <name> [--list <1|2|unlinked>] [--faults ffm|af|all]\n\
-     \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20[--cells N] [--backend scalar|packed] [--threads N]\n\
-     \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20[--lane-width auto|64|128|256] [--json]\n\
+     \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20[--cells N] [--threads N] [--json]\n\
      \x20 march-codex diagnose --test <name> --fault <notation> --victim <cell> --list <1|2|unlinked>\n\
-     \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20[--aggressor <cell>] [--cells <n>] [--backend scalar|packed] [--threads N]\n\
-     \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20[--lane-width auto|64|128|256] [--json]\n\
+     \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20[--aggressor <cell>] [--cells <n>] [--threads N] [--json]\n\
      \x20 march-codex simulate --test <name> --fault <notation> --victim <cell> [--aggressor <cell>] [--cells <n>]\n\
-     \x20 march-codex serve [--backend scalar|packed] [--threads N] [--lane-width auto|64|128|256]\n\
-     \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20[--max-in-flight N] [--timeout-ms N] [--read-timeout-ms N]\n\
+     \x20 march-codex serve [--threads N] [--max-in-flight N] [--timeout-ms N] [--read-timeout-ms N]\n\
      \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20[--snapshot-dir DIR] [--tcp ADDR]\n\
      \x20 march-codex snapshot --dir DIR [--warm --list <1|2|unlinked> [--faults ffm|af|all]\n\
      \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20[--test <name>] [--cells N]]\n\
      \x20 march-codex help\n\
      \n\
-     Every invocation builds one sram_sim::Session from the --backend/--threads/\n\
-     --lane-width execution policy; --json emits the session report's\n\
-     machine-readable form.\n\
+     Every invocation builds one sram_sim::Session, whose one execution option is\n\
+     --threads; --json emits the session report's machine-readable form.\n\
      --faults selects the fault domain: ffm (the cell-array --list, the default), af\n\
      (the four address-decoder classes; --list must be omitted) or all (--list plus\n\
      the decoder classes). --cells sets the simulated memory size; above 64 cells\n\
-     --threads defaults to the available parallelism (the packed + threaded\n\
-     large-memory path). --lane-width sets how many lanes (64, 128 or 256; auto\n\
-     picks the narrowest width holding each target's lanes) one pass of the packed\n\
-     backend's full-memory reference walk carries; coverage, campaigns, generation\n\
-     and minimisation simulate projected 256-lane words and never read it. Reports\n\
-     are byte-identical at every width. coverage --test defaults to March SS.\n\
+     --threads defaults to the available parallelism. Reports are byte-identical at\n\
+     every thread count. coverage --test defaults to March SS.\n\
      coverage --sample N replaces enumeration with a seeded Monte-Carlo campaign\n\
      over the exhaustive (placement, background) space: N draws (1e6 notation is\n\
      accepted), a Wilson-score confidence interval at --confidence (default 0.95),\n\
-     and a bounded escape trace. Identical --seed values replay identical draws on\n\
-     every backend, thread count and lane width; draw counts covering the whole\n\
-     space degenerate to sampling without replacement and match --exhaustive\n\
-     verdicts exactly.\n\
+     and a bounded escape trace. Identical --seed values replay identical draws at\n\
+     every thread count; draw counts covering the whole space degenerate to\n\
+     sampling without replacement and match --exhaustive verdicts exactly.\n\
      serve keeps one engine resident and answers newline-delimited JSON requests\n\
      ({\"op\": \"coverage\"|\"generate\"|\"minimise\"|\"diagnose\"|\"stats\"|\"shutdown\", ...}) on\n\
      stdin or a --tcp socket; all clients share its artifact store and worker pool,\n\
@@ -909,9 +820,7 @@ mod tests {
                 order: Some(AddressOrder::Ascending),
                 name: Some("March X".into()),
                 exhaustive: false,
-                backend: BackendKind::Packed,
                 threads: 1,
-                lane_width: LaneWidth::Auto,
                 json: false,
             }
         );
@@ -940,9 +849,7 @@ mod tests {
                 list: Some(CoverageTarget::List2),
                 faults: FaultDomain::Ffm,
                 cells: None,
-                backend: BackendKind::Packed,
                 threads: 0,
-                lane_width: LaneWidth::Auto,
                 json: true,
             }
         );
@@ -954,9 +861,7 @@ mod tests {
                 list: Some(CoverageTarget::Unlinked),
                 faults: FaultDomain::Ffm,
                 cells: None,
-                backend: BackendKind::Packed,
                 threads: 1,
-                lane_width: LaneWidth::Auto,
                 json: false,
             }
         );
@@ -967,60 +872,59 @@ mod tests {
 
     #[test]
     fn parses_backend_threads_and_batch() {
-        let command = parse(&[
-            "generate",
-            "--list",
-            "2",
-            "--backend",
-            "scalar",
-            "--threads",
-            "4",
-        ])
-        .unwrap();
         assert!(matches!(
-            command,
-            Command::Generate {
-                backend: BackendKind::Scalar,
-                threads: 4,
-                ..
-            }
+            parse(&["generate", "--list", "2", "--threads", "4"]).unwrap(),
+            Command::Generate { threads: 4, .. }
         ));
-        // The candidate-batch knob is gone: `--batch` is an unknown flag.
-        assert_eq!(
-            parse(&["generate", "--list", "2", "--batch", "16"]),
-            Err(ParseArgsError("unknown flag `--batch`".to_string()))
-        );
-        let coverage = parse(&[
-            "coverage",
-            "--test",
-            "March SL",
-            "--list",
-            "1",
-            "--backend",
-            "packed",
-            "--threads",
-            "0",
-        ])
-        .unwrap();
         assert!(matches!(
-            coverage,
-            Command::Coverage {
-                backend: BackendKind::Packed,
-                threads: 0,
-                ..
-            }
+            parse(&[
+                "coverage",
+                "--test",
+                "March SL",
+                "--list",
+                "1",
+                "--threads",
+                "0"
+            ])
+            .unwrap(),
+            Command::Coverage { threads: 0, .. }
         ));
-        assert!(parse(&[
-            "coverage",
-            "--test",
-            "x",
-            "--list",
-            "1",
-            "--backend",
-            "simd"
-        ])
-        .is_err());
         assert!(parse(&["generate", "--list", "2", "--threads", "many"]).is_err());
+        // The candidate-batch, backend and lane width knobs are gone from
+        // every session-building sub-command: each is an unknown flag, so a
+        // script passing one fails instead of running.
+        let commands: [&[&str]; 5] = [
+            &["generate", "--list", "2"],
+            &["coverage", "--test", "March SL", "--list", "1"],
+            &["minimise", "--test", "March SL", "--list", "2"],
+            &[
+                "diagnose",
+                "--test",
+                "March SS",
+                "--fault",
+                "<0w1;0/1/->",
+                "--victim",
+                "4",
+                "--list",
+                "unlinked",
+            ],
+            &["serve"],
+        ];
+        for command in commands {
+            assert!(parse(command).is_ok(), "{command:?}");
+            for (flag, value) in [
+                ("--batch", "16"),
+                ("--backend", "packed"),
+                ("--lane-width", "256"),
+            ] {
+                let argv = [command, &[flag, value]].concat();
+                assert_eq!(
+                    parse(&argv),
+                    Err(ParseArgsError(format!("unknown flag `{flag}`"))),
+                    "{argv:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1045,9 +949,7 @@ mod tests {
                 sample: None,
                 seed: 0,
                 confidence: 0.95,
-                backend: BackendKind::Packed,
                 threads: 1,
-                lane_width: LaneWidth::Auto,
                 json: false,
             }
         );
@@ -1114,9 +1016,7 @@ mod tests {
                 aggressor: Some(1),
                 cells: 6,
                 list: CoverageTarget::Unlinked,
-                backend: BackendKind::Packed,
                 threads: 1,
-                lane_width: LaneWidth::Auto,
                 json: true,
             }
         );
@@ -1151,9 +1051,7 @@ mod tests {
                 sample: None,
                 seed: 0,
                 confidence: 0.95,
-                backend: BackendKind::Packed,
                 threads: 0,
-                lane_width: LaneWidth::Auto,
                 json: false,
             }
         );
@@ -1271,90 +1169,11 @@ mod tests {
     }
 
     #[test]
-    fn parses_lane_width() {
-        // Explicit widths reach every session-building sub-command.
-        assert!(matches!(
-            parse(&[
-                "coverage",
-                "--test",
-                "x",
-                "--list",
-                "1",
-                "--lane-width",
-                "256"
-            ])
-            .unwrap(),
-            Command::Coverage {
-                lane_width: LaneWidth::W256,
-                ..
-            }
-        ));
-        assert!(matches!(
-            parse(&["generate", "--list", "2", "--lane-width", "128"]).unwrap(),
-            Command::Generate {
-                lane_width: LaneWidth::W128,
-                ..
-            }
-        ));
-        assert!(matches!(
-            parse(&[
-                "minimise",
-                "--test",
-                "x",
-                "--list",
-                "2",
-                "--lane-width",
-                "64"
-            ])
-            .unwrap(),
-            Command::Minimise {
-                lane_width: LaneWidth::W64,
-                ..
-            }
-        ));
-        assert!(matches!(
-            parse(&[
-                "diagnose",
-                "--test",
-                "x",
-                "--fault",
-                "y",
-                "--victim",
-                "1",
-                "--list",
-                "2",
-                "--lane-width",
-                "auto"
-            ])
-            .unwrap(),
-            Command::Diagnose {
-                lane_width: LaneWidth::Auto,
-                ..
-            }
-        ));
-        // Unknown widths surface the simulator's error text.
-        let error = parse(&[
-            "coverage",
-            "--test",
-            "x",
-            "--list",
-            "1",
-            "--lane-width",
-            "512",
-        ])
-        .unwrap_err();
-        assert!(error.to_string().contains("unknown lane width"));
-        assert!(parse(&["coverage", "--test", "x", "--list", "1", "--lane-width"]).is_err());
-    }
-
-    #[test]
     fn parses_serve() {
         assert_eq!(
             parse(&["serve"]).unwrap(),
             Command::Serve {
-                backend: BackendKind::Packed,
                 threads: 0,
-                lane_width: LaneWidth::Auto,
                 max_in_flight: 4,
                 timeout_ms: 30_000,
                 read_timeout_ms: None,
@@ -1365,12 +1184,8 @@ mod tests {
         assert_eq!(
             parse(&[
                 "serve",
-                "--backend",
-                "scalar",
                 "--threads",
                 "2",
-                "--lane-width",
-                "128",
                 "--max-in-flight",
                 "8",
                 "--timeout-ms",
@@ -1384,9 +1199,7 @@ mod tests {
             ])
             .unwrap(),
             Command::Serve {
-                backend: BackendKind::Scalar,
                 threads: 2,
-                lane_width: LaneWidth::W128,
                 max_in_flight: 8,
                 timeout_ms: 500,
                 read_timeout_ms: Some(250),

@@ -72,9 +72,7 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             order,
             name,
             exhaustive,
-            backend,
             threads,
-            lane_width,
             json,
         } => generate(
             resolve_list(*list, *faults)?,
@@ -83,10 +81,7 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             *order,
             name.as_deref(),
             *exhaustive,
-            ExecPolicy::default()
-                .with_backend(*backend)
-                .with_threads(*threads)
-                .with_lane_width(*lane_width),
+            ExecPolicy::default().with_threads(*threads),
             *json,
         ),
         Command::Coverage {
@@ -98,15 +93,10 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             sample,
             seed,
             confidence,
-            backend,
             threads,
-            lane_width,
             json,
         } => {
-            let policy = ExecPolicy::default()
-                .with_backend(*backend)
-                .with_threads(*threads)
-                .with_lane_width(*lane_width);
+            let policy = ExecPolicy::default().with_threads(*threads);
             let list = resolve_list(*list, *faults)?;
             match sample {
                 Some(draws) => campaign(
@@ -127,18 +117,13 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             list,
             faults,
             cells,
-            backend,
             threads,
-            lane_width,
             json,
         } => minimise(
             test,
             resolve_list(*list, *faults)?,
             *cells,
-            ExecPolicy::default()
-                .with_backend(*backend)
-                .with_threads(*threads)
-                .with_lane_width(*lane_width),
+            ExecPolicy::default().with_threads(*threads),
             *json,
         ),
         Command::Diagnose {
@@ -148,9 +133,7 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             aggressor,
             cells,
             list,
-            backend,
             threads,
-            lane_width,
             json,
         } => diagnose(
             test,
@@ -159,10 +142,7 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             *aggressor,
             *cells,
             *list,
-            ExecPolicy::default()
-                .with_backend(*backend)
-                .with_threads(*threads)
-                .with_lane_width(*lane_width),
+            ExecPolicy::default().with_threads(*threads),
             *json,
         ),
         Command::Simulate {
@@ -173,9 +153,7 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             cells,
         } => simulate(test, fault, *victim, *aggressor, *cells),
         Command::Serve {
-            backend,
             threads,
-            lane_width,
             max_in_flight,
             timeout_ms,
             read_timeout_ms,
@@ -192,13 +170,8 @@ pub fn run(command: &Command) -> Result<String, CliError> {
                 // shared anyway), so a failed attach is not an error.
                 let _ = store.attach_snapshots(SnapshotStore::open(dir));
             }
-            let engine = SharedEngine::with_store(
-                ExecPolicy::default()
-                    .with_backend(*backend)
-                    .with_threads(*threads)
-                    .with_lane_width(*lane_width),
-                store,
-            );
+            let engine =
+                SharedEngine::with_store(ExecPolicy::default().with_threads(*threads), store);
             let options = crate::serve::ServeOptions {
                 max_in_flight: *max_in_flight,
                 timeout: std::time::Duration::from_millis(*timeout_ms),
@@ -688,7 +661,7 @@ fn simulate(
 mod tests {
     use super::*;
     use crate::run_from_args;
-    use sram_sim::{BackendKind, LaneWidth};
+    use sram_sim::BackendKind;
 
     /// An explicitly scoped session: `cells` cells, exhaustive placements,
     /// both uniform backgrounds.
@@ -710,9 +683,7 @@ mod tests {
             sample,
             seed: 7,
             confidence: 0.95,
-            backend: BackendKind::Packed,
             threads: 1,
-            lane_width: LaneWidth::Auto,
             json: true,
         }
     }
@@ -760,9 +731,7 @@ mod tests {
                 order: None,
                 name: None,
                 exhaustive: true,
-                backend: BackendKind::Packed,
                 threads: 1,
-                lane_width: LaneWidth::Auto,
                 json: true,
             })
             .unwrap();
@@ -810,9 +779,7 @@ mod tests {
             sample: None,
             seed: 0,
             confidence: 0.95,
-            backend: BackendKind::Scalar,
             threads: 1,
-            lane_width: LaneWidth::Auto,
             json: false,
         })
         .unwrap();
@@ -822,37 +789,15 @@ mod tests {
 
     #[test]
     fn coverage_command_agrees_across_backends() {
-        let scalar = run(&Command::Coverage {
-            test: "March C-".into(),
-            list: Some(CoverageTarget::List1),
-            faults: FaultDomain::Ffm,
-            cells: None,
-            exhaustive: false,
-            sample: None,
-            seed: 0,
-            confidence: 0.95,
-            backend: BackendKind::Scalar,
-            threads: 1,
-            lane_width: LaneWidth::Auto,
-            json: false,
-        })
-        .unwrap();
-        let packed = run(&Command::Coverage {
-            test: "March C-".into(),
-            list: Some(CoverageTarget::List1),
-            faults: FaultDomain::Ffm,
-            cells: None,
-            exhaustive: false,
-            sample: None,
-            seed: 0,
-            confidence: 0.95,
-            backend: BackendKind::Packed,
-            threads: 0,
-            lane_width: LaneWidth::Auto,
-            json: false,
-        })
-        .unwrap();
-        // Identical up to the backend tag on the first line.
+        // The command renders the scalar reference's report exactly like the
+        // packed engine's, up to the backend tag on the first line.
+        let render = |policy: ExecPolicy| {
+            coverage("March C-", FaultList::list_1(), None, false, policy, false).unwrap()
+        };
+        let scalar = render(ExecPolicy::default().with_backend(BackendKind::Scalar));
+        let packed = render(ExecPolicy::default().with_threads(0));
+        assert!(scalar.contains(" [scalar backend]\n"), "{scalar}");
+        assert!(packed.contains(" [packed backend]\n"), "{packed}");
         let strip = |text: &str| {
             text.replacen(" [scalar backend]", "", 1)
                 .replacen(" [packed backend]", "", 1)
@@ -871,24 +816,17 @@ mod tests {
             sample: Some(256),
             seed: 9,
             confidence: 0.95,
-            backend: BackendKind::Packed,
             threads: 1,
-            lane_width: LaneWidth::Auto,
             json: true,
         };
         let output = run(&base).unwrap();
         assert!(output.starts_with("{\"report\": \"campaign\""));
         assert!(output.contains("\"seed\": 9"));
         assert!(output.contains("\"confidence\": 0.950"));
-        // Identical seeds replay byte-identically on another backend and
-        // thread count.
+        // Identical seeds replay byte-identically on another thread count.
         let mut replay = base.clone();
-        if let Command::Coverage {
-            threads, backend, ..
-        } = &mut replay
-        {
+        if let Command::Coverage { threads, .. } = &mut replay {
             *threads = 0;
-            *backend = BackendKind::Scalar;
         }
         assert_eq!(output, run(&replay).unwrap());
         // The text form carries the interval and the replay recipe.
@@ -911,9 +849,7 @@ mod tests {
             order: None,
             name: Some("March CLI".into()),
             exhaustive: false,
-            backend: BackendKind::Packed,
             threads: 0,
-            lane_width: LaneWidth::Auto,
             json: false,
         })
         .unwrap();
@@ -930,9 +866,7 @@ mod tests {
             list: Some(CoverageTarget::List2),
             faults: FaultDomain::Ffm,
             cells: None,
-            backend: BackendKind::Packed,
             threads: 1,
-            lane_width: LaneWidth::Auto,
             json: false,
         })
         .unwrap();
@@ -944,9 +878,7 @@ mod tests {
             list: Some(CoverageTarget::List2),
             faults: FaultDomain::Ffm,
             cells: None,
-            backend: BackendKind::Packed,
             threads: 0,
-            lane_width: LaneWidth::Auto,
             json: true,
         })
         .unwrap();
@@ -958,9 +890,7 @@ mod tests {
             list: Some(CoverageTarget::List2),
             faults: FaultDomain::Ffm,
             cells: None,
-            backend: BackendKind::Packed,
             threads: 1,
-            lane_width: LaneWidth::Auto,
             json: false,
         })
         .is_err());
@@ -1004,9 +934,7 @@ mod tests {
             aggressor: Some(1),
             cells: 6,
             list: CoverageTarget::Unlinked,
-            backend: BackendKind::Packed,
             threads: 1,
-            lane_width: LaneWidth::Auto,
             json: false,
         })
         .unwrap();
@@ -1020,9 +948,7 @@ mod tests {
             aggressor: None,
             cells: 6,
             list: CoverageTarget::Unlinked,
-            backend: BackendKind::Packed,
             threads: 1,
-            lane_width: LaneWidth::Auto,
             json: false,
         })
         .is_err());
@@ -1039,9 +965,7 @@ mod tests {
             sample: None,
             seed: 0,
             confidence: 0.95,
-            backend: BackendKind::Packed,
             threads: 1,
-            lane_width: LaneWidth::Auto,
             json: true,
         })
         .unwrap();
@@ -1056,9 +980,7 @@ mod tests {
             order: None,
             name: Some("March JSON".into()),
             exhaustive: false,
-            backend: BackendKind::Packed,
             threads: 1,
-            lane_width: LaneWidth::Auto,
             json: true,
         })
         .unwrap();
@@ -1073,9 +995,7 @@ mod tests {
             aggressor: Some(1),
             cells: 6,
             list: CoverageTarget::Unlinked,
-            backend: BackendKind::Packed,
             threads: 1,
-            lane_width: LaneWidth::Auto,
             json: true,
         })
         .unwrap();
@@ -1094,9 +1014,7 @@ mod tests {
             sample: None,
             seed: 0,
             confidence: 0.95,
-            backend: BackendKind::Packed,
             threads: 1,
-            lane_width: LaneWidth::Auto,
             json: false,
         })
         .unwrap();
@@ -1113,9 +1031,7 @@ mod tests {
             sample: None,
             seed: 0,
             confidence: 0.95,
-            backend: BackendKind::Packed,
             threads: 1,
-            lane_width: LaneWidth::Auto,
             json: false,
         })
         .unwrap();
@@ -1134,9 +1050,7 @@ mod tests {
             sample: None,
             seed: 0,
             confidence: 0.95,
-            backend: BackendKind::Packed,
             threads: 1,
-            lane_width: LaneWidth::Auto,
             json: false,
         })
         .unwrap_err();
@@ -1152,9 +1066,7 @@ mod tests {
             order: None,
             name: None,
             exhaustive: false,
-            backend: BackendKind::Packed,
             threads: 1,
-            lane_width: LaneWidth::Auto,
             json: false,
         })
         .unwrap_err();
@@ -1166,9 +1078,7 @@ mod tests {
             list: Some(CoverageTarget::List2),
             faults: FaultDomain::Ffm,
             cells: Some(2),
-            backend: BackendKind::Packed,
             threads: 1,
-            lane_width: LaneWidth::Auto,
             json: false,
         })
         .unwrap_err();
@@ -1182,9 +1092,7 @@ mod tests {
             aggressor: None,
             cells: 2,
             list: CoverageTarget::List2,
-            backend: BackendKind::Packed,
             threads: 1,
-            lane_width: LaneWidth::Auto,
             json: false,
         })
         .unwrap_err();

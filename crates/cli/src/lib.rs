@@ -21,11 +21,10 @@
 //!   stdin or a TCP socket, all clients sharing its warm artifact store and
 //!   worker pool (see [`serve_lines`]).
 //!
-//! Every invocation builds **one** [`sram_sim::Session`] from the
-//! `--backend`/`--threads`/`--lane-width` execution policy and routes the pipeline
-//! through it; `--json` swaps the text output of `coverage`/`generate`/
-//! `diagnose` for the session report's machine-readable
-//! [`Report`](sram_sim::Report) serialisation.
+//! Every invocation builds **one** [`sram_sim::Session`], whose one execution
+//! option is `--threads`, and routes the pipeline through it; `--json` swaps
+//! the text output of `coverage`/`generate`/`diagnose` for the session
+//! report's machine-readable [`Report`](sram_sim::Report) serialisation.
 //!
 //! Everything is also usable programmatically; see [`run`] and [`Command`].
 

@@ -4,25 +4,21 @@
 //! A *coverage lane* is one `(cell placement, initial background)` pair a march
 //! test must detect a fault target under. The scalar backend simulates lanes
 //! one at a time with [`FaultSimulator`]; the packed backend pins each lane to
-//! one bit of a lane word ([`LaneWord`]: `u64`, or a `[u64; N]` block for 128
-//! and 256 lanes) and evaluates a whole word of lanes per memory operation
-//! with branch-free bitwise sensitization/effect arithmetic. These per-target
-//! walks over the whole memory are the differential reference; coverage,
-//! campaigns, generation and minimisation run on projected words instead
-//! ([`SimulationBackend::image_verdicts`],
-//! [`TargetBatch`](crate::TargetBatch)). The lane width of the packed walk is
-//! a policy knob ([`LaneWidth`](crate::LaneWidth)): verdicts are
-//! byte-identical across widths, wider words just carry more lanes per pass.
+//! one bit of a 256-lane [`W256`] word and evaluates a whole word of lanes per
+//! memory operation with branch-free bitwise sensitization/effect
+//! arithmetic. These per-target walks over the whole memory are the
+//! differential reference; coverage, campaigns, generation and minimisation
+//! run on projected words instead ([`SimulationBackend::image_verdicts`],
+//! [`TargetBatch`](crate::TargetBatch)).
 
 use std::fmt;
 use std::ops::Range;
-use std::str::FromStr;
 
 use march_test::{MarchElement, MarchTest};
 use sram_fault_model::{Bit, DecoderFault, FaultPrimitive, Operation, SensitizingSite};
 
 use crate::coverage::TargetKind;
-use crate::lane::{broadcast, condition_mask, LaneWidth, LaneWord, W128, W256};
+use crate::lane::{broadcast, condition_mask, LaneWord, W256};
 use crate::placement::{placement_shape, PlacementShape};
 use crate::projection::{projected_cells, ClassImage};
 use crate::{
@@ -94,34 +90,27 @@ pub(crate) fn cross_backgrounds(
 
 /// Which simulation backend a coverage or generation run uses.
 ///
-/// The packed engine is the default everywhere (its verdicts are proven
-/// byte-identical to the scalar reference); `Scalar` is the explicit opt-out.
+/// The packed engine is the one production engine (its verdicts are proven
+/// byte-identical to the scalar reference); `Scalar` is the reference the
+/// differential suites select.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[non_exhaustive]
 pub enum BackendKind {
     /// The dual-memory scalar engine: one fault instance at a time.
     Scalar,
-    /// The bit-parallel packed engine: one word of fault instances (64–256
-    /// lanes, see [`LaneWidth`](crate::LaneWidth)) per pass.
+    /// The bit-parallel packed engine: one 256-lane word of fault instances
+    /// per pass.
     #[default]
     Packed,
 }
 
 impl BackendKind {
-    /// Instantiates the backend with its default lane width
-    /// ([`LaneWidth::Auto`]).
+    /// Instantiates the backend.
     #[must_use]
     pub fn instance(self) -> Box<dyn SimulationBackend> {
-        self.instance_with(LaneWidth::default())
-    }
-
-    /// Instantiates the backend with an explicit packed lane width (ignored
-    /// by the scalar backend, which has no lanes to pack).
-    #[must_use]
-    pub fn instance_with(self, width: LaneWidth) -> Box<dyn SimulationBackend> {
         match self {
             BackendKind::Scalar => Box::new(ScalarBackend),
-            BackendKind::Packed => Box::new(PackedBackend::with_width(width)),
+            BackendKind::Packed => Box::new(PackedBackend),
         }
     }
 
@@ -138,18 +127,6 @@ impl BackendKind {
 impl fmt::Display for BackendKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl FromStr for BackendKind {
-    type Err = SimulationError;
-
-    fn from_str(text: &str) -> Result<BackendKind, SimulationError> {
-        match text.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Ok(BackendKind::Scalar),
-            "packed" => Ok(BackendKind::Packed),
-            other => Err(SimulationError::UnknownBackend(other.to_string())),
-        }
     }
 }
 
@@ -297,79 +274,20 @@ impl SimulationBackend for ScalarBackend {
     }
 }
 
-/// The bit-parallel engine exposed through the backend trait: lanes are packed
-/// one word per [`PackedSimulator`], with the word width set by the
-/// configured [`LaneWidth`] (`Auto` picks the narrowest width holding the
-/// lane count, so small targets keep the cheap `u64` word and large decoder
-/// spaces pack 256 lanes per pass).
+/// The bit-parallel engine exposed through the backend trait: lanes are
+/// packed 256 to a [`W256`] word of one [`PackedSimulator`], chunk by chunk.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PackedBackend {
-    width: LaneWidth,
-}
-
-impl PackedBackend {
-    /// A packed backend pinned to (or auto-selecting) the given lane width.
-    #[must_use]
-    pub fn with_width(width: LaneWidth) -> PackedBackend {
-        PackedBackend { width }
-    }
-
-    /// The configured lane width.
-    #[must_use]
-    pub fn width(&self) -> LaneWidth {
-        self.width
-    }
-}
-
-/// The width-generic body of [`PackedBackend::lane_verdicts`]. One scratch
-/// simulator is re-packed per chunk so the plane allocations are paid once
-/// per lane set, not once per chunk.
-fn packed_verdicts<W: LaneWord>(
-    test: &MarchTest,
-    target: &TargetKind,
-    lanes: &[CoverageLane],
-    memory_cells: usize,
-) -> Vec<bool> {
-    let mut verdicts = Vec::with_capacity(lanes.len());
-    let mut scratch: Option<PackedSimulator<W>> = None;
-    for chunk in lanes.chunks(W::BITS) {
-        let simulator = repacked(&mut scratch, target, chunk, memory_cells);
-        let detected = simulator.run_test(test);
-        for lane in 0..chunk.len() {
-            verdicts.push(detected.test_bit(lane));
-        }
-    }
-    verdicts
-}
-
-/// The width-generic body of [`PackedBackend::first_undetected`]. Chunks
-/// re-pack one scratch simulator, exactly like [`packed_verdicts`].
-fn packed_first_undetected<W: LaneWord>(
-    test: &MarchTest,
-    target: &TargetKind,
-    lanes: &[CoverageLane],
-    memory_cells: usize,
-) -> Option<usize> {
-    let mut scratch: Option<PackedSimulator<W>> = None;
-    for (chunk_index, chunk) in lanes.chunks(W::BITS).enumerate() {
-        let simulator = repacked(&mut scratch, target, chunk, memory_cells);
-        let detected = simulator.run_test(test);
-        if detected != simulator.lane_mask() {
-            let undetected = !detected & simulator.lane_mask();
-            return Some(chunk_index * W::BITS + undetected.trailing_zeros() as usize);
-        }
-    }
-    None
-}
+pub struct PackedBackend;
 
 /// Builds the scratch simulator on the first chunk and re-packs it (re-using
-/// its plane buffers) on every later one.
-fn repacked<'scratch, W: LaneWord>(
-    scratch: &'scratch mut Option<PackedSimulator<W>>,
+/// its plane buffers) on every later one, so the plane allocations are paid
+/// once per lane set, not once per chunk.
+fn repacked<'scratch>(
+    scratch: &'scratch mut Option<PackedSimulator<W256>>,
     target: &TargetKind,
     chunk: &[CoverageLane],
     memory_cells: usize,
-) -> &'scratch mut PackedSimulator<W> {
+) -> &'scratch mut PackedSimulator<W256> {
     match scratch {
         None => scratch.insert(
             PackedSimulator::new(target, chunk, memory_cells)
@@ -396,11 +314,14 @@ impl SimulationBackend for PackedBackend {
         lanes: &[CoverageLane],
         memory_cells: usize,
     ) -> Vec<bool> {
-        match self.width.resolve(lanes.len()) {
-            LaneWidth::W128 => packed_verdicts::<W128>(test, target, lanes, memory_cells),
-            LaneWidth::W256 => packed_verdicts::<W256>(test, target, lanes, memory_cells),
-            _ => packed_verdicts::<u64>(test, target, lanes, memory_cells),
+        let mut verdicts = Vec::with_capacity(lanes.len());
+        let mut scratch = None;
+        for chunk in lanes.chunks(W256::BITS) {
+            let simulator = repacked(&mut scratch, target, chunk, memory_cells);
+            let detected = simulator.run_test(test);
+            verdicts.extend((0..chunk.len()).map(|lane| detected.test_bit(lane)));
         }
+        verdicts
     }
 
     fn first_undetected(
@@ -410,11 +331,16 @@ impl SimulationBackend for PackedBackend {
         lanes: &[CoverageLane],
         memory_cells: usize,
     ) -> Option<usize> {
-        match self.width.resolve(lanes.len()) {
-            LaneWidth::W128 => packed_first_undetected::<W128>(test, target, lanes, memory_cells),
-            LaneWidth::W256 => packed_first_undetected::<W256>(test, target, lanes, memory_cells),
-            _ => packed_first_undetected::<u64>(test, target, lanes, memory_cells),
+        let mut scratch = None;
+        for (chunk_index, chunk) in lanes.chunks(W256::BITS).enumerate() {
+            let simulator = repacked(&mut scratch, target, chunk, memory_cells);
+            let detected = simulator.run_test(test);
+            if detected != simulator.lane_mask() {
+                let undetected = !detected & simulator.lane_mask();
+                return Some(chunk_index * W256::BITS + undetected.trailing_zeros() as usize);
+            }
         }
+        None
     }
 
     fn image_verdicts(&self, test: &MarchTest, image: &ClassImage, lanes: Range<usize>) -> W256 {
@@ -570,9 +496,9 @@ impl<W: LaneWord> PackedDecoder<W> {
 /// A bit-parallel fault simulator: one word of independent fault instances of
 /// the *same* target (one lane per `(placement, background)` pair) simulated
 /// simultaneously, one bit per lane. The word type `W` sets the lane capacity:
-/// `u64` (the default) carries 64 lanes, the [`W128`]/[`W256`] blocks carry
-/// 128/256 — wider words quarter the chunk count on large lane sets while
-/// producing bit-identical verdicts.
+/// `u64` (the default) carries 64 lanes, the [`W256`] block 256, with
+/// bit-identical verdicts. [`PackedBackend`] walks `W256` words; the
+/// `u64` word is the cheap full-memory reference test harnesses walk.
 ///
 /// The memory is stored as bit-planes: `faulty[cell]` holds the faulty value of
 /// `cell` in every lane, `golden[cell]` the fault-free reference. Each march
@@ -1069,7 +995,7 @@ mod tests {
     ) -> (Vec<bool>, Vec<bool>) {
         let lanes = enumerate_lanes(target, 8, strategy, backgrounds).unwrap();
         let scalar = ScalarBackend.lane_verdicts(test, target, &lanes, 8);
-        let packed = PackedBackend::default().lane_verdicts(test, target, &lanes, 8);
+        let packed = PackedBackend.lane_verdicts(test, target, &lanes, 8);
         (scalar, packed)
     }
 
@@ -1128,26 +1054,44 @@ mod tests {
         }
     }
 
+    /// The verdicts of the 64-lane `u64` walk test harnesses use as their
+    /// full-memory reference: one fresh simulator per 64-lane chunk.
+    fn u64_walk(
+        test: &MarchTest,
+        target: &TargetKind,
+        lanes: &[CoverageLane],
+        cells: usize,
+    ) -> Vec<bool> {
+        lanes
+            .chunks(PackedSimulator::<u64>::MAX_LANES)
+            .flat_map(|chunk| {
+                let detected = PackedSimulator::<u64>::new(target, chunk, cells)
+                    .unwrap()
+                    .run_test(test);
+                (0..chunk.len()).map(move |lane| detected.test_bit(lane))
+            })
+            .collect()
+    }
+
     #[test]
     fn packed_chunks_split_beyond_64_lanes() {
         // Exhaustive LF2 placements on 8 cells: 56 placements × 2 backgrounds =
-        // 112 lanes — forces chunking at width 64 but fits one W128 word.
-        let fault = FaultList::list_1()
+        // 112 lanes — two chunks of the u64 walk, one W256 word of the
+        // backend. Exhaustive decoder placements on 32 cells: up to 320
+        // lanes, two W256 words. Both walks must report the scalar verdicts
+        // and first escape, for complete and incomplete tests alike.
+        let backgrounds = [InitialState::AllZero, InitialState::AllOne];
+        let linked = FaultList::list_1()
             .linked()
             .iter()
             .find(|fault| fault.cell_count() == 2)
             .expect("list #1 has two-cell faults")
             .clone();
-        let target = TargetKind::Linked(fault);
-        let lanes = enumerate_lanes(
-            &target,
-            8,
-            PlacementStrategy::Exhaustive,
-            &[InitialState::AllZero, InitialState::AllOne],
-        )
-        .unwrap();
+        let target = TargetKind::Linked(linked);
+        let lanes =
+            enumerate_lanes(&target, 8, PlacementStrategy::Exhaustive, &backgrounds).unwrap();
         assert!(lanes.len() > PackedSimulator::<u64>::MAX_LANES);
-        assert!(lanes.len() <= PackedSimulator::<W128>::MAX_LANES);
+        assert!(lanes.len() <= PackedSimulator::<W256>::MAX_LANES);
         assert!(matches!(
             PackedSimulator::<u64>::new(&target, &lanes, 8),
             Err(SimulationError::LaneCountOutOfRange { requested }) if requested == lanes.len()
@@ -1157,36 +1101,10 @@ mod tests {
             Err(SimulationError::LaneCountOutOfRange { requested: 0 })
         ));
         // The whole lane set fits a single wide word.
-        let mut wide = PackedSimulator::<W128>::new(&target, &lanes, 8).unwrap();
+        let wide = PackedSimulator::<W256>::new(&target, &lanes, 8).unwrap();
         assert_eq!(wide.lanes(), lanes.len());
-        let scalar = ScalarBackend.lane_verdicts(&catalog::march_sl(), &target, &lanes, 8);
-        let packed =
-            PackedBackend::default().lane_verdicts(&catalog::march_sl(), &target, &lanes, 8);
-        assert_eq!(scalar, packed);
-        let wide_detected = wide.run_test(&catalog::march_sl());
-        let wide_verdicts: Vec<bool> = (0..lanes.len())
-            .map(|lane| wide_detected.test_bit(lane))
-            .collect();
-        assert_eq!(scalar, wide_verdicts);
-        assert_eq!(
-            ScalarBackend.first_undetected(&catalog::march_sl(), &target, &lanes, 8),
-            PackedBackend::default().first_undetected(&catalog::march_sl(), &target, &lanes, 8),
-        );
-    }
 
-    #[test]
-    fn lane_widths_agree_on_verdicts_and_first_undetected() {
-        // 112-lane linked target and 320-lane decoder targets: every width
-        // (auto, 64, 128, 256) must report identical verdicts and identical
-        // first-escape indices, for complete and incomplete tests alike.
-        let backgrounds = [InitialState::AllZero, InitialState::AllOne];
-        let linked = FaultList::list_1()
-            .linked()
-            .iter()
-            .find(|fault| fault.cell_count() == 2)
-            .expect("list #1 has two-cell faults")
-            .clone();
-        let mut targets = vec![(TargetKind::Linked(linked), 8usize)];
+        let mut targets = vec![(target, 8usize)];
         for fault in DecoderFault::all() {
             targets.push((TargetKind::Decoder(fault), 32));
         }
@@ -1195,23 +1113,30 @@ mod tests {
                 enumerate_lanes(&target, cells, PlacementStrategy::Exhaustive, &backgrounds)
                     .unwrap();
             for test in [catalog::march_sl(), catalog::mats_plus()] {
-                let reference = PackedBackend::with_width(LaneWidth::W64)
-                    .lane_verdicts(&test, &target, &lanes, cells);
-                let reference_first = PackedBackend::with_width(LaneWidth::W64)
-                    .first_undetected(&test, &target, &lanes, cells);
-                for width in LaneWidth::ALL {
-                    let backend = PackedBackend::with_width(width);
-                    assert_eq!(
-                        backend.lane_verdicts(&test, &target, &lanes, cells),
-                        reference,
-                        "{target:?} verdicts at width {width}"
-                    );
-                    assert_eq!(
-                        backend.first_undetected(&test, &target, &lanes, cells),
-                        reference_first,
-                        "{target:?} first escape at width {width}"
-                    );
-                }
+                let scalar = ScalarBackend.lane_verdicts(&test, &target, &lanes, cells);
+                let first = scalar.iter().position(|detected| !detected);
+                assert_eq!(
+                    PackedBackend.lane_verdicts(&test, &target, &lanes, cells),
+                    scalar,
+                    "{target:?} under {}",
+                    test.name()
+                );
+                assert_eq!(
+                    u64_walk(&test, &target, &lanes, cells),
+                    scalar,
+                    "{target:?} under {}",
+                    test.name()
+                );
+                assert_eq!(
+                    PackedBackend.first_undetected(&test, &target, &lanes, cells),
+                    first,
+                    "{target:?} under {}",
+                    test.name()
+                );
+                assert_eq!(
+                    ScalarBackend.first_undetected(&test, &target, &lanes, cells),
+                    first
+                );
             }
         }
     }
@@ -1233,11 +1158,11 @@ mod tests {
             }
             for test in [catalog::mats_plus(), catalog::march_c_minus()] {
                 let scalar = ScalarBackend.lane_verdicts(&test, &target, &lanes, 32);
-                let packed = PackedBackend::default().lane_verdicts(&test, &target, &lanes, 32);
+                let packed = PackedBackend.lane_verdicts(&test, &target, &lanes, 32);
                 assert_eq!(scalar, packed, "{fault} under {}", test.name());
                 assert_eq!(
                     ScalarBackend.first_undetected(&test, &target, &lanes, 32),
-                    PackedBackend::default().first_undetected(&test, &target, &lanes, 32),
+                    PackedBackend.first_undetected(&test, &target, &lanes, 32),
                 );
             }
 
@@ -1273,30 +1198,6 @@ mod tests {
     }
 
     #[test]
-    fn backend_kind_parsing_and_names() {
-        assert_eq!(BackendKind::default(), BackendKind::Packed);
-        assert_eq!(
-            "scalar".parse::<BackendKind>().unwrap(),
-            BackendKind::Scalar
-        );
-        assert_eq!(
-            "Packed".parse::<BackendKind>().unwrap(),
-            BackendKind::Packed
-        );
-        assert!("simd".parse::<BackendKind>().is_err());
-        assert_eq!(BackendKind::Scalar.to_string(), "scalar");
-        assert_eq!(BackendKind::Packed.instance().name(), "packed");
-        assert_eq!(
-            BackendKind::Packed.instance_with(LaneWidth::W256).name(),
-            "packed"
-        );
-        assert_eq!(
-            PackedBackend::with_width(LaneWidth::W128).width(),
-            LaneWidth::W128
-        );
-    }
-
-    #[test]
     fn first_undetected_matches_verdicts_on_incomplete_tests() {
         let backgrounds = [InitialState::AllOne];
         for fault in FaultList::list_2().linked().iter().take(8) {
@@ -1304,8 +1205,8 @@ mod tests {
             let lanes =
                 enumerate_lanes(&target, 8, PlacementStrategy::Exhaustive, &backgrounds).unwrap();
             let test = catalog::mats_plus();
-            let verdicts = PackedBackend::default().lane_verdicts(&test, &target, &lanes, 8);
-            let first = PackedBackend::default().first_undetected(&test, &target, &lanes, 8);
+            let verdicts = PackedBackend.lane_verdicts(&test, &target, &lanes, 8);
+            let first = PackedBackend.first_undetected(&test, &target, &lanes, 8);
             assert_eq!(first, verdicts.iter().position(|detected| !detected));
         }
     }

@@ -21,7 +21,7 @@
 //!
 //! The draw sequence is a pure function of the seed, so campaigns are
 //! replayable: the same `(seed, scope, list)` triple visits the same lanes in
-//! the same order on every backend, thread count and lane width. When the
+//! the same order on every backend and thread count. When the
 //! requested sample covers the whole space, the campaign degenerates to an
 //! exhaustive sweep (sampling without replacement, in lane order) and its
 //! verdicts match exhaustive enumeration exactly.

@@ -30,10 +30,6 @@ pub enum SimulationError {
         /// Number of cells of the memory.
         cells: usize,
     },
-    /// A backend name does not match any known simulation backend.
-    UnknownBackend(String),
-    /// A lane-width name does not match any packed lane width.
-    UnknownLaneWidth(String),
     /// A packed simulator was asked to hold an unsupported number of lanes.
     LaneCountOutOfRange {
         /// Number of lanes requested (must be 1..=width of the lane word).
@@ -78,18 +74,6 @@ impl fmt::Display for SimulationError {
                 f,
                 "initial state has {provided} values but the memory has {cells} cells"
             ),
-            SimulationError::UnknownBackend(name) => {
-                write!(
-                    f,
-                    "unknown simulation backend `{name}` (expected scalar or packed)"
-                )
-            }
-            SimulationError::UnknownLaneWidth(name) => {
-                write!(
-                    f,
-                    "unknown lane width `{name}` (expected auto, 64, 128 or 256)"
-                )
-            }
             SimulationError::LaneCountOutOfRange { requested } => {
                 write!(
                     f,
@@ -134,8 +118,6 @@ mod tests {
                 provided: 3,
                 cells: 8,
             },
-            SimulationError::UnknownBackend("simd".into()),
-            SimulationError::UnknownLaneWidth("512".into()),
             SimulationError::LaneCountOutOfRange { requested: 80 },
             SimulationError::MemoryTooSmall {
                 cells: 2,

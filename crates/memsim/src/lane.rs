@@ -1,29 +1,18 @@
-//! Lane words: the machine words the packed backend packs coverage lanes
-//! into.
+//! Lane words: the machine words packed coverage lanes ride in, one lane
+//! per bit.
 //!
-//! The original packed engine was hard-wired to `u64` — 64 `(placement,
-//! background)` lanes per sensitization pass. This module abstracts the word
-//! behind the sealed [`LaneWord`] trait and provides wider blocks built from
-//! `[u64; N]` arrays ([`W128`], [`W256`]), so one pass over a march test can
-//! carry 128 or 256 lanes and the chunk count (and with it per-chunk dispatch
-//! overhead, thread hand-offs and snapshot traffic) drops proportionally.
-//! The `[u64; N]` representation keeps every operation branch-free and
-//! auto-vectorizable; a `W512` alias or a `std::simd` carrier can slot in
-//! later by adding one more [`LaneWord`] impl.
-//!
-//! [`LaneWidth`] is the user-facing policy knob (`auto | 64 | 128 | 256`)
-//! threaded through `ExecPolicy` and the CLI `--lane-width` flag; `auto`
-//! picks the narrowest width that holds the enumerated lane count.
-//!
-//! [`W256`] is also the lane block of the projected words
-//! (`projection.rs`) that coverage, campaigns, generation and minimisation
-//! run on, whatever the knob says: one AVX2 register per mask.
+//! The sealed [`LaneWord`] trait covers `u64` and the `[u64; N]` blocks of
+//! [`WideWord`]. [`W256`] (`[u64; 4]`, one AVX2 register) is the lane block
+//! of the projected words (`projection.rs`) that coverage, campaigns,
+//! generation and minimisation run on, and the word of the packed
+//! backend's full-memory reference walk. `u64` stays for
+//! [`PackedSimulator`](crate::PackedSimulator)'s default word, which test
+//! harnesses walk as a cheap full-memory reference. The `[u64; N]`
+//! representation keeps every operation branch-free and
+//! auto-vectorizable.
 
 use std::fmt;
 use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, Not, Shl, Shr};
-use std::str::FromStr;
-
-use crate::SimulationError;
 
 mod sealed {
     pub trait Sealed {}
@@ -159,8 +148,6 @@ impl LaneWord for u64 {
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WideWord<const N: usize>([u64; N]);
 
-/// A 128-lane block (`[u64; 2]`).
-pub type W128 = WideWord<2>;
 /// A 256-lane block (`[u64; 4]`).
 pub type W256 = WideWord<4>;
 
@@ -357,97 +344,6 @@ pub(crate) fn condition_mask<W: LaneWord>(condition: sram_fault_model::CellValue
     }
 }
 
-/// The packed-backend lane width: how many coverage lanes one machine word
-/// carries through each sensitization/effects pass.
-///
-/// `Auto` (the default) picks the narrowest width that holds the enumerated
-/// lane count of each target, so small scopes keep the cheap 64-bit word and
-/// large scopes (exhaustive decoder spaces, 1k-cell memories) pack 256 lanes
-/// per pass. Reports are byte-identical across widths — the width only
-/// changes how lanes are grouped into chunks, never any lane's verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum LaneWidth {
-    /// Pick the narrowest width that holds the lane count (the default).
-    #[default]
-    Auto,
-    /// One `u64` word: 64 lanes per pass.
-    W64,
-    /// A `[u64; 2]` block: 128 lanes per pass.
-    W128,
-    /// A `[u64; 4]` block: 256 lanes per pass.
-    W256,
-}
-
-impl LaneWidth {
-    /// Every selectable width, narrowest first.
-    pub const ALL: [LaneWidth; 4] = [
-        LaneWidth::Auto,
-        LaneWidth::W64,
-        LaneWidth::W128,
-        LaneWidth::W256,
-    ];
-
-    /// Resolves `Auto` against an enumerated lane count; explicit widths
-    /// resolve to themselves.
-    #[must_use]
-    pub fn resolve(self, lanes: usize) -> LaneWidth {
-        match self {
-            LaneWidth::Auto => {
-                if lanes <= 64 {
-                    LaneWidth::W64
-                } else if lanes <= 128 {
-                    LaneWidth::W128
-                } else {
-                    LaneWidth::W256
-                }
-            }
-            explicit => explicit,
-        }
-    }
-
-    /// The number of lanes per word, or `None` for `Auto`.
-    #[must_use]
-    pub fn lanes_per_word(self) -> Option<usize> {
-        match self {
-            LaneWidth::Auto => None,
-            LaneWidth::W64 => Some(64),
-            LaneWidth::W128 => Some(128),
-            LaneWidth::W256 => Some(256),
-        }
-    }
-
-    /// The stable CLI/JSON name of the width.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            LaneWidth::Auto => "auto",
-            LaneWidth::W64 => "64",
-            LaneWidth::W128 => "128",
-            LaneWidth::W256 => "256",
-        }
-    }
-}
-
-impl fmt::Display for LaneWidth {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for LaneWidth {
-    type Err = SimulationError;
-
-    fn from_str(name: &str) -> Result<Self, Self::Err> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "auto" => Ok(LaneWidth::Auto),
-            "64" | "w64" => Ok(LaneWidth::W64),
-            "128" | "w128" => Ok(LaneWidth::W128),
-            "256" | "w256" => Ok(LaneWidth::W256),
-            other => Err(SimulationError::UnknownLaneWidth(other.to_string())),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -468,7 +364,6 @@ mod tests {
     #[test]
     fn full_mask_covers_the_width_boundary_on_every_word() {
         full_mask_boundary::<u64>();
-        full_mask_boundary::<W128>();
         full_mask_boundary::<W256>();
     }
 
@@ -491,7 +386,6 @@ mod tests {
     #[test]
     fn bit_operations_roundtrip_on_every_word() {
         bit_scan_roundtrip::<u64>();
-        bit_scan_roundtrip::<W128>();
         bit_scan_roundtrip::<W256>();
     }
 
@@ -521,49 +415,27 @@ mod tests {
 
     #[test]
     fn wide_words_mirror_u64_limbwise() {
-        // A W128 built from two u64 patterns behaves like the pair.
+        // A W256 built from two u64 patterns in its lowest and highest limbs
+        // behaves like the pair.
         let low = 0x0123_4567_89ab_cdefu64;
         let high = 0xfedc_ba98_7654_3210u64;
-        let word = W128::full_mask(64) & W128::ALL;
+        let word = W256::full_mask(64) & W256::ALL;
         assert_eq!(word.count_ones(), 64);
-        let mut composed = W128::ZERO;
+        let mut composed = W256::ZERO;
         for lane in 0..64 {
             if low.test_bit(lane) {
-                composed |= W128::bit(lane);
+                composed |= W256::bit(lane);
             }
             if high.test_bit(lane) {
-                composed |= W128::bit(64 + lane);
+                composed |= W256::bit(192 + lane);
             }
         }
+        assert_eq!(composed.limb(0), low);
+        assert_eq!(composed.limb(3), high);
         assert_eq!(composed.count_ones(), low.count_ones() + high.count_ones());
         assert_eq!(composed.trailing_zeros(), low.trailing_zeros());
-        assert_eq!((!composed & composed), W128::ZERO);
-        assert_eq!((composed ^ composed), W128::ZERO);
-        assert_eq!((composed | !composed), W128::ALL);
-    }
-
-    #[test]
-    fn lane_width_resolution_and_parsing() {
-        assert_eq!(LaneWidth::default(), LaneWidth::Auto);
-        assert_eq!(LaneWidth::Auto.resolve(1), LaneWidth::W64);
-        assert_eq!(LaneWidth::Auto.resolve(64), LaneWidth::W64);
-        assert_eq!(LaneWidth::Auto.resolve(65), LaneWidth::W128);
-        assert_eq!(LaneWidth::Auto.resolve(128), LaneWidth::W128);
-        assert_eq!(LaneWidth::Auto.resolve(129), LaneWidth::W256);
-        assert_eq!(LaneWidth::Auto.resolve(20_480), LaneWidth::W256);
-        assert_eq!(LaneWidth::W64.resolve(20_480), LaneWidth::W64);
-        assert_eq!(LaneWidth::W128.resolve(1), LaneWidth::W128);
-
-        for width in LaneWidth::ALL {
-            assert_eq!(width.name().parse::<LaneWidth>().unwrap(), width);
-            assert_eq!(width.to_string(), width.name());
-        }
-        assert_eq!("W256".parse::<LaneWidth>().unwrap(), LaneWidth::W256);
-        assert!(matches!(
-            "512".parse::<LaneWidth>(),
-            Err(SimulationError::UnknownLaneWidth(name)) if name == "512"
-        ));
-        assert_eq!(LaneWidth::Auto.lanes_per_word(), None);
-        assert_eq!(LaneWidth::W256.lanes_per_word(), Some(256));
+        assert_eq!((!composed & composed), W256::ZERO);
+        assert_eq!((composed ^ composed), W256::ZERO);
+        assert_eq!((composed | !composed), W256::ALL);
     }
 }

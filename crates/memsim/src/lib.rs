@@ -16,11 +16,11 @@
 //!   [`sram_fault_model::FaultList`], enumerating cell placements and data
 //!   backgrounds ([`CoverageReport`]);
 //! * evaluates coverage through pluggable [`SimulationBackend`]s — the scalar
-//!   dual-memory engine ([`ScalarBackend`]) or the bit-parallel packed engine
-//!   ([`PackedBackend`], one fault instance per bit of a [`LaneWord`]: 64 per
-//!   `u64` word, 128/256 per [`W128`]/[`W256`] block, selected by
-//!   [`LaneWidth`]) — fanning the fault targets out over the resident
-//!   [`WorkerPool`] of a [`Session`];
+//!   dual-memory engine ([`ScalarBackend`]), the differential reference, or
+//!   the bit-parallel packed engine ([`PackedBackend`], one fault instance
+//!   per bit of a 256-lane [`W256`] word), the one production engine —
+//!   fanning the fault targets out over the resident [`WorkerPool`] of a
+//!   [`Session`];
 //! * describes coverage lanes once per **placement shape** (single cell,
 //!   cell pair, cell triple, decoder address, decoder pair), not once per
 //!   target: every target of one shape shares one [`LaneSet`], which counts
@@ -127,7 +127,7 @@ pub use dictionary::{DictionaryEntry, FaultDictionary};
 pub use engine::{FaultSimulator, OperationOutcome};
 pub use error::SimulationError;
 pub use inject::{DecoderFaultInstance, InjectedFault, InstanceCells, LinkedFaultInstance};
-pub use lane::{LaneWidth, LaneWord, WideWord, W128, W256};
+pub use lane::{LaneWord, WideWord, W256};
 pub use memory::{InitialState, Memory};
 pub use parallel::{effective_threads, WorkerPool};
 pub use placement::{

@@ -9,13 +9,11 @@
 //! (memory size, placements, backgrounds) lives on the session, not here.
 
 use crate::backend::BackendKind;
-use crate::lane::LaneWidth;
 
-/// Execution policy shared by every pipeline stage: which backend simulates,
-/// how many worker threads fan the work out, and how many lanes one word of
-/// the packed backend's full-memory reference walk carries.
+/// Execution policy shared by every pipeline stage: which backend simulates
+/// and how many worker threads fan the work out.
 ///
-/// Every knob is *result-invariant*: verdicts, reports and generated tests
+/// Both knobs are *result-invariant*: verdicts, reports and generated tests
 /// are byte-identical for every policy; only the wall-clock changes.
 ///
 /// # Examples
@@ -30,19 +28,13 @@ use crate::lane::LaneWidth;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExecPolicy {
     /// Which simulation backend evaluates coverage lanes and candidates.
-    /// Defaults to the bit-parallel packed engine.
+    /// Defaults to the bit-parallel packed engine, the one production
+    /// engine; the scalar backend is the differential reference
+    /// equivalence suites select.
     pub backend: BackendKind,
     /// Worker threads coverage words, scoring words and minimiser chunks
     /// fan out over (`1` = serial, `0` = available parallelism).
     pub threads: usize,
-    /// How many lanes one word of the packed backend's full-memory walk
-    /// ([`SimulationBackend::lane_verdicts`](crate::SimulationBackend::lane_verdicts)
-    /// and `first_undetected`, the differential reference) carries (`Auto` =
-    /// narrowest width holding each target's lane count; explicit 64/128/256
-    /// pin the word). Coverage, campaigns, generation and minimisation run
-    /// on 256-lane projected words and never read it. Ignored by the scalar
-    /// backend; result-invariant like every other knob.
-    pub lane_width: LaneWidth,
 }
 
 impl Default for ExecPolicy {
@@ -50,7 +42,6 @@ impl Default for ExecPolicy {
         ExecPolicy {
             backend: BackendKind::Packed,
             threads: 1,
-            lane_width: LaneWidth::Auto,
         }
     }
 }
@@ -79,13 +70,6 @@ impl ExecPolicy {
         self.threads = threads;
         self
     }
-
-    /// Replaces the packed lane width.
-    #[must_use]
-    pub fn with_lane_width(mut self, lane_width: LaneWidth) -> ExecPolicy {
-        self.lane_width = lane_width;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -95,21 +79,27 @@ mod tests {
     #[test]
     fn defaults_match_the_legacy_knobs() {
         let policy = ExecPolicy::default();
+        assert_eq!(policy.backend, BackendKind::default());
         assert_eq!(policy.backend, BackendKind::Packed);
         assert_eq!(policy.threads, 1);
-        assert_eq!(policy.lane_width, LaneWidth::Auto);
         assert_eq!(ExecPolicy::fast().threads, 0);
-        assert_eq!(ExecPolicy::fast().lane_width, LaneWidth::Auto);
+        assert_eq!(ExecPolicy::fast().backend, BackendKind::Packed);
+        // The names the text reports tag their output with.
+        for (backend, name) in [
+            (BackendKind::Scalar, "scalar"),
+            (BackendKind::Packed, "packed"),
+        ] {
+            assert_eq!(backend.to_string(), name);
+            assert_eq!(backend.instance().name(), name);
+        }
     }
 
     #[test]
     fn builders_set_the_knobs() {
         let policy = ExecPolicy::default()
             .with_backend(BackendKind::Scalar)
-            .with_threads(4)
-            .with_lane_width(LaneWidth::W256);
+            .with_threads(4);
         assert_eq!(policy.backend, BackendKind::Scalar);
         assert_eq!(policy.threads, 4);
-        assert_eq!(policy.lane_width, LaneWidth::W256);
     }
 }

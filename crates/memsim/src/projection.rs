@@ -1282,7 +1282,7 @@ pub(crate) fn project_lane(
 mod tests {
     use super::*;
     use crate::backend::enumerate_lanes;
-    use crate::{BackendKind, LaneSet, LaneWidth, PlacementStrategy, SimulationBackend};
+    use crate::{BackendKind, LaneSet, PlacementStrategy, SimulationBackend};
     use march_test::catalog;
     use sram_fault_model::{DecoderFault, FaultList};
 
@@ -1364,7 +1364,7 @@ mod tests {
             for test in [catalog::mats_plus(), catalog::march_c_minus()] {
                 for backend in [
                     BackendKind::Scalar.instance(),
-                    BackendKind::Packed.instance_with(LaneWidth::W256),
+                    BackendKind::Packed.instance(),
                 ] {
                     let full = backend.lane_verdicts(&test, &target, &lanes, 8);
                     let (verdicts, first) = projected(backend.as_ref(), &test, &target, &lanes);

@@ -2,11 +2,10 @@
 //! pipeline.
 //!
 //! A [`Session`] is built **once** from an [`ExecPolicy`] and owns everything
-//! execution-related: the simulation backend instance, the lane width of its
-//! full-memory reference walk, and — when the policy asks for more than one worker
-//! thread — a persistent [`WorkerPool`] that outlives individual queries, so
-//! repeated coverage / generation / diagnosis calls stop paying per-call
-//! thread spawn. The session is also the one holder of the *simulation
+//! execution-related: the simulation backend instance and — when the policy
+//! asks for more than one worker thread — a persistent [`WorkerPool`] that
+//! outlives individual queries, so repeated coverage / generation /
+//! diagnosis calls stop paying per-call thread spawn. The session is also the one holder of the *simulation
 //! scope* — memory size, placement strategy and data backgrounds — and the
 //! only way to run coverage, campaigns and diagnosis (the generation crate
 //! extends it with generation and minimisation).
@@ -387,7 +386,7 @@ impl Session {
             memory_cells: 8,
             strategy: PlacementStrategy::Representative,
             backgrounds: vec![InitialState::AllZero, InitialState::AllOne],
-            backend: Arc::from(policy.backend.instance_with(policy.lane_width)),
+            backend: Arc::from(policy.backend.instance()),
             pool,
             store,
         }
@@ -652,7 +651,7 @@ impl Session {
     /// Measures the coverage of `test` over `list` under the session's scope
     /// and policy. Every target must be detected under every enumerated cell
     /// placement and background; the report is byte-identical for every
-    /// backend, thread count and lane width.
+    /// backend and thread count.
     ///
     /// # Examples
     ///
@@ -771,9 +770,9 @@ impl Session {
     /// the draws or the memory.
     ///
     /// The draw sequence is a pure function of `config.seed` and the space,
-    /// so the report is byte-identical across backends, thread counts and
-    /// lane widths. A request covering the whole space degenerates to
-    /// sampling without replacement in lane order — verdict-identical to
+    /// so the report is byte-identical across backends and thread counts. A
+    /// request covering the whole space degenerates to sampling without
+    /// replacement in lane order — verdict-identical to
     /// [`Session::try_coverage`] under exhaustive placements.
     ///
     /// # Errors
@@ -1084,7 +1083,7 @@ impl Session {
 mod tests {
     use super::*;
     use crate::coverage::assemble_coverage_report;
-    use crate::{BackendKind, LaneWidth, Report as _, SharedEngine};
+    use crate::{BackendKind, Report as _, SharedEngine};
     use march_test::catalog;
     use sram_fault_model::Ffm;
 
@@ -1218,18 +1217,6 @@ mod tests {
         let passing = session.diagnose_sweep(&catalog::march_ss(), &Syndrome::new(), &list);
         assert!(passing.candidates().is_empty());
         assert!(!passing.is_unexplained());
-    }
-
-    #[test]
-    fn lane_width_threads_through_the_session() {
-        let list = FaultList::list_2();
-        let test = catalog::march_sl();
-        let baseline = Session::default().coverage(&test, &list);
-        for width in LaneWidth::ALL {
-            let session = Session::new(ExecPolicy::default().with_lane_width(width));
-            assert_eq!(session.policy().lane_width, width);
-            assert_eq!(session.coverage(&test, &list), baseline, "width {width}");
-        }
     }
 
     #[test]

@@ -570,7 +570,7 @@ impl SharedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BackendKind, LaneWidth};
+    use crate::BackendKind;
     use march_test::catalog;
 
     #[test]
@@ -596,13 +596,13 @@ mod tests {
     #[test]
     fn sessions_differing_only_in_policy_share_artifacts() {
         // The artifact key carries no execution-policy fields: handles with
-        // different backends and lane widths hit the same entry.
+        // different backends and thread counts hit the same entry.
         let store = Arc::new(ArtifactStore::new());
         let packed = SharedEngine::with_store(ExecPolicy::default(), Arc::clone(&store));
         let scalar = SharedEngine::with_store(
             ExecPolicy::default()
                 .with_backend(BackendKind::Scalar)
-                .with_lane_width(LaneWidth::W256),
+                .with_threads(2),
             Arc::clone(&store),
         );
         let list = FaultList::list_2();

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use sram_fault_model::{Bit, FaultList, Ffm, Operation};
 use sram_sim::{
     enumerate_lanes, enumerate_targets, BackendKind, ClassImage, CoverageLane, ExecPolicy,
-    InitialState, InstanceCells, LaneSet, LaneWidth, LaneWord, PackedBackend, PlacementStrategy,
+    InitialState, InstanceCells, LaneSet, LaneWord, PackedBackend, PlacementStrategy,
     ScalarBackend, Session, SimulationBackend, TargetKind, W256,
 };
 
@@ -78,16 +78,12 @@ proptest! {
         let target = TargetKind::Linked(fault.clone());
         let lanes = enumerate_lanes(&target, memory_cells, strategy, &backgrounds).unwrap();
         let scalar = ScalarBackend.lane_verdicts(&test, &target, &lanes, memory_cells);
-        // Every packed lane width must match the scalar reference exactly.
-        for width in LaneWidth::ALL {
-            let backend = PackedBackend::with_width(width);
-            let packed = backend.lane_verdicts(&test, &target, &lanes, memory_cells);
-            prop_assert_eq!(&scalar, &packed, "verdicts diverged for {} at width {}", fault, width);
-            prop_assert_eq!(
-                ScalarBackend.first_undetected(&test, &target, &lanes, memory_cells),
-                backend.first_undetected(&test, &target, &lanes, memory_cells)
-            );
-        }
+        let packed = PackedBackend.lane_verdicts(&test, &target, &lanes, memory_cells);
+        prop_assert_eq!(&scalar, &packed, "verdicts diverged for {}", fault);
+        prop_assert_eq!(
+            ScalarBackend.first_undetected(&test, &target, &lanes, memory_cells),
+            PackedBackend.first_undetected(&test, &target, &lanes, memory_cells)
+        );
     }
 
     /// Same for the 48 unlinked realistic fault primitives.
@@ -104,7 +100,7 @@ proptest! {
         let target = TargetKind::Simple(primitive);
         let lanes = enumerate_lanes(&target, memory_cells, strategy, &backgrounds).unwrap();
         let scalar = ScalarBackend.lane_verdicts(&test, &target, &lanes, memory_cells);
-        let packed = PackedBackend::default().lane_verdicts(&test, &target, &lanes, memory_cells);
+        let packed = PackedBackend.lane_verdicts(&test, &target, &lanes, memory_cells);
         prop_assert_eq!(scalar, packed);
     }
 
@@ -403,8 +399,7 @@ fn mixed_target_words_match_per_target_verdicts() {
                     let context = format!("{} at {cells} cells, {backgrounds:?}", test.name());
                     assert_eq!(scalar, full, "per-target projection: {context}");
                     for ranges in std::iter::once(&words).chain(&taken) {
-                        let packed =
-                            image_verdicts(&PackedBackend::default(), test, &image, ranges);
+                        let packed = image_verdicts(&PackedBackend, test, &image, ranges);
                         assert_eq!(packed, scalar, "mixed words, ranges {ranges:?}: {context}");
                     }
                 }
@@ -473,7 +468,7 @@ proptest! {
         let word = 0..lanes.min(image.len());
         let word_len = word.len();
         prop_assert_eq!(
-            PackedBackend::default().image_verdicts(&test, &image, word.clone()),
+            PackedBackend.image_verdicts(&test, &image, word.clone()),
             ScalarBackend.image_verdicts(&test, &image, word),
             "{} lanes of {} classes", word_len, classes
         );

@@ -1,8 +1,7 @@
 //! Cross-backend differential test support: one generic harness asserting the
 //! whole pipeline — coverage, generation, minimisation, verification — is
 //! **byte-identical** across two execution policies (any combination of
-//! backend, thread count and the packed reference walk's lane width: 64, 128
-//! or 256 lanes per word).
+//! backend and thread count).
 //!
 //! This module replaces the three near-duplicate equivalence suites that used
 //! to live in `sram_sim` and `march_gen` (`session_equivalence` ×2 and
@@ -751,22 +750,28 @@ fn lane_limbs(
 }
 
 /// Whether some word of `after` holds pending lanes that sat in two or more
-/// words of `before` — a compaction that merged words.
+/// words of `before` — a compaction that merged words. Lanes are keyed by
+/// their target and descriptor, as in [`lane_limbs`]: every target of one
+/// placement shape shares its lane set's descriptors.
 fn merges_words(before: &[sram_sim::TargetBatch], after: &sram_sim::TargetBatch) -> bool {
-    let word_of: std::collections::HashMap<*const CoverageLane, usize> = before
+    type LaneKey = (*const TargetKind, *const CoverageLane);
+    let key = |(target, lane): (&TargetKind, &CoverageLane)| -> LaneKey {
+        (std::ptr::from_ref(target), std::ptr::from_ref(lane))
+    };
+    let word_of: std::collections::HashMap<LaneKey, usize> = before
         .iter()
         .enumerate()
         .flat_map(|(index, word)| {
             word.pending_lanes()
                 .into_iter()
-                .map(move |(_, lane)| (std::ptr::from_ref(lane), index))
+                .map(move |lane| (key(lane), index))
         })
         .collect();
     after.split_words().iter().any(|word| {
         let sources: Vec<usize> = word
             .pending_lanes()
             .into_iter()
-            .map(|(_, lane)| word_of[&std::ptr::from_ref(lane)])
+            .map(|lane| word_of[&key(lane)])
             .collect();
         sources.windows(2).any(|pair| pair[0] != pair[1])
     })

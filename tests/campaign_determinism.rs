@@ -5,8 +5,7 @@
 //!
 //! * **Replay**: the same `--seed` yields a byte-identical [`CampaignReport`]
 //!   (including its JSON form and escape trace) across backend × thread
-//!   count × lane width — the campaign analogue of the pipeline-equivalence
-//!   suite.
+//!   count — the campaign analogue of the pipeline-equivalence suite.
 //! * **Seed sensitivity**: different seeds draw observably different
 //!   sequences; no two nearby seeds alias to the same draw prefix.
 //! * **Degeneration**: a draw budget covering the whole space samples
@@ -18,8 +17,7 @@ use march_codex_repro::testkit::{assert_campaign_matches_exhaustive, reference_p
 use march_test::catalog;
 use sram_fault_model::FaultList;
 use sram_sim::{
-    sample_draw_indices, BackendKind, CampaignConfig, ExecPolicy, InitialState, LaneWidth, Report,
-    Session,
+    sample_draw_indices, BackendKind, CampaignConfig, ExecPolicy, InitialState, Report, Session,
 };
 
 /// The decoder-only, cell-array and mixed fault domains.
@@ -31,8 +29,7 @@ fn fault_lists() -> Vec<FaultList> {
     ]
 }
 
-/// A policy matrix spanning both backends, serial/pooled/auto threads and
-/// every packed lane width.
+/// A policy matrix spanning both backends and serial/pooled/auto threads.
 fn policy_matrix() -> Vec<ExecPolicy> {
     vec![
         reference_policy(),
@@ -42,13 +39,6 @@ fn policy_matrix() -> Vec<ExecPolicy> {
         ExecPolicy::default()
             .with_backend(BackendKind::Scalar)
             .with_threads(3),
-        ExecPolicy::default().with_lane_width(LaneWidth::W64),
-        ExecPolicy::default()
-            .with_lane_width(LaneWidth::W128)
-            .with_threads(2),
-        ExecPolicy::default()
-            .with_lane_width(LaneWidth::W256)
-            .with_threads(0),
     ]
 }
 
@@ -144,9 +134,7 @@ fn full_space_campaigns_match_exhaustive_enumeration() {
         for policy in [
             reference_policy(),
             ExecPolicy::default().with_threads(2),
-            ExecPolicy::default()
-                .with_lane_width(LaneWidth::W256)
-                .with_threads(0),
+            ExecPolicy::default().with_threads(0),
         ] {
             assert_campaign_matches_exhaustive(policy, &list, 6);
         }

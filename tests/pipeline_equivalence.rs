@@ -1,8 +1,8 @@
 //! The cross-backend differential suite: **one harness**
 //! ([`march_codex_repro::testkit::assert_pipeline_equivalent`]) asserting
 //! coverage / generation / minimisation / verification verdicts are
-//! byte-identical across backend × threads × lane-width (64/128/256)
-//! × scope, for address-decoder (AF), cell-array (FFM) and mixed fault lists.
+//! byte-identical across backend × threads × scope, for address-decoder (AF),
+//! cell-array (FFM) and mixed fault lists.
 //!
 //! This replaces the three near-duplicate equivalence suites that previously
 //! lived in `crates/memsim/tests/session_equivalence.rs`,
@@ -13,7 +13,7 @@ use march_codex_repro::testkit::{assert_pipeline_equivalent, reference_policy};
 use march_test::{AddressOrder, MarchElement, MarchTest};
 use proptest::prelude::*;
 use sram_fault_model::{FaultList, Operation};
-use sram_sim::{BackendKind, ExecPolicy, LaneWidth, Session};
+use sram_sim::{BackendKind, ExecPolicy, Session};
 
 /// The three fault domains the tentpole opens: decoder-only, FFM-only and the
 /// mixed list carrying both.
@@ -29,33 +29,26 @@ fn arbitrary_policy() -> impl Strategy<Value = ExecPolicy> {
     (
         prop_oneof![Just(BackendKind::Scalar), Just(BackendKind::Packed)],
         0usize..4,
-        prop::sample::select(LaneWidth::ALL.to_vec()),
     )
-        .prop_map(|(backend, threads, lane_width)| {
+        .prop_map(|(backend, threads)| {
             ExecPolicy::default()
                 .with_backend(backend)
                 .with_threads(threads)
-                .with_lane_width(lane_width)
         })
 }
 
 /// Deterministic sweep: every fault domain × a policy matrix spanning both
-/// backends, serial/pooled threads and every packed lane width, each
-/// anchored to the serial scalar reference.
+/// backends and serial/pooled/auto threads, each anchored to the serial
+/// scalar reference.
 #[test]
 fn af_ffm_and_mixed_lists_are_policy_invariant() {
     let policies = [
-        ExecPolicy::default(), // packed, serial, auto width
+        ExecPolicy::default(), // packed, serial
         ExecPolicy::default().with_threads(2),
         ExecPolicy::default()
             .with_backend(BackendKind::Scalar)
             .with_threads(3),
         ExecPolicy::fast(),
-        ExecPolicy::default().with_lane_width(LaneWidth::W64),
-        ExecPolicy::default()
-            .with_lane_width(LaneWidth::W128)
-            .with_threads(2),
-        ExecPolicy::fast().with_lane_width(LaneWidth::W256),
     ];
     for list in fault_lists() {
         for policy in policies {

@@ -23,7 +23,7 @@
 //!   between the limbs of a word and partial last words, at
 //!   the representative 8-cell and the exhaustive 6-cell scope and under
 //!   patterned backgrounds;
-//! * across the backend × threads × lane-width matrix.
+//! * across the backend × threads matrix.
 //!
 //! It also pins the consequence that makes the default scope trustworthy:
 //! under the two uniform backgrounds a lane's class is its cells' rank order
@@ -43,12 +43,9 @@ use march_codex_repro::testkit::{
 use march_gen::{GeneratorConfig, SessionExt};
 use march_test::catalog;
 use sram_fault_model::{Bit, FaultList};
-use sram_sim::{
-    BackendKind, CoverageReport, ExecPolicy, InitialState, LaneWidth, PlacementStrategy, Session,
-};
+use sram_sim::{BackendKind, CoverageReport, ExecPolicy, InitialState, PlacementStrategy, Session};
 
-/// The backend × threads × lane-width matrix the projection must be
-/// invariant over.
+/// The backend × threads matrix the projection must be invariant over.
 fn policies() -> Vec<ExecPolicy> {
     vec![
         reference_policy(),
@@ -56,28 +53,20 @@ fn policies() -> Vec<ExecPolicy> {
             .with_backend(BackendKind::Scalar)
             .with_threads(2),
         ExecPolicy::default().with_threads(1),
-        ExecPolicy::default()
-            .with_threads(2)
-            .with_lane_width(LaneWidth::W64),
-        ExecPolicy::default()
-            .with_threads(2)
-            .with_lane_width(LaneWidth::W128),
-        ExecPolicy::default()
-            .with_threads(1)
-            .with_lane_width(LaneWidth::W256),
+        ExecPolicy::default().with_threads(2),
     ]
 }
 
 #[test]
 fn projection_is_exact_for_fault_list_1() {
     // The three-cell list carries the most lanes. The packed policies rebuild
-    // its coverage exhaustively (8 cells at one width, 5 at the others); the
+    // its coverage exhaustively (8 cells on two threads, 5 serially); the
     // scalar full-memory rebuild is too slow for a debug build beyond the
     // representative scope, which the projection keys the same way.
     for policy in policies() {
-        let (cells, strategy) = match (policy.backend, policy.lane_width) {
+        let (cells, strategy) = match (policy.backend, policy.threads) {
             (BackendKind::Scalar, _) => (8, PlacementStrategy::Representative),
-            (_, LaneWidth::W64) => (8, PlacementStrategy::Exhaustive),
+            (_, 2) => (8, PlacementStrategy::Exhaustive),
             _ => (5, PlacementStrategy::Exhaustive),
         };
         assert_coverage_projection_exact(policy, &FaultList::list_1(), cells, strategy);
