@@ -1,11 +1,19 @@
 //! Hand-rolled argument parsing for the `march-codex` binary.
+//!
+//! A sub-command's flags form one [`Flags`] map. The pipeline sub-commands
+//! decode it into the [`Request`] `serve` decodes from JSON; the others
+//! read their own flags from it. A flag nothing reads is an `unknown flag`
+//! error.
 
 use std::error::Error;
 use std::fmt;
 
-use march_test::AddressOrder;
+use sram_fault_model::FaultList;
 
-/// Errors produced while parsing command-line arguments.
+use crate::json::JsonValue;
+use crate::request::{decode_list, required, Fields, Request};
+
+/// Errors produced while parsing command-line arguments or request fields.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseArgsError(pub(crate) String);
 
@@ -17,70 +25,9 @@ impl fmt::Display for ParseArgsError {
 
 impl Error for ParseArgsError {}
 
-/// Which fault list a coverage or generation command targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoverageTarget {
-    /// The paper's Fault List #1 (single-, two- and three-cell static linked
-    /// faults).
-    List1,
-    /// The paper's Fault List #2 (single-cell static linked faults).
-    List2,
-    /// The 48 unlinked realistic static fault primitives.
-    Unlinked,
-}
-
-impl CoverageTarget {
-    pub(crate) fn parse(text: &str) -> Result<CoverageTarget, ParseArgsError> {
-        match text {
-            "1" | "list1" | "#1" => Ok(CoverageTarget::List1),
-            "2" | "list2" | "#2" => Ok(CoverageTarget::List2),
-            "unlinked" | "simple" | "static" => Ok(CoverageTarget::Unlinked),
-            other => Err(ParseArgsError(format!(
-                "unknown fault list `{other}` (expected 1, 2 or unlinked)"
-            ))),
-        }
-    }
-
-    /// A human-readable label for reports.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            CoverageTarget::List1 => "Fault List #1",
-            CoverageTarget::List2 => "Fault List #2",
-            CoverageTarget::Unlinked => "unlinked static faults",
-        }
-    }
-}
-
-/// Which fault domain a coverage/generation/minimisation command targets:
-/// the cell-array FFM lists, the address-decoder fault classes, or both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FaultDomain {
-    /// Cell-array faults only (the selected `--list`). The default.
-    #[default]
-    Ffm,
-    /// Address-decoder faults only (`--list` is not required).
-    Af,
-    /// The selected `--list` extended with the address-decoder fault classes.
-    All,
-}
-
-impl FaultDomain {
-    pub(crate) fn parse(text: &str) -> Result<FaultDomain, ParseArgsError> {
-        match text.trim().to_ascii_lowercase().as_str() {
-            "ffm" => Ok(FaultDomain::Ffm),
-            "af" => Ok(FaultDomain::Af),
-            "all" => Ok(FaultDomain::All),
-            other => Err(ParseArgsError(format!(
-                "unknown fault domain `{other}` (expected ffm, af or all)"
-            ))),
-        }
-    }
-}
-
 /// One parsed `march-codex` invocation.
 ///
-/// (`PartialEq` only: `Coverage::confidence` is an `f64`.)
+/// (`PartialEq` only: a campaign request's confidence is an `f64`.)
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// `catalog` — list the catalogue of published march tests.
@@ -90,109 +37,19 @@ pub enum Command {
         /// The (case-insensitive) catalogue name.
         name: String,
     },
-    /// `generate [--list <1|2>] [--faults ffm|af|all] [--cells N] [--no-removal]
-    /// [--order up|down] [--name NAME] [--exhaustive] [--threads N] [--json]`.
-    Generate {
-        /// The target fault list (required unless `--faults af`).
-        list: Option<CoverageTarget>,
-        /// The fault domain: cell-array FFMs, address-decoder faults, or both.
-        faults: FaultDomain,
-        /// Memory size in cells (`None` = the scope default).
-        cells: Option<usize>,
-        /// Disable the redundancy-removal pass.
-        no_removal: bool,
-        /// Restrict every element to a single address order.
-        order: Option<AddressOrder>,
-        /// Name of the generated test.
-        name: Option<String>,
-        /// Verify with exhaustive placements after generation.
-        exhaustive: bool,
-        /// Worker threads for scoring/verification (0 = auto).
+    /// `coverage`, `generate`, `minimise` or `diagnose`: one pipeline
+    /// request, decoded from the flags exactly as `serve` decodes it from a
+    /// JSON line (`coverage --sample N` is the campaign request).
+    Pipeline {
+        /// The request the executor runs.
+        request: Request,
+        /// `generate --exhaustive`: verify the generated test on every cell
+        /// placement instead of the representative ones.
+        verify_exhaustive: bool,
+        /// Worker threads of the session (`--threads`, default 1; 0 = every
+        /// core).
         threads: usize,
-        /// Emit the machine-readable `Report` JSON instead of the text form.
-        json: bool,
-    },
-    /// `coverage [--test <name>] [--list <1|2|unlinked>] [--faults ffm|af|all]
-    /// [--cells N] [--exhaustive] [--sample N --seed S --confidence C]
-    /// [--threads N] [--json]`.
-    ///
-    /// Without an explicit `--threads`, memories larger than 64 cells fan out
-    /// over every available core (`--threads 0`): large-memory coverage is
-    /// exactly the workload the packed + threaded path exists for.
-    ///
-    /// `--sample N` switches from enumeration to a seeded Monte-Carlo
-    /// campaign over the exhaustive placement space; the report carries a
-    /// Wilson-score confidence interval instead of an exact verdict.
-    Coverage {
-        /// Catalogue name of the march test to evaluate (default: March SS).
-        test: String,
-        /// The target fault list (required unless `--faults af`).
-        list: Option<CoverageTarget>,
-        /// The fault domain: cell-array FFMs, address-decoder faults, or both.
-        faults: FaultDomain,
-        /// Memory size in cells (`None` = the scope default).
-        cells: Option<usize>,
-        /// Use exhaustive cell placements.
-        exhaustive: bool,
-        /// Monte-Carlo draw count: `Some(n)` runs a seeded campaign over the
-        /// exhaustive `(placement, background)` space instead of enumerating
-        /// it. `None` (no `--sample`) keeps the enumeration path.
-        sample: Option<u64>,
-        /// Campaign PRNG seed; identical seeds replay identical draws.
-        seed: u64,
-        /// Confidence level of the campaign's Wilson-score interval,
-        /// strictly inside `(0, 1)`.
-        confidence: f64,
-        /// Worker threads the fault targets fan out over (0 = auto).
-        threads: usize,
-        /// Emit the machine-readable `Report` JSON instead of the text form.
-        json: bool,
-    },
-    /// `minimise --test <name> --list <1|2|unlinked> [--faults ffm|af|all]
-    /// [--cells N] [--threads N] [--json]`.
-    ///
-    /// Runs the suffix-only redundancy-removal pass on a catalogue march test:
-    /// every operation whose removal keeps the fault list fully covered is
-    /// deleted, re-verifying only the suffix after each edit from per-element
-    /// simulation snapshots.
-    Minimise {
-        /// Catalogue name of the march test to shorten.
-        test: String,
-        /// The fault list whose coverage must be preserved (required unless
-        /// `--faults af`).
-        list: Option<CoverageTarget>,
-        /// The fault domain: cell-array FFMs, address-decoder faults, or both.
-        faults: FaultDomain,
-        /// Memory size in cells (`None` = the scope default).
-        cells: Option<usize>,
-        /// Worker threads the `(target × suffix)` trials shard over (0 = auto).
-        threads: usize,
-        /// Emit the machine-readable `Report` JSON instead of the text form.
-        json: bool,
-    },
-    /// `diagnose --test <name> --fault <notation> --victim <cell> --list <1|2|unlinked>
-    /// [--aggressor <cell>] [--cells <n>] [--threads N] [--json]`.
-    ///
-    /// Simulates a device carrying the given fault, observes its failure
-    /// syndrome under the march test, then sweeps the fault list for every
-    /// candidate instance whose simulated syndrome matches.
-    Diagnose {
-        /// Catalogue name of the march test the syndrome is observed under.
-        test: String,
-        /// The `<S/F/R>` notation of the fault primitive injected into the
-        /// simulated device.
-        fault: String,
-        /// The victim cell address.
-        victim: usize,
-        /// The aggressor cell address, for coupling primitives.
-        aggressor: Option<usize>,
-        /// Memory size in cells.
-        cells: usize,
-        /// The fault space searched for matching candidates.
-        list: CoverageTarget,
-        /// Worker threads of the session (0 = auto).
-        threads: usize,
-        /// Emit the machine-readable `Report` JSON instead of the text form.
+        /// Emit the machine-readable JSON instead of the text form.
         json: bool,
     },
     /// `simulate --test <name> --fault <notation> --victim <cell> [--aggressor <cell>]
@@ -213,13 +70,12 @@ pub enum Command {
     /// [--read-timeout-ms N] [--snapshot-dir DIR] [--tcp ADDR]`.
     ///
     /// Runs the resident service loop: newline-delimited JSON requests
-    /// (coverage / generate / minimise / diagnose / stats / shutdown) from
-    /// stdin — or from every client of a TCP listener under `--tcp` —
-    /// multiplexed over one shared engine whose artifact store and worker
-    /// pool stay warm across requests and clients.
+    /// (coverage / campaign / generate / minimise / diagnose / stats /
+    /// shutdown) from stdin — or from every client of a TCP listener under
+    /// `--tcp` — multiplexed over one shared engine whose artifact store and
+    /// worker pool stay warm across requests and clients.
     Serve {
-        /// Worker threads of the resident pool (0 = auto; the default, since
-        /// a server wants every core).
+        /// Worker threads of the resident pool (default 1; 0 = every core).
         threads: usize,
         /// Maximum concurrently executing requests; further requests apply
         /// backpressure to the client.
@@ -250,13 +106,8 @@ pub enum Command {
     Snapshot {
         /// The snapshot directory to inspect or pre-warm.
         dir: String,
-        /// Pre-populate the directory instead of only inspecting it.
-        warm: bool,
-        /// The fault list to warm (required with `--warm` unless
-        /// `--faults af`).
-        list: Option<CoverageTarget>,
-        /// The fault domain of the warmed list.
-        faults: FaultDomain,
+        /// The fault list `--warm` pre-populates; `None` only inspects.
+        warm: Option<FaultList>,
         /// Also build and persist this march test's fault dictionary.
         test: Option<String>,
         /// Memory size in cells for the warmed artifacts (`None` = the scope
@@ -273,453 +124,268 @@ impl Command {
     /// # Errors
     ///
     /// Returns [`ParseArgsError`] describing the first offending argument.
-    pub fn parse(args: impl Iterator<Item = String>) -> Result<Command, ParseArgsError> {
-        let mut args = args.peekable();
+    pub fn parse(mut args: impl Iterator<Item = String>) -> Result<Command, ParseArgsError> {
         let Some(subcommand) = args.next() else {
             return Ok(Command::Help);
         };
-        match subcommand.as_str() {
-            "help" | "--help" | "-h" => Ok(Command::Help),
-            "catalog" => Ok(Command::Catalog),
+        let mut flags = match subcommand.as_str() {
+            "help" | "--help" | "-h" => return Ok(Command::Help),
+            "catalog" => return Ok(Command::Catalog),
             "show" => {
                 let name: Vec<String> = args.collect();
                 if name.is_empty() {
                     return Err(ParseArgsError("show requires a march test name".into()));
                 }
-                Ok(Command::Show {
+                return Ok(Command::Show {
                     name: name.join(" "),
-                })
+                });
             }
-            "generate" => {
-                let mut list = None;
-                let mut faults = FaultDomain::Ffm;
-                let mut cells = None;
-                let mut no_removal = false;
-                let mut order = None;
-                let mut name = None;
-                let mut exhaustive = false;
-                let mut threads = None;
-                let mut json = false;
-                while let Some(arg) = args.next() {
-                    match arg.as_str() {
-                        "--list" => {
-                            list = Some(CoverageTarget::parse(&required(&mut args, "--list")?)?)
-                        }
-                        "--faults" => {
-                            faults = FaultDomain::parse(&required(&mut args, "--faults")?)?
-                        }
-                        "--cells" => cells = Some(parse_number(&required(&mut args, "--cells")?)?),
-                        "--no-removal" => no_removal = true,
-                        "--exhaustive" => exhaustive = true,
-                        "--order" => {
-                            let value = required(&mut args, "--order")?;
-                            order = Some(value.parse::<AddressOrder>().map_err(|_| {
-                                ParseArgsError(format!("unknown address order `{value}`"))
-                            })?);
-                        }
-                        "--name" => name = Some(required(&mut args, "--name")?),
-                        "--threads" => {
-                            threads = Some(parse_threads(&required(&mut args, "--threads")?)?);
-                        }
-                        "--json" => json = true,
-                        other => return Err(unknown_flag(other)),
-                    }
-                }
-                require_list(list, faults, "generate")?;
-                Ok(Command::Generate {
-                    list,
-                    faults,
-                    cells,
-                    no_removal,
-                    order,
-                    name,
-                    exhaustive,
-                    threads: resolve_threads(threads, cells),
-                    json,
-                })
+            _ => Flags::parse(args),
+        };
+        let command = match subcommand.as_str() {
+            "coverage" | "generate" | "minimise" | "minimize" | "diagnose" => {
+                pipeline(&subcommand, &mut flags)?
             }
-            "coverage" => {
-                let mut test = None;
-                let mut list = None;
-                let mut faults = FaultDomain::Ffm;
-                let mut cells = None;
-                let mut exhaustive = false;
-                let mut sample = None;
-                let mut seed = None;
-                let mut confidence = None;
-                let mut threads = None;
-                let mut json = false;
-                while let Some(arg) = args.next() {
-                    match arg.as_str() {
-                        "--test" => test = Some(required(&mut args, "--test")?),
-                        "--list" => {
-                            list = Some(CoverageTarget::parse(&required(&mut args, "--list")?)?)
-                        }
-                        "--faults" => {
-                            faults = FaultDomain::parse(&required(&mut args, "--faults")?)?
-                        }
-                        "--cells" => cells = Some(parse_number(&required(&mut args, "--cells")?)?),
-                        "--exhaustive" => exhaustive = true,
-                        "--sample" => {
-                            sample = Some(parse_sample(&required(&mut args, "--sample")?)?)
-                        }
-                        "--seed" => seed = Some(parse_seed(&required(&mut args, "--seed")?)?),
-                        "--confidence" => {
-                            confidence =
-                                Some(parse_confidence(&required(&mut args, "--confidence")?)?);
-                        }
-                        "--threads" => {
-                            threads = Some(parse_threads(&required(&mut args, "--threads")?)?);
-                        }
-                        "--json" => json = true,
-                        other => return Err(unknown_flag(other)),
-                    }
-                }
-                require_list(list, faults, "coverage")?;
-                if sample.is_some() && exhaustive {
+            "simulate" => Command::Simulate {
+                test: required(flags.string("test")?, "simulate", &flags, "test")?,
+                fault: required(flags.string("fault")?, "simulate", &flags, "fault")?,
+                victim: required(flags.usize("victim")?, "simulate", &flags, "victim")?,
+                aggressor: flags.usize("aggressor")?,
+                cells: flags.usize("cells")?.unwrap_or(8),
+            },
+            "serve" => Command::Serve {
+                threads: flags.usize("threads")?.unwrap_or(1),
+                max_in_flight: positive(flags.usize("max_in_flight")?, &flags, "max_in_flight")?
+                    .unwrap_or(4),
+                timeout_ms: flags.u64("timeout_ms")?.unwrap_or(30_000),
+                read_timeout_ms: positive(
+                    flags.u64("read_timeout_ms")?,
+                    &flags,
+                    "read_timeout_ms",
+                )?,
+                snapshot_dir: flags.string("snapshot_dir")?,
+                tcp: flags.string("tcp")?,
+            },
+            "snapshot" => {
+                let dir = required(flags.string("dir")?, "snapshot", &flags, "dir")?;
+                let warm = if flags.switch("warm")? {
+                    Some(decode_list(&mut flags, "snapshot --warm")?)
+                } else if ["list", "faults", "test", "cells"]
+                    .iter()
+                    .any(|key| flags.has(key))
+                {
                     return Err(ParseArgsError(
-                        "--sample draws from the exhaustive space at random; combining it \
-                         with --exhaustive is ambiguous — pick one"
+                        "snapshot only uses --list/--faults/--test/--cells together with --warm"
                             .into(),
                     ));
-                }
-                if sample.is_none() {
-                    if seed.is_some() {
-                        return Err(ParseArgsError(
-                            "--seed only applies to Monte-Carlo campaigns; add --sample N".into(),
-                        ));
-                    }
-                    if confidence.is_some() {
-                        return Err(ParseArgsError(
-                            "--confidence only applies to Monte-Carlo campaigns; add --sample N"
-                                .into(),
-                        ));
-                    }
-                }
-                Ok(Command::Coverage {
-                    // March SS is the canonical thorough catalogue test; it is
-                    // the default so `coverage --faults af --cells 1024` works
-                    // out of the box.
-                    test: test.unwrap_or_else(|| "March SS".to_string()),
-                    list,
-                    faults,
-                    cells,
-                    exhaustive,
-                    sample,
-                    seed: seed.unwrap_or(0),
-                    confidence: confidence.unwrap_or(0.95),
-                    threads: resolve_threads(threads, cells),
-                    json,
-                })
-            }
-            "minimise" | "minimize" => {
-                let mut test = None;
-                let mut list = None;
-                let mut faults = FaultDomain::Ffm;
-                let mut cells = None;
-                let mut threads = None;
-                let mut json = false;
-                while let Some(arg) = args.next() {
-                    match arg.as_str() {
-                        "--test" => test = Some(required(&mut args, "--test")?),
-                        "--list" => {
-                            list = Some(CoverageTarget::parse(&required(&mut args, "--list")?)?)
-                        }
-                        "--faults" => {
-                            faults = FaultDomain::parse(&required(&mut args, "--faults")?)?
-                        }
-                        "--cells" => cells = Some(parse_number(&required(&mut args, "--cells")?)?),
-                        "--threads" => {
-                            threads = Some(parse_threads(&required(&mut args, "--threads")?)?);
-                        }
-                        "--json" => json = true,
-                        other => return Err(unknown_flag(other)),
-                    }
-                }
-                require_list(list, faults, "minimise")?;
-                Ok(Command::Minimise {
-                    test: test.ok_or_else(|| ParseArgsError("minimise requires --test".into()))?,
-                    list,
-                    faults,
-                    cells,
-                    threads: resolve_threads(threads, cells),
-                    json,
-                })
-            }
-            "diagnose" => {
-                let mut test = None;
-                let mut fault = None;
-                let mut victim = None;
-                let mut aggressor = None;
-                let mut cells = 8usize;
-                let mut list = None;
-                let mut threads = None;
-                let mut json = false;
-                while let Some(arg) = args.next() {
-                    match arg.as_str() {
-                        "--test" => test = Some(required(&mut args, "--test")?),
-                        "--fault" => fault = Some(required(&mut args, "--fault")?),
-                        "--victim" => {
-                            victim = Some(parse_number(&required(&mut args, "--victim")?)?)
-                        }
-                        "--aggressor" => {
-                            aggressor = Some(parse_number(&required(&mut args, "--aggressor")?)?);
-                        }
-                        "--cells" => cells = parse_number(&required(&mut args, "--cells")?)?,
-                        "--list" => {
-                            list = Some(CoverageTarget::parse(&required(&mut args, "--list")?)?)
-                        }
-                        "--threads" => {
-                            threads = Some(parse_threads(&required(&mut args, "--threads")?)?);
-                        }
-                        "--json" => json = true,
-                        other => return Err(unknown_flag(other)),
-                    }
-                }
-                Ok(Command::Diagnose {
-                    test: test.ok_or_else(|| ParseArgsError("diagnose requires --test".into()))?,
-                    fault: fault
-                        .ok_or_else(|| ParseArgsError("diagnose requires --fault".into()))?,
-                    victim: victim
-                        .ok_or_else(|| ParseArgsError("diagnose requires --victim".into()))?,
-                    aggressor,
-                    cells,
-                    list: list.ok_or_else(|| ParseArgsError("diagnose requires --list".into()))?,
-                    threads: resolve_threads(threads, Some(cells)),
-                    json,
-                })
-            }
-            "simulate" => {
-                let mut test = None;
-                let mut fault = None;
-                let mut victim = None;
-                let mut aggressor = None;
-                let mut cells = 8usize;
-                while let Some(arg) = args.next() {
-                    match arg.as_str() {
-                        "--test" => test = Some(required(&mut args, "--test")?),
-                        "--fault" => fault = Some(required(&mut args, "--fault")?),
-                        "--victim" => {
-                            victim = Some(parse_number(&required(&mut args, "--victim")?)?)
-                        }
-                        "--aggressor" => {
-                            aggressor = Some(parse_number(&required(&mut args, "--aggressor")?)?);
-                        }
-                        "--cells" => cells = parse_number(&required(&mut args, "--cells")?)?,
-                        other => return Err(unknown_flag(other)),
-                    }
-                }
-                Ok(Command::Simulate {
-                    test: test.ok_or_else(|| ParseArgsError("simulate requires --test".into()))?,
-                    fault: fault
-                        .ok_or_else(|| ParseArgsError("simulate requires --fault".into()))?,
-                    victim: victim
-                        .ok_or_else(|| ParseArgsError("simulate requires --victim".into()))?,
-                    aggressor,
-                    cells,
-                })
-            }
-            "serve" => {
-                let mut threads = None;
-                let mut max_in_flight = 4usize;
-                let mut timeout_ms = 30_000u64;
-                let mut read_timeout_ms = None;
-                let mut snapshot_dir = None;
-                let mut tcp = None;
-                while let Some(arg) = args.next() {
-                    match arg.as_str() {
-                        "--threads" => {
-                            threads = Some(parse_threads(&required(&mut args, "--threads")?)?);
-                        }
-                        "--max-in-flight" => {
-                            let value = required(&mut args, "--max-in-flight")?;
-                            max_in_flight = value.parse::<usize>().ok().filter(|n| *n > 0).ok_or_else(|| {
-                                ParseArgsError(format!(
-                                    "`{value}` is not a valid in-flight limit (need a positive integer)"
-                                ))
-                            })?;
-                        }
-                        "--timeout-ms" => {
-                            let value = required(&mut args, "--timeout-ms")?;
-                            timeout_ms = value.parse::<u64>().map_err(|_| {
-                                ParseArgsError(format!(
-                                    "`{value}` is not a valid timeout in milliseconds"
-                                ))
-                            })?;
-                        }
-                        "--read-timeout-ms" => {
-                            let value = required(&mut args, "--read-timeout-ms")?;
-                            read_timeout_ms =
-                                Some(value.parse::<u64>().ok().filter(|n| *n > 0).ok_or_else(
-                                    || {
-                                        ParseArgsError(format!(
-                                            "`{value}` is not a valid read timeout in milliseconds \
-                                             (need a positive integer)"
-                                        ))
-                                    },
-                                )?);
-                        }
-                        "--snapshot-dir" => {
-                            snapshot_dir = Some(required(&mut args, "--snapshot-dir")?);
-                        }
-                        "--tcp" => tcp = Some(required(&mut args, "--tcp")?),
-                        other => return Err(unknown_flag(other)),
-                    }
-                }
-                Ok(Command::Serve {
-                    // A resident service defaults to every core, unlike the
-                    // serial one-shot commands.
-                    threads: threads.unwrap_or(0),
-                    max_in_flight,
-                    timeout_ms,
-                    read_timeout_ms,
-                    snapshot_dir,
-                    tcp,
-                })
-            }
-            "snapshot" => {
-                let mut dir = None;
-                let mut warm = false;
-                let mut list = None;
-                let mut faults = FaultDomain::Ffm;
-                let mut test = None;
-                let mut cells = None;
-                while let Some(arg) = args.next() {
-                    match arg.as_str() {
-                        "--dir" => dir = Some(required(&mut args, "--dir")?),
-                        "--warm" => warm = true,
-                        "--list" => {
-                            list = Some(CoverageTarget::parse(&required(&mut args, "--list")?)?)
-                        }
-                        "--faults" => {
-                            faults = FaultDomain::parse(&required(&mut args, "--faults")?)?
-                        }
-                        "--test" => test = Some(required(&mut args, "--test")?),
-                        "--cells" => cells = Some(parse_number(&required(&mut args, "--cells")?)?),
-                        other => return Err(unknown_flag(other)),
-                    }
-                }
-                if warm {
-                    require_list(list, faults, "snapshot --warm")?;
-                } else if list.is_some() || test.is_some() || cells.is_some() {
-                    return Err(ParseArgsError(
-                        "snapshot only uses --list/--test/--cells together with --warm".into(),
-                    ));
-                }
-                Ok(Command::Snapshot {
-                    dir: dir.ok_or_else(|| ParseArgsError("snapshot requires --dir".into()))?,
+                } else {
+                    None
+                };
+                Command::Snapshot {
+                    dir,
                     warm,
-                    list,
-                    faults,
-                    test,
-                    cells,
-                })
+                    test: flags.string("test")?,
+                    cells: flags.usize("cells")?,
+                }
             }
-            other => Err(ParseArgsError(format!(
-                "unknown sub-command `{other}` (try `march-codex help`)"
-            ))),
+            other => {
+                return Err(ParseArgsError(format!(
+                    "unknown sub-command `{other}` (try `march-codex help`)"
+                )))
+            }
+        };
+        flags.finish()?;
+        Ok(command)
+    }
+}
+
+/// A pipeline sub-command: its flags decode into the [`Request`] of the op,
+/// and the command line's own `--threads`, `--json` and `generate
+/// --exhaustive` ride along.
+fn pipeline(subcommand: &str, flags: &mut Flags) -> Result<Command, ParseArgsError> {
+    // `coverage --sample N` is the command line's spelling of the campaign op.
+    let op = match subcommand {
+        "coverage" if flags.has("sample") => {
+            if flags.has("exhaustive") {
+                return Err(ParseArgsError(
+                    "--sample draws from the exhaustive space at random; combining it with \
+                     --exhaustive is ambiguous — pick one"
+                        .into(),
+                ));
+            }
+            "campaign"
         }
-    }
+        "coverage" if flags.has("seed") || flags.has("confidence") => {
+            return Err(ParseArgsError(
+                "--seed and --confidence only apply to Monte-Carlo campaigns; add --sample N"
+                    .into(),
+            ))
+        }
+        other => other,
+    };
+    let request = Request::decode(op, flags)?
+        .ok_or_else(|| ParseArgsError(format!("unknown sub-command `{subcommand}`")))?;
+    Ok(Command::Pipeline {
+        request,
+        verify_exhaustive: subcommand == "generate" && flags.switch("exhaustive")?,
+        threads: flags.usize("threads")?.unwrap_or(1),
+        json: flags.switch("json")?,
+    })
 }
 
-fn required(
-    args: &mut std::iter::Peekable<impl Iterator<Item = String>>,
-    flag: &str,
-) -> Result<String, ParseArgsError> {
-    args.next()
-        .ok_or_else(|| ParseArgsError(format!("{flag} requires a value")))
-}
-
-/// `--list` is mandatory unless the fault domain is decoder-only — and
-/// conversely the decoder-only domain rejects an explicit `--list`, so a
-/// cell-array list can never be silently dropped from the run.
-pub(crate) fn require_list(
-    list: Option<CoverageTarget>,
-    faults: FaultDomain,
-    command: &str,
-) -> Result<(), ParseArgsError> {
-    match faults {
-        FaultDomain::Af if list.is_some() => Err(ParseArgsError(format!(
-            "{command} --faults af targets only the decoder classes and would ignore \
-             --list; drop --list or use --faults all to combine the two domains"
-        ))),
-        FaultDomain::Ffm | FaultDomain::All if list.is_none() => Err(ParseArgsError(format!(
-            "{command} requires --list (or --faults af for the decoder-only domain)"
-        ))),
-        _ => Ok(()),
-    }
-}
-
-/// Resolves the worker-thread count: an explicit `--threads` wins; otherwise
-/// memories beyond 64 cells default to the available parallelism and small
-/// memories stay serial. The diagnosis sweep still simulates every fault
-/// instance on the whole memory, sharded over the pool, so its cost grows
-/// with the cell count; coverage, campaigns, generation and minimisation
-/// simulate projected classes, whose cost does not.
-fn resolve_threads(threads: Option<usize>, cells: Option<usize>) -> usize {
-    match (threads, cells) {
-        (Some(threads), _) => threads,
-        (None, Some(cells)) if cells > 64 => 0,
-        (None, _) => 1,
-    }
-}
-
-fn parse_number(text: &str) -> Result<usize, ParseArgsError> {
-    text.parse::<usize>()
-        .map_err(|_| ParseArgsError(format!("`{text}` is not a valid cell count/address")))
-}
-
-/// Parses a campaign draw count. Scientific notation is accepted
-/// (`--sample 1e6`), but the value must be a finite positive integer no
-/// larger than 2^53 — the largest f64-exact integer — so a notation like
-/// `1e999` (infinite) or `2.5e3.1` can never silently truncate through an
-/// `as` cast.
-fn parse_sample(text: &str) -> Result<u64, ParseArgsError> {
-    const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
-    let value = text.trim().parse::<f64>().map_err(|_| {
-        ParseArgsError(format!(
-            "`{text}` is not a valid sample count (e.g. 100000 or 1e6)"
-        ))
-    })?;
-    if !value.is_finite() || value < 1.0 || value.fract() != 0.0 || value > MAX_EXACT {
+/// `value`, unless it is zero.
+fn positive<T: PartialEq + Default>(
+    value: Option<T>,
+    flags: &Flags,
+    key: &str,
+) -> Result<Option<T>, ParseArgsError> {
+    if value == Some(T::default()) {
         return Err(ParseArgsError(format!(
-            "`{text}` is not a valid sample count (a positive integer up to 2^53; \
-             scientific notation like 1e6 is fine)"
-        )));
-    }
-    // lint: allow(cast) — guarded above: finite, integral, within 2^53.
-    Ok(value as u64)
-}
-
-fn parse_seed(text: &str) -> Result<u64, ParseArgsError> {
-    text.trim()
-        .parse::<u64>()
-        .map_err(|_| ParseArgsError(format!("`{text}` is not a valid campaign seed (a u64)")))
-}
-
-fn parse_confidence(text: &str) -> Result<f64, ParseArgsError> {
-    let value = text
-        .trim()
-        .parse::<f64>()
-        .map_err(|_| ParseArgsError(format!("`{text}` is not a valid confidence level")))?;
-    if !value.is_finite() || value <= 0.0 || value >= 1.0 {
-        return Err(ParseArgsError(format!(
-            "confidence levels are strictly between 0 and 1 (e.g. 0.95), got `{text}`"
+            "{} must be at least 1",
+            flags.name(key)
         )));
     }
     Ok(value)
 }
 
-fn parse_threads(text: &str) -> Result<usize, ParseArgsError> {
-    text.parse::<usize>().map_err(|_| {
-        ParseArgsError(format!(
-            "`{text}` is not a valid thread count (use 0 for auto)"
-        ))
-    })
+/// The flags that take no value.
+const SWITCHES: [&str; 4] = ["--exhaustive", "--json", "--no-removal", "--warm"];
+
+/// One command-line flag and its value.
+#[derive(Debug)]
+struct Flag {
+    flag: String,
+    value: Option<String>,
+    read: bool,
 }
 
-fn unknown_flag(flag: &str) -> ParseArgsError {
-    ParseArgsError(format!("unknown flag `{flag}`"))
+/// The flags of one sub-command as a map from field names to values:
+/// `--no-removal` is the field `no_removal`. Every token that is not a
+/// switch takes the next one as its value; a repeated flag keeps its last.
+#[derive(Debug)]
+pub(crate) struct Flags {
+    entries: Vec<Flag>,
+}
+
+impl Flags {
+    fn parse(mut args: impl Iterator<Item = String>) -> Flags {
+        let mut entries: Vec<Flag> = Vec::new();
+        while let Some(flag) = args.next() {
+            let value = if flag.starts_with("--") && !SWITCHES.contains(&flag.as_str()) {
+                args.next()
+            } else {
+                None
+            };
+            entries.retain(|entry| entry.flag != flag);
+            entries.push(Flag {
+                flag,
+                value,
+                read: false,
+            });
+        }
+        Flags { entries }
+    }
+
+    fn find(&self, key: &str) -> Option<usize> {
+        let flag = self.name(key);
+        self.entries.iter().position(|entry| entry.flag == flag)
+    }
+
+    /// `true` when the flag of `key` was given, without reading it.
+    pub(crate) fn has(&self, key: &str) -> bool {
+        self.find(key).is_some()
+    }
+
+    /// Reads the value of `key`'s flag.
+    fn value(&mut self, key: &str) -> Result<Option<String>, ParseArgsError> {
+        let Some(index) = self.find(key) else {
+            return Ok(None);
+        };
+        let entry = &mut self.entries[index];
+        entry.read = true;
+        match &entry.value {
+            Some(value) => Ok(Some(value.clone())),
+            None => Err(ParseArgsError(format!("{} requires a value", entry.flag))),
+        }
+    }
+
+    fn parsed<T>(
+        &mut self,
+        key: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+        expected: &str,
+    ) -> Result<Option<T>, ParseArgsError> {
+        let Some(text) = self.value(key)? else {
+            return Ok(None);
+        };
+        parse(&text).map(Some).ok_or_else(|| {
+            ParseArgsError(format!(
+                "{} expects {expected}, got `{text}`",
+                self.name(key)
+            ))
+        })
+    }
+
+    /// Fails on the first flag nothing read.
+    fn finish(self) -> Result<(), ParseArgsError> {
+        match self.entries.into_iter().find(|entry| !entry.read) {
+            Some(entry) => Err(ParseArgsError(format!("unknown flag `{}`", entry.flag))),
+            None => Ok(()),
+        }
+    }
+}
+
+/// An exact non-negative integer, in decimal or — like a number in a JSON
+/// request — in scientific notation up to 2^53 (`--sample 1e6`).
+fn count(text: &str) -> Option<u64> {
+    text.parse::<u64>()
+        .ok()
+        .or_else(|| JsonValue::Number(text.trim().parse().ok()?).as_u64())
+}
+
+impl Fields for Flags {
+    fn name(&self, key: &str) -> String {
+        format!("--{}", key.replace('_', "-"))
+    }
+
+    fn string(&mut self, key: &str) -> Result<Option<String>, ParseArgsError> {
+        self.value(key)
+    }
+
+    fn usize(&mut self, key: &str) -> Result<Option<usize>, ParseArgsError> {
+        self.parsed(
+            key,
+            |text| count(text).and_then(|value| usize::try_from(value).ok()),
+            "a non-negative integer",
+        )
+    }
+
+    fn u64(&mut self, key: &str) -> Result<Option<u64>, ParseArgsError> {
+        self.parsed(key, count, "a non-negative integer")
+    }
+
+    fn f64(&mut self, key: &str) -> Result<Option<f64>, ParseArgsError> {
+        self.parsed(
+            key,
+            |text| {
+                text.trim()
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|value| value.is_finite())
+            },
+            "a finite number",
+        )
+    }
+
+    fn switch(&mut self, key: &str) -> Result<bool, ParseArgsError> {
+        match self.find(key) {
+            Some(index) => {
+                self.entries[index].read = true;
+                Ok(true)
+            }
+            None => Ok(false),
+        }
+    }
 }
 
 /// The usage text printed by `march-codex help`.
@@ -732,54 +398,78 @@ pub fn usage() -> String {
      USAGE:\n\
      \x20 march-codex catalog\n\
      \x20 march-codex show <name>\n\
-     \x20 march-codex generate [--list <1|2>] [--faults ffm|af|all] [--cells N] [--no-removal]\n\
+     \x20 march-codex generate [--list <1|2|unlinked>] [--faults ffm|af|all] [--cells N] [--no-removal]\n\
      \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20[--order up|down] [--name NAME] [--exhaustive] [--threads N] [--json]\n\
      \x20 march-codex coverage [--test <name>] [--list <1|2|unlinked>] [--faults ffm|af|all]\n\
      \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20[--cells N] [--exhaustive] [--sample N [--seed S] [--confidence C]]\n\
      \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20[--threads N] [--json]\n\
      \x20 march-codex minimise --test <name> [--list <1|2|unlinked>] [--faults ffm|af|all]\n\
      \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20[--cells N] [--threads N] [--json]\n\
-     \x20 march-codex diagnose --test <name> --fault <notation> --victim <cell> --list <1|2|unlinked>\n\
-     \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20[--aggressor <cell>] [--cells <n>] [--threads N] [--json]\n\
-     \x20 march-codex simulate --test <name> --fault <notation> --victim <cell> [--aggressor <cell>] [--cells <n>]\n\
+     \x20 march-codex diagnose --test <name> --fault <notation> --victim <cell> [--aggressor <cell>]\n\
+     \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20[--list <1|2|unlinked>] [--faults ffm|af|all] [--cells N] [--threads N] [--json]\n\
+     \x20 march-codex simulate --test <name> --fault <notation> --victim <cell> [--aggressor <cell>] [--cells N]\n\
      \x20 march-codex serve [--threads N] [--max-in-flight N] [--timeout-ms N] [--read-timeout-ms N]\n\
      \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20[--snapshot-dir DIR] [--tcp ADDR]\n\
      \x20 march-codex snapshot --dir DIR [--warm --list <1|2|unlinked> [--faults ffm|af|all]\n\
      \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20 \x20[--test <name>] [--cells N]]\n\
      \x20 march-codex help\n\
      \n\
-     Every invocation builds one sram_sim::Session, whose one execution option is\n\
-     --threads; --json emits the session report's machine-readable form.\n\
+     coverage, generate, minimise and diagnose are the requests serve answers, with\n\
+     one field per flag (--no-removal is \"no_removal\"; coverage --sample N is the\n\
+     campaign op), decoded and run by the same code. Each runs on one\n\
+     sram_sim::Session: an 8-cell memory unless --cells N is given, and one worker\n\
+     thread unless --threads N is (0 = every core). Reports are byte-identical at\n\
+     every thread count; --json emits the report's machine-readable form.\n\
      --faults selects the fault domain: ffm (the cell-array --list, the default), af\n\
      (the four address-decoder classes; --list must be omitted) or all (--list plus\n\
-     the decoder classes). --cells sets the simulated memory size; above 64 cells\n\
-     --threads defaults to the available parallelism. Reports are byte-identical at\n\
-     every thread count. coverage --test defaults to March SS.\n\
-     coverage --sample N replaces enumeration with a seeded Monte-Carlo campaign\n\
-     over the exhaustive (placement, background) space: N draws (1e6 notation is\n\
-     accepted), a Wilson-score confidence interval at --confidence (default 0.95),\n\
-     and a bounded escape trace. Identical --seed values replay identical draws at\n\
-     every thread count; draw counts covering the whole space degenerate to\n\
-     sampling without replacement and match --exhaustive verdicts exactly.\n\
+     the decoder classes). coverage --test defaults to March SS. --exhaustive\n\
+     enumerates every cell placement (generate --exhaustive verifies the generated\n\
+     test that way). coverage --sample N replaces enumeration with a seeded\n\
+     Monte-Carlo campaign over the exhaustive (placement, background) space: N draws\n\
+     (1e6 notation is accepted), a Wilson-score confidence interval at --confidence\n\
+     (default 0.95), and a bounded escape trace. Identical --seed values replay\n\
+     identical draws at every thread count; draw counts covering the whole space\n\
+     degenerate to sampling without replacement and match --exhaustive verdicts\n\
+     exactly. diagnose looks the observed syndrome up in the memoised fault\n\
+     dictionary of the test, list and memory.\n\
      serve keeps one engine resident and answers newline-delimited JSON requests\n\
-     ({\"op\": \"coverage\"|\"generate\"|\"minimise\"|\"diagnose\"|\"stats\"|\"shutdown\", ...}) on\n\
-     stdin or a --tcp socket; all clients share its artifact store and worker pool,\n\
-     at most --max-in-flight requests execute concurrently (excess requests see\n\
-     backpressure), and requests beyond --timeout-ms answer a typed timeout error.\n\
-     --snapshot-dir persists the cache crash-safely across restarts (checksummed,\n\
-     written atomically; corrupt files are quarantined and rebuilt in memory);\n\
-     --read-timeout-ms bounds idle connections; a shutdown request drains the\n\
-     service gracefully. snapshot inspects such a directory, or pre-warms it with\n\
-     --warm so the next serve starts hot.\n"
+     ({\"op\": \"coverage\"|\"campaign\"|\"generate\"|\"minimise\"|\"diagnose\"|\"stats\"|\"shutdown\", ...})\n\
+     on stdin or a --tcp socket; all clients share its artifact store and worker\n\
+     pool, at most --max-in-flight requests execute concurrently (excess requests\n\
+     see backpressure), and requests beyond --timeout-ms answer a typed timeout\n\
+     error. --snapshot-dir persists the cache crash-safely across restarts\n\
+     (checksummed, written atomically; corrupt files are quarantined and rebuilt in\n\
+     memory); --read-timeout-ms bounds idle connections; a shutdown request drains\n\
+     the service gracefully. snapshot inspects such a directory, or pre-warms it\n\
+     with --warm so the next serve starts hot.\n"
         .to_string()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::CoverageTarget;
+    use march_test::AddressOrder;
 
     fn parse(args: &[&str]) -> Result<Command, ParseArgsError> {
         Command::parse(args.iter().map(|s| s.to_string()))
+    }
+
+    /// The request of a pipeline sub-command, with its command-line options.
+    fn pipeline(args: &[&str]) -> (Request, bool, usize, bool) {
+        match parse(args).unwrap() {
+            Command::Pipeline {
+                request,
+                verify_exhaustive,
+                threads,
+                json,
+            } => (request, verify_exhaustive, threads, json),
+            other => panic!("{args:?} parsed to {other:?}"),
+        }
+    }
+
+    fn error(args: &[&str]) -> String {
+        parse(args).unwrap_err().to_string()
     }
 
     #[test]
@@ -795,11 +485,13 @@ mod tests {
         assert_eq!(parse(&[]).unwrap(), Command::Help);
         assert!(parse(&["show"]).is_err());
         assert!(parse(&["frobnicate"]).is_err());
+        // The campaign op is `coverage --sample` on the command line.
+        assert!(parse(&["campaign", "--list", "1", "--sample", "10"]).is_err());
     }
 
     #[test]
     fn parses_generate() {
-        let command = parse(&[
+        let parsed = pipeline(&[
             "generate",
             "--list",
             "1",
@@ -808,22 +500,27 @@ mod tests {
             "up",
             "--name",
             "March X",
-        ])
-        .unwrap();
+        ]);
         assert_eq!(
-            command,
-            Command::Generate {
-                list: Some(CoverageTarget::List1),
-                faults: FaultDomain::Ffm,
-                cells: None,
-                no_removal: true,
-                order: Some(AddressOrder::Ascending),
-                name: Some("March X".into()),
-                exhaustive: false,
-                threads: 1,
-                json: false,
-            }
+            parsed,
+            (
+                Request::Generate {
+                    list: FaultList::list_1(),
+                    cells: None,
+                    no_removal: true,
+                    order: Some(AddressOrder::Ascending),
+                    name: Some("March X".into()),
+                },
+                false,
+                1,
+                false
+            )
         );
+        // `--exhaustive` picks the verification scope, not the request's.
+        let (request, verify_exhaustive, _, _) =
+            pipeline(&["generate", "--list", "2", "--exhaustive"]);
+        assert!(verify_exhaustive);
+        assert!(matches!(request, Request::Generate { .. }));
         assert!(parse(&["generate"]).is_err());
         assert!(parse(&["generate", "--list", "7"]).is_err());
         assert!(parse(&["generate", "--list", "1", "--order", "sideways"]).is_err());
@@ -831,7 +528,7 @@ mod tests {
 
     #[test]
     fn parses_minimise() {
-        let command = parse(&[
+        let parsed = pipeline(&[
             "minimise",
             "--test",
             "March SL",
@@ -840,44 +537,51 @@ mod tests {
             "--threads",
             "0",
             "--json",
-        ])
-        .unwrap();
-        assert_eq!(
-            command,
-            Command::Minimise {
-                test: "March SL".into(),
-                list: Some(CoverageTarget::List2),
-                faults: FaultDomain::Ffm,
-                cells: None,
-                threads: 0,
-                json: true,
-            }
-        );
+        ]);
+        let march_sl = Request::Minimise {
+            test: "March SL".into(),
+            list: FaultList::list_2(),
+            cells: None,
+        };
+        assert_eq!(parsed, (march_sl, false, 0, true));
         // The American spelling is accepted too.
         assert_eq!(
-            parse(&["minimize", "--test", "MATS+", "--list", "unlinked"]).unwrap(),
-            Command::Minimise {
-                test: "MATS+".into(),
-                list: Some(CoverageTarget::Unlinked),
-                faults: FaultDomain::Ffm,
-                cells: None,
-                threads: 1,
-                json: false,
-            }
+            pipeline(&["minimize", "--test", "MATS+", "--list", "unlinked"]),
+            (
+                Request::Minimise {
+                    test: "MATS+".into(),
+                    list: FaultList::unlinked_static(),
+                    cells: None,
+                },
+                false,
+                1,
+                false
+            )
+        );
+        assert_eq!(
+            error(&["minimise", "--list", "2"]),
+            "minimise requires --test"
         );
         assert!(parse(&["minimise", "--test", "March SL"]).is_err());
-        assert!(parse(&["minimise", "--list", "2"]).is_err());
-        assert!(parse(&["minimise", "--test", "x", "--list", "2", "--bogus"]).is_err());
+        assert_eq!(
+            error(&["minimise", "--test", "x", "--list", "2", "--bogus"]),
+            "unknown flag `--bogus`"
+        );
+        // Only `generate` has a verification scope to set.
+        assert_eq!(
+            error(&["minimise", "--test", "x", "--list", "2", "--exhaustive"]),
+            "unknown flag `--exhaustive`"
+        );
     }
 
     #[test]
     fn parses_backend_threads_and_batch() {
-        assert!(matches!(
-            parse(&["generate", "--list", "2", "--threads", "4"]).unwrap(),
-            Command::Generate { threads: 4, .. }
-        ));
-        assert!(matches!(
-            parse(&[
+        assert_eq!(
+            pipeline(&["generate", "--list", "2", "--threads", "4"]).2,
+            4
+        );
+        assert_eq!(
+            pipeline(&[
                 "coverage",
                 "--test",
                 "March SL",
@@ -886,9 +590,9 @@ mod tests {
                 "--threads",
                 "0"
             ])
-            .unwrap(),
-            Command::Coverage { threads: 0, .. }
-        ));
+            .2,
+            0
+        );
         assert!(parse(&["generate", "--list", "2", "--threads", "many"]).is_err());
         // The candidate-batch, backend and lane width knobs are gone from
         // every session-building sub-command: each is an unknown flag, so a
@@ -929,29 +633,27 @@ mod tests {
 
     #[test]
     fn parses_coverage_and_simulate() {
-        let coverage = parse(&[
+        let coverage = pipeline(&[
             "coverage",
             "--test",
             "March SL",
             "--list",
             "unlinked",
             "--exhaustive",
-        ])
-        .unwrap();
+        ]);
         assert_eq!(
             coverage,
-            Command::Coverage {
-                test: "March SL".into(),
-                list: Some(CoverageTarget::Unlinked),
-                faults: FaultDomain::Ffm,
-                cells: None,
-                exhaustive: true,
-                sample: None,
-                seed: 0,
-                confidence: 0.95,
-                threads: 1,
-                json: false,
-            }
+            (
+                Request::Coverage {
+                    test: "March SL".into(),
+                    list: FaultList::unlinked_static(),
+                    cells: None,
+                    exhaustive: true,
+                },
+                false,
+                1,
+                false
+            )
         );
         let simulate = parse(&[
             "simulate",
@@ -977,20 +679,34 @@ mod tests {
                 cells: 16,
             }
         );
-        assert!(parse(&["simulate", "--test", "March SS"]).is_err());
+        assert_eq!(
+            error(&["simulate", "--test", "March SS"]),
+            "simulate requires --fault"
+        );
         // coverage without --list still errors in the default ffm domain...
         assert!(parse(&["coverage", "--test", "March SS"]).is_err());
         // ...and without --test defaults to March SS in the af domain.
         assert!(matches!(
-            parse(&["coverage", "--faults", "af"]).unwrap(),
-            Command::Coverage { test, .. } if test == "March SS"
+            pipeline(&["coverage", "--faults", "af"]).0,
+            Request::Coverage { test, .. } if test == "March SS"
         ));
-        assert!(parse(&["simulate", "--test", "x", "--fault", "y", "--victim", "abc"]).is_err());
+        assert_eq!(
+            error(&["simulate", "--test", "x", "--fault", "y", "--victim", "abc"]),
+            "--victim expects a non-negative integer, got `abc`"
+        );
+        assert_eq!(
+            error(&["simulate", "--test", "x", "--fault", "y", "--victim"]),
+            "--victim requires a value"
+        );
+        assert_eq!(
+            error(&["simulate", "--test", "x", "--fault", "y", "--victim", "1", "extra"]),
+            "unknown flag `extra`"
+        );
     }
 
     #[test]
     fn parses_diagnose_and_json_flags() {
-        let diagnose = parse(&[
+        let diagnose = pipeline(&[
             "diagnose",
             "--test",
             "March SS",
@@ -1005,63 +721,68 @@ mod tests {
             "--cells",
             "6",
             "--json",
-        ])
-        .unwrap();
+        ]);
         assert_eq!(
             diagnose,
-            Command::Diagnose {
-                test: "March SS".into(),
-                fault: "<0w1;0/1/->".into(),
-                victim: 4,
-                aggressor: Some(1),
-                cells: 6,
-                list: CoverageTarget::Unlinked,
-                threads: 1,
-                json: true,
-            }
+            (
+                Request::Diagnose {
+                    test: "March SS".into(),
+                    fault: "<0w1;0/1/->".into(),
+                    victim: 4,
+                    aggressor: Some(1),
+                    cells: 6,
+                    list: FaultList::unlinked_static(),
+                },
+                false,
+                1,
+                true
+            )
         );
-        assert!(parse(&["diagnose", "--test", "March SS"]).is_err());
-        assert!(parse(&["diagnose", "--fault", "x", "--victim", "1", "--list", "2"]).is_err());
+        // The decoder domain needs no --list, like every other pipeline op.
         assert!(matches!(
-            parse(&["coverage", "--test", "x", "--list", "1", "--json"]).unwrap(),
-            Command::Coverage { json: true, .. }
+            pipeline(&[
+                "diagnose", "--test", "March SS", "--fault", "<1/0/->", "--victim", "1",
+                "--faults", "af",
+            ])
+            .0,
+            Request::Diagnose { cells: 8, list, .. } if list == FaultList::address_decoder()
         ));
-        assert!(matches!(
-            parse(&["generate", "--list", "2", "--json"]).unwrap(),
-            Command::Generate { json: true, .. }
-        ));
+        assert_eq!(
+            error(&["diagnose", "--test", "March SS"]),
+            "diagnose requires --fault"
+        );
+        assert_eq!(
+            error(&["diagnose", "--fault", "x", "--victim", "1", "--list", "2"]),
+            "diagnose requires --test"
+        );
+        assert!(pipeline(&["coverage", "--test", "x", "--list", "1", "--json"]).3);
+        assert!(pipeline(&["generate", "--list", "2", "--json"]).3);
     }
 
     #[test]
     fn parses_faults_and_cells() {
-        // Decoder-only domain: --list becomes optional and large memories
-        // default to auto threads.
-        let af = parse(&[
+        // Decoder-only domain: --list becomes optional. One thread is the
+        // default at every memory size.
+        let af = pipeline(&[
             "coverage", "--test", "March SS", "--faults", "af", "--cells", "1024",
-        ])
-        .unwrap();
+        ]);
         assert_eq!(
             af,
-            Command::Coverage {
-                test: "March SS".into(),
-                list: None,
-                faults: FaultDomain::Af,
-                cells: Some(1024),
-                exhaustive: false,
-                sample: None,
-                seed: 0,
-                confidence: 0.95,
-                threads: 0,
-                json: false,
-            }
+            (
+                Request::Coverage {
+                    test: "March SS".into(),
+                    list: FaultList::address_decoder(),
+                    cells: Some(1024),
+                    exhaustive: false,
+                },
+                false,
+                1,
+                false
+            )
         );
-        // Small memories stay serial by default; explicit --threads always wins.
-        assert!(matches!(
-            parse(&["coverage", "--test", "x", "--faults", "af", "--cells", "64"]).unwrap(),
-            Command::Coverage { threads: 1, .. }
-        ));
-        assert!(matches!(
-            parse(&[
+        // An explicit --threads always wins.
+        assert_eq!(
+            pipeline(&[
                 "coverage",
                 "--test",
                 "x",
@@ -1072,29 +793,25 @@ mod tests {
                 "--threads",
                 "2"
             ])
-            .unwrap(),
-            Command::Coverage { threads: 2, .. }
-        ));
+            .2,
+            2
+        );
         // The combined domain still needs a cell-array list...
         assert!(parse(&["coverage", "--test", "x", "--faults", "all"]).is_err());
         // ...and the decoder-only domain rejects one rather than dropping it.
         assert!(parse(&["coverage", "--test", "x", "--list", "2", "--faults", "af"]).is_err());
         assert!(parse(&["generate", "--list", "1", "--faults", "af"]).is_err());
         assert!(matches!(
-            parse(&["generate", "--list", "2", "--faults", "all", "--cells", "16"]).unwrap(),
-            Command::Generate {
-                faults: FaultDomain::All,
+            pipeline(&["generate", "--list", "2", "--faults", "all", "--cells", "16"]).0,
+            Request::Generate {
                 cells: Some(16),
+                list,
                 ..
-            }
+            } if list == FaultList::list_2().with_address_decoder_faults()
         ));
         assert!(matches!(
-            parse(&["minimise", "--test", "March SS", "--faults", "af"]).unwrap(),
-            Command::Minimise {
-                list: None,
-                faults: FaultDomain::Af,
-                ..
-            }
+            pipeline(&["minimise", "--test", "March SS", "--faults", "af"]).0,
+            Request::Minimise { list, .. } if list == FaultList::address_decoder()
         ));
         assert!(parse(&["coverage", "--test", "x", "--faults", "bogus"]).is_err());
         assert!(parse(&["coverage", "--test", "x", "--list", "2", "--cells", "many"]).is_err());
@@ -1104,7 +821,7 @@ mod tests {
     fn parses_campaign_flags() {
         // Full campaign spelling, with scientific notation for the draws.
         assert!(matches!(
-            parse(&[
+            pipeline(&[
                 "coverage",
                 "--faults",
                 "af",
@@ -1117,9 +834,9 @@ mod tests {
                 "--confidence",
                 "0.99",
             ])
-            .unwrap(),
-            Command::Coverage {
-                sample: Some(1_000_000),
+            .0,
+            Request::Campaign {
+                sample: 1_000_000,
                 seed: 7,
                 confidence,
                 ..
@@ -1127,9 +844,9 @@ mod tests {
         ));
         // Defaults: seed 0, confidence 0.95.
         assert!(matches!(
-            parse(&["coverage", "--list", "1", "--sample", "4096"]).unwrap(),
-            Command::Coverage {
-                sample: Some(4096),
+            pipeline(&["coverage", "--list", "1", "--sample", "4096"]).0,
+            Request::Campaign {
+                sample: 4096,
                 seed: 0,
                 confidence,
                 ..
@@ -1165,7 +882,15 @@ mod tests {
             );
         }
         assert!(parse(&["coverage", "--list", "1", "--sample", "10", "--seed", "-1"]).is_err());
-        assert!(parse(&["coverage", "--list", "1", "--sample", "10", "--seed", "1e3"]).is_err());
+        assert!(parse(&["coverage", "--list", "1", "--sample", "10", "--seed", "2.5"]).is_err());
+        // A seed in scientific notation parses the way a JSON request's
+        // `1e3` does; an exact integer seed keeps all 64 bits.
+        for (seed, expected) in [("1e3", 1000), ("18446744073709551615", u64::MAX)] {
+            assert!(matches!(
+                pipeline(&["coverage", "--list", "1", "--sample", "10", "--seed", seed]).0,
+                Request::Campaign { seed, .. } if seed == expected
+            ));
+        }
     }
 
     #[test]
@@ -1173,7 +898,7 @@ mod tests {
         assert_eq!(
             parse(&["serve"]).unwrap(),
             Command::Serve {
-                threads: 0,
+                threads: 1,
                 max_in_flight: 4,
                 timeout_ms: 30_000,
                 read_timeout_ms: None,
@@ -1223,9 +948,7 @@ mod tests {
             parse(&["snapshot", "--dir", "/tmp/snaps"]).unwrap(),
             Command::Snapshot {
                 dir: "/tmp/snaps".into(),
-                warm: false,
-                list: None,
-                faults: FaultDomain::Ffm,
+                warm: None,
                 test: None,
                 cells: None,
             }
@@ -1246,9 +969,7 @@ mod tests {
             .unwrap(),
             Command::Snapshot {
                 dir: "/tmp/snaps".into(),
-                warm: true,
-                list: Some(CoverageTarget::List2),
-                faults: FaultDomain::Ffm,
+                warm: Some(FaultList::list_2()),
                 test: Some("March SS".into()),
                 cells: Some(8),
             }
@@ -1257,25 +978,29 @@ mod tests {
         // --warm inherits the usual list/domain presence rules.
         assert!(parse(&["snapshot"]).is_err());
         assert!(parse(&["snapshot", "--dir", "/tmp/snaps", "--list", "2"]).is_err());
+        assert!(parse(&["snapshot", "--dir", "/tmp/snaps", "--faults", "af"]).is_err());
         assert!(parse(&["snapshot", "--dir", "/tmp/snaps", "--warm"]).is_err());
         assert!(matches!(
             parse(&["snapshot", "--dir", "d", "--warm", "--faults", "af"]).unwrap(),
             Command::Snapshot {
-                warm: true,
-                list: None,
-                faults: FaultDomain::Af,
+                warm: Some(list),
                 ..
-            }
+            } if list == FaultList::address_decoder()
         ));
     }
 
     #[test]
     fn target_labels() {
-        assert_eq!(CoverageTarget::List1.label(), "Fault List #1");
-        assert_eq!(
-            CoverageTarget::parse("unlinked").unwrap(),
-            CoverageTarget::Unlinked
-        );
+        // Every spelling of each list, and nothing else.
+        for (spellings, target) in [
+            (["1", "list1", "#1"], CoverageTarget::List1),
+            (["2", "list2", "#2"], CoverageTarget::List2),
+            (["unlinked", "simple", "static"], CoverageTarget::Unlinked),
+        ] {
+            for spelling in spellings {
+                assert_eq!(CoverageTarget::parse(spelling), Ok(target), "{spelling}");
+            }
+        }
         assert!(CoverageTarget::parse("3").is_err());
         assert!(!usage().is_empty());
     }

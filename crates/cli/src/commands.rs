@@ -1,17 +1,26 @@
 //! Command implementations of the `march-codex` binary.
+//!
+//! The pipeline sub-commands run through the executor `serve` shares
+//! ([`execute`]); this module adds what is the command line's own: the
+//! text view of each report, the `--json` wrappers with the session
+//! counters, the verification step of `generate`, and the sub-commands
+//! `serve` has no op for.
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
-use march_gen::{GeneratorConfig, MarchGenerator, SessionExt};
-use march_test::{catalog, AddressOrder, MarchTest};
-use sram_fault_model::{FaultList, FaultPrimitive, Ffm};
+use march_test::catalog;
+use sram_fault_model::{FaultList, FaultPrimitive};
 use sram_sim::{
-    ArtifactStore, CampaignConfig, ExecPolicy, FaultSimulator, InitialState, InjectedFault,
-    JsonObject, PlacementStrategy, Report, Session, SharedEngine, SnapshotStore, Syndrome,
+    ArtifactStore, CampaignReport, CoverageReport, ExecPolicy, FaultSimulator, InitialState,
+    JsonObject, Report, Session, SharedEngine, SnapshotStore, Syndrome,
 };
 
-use crate::args::{usage, Command, CoverageTarget, FaultDomain, ParseArgsError};
+use crate::args::{usage, Command, ParseArgsError};
+use crate::request::{
+    build_injection, execute, find_primitive, lookup, scoped, validate_scope, Request, Response,
+};
 
 /// Errors produced by the command-line front end.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,84 +73,14 @@ pub fn run(command: &Command) -> Result<String, CliError> {
             let test = lookup(name)?;
             Ok(format!("{test}\ncomplexity: {}\n", test.complexity_label()))
         }
-        Command::Generate {
-            list,
-            faults,
-            cells,
-            no_removal,
-            order,
-            name,
-            exhaustive,
+        Command::Pipeline {
+            request,
+            verify_exhaustive,
             threads,
             json,
-        } => generate(
-            resolve_list(*list, *faults)?,
-            *cells,
-            *no_removal,
-            *order,
-            name.as_deref(),
-            *exhaustive,
-            ExecPolicy::default().with_threads(*threads),
-            *json,
-        ),
-        Command::Coverage {
-            test,
-            list,
-            faults,
-            cells,
-            exhaustive,
-            sample,
-            seed,
-            confidence,
-            threads,
-            json,
-        } => {
-            let policy = ExecPolicy::default().with_threads(*threads);
-            let list = resolve_list(*list, *faults)?;
-            match sample {
-                Some(draws) => campaign(
-                    test,
-                    list,
-                    *cells,
-                    *draws,
-                    *seed,
-                    *confidence,
-                    policy,
-                    *json,
-                ),
-                None => coverage(test, list, *cells, *exhaustive, policy, *json),
-            }
-        }
-        Command::Minimise {
-            test,
-            list,
-            faults,
-            cells,
-            threads,
-            json,
-        } => minimise(
-            test,
-            resolve_list(*list, *faults)?,
-            *cells,
-            ExecPolicy::default().with_threads(*threads),
-            *json,
-        ),
-        Command::Diagnose {
-            test,
-            fault,
-            victim,
-            aggressor,
-            cells,
-            list,
-            threads,
-            json,
-        } => diagnose(
-            test,
-            fault,
-            *victim,
-            *aggressor,
-            *cells,
-            *list,
+        } => pipeline(
+            request,
+            *verify_exhaustive,
             ExecPolicy::default().with_threads(*threads),
             *json,
         ),
@@ -184,12 +123,199 @@ pub fn run(command: &Command) -> Result<String, CliError> {
         Command::Snapshot {
             dir,
             warm,
-            list,
-            faults,
             test,
             cells,
-        } => snapshot(dir, *warm, *list, *faults, test.as_deref(), *cells),
+        } => snapshot(dir, warm.as_ref(), test.as_deref(), *cells),
     }
+}
+
+/// Runs one pipeline request through the executor `serve` shares, on an
+/// engine of its own, and renders the report: its text form, or its JSON
+/// under `--json`.
+fn pipeline(
+    request: &Request,
+    verify_exhaustive: bool,
+    policy: ExecPolicy,
+    json: bool,
+) -> Result<String, CliError> {
+    let engine = SharedEngine::new(policy);
+    Ok(match execute(engine.session(), request)? {
+        Response::Coverage(report) => view(json, &report, coverage_text),
+        Response::Campaign(report) => view(json, &report, campaign_text),
+        Response::Generate {
+            list,
+            cells,
+            generated,
+        } => {
+            // The command line verifies what it generated. Exhaustive
+            // verification runs on a session of its own, so the session
+            // counters count the generation alone.
+            let verification = if verify_exhaustive {
+                scoped(Session::new(policy), cells, true)
+                    .try_coverage(generated.test(), list)
+                    .map_err(|error| CliError::Simulation(error.to_string()))?
+            } else {
+                scoped(engine.session(), cells, false).coverage(generated.test(), list)
+            };
+            if json {
+                return Ok(format!(
+                    "{}\n",
+                    JsonObject::new()
+                        .raw("generation", generated.to_json())
+                        .raw("verification", verification.to_json())
+                        .raw("session", session_stats(&engine))
+                        .build()
+                ));
+            }
+            let mut output = format!("target        : {list}\n");
+            output.push_str(&format!("generated     : {}\n", generated.test()));
+            output.push_str(&format!(
+                "complexity    : {}\n",
+                generated.test().complexity_label()
+            ));
+            output.push_str(&format!("generation    : {}\n", generated.report()));
+            output.push_str(&format!("verification  : {verification}\n"));
+            if !verification.is_complete() {
+                for escape in verification.escapes().iter().take(5) {
+                    output.push_str(&format!("  escape: {escape}\n"));
+                }
+            }
+            output
+        }
+        Response::Minimise {
+            list,
+            input,
+            report,
+        } => {
+            if json {
+                return Ok(format!(
+                    "{}\n",
+                    JsonObject::new()
+                        .raw("minimisation", report.to_json())
+                        .raw("session", session_stats(&engine))
+                        .build()
+                ));
+            }
+            let mut output = format!("input         : {input}\n");
+            output.push_str(&format!("target        : {list}\n"));
+            output.push_str(&format!("minimised     : {}\n", report.test()));
+            output.push_str(&format!(
+                "complexity    : {} -> {}\n",
+                input.complexity_label(),
+                report.test().complexity_label()
+            ));
+            output.push_str(&format!(
+                "removed       : {} operations\n",
+                report.removed_operations()
+            ));
+            output
+        }
+        Response::Diagnose {
+            list,
+            primitive,
+            victim,
+            aggressor,
+            cells,
+            report,
+        } => view(json, &report, |report| {
+            let mut output = format!(
+                "device fault  : {}\n",
+                fault_on(&primitive, victim, aggressor, cells)
+            );
+            output.push_str(&format!("syndrome      : {}\n", report.syndrome()));
+            output.push_str(&format!("searched space: {list}\n"));
+            output.push_str(&format!("diagnosis     : {}\n", report.summary()));
+            for line in report.detail_lines().iter().take(15) {
+                output.push_str(&format!("  candidate: {line}\n"));
+            }
+            if report.is_unexplained() {
+                output.push_str("no single fault of the searched space explains the syndrome\n");
+            }
+            output
+        }),
+    })
+}
+
+/// The report's JSON line under `--json`, its `text` form otherwise.
+fn view<R: Report>(json: bool, report: &R, text: impl FnOnce(&R) -> String) -> String {
+    if json {
+        format!("{}\n", report.to_json())
+    } else {
+        text(report)
+    }
+}
+
+fn coverage_text(report: &CoverageReport) -> String {
+    let mut output = format!("{report}\n");
+    for (topology, (covered, total)) in report.by_topology() {
+        output.push_str(&format!("  {topology}: {covered}/{total}\n"));
+    }
+    if !report.is_complete() {
+        output.push_str(&format!(
+            "escapes ({} shown of {}):\n",
+            report.escapes().len().min(10),
+            report.escapes().len()
+        ));
+        for escape in report.escapes().iter().take(10) {
+            output.push_str(&format!("  {escape}\n"));
+        }
+    }
+    output
+}
+
+fn campaign_text(report: &CampaignReport) -> String {
+    let mut output = format!("{report}\n");
+    output.push_str(&format!(
+        "  replay: --sample {} --seed {}{}\n",
+        report.draws(),
+        report.seed(),
+        if report.without_replacement() {
+            " (covers the full space, without replacement)"
+        } else {
+            ""
+        }
+    ));
+    if !report.trace().is_empty() {
+        output.push_str(&format!(
+            "escape trace ({} shown{}):\n",
+            report.trace().len(),
+            if report.trace_truncated() {
+                ", truncated"
+            } else {
+                ""
+            }
+        ));
+        for line in report.detail_lines() {
+            output.push_str(&format!("  {line}\n"));
+        }
+    }
+    output
+}
+
+/// The engine's observability counters as a JSON fragment: how many worker
+/// threads were spawned for the whole invocation and how often the
+/// target-lane artifact cache answered a query without re-enumerating.
+fn session_stats(engine: &SharedEngine) -> String {
+    JsonObject::new()
+        .number("workers_spawned", engine.workers_spawned() as u64)
+        .number("jobs_executed", engine.jobs_executed() as u64)
+        .number("cache_hits", engine.cache_hits() as u64)
+        .number("cached_artifacts", engine.cached_artifacts() as u64)
+        .number("cached_dictionaries", engine.cached_dictionaries() as u64)
+        .build()
+}
+
+/// "`primitive` (victim V, aggressor A) on a N-cell memory".
+fn fault_on(
+    primitive: &FaultPrimitive,
+    victim: usize,
+    aggressor: Option<usize>,
+    cells: usize,
+) -> String {
+    let aggressor = aggressor.map_or(String::new(), |aggressor| {
+        format!(", aggressor {aggressor}")
+    });
+    format!("{primitive} (victim {victim}{aggressor}) on a {cells}-cell memory")
 }
 
 /// The `snapshot` subcommand: pre-warms a snapshot directory (with `--warm`)
@@ -197,31 +323,25 @@ pub fn run(command: &Command) -> Result<String, CliError> {
 /// file, so operators can audit what a `serve --snapshot-dir` will replay.
 fn snapshot(
     dir: &str,
-    warm: bool,
-    list: Option<CoverageTarget>,
-    faults: FaultDomain,
+    warm: Option<&FaultList>,
     test: Option<&str>,
     cells: Option<usize>,
 ) -> Result<String, CliError> {
     let snapshots = SnapshotStore::open(dir);
     let mut output = String::new();
-    if warm {
-        let list = resolve_list(list, faults)?;
+    if let Some(list) = warm {
         // A private store keeps the warm run isolated from the process-wide
         // cache: everything it builds lands in the snapshot directory.
-        let artifacts = std::sync::Arc::new(ArtifactStore::new());
-        artifacts.attach_snapshots(std::sync::Arc::clone(&snapshots));
+        let artifacts = Arc::new(ArtifactStore::new());
+        artifacts.attach_snapshots(Arc::clone(&snapshots));
         let engine = SharedEngine::with_store(ExecPolicy::default(), artifacts);
-        let mut session = engine.session();
-        if let Some(cells) = cells {
-            session = session.with_memory_cells(cells);
-        }
-        validate_scope(&session, &list)?;
+        let session = scoped(engine.session(), cells, false);
+        validate_scope(&session, list)?;
         if let Some(test) = test {
             let test = lookup(test)?;
             // Building the dictionary is the warming side effect; the handle
             // itself is not needed here.
-            let _ = session.dictionary(&test, &list);
+            let _ = session.dictionary(&test, list);
         }
         let stats = snapshots.stats();
         output.push_str(&format!(
@@ -260,370 +380,6 @@ fn render_catalog() -> String {
     output
 }
 
-pub(crate) fn lookup(name: &str) -> Result<MarchTest, CliError> {
-    catalog::by_name(name).ok_or_else(|| CliError::UnknownTest(name.to_string()))
-}
-
-fn fault_list(target: CoverageTarget) -> FaultList {
-    match target {
-        CoverageTarget::List1 => FaultList::list_1(),
-        CoverageTarget::List2 => FaultList::list_2(),
-        CoverageTarget::Unlinked => FaultList::unlinked_static(),
-    }
-}
-
-/// The fault list of a `--list`/`--faults` pair: the selected cell-array list,
-/// the decoder-only list, or the selected list extended with the decoder
-/// classes. The parser guarantees `list` is present exactly when the domain
-/// needs it (and absent under `--faults af`, which would otherwise drop it).
-pub(crate) fn resolve_list(
-    target: Option<CoverageTarget>,
-    faults: FaultDomain,
-) -> Result<FaultList, CliError> {
-    match faults {
-        FaultDomain::Af => Ok(FaultList::address_decoder()),
-        FaultDomain::Ffm | FaultDomain::All => {
-            let base = fault_list(target.ok_or_else(|| {
-                CliError::Arguments("a fault list is required outside --faults af".to_string())
-            })?);
-            Ok(match faults {
-                FaultDomain::All => base.with_address_decoder_faults(),
-                _ => base,
-            })
-        }
-    }
-}
-
-/// Pre-validates that `session`'s scope can host `list`'s placements, turning
-/// the would-be panic of the infallible generation/minimisation paths into
-/// the same typed error `coverage` reports. The enumeration lands in the
-/// session's artifact cache, so the later pipeline run pays nothing extra.
-pub(crate) fn validate_scope(session: &Session, list: &FaultList) -> Result<(), CliError> {
-    session
-        .target_lanes(list)
-        .map(|_| ())
-        .map_err(|error| CliError::Simulation(error.to_string()))
-}
-
-/// The memory size of the exhaustive scope: `coverage --exhaustive`,
-/// `coverage --sample` and the verification step of `generate --exhaustive`
-/// enumerate every placement on this many cells unless `--cells` is given.
-const EXHAUSTIVE_CELLS: usize = 6;
-
-/// The session of a `coverage` or `generate` run: the thorough scope (8
-/// cells, representative placements), or every placement on
-/// [`EXHAUSTIVE_CELLS`] cells under `exhaustive`, with both uniform
-/// backgrounds either way and an explicit `--cells` taking precedence.
-fn scoped_session(policy: ExecPolicy, cells: Option<usize>, exhaustive: bool) -> Session {
-    let session = Session::new(policy);
-    if exhaustive {
-        session
-            .with_memory_cells(cells.unwrap_or(EXHAUSTIVE_CELLS))
-            .with_strategy(PlacementStrategy::Exhaustive)
-    } else {
-        match cells {
-            Some(cells) => session.with_memory_cells(cells),
-            None => session,
-        }
-    }
-}
-
-#[allow(clippy::fn_params_excessive_bools, clippy::too_many_arguments)]
-fn generate(
-    list: FaultList,
-    cells: Option<usize>,
-    no_removal: bool,
-    order: Option<AddressOrder>,
-    name: Option<&str>,
-    exhaustive: bool,
-    policy: ExecPolicy,
-    json: bool,
-) -> Result<String, CliError> {
-    let mut config = if no_removal {
-        GeneratorConfig::without_redundancy_removal()
-    } else {
-        GeneratorConfig::default()
-    };
-    if let Some(order) = order {
-        config.allowed_orders = vec![order, AddressOrder::Any];
-    }
-
-    // One session serves the whole invocation: generation, redundancy removal
-    // and the final verification all share its policy and worker pool.
-    let session = scoped_session(policy, cells, false);
-    validate_scope(&session, &list)?;
-    let generator = MarchGenerator::with_config(list.clone(), config)
-        .named(name.unwrap_or("March GEN").to_string());
-    let generated = generator.generate_with(&session);
-    let report = if exhaustive {
-        // Exhaustive verification changes the simulation scope, not the
-        // policy — but it must still honour an explicit --cells.
-        scoped_session(policy, cells, true)
-            .try_coverage(generated.test(), &list)
-            .map_err(|error| CliError::Simulation(error.to_string()))?
-    } else {
-        session.coverage(generated.test(), &list)
-    };
-
-    if json {
-        return Ok(format!(
-            "{}\n",
-            JsonObject::new()
-                .raw("generation", generated.to_json())
-                .raw("verification", report.to_json())
-                .raw("session", session_stats(&session))
-                .build()
-        ));
-    }
-
-    let mut output = String::new();
-    output.push_str(&format!("target        : {list}\n"));
-    let threads_label = if policy.threads == 0 {
-        "auto threads".to_string()
-    } else {
-        format!("{} threads", policy.threads)
-    };
-    output.push_str(&format!(
-        "backend       : {} ({threads_label})\n",
-        policy.backend
-    ));
-    output.push_str(&format!("generated     : {}\n", generated.test()));
-    output.push_str(&format!(
-        "complexity    : {}\n",
-        generated.test().complexity_label()
-    ));
-    output.push_str(&format!("generation    : {}\n", generated.report()));
-    output.push_str(&format!("verification  : {report}\n"));
-    if !report.is_complete() {
-        for escape in report.escapes().iter().take(5) {
-            output.push_str(&format!("  escape: {escape}\n"));
-        }
-    }
-    Ok(output)
-}
-
-/// The session's observability counters as a JSON fragment: how many worker
-/// threads were spawned for the whole invocation and how often the
-/// target-lane artifact cache answered a query without re-enumerating.
-fn session_stats(session: &Session) -> String {
-    JsonObject::new()
-        .number("workers_spawned", session.workers_spawned() as u64)
-        .number("jobs_executed", session.jobs_executed() as u64)
-        .number("cache_hits", session.cache_hits() as u64)
-        .number("cached_artifacts", session.cached_artifacts() as u64)
-        .number("cached_dictionaries", session.cached_dictionaries() as u64)
-        .build()
-}
-
-/// Runs the suffix-only redundancy-removal pass on a catalogue test and
-/// reports the shortened test — the CLI surface of
-/// [`SessionExt::minimise`].
-fn minimise(
-    test: &str,
-    list: FaultList,
-    cells: Option<usize>,
-    policy: ExecPolicy,
-    json: bool,
-) -> Result<String, CliError> {
-    let test = lookup(test)?;
-    let mut session = Session::new(policy);
-    if let Some(cells) = cells {
-        session = session.with_memory_cells(cells);
-    }
-    validate_scope(&session, &list)?;
-    let report = session.minimise(&test, &list);
-
-    if json {
-        return Ok(format!(
-            "{}\n",
-            JsonObject::new()
-                .raw("minimisation", report.to_json())
-                .raw("session", session_stats(&session))
-                .build()
-        ));
-    }
-
-    let mut output = String::new();
-    output.push_str(&format!("input         : {test}\n"));
-    output.push_str(&format!("target        : {list}\n"));
-    output.push_str(&format!("minimised     : {}\n", report.test()));
-    output.push_str(&format!(
-        "complexity    : {} -> {}\n",
-        test.complexity_label(),
-        report.test().complexity_label()
-    ));
-    output.push_str(&format!(
-        "removed       : {} operations\n",
-        report.removed_operations()
-    ));
-    Ok(output)
-}
-
-fn coverage(
-    test: &str,
-    list: FaultList,
-    cells: Option<usize>,
-    exhaustive: bool,
-    policy: ExecPolicy,
-    json: bool,
-) -> Result<String, CliError> {
-    let test = lookup(test)?;
-    let session = scoped_session(policy, cells, exhaustive);
-    // The fallible form surfaces undersized memories (e.g. `--cells 2`) as a
-    // typed report error instead of a panic.
-    let report = session
-        .try_coverage(&test, &list)
-        .map_err(|error| CliError::Simulation(error.to_string()))?;
-    if json {
-        return Ok(format!("{}\n", report.to_json()));
-    }
-    let mut output = format!("{report} [{} backend]\n", policy.backend);
-    for (topology, (covered, total)) in report.by_topology() {
-        output.push_str(&format!("  {topology}: {covered}/{total}\n"));
-    }
-    if !report.is_complete() {
-        output.push_str(&format!(
-            "escapes ({} shown of {}):\n",
-            report.escapes().len().min(10),
-            report.escapes().len()
-        ));
-        for escape in report.escapes().iter().take(10) {
-            output.push_str(&format!("  {escape}\n"));
-        }
-    }
-    Ok(output)
-}
-
-/// The Monte-Carlo leg of the `coverage` subcommand: `--sample N` draws a
-/// seeded campaign over the exhaustive `(placement, background)` space
-/// instead of enumerating it.
-#[allow(clippy::too_many_arguments)]
-fn campaign(
-    test: &str,
-    list: FaultList,
-    cells: Option<usize>,
-    draws: u64,
-    seed: u64,
-    confidence: f64,
-    policy: ExecPolicy,
-    json: bool,
-) -> Result<String, CliError> {
-    let test = lookup(test)?;
-    // Campaigns always draw from the exhaustive placement space, so the
-    // session scope mirrors `--exhaustive` (both uniform backgrounds): a
-    // full-space `--sample` then reproduces the exhaustive verdict exactly.
-    let session = scoped_session(policy, cells, true);
-    let campaign = CampaignConfig::default()
-        .with_draws(draws)
-        .with_seed(seed)
-        .with_confidence(confidence);
-    let report = session
-        .try_campaign(&test, &list, &campaign)
-        .map_err(|error| CliError::Simulation(error.to_string()))?;
-    if json {
-        return Ok(format!("{}\n", report.to_json()));
-    }
-    let mut output = format!("{report} [{} backend]\n", policy.backend);
-    output.push_str(&format!(
-        "  replay: --sample {} --seed {}{}\n",
-        report.draws(),
-        report.seed(),
-        if report.without_replacement() {
-            " (covers the full space, without replacement)"
-        } else {
-            ""
-        }
-    ));
-    if !report.trace().is_empty() {
-        output.push_str(&format!(
-            "escape trace ({} shown{}):\n",
-            report.trace().len(),
-            if report.trace_truncated() {
-                ", truncated"
-            } else {
-                ""
-            }
-        ));
-        for line in report.detail_lines() {
-            output.push_str(&format!("  {line}\n"));
-        }
-    }
-    Ok(output)
-}
-
-/// Simulates a device carrying the given fault, observes its syndrome under
-/// `test` and sweeps `list` for every candidate instance reproducing it — all
-/// through one session.
-#[allow(clippy::too_many_arguments)]
-fn diagnose(
-    test: &str,
-    fault: &str,
-    victim: usize,
-    aggressor: Option<usize>,
-    cells: usize,
-    target: CoverageTarget,
-    policy: ExecPolicy,
-    json: bool,
-) -> Result<String, CliError> {
-    let test = lookup(test)?;
-    let list = fault_list(target);
-    let primitive = find_primitive(fault)?;
-    let injected = build_injection(&primitive, victim, aggressor, cells)?;
-
-    let session = Session::new(policy).with_memory_cells(cells);
-    validate_scope(&session, &list)?;
-    let syndrome = session
-        .observe(&test, &injected)
-        .map_err(|error| CliError::Simulation(error.to_string()))?;
-    let report = session.diagnose_sweep(&test, &syndrome, &list);
-
-    if json {
-        return Ok(format!("{}\n", report.to_json()));
-    }
-
-    let mut output = String::new();
-    output.push_str(&format!("device fault  : {primitive} (victim {victim}"));
-    if let Some(aggressor) = aggressor {
-        output.push_str(&format!(", aggressor {aggressor}"));
-    }
-    output.push_str(&format!(") on a {cells}-cell memory\n"));
-    output.push_str(&format!("syndrome      : {syndrome}\n"));
-    output.push_str(&format!("searched space: {list}\n"));
-    output.push_str(&format!("diagnosis     : {}\n", report.summary()));
-    for line in report.detail_lines().iter().take(15) {
-        output.push_str(&format!("  candidate: {line}\n"));
-    }
-    if report.is_unexplained() {
-        output.push_str("no single fault of the searched space explains the syndrome\n");
-    }
-    Ok(output)
-}
-
-/// Builds the fault injection shared by `simulate` and `diagnose`.
-pub(crate) fn build_injection(
-    primitive: &FaultPrimitive,
-    victim: usize,
-    aggressor: Option<usize>,
-    cells: usize,
-) -> Result<InjectedFault, CliError> {
-    if primitive.is_coupling() {
-        let aggressor = aggressor.ok_or_else(|| {
-            CliError::Simulation("coupling primitives require --aggressor".to_string())
-        })?;
-        InjectedFault::coupling(primitive.clone(), aggressor, victim, cells)
-    } else {
-        InjectedFault::single_cell(primitive.clone(), victim, cells)
-    }
-    .map_err(|error| CliError::Simulation(error.to_string()))
-}
-
-pub(crate) fn find_primitive(notation: &str) -> Result<FaultPrimitive, CliError> {
-    Ffm::all_fault_primitives()
-        .into_iter()
-        .find(|fp| fp.notation() == notation.trim())
-        .ok_or_else(|| CliError::UnknownFault(notation.to_string()))
-}
-
 fn simulate(
     test: &str,
     fault: &str,
@@ -646,12 +402,9 @@ fn simulate(
             output.push_str(&format!("  {entry}\n"));
         }
     }
-    output.push_str(&format!("injected fault: {primitive} (victim {victim}"));
-    if let Some(aggressor) = aggressor {
-        output.push_str(&format!(", aggressor {aggressor}"));
-    }
     output.push_str(&format!(
-        ") on a {cells}-cell memory under {}\n",
+        "injected fault: {} under {}\n",
+        fault_on(&primitive, victim, aggressor, cells),
         test.name()
     ));
     Ok(output)
@@ -661,7 +414,12 @@ fn simulate(
 mod tests {
     use super::*;
     use crate::run_from_args;
-    use sram_sim::BackendKind;
+    use march_gen::MarchGenerator;
+    use sram_sim::{BackendKind, CampaignConfig, PlacementStrategy};
+
+    fn cli(args: &[&str]) -> Result<String, CliError> {
+        run_from_args(args.iter().copied())
+    }
 
     /// An explicitly scoped session: `cells` cells, exhaustive placements,
     /// both uniform backgrounds.
@@ -672,42 +430,49 @@ mod tests {
             .with_backgrounds(vec![InitialState::AllZero, InitialState::AllOne])
     }
 
-    /// A `coverage --json` request for March SS over the unlinked list.
-    fn coverage_request(cells: Option<usize>, exhaustive: bool, sample: Option<u64>) -> Command {
-        Command::Coverage {
-            test: "March SS".into(),
-            list: Some(CoverageTarget::Unlinked),
-            faults: FaultDomain::Ffm,
-            cells,
-            exhaustive,
-            sample,
-            seed: 7,
-            confidence: 0.95,
-            threads: 1,
-            json: true,
+    /// `base`, plus `--cells N` when `cells` is given.
+    fn with_cells(base: &[&str], cells: Option<usize>) -> Result<String, CliError> {
+        let cells = cells.map(|cells| cells.to_string());
+        let mut argv = base.to_vec();
+        if let Some(cells) = &cells {
+            argv.extend(["--cells", cells]);
         }
+        cli(&argv)
     }
 
     #[test]
-    fn coverage_exhaustive_runs_on_six_cells_unless_cells_is_given() {
+    fn coverage_exhaustive_runs_on_eight_cells_unless_cells_is_given() {
         let test = catalog::march_ss();
         let list = FaultList::unlinked_static();
-        for (cells, scope) in [(None, 6), (Some(7), 7)] {
-            let output = run(&coverage_request(cells, true, None)).unwrap();
+        let base = [
+            "coverage",
+            "--test",
+            "March SS",
+            "--list",
+            "unlinked",
+            "--exhaustive",
+            "--json",
+        ];
+        for (cells, scope) in [(None, 8), (Some(7), 7)] {
+            let output = with_cells(&base, cells).unwrap();
             let expected = exhaustive_session(scope).coverage(&test, &list).to_json();
             assert_eq!(output, format!("{expected}\n"), "--cells {cells:?}");
         }
     }
 
     #[test]
-    fn coverage_sample_runs_on_six_cells_unless_cells_is_given() {
+    fn coverage_sample_runs_on_eight_cells_unless_cells_is_given() {
         let test = catalog::march_ss();
         let list = FaultList::unlinked_static();
         let campaign = CampaignConfig::default().with_draws(200).with_seed(7);
-        // 6 cells sample a 2,304-lane space; the serve op's 8 cells sample
-        // 4,224 lanes, which `--cells 8` reproduces.
-        for (cells, scope, space) in [(None, 6, 2304), (Some(8), 8, 4224)] {
-            let output = run(&coverage_request(cells, false, Some(200))).unwrap();
+        let base = [
+            "coverage", "--test", "March SS", "--list", "unlinked", "--sample", "200", "--seed",
+            "7", "--json",
+        ];
+        // The session's 8 cells sample a 4,224-lane space, like the serve
+        // op; 6 cells sample 2,304 lanes.
+        for (cells, scope, space) in [(None, 8, 4224), (Some(6), 6, 2304)] {
+            let output = with_cells(&base, cells).unwrap();
             let expected = exhaustive_session(scope)
                 .campaign(&test, &list, &campaign)
                 .to_json();
@@ -720,22 +485,12 @@ mod tests {
     }
 
     #[test]
-    fn generate_exhaustive_verifies_on_six_cells_unless_cells_is_given() {
+    fn generate_exhaustive_verifies_on_eight_cells_unless_cells_is_given() {
         let list = FaultList::list_2();
-        for (cells, scope) in [(None, 6), (Some(7), 7)] {
-            let output = run(&Command::Generate {
-                list: Some(CoverageTarget::List2),
-                faults: FaultDomain::Ffm,
-                cells,
-                no_removal: false,
-                order: None,
-                name: None,
-                exhaustive: true,
-                threads: 1,
-                json: true,
-            })
-            .unwrap();
-            // Generation runs on the thorough scope at `--cells` (8 by
+        let base = ["generate", "--list", "2", "--exhaustive", "--json"];
+        for (cells, scope) in [(None, 8), (Some(7), 7)] {
+            let output = with_cells(&base, cells).unwrap();
+            // Generation runs on the representative scope at `--cells` (8 by
             // default); only the verification switches to the exhaustive one.
             let generation = Session::default().with_memory_cells(cells.unwrap_or(8));
             let generated = MarchGenerator::new(list.clone())
@@ -770,234 +525,171 @@ mod tests {
 
     #[test]
     fn coverage_command_reports_percentages() {
-        let output = run(&Command::Coverage {
-            test: "March ABL1".into(),
-            list: Some(CoverageTarget::List2),
-            faults: FaultDomain::Ffm,
-            cells: None,
-            exhaustive: false,
-            sample: None,
-            seed: 0,
-            confidence: 0.95,
-            threads: 1,
-            json: false,
-        })
-        .unwrap();
+        let output = cli(&["coverage", "--test", "March ABL1", "--list", "2"]).unwrap();
         assert!(output.contains("100.0%"));
         assert!(output.contains("LF1"));
+        assert!(!output.contains("backend"), "{output}");
     }
 
     #[test]
     fn coverage_command_agrees_across_backends() {
         // The command renders the scalar reference's report exactly like the
-        // packed engine's, up to the backend tag on the first line.
-        let render = |policy: ExecPolicy| {
-            coverage("March C-", FaultList::list_1(), None, false, policy, false).unwrap()
+        // packed engine's, at one thread and on a pool.
+        let request = Request::Coverage {
+            test: "March C-".into(),
+            list: FaultList::list_1(),
+            cells: None,
+            exhaustive: false,
         };
+        let render = |policy: ExecPolicy| pipeline(&request, false, policy, false).unwrap();
         let scalar = render(ExecPolicy::default().with_backend(BackendKind::Scalar));
-        let packed = render(ExecPolicy::default().with_threads(0));
-        assert!(scalar.contains(" [scalar backend]\n"), "{scalar}");
-        assert!(packed.contains(" [packed backend]\n"), "{packed}");
-        let strip = |text: &str| {
-            text.replacen(" [scalar backend]", "", 1)
-                .replacen(" [packed backend]", "", 1)
-        };
-        assert_eq!(strip(&scalar), strip(&packed));
+        assert_eq!(scalar, render(ExecPolicy::default()));
+        assert_eq!(scalar, render(ExecPolicy::default().with_threads(0)));
     }
 
     #[test]
     fn coverage_sample_runs_a_campaign() {
-        let base = Command::Coverage {
-            test: "March C-".into(),
-            list: Some(CoverageTarget::List1),
-            faults: FaultDomain::Ffm,
-            cells: None,
-            exhaustive: false,
-            sample: Some(256),
-            seed: 9,
-            confidence: 0.95,
-            threads: 1,
-            json: true,
-        };
-        let output = run(&base).unwrap();
+        let base = [
+            "coverage", "--test", "March C-", "--list", "1", "--sample", "256", "--seed", "9",
+        ];
+        let json = [&base[..], &["--json"]].concat();
+        let output = cli(&json).unwrap();
         assert!(output.starts_with("{\"report\": \"campaign\""));
         assert!(output.contains("\"seed\": 9"));
         assert!(output.contains("\"confidence\": 0.950"));
         // Identical seeds replay byte-identically on another thread count.
-        let mut replay = base.clone();
-        if let Command::Coverage { threads, .. } = &mut replay {
-            *threads = 0;
-        }
-        assert_eq!(output, run(&replay).unwrap());
+        let replay = [&json[..], &["--threads", "0"]].concat();
+        assert_eq!(output, cli(&replay).unwrap());
         // The text form carries the interval and the replay recipe.
-        let mut text = base;
-        if let Command::Coverage { json, .. } = &mut text {
-            *json = false;
-        }
-        let rendered = run(&text).unwrap();
+        let rendered = cli(&base).unwrap();
         assert!(rendered.contains("CI ["));
         assert!(rendered.contains("replay: --sample 256 --seed 9"));
     }
 
     #[test]
     fn generate_command_produces_a_complete_test() {
-        let output = run(&Command::Generate {
-            list: Some(CoverageTarget::List2),
-            faults: FaultDomain::Ffm,
-            cells: None,
-            no_removal: false,
-            order: None,
-            name: Some("March CLI".into()),
-            exhaustive: false,
-            threads: 0,
-            json: false,
-        })
+        let output = cli(&[
+            "generate",
+            "--list",
+            "2",
+            "--name",
+            "March CLI",
+            "--threads",
+            "0",
+        ])
         .unwrap();
         assert!(output.contains("March CLI"));
         assert!(output.contains("100.0%"));
-        assert!(output.contains("packed"));
+        assert!(!output.contains("backend"), "{output}");
     }
 
     #[test]
     fn minimise_command_shortens_a_padded_catalogue_test() {
         // March SL is heavily redundant against the single-cell list #2.
-        let output = run(&Command::Minimise {
-            test: "March SL".into(),
-            list: Some(CoverageTarget::List2),
-            faults: FaultDomain::Ffm,
-            cells: None,
-            threads: 1,
-            json: false,
-        })
-        .unwrap();
+        let output = cli(&["minimise", "--test", "March SL", "--list", "2"]).unwrap();
         assert!(output.contains("removed"));
         assert!(output.contains("41n ->"));
 
-        let json = run(&Command::Minimise {
-            test: "March SL".into(),
-            list: Some(CoverageTarget::List2),
-            faults: FaultDomain::Ffm,
-            cells: None,
-            threads: 0,
-            json: true,
-        })
+        let json = cli(&[
+            "minimise",
+            "--test",
+            "March SL",
+            "--list",
+            "2",
+            "--threads",
+            "0",
+            "--json",
+        ])
         .unwrap();
         assert!(json.starts_with("{\"minimisation\": {\"report\": \"minimisation\""));
         assert!(json.contains("\"removed_operations\": "));
         assert!(json.contains("\"cache_hits\": "));
-        assert!(run(&Command::Minimise {
-            test: "no such test".into(),
-            list: Some(CoverageTarget::List2),
-            faults: FaultDomain::Ffm,
-            cells: None,
-            threads: 1,
-            json: false,
-        })
-        .is_err());
+        assert!(matches!(
+            cli(&["minimise", "--test", "no such test", "--list", "2"]),
+            Err(CliError::UnknownTest(_))
+        ));
     }
 
     #[test]
     fn simulate_command_prints_a_syndrome() {
-        let output = run(&Command::Simulate {
+        let simulate = |fault: &str, aggressor: Option<usize>| {
+            run(&Command::Simulate {
+                test: "March SS".into(),
+                fault: fault.into(),
+                victim: 5,
+                aggressor,
+                cells: 8,
+            })
+        };
+        assert!(simulate("<0w1;0/1/->", Some(2))
+            .unwrap()
+            .contains("failing reads"));
+        assert!(simulate("<0w1;0/1/->", None).is_err());
+        assert!(simulate("<bogus>", None).is_err());
+        // A memory past the address space is a typed error, not an abort.
+        let error = run(&Command::Simulate {
             test: "March SS".into(),
             fault: "<0w1;0/1/->".into(),
             victim: 5,
             aggressor: Some(2),
-            cells: 8,
+            cells: 1 << 60,
         })
-        .unwrap();
-        assert!(output.contains("failing reads"));
-        assert!(run(&Command::Simulate {
-            test: "March SS".into(),
-            fault: "<0w1;0/1/->".into(),
-            victim: 5,
-            aggressor: None,
-            cells: 8,
-        })
-        .is_err());
-        assert!(run(&Command::Simulate {
-            test: "March SS".into(),
-            fault: "<bogus>".into(),
-            victim: 5,
-            aggressor: None,
-            cells: 8,
-        })
-        .is_err());
+        .unwrap_err();
+        assert!(matches!(error, CliError::Simulation(_)), "{error}");
     }
 
     #[test]
     fn diagnose_command_recovers_the_injected_fault() {
-        let output = run(&Command::Diagnose {
-            test: "March SS".into(),
-            fault: "<0w1;0/1/->".into(),
-            victim: 4,
-            aggressor: Some(1),
-            cells: 6,
-            list: CoverageTarget::Unlinked,
-            threads: 1,
-            json: false,
-        })
-        .unwrap();
+        let base = [
+            "diagnose",
+            "--test",
+            "March SS",
+            "--victim",
+            "4",
+            "--aggressor",
+            "1",
+            "--list",
+            "unlinked",
+            "--cells",
+            "6",
+        ];
+        let output = cli(&[&base[..], &["--fault", "<0w1;0/1/->"]].concat()).unwrap();
         assert!(output.contains("syndrome"));
         assert!(output.contains("candidates explain"));
         assert!(output.contains("candidate: "));
-        assert!(run(&Command::Diagnose {
-            test: "March SS".into(),
-            fault: "<bogus>".into(),
-            victim: 4,
-            aggressor: None,
-            cells: 6,
-            list: CoverageTarget::Unlinked,
-            threads: 1,
-            json: false,
-        })
-        .is_err());
+        assert!(matches!(
+            cli(&[&base[..], &["--fault", "<bogus>"]].concat()),
+            Err(CliError::UnknownFault(_))
+        ));
     }
 
     #[test]
     fn json_flag_emits_machine_readable_reports() {
-        let coverage = run(&Command::Coverage {
-            test: "March ABL1".into(),
-            list: Some(CoverageTarget::List2),
-            faults: FaultDomain::Ffm,
-            cells: None,
-            exhaustive: false,
-            sample: None,
-            seed: 0,
-            confidence: 0.95,
-            threads: 1,
-            json: true,
-        })
-        .unwrap();
+        let coverage = cli(&["coverage", "--test", "March ABL1", "--list", "2", "--json"]).unwrap();
         assert!(coverage.starts_with("{\"report\": \"coverage\""));
         assert!(coverage.contains("\"complete\": true"));
 
-        let generate = run(&Command::Generate {
-            list: Some(CoverageTarget::List2),
-            faults: FaultDomain::Ffm,
-            cells: None,
-            no_removal: false,
-            order: None,
-            name: Some("March JSON".into()),
-            exhaustive: false,
-            threads: 1,
-            json: true,
-        })
-        .unwrap();
+        let generate = cli(&["generate", "--list", "2", "--name", "March JSON", "--json"]).unwrap();
         assert!(generate.starts_with("{\"generation\": {\"report\": \"generation\""));
         assert!(generate.contains("\"verification\": {\"report\": \"coverage\""));
         assert!(generate.contains("March JSON"));
 
-        let diagnose = run(&Command::Diagnose {
-            test: "March SS".into(),
-            fault: "<0w1;0/1/->".into(),
-            victim: 4,
-            aggressor: Some(1),
-            cells: 6,
-            list: CoverageTarget::Unlinked,
-            threads: 1,
-            json: true,
-        })
+        let diagnose = cli(&[
+            "diagnose",
+            "--test",
+            "March SS",
+            "--fault",
+            "<0w1;0/1/->",
+            "--victim",
+            "4",
+            "--aggressor",
+            "1",
+            "--cells",
+            "6",
+            "--list",
+            "unlinked",
+            "--json",
+        ])
         .unwrap();
         assert!(diagnose.starts_with("{\"report\": \"diagnosis\""));
         assert!(diagnose.contains("\"candidates\": ["));
@@ -1005,99 +697,32 @@ mod tests {
 
     #[test]
     fn coverage_over_the_decoder_domain() {
-        let output = run(&Command::Coverage {
-            test: "March SS".into(),
-            list: None,
-            faults: FaultDomain::Af,
-            cells: Some(64),
-            exhaustive: false,
-            sample: None,
-            seed: 0,
-            confidence: 0.95,
-            threads: 1,
-            json: false,
-        })
-        .unwrap();
+        let output = cli(&["coverage", "--faults", "af", "--cells", "64"]).unwrap();
         assert!(output.contains("Address-decoder faults"));
         assert!(output.contains("100.0%"));
 
         // The combined domain extends the list with the decoder classes.
-        let combined = run(&Command::Coverage {
-            test: "March SS".into(),
-            list: Some(CoverageTarget::List2),
-            faults: FaultDomain::All,
-            cells: None,
-            exhaustive: false,
-            sample: None,
-            seed: 0,
-            confidence: 0.95,
-            threads: 1,
-            json: false,
-        })
-        .unwrap();
+        let combined = cli(&["coverage", "--list", "2", "--faults", "all"]).unwrap();
         assert!(combined.contains("+ AF"));
         assert!(combined.contains("37"));
     }
 
     #[test]
     fn undersized_memories_surface_a_typed_error() {
-        let error = run(&Command::Coverage {
-            test: "March SS".into(),
-            list: Some(CoverageTarget::List2),
-            faults: FaultDomain::Ffm,
-            cells: Some(2),
-            exhaustive: false,
-            sample: None,
-            seed: 0,
-            confidence: 0.95,
-            threads: 1,
-            json: false,
-        })
-        .unwrap_err();
-        assert!(matches!(error, CliError::Simulation(_)));
-        assert!(error.to_string().contains("too small"));
-
-        // generate and minimise report the same typed error, not a panic.
-        let error = run(&Command::Generate {
-            list: Some(CoverageTarget::List2),
-            faults: FaultDomain::Ffm,
-            cells: Some(2),
-            no_removal: false,
-            order: None,
-            name: None,
-            exhaustive: false,
-            threads: 1,
-            json: false,
-        })
-        .unwrap_err();
-        assert!(matches!(error, CliError::Simulation(_)));
-        assert!(error.to_string().contains("too small"));
-
-        let error = run(&Command::Minimise {
-            test: "March SL".into(),
-            list: Some(CoverageTarget::List2),
-            faults: FaultDomain::Ffm,
-            cells: Some(2),
-            threads: 1,
-            json: false,
-        })
-        .unwrap_err();
-        assert!(matches!(error, CliError::Simulation(_)));
-        assert!(error.to_string().contains("too small"));
-
-        let error = run(&Command::Diagnose {
-            test: "MATS+".into(),
-            fault: "<1/0/->".into(),
-            victim: 1,
-            aggressor: None,
-            cells: 2,
-            list: CoverageTarget::List2,
-            threads: 1,
-            json: false,
-        })
-        .unwrap_err();
-        assert!(matches!(error, CliError::Simulation(_)));
-        assert!(error.to_string().contains("too small"));
+        // coverage, generate, minimise and diagnose report the same typed
+        // error, not a panic.
+        for argv in [
+            &["coverage", "--test", "March SS", "--list", "2"][..],
+            &["generate", "--list", "2"],
+            &["minimise", "--test", "March SL", "--list", "2"],
+            &[
+                "diagnose", "--test", "MATS+", "--fault", "<1/0/->", "--victim", "1", "--list", "2",
+            ],
+        ] {
+            let error = cli(&[argv, &["--cells", "2"]].concat()).unwrap_err();
+            assert!(matches!(error, CliError::Simulation(_)), "{argv:?}");
+            assert!(error.to_string().contains("too small"), "{argv:?}: {error}");
+        }
     }
 
     #[test]
@@ -1110,9 +735,7 @@ mod tests {
         let dir = dir.to_string_lossy().to_string();
         let warmed = run(&Command::Snapshot {
             dir: dir.clone(),
-            warm: true,
-            list: Some(CoverageTarget::List2),
-            faults: FaultDomain::Ffm,
+            warm: Some(FaultList::list_2()),
             test: Some("March SS".into()),
             cells: Some(8),
         })
@@ -1126,9 +749,7 @@ mod tests {
         // Inspect-only over the same directory sees the persisted files.
         let inspected = run(&Command::Snapshot {
             dir: dir.clone(),
-            warm: false,
-            list: None,
-            faults: FaultDomain::Ffm,
+            warm: None,
             test: None,
             cells: None,
         })

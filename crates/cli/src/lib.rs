@@ -4,27 +4,34 @@
 //! argument parser plus the command implementations that tie together the fault
 //! model, the march-test catalogue, the fault simulator and the generator.
 //!
-//! The binary exposes six sub-commands:
+//! The binary exposes ten sub-commands:
 //!
 //! * `catalog` — list the catalogue of published march tests;
 //! * `show <name>` — print one march test in the standard notation;
 //! * `generate --list <1|2>` — run the automatic generator of the DATE 2006 paper;
 //! * `coverage --test <name> --list <1|2|unlinked>` — fault-simulate a march test
-//!   against a fault list;
+//!   against a fault list (with `--sample N`, a seeded Monte-Carlo campaign);
+//! * `minimise --test <name> --list <…>` — delete the operations of a
+//!   catalogue test that the list's coverage does not need;
 //! * `diagnose --test <name> --fault <notation> --victim <cell> --list <…>` —
-//!   observe a faulty device's syndrome and search the fault space for the
-//!   instances that explain it;
+//!   observe a faulty device's syndrome and look up the instances of the
+//!   fault space that explain it;
 //! * `simulate --test <name> --fault <notation> --victim <cell>` — inject a single
 //!   fault primitive and show the failure syndrome;
 //! * `serve` — keep one shared engine resident and answer newline-delimited
-//!   JSON requests (coverage / generate / minimise / diagnose / stats) from
-//!   stdin or a TCP socket, all clients sharing its warm artifact store and
-//!   worker pool (see [`serve_lines`]).
+//!   JSON requests (coverage / campaign / generate / minimise / diagnose /
+//!   stats / shutdown) from stdin or a TCP socket, all clients sharing its
+//!   warm artifact store and worker pool (see [`serve_lines`]);
+//! * `snapshot --dir DIR` — inspect a snapshot directory, or pre-warm it
+//!   with `--warm`;
+//! * `help` — print the usage text.
 //!
-//! Every invocation builds **one** [`sram_sim::Session`], whose one execution
-//! option is `--threads`, and routes the pipeline through it; `--json` swaps
-//! the text output of `coverage`/`generate`/`diagnose` for the session
-//! report's machine-readable [`Report`](sram_sim::Report) serialisation.
+//! `coverage`, `generate`, `minimise` and `diagnose` decode into the same
+//! [`Request`] a `serve` line decodes into, and one executor runs it for
+//! both. Each invocation builds **one** [`sram_sim::Session`], whose one
+//! execution option is `--threads` (default 1); `--json` swaps the text
+//! output for the report's machine-readable [`Report`](sram_sim::Report)
+//! serialisation.
 //!
 //! Everything is also usable programmatically; see [`run`] and [`Command`].
 
@@ -34,12 +41,14 @@
 mod args;
 mod commands;
 mod json;
+mod request;
 mod serve;
 pub(crate) mod sync;
 
-pub use args::{Command, CoverageTarget, ParseArgsError};
+pub use args::{Command, ParseArgsError};
 pub use commands::{run, CliError};
 pub use json::{JsonError, JsonValue};
+pub use request::Request;
 pub use serve::{run_serve, serve_lines, LatencyCounter, ServeMetrics, ServeOptions};
 
 /// Parses command-line arguments (without the program name) and executes the

@@ -8,21 +8,25 @@
 //! [`ArtifactStore`](sram_sim::ArtifactStore) and worker pool.
 //!
 //! Request schema (`op` selects the pipeline stage; the existing `Report`
-//! JSON of each stage is the response payload):
+//! JSON of each stage is the response payload). The pipeline ops decode
+//! into the [`Request`] the command line decodes its flags into, one field
+//! per flag (`no_removal` ↔ `--no-removal`), and run through the same
+//! executor; every op takes `faults` (`ffm`, `af` or `all`) besides `list`:
 //!
 //! ```json
-//! {"op": "coverage", "test": "March SS", "list": "2", "cells": 8}
+//! {"op": "coverage", "test": "March SS", "list": "2", "cells": 8, "exhaustive": false}
 //! {"op": "campaign", "test": "March SS", "list": "2", "cells": 8, "sample": 4096, "seed": 7, "confidence": 0.95}
-//! {"op": "generate", "list": "2", "name": "March GEN", "no_removal": false}
+//! {"op": "generate", "list": "2", "name": "March GEN", "no_removal": false, "order": "up"}
 //! {"op": "minimise", "test": "March SL", "list": "2"}
-//! {"op": "diagnose", "test": "March SS", "fault": "<0w1;0/1/->", "victim": 4, "aggressor": 1, "cells": 6, "list": "unlinked"}
+//! {"op": "diagnose", "test": "March SS", "fault": "<0w1;0/1/->", "victim": 4, "aggressor": 1, "cells": 6, "list": "unlinked", "faults": "ffm"}
 //! {"op": "stats"}
 //! {"op": "shutdown"}
 //! ```
 //!
 //! Responses are `{"seq": N, "ok": true, "op": …, "report": {…}}` or
 //! `{"seq": N, "ok": false, …, "error": {"kind": …, "message": …}}` — a
-//! malformed line yields a typed `protocol` error response, never an abort.
+//! malformed line, a line longer than 64 KiB included, yields a typed
+//! `protocol` error response, never an abort.
 //!
 //! Concurrency: requests are multiplexed over at most
 //! [`ServeOptions::max_in_flight`] concurrent jobs (the reader blocks once
@@ -48,15 +52,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use crate::sync::{thread, Arc, Duration, Instant, Mutex, PoisonError};
 
-use march_gen::{GeneratorConfig, MarchGenerator, SessionExt};
-use sram_fault_model::FaultList;
-use sram_sim::{CampaignConfig, JsonObject, PlacementStrategy, Report, SharedEngine};
+use sram_sim::{JsonObject, SharedEngine};
 
-use crate::args::{require_list, CoverageTarget, FaultDomain};
-use crate::commands::{
-    build_injection, find_primitive, lookup, resolve_list, validate_scope, CliError,
-};
+use crate::commands::CliError;
 use crate::json::JsonValue;
+use crate::request::{execute, Fields, Request};
 
 /// Tuning knobs of the serve loop.
 #[derive(Debug, Clone, Copy)]
@@ -190,312 +190,108 @@ impl ServeMetrics {
     }
 }
 
-/// One parsed, executable request.
+/// One request line: a pipeline request, or one of the serve loop's own ops.
 #[derive(Debug)]
-enum Request {
-    Coverage {
-        test: String,
-        list: FaultList,
-        cells: Option<usize>,
-        exhaustive: bool,
-    },
-    Campaign {
-        test: String,
-        list: FaultList,
-        cells: Option<usize>,
-        sample: u64,
-        seed: u64,
-        confidence: f64,
-    },
-    Generate {
-        list: FaultList,
-        cells: Option<usize>,
-        no_removal: bool,
-        name: Option<String>,
-    },
-    Minimise {
-        test: String,
-        list: FaultList,
-        cells: Option<usize>,
-    },
-    Diagnose {
-        test: String,
-        fault: String,
-        victim: usize,
-        aggressor: Option<usize>,
-        cells: usize,
-        list: FaultList,
-    },
+enum Line {
+    Run(Request),
     Stats,
     Shutdown,
 }
 
-impl Request {
+impl Line {
     fn op(&self) -> &'static str {
         match self {
-            Request::Coverage { .. } => "coverage",
-            Request::Campaign { .. } => "campaign",
-            Request::Generate { .. } => "generate",
-            Request::Minimise { .. } => "minimise",
-            Request::Diagnose { .. } => "diagnose",
-            Request::Stats => "stats",
-            Request::Shutdown => "shutdown",
+            Line::Run(request) => request.op(),
+            Line::Stats => "stats",
+            Line::Shutdown => "shutdown",
         }
     }
 }
 
-fn field_str(value: &JsonValue, key: &str) -> Result<Option<String>, CliError> {
-    match value.get(key) {
-        None | Some(JsonValue::Null) => Ok(None),
-        Some(field) => field
-            .as_str()
-            .map(|text| Some(text.to_string()))
-            .ok_or_else(|| CliError::Arguments(format!("field `{key}` must be a string"))),
-    }
-}
-
-fn field_usize(value: &JsonValue, key: &str) -> Result<Option<usize>, CliError> {
-    match value.get(key) {
-        None | Some(JsonValue::Null) => Ok(None),
-        Some(field) => field.as_usize().map(Some).ok_or_else(|| {
-            CliError::Arguments(format!("field `{key}` must be a non-negative integer"))
-        }),
-    }
-}
-
-/// Decodes an optional exact-integer `u64` field. Fractions, negatives,
-/// values past 2^53 and the infinities `1e999` parses to are all typed
-/// `protocol` errors — never a silent `as`-cast truncation.
-fn field_u64(value: &JsonValue, key: &str) -> Result<Option<u64>, CliError> {
-    match value.get(key) {
-        None | Some(JsonValue::Null) => Ok(None),
-        Some(field) => field.as_u64().map(Some).ok_or_else(|| {
-            CliError::Arguments(format!(
-                "field `{key}` must be a non-negative integer (at most 2^53)"
-            ))
-        }),
-    }
-}
-
-/// Decodes an optional finite float field; `1e999` (infinite) and friends are
-/// typed `protocol` errors.
-fn field_finite_f64(value: &JsonValue, key: &str) -> Result<Option<f64>, CliError> {
-    match value.get(key) {
-        None | Some(JsonValue::Null) => Ok(None),
-        Some(field) => field
-            .as_finite_f64()
-            .map(Some)
-            .ok_or_else(|| CliError::Arguments(format!("field `{key}` must be a finite number"))),
-    }
-}
-
-fn field_bool(value: &JsonValue, key: &str) -> Result<bool, CliError> {
-    match value.get(key) {
-        None | Some(JsonValue::Null) => Ok(false),
-        Some(field) => field
-            .as_bool()
-            .ok_or_else(|| CliError::Arguments(format!("field `{key}` must be a boolean"))),
-    }
-}
-
-fn required_str(value: &JsonValue, key: &str, op: &str) -> Result<String, CliError> {
-    field_str(value, key)?
-        .ok_or_else(|| CliError::Arguments(format!("{op} requires a string `{key}` field")))
-}
-
-/// The fault list of a request's `list`/`faults` fields, with the same
-/// presence rules as the command-line flags.
-fn parse_request_list(value: &JsonValue, op: &str) -> Result<FaultList, CliError> {
-    let faults = match field_str(value, "faults")? {
-        Some(text) => FaultDomain::parse(&text)?,
-        None => FaultDomain::Ffm,
-    };
-    let target = field_str(value, "list")?
-        .map(|text| CoverageTarget::parse(&text))
-        .transpose()?;
-    require_list(target, faults, op)?;
-    resolve_list(target, faults)
-}
-
-/// Parses one request line into a [`Request`], with typed errors for every
-/// malformed shape.
-fn parse_request(line: &str) -> Result<Request, CliError> {
-    let value = JsonValue::parse(line)
+/// Parses one request line, with typed errors for every malformed shape.
+fn parse_line(line: &str) -> Result<Line, CliError> {
+    let mut value = JsonValue::parse(line)
         .map_err(|error| CliError::Arguments(format!("malformed JSON request: {error}")))?;
     if !matches!(value, JsonValue::Object(_)) {
         return Err(CliError::Arguments(
             "request must be a JSON object".to_string(),
         ));
     }
-    let op = required_str(&value, "op", "every request")?;
+    let op = value.string("op")?.ok_or_else(|| {
+        CliError::Arguments("every request requires a string `op` field".to_string())
+    })?;
     match op.as_str() {
-        "coverage" => Ok(Request::Coverage {
-            test: field_str(&value, "test")?.unwrap_or_else(|| "March SS".to_string()),
-            list: parse_request_list(&value, "coverage")?,
-            cells: field_usize(&value, "cells")?,
-            exhaustive: field_bool(&value, "exhaustive")?,
-        }),
-        "campaign" => {
-            let sample = field_u64(&value, "sample")?.ok_or_else(|| {
-                CliError::Arguments("campaign requires a `sample` draw count".to_string())
-            })?;
-            if sample == 0 {
-                return Err(CliError::Arguments(
-                    "field `sample` must be at least 1".to_string(),
-                ));
-            }
-            let confidence = field_finite_f64(&value, "confidence")?.unwrap_or(0.95);
-            if confidence <= 0.0 || confidence >= 1.0 {
-                return Err(CliError::Arguments(
-                    "field `confidence` must lie strictly between 0 and 1".to_string(),
-                ));
-            }
-            Ok(Request::Campaign {
-                test: field_str(&value, "test")?.unwrap_or_else(|| "March SS".to_string()),
-                list: parse_request_list(&value, "campaign")?,
-                cells: field_usize(&value, "cells")?,
-                sample,
-                seed: field_u64(&value, "seed")?.unwrap_or(0),
-                confidence,
-            })
-        }
-        "generate" => Ok(Request::Generate {
-            list: parse_request_list(&value, "generate")?,
-            cells: field_usize(&value, "cells")?,
-            no_removal: field_bool(&value, "no_removal")?,
-            name: field_str(&value, "name")?,
-        }),
-        "minimise" | "minimize" => Ok(Request::Minimise {
-            test: required_str(&value, "test", "minimise")?,
-            list: parse_request_list(&value, "minimise")?,
-            cells: field_usize(&value, "cells")?,
-        }),
-        "diagnose" => Ok(Request::Diagnose {
-            test: required_str(&value, "test", "diagnose")?,
-            fault: required_str(&value, "fault", "diagnose")?,
-            victim: field_usize(&value, "victim")?
-                .ok_or_else(|| CliError::Arguments("diagnose requires `victim`".to_string()))?,
-            aggressor: field_usize(&value, "aggressor")?,
-            cells: field_usize(&value, "cells")?.unwrap_or(8),
-            list: parse_request_list(&value, "diagnose")?,
-        }),
-        "stats" => Ok(Request::Stats),
-        "shutdown" => Ok(Request::Shutdown),
-        other => Err(CliError::Arguments(format!(
-            "unknown op `{other}` (expected coverage, campaign, generate, minimise, diagnose, \
-             stats or shutdown)"
-        ))),
+        "stats" => Ok(Line::Stats),
+        "shutdown" => Ok(Line::Shutdown),
+        op => Request::decode(op, &mut value)?
+            .map(Line::Run)
+            .ok_or_else(|| {
+                CliError::Arguments(format!(
+                    "unknown op `{op}` (expected coverage, campaign, generate, minimise, \
+                     diagnose, stats or shutdown)"
+                ))
+            }),
     }
 }
 
-/// Executes one request on a fresh session handle of `engine`, returning the
-/// report JSON fragment.
-fn execute(
-    engine: &SharedEngine,
-    metrics: &ServeMetrics,
-    request: &Request,
-) -> Result<String, CliError> {
-    match request {
-        Request::Coverage {
-            test,
-            list,
-            cells,
-            exhaustive,
-        } => {
-            let test = lookup(test)?;
-            let mut session = engine.session();
-            if *exhaustive {
-                session = session.with_strategy(PlacementStrategy::Exhaustive);
-            }
-            if let Some(cells) = cells {
-                session = session.with_memory_cells(*cells);
-            }
-            session
-                .try_coverage(&test, list)
-                .map(|report| report.to_json())
-                .map_err(|error| CliError::Simulation(error.to_string()))
-        }
-        Request::Campaign {
-            test,
-            list,
-            cells,
-            sample,
-            seed,
-            confidence,
-        } => {
-            let test = lookup(test)?;
-            let mut session = engine.session();
-            if let Some(cells) = cells {
-                session = session.with_memory_cells(*cells);
-            }
-            let config = CampaignConfig::default()
-                .with_draws(*sample)
-                .with_seed(*seed)
-                .with_confidence(*confidence);
-            session
-                .try_campaign(&test, list, &config)
-                .map(|report| report.to_json())
-                .map_err(|error| CliError::Simulation(error.to_string()))
-        }
-        Request::Generate {
-            list,
-            cells,
-            no_removal,
-            name,
-        } => {
-            let mut session = engine.session();
-            if let Some(cells) = cells {
-                session = session.with_memory_cells(*cells);
-            }
-            validate_scope(&session, list)?;
-            let config = if *no_removal {
-                GeneratorConfig::without_redundancy_removal()
-            } else {
-                GeneratorConfig::default()
-            };
-            let generator = MarchGenerator::with_config(list.clone(), config)
-                .named(name.clone().unwrap_or_else(|| "March GEN".to_string()));
-            Ok(generator.generate_with(&session).to_json())
-        }
-        Request::Minimise { test, list, cells } => {
-            let test = lookup(test)?;
-            let mut session = engine.session();
-            if let Some(cells) = cells {
-                session = session.with_memory_cells(*cells);
-            }
-            validate_scope(&session, list)?;
-            Ok(session.minimise(&test, list).to_json())
-        }
-        Request::Diagnose {
-            test,
-            fault,
-            victim,
-            aggressor,
-            cells,
-            list,
-        } => {
-            let test = lookup(test)?;
-            let primitive = find_primitive(fault)?;
-            let injected = build_injection(&primitive, *victim, *aggressor, *cells)?;
-            let session = engine.session().with_memory_cells(*cells);
-            validate_scope(&session, list)?;
-            let syndrome = session
-                .observe(&test, &injected)
-                .map_err(|error| CliError::Simulation(error.to_string()))?;
-            // Diagnosis goes through the memoised dictionary, so a repeated
-            // query over the same (test, list, scope) is one index lookup —
-            // the warm path the service exists for.
-            let dictionary = session.dictionary(&test, list);
-            Ok(session.diagnose(&syndrome, &dictionary).to_json())
-        }
-        Request::Stats => Ok(metrics.to_json(engine)),
+/// The shutdown acknowledgement.
+fn shutdown_report() -> String {
+    JsonObject::new()
+        .string("report", "shutdown")
+        .boolean("draining", true)
+        .build()
+}
+
+/// Answers one line on a worker: a request through the executor the
+/// command line shares, or the service counters.
+fn answer(engine: &SharedEngine, metrics: &ServeMetrics, line: &Line) -> Result<String, CliError> {
+    match line {
+        Line::Run(request) => execute(engine.session(), request).map(|report| report.to_json()),
+        Line::Stats => Ok(metrics.to_json(engine)),
         // Shutdown is answered inline by the reader (it must observe the
         // drain flag before the next request is parsed); this arm only keeps
         // the dispatch total if one ever reaches a worker.
-        Request::Shutdown => Ok(JsonObject::new()
-            .string("report", "shutdown")
-            .boolean("draining", true)
-            .build()),
+        Line::Shutdown => Ok(shutdown_report()),
+    }
+}
+
+/// The longest request line the reader buffers. A longer line is answered
+/// with a typed `protocol` error and skipped up to its newline unbuffered,
+/// so a client that never sends a newline cannot grow the process.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Reads the next line into `line`, without its newline. Returns `Ok(None)`
+/// at end of input and `Ok(Some(false))` for a line longer than
+/// [`MAX_LINE_BYTES`], whose bytes are consumed but not kept.
+fn read_request_line<R: BufRead>(input: &mut R, line: &mut Vec<u8>) -> io::Result<Option<bool>> {
+    line.clear();
+    let mut read_any = false;
+    let mut fits = true;
+    loop {
+        let buffer = match input.fill_buf() {
+            Ok(buffer) => buffer,
+            Err(error) if error.kind() == io::ErrorKind::Interrupted => continue,
+            Err(error) => return Err(error),
+        };
+        if buffer.is_empty() {
+            return Ok(read_any.then_some(fits));
+        }
+        read_any = true;
+        let (chunk, ends) = match buffer.iter().position(|byte| *byte == b'\n') {
+            Some(end) => (&buffer[..end], true),
+            None => (buffer, false),
+        };
+        fits = fits && line.len() + chunk.len() <= MAX_LINE_BYTES;
+        if fits {
+            line.extend_from_slice(chunk);
+        } else {
+            line.clear();
+        }
+        let consumed = chunk.len() + usize::from(ends);
+        input.consume(consumed);
+        if ends {
+            return Ok(Some(fits));
+        }
     }
 }
 
@@ -678,7 +474,7 @@ where
     // Rendezvous job channel: with `workers` executors, at most
     // `max_in_flight` jobs run concurrently and the reader blocks on the
     // send once all of them are busy — backpressure without buffering.
-    let (job_tx, job_rx) = mpsc::sync_channel::<(u64, Request)>(0);
+    let (job_tx, job_rx) = mpsc::sync_channel::<(u64, Line)>(0);
     let job_rx = Arc::new(Mutex::new(job_rx));
     let (out_tx, out_rx) = mpsc::channel::<Outcome>();
 
@@ -705,7 +501,7 @@ where
                 // lint: allow(timing) — façade `Instant` feeding the latency
                 // metrics only; never printed into response bytes.
                 let started = Instant::now();
-                let line = match execute(&engine, &metrics, &request) {
+                let line = match answer(&engine, &metrics, &request) {
                     Ok(report) => ok_line(seq, op, report),
                     Err(error) => {
                         metrics.errors.fetch_add(1, Ordering::Relaxed);
@@ -726,15 +522,14 @@ where
 
         let mut seq = 0u64;
         let mut read_error = None;
-        // Lines are read as bytes: one that is not UTF-8 is a malformed
-        // request, answered at its `seq` like any other, not the end of the
-        // session.
+        // Lines are read as bytes: one that is not UTF-8, or that is longer
+        // than the cap, is a malformed request, answered at its `seq` like
+        // any other, not the end of the session.
         let mut bytes = Vec::new();
         loop {
-            bytes.clear();
-            match input.read_until(b'\n', &mut bytes) {
-                Ok(0) => break,
-                Ok(_) => {}
+            let fits = match read_request_line(&mut input, &mut bytes) {
+                Ok(None) => break,
+                Ok(Some(fits)) => fits,
                 Err(error) => {
                     if matches!(
                         error.kind(),
@@ -760,12 +555,10 @@ where
                     }
                     break;
                 }
-            }
-            let line = bytes
-                .strip_suffix(b"\n")
-                .map_or(&bytes[..], |line| line.strip_suffix(b"\r").unwrap_or(line));
+            };
+            let line = bytes.strip_suffix(b"\r").unwrap_or(&bytes);
             let line = std::str::from_utf8(line);
-            if line.is_ok_and(|line| line.trim().is_empty()) {
+            if fits && line.is_ok_and(|line| line.trim().is_empty()) {
                 continue;
             }
             // Accept-order bookkeeping must reach the collector before the
@@ -778,22 +571,20 @@ where
                 // virtual clock.
                 deadline: Instant::now() + options.timeout,
             });
-            let request = line
-                .map_err(|_| CliError::Arguments("request line is not valid UTF-8".to_string()))
-                .and_then(parse_request);
+            let request = if fits {
+                line.map_err(|_| CliError::Arguments("request line is not valid UTF-8".to_string()))
+                    .and_then(parse_line)
+            } else {
+                Err(CliError::Arguments(format!(
+                    "request line is longer than {MAX_LINE_BYTES} bytes"
+                )))
+            };
             match request {
-                Ok(Request::Shutdown) => {
+                Ok(Line::Shutdown) => {
                     draining.store(true, Ordering::SeqCst);
                     let _ = out_tx.send(Outcome::Finished {
                         seq,
-                        line: ok_line(
-                            seq,
-                            "shutdown",
-                            JsonObject::new()
-                                .string("report", "shutdown")
-                                .boolean("draining", true)
-                                .build(),
-                        ),
+                        line: ok_line(seq, "shutdown", shutdown_report()),
                     });
                 }
                 Ok(request) if draining.load(Ordering::SeqCst) => {
@@ -1013,6 +804,85 @@ mod tests {
     }
 
     #[test]
+    fn an_over_long_request_line_is_a_protocol_error() {
+        // A 1 MiB line between two `stats` lines is answered at its seq with
+        // a typed error, skipped without being buffered, and counted.
+        let engine = engine();
+        let metrics = Arc::new(ServeMetrics::default());
+        let script = format!(
+            "{{\"op\": \"stats\"}}\n{}\n{{\"op\": \"stats\"}}\n",
+            "x".repeat(1 << 20)
+        );
+        let lines = serve_script(&engine, &metrics, &ServeOptions::default(), &script);
+        assert_eq!(lines.len(), 3, "{lines:?}");
+        assert!(
+            lines[0].starts_with("{\"seq\": 0, \"ok\": true"),
+            "{}",
+            lines[0]
+        );
+        assert_eq!(
+            lines[1],
+            "{\"seq\": 1, \"ok\": false, \"error\": {\"kind\": \"protocol\", \
+             \"message\": \"request line is longer than 65536 bytes\"}}"
+        );
+        assert!(
+            lines[2].starts_with("{\"seq\": 2, \"ok\": true"),
+            "{}",
+            lines[2]
+        );
+        assert!(lines[2].contains("\"errors\": 1, "), "{}", lines[2]);
+        assert_eq!(metrics.errors.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn request_lines_are_read_up_to_the_cap() {
+        // A line of exactly the cap is kept; one byte more is refused; the
+        // line after either is read in full, as is a last line without a
+        // newline.
+        let at_cap = "a".repeat(MAX_LINE_BYTES);
+        let input = format!("{at_cap}\n{at_cap}b\r\nnext\r\nlast");
+        let mut reader = BufReader::with_capacity(1000, input.as_bytes());
+        let mut line = Vec::new();
+        let mut read = || {
+            let fits = read_request_line(&mut reader, &mut line).unwrap();
+            (fits, String::from_utf8(line.clone()).unwrap())
+        };
+        assert_eq!(read(), (Some(true), at_cap));
+        assert_eq!(read(), (Some(false), String::new()));
+        assert_eq!(read(), (Some(true), "next\r".to_string()));
+        assert_eq!(read(), (Some(true), "last".to_string()));
+        assert_eq!(read(), (None, String::new()));
+    }
+
+    #[test]
+    fn an_unallocatable_memory_is_a_simulation_error() {
+        // 2^52 cells exceed the address space: the device of the diagnosis
+        // cannot be allocated, which is answered at its seq, and the service
+        // goes on.
+        let engine = engine();
+        let metrics = Arc::new(ServeMetrics::default());
+        let script = concat!(
+            r#"{"op": "diagnose", "test": "March SS", "fault": "<0w1;0/1/->", "victim": 4, "aggressor": 1, "cells": 4503599627370496, "list": "unlinked"}"#,
+            "\n",
+            r#"{"op": "stats"}"#,
+            "\n",
+        );
+        let lines = serve_script(&engine, &metrics, &ServeOptions::default(), script);
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert_eq!(
+            lines[0],
+            "{\"seq\": 0, \"ok\": false, \"op\": \"diagnose\", \"error\": {\"kind\": \
+             \"simulation\", \"message\": \"cannot allocate a 4503599627370496-cell memory\"}}"
+        );
+        assert!(
+            lines[1].starts_with("{\"seq\": 1, \"ok\": true"),
+            "{}",
+            lines[1]
+        );
+        assert_eq!(metrics.errors.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
     fn answers_requests_in_order_with_shared_cache() {
         let engine = engine();
         let metrics = Arc::new(ServeMetrics::default());
@@ -1161,9 +1031,8 @@ mod tests {
 
     #[test]
     fn campaign_requests_sample_the_eight_cell_space() {
-        // Serve keeps the session's 8 cells, where the CLI's `--sample`
-        // defaults to the 6-cell exhaustive scope: the same fields sample
-        // 4,224 lanes here and 2,304 there. `--cells 8` is the CLI twin.
+        // Serve and the command line share the session's 8 cells: the same
+        // fields sample 4,224 lanes on both.
         let engine = engine();
         let metrics = Arc::new(ServeMetrics::default());
         let script = concat!(
@@ -1174,7 +1043,7 @@ mod tests {
         assert!(lines[0].contains("\"space\": 4224, "), "{}", lines[0]);
         let cli = crate::run_from_args([
             "coverage", "--test", "March SS", "--list", "unlinked", "--sample", "200", "--seed",
-            "7", "--cells", "8", "--json",
+            "7", "--json",
         ])
         .unwrap();
         assert!(

@@ -7,8 +7,10 @@
 //! * **`forbid-unsafe`** — every non-compat crate root carries
 //!   `#![forbid(unsafe_code)]`.
 //! * **`unwrap`** — no `.unwrap()` / `.expect(` in non-test code on the serve
-//!   path (`cli/src/serve.rs`, `memsim/src/store.rs`, `memsim/src/parallel.rs`,
-//!   `memsim/src/session.rs`): a panic there poisons locks shared by resident
+//!   path (`cli/src/serve.rs`, the request decoder and executor in
+//!   `cli/src/request.rs`, the JSON reader in `cli/src/json.rs`,
+//!   `memsim/src/store.rs`, `memsim/src/parallel.rs`, `memsim/src/session.rs`,
+//!   `memsim/src/snapshot.rs`): a panic there poisons locks shared by resident
 //!   workers. Recover (`unwrap_or_else(PoisonError::into_inner)`), propagate,
 //!   or justify the site with an allow marker.
 //! * **`timing`** — no ambient clock reads or ad-hoc thread spawns
@@ -87,6 +89,8 @@ impl fmt::Display for Finding {
 /// Files on the serve path where the `unwrap` rule applies.
 pub const SERVE_PATH_FILES: &[&str] = &[
     "crates/cli/src/serve.rs",
+    "crates/cli/src/request.rs",
+    "crates/cli/src/json.rs",
     "crates/memsim/src/store.rs",
     "crates/memsim/src/parallel.rs",
     "crates/memsim/src/session.rs",

@@ -116,6 +116,17 @@ fn tokens_in_strings_and_comments_are_inert() {
 fn classification_matches_the_config() {
     let serve = rules_for("crates/cli/src/serve.rs").expect("serve path is scanned");
     assert!(serve.unwrap && serve.timing && serve.json && !serve.snapshot_io);
+    // The serve workers run the shared decoder and executor, and the reader
+    // parses every line with the JSON reader: both are on the serve path.
+    let request = rules_for("crates/cli/src/request.rs").expect("request model is scanned");
+    assert!(request.unwrap && request.timing && request.json && !request.snapshot_io);
+    let json = rules_for("crates/cli/src/json.rs").expect("JSON reader is scanned");
+    assert!(json.unwrap && json.timing && !json.json && !json.snapshot_io);
+    let args = rules_for("crates/cli/src/args.rs").expect("argv parser is scanned");
+    assert!(
+        !args.unwrap,
+        "the argv parser runs once per process, never in a worker"
+    );
 
     let snapshot = rules_for("crates/memsim/src/snapshot.rs").expect("snapshot path is scanned");
     assert!(

@@ -144,10 +144,11 @@ impl FaultSimulator {
     /// # Errors
     ///
     /// Propagates [`Memory::with_initial_state`] errors (empty memory, mismatched
-    /// custom content).
+    /// custom content), and returns [`SimulationError::MemoryUnavailable`]
+    /// when the faulty memory or its golden copy cannot be allocated.
     pub fn new(cells: usize, initial: &InitialState) -> Result<FaultSimulator, SimulationError> {
         let faulty = Memory::with_initial_state(cells, initial)?;
-        let golden = faulty.clone();
+        let golden = faulty.try_clone()?;
         Ok(FaultSimulator {
             faulty,
             golden,
@@ -463,6 +464,19 @@ mod tests {
 
     fn simulator(cells: usize) -> FaultSimulator {
         FaultSimulator::new(cells, &InitialState::AllZero).unwrap()
+    }
+
+    #[test]
+    fn a_memory_past_the_address_space_is_a_typed_error() {
+        // 2^60 one-byte cells exceed any 47- or 57-bit address space, so the
+        // reservation fails before anything is allocated.
+        for initial in [InitialState::AllZero, InitialState::Checkerboard] {
+            assert_eq!(
+                FaultSimulator::new(1 << 60, &initial).unwrap_err(),
+                SimulationError::MemoryUnavailable { cells: 1 << 60 }
+            );
+        }
+        assert!(FaultSimulator::new(16, &InitialState::Checkerboard).is_ok());
     }
 
     #[test]

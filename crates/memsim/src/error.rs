@@ -52,6 +52,12 @@ pub enum SimulationError {
         /// The number of cells of the configured memory.
         cells: usize,
     },
+    /// The bits of a simulated memory could not be allocated (e.g. a size
+    /// beyond the address space).
+    MemoryUnavailable {
+        /// The number of cells of the requested memory.
+        cells: usize,
+    },
 }
 
 impl fmt::Display for SimulationError {
@@ -94,6 +100,9 @@ impl fmt::Display for SimulationError {
                 f,
                 "the lanes of a {cells}-cell memory are more than a usize counts"
             ),
+            SimulationError::MemoryUnavailable { cells } => {
+                write!(f, "cannot allocate a {cells}-cell memory")
+            }
         }
     }
 }
@@ -125,6 +134,7 @@ mod tests {
             },
             SimulationError::InvalidCampaign("zero draws".into()),
             SimulationError::LaneCountOverflow { cells: 1 << 22 },
+            SimulationError::MemoryUnavailable { cells: 1 << 60 },
         ] {
             assert!(!err.to_string().is_empty());
         }

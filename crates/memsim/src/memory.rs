@@ -31,13 +31,17 @@ impl InitialState {
     /// # Errors
     ///
     /// Returns [`SimulationError::InitialStateSizeMismatch`] if a
-    /// [`InitialState::Custom`] content has the wrong length.
+    /// [`InitialState::Custom`] content has the wrong length, and
+    /// [`SimulationError::MemoryUnavailable`] if `cells` bits cannot be
+    /// allocated.
     pub fn materialise(&self, cells: usize) -> Result<Vec<Bit>, SimulationError> {
         self.check(cells)?;
-        Ok(match self {
-            InitialState::Custom(content) => content.clone(),
-            _ => (0..cells).map(|address| self.bit_at(address)).collect(),
-        })
+        let mut content = allocate(cells)?;
+        match self {
+            InitialState::Custom(bits) => content.extend_from_slice(bits),
+            _ => content.extend((0..cells).map(|address| self.bit_at(address))),
+        }
+        Ok(content)
     }
 
     /// Checks that the content fits a memory of `cells` cells.
@@ -81,6 +85,16 @@ impl InitialState {
             InitialState::Custom(content) => content[address],
         }
     }
+}
+
+/// An empty buffer with room for `cells` bits, reserved fallibly: a size
+/// the allocator refuses is a typed error, not an abort of the process.
+fn allocate(cells: usize) -> Result<Vec<Bit>, SimulationError> {
+    let mut content = Vec::new();
+    content
+        .try_reserve_exact(cells)
+        .map_err(|_| SimulationError::MemoryUnavailable { cells })?;
+    Ok(content)
 }
 
 /// Checks every background of a coverage or campaign scope against its
@@ -162,6 +176,18 @@ impl Memory {
         Ok(Memory {
             cells: initial.materialise(cells)?,
         })
+    }
+
+    /// A copy of the memory, allocated fallibly.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimulationError::MemoryUnavailable`] if the copy cannot be
+    /// allocated.
+    pub(crate) fn try_clone(&self) -> Result<Memory, SimulationError> {
+        let mut cells = allocate(self.cells.len())?;
+        cells.extend_from_slice(&self.cells);
+        Ok(Memory { cells })
     }
 
     /// The number of cells.
