@@ -448,7 +448,7 @@ pub fn usage() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::CoverageTarget;
+    use crate::request::named_list;
     use march_test::AddressOrder;
 
     fn parse(args: &[&str]) -> Result<Command, ParseArgsError> {
@@ -992,16 +992,19 @@ mod tests {
     #[test]
     fn target_labels() {
         // Every spelling of each list, and nothing else.
-        for (spellings, target) in [
-            (["1", "list1", "#1"], CoverageTarget::List1),
-            (["2", "list2", "#2"], CoverageTarget::List2),
-            (["unlinked", "simple", "static"], CoverageTarget::Unlinked),
+        for (spellings, list) in [
+            (["1", "list1", "#1"], FaultList::list_1()),
+            (["2", "list2", "#2"], FaultList::list_2()),
+            (
+                ["unlinked", "simple", "static"],
+                FaultList::unlinked_static(),
+            ),
         ] {
             for spelling in spellings {
-                assert_eq!(CoverageTarget::parse(spelling), Ok(target), "{spelling}");
+                assert_eq!(named_list(spelling).as_ref(), Ok(&list), "{spelling}");
             }
         }
-        assert!(CoverageTarget::parse("3").is_err());
+        assert!(named_list("3").is_err());
         assert!(!usage().is_empty());
     }
 }

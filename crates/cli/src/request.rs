@@ -21,84 +21,18 @@ use crate::args::ParseArgsError;
 use crate::commands::CliError;
 use crate::json::JsonValue;
 
-/// The cell-array fault list a request's `list` field names.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CoverageTarget {
-    /// The paper's Fault List #1 (single-, two- and three-cell static linked
-    /// faults).
-    List1,
-    /// The paper's Fault List #2 (single-cell static linked faults).
-    List2,
-    /// The 48 unlinked realistic static fault primitives.
-    Unlinked,
-}
-
-impl CoverageTarget {
-    pub(crate) fn parse(text: &str) -> Result<CoverageTarget, ParseArgsError> {
-        match text {
-            "1" | "list1" | "#1" => Ok(CoverageTarget::List1),
-            "2" | "list2" | "#2" => Ok(CoverageTarget::List2),
-            "unlinked" | "simple" | "static" => Ok(CoverageTarget::Unlinked),
-            other => Err(ParseArgsError(format!(
-                "unknown fault list `{other}` (expected 1, 2 or unlinked)"
-            ))),
-        }
-    }
-
-    fn list(self) -> FaultList {
-        match self {
-            CoverageTarget::List1 => FaultList::list_1(),
-            CoverageTarget::List2 => FaultList::list_2(),
-            CoverageTarget::Unlinked => FaultList::unlinked_static(),
-        }
-    }
-}
-
-/// Which fault domain a request targets: the cell-array FFM lists, the
-/// address-decoder fault classes, or both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) enum FaultDomain {
-    /// Cell-array faults only (the selected `list`). The default.
-    #[default]
-    Ffm,
-    /// Address-decoder faults only (`list` must be omitted).
-    Af,
-    /// The selected `list` extended with the address-decoder fault classes.
-    All,
-}
-
-impl FaultDomain {
-    fn parse(text: &str) -> Result<FaultDomain, ParseArgsError> {
-        match text.trim().to_ascii_lowercase().as_str() {
-            "ffm" => Ok(FaultDomain::Ffm),
-            "af" => Ok(FaultDomain::Af),
-            "all" => Ok(FaultDomain::All),
-            other => Err(ParseArgsError(format!(
-                "unknown fault domain `{other}` (expected ffm, af or all)"
-            ))),
-        }
-    }
-
-    /// The fault list of a `list`/`faults` pair. `list` is mandatory unless
-    /// the domain is decoder-only, and the decoder-only domain rejects one,
-    /// so a cell-array list is never silently dropped from the run.
-    fn resolve(
-        self,
-        target: Option<CoverageTarget>,
-        command: &str,
-    ) -> Result<FaultList, ParseArgsError> {
-        match (self, target) {
-            (FaultDomain::Af, None) => Ok(FaultList::address_decoder()),
-            (FaultDomain::Af, Some(_)) => Err(ParseArgsError(format!(
-                "{command} --faults af targets only the decoder classes and would ignore \
-                 --list; drop --list or use --faults all to combine the two domains"
-            ))),
-            (_, None) => Err(ParseArgsError(format!(
-                "{command} requires --list (or --faults af for the decoder-only domain)"
-            ))),
-            (FaultDomain::Ffm, Some(target)) => Ok(target.list()),
-            (FaultDomain::All, Some(target)) => Ok(target.list().with_address_decoder_faults()),
-        }
+/// The cell-array fault list a request's `list` field names: the paper's
+/// Fault List #1 (single-, two- and three-cell static linked faults), its
+/// Fault List #2 (single-cell static linked faults), or the 48 unlinked
+/// realistic static fault primitives.
+pub(crate) fn named_list(text: &str) -> Result<FaultList, ParseArgsError> {
+    match text {
+        "1" | "list1" | "#1" => Ok(FaultList::list_1()),
+        "2" | "list2" | "#2" => Ok(FaultList::list_2()),
+        "unlinked" | "simple" | "static" => Ok(FaultList::unlinked_static()),
+        other => Err(ParseArgsError(format!(
+            "unknown fault list `{other}` (expected 1, 2 or unlinked)"
+        ))),
     }
 }
 
@@ -254,17 +188,38 @@ pub(crate) fn required<T>(
     value.ok_or_else(|| ParseArgsError(format!("{op} requires {}", fields.name(key))))
 }
 
-/// The fault list of the `faults` and `list` fields of `op`.
+/// The fault list of the `faults` and `list` fields of `op`. The `faults`
+/// domain is `ffm` (the cell-array `list`, the default), `af` (the
+/// address-decoder classes alone) or `all` (`list` plus the decoder
+/// classes). `list` is mandatory unless the domain is decoder-only, and the
+/// decoder-only domain rejects one, so a cell-array list is never silently
+/// dropped from the run.
 pub(crate) fn decode_list(fields: &mut impl Fields, op: &str) -> Result<FaultList, ParseArgsError> {
-    let domain = match fields.string("faults")? {
-        Some(text) => FaultDomain::parse(&text)?,
-        None => FaultDomain::Ffm,
-    };
-    let target = fields
+    let domain = fields.string("faults")?.map_or_else(
+        || "ffm".to_string(),
+        |text| text.trim().to_ascii_lowercase(),
+    );
+    if !matches!(domain.as_str(), "ffm" | "af" | "all") {
+        return Err(ParseArgsError(format!(
+            "unknown fault domain `{domain}` (expected ffm, af or all)"
+        )));
+    }
+    let list = fields
         .string("list")?
-        .map(|text| CoverageTarget::parse(&text))
+        .map(|text| named_list(&text))
         .transpose()?;
-    domain.resolve(target, op)
+    match (domain.as_str(), list) {
+        ("af", None) => Ok(FaultList::address_decoder()),
+        ("af", Some(_)) => Err(ParseArgsError(format!(
+            "{op} --faults af targets only the decoder classes and would ignore \
+             --list; drop --list or use --faults all to combine the two domains"
+        ))),
+        (_, None) => Err(ParseArgsError(format!(
+            "{op} requires --list (or --faults af for the decoder-only domain)"
+        ))),
+        ("all", Some(list)) => Ok(list.with_address_decoder_faults()),
+        (_, Some(list)) => Ok(list),
+    }
 }
 
 impl Request {
@@ -513,8 +468,10 @@ pub(crate) fn execute(session: Session, request: &Request) -> Result<Response<'_
             let primitive = find_primitive(fault)?;
             let injected = build_injection(&primitive, *victim, *aggressor, *cells)?;
             let session = session.with_memory_cells(*cells);
-            validate_scope(&session, list)?;
+            // The device first: a memory too large to allocate fails before
+            // the list is enumerated (and persisted) at its size.
             let syndrome = session.observe(&test, &injected).map_err(simulation)?;
+            validate_scope(&session, list)?;
             // The memoised dictionary makes a repeated query over the same
             // (test, list, scope) one index lookup.
             let dictionary = session.dictionary(&test, list);
